@@ -5,11 +5,11 @@ Two outputs with very different stability requirements:
 * **Timing** (``codec_ns`` per round-trip, derived ops/sec) is noisy and
   goes to ``BENCH_fig6.json`` — the artifact CI diffs by eye, never by
   byte.
-* **Sizes** (measured frame bytes vs ``size_bytes()``, per kind) are
+* **Sizes** (encoded frame bytes vs ``size_bytes()``, per kind) are
   deterministic and are emitted to ``results/wire_drift.txt`` so the
-  epoch-2 invariant — the accounted size *is* the measured frame size,
-  zero drift for every kind — is pinned by the CI results-drift check
-  like every other figure.
+  per-kind frame sizes — and the accounted size being the frame size, zero
+  drift for every kind — are pinned by the CI results-drift check like
+  every other figure.
 """
 
 from __future__ import annotations
@@ -77,12 +77,9 @@ def test_bench_codec_round_trip(benchmark, codec_bench_recorder):
 def test_bench_codec_drift_report(results_emitter):
     """Deterministic measured-vs-estimated report (``results/wire_drift.txt``).
 
-    Since the epoch-2 re-baseline ``size_bytes()`` *is* the exact frame
-    length (``repro.core.wiresize``), so this report doubles as the
-    exhaustive equality gate: every registered kind — including the
-    post-epoch-1 additions ``MPromiseResync`` and ``MExecutedClock`` — must
-    show zero drift, or the arithmetic size model has diverged from the
-    codec.
+    ``size_bytes()`` and the codec are generated from one declaration per
+    kind (``repro.core.wireschema``), so every registered kind must show
+    zero drift; the table pins the canonical samples' frame sizes.
     """
     samples = sample_messages()
     estimated = {}
@@ -90,7 +87,7 @@ def test_bench_codec_drift_report(results_emitter):
     for kind, message in samples.items():
         if kind == "MBatch":
             # The envelope has no size_bytes() of its own: the network
-            # charges the exact inner frame sizes plus framing overhead.
+            # charges the inner frames only.
             continue
         estimated[kind] = float(message.size_bytes())
         measured[kind] = float(encoded_size(message))
@@ -114,8 +111,7 @@ def test_bench_codec_drift_report(results_emitter):
         "(canonical 100 B payload samples)",
     )
 
-    # Epoch-2 equality gate: no kind may drift at all, and the accounted
-    # size must match the measured frame byte for byte.
+    # No kind may drift at all: the accounted size is the frame length.
     assert not drifted_kinds(rows), f"drifted kinds: {sorted(drifted_kinds(rows))}"
     for kind in estimated:
         assert estimated[kind] == measured[kind], (

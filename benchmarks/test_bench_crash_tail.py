@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
+from repro.faults import Crash, FaultPlan
 
 #: Tolerated tail bound: recovery timeout (500 ms) + leader-election lag via
 #: the pending watchdog (another timeout) + a few wide-area round trips.
@@ -56,7 +57,9 @@ def _row(name: str, result) -> dict:
 def test_bench_crash_during_contention_tail(benchmark, results_emitter):
     def run_pair():
         healthy = run_experiment(_config())
-        crashed = run_experiment(_config(crash_site_rank=0, crash_at_ms=1_200.0))
+        crashed = run_experiment(
+            _config(fault_plan=FaultPlan([Crash(at_ms=1_200.0, site_rank=0)]))
+        )
         return healthy, crashed
 
     healthy, crashed = benchmark.pedantic(run_pair, rounds=1, iterations=1)

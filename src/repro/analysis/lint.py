@@ -158,8 +158,8 @@ HOT_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("core/info.py", "CommandInfo"),
     ("core/promises.py", "_IntRanges"),
     ("core/promises.py", "PromiseSet"),
+    ("core/wireschema.py", "Reader"),
     ("simulator/events.py", "EventQueue"),
-    ("wire/primitives.py", "Reader"),
     ("protocols/dependency.py", "KeyConflicts"),
 )
 
@@ -266,8 +266,10 @@ def codec_exhaustiveness_findings() -> List[LintFinding]:
                         line=1,
                         code="codec-exhaustiveness",
                         message=(
-                            f"{obj.__name__} has no wire codec — register it in "
-                            "repro/wire/codecs.py (_REGISTRY_SPEC)"
+                            f"{obj.__name__} has no wire codec — declare its "
+                            "fields with @wire_schema on the class and add its "
+                            "(kind byte, class) row to _KINDS in "
+                            "repro/wire/codecs.py"
                         ),
                     )
                 )

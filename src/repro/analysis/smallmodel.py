@@ -29,13 +29,13 @@ the schedule (once per path); the settle phase then jumps past the recovery
 timeout so Algorithm 4 runs, and the invariants are asserted over the
 surviving replicas.
 
-The optional message-loss branch (``lose_kinds``; ``lose_commit`` is the
-``["MCommit"]`` alias) drops one in-flight message of any registered kind
-at every depth (once per path, fair-lossy links): the model then proves
-the liveness machinery — commit hints, the hint watchdog's forced
-``MCommitRequest``, §B.1 recovery, the promise-resync watchdog, and the
-cross-shard ``MStableRequest`` watchdog — re-delivers what was lost; the
-full liveness invariant still holds with no process crashed.  A
+The optional message-loss branch (``lose_kinds``) drops one in-flight
+message of any registered kind at every depth (once per path, fair-lossy
+links): the model then proves the liveness machinery — commit hints, the
+hint watchdog's forced ``MCommitRequest``, §B.1 recovery, the
+promise-resync watchdog, and the cross-shard ``MStableRequest`` watchdog —
+re-delivers what was lost; the full liveness invariant still holds with no
+process crashed.  A
 two-partition topology (``num_partitions=2``) makes every command
 cross-shard, so losing a cross-partition ``MStable`` is exhaustively
 enumerated — the model counterpart of the scenario matrix's
@@ -64,7 +64,6 @@ from repro.core.base import ProcessBase
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
-from repro.core.messages import MCommit
 from repro.core.process import TempoProcess
 from repro.core.quorums import QuorumSystem
 from repro.protocols.caesar import CaesarProcess
@@ -541,7 +540,6 @@ def explore_tempo(
     num_commands: int = 2,
     num_keys: int = 1,
     crash_coordinator: bool = False,
-    lose_commit: bool = False,
     lose_kinds: Optional[Sequence[str]] = None,
     num_partitions: int = 1,
     ack_broadcast: bool = True,
@@ -561,8 +559,7 @@ def explore_tempo(
     The loss transition generalises over message kinds: ``lose_kinds`` names
     the registered message classes (for instance ``["MCommit", "MStable"]``)
     of which one in-flight instance may vanish at any depth (once per path,
-    fair-lossy links); ``lose_commit`` is the backwards-compatible alias for
-    ``lose_kinds=["MCommit"]``.  No process crashes on a loss path, so the
+    fair-lossy links).  No process crashes on a loss path, so the
     full liveness invariant stands — the commit-hint watchdog,
     ``MCommitRequest``/``MPromiseResync`` machinery and the cross-shard
     ``MStableRequest`` watchdog must re-deliver whatever was lost.
@@ -726,8 +723,6 @@ def explore_tempo(
             settle_violations.clear()
 
     lose_names = set(lose_kinds or ())
-    if lose_commit:
-        lose_names.add(MCommit.__name__)
     protocol_label = f"tempo r={num_processes} f={faults}"
     if num_partitions > 1:
         protocol_label += f" p={num_partitions}"
@@ -897,11 +892,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--keys", type=int, default=1)
     parser.add_argument("--crash", action="store_true", help="crash the coordinator")
     parser.add_argument(
-        "--lose-commit",
-        action="store_true",
-        help="allow one in-flight MCommit broadcast to be lost (tempo only)",
-    )
-    parser.add_argument(
         "--lose-kind",
         action="append",
         default=None,
@@ -951,7 +941,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             num_commands=args.commands,
             num_keys=args.keys,
             crash_coordinator=args.crash,
-            lose_commit=args.lose_commit,
             lose_kinds=args.lose_kind,
             num_partitions=args.partitions,
             ack_broadcast=args.ack_broadcast,

@@ -32,24 +32,9 @@ class ExperimentConfig:
         seed: RNG seed (workloads, jitter).
         sites: site names; defaults to the paper's five EC2 regions.
         protocol_kwargs: extra arguments for the protocol constructor.
-        crash_site_rank: if set, crash the replica of ``crash_shard`` hosted
-            at this site rank at ``crash_at_ms`` (failure-injection runs,
-            e.g. the crash-during-contention tail benchmark).  A legacy shim:
-            the pair compiles into a one-event :class:`repro.faults.FaultPlan`
-            (see :meth:`compiled_fault_plan`); new code should pass
-            ``fault_plan`` directly.
-        crash_shard: shard whose replica is crashed (default 0).
-        crash_at_ms: simulated time of the injected crash.
         fault_plan: declarative timeline of fault events (crashes, restarts,
             partitions, flaky-link windows, targeted message loss) executed
-            by :class:`repro.faults.FaultInjector` during the run.  Mutually
-            exclusive with the legacy ``crash_*`` knobs.
-        measure_encoded_bytes: run every transmitted message through the
-            ``repro.wire`` codec and record measured frame sizes in the
-            ``encoded_*`` stats next to the ``size_bytes()`` declarations
-            (default off; since the epoch-2 re-baseline ``size_bytes()``
-            matches the codec output byte-for-byte, so this is a zero-drift
-            cross-check, not a correction).
+            by :class:`repro.faults.FaultInjector` during the run.
         record_execution_trace: record every command execution (replica,
             identifier, keys, committed timestamp) plus client submit/reply
             windows, and run the :mod:`repro.analysis` consistency checks
@@ -76,11 +61,7 @@ class ExperimentConfig:
     sites: Sequence[str] = field(default_factory=lambda: EC2_REGIONS)
     keys_per_shard: int = 10_000
     protocol_kwargs: Dict[str, object] = field(default_factory=dict)
-    crash_site_rank: Optional[int] = None
-    crash_shard: int = 0
-    crash_at_ms: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
-    measure_encoded_bytes: bool = False
     record_execution_trace: bool = False
 
     def __post_init__(self) -> None:
@@ -96,39 +77,12 @@ class ExperimentConfig:
             raise ValueError("warmup_ms must be smaller than duration_ms")
         if self.workload not in ("micro", "ycsbt"):
             raise ValueError("workload must be 'micro' or 'ycsbt'")
-        if (self.crash_site_rank is None) != (self.crash_at_ms is None):
-            raise ValueError(
-                "crash_site_rank and crash_at_ms must be set together"
-            )
-        if self.crash_site_rank is not None:
-            if self.fault_plan is not None:
-                raise ValueError(
-                    "fault_plan and the legacy crash knobs are mutually "
-                    "exclusive; express the crash as a plan event"
-                )
-            if not 0 <= self.crash_site_rank < self.num_sites:
-                raise ValueError("crash_site_rank out of range")
-            if not 0 <= self.crash_shard < self.num_shards:
-                raise ValueError("crash_shard out of range")
-            if self.crash_at_ms <= 0:
-                raise ValueError("crash_at_ms must be positive")
         if self.fault_plan is not None:
             self.fault_plan.validate(self.num_sites, self.num_shards)
 
     def site_names(self) -> Sequence[str]:
         """Names of the sites actually used."""
         return list(self.sites[: self.num_sites])
-
-    def compiled_fault_plan(self) -> Optional[FaultPlan]:
-        """The fault plan to run: ``fault_plan`` as given, or the legacy
-        crash knobs compiled into a one-event plan, or ``None``."""
-        if self.fault_plan is not None:
-            return self.fault_plan
-        if self.crash_site_rank is not None and self.crash_at_ms is not None:
-            return FaultPlan.from_legacy_crash(
-                self.crash_site_rank, self.crash_shard, self.crash_at_ms
-            )
-        return None
 
     def total_clients(self) -> int:
         return self.clients_per_site * self.num_sites

@@ -33,7 +33,7 @@ from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.throughput import ThroughputTracker
 from repro.protocols.registry import build_process
 from repro.simulator.latency import ec2_latency_matrix
-from repro.simulator.network import Network, NetworkOptions
+from repro.simulator.network import Network
 from repro.simulator.rng import SeededRng
 from repro.simulator.sim import Simulation, SimulationOptions
 from repro.workloads.micro import MicroWorkload
@@ -97,11 +97,7 @@ class _Deployment:
             else Partitioner(1)
         )
         self.latency_matrix = ec2_latency_matrix(self.sites)
-        self.network = Network(
-            self.latency_matrix,
-            NetworkOptions(measure_encoded=config.measure_encoded_bytes),
-            rng=SeededRng(config.seed),
-        )
+        self.network = Network(self.latency_matrix, rng=SeededRng(config.seed))
         self.quorum_system = QuorumSystem(
             self.protocol_config, latencies=self._process_latencies()
         )
@@ -239,7 +235,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         start_delay = rng.uniform_between(0.0, 5.0)
         simulation.schedule(start_delay, lambda now, client=client: client.start(now))
 
-    fault_plan = config.compiled_fault_plan()
+    fault_plan = config.fault_plan
     if fault_plan is not None:
         FaultInjector(
             fault_plan,
@@ -306,13 +302,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # traffic regressions are visible to tests and the CI smoke job.
     for kind in sorted(network_stats.per_kind):
         stats[f"sent:{kind}"] = float(network_stats.per_kind[kind])
-    # Measured codec columns appear only when the run measured them
-    # (``measure_encoded_bytes``), keeping default stats dicts unchanged.
-    if config.measure_encoded_bytes:
-        stats["encoded_bytes"] = float(network_stats.encoded_bytes)
-        stats["encoded_batch_overhead"] = float(network_stats.encoded_batch_overhead)
-        for kind in sorted(network_stats.per_kind_encoded):
-            stats[f"encoded:{kind}"] = float(network_stats.per_kind_encoded[kind])
     trace_report = None
     if recorder is not None:
         trace_report = recorder.check()

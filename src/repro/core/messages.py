@@ -1,19 +1,12 @@
 """Tempo protocol messages.
 
-Every message of Algorithms 1-6 is represented by a dataclass.  Messages
-know their wire size (:meth:`Message.size_bytes`), which is what the
-resource/throughput model charges against the NIC budget, and they have a
-real binary codec in :mod:`repro.wire` (:meth:`Message.encoded_size`
-actually encodes the frame).
-
-Since the epoch-2 re-baseline, ``size_bytes()`` *is* the measured frame
-size: each class computes the exact length of its encoded frame
-arithmetically (:mod:`repro.core.wiresize` mirrors the varint layout of
-``repro/wire/codecs.py``), so the default byte accounting matches the codec
-byte for byte without paying the encoding cost per transmitted message.
-The equality ``size_bytes() == encoded_size()`` is enforced for every kind
-by the wire drift report (``results/wire_drift.txt``,
-``docs/epoch2_rebaseline.md``).
+Every message of Algorithms 1-6 is a frozen dataclass that declares its
+wire body once, in a :func:`~repro.core.wireschema.wire_schema` decorator
+listing ``(field name, field type)`` in dataclass order.  From that one
+declaration the decorator generates the body codec :mod:`repro.wire` frames
+and ``size_bytes()`` — the exact length of the encoded frame, which is what
+the resource/throughput model charges against the NIC budget — so the
+accounted size and the shipped bytes cannot disagree.
 
 Naming follows the paper: ``MSubmit``, ``MPropose``, ``MProposeAck``,
 ``MPayload``, ``MCommit``, ``MConsensus``, ``MConsensusAck``, ``MBump``,
@@ -31,31 +24,32 @@ from repro.core.commands import Command
 from repro.core.identifiers import Dot
 from repro.core.phases import Phase
 from repro.core.promises import Promise, PromiseRangeWire
-from repro.core.wiresize import (
-    attached_map_size,
-    clock_map_size,
-    command_size,
-    dot_set_size,
-    dot_size,
-    frame_size,
-    promise_set_size,
-    quorums_size,
-    range_wire_size,
-    result_size,
-    svarint_size,
-    uvarint_size,
+from repro.core.wireschema import (
+    ATTACHED_MAP,
+    CLOCK_MAP,
+    COMMAND,
+    DOT_SET,
+    PHASE,
+    PROMISE_RANGE_MAP,
+    PROMISE_SET,
+    QUORUM_MAP,
+    RESULT,
+    SVARINT,
+    UVARINT,
+    wire_schema,
 )
 
 
+@wire_schema()
 @dataclass(frozen=True)
 class Message:
-    """Base class for all protocol messages."""
+    """Base class for all protocol messages.
+
+    ``size_bytes()`` — the exact serialized frame size used by the resource
+    model — is generated per class by :func:`wire_schema`.
+    """
 
     dot: Dot
-
-    def size_bytes(self) -> int:
-        """Exact serialized frame size, used by the resource model."""
-        return frame_size(dot_size(self.dot))
 
     def wire_size(self) -> int:
         """:meth:`size_bytes` memoised per instance.
@@ -70,25 +64,13 @@ class Message:
             self.__dict__["_wire_size"] = cached
         return cached
 
-    def encoded_size(self) -> int:
-        """Measured wire size: the length of this message's encoded frame.
-
-        Delegates to the :mod:`repro.wire` codec registry (imported lazily;
-        the wire package imports this module to register codecs).  Since the
-        epoch-2 re-baseline this equals :meth:`size_bytes` for every kind —
-        the codec bench asserts it — so callers on hot paths should prefer
-        ``size_bytes()``, which never materialises the frame.
-        """
-        from repro.wire import encoded_size
-
-        return encoded_size(self)
-
     @property
     def kind(self) -> str:
         """Short message-kind name (the class name)."""
         return type(self).__name__
 
 
+@wire_schema(("command", COMMAND), ("quorums", QUORUM_MAP))
 @dataclass(frozen=True)
 class MSubmit(Message):
     """Client-facing submission forwarded to the per-partition coordinators."""
@@ -96,14 +78,10 @@ class MSubmit(Message):
     command: Command
     quorums: Mapping[int, Tuple[int, ...]] = field(default_factory=dict)
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + quorums_size(self.quorums)
-        )
 
-
+@wire_schema(
+    ("command", COMMAND), ("quorums", QUORUM_MAP), ("timestamp", SVARINT)
+)
 @dataclass(frozen=True)
 class MPropose(Message):
     """Coordinator -> fast quorum: carry the payload and a timestamp proposal."""
@@ -112,15 +90,12 @@ class MPropose(Message):
     quorums: Mapping[int, Tuple[int, ...]]
     timestamp: int
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + quorums_size(self.quorums)
-            + svarint_size(self.timestamp)
-        )
 
-
+@wire_schema(
+    ("timestamp", SVARINT),
+    ("attached", PROMISE_SET),
+    ("detached", PROMISE_RANGE_MAP),
+)
 @dataclass(frozen=True)
 class MProposeAck(Message):
     """Fast-quorum process -> coordinator: timestamp proposal (plus the
@@ -136,15 +111,8 @@ class MProposeAck(Message):
     attached: FrozenSet[Promise] = frozenset()
     detached: PromiseRangeWire = field(default_factory=dict)
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + svarint_size(self.timestamp)
-            + promise_set_size(self.attached)
-            + range_wire_size(self.detached)
-        )
 
-
+@wire_schema(("command", COMMAND), ("quorums", QUORUM_MAP))
 @dataclass(frozen=True)
 class MPayload(Message):
     """Coordinator -> processes outside the fast quorum: payload only."""
@@ -152,14 +120,13 @@ class MPayload(Message):
     command: Command
     quorums: Mapping[int, Tuple[int, ...]]
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + quorums_size(self.quorums)
-        )
 
-
+@wire_schema(
+    ("timestamp", SVARINT),
+    ("partition", UVARINT),
+    ("attached", PROMISE_SET),
+    ("detached", PROMISE_RANGE_MAP),
+)
 @dataclass(frozen=True)
 class MCommit(Message):
     """Commit notification with the (per-partition) committed timestamp.
@@ -175,16 +142,8 @@ class MCommit(Message):
     attached: FrozenSet[Promise] = frozenset()
     detached: PromiseRangeWire = field(default_factory=dict)
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + svarint_size(self.timestamp)
-            + uvarint_size(self.partition)
-            + promise_set_size(self.attached)
-            + range_wire_size(self.detached)
-        )
 
-
+@wire_schema(("timestamp", SVARINT), ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MConsensus(Message):
     """Flexible-Paxos phase-2 message on the slow path / during recovery."""
@@ -192,24 +151,16 @@ class MConsensus(Message):
     timestamp: int
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + svarint_size(self.timestamp)
-            + svarint_size(self.ballot)
-        )
 
-
+@wire_schema(("ballot", SVARINT))
 @dataclass(frozen=True)
 class MConsensusAck(Message):
     """Acceptance of an :class:`MConsensus` proposal."""
 
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + svarint_size(self.ballot))
 
-
+@wire_schema(("timestamp", SVARINT))
 @dataclass(frozen=True)
 class MBump(Message):
     """Fast-quorum process -> co-located replicas of the other partitions:
@@ -217,10 +168,12 @@ class MBump(Message):
 
     timestamp: int
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + svarint_size(self.timestamp))
 
-
+@wire_schema(
+    ("detached", PROMISE_RANGE_MAP),
+    ("attached", ATTACHED_MAP),
+    ("committed", DOT_SET),
+)
 @dataclass(frozen=True)
 class MPromises(Message):
     """Periodic broadcast of issued promises (Algorithm 2, line 45).
@@ -245,35 +198,29 @@ class MPromises(Message):
     attached: Mapping[Dot, FrozenSet[Promise]] = field(default_factory=dict)
     committed: FrozenSet[Dot] = frozenset()
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + range_wire_size(self.detached)
-            + attached_map_size(self.attached)
-            + dot_set_size(self.committed)
-        )
 
-
+@wire_schema(("partition", UVARINT))
 @dataclass(frozen=True)
 class MStable(Message):
     """Per-partition stability notification for a multi-partition command."""
 
     partition: int = 0
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + uvarint_size(self.partition))
 
-
+@wire_schema(("ballot", SVARINT))
 @dataclass(frozen=True)
 class MRec(Message):
     """Recovery phase-1 message (Algorithm 4)."""
 
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + svarint_size(self.ballot))
 
-
+@wire_schema(
+    ("timestamp", SVARINT),
+    ("phase", PHASE),
+    ("accepted_ballot", SVARINT),
+    ("ballot", SVARINT),
+)
 @dataclass(frozen=True)
 class MRecAck(Message):
     """Reply to :class:`MRec` carrying the local timestamp, phase and the
@@ -284,16 +231,8 @@ class MRecAck(Message):
     accepted_ballot: int
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + svarint_size(self.timestamp)
-            + 1  # phase byte
-            + svarint_size(self.accepted_ballot)
-            + svarint_size(self.ballot)
-        )
 
-
+@wire_schema(("ballot", SVARINT))
 @dataclass(frozen=True)
 class MRecNAck(Message):
     """Negative acknowledgement telling the recovering leader to retry with a
@@ -301,19 +240,15 @@ class MRecNAck(Message):
 
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + svarint_size(self.ballot))
 
-
+@wire_schema()
 @dataclass(frozen=True)
 class MCommitRequest(Message):
     """Ask a process that already committed ``dot`` to re-send its payload
     and commit information (Algorithm 6, liveness mechanism)."""
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot))
 
-
+@wire_schema(("frontier", UVARINT))
 @dataclass(frozen=True)
 class MPromiseResync(Message):
     """Ask a peer to re-broadcast its full issued-promise set.
@@ -336,10 +271,8 @@ class MPromiseResync(Message):
 
     frontier: int = 0
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + uvarint_size(self.frontier))
 
-
+@wire_schema(("clock", CLOCK_MAP))
 @dataclass(frozen=True)
 class MExecutedClock(Message):
     """Periodic globally-executed watermark exchange (epoch-2 GC).
@@ -359,10 +292,8 @@ class MExecutedClock(Message):
 
     clock: Mapping[int, int] = field(default_factory=dict)
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + clock_map_size(self.clock))
 
-
+@wire_schema(("kind_id", UVARINT), ("epoch", UVARINT), ("frontier", UVARINT))
 @dataclass(frozen=True)
 class MDeliveryAck(Message):
     """Acknowledge delivery of one tracked critical message.
@@ -382,15 +313,8 @@ class MDeliveryAck(Message):
     epoch: int = 0
     frontier: int = 0
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + uvarint_size(self.kind_id)
-            + uvarint_size(self.epoch)
-            + uvarint_size(self.frontier)
-        )
 
-
+@wire_schema(("partition", UVARINT))
 @dataclass(frozen=True)
 class MStableRequest(Message):
     """Ask a remote partition to re-send ``MStable`` for a blocked command.
@@ -408,28 +332,21 @@ class MStableRequest(Message):
 
     partition: int = 0
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + uvarint_size(self.partition))
 
-
+@wire_schema(("command", COMMAND))
 @dataclass(frozen=True)
 class ClientSubmit(Message):
     """Client -> closest process: submit a command."""
 
     command: Command
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + command_size(self.command))
 
-
+@wire_schema(("result", RESULT))
 @dataclass(frozen=True)
 class ClientReply(Message):
     """Process -> client: the command was executed; return values omitted."""
 
     result: Optional[Dict[str, Optional[str]]] = None
-
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + result_size(self.result))
 
 
 #: All Tempo protocol message classes, useful for dispatch tables and tests.

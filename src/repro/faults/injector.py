@@ -5,9 +5,8 @@ the injector resolves those into concrete process ids and site names and
 schedules every event at its simulated time:
 
 * :class:`~repro.faults.plan.Crash` events go through the simulator's
-  first-class ``crash_at`` (the same CRASH event the legacy
-  ``crash_site_rank``/``crash_at_ms`` knobs pushed, at the same queue
-  position — keeping legacy crash runs byte-identical);
+  first-class ``crash_at`` (a CRASH event at the crash time's queue
+  position, which is what keeps ``results/crash_tail.txt`` byte-identical);
 * everything else becomes a FAULT event whose payload mutates the network's
   fault state (partition edges, degradation windows, targeted-loss windows)
   or restarts a process.

@@ -219,12 +219,3 @@ class FaultPlan:
                 raise TypeError(f"not a fault event: {event!r}")
             event.validate(num_sites, num_shards)
         return self
-
-    @classmethod
-    def from_legacy_crash(
-        cls, crash_site_rank: int, crash_shard: int, crash_at_ms: float
-    ) -> "FaultPlan":
-        """Compile the legacy single-crash knobs into a one-event plan."""
-        return cls(
-            [Crash(at_ms=crash_at_ms, site_rank=crash_site_rank, shard=crash_shard)]
-        )

@@ -2,10 +2,9 @@
 and by Caesar.
 
 They mirror the structure of the Tempo messages in
-:mod:`repro.core.messages` and implement the same ``size_bytes`` interface
-for the resource model: since the epoch-2 re-baseline, ``size_bytes()``
-computes the exact encoded frame length (:mod:`repro.core.wiresize`) and
-equals ``encoded_size()`` for every kind.
+:mod:`repro.core.messages`: each class declares its wire body once with
+:func:`~repro.core.wireschema.wire_schema`, which generates its codec and
+its exact ``size_bytes()`` for the resource model.
 """
 
 from __future__ import annotations
@@ -16,21 +15,18 @@ from typing import FrozenSet, Tuple
 from repro.core.commands import Command
 from repro.core.identifiers import Dot
 from repro.core.messages import Message
-from repro.core.wiresize import (
-    command_size,
-    dot_set_size,
-    dot_size,
-    frame_size,
-    svarint_size,
-    uvarint_size,
+from repro.core.wireschema import (
+    BOOL,
+    COMMAND,
+    DOT_SET,
+    SVARINT,
+    TS_PAIR,
+    UVARINT,
+    wire_schema,
 )
 
 
-def _ts_pair_size(timestamp: Tuple[int, int]) -> int:
-    """Caesar's ``(clock, process)`` timestamp pair: two signed varints."""
-    return svarint_size(timestamp[0]) + svarint_size(timestamp[1])
-
-
+@wire_schema(("command", COMMAND), ("dependencies", DOT_SET), ("sequence", SVARINT))
 @dataclass(frozen=True)
 class MPreAccept(Message):
     """Coordinator -> fast quorum: command plus initial dependencies."""
@@ -39,15 +35,8 @@ class MPreAccept(Message):
     dependencies: FrozenSet[Dot]
     sequence: int = 0
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + dot_set_size(self.dependencies)
-            + svarint_size(self.sequence)
-        )
 
-
+@wire_schema(("dependencies", DOT_SET), ("sequence", SVARINT))
 @dataclass(frozen=True)
 class MPreAcceptAck(Message):
     """Fast-quorum member -> coordinator: possibly extended dependencies."""
@@ -55,14 +44,13 @@ class MPreAcceptAck(Message):
     dependencies: FrozenSet[Dot]
     sequence: int = 0
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + dot_set_size(self.dependencies)
-            + svarint_size(self.sequence)
-        )
 
-
+@wire_schema(
+    ("command", COMMAND),
+    ("dependencies", DOT_SET),
+    ("sequence", SVARINT),
+    ("ballot", SVARINT),
+)
 @dataclass(frozen=True)
 class MDepAccept(Message):
     """Slow-path phase-2 message carrying the union of dependencies."""
@@ -72,26 +60,21 @@ class MDepAccept(Message):
     sequence: int
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + dot_set_size(self.dependencies)
-            + svarint_size(self.sequence)
-            + svarint_size(self.ballot)
-        )
 
-
+@wire_schema(("ballot", SVARINT))
 @dataclass(frozen=True)
 class MDepAcceptAck(Message):
     """Acceptance of a slow-path proposal."""
 
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + svarint_size(self.ballot))
 
-
+@wire_schema(
+    ("command", COMMAND),
+    ("dependencies", DOT_SET),
+    ("sequence", SVARINT),
+    ("shard", UVARINT),
+)
 @dataclass(frozen=True)
 class MDepCommit(Message):
     """Commit notification with the final dependencies."""
@@ -101,19 +84,11 @@ class MDepCommit(Message):
     sequence: int = 0
     shard: int = 0
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + dot_set_size(self.dependencies)
-            + svarint_size(self.sequence)
-            + uvarint_size(self.shard)
-        )
-
 
 # -- Caesar ---------------------------------------------------------------------
 
 
+@wire_schema(("command", COMMAND), ("timestamp", TS_PAIR))
 @dataclass(frozen=True)
 class MCaesarPropose(Message):
     """Coordinator -> fast quorum: command plus a unique timestamp proposal."""
@@ -121,14 +96,8 @@ class MCaesarPropose(Message):
     command: Command
     timestamp: Tuple[int, int]
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + _ts_pair_size(self.timestamp)
-        )
 
-
+@wire_schema(("timestamp", TS_PAIR), ("dependencies", DOT_SET), ("accepted", BOOL))
 @dataclass(frozen=True)
 class MCaesarProposeAck(Message):
     """Reply to a Caesar proposal, sent only after the wait condition clears."""
@@ -137,15 +106,8 @@ class MCaesarProposeAck(Message):
     dependencies: FrozenSet[Dot]
     accepted: bool = True
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + _ts_pair_size(self.timestamp)
-            + dot_set_size(self.dependencies)
-            + 1  # accepted flag byte
-        )
 
-
+@wire_schema(("command", COMMAND), ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
 @dataclass(frozen=True)
 class MCaesarRetry(Message):
     """Coordinator -> replicas: retry with a higher timestamp (slow path)."""
@@ -154,15 +116,8 @@ class MCaesarRetry(Message):
     timestamp: Tuple[int, int]
     dependencies: FrozenSet[Dot]
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + _ts_pair_size(self.timestamp)
-            + dot_set_size(self.dependencies)
-        )
 
-
+@wire_schema(("timestamp", TS_PAIR), ("dependencies", DOT_SET))
 @dataclass(frozen=True)
 class MCaesarRetryAck(Message):
     """Acknowledgement of a retry."""
@@ -170,14 +125,8 @@ class MCaesarRetryAck(Message):
     timestamp: Tuple[int, int]
     dependencies: FrozenSet[Dot]
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + _ts_pair_size(self.timestamp)
-            + dot_set_size(self.dependencies)
-        )
 
-
+@wire_schema(("command", COMMAND), ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
 @dataclass(frozen=True)
 class MCaesarCommit(Message):
     """Commit with final timestamp and dependencies."""
@@ -186,28 +135,19 @@ class MCaesarCommit(Message):
     timestamp: Tuple[int, int]
     dependencies: FrozenSet[Dot]
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + _ts_pair_size(self.timestamp)
-            + dot_set_size(self.dependencies)
-        )
-
 
 # -- FPaxos -----------------------------------------------------------------------
 
 
+@wire_schema(("command", COMMAND))
 @dataclass(frozen=True)
 class MForward(Message):
     """Non-leader -> leader: forward a client command."""
 
     command: Command
 
-    def size_bytes(self) -> int:
-        return frame_size(dot_size(self.dot) + command_size(self.command))
 
-
+@wire_schema(("command", COMMAND), ("slot", SVARINT), ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MAccept(Message):
     """Leader -> phase-2 quorum: ordered command at a log slot."""
@@ -216,15 +156,8 @@ class MAccept(Message):
     slot: int
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + svarint_size(self.slot)
-            + svarint_size(self.ballot)
-        )
 
-
+@wire_schema(("slot", SVARINT), ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MAccepted(Message):
     """Acceptor -> leader: slot accepted."""
@@ -232,14 +165,8 @@ class MAccepted(Message):
     slot: int
     ballot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + svarint_size(self.slot)
-            + svarint_size(self.ballot)
-        )
 
-
+@wire_schema(("command", COMMAND), ("slot", SVARINT))
 @dataclass(frozen=True)
 class MDecided(Message):
     """Leader -> everyone: slot decided."""
@@ -247,30 +174,17 @@ class MDecided(Message):
     command: Command
     slot: int
 
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + command_size(self.command)
-            + svarint_size(self.slot)
-        )
-
 
 # -- Janus* -------------------------------------------------------------------------
 
 
+@wire_schema(("shard", UVARINT), ("dependencies", DOT_SET))
 @dataclass(frozen=True)
 class MJanusDeps(Message):
     """Per-shard coordinator -> submitting coordinator: this shard's deps."""
 
     shard: int
     dependencies: FrozenSet[Dot]
-
-    def size_bytes(self) -> int:
-        return frame_size(
-            dot_size(self.dot)
-            + uvarint_size(self.shard)
-            + dot_set_size(self.dependencies)
-        )
 
 
 #: All baseline-protocol message classes, mirroring ``TEMPO_MESSAGE_TYPES``:

@@ -21,9 +21,9 @@ from __future__ import annotations
 import asyncio
 from typing import Optional, Tuple
 
+from repro.core.wireschema import MAX_FRAME_BYTES, WireError, write_uvarint
 from repro.runtime.channel import Channel
-from repro.wire import WireError, decode
-from repro.wire.primitives import write_uvarint
+from repro.wire import decode, encode
 
 
 async def _read_uvarint(reader: asyncio.StreamReader) -> Optional[int]:
@@ -56,6 +56,10 @@ async def read_message(reader: asyncio.StreamReader) -> Optional[Tuple[int, obje
     length = await _read_uvarint(reader)
     if length is None:
         raise WireError("stream truncated before frame length")
+    if length > MAX_FRAME_BYTES:
+        # The length is the peer's claim: refuse before waiting on (and
+        # buffering) a body that may never come.
+        raise WireError(f"declared frame of {length} bytes exceeds the cap")
     try:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
@@ -64,8 +68,6 @@ async def read_message(reader: asyncio.StreamReader) -> Optional[Tuple[int, obje
 
 
 def _encode_unit(sender: int, message: object) -> bytes:
-    from repro.wire import encode
-
     buf = bytearray()
     write_uvarint(buf, sender)
     payload = encode(message)

@@ -22,8 +22,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.core.base import MBatch
 from repro.simulator.latency import LatencyMatrix
 from repro.simulator.rng import SeededRng
-from repro.wire import drift_rows, encoded_size
-from repro.wire.primitives import uvarint_size
 
 
 @dataclass
@@ -33,15 +31,6 @@ class NetworkOptions:
     jitter_ms: float = 0.0
     drop_probability: float = 0.0
     local_latency_ms: float = 0.25
-    #: When true, every transmitted message is additionally run through the
-    #: ``repro.wire`` codec and its *measured* frame size recorded in the
-    #: ``encoded_*`` stats columns, next to the ``size_bytes()`` estimates.
-    #: Off by default: since the epoch-2 re-baseline the default accounting
-    #: (and every ``results/*.txt`` golden file) already charges the exact
-    #: codec frame sizes — ``size_bytes()`` mirrors the ``repro.wire``
-    #: codecs byte-for-byte — so measuring is a zero-drift cross-check that
-    #: costs one encode per message, not a correction.
-    measure_encoded: bool = False
 
     def __post_init__(self) -> None:
         if self.jitter_ms < 0:
@@ -109,16 +98,6 @@ class NetworkStats:
     #: (``CostModel.mbatch_coalescing``).
     deliveries: int = 0
     per_kind: Dict[str, int] = field(default_factory=dict)
-    #: Measured codec columns, populated only with
-    #: ``NetworkOptions.measure_encoded``: total encoded frame bytes of the
-    #: transmitted messages, the extra bytes the ``MBatch`` envelopes add on
-    #: top of their inner frames, and the per-kind measured/declared byte
-    #: split feeding :meth:`Network.drift_report` (gated at zero drift
-    #: since the epoch-2 re-baseline).
-    encoded_bytes: int = 0
-    encoded_batch_overhead: int = 0
-    per_kind_encoded: Dict[str, int] = field(default_factory=dict)
-    per_kind_estimated: Dict[str, int] = field(default_factory=dict)
 
 
 class Network:
@@ -162,13 +141,8 @@ class Network:
         #: invalidated when an endpoint is (re)placed.  Jitter, when enabled,
         #: is drawn per transmission on top of the cached base.
         self._delay_cache: Dict[Tuple[int, int], float] = {}
-        #: Cache of message type -> (kind name, size_bytes method or None,
-        #: fixed wire size or None).  Kinds that declare ``FIXED_SIZE_BYTES``
-        #: (payload-free acks and the like) let batched accounting multiply
-        #: instead of calling ``size_bytes`` per message.
-        self._type_info: Dict[
-            type, Tuple[str, Optional[Callable[[object], int]], Optional[int]]
-        ] = {}
+        #: Cache of message type -> (kind name, size function or None).
+        self._type_info: Dict[type, Tuple[str, Optional[Callable[[object], int]]]] = {}
 
     # -- topology -------------------------------------------------------------
 
@@ -348,7 +322,7 @@ class Network:
 
     def _resolve_type_info(
         self, message_type: type
-    ) -> Tuple[str, Optional[Callable[[object], int]], Optional[int]]:
+    ) -> Tuple[str, Optional[Callable[[object], int]]]:
         """Build and cache the stats metadata for one message type."""
         # Cache the *unbound* class attribute: a bound method would pin
         # the first instance seen for this type.  ``wire_size`` (the
@@ -357,12 +331,7 @@ class Network:
         size = getattr(message_type, "wire_size", None)
         if size is None:
             size = getattr(message_type, "size_bytes", None)
-        fixed = getattr(message_type, "FIXED_SIZE_BYTES", None)
-        info = (
-            message_type.__name__,
-            size if callable(size) else None,
-            int(fixed) if isinstance(fixed, int) else None,
-        )
+        info = (message_type.__name__, size if callable(size) else None)
         self._type_info[message_type] = info
         return info
 
@@ -374,49 +343,11 @@ class Network:
         type_info = self._type_info.get(message_type)
         if type_info is None:
             type_info = self._resolve_type_info(message_type)
-        kind, size_method, fixed_size = type_info
+        kind, size_method = type_info
         per_kind = stats.per_kind
         per_kind[kind] = per_kind.get(kind, 0) + 1
-        if fixed_size is not None:
-            stats.bytes_sent += fixed_size
-        elif size_method is not None:
+        if size_method is not None:
             stats.bytes_sent += int(size_method(message))
-        if self.options.measure_encoded:
-            self._record_encoded(kind, size_method, fixed_size, message)
-
-    def _record_encoded(self, kind, size_method, fixed_size, message) -> int:
-        """Measured-size accounting for one message (measure mode only);
-        returns the measured frame size."""
-        stats = self.stats
-        measured = encoded_size(message)
-        stats.encoded_bytes += measured
-        per_kind_encoded = stats.per_kind_encoded
-        per_kind_encoded[kind] = per_kind_encoded.get(kind, 0) + measured
-        if fixed_size is not None:
-            estimate = fixed_size
-        elif size_method is not None:
-            estimate = int(size_method(message))
-        else:
-            estimate = 0
-        per_kind_estimated = stats.per_kind_estimated
-        per_kind_estimated[kind] = per_kind_estimated.get(kind, 0) + estimate
-        return measured
-
-    def _record_batch_overhead(self, inner_frame_bytes: int, count: int) -> None:
-        """Extra measured bytes an ``MBatch`` envelope adds over its inner
-        frames: the kind byte, the inner-message count and the outer length
-        prefix (measure mode only)."""
-        payload_len = 1 + uvarint_size(count) + inner_frame_bytes
-        overhead = uvarint_size(payload_len) + 1 + uvarint_size(count)
-        self.stats.encoded_batch_overhead += overhead
-
-    def drift_report(self) -> List[Dict[str, object]]:
-        """Per-kind estimate-vs-measured drift rows for this network's
-        traffic (requires ``measure_encoded``; empty otherwise)."""
-        stats = self.stats
-        return drift_rows(
-            stats.per_kind_estimated, stats.per_kind_encoded, stats.per_kind
-        )
 
     def transmit(
         self,
@@ -442,15 +373,11 @@ class Network:
         type_info = self._type_info.get(message_type)
         if type_info is None:
             type_info = self._resolve_type_info(message_type)
-        kind, size_method, fixed_size = type_info
+        kind, size_method = type_info
         per_kind = stats.per_kind
         per_kind[kind] = per_kind.get(kind, 0) + 1
-        if fixed_size is not None:
-            stats.bytes_sent += fixed_size
-        elif size_method is not None:
+        if size_method is not None:
             stats.bytes_sent += int(size_method(message))
-        if self.options.measure_encoded:
-            self._record_encoded(kind, size_method, fixed_size, message)
         if destination in self._crashed or self.should_drop():
             stats.messages_dropped += 1
             return None
@@ -519,31 +446,18 @@ class Network:
                 info = type_info.get(message_type)
                 if info is None:
                     info = self._resolve_type_info(message_type)
-                kind, size_method, fixed_size = info
+                kind, size_method = info
                 run_end = index + 1
                 while run_end < count and messages[run_end].__class__ is message_type:
                     run_end += 1
                 run_length = run_end - index
                 per_kind[kind] = per_kind.get(kind, 0) + run_length
-                if fixed_size is not None:
-                    bytes_sent += fixed_size * run_length
-                elif size_method is not None:
+                if size_method is not None:
                     for position in range(index, run_end):
                         bytes_sent += int(size_method(messages[position]))
                 index = run_end
             stats.messages_sent += count
             stats.bytes_sent += bytes_sent
-            if self.options.measure_encoded:
-                inner_frame_bytes = 0
-                for message in messages:
-                    info = type_info.get(message.__class__)
-                    if info is None:
-                        info = self._resolve_type_info(message.__class__)
-                    inner_frame_bytes += self._record_encoded(
-                        info[0], info[1], info[2], message
-                    )
-                if count > 1:
-                    self._record_batch_overhead(inner_frame_bytes, count)
             at = now + self._base_delay(sender, destination)
             if count == 1:
                 deliver(at, sender, destination, messages[0])
@@ -593,11 +507,6 @@ class Network:
         else:
             deliver(at, sender, destination, MBatch(tuple(survivors)))
             stats.batches_sent += 1
-            if self.options.measure_encoded:
-                self._record_batch_overhead(
-                    sum(encoded_size(message) for message in survivors),
-                    len(survivors),
-                )
         stats.messages_delivered += len(survivors)
         stats.deliveries += 1
         return at

@@ -3,14 +3,15 @@
 Every protocol message (Tempo's in :mod:`repro.core.messages`, the
 baselines' in :mod:`repro.protocols.dep_messages`) and the
 :class:`repro.core.base.MBatch` transport envelope has a registered binary
-codec with a ``decode(encode(m)) == m`` round-trip guarantee.  The
-simulator uses :func:`encoded_size` for measured byte accounting
-(``NetworkOptions.measure_encoded``), the asyncio runtime ships
-:func:`encode_frame` frames through its channels and stream transports,
-and the drift report compares the measured sizes against the historical
-``size_bytes()`` model.  See ``docs/wire_format.md``.
+codec with a ``decode(encode(m)) == m`` round-trip guarantee.  The bodies
+are generated from the per-class declarations in
+:mod:`repro.core.wireschema` — the same source ``size_bytes()`` is generated
+from, so the simulator's byte accounting is exact by construction — and the
+asyncio runtime ships :func:`encode_frame` frames through its channels and
+stream transports.  See ``docs/wire_format.md``.
 """
 
+from repro.core.wireschema import Reader, WireError
 from repro.wire.codecs import (
     KIND_TO_TYPE,
     TYPE_TO_KIND,
@@ -23,7 +24,6 @@ from repro.wire.codecs import (
     registered_types,
 )
 from repro.wire.drift import DRIFT_THRESHOLD, drift_rows, drifted_kinds
-from repro.wire.primitives import Reader, WireError, read_uvarint_prefix
 from repro.wire.samples import sample_messages
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "encode_frame",
     "encoded_size",
     "has_codec",
-    "read_uvarint_prefix",
     "registered_types",
     "sample_messages",
 ]

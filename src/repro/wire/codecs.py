@@ -1,36 +1,26 @@
-"""Per-kind binary codecs for every protocol message.
+"""Kind-byte registry and framing for every protocol message.
 
-Each message kind gets a real encode/decode pair — ``decode(encode(m)) ==
-m`` for every registered kind — so byte accounting can be *measured* instead
-of modeled and the runtime can ship frames over real transports.
-
-Wire layout (see ``docs/wire_format.md`` for the per-kind field tables)::
+``decode(encode(m)) == m`` for every registered kind, so the runtime can
+ship frames over real transports.  Wire layout (``docs/wire_format.md``)::
 
     frame   := uvarint(len(payload)) payload
     payload := kind_byte body
     body    := fields in dataclass order, dot first
 
-Integers are LEB128 varints: unsigned for structurally non-negative fields
-(dot components, counts, lengths, process/partition identifiers, promise
-timestamps) and zigzag-signed for protocol values that recovery or clients
-could drive negative (timestamps, ballots, sequences, slots, client ids).
-``Dot``s decode through :func:`repro.core.identifiers.intern_dot`, so the
-wire path shares the interned per-source tables with the rest of the
-system.  Collections are sorted on encode, which makes the encoding of a
-message *canonical*: equal messages produce identical bytes.
-
-The registry is keyed by message class — the same types the protocols'
-``_dispatch`` tables use — plus the :class:`repro.core.base.MBatch`
-transport envelope, which nests inner frames and may nest further batches.
+The bodies are not written here: each message class declares its fields
+once with :func:`repro.core.wireschema.wire_schema`, which generates its
+``encode_body``/``decode_body`` (and ``size_bytes()``) from the field types
+in that module.  This module adds what a class cannot know about itself —
+its append-only kind byte — plus the one hand-written body, the
+:class:`repro.core.base.MBatch` transport envelope, which nests inner
+frames and may nest further batches.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.core.base import MBatch
-from repro.core.commands import Command, KeyOp, OpKind
-from repro.core.identifiers import Dot, intern_dot
 from repro.core.messages import (
     ClientReply,
     ClientSubmit,
@@ -53,8 +43,6 @@ from repro.core.messages import (
     MStableRequest,
     MSubmit,
 )
-from repro.core.phases import Phase
-from repro.core.promises import Promise, PromiseRangeWire
 from repro.protocols.dep_messages import (
     MAccept,
     MAccepted,
@@ -72,625 +60,10 @@ from repro.protocols.dep_messages import (
     MPreAccept,
     MPreAcceptAck,
 )
-from repro.wire.primitives import (
-    Reader,
-    WireError,
-    read_uvarint_prefix,
-    uvarint_size,
-    write_optional_string,
-    write_string,
-    write_svarint,
-    write_uvarint,
-)
+from repro.core.wireschema import Reader, WireError, uvarint_size, write_uvarint
 
-# -- field codecs ---------------------------------------------------------------
 
-#: Stable byte value per :class:`Phase` member (wire order, never reordered).
-_PHASE_TO_BYTE: Dict[Phase, int] = {
-    Phase.START: 0,
-    Phase.PAYLOAD: 1,
-    Phase.PROPOSE: 2,
-    Phase.RECOVER_R: 3,
-    Phase.RECOVER_P: 4,
-    Phase.COMMIT: 5,
-    Phase.EXECUTE: 6,
-}
-_BYTE_TO_PHASE: Dict[int, Phase] = {byte: phase for phase, byte in _PHASE_TO_BYTE.items()}
-
-
-def _write_dot(buf: bytearray, dot: Dot) -> None:
-    write_uvarint(buf, dot.source)
-    write_uvarint(buf, dot.sequence)
-
-
-def _read_dot(reader: Reader) -> Dot:
-    source = reader.read_uvarint()
-    sequence = reader.read_uvarint()
-    if sequence < 1:
-        raise WireError(f"dot sequence must be >= 1, got {sequence}")
-    return intern_dot(source, sequence)
-
-
-def _write_dot_set(buf: bytearray, dots: FrozenSet[Dot]) -> None:
-    write_uvarint(buf, len(dots))
-    for dot in sorted(dots):
-        _write_dot(buf, dot)
-
-
-def _read_dot_set(reader: Reader) -> FrozenSet[Dot]:
-    count = reader.read_uvarint()
-    return frozenset(_read_dot(reader) for _ in range(count))
-
-
-def _write_command(buf: bytearray, command: Command) -> None:
-    _write_dot(buf, command.dot)
-    write_uvarint(buf, len(command.ops))
-    for op in command.ops:
-        write_string(buf, op.key)
-        buf.append(1 if op.kind is OpKind.WRITE else 0)
-        write_optional_string(buf, op.value)
-    # The modeled application payload really rides the wire: size-many
-    # opaque bytes (zeros here; the simulator never inspects payloads).
-    write_uvarint(buf, command.payload_size)
-    buf += bytes(command.payload_size)
-    if command.client_id is None:
-        buf.append(0)
-    else:
-        buf.append(1)
-        write_svarint(buf, command.client_id)
-
-
-def _read_command(reader: Reader) -> Command:
-    dot = _read_dot(reader)
-    num_ops = reader.read_uvarint()
-    if num_ops == 0:
-        raise WireError("command with zero operations")
-    ops = []
-    for _ in range(num_ops):
-        key = reader.read_string()
-        kind_byte = reader.read_byte()
-        if kind_byte > 1:
-            raise WireError(f"invalid op-kind byte {kind_byte}")
-        value = reader.read_optional_string()
-        ops.append(
-            KeyOp(key=key, kind=OpKind.WRITE if kind_byte else OpKind.READ, value=value)
-        )
-    payload_size = reader.read_uvarint()
-    reader.skip(payload_size)
-    client_flag = reader.read_byte()
-    if client_flag > 1:
-        raise WireError(f"invalid client-id flag {client_flag}")
-    client_id = reader.read_svarint() if client_flag else None
-    return Command(
-        dot=dot, ops=tuple(ops), payload_size=payload_size, client_id=client_id
-    )
-
-
-def _write_quorums(buf: bytearray, quorums: Mapping[int, Tuple[int, ...]]) -> None:
-    write_uvarint(buf, len(quorums))
-    for partition in sorted(quorums):
-        write_uvarint(buf, partition)
-        members = quorums[partition]
-        write_uvarint(buf, len(members))
-        for member in members:
-            write_uvarint(buf, member)
-
-
-def _read_quorums(reader: Reader) -> Dict[int, Tuple[int, ...]]:
-    count = reader.read_uvarint()
-    quorums: Dict[int, Tuple[int, ...]] = {}
-    for _ in range(count):
-        partition = reader.read_uvarint()
-        members = reader.read_uvarint()
-        quorums[partition] = tuple(reader.read_uvarint() for _ in range(members))
-    return quorums
-
-
-def _write_promise_set(buf: bytearray, promises: FrozenSet[Promise]) -> None:
-    write_uvarint(buf, len(promises))
-    for promise in sorted(promises):
-        write_uvarint(buf, promise.process)
-        write_uvarint(buf, promise.timestamp)
-
-
-def _read_promise_set(reader: Reader) -> FrozenSet[Promise]:
-    count = reader.read_uvarint()
-    promises = []
-    for _ in range(count):
-        process = reader.read_uvarint()
-        timestamp = reader.read_uvarint()
-        if timestamp < 1:
-            raise WireError(f"promise timestamp must be >= 1, got {timestamp}")
-        promises.append(Promise(process, timestamp))
-    return frozenset(promises)
-
-
-def _write_range_wire(buf: bytearray, wire: PromiseRangeWire) -> None:
-    write_uvarint(buf, len(wire))
-    for process in sorted(wire):
-        spans = wire[process]
-        write_uvarint(buf, process)
-        write_uvarint(buf, len(spans))
-        for lo, hi in spans:
-            if hi < lo or lo < 1:
-                raise WireError(f"invalid promise range ({lo}, {hi})")
-            write_uvarint(buf, lo)
-            write_uvarint(buf, hi - lo)
-
-
-def _read_range_wire(reader: Reader) -> Dict[int, Tuple[Tuple[int, int], ...]]:
-    count = reader.read_uvarint()
-    wire: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    for _ in range(count):
-        process = reader.read_uvarint()
-        num_spans = reader.read_uvarint()
-        spans = []
-        for _ in range(num_spans):
-            lo = reader.read_uvarint()
-            if lo < 1:
-                raise WireError(f"promise range starts at {lo}, must be >= 1")
-            width = reader.read_uvarint()
-            spans.append((lo, lo + width))
-        wire[process] = tuple(spans)
-    return wire
-
-
-def _write_attached_map(
-    buf: bytearray, attached: Mapping[Dot, FrozenSet[Promise]]
-) -> None:
-    write_uvarint(buf, len(attached))
-    for dot in sorted(attached):
-        _write_dot(buf, dot)
-        _write_promise_set(buf, attached[dot])
-
-
-def _read_attached_map(reader: Reader) -> Dict[Dot, FrozenSet[Promise]]:
-    count = reader.read_uvarint()
-    attached: Dict[Dot, FrozenSet[Promise]] = {}
-    for _ in range(count):
-        dot = _read_dot(reader)
-        attached[dot] = _read_promise_set(reader)
-    return attached
-
-
-def _write_result(buf: bytearray, result: Optional[Dict[str, Optional[str]]]) -> None:
-    if result is None:
-        buf.append(0)
-        return
-    buf.append(1)
-    write_uvarint(buf, len(result))
-    for key in sorted(result):
-        write_string(buf, key)
-        write_optional_string(buf, result[key])
-
-
-def _read_result(reader: Reader) -> Optional[Dict[str, Optional[str]]]:
-    flag = reader.read_byte()
-    if flag == 0:
-        return None
-    if flag != 1:
-        raise WireError(f"invalid result flag {flag}")
-    count = reader.read_uvarint()
-    result: Dict[str, Optional[str]] = {}
-    for _ in range(count):
-        key = reader.read_string()
-        result[key] = reader.read_optional_string()
-    return result
-
-
-def _write_phase(buf: bytearray, phase: Phase) -> None:
-    buf.append(_PHASE_TO_BYTE[phase])
-
-
-def _read_phase(reader: Reader) -> Phase:
-    byte = reader.read_byte()
-    phase = _BYTE_TO_PHASE.get(byte)
-    if phase is None:
-        raise WireError(f"unknown phase byte {byte}")
-    return phase
-
-
-def _write_ts_pair(buf: bytearray, timestamp: Tuple[int, int]) -> None:
-    write_svarint(buf, timestamp[0])
-    write_svarint(buf, timestamp[1])
-
-
-def _read_ts_pair(reader: Reader) -> Tuple[int, int]:
-    return (reader.read_svarint(), reader.read_svarint())
-
-
-# -- per-kind body codecs ---------------------------------------------------------
-#
-# Every body starts with the message's dot, then the remaining dataclass
-# fields in declaration order.
-
-
-def _enc_msubmit(buf, m: MSubmit) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_quorums(buf, m.quorums)
-
-
-def _dec_msubmit(r: Reader) -> MSubmit:
-    return MSubmit(_read_dot(r), _read_command(r), _read_quorums(r))
-
-
-def _enc_mpropose(buf, m: MPropose) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_quorums(buf, m.quorums)
-    write_svarint(buf, m.timestamp)
-
-
-def _dec_mpropose(r: Reader) -> MPropose:
-    return MPropose(_read_dot(r), _read_command(r), _read_quorums(r), r.read_svarint())
-
-
-def _enc_mproposeack(buf, m: MProposeAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-    _write_promise_set(buf, m.attached)
-    _write_range_wire(buf, m.detached)
-
-
-def _dec_mproposeack(r: Reader) -> MProposeAck:
-    return MProposeAck(
-        _read_dot(r), r.read_svarint(), _read_promise_set(r), _read_range_wire(r)
-    )
-
-
-def _enc_mpayload(buf, m: MPayload) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_quorums(buf, m.quorums)
-
-
-def _dec_mpayload(r: Reader) -> MPayload:
-    return MPayload(_read_dot(r), _read_command(r), _read_quorums(r))
-
-
-def _enc_mcommit(buf, m: MCommit) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-    write_uvarint(buf, m.partition)
-    _write_promise_set(buf, m.attached)
-    _write_range_wire(buf, m.detached)
-
-
-def _dec_mcommit(r: Reader) -> MCommit:
-    return MCommit(
-        _read_dot(r),
-        r.read_svarint(),
-        r.read_uvarint(),
-        _read_promise_set(r),
-        _read_range_wire(r),
-    )
-
-
-def _enc_mconsensus(buf, m: MConsensus) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mconsensus(r: Reader) -> MConsensus:
-    return MConsensus(_read_dot(r), r.read_svarint(), r.read_svarint())
-
-
-def _enc_mconsensusack(buf, m: MConsensusAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mconsensusack(r: Reader) -> MConsensusAck:
-    return MConsensusAck(_read_dot(r), r.read_svarint())
-
-
-def _enc_mbump(buf, m: MBump) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-
-
-def _dec_mbump(r: Reader) -> MBump:
-    return MBump(_read_dot(r), r.read_svarint())
-
-
-def _enc_mpromises(buf, m: MPromises) -> None:
-    _write_dot(buf, m.dot)
-    _write_range_wire(buf, m.detached)
-    _write_attached_map(buf, m.attached)
-    _write_dot_set(buf, m.committed)
-
-
-def _dec_mpromises(r: Reader) -> MPromises:
-    return MPromises(
-        _read_dot(r), _read_range_wire(r), _read_attached_map(r), _read_dot_set(r)
-    )
-
-
-def _enc_mstable(buf, m: MStable) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.partition)
-
-
-def _dec_mstable(r: Reader) -> MStable:
-    return MStable(_read_dot(r), r.read_uvarint())
-
-
-def _enc_mrec(buf, m: MRec) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mrec(r: Reader) -> MRec:
-    return MRec(_read_dot(r), r.read_svarint())
-
-
-def _enc_mrecack(buf, m: MRecAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-    _write_phase(buf, m.phase)
-    write_svarint(buf, m.accepted_ballot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mrecack(r: Reader) -> MRecAck:
-    return MRecAck(
-        _read_dot(r), r.read_svarint(), _read_phase(r), r.read_svarint(), r.read_svarint()
-    )
-
-
-def _enc_mrecnack(buf, m: MRecNAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mrecnack(r: Reader) -> MRecNAck:
-    return MRecNAck(_read_dot(r), r.read_svarint())
-
-
-def _enc_mcommitrequest(buf, m: MCommitRequest) -> None:
-    _write_dot(buf, m.dot)
-
-
-def _dec_mcommitrequest(r: Reader) -> MCommitRequest:
-    return MCommitRequest(_read_dot(r))
-
-
-def _enc_mpromiseresync(buf, m: MPromiseResync) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.frontier)
-
-
-def _dec_mpromiseresync(r: Reader) -> MPromiseResync:
-    return MPromiseResync(_read_dot(r), frontier=r.read_uvarint())
-
-
-def _enc_mexecutedclock(buf, m: MExecutedClock) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, len(m.clock))
-    for source in sorted(m.clock):
-        write_uvarint(buf, source)
-        write_uvarint(buf, m.clock[source])
-
-
-def _dec_mexecutedclock(r: Reader) -> MExecutedClock:
-    dot = _read_dot(r)
-    count = r.read_uvarint()
-    clock = {}
-    for _ in range(count):
-        source = r.read_uvarint()
-        clock[source] = r.read_uvarint()
-    return MExecutedClock(dot, clock=clock)
-
-
-def _enc_mdeliveryack(buf, m: MDeliveryAck) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.kind_id)
-    write_uvarint(buf, m.epoch)
-    write_uvarint(buf, m.frontier)
-
-
-def _dec_mdeliveryack(r: Reader) -> MDeliveryAck:
-    return MDeliveryAck(
-        _read_dot(r),
-        kind_id=r.read_uvarint(),
-        epoch=r.read_uvarint(),
-        frontier=r.read_uvarint(),
-    )
-
-
-def _enc_mstablerequest(buf, m: MStableRequest) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.partition)
-
-
-def _dec_mstablerequest(r: Reader) -> MStableRequest:
-    return MStableRequest(_read_dot(r), r.read_uvarint())
-
-
-def _enc_clientsubmit(buf, m: ClientSubmit) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-
-
-def _dec_clientsubmit(r: Reader) -> ClientSubmit:
-    return ClientSubmit(_read_dot(r), _read_command(r))
-
-
-def _enc_clientreply(buf, m: ClientReply) -> None:
-    _write_dot(buf, m.dot)
-    _write_result(buf, m.result)
-
-
-def _dec_clientreply(r: Reader) -> ClientReply:
-    return ClientReply(_read_dot(r), _read_result(r))
-
-
-def _enc_mpreaccept(buf, m: MPreAccept) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_dot_set(buf, m.dependencies)
-    write_svarint(buf, m.sequence)
-
-
-def _dec_mpreaccept(r: Reader) -> MPreAccept:
-    return MPreAccept(_read_dot(r), _read_command(r), _read_dot_set(r), r.read_svarint())
-
-
-def _enc_mpreacceptack(buf, m: MPreAcceptAck) -> None:
-    _write_dot(buf, m.dot)
-    _write_dot_set(buf, m.dependencies)
-    write_svarint(buf, m.sequence)
-
-
-def _dec_mpreacceptack(r: Reader) -> MPreAcceptAck:
-    return MPreAcceptAck(_read_dot(r), _read_dot_set(r), r.read_svarint())
-
-
-def _enc_mdepaccept(buf, m: MDepAccept) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_dot_set(buf, m.dependencies)
-    write_svarint(buf, m.sequence)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mdepaccept(r: Reader) -> MDepAccept:
-    return MDepAccept(
-        _read_dot(r), _read_command(r), _read_dot_set(r), r.read_svarint(), r.read_svarint()
-    )
-
-
-def _enc_mdepacceptack(buf, m: MDepAcceptAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mdepacceptack(r: Reader) -> MDepAcceptAck:
-    return MDepAcceptAck(_read_dot(r), r.read_svarint())
-
-
-def _enc_mdepcommit(buf, m: MDepCommit) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_dot_set(buf, m.dependencies)
-    write_svarint(buf, m.sequence)
-    write_uvarint(buf, m.shard)
-
-
-def _dec_mdepcommit(r: Reader) -> MDepCommit:
-    return MDepCommit(
-        _read_dot(r), _read_command(r), _read_dot_set(r), r.read_svarint(), r.read_uvarint()
-    )
-
-
-def _enc_mcaesarpropose(buf, m: MCaesarPropose) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_ts_pair(buf, m.timestamp)
-
-
-def _dec_mcaesarpropose(r: Reader) -> MCaesarPropose:
-    return MCaesarPropose(_read_dot(r), _read_command(r), _read_ts_pair(r))
-
-
-def _enc_mcaesarproposeack(buf, m: MCaesarProposeAck) -> None:
-    _write_dot(buf, m.dot)
-    _write_ts_pair(buf, m.timestamp)
-    _write_dot_set(buf, m.dependencies)
-    buf.append(1 if m.accepted else 0)
-
-
-def _dec_mcaesarproposeack(r: Reader) -> MCaesarProposeAck:
-    return MCaesarProposeAck(
-        _read_dot(r), _read_ts_pair(r), _read_dot_set(r), r.read_bool()
-    )
-
-
-def _enc_mcaesarretry(buf, m: MCaesarRetry) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_ts_pair(buf, m.timestamp)
-    _write_dot_set(buf, m.dependencies)
-
-
-def _dec_mcaesarretry(r: Reader) -> MCaesarRetry:
-    return MCaesarRetry(_read_dot(r), _read_command(r), _read_ts_pair(r), _read_dot_set(r))
-
-
-def _enc_mcaesarretryack(buf, m: MCaesarRetryAck) -> None:
-    _write_dot(buf, m.dot)
-    _write_ts_pair(buf, m.timestamp)
-    _write_dot_set(buf, m.dependencies)
-
-
-def _dec_mcaesarretryack(r: Reader) -> MCaesarRetryAck:
-    return MCaesarRetryAck(_read_dot(r), _read_ts_pair(r), _read_dot_set(r))
-
-
-def _enc_mcaesarcommit(buf, m: MCaesarCommit) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_ts_pair(buf, m.timestamp)
-    _write_dot_set(buf, m.dependencies)
-
-
-def _dec_mcaesarcommit(r: Reader) -> MCaesarCommit:
-    return MCaesarCommit(_read_dot(r), _read_command(r), _read_ts_pair(r), _read_dot_set(r))
-
-
-def _enc_mforward(buf, m: MForward) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-
-
-def _dec_mforward(r: Reader) -> MForward:
-    return MForward(_read_dot(r), _read_command(r))
-
-
-def _enc_maccept(buf, m: MAccept) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    write_svarint(buf, m.slot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_maccept(r: Reader) -> MAccept:
-    return MAccept(_read_dot(r), _read_command(r), r.read_svarint(), r.read_svarint())
-
-
-def _enc_maccepted(buf, m: MAccepted) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.slot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_maccepted(r: Reader) -> MAccepted:
-    return MAccepted(_read_dot(r), r.read_svarint(), r.read_svarint())
-
-
-def _enc_mdecided(buf, m: MDecided) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    write_svarint(buf, m.slot)
-
-
-def _dec_mdecided(r: Reader) -> MDecided:
-    return MDecided(_read_dot(r), _read_command(r), r.read_svarint())
-
-
-def _enc_mjanusdeps(buf, m: MJanusDeps) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.shard)
-    _write_dot_set(buf, m.dependencies)
-
-
-def _dec_mjanusdeps(r: Reader) -> MJanusDeps:
-    return MJanusDeps(_read_dot(r), r.read_uvarint(), _read_dot_set(r))
-
-
-def _enc_mbatch(buf, m: MBatch) -> None:
+def _enc_mbatch(buf: bytearray, m: MBatch) -> None:
     write_uvarint(buf, len(m.messages))
     for inner in m.messages:
         _encode_frame_into(buf, inner)
@@ -704,44 +77,45 @@ def _dec_mbatch(r: Reader) -> MBatch:
 # -- registry ---------------------------------------------------------------------
 
 #: Stable kind-byte assignments; append-only, never reorder (the byte is the
-#: on-wire dispatch key).
-_REGISTRY_SPEC: Tuple[Tuple[int, type, Callable, Callable], ...] = (
-    (0, MBatch, _enc_mbatch, _dec_mbatch),
-    (1, MSubmit, _enc_msubmit, _dec_msubmit),
-    (2, MPropose, _enc_mpropose, _dec_mpropose),
-    (3, MProposeAck, _enc_mproposeack, _dec_mproposeack),
-    (4, MPayload, _enc_mpayload, _dec_mpayload),
-    (5, MCommit, _enc_mcommit, _dec_mcommit),
-    (6, MConsensus, _enc_mconsensus, _dec_mconsensus),
-    (7, MConsensusAck, _enc_mconsensusack, _dec_mconsensusack),
-    (8, MBump, _enc_mbump, _dec_mbump),
-    (9, MPromises, _enc_mpromises, _dec_mpromises),
-    (10, MStable, _enc_mstable, _dec_mstable),
-    (11, MRec, _enc_mrec, _dec_mrec),
-    (12, MRecAck, _enc_mrecack, _dec_mrecack),
-    (13, MRecNAck, _enc_mrecnack, _dec_mrecnack),
-    (14, MCommitRequest, _enc_mcommitrequest, _dec_mcommitrequest),
-    (15, ClientSubmit, _enc_clientsubmit, _dec_clientsubmit),
-    (16, ClientReply, _enc_clientreply, _dec_clientreply),
-    (17, MPreAccept, _enc_mpreaccept, _dec_mpreaccept),
-    (18, MPreAcceptAck, _enc_mpreacceptack, _dec_mpreacceptack),
-    (19, MDepAccept, _enc_mdepaccept, _dec_mdepaccept),
-    (20, MDepAcceptAck, _enc_mdepacceptack, _dec_mdepacceptack),
-    (21, MDepCommit, _enc_mdepcommit, _dec_mdepcommit),
-    (22, MCaesarPropose, _enc_mcaesarpropose, _dec_mcaesarpropose),
-    (23, MCaesarProposeAck, _enc_mcaesarproposeack, _dec_mcaesarproposeack),
-    (24, MCaesarRetry, _enc_mcaesarretry, _dec_mcaesarretry),
-    (25, MCaesarRetryAck, _enc_mcaesarretryack, _dec_mcaesarretryack),
-    (26, MCaesarCommit, _enc_mcaesarcommit, _dec_mcaesarcommit),
-    (27, MForward, _enc_mforward, _dec_mforward),
-    (28, MAccept, _enc_maccept, _dec_maccept),
-    (29, MAccepted, _enc_maccepted, _dec_maccepted),
-    (30, MDecided, _enc_mdecided, _dec_mdecided),
-    (31, MJanusDeps, _enc_mjanusdeps, _dec_mjanusdeps),
-    (32, MPromiseResync, _enc_mpromiseresync, _dec_mpromiseresync),
-    (33, MExecutedClock, _enc_mexecutedclock, _dec_mexecutedclock),
-    (34, MDeliveryAck, _enc_mdeliveryack, _dec_mdeliveryack),
-    (35, MStableRequest, _enc_mstablerequest, _dec_mstablerequest),
+#: on-wire dispatch key).  Adding a kind is one row here, next to the class's
+#: ``@wire_schema`` declaration and its sample in ``wire/samples.py``.
+_KINDS: Tuple[Tuple[int, type], ...] = (
+    (0, MBatch),
+    (1, MSubmit),
+    (2, MPropose),
+    (3, MProposeAck),
+    (4, MPayload),
+    (5, MCommit),
+    (6, MConsensus),
+    (7, MConsensusAck),
+    (8, MBump),
+    (9, MPromises),
+    (10, MStable),
+    (11, MRec),
+    (12, MRecAck),
+    (13, MRecNAck),
+    (14, MCommitRequest),
+    (15, ClientSubmit),
+    (16, ClientReply),
+    (17, MPreAccept),
+    (18, MPreAcceptAck),
+    (19, MDepAccept),
+    (20, MDepAcceptAck),
+    (21, MDepCommit),
+    (22, MCaesarPropose),
+    (23, MCaesarProposeAck),
+    (24, MCaesarRetry),
+    (25, MCaesarRetryAck),
+    (26, MCaesarCommit),
+    (27, MForward),
+    (28, MAccept),
+    (29, MAccepted),
+    (30, MDecided),
+    (31, MJanusDeps),
+    (32, MPromiseResync),
+    (33, MExecutedClock),
+    (34, MDeliveryAck),
+    (35, MStableRequest),
 )
 
 #: Message class -> (kind byte, body encoder); the class keys mirror the
@@ -754,13 +128,20 @@ KIND_TO_TYPE: Dict[int, type] = {}
 #: Message class -> kind byte.
 TYPE_TO_KIND: Dict[type, int] = {}
 
-for _kind_id, _cls, _enc, _dec in _REGISTRY_SPEC:
+for _kind_id, _cls in _KINDS:
     if not 0 <= _kind_id <= 0xFF:
         raise RuntimeError(f"kind byte {_kind_id} out of range")
     if _kind_id in _DECODERS or _cls in _ENCODERS:
         raise RuntimeError(f"duplicate codec registration: {_kind_id} / {_cls.__name__}")
-    _ENCODERS[_cls] = (_kind_id, _enc)
-    _DECODERS[_kind_id] = _dec
+    if _cls is MBatch:
+        _ENCODERS[_cls] = (_kind_id, _enc_mbatch)
+        _DECODERS[_kind_id] = _dec_mbatch
+    else:
+        # ``vars``: the class's own declaration, not one inherited from a base.
+        if "WIRE_FIELDS" not in vars(_cls):
+            raise RuntimeError(f"{_cls.__name__} has no @wire_schema declaration")
+        _ENCODERS[_cls] = (_kind_id, _cls.encode_body)
+        _DECODERS[_kind_id] = _cls.decode_body
     KIND_TO_TYPE[_kind_id] = _cls
     TYPE_TO_KIND[_cls] = _kind_id
 
@@ -778,15 +159,19 @@ def has_codec(message_type: type) -> bool:
 # -- public encode/decode -----------------------------------------------------------
 
 
-def encode(message: object) -> bytes:
-    """Encode one message as ``kind_byte + body`` (no length prefix)."""
+def _encode_payload(message: object) -> bytearray:
     entry = _ENCODERS.get(message.__class__)
     if entry is None:
         raise WireError(f"no codec registered for {message.__class__.__name__}")
     kind_id, encoder = entry
-    buf = bytearray((kind_id,))
-    encoder(buf, message)
-    return bytes(buf)
+    payload = bytearray((kind_id,))
+    encoder(payload, message)
+    return payload
+
+
+def encode(message: object) -> bytes:
+    """Encode one message as ``kind_byte + body`` (no length prefix)."""
+    return bytes(_encode_payload(message))
 
 
 def decode(data: bytes) -> object:
@@ -806,14 +191,9 @@ def _decode_payload(reader: Reader) -> object:
 
 
 def _encode_frame_into(buf: bytearray, message: object) -> None:
-    entry = _ENCODERS.get(message.__class__)
-    if entry is None:
-        raise WireError(f"no codec registered for {message.__class__.__name__}")
-    kind_id, encoder = entry
-    body = bytearray((kind_id,))
-    encoder(body, message)
-    write_uvarint(buf, len(body))
-    buf += body
+    payload = _encode_payload(message)
+    write_uvarint(buf, len(payload))
+    buf += payload
 
 
 def _decode_frame_from(reader: Reader) -> object:
@@ -839,9 +219,10 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[object, int]:
 
 
 def encoded_size(message: object) -> int:
-    """Measured wire size of ``message``: the full frame, prefix included."""
-    payload = encode(message)
-    return uvarint_size(len(payload)) + len(payload)
+    """Length of ``message``'s encoded frame, prefix included (the frame is
+    materialised; ``Message.size_bytes()`` computes the same number without)."""
+    payload = len(_encode_payload(message))
+    return uvarint_size(payload) + payload
 
 
 __all__ = [
@@ -853,6 +234,5 @@ __all__ = [
     "encode_frame",
     "encoded_size",
     "has_codec",
-    "read_uvarint_prefix",
     "registered_types",
 ]

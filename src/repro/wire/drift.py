@@ -1,21 +1,17 @@
-"""Declared-vs-measured drift report.
+"""Renderer for ``results/wire_drift.txt``: declared vs. encoded frame sizes.
 
-Epoch 1 shipped ``Message.size_bytes()`` as a byte *model* (24-byte header
-plus field estimates) while the wire codecs produced the *measured* frame
-size; the two disagreed for most kinds and this report tracked the gap.
-Since the epoch-2 re-baseline, ``size_bytes()`` computes the exact encoded
-frame size (it mirrors the ``repro.wire`` codecs byte-for-byte), the golden
-``results/*.txt`` files are frozen against the measured sizes, and the
-report's job inverted: ``results/wire_drift.txt`` must show zero drift for
-every kind, and any row beyond :data:`DRIFT_THRESHOLD` — or any nonzero
-drift, per the tests — means the declared size and the codec have fallen
-out of sync (e.g. a codec change without the matching ``size_bytes()``
-update).
+Epoch 1 shipped ``Message.size_bytes()`` as a byte *model* while the codecs
+produced the *measured* frame size, and this report tracked the gap.  Today
+both are generated from one ``@wire_schema`` declaration per kind
+(:mod:`repro.core.wireschema`), so every row is zero drift by construction;
+the golden stays as the pin on the per-kind frame sizes of the canonical
+samples, and any row beyond :data:`DRIFT_THRESHOLD` — or any nonzero drift,
+per the tests — means the generator itself broke.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 #: Relative drift above which an estimate counts as wrong (satellite rule:
 #: "measured and size_bytes() disagree by >25%").
@@ -23,36 +19,28 @@ DRIFT_THRESHOLD = 0.25
 
 
 def drift_rows(
-    estimated: Mapping[str, int],
-    measured: Mapping[str, int],
-    counts: Optional[Mapping[str, int]] = None,
+    estimated: Mapping[str, int], measured: Mapping[str, int]
 ) -> List[Dict[str, object]]:
-    """Per-kind drift table from total estimated/measured byte counters.
+    """Per-kind drift table from declared/encoded byte counts.
 
-    ``estimated`` and ``measured`` map kind name to total bytes (over the
-    same set of messages); ``counts`` optionally maps kind name to the
-    number of messages, turning the totals into per-message columns.
-    Rows are sorted by descending relative drift.
+    ``estimated`` and ``measured`` map kind name to bytes (over the same
+    messages).  Rows are sorted by descending relative drift.
     """
     rows: List[Dict[str, object]] = []
     for kind in sorted(set(estimated) | set(measured)):
         estimate = int(estimated.get(kind, 0))
         measure = int(measured.get(kind, 0))
-        count = int(counts.get(kind, 1)) if counts else 1
-        if count <= 0:
-            count = 1
         drift = abs(measure - estimate) / estimate if estimate else float(measure > 0)
         rows.append(
             {
                 "kind": kind,
-                "estimate_bytes": round(estimate / count, 1) if counts else estimate,
-                "measured_bytes": round(measure / count, 1) if counts else measure,
+                "estimate_bytes": estimate,
+                "measured_bytes": measure,
                 "drift_pct": round(100.0 * drift, 1),
                 "drifted": drift > DRIFT_THRESHOLD,
-                # Kept for golden-format stability: since epoch 2 the
-                # declared size IS the measured size, so this column must
-                # equal ``measured_bytes`` on every row.
-                "corrected_estimate": round(measure / count, 1) if counts else measure,
+                # Kept for golden-format stability: always equal to
+                # ``measured_bytes``.
+                "corrected_estimate": measure,
             }
         )
     rows.sort(key=lambda row: (-float(row["drift_pct"]), str(row["kind"])))

@@ -46,7 +46,7 @@ class TestTempoModels:
         # machinery re-delivers the outcome — every command still executes
         # at every replica, in one agreed order.
         result = explore_tempo(
-            num_commands=1, lose_commit=True, ack_broadcast=False
+            num_commands=1, lose_kinds=["MCommit"], ack_broadcast=False
         )
         assert result.complete, result.summary()
         assert result.ok, result.summary()
@@ -143,17 +143,6 @@ class TestGeneralisedLossModels:
     """PR 10 satellite: the loss transition generalised beyond MCommit,
     and the two-partition topology that makes cross-shard MStable loss
     expressible in the model."""
-
-    def test_lose_kinds_generalises_lose_commit(self):
-        # ``lose_commit`` is now an alias for ``lose_kinds=["MCommit"]``:
-        # both spellings explore the identical lattice.
-        alias = explore_tempo(num_commands=1, lose_commit=True, ack_broadcast=False)
-        named = explore_tempo(
-            num_commands=1, lose_kinds=["MCommit"], ack_broadcast=False
-        )
-        assert named.complete and named.ok, named.summary()
-        assert named.states_explored == alias.states_explored
-        assert named.final_states == alias.final_states
 
     def test_two_partition_mstable_loss_bounded_sweep(self):
         # The 6-process two-partition topology is too large to close in a

@@ -1,15 +1,12 @@
 """Cluster-level contracts of the declarative fault-plan machinery.
 
-Three guarantees pin the refactor:
+Two guarantees pin the machinery:
 
-* the legacy ``crash_site_rank``/``crash_at_ms`` knobs and the explicit
-  one-event :class:`FaultPlan` they compile to produce *identical* runs
-  (same crash event at the same queue position), so every committed crash
-  golden stays byte-stable;
+* a plan is validated against the deployment shape when the config is
+  built, not when the run reaches the bad event;
 * an empty fault plan is a no-op: the run is bit-identical to one with no
   fault machinery at all — healthy traffic never touches the fault RNG
-  stream and installing an injector consumes nothing;
-* the legacy knobs and an explicit plan are mutually exclusive.
+  stream and installing an injector consumes nothing.
 """
 
 from __future__ import annotations
@@ -49,28 +46,7 @@ def run_fingerprint(result):
     )
 
 
-class TestLegacyCrashShim:
-    def test_legacy_knobs_compile_to_a_one_event_plan(self):
-        config = small_config(crash_site_rank=0, crash_at_ms=800.0)
-        plan = config.compiled_fault_plan()
-        assert plan is not None
-        assert tuple(plan) == (Crash(at_ms=800.0, site_rank=0, shard=0),)
-
-    def test_legacy_knobs_and_explicit_plan_run_identically(self):
-        legacy = run_experiment(small_config(crash_site_rank=0, crash_at_ms=800.0))
-        explicit = run_experiment(
-            small_config(fault_plan=FaultPlan([Crash(at_ms=800.0, site_rank=0)]))
-        )
-        assert run_fingerprint(legacy) == run_fingerprint(explicit)
-
-    def test_legacy_knobs_are_mutually_exclusive_with_a_plan(self):
-        with pytest.raises(ValueError):
-            small_config(
-                crash_site_rank=0,
-                crash_at_ms=800.0,
-                fault_plan=FaultPlan([Crash(at_ms=800.0, site_rank=0)]),
-            )
-
+class TestPlanValidation:
     def test_plan_is_validated_against_the_deployment(self):
         with pytest.raises(ValueError):
             small_config(fault_plan=FaultPlan([Crash(at_ms=800.0, site_rank=9)]))

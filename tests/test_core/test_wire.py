@@ -7,11 +7,12 @@ Three layers of guarantee:
   :mod:`repro.protocols.dep_messages` has a registered codec and a sample,
   so a new message kind cannot ship without a wire format.
 * **Round-trip** — ``decode(encode(m)) == m`` for every kind, on canonical
-  samples and on hypothesis-generated instances (randomised commands,
-  dots, promise interval maps, nested ``MBatch`` envelopes).
-* **Rejection** — truncated frames, trailing garbage, unknown kind bytes
-  and corrupt varints raise :class:`~repro.wire.WireError`, never a random
-  exception or a bogus message.
+  samples (whose frames are pinned byte for byte in ``wire_frames.json``)
+  and on hypothesis instances built *from each kind's own declaration*
+  (``WIRE_FIELDS``), which also pins ``size_bytes() == len(frame)``.
+* **Rejection** — truncated frames, trailing garbage, unknown kind bytes,
+  corrupt varints and bit flips raise :class:`~repro.wire.WireError`, never
+  a random exception or a bogus message.
 
 Plus the source gate: ``struct`` (and any hand-rolled binary packing) must
 not leak outside ``repro/wire/`` — mirrors ``test_scheduler_api.py``.
@@ -20,29 +21,42 @@ not leak outside ``repro/wire/`` — mirrors ``test_scheduler_api.py``.
 from __future__ import annotations
 
 import inspect
+import json
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 import repro.core.messages as core_messages
 import repro.protocols.dep_messages as dep_messages
 from repro.core.base import MBatch
 from repro.core.commands import Command, KeyOp, OpKind
-from repro.core.identifiers import Dot, intern_dot
-from repro.core.messages import (
-    ClientReply,
-    MBump,
-    MCommit,
-    Message,
-    MPromises,
-    MPropose,
-    MProposeAck,
-    TEMPO_MESSAGE_TYPES,
-)
+from repro.core.identifiers import intern_dot
+from repro.core.messages import MBump, MCommit, Message, TEMPO_MESSAGE_TYPES
+from repro.core.phases import Phase
 from repro.core.promises import Promise
-from repro.protocols.dep_messages import DEP_MESSAGE_TYPES, MCaesarProposeAck
+from repro.core.wireschema import (
+    ATTACHED_MAP,
+    BOOL,
+    CLOCK_MAP,
+    COMMAND,
+    DOT,
+    DOT_SET,
+    MAX_FRAME_BYTES,
+    PHASE,
+    PROMISE_RANGE_MAP,
+    PROMISE_SET,
+    QUORUM_MAP,
+    RESULT,
+    SVARINT,
+    TS_PAIR,
+    UVARINT,
+    wire_schema,
+    write_uvarint,
+)
+from repro.protocols.dep_messages import DEP_MESSAGE_TYPES
 from repro.wire import (
     TYPE_TO_KIND,
     WireError,
@@ -76,8 +90,9 @@ class TestExhaustiveness:
             cls.__name__ for cls in _message_classes() if not has_codec(cls)
         ]
         assert not missing, (
-            f"message kinds without a wire codec: {missing} — register them "
-            "in repro/wire/codecs.py (_REGISTRY_SPEC) and add a sample"
+            f"message kinds without a wire codec: {missing} — declare them "
+            "with @wire_schema, add a _KINDS row in repro/wire/codecs.py and "
+            "a sample"
         )
 
     def test_batch_envelope_has_a_codec(self):
@@ -129,9 +144,16 @@ class TestRoundTrip:
         assert decoded == message
         assert offset == len(encode_frame(message)) == encoded_size(message)
 
-    def test_message_encoded_size_method(self):
-        message = sample_messages()["MCommit"]
-        assert message.encoded_size() == encoded_size(message)
+    def test_sample_frames_are_byte_identical_to_the_pinned_fixture(self):
+        # wire_frames.json holds encode_frame() of every sample as produced
+        # by the hand-written codecs this schema replaced: the generated
+        # encoders must not move a byte.
+        pinned = json.loads(Path(__file__).with_name("wire_frames.json").read_text())
+        frames = {
+            kind: encode_frame(message).hex()
+            for kind, message in sample_messages().items()
+        }
+        assert frames == pinned
 
     def test_consecutive_frames_decode_by_offset(self):
         samples = sample_messages()
@@ -153,16 +175,15 @@ class TestRoundTrip:
         assert message.dot is intern_dot(40, 9)
 
 
-# -- hypothesis strategies ------------------------------------------------------
+# -- hypothesis strategies, one per field type ------------------------------------
 
 _keys = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=0x2FF), min_size=1, max_size=12
 )
-_dots = st.builds(
-    intern_dot,
-    st.integers(min_value=0, max_value=64),
-    st.integers(min_value=1, max_value=2**40),
-)
+_uvarints = st.integers(min_value=0, max_value=2**40)
+_svarints = st.integers(min_value=-(2**40), max_value=2**40)
+_small = st.integers(min_value=0, max_value=64)
+_dots = st.builds(intern_dot, _small, st.integers(min_value=1, max_value=2**40))
 _key_ops = st.builds(
     KeyOp,
     key=_keys,
@@ -173,85 +194,94 @@ _commands = st.builds(
     Command,
     dot=_dots,
     ops=st.lists(_key_ops, min_size=1, max_size=4, unique_by=lambda op: op.key).map(tuple),
-    payload_size=st.integers(min_value=0, max_value=4096),
+    # Small payloads: the corruption sweep decodes the frame once per bit.
+    payload_size=st.integers(min_value=0, max_value=48),
     client_id=st.one_of(st.none(), st.integers(min_value=0, max_value=2**31)),
 )
 _spans = st.tuples(
     st.integers(min_value=1, max_value=2**32), st.integers(min_value=0, max_value=2**16)
 ).map(lambda pair: (pair[0], pair[0] + pair[1]))
-_range_wires = st.dictionaries(
-    st.integers(min_value=0, max_value=32),
-    st.lists(_spans, min_size=1, max_size=4).map(tuple),
-    max_size=4,
+_promise_sets = st.frozensets(
+    st.builds(Promise, _small, st.integers(min_value=1, max_value=2**40)), max_size=6
 )
-_promises = st.builds(
-    Promise,
-    st.integers(min_value=0, max_value=32),
-    st.integers(min_value=1, max_value=2**40),
-)
-_promise_sets = st.frozensets(_promises, max_size=6)
+
+_FIELD_STRATEGIES = {
+    UVARINT: _uvarints,
+    SVARINT: _svarints,
+    BOOL: st.booleans(),
+    PHASE: st.sampled_from(Phase),
+    DOT: _dots,
+    DOT_SET: st.frozensets(_dots, max_size=5),
+    COMMAND: _commands,
+    QUORUM_MAP: st.dictionaries(_small, st.lists(_small, max_size=5).map(tuple), max_size=3),
+    PROMISE_SET: _promise_sets,
+    PROMISE_RANGE_MAP: st.dictionaries(
+        _small, st.lists(_spans, min_size=1, max_size=4).map(tuple), max_size=4
+    ),
+    ATTACHED_MAP: st.dictionaries(_dots, _promise_sets, max_size=3),
+    RESULT: st.one_of(
+        st.none(), st.dictionaries(_keys, st.one_of(st.none(), _keys), max_size=4)
+    ),
+    TS_PAIR: st.tuples(_svarints, _small),
+    CLOCK_MAP: st.dictionaries(_small, _uvarints, max_size=5),
+}
+
+#: Every registered kind with a declaration (all but the MBatch envelope).
+_SCHEMA_KINDS = [cls for cls in registered_types() if cls is not MBatch]
 
 
-class TestFuzzRoundTrip:
-    @settings(max_examples=60, deadline=None)
-    @given(command=_commands)
-    def test_commands_round_trip(self, command):
-        message = MPropose(
-            dot=command.dot, command=command, quorums={0: (0, 1, 2)}, timestamp=17
-        )
-        assert decode(encode(message)) == message
-
-    @settings(max_examples=60, deadline=None)
-    @given(dot=_dots, attached=_promise_sets, detached=_range_wires)
-    def test_promise_payloads_round_trip(self, dot, attached, detached):
-        ack = MProposeAck(dot=dot, timestamp=3, attached=attached, detached=detached)
-        commit = MCommit(
-            dot=dot, timestamp=9, partition=1, attached=attached, detached=detached
-        )
-        assert decode(encode(ack)) == ack
-        assert decode(encode(commit)) == commit
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        dot=_dots,
-        detached=_range_wires,
-        attached=st.dictionaries(_dots, _promise_sets, max_size=3),
-        committed=st.frozensets(_dots, max_size=4),
+def _instances_of(cls):
+    """Strategy building ``cls`` instances from its own wire declaration."""
+    return st.builds(
+        cls, **{name: _FIELD_STRATEGIES[field_type] for name, field_type in cls.WIRE_FIELDS}
     )
-    def test_promise_broadcast_round_trips(self, dot, detached, attached, committed):
-        message = MPromises(
-            dot=dot, detached=detached, attached=attached, committed=committed
-        )
-        assert decode(encode(message)) == message
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        dot=_dots,
-        timestamp=st.tuples(
-            st.integers(min_value=0, max_value=2**40),
-            st.integers(min_value=0, max_value=64),
-        ),
-        dependencies=st.frozensets(_dots, max_size=5),
-        accepted=st.booleans(),
-    )
-    def test_baseline_messages_round_trip(self, dot, timestamp, dependencies, accepted):
-        message = MCaesarProposeAck(
-            dot=dot, timestamp=timestamp, dependencies=dependencies, accepted=accepted
-        )
-        assert decode(encode(message)) == message
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        result=st.one_of(
-            st.none(),
-            st.dictionaries(_keys, st.one_of(st.none(), _keys), max_size=4),
-        ),
-        dot=_dots,
-    )
-    def test_client_reply_round_trips(self, result, dot):
-        message = ClientReply(dot=dot, result=result)
+class TestSchemaDriven:
+    @pytest.mark.parametrize("cls", _SCHEMA_KINDS, ids=lambda cls: cls.__name__)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_size_and_corruption(self, cls, data):
+        message = data.draw(_instances_of(cls))
         assert decode(encode(message)) == message
+        frame = encode_frame(message)
+        assert message.size_bytes() == len(frame)
+        assert decode_frame(frame) == (message, len(frame))
+        # Every proper prefix is rejected; a flipped bit may still decode to
+        # a *different* valid message (the frame carries no checksum), but
+        # neither may raise anything other than WireError.
+        for cut in range(len(frame)):
+            with pytest.raises(WireError):
+                decode_frame(frame[:cut])
+        corrupt = bytearray(frame)
+        for position in range(len(frame)):
+            for bit in range(8):
+                corrupt[position] ^= 1 << bit
+                try:
+                    decode_frame(bytes(corrupt))
+                except WireError:
+                    pass
+                corrupt[position] ^= 1 << bit
 
+    def test_incomplete_or_misordered_declaration_fails_at_class_definition(self):
+        with pytest.raises(TypeError, match="declare every field"):
+
+            @wire_schema(("ballot", SVARINT))
+            @dataclass(frozen=True)
+            class MissingField(Message):
+                timestamp: int
+                ballot: int
+
+        with pytest.raises(TypeError, match="in dataclass order"):
+
+            @wire_schema(("ballot", SVARINT), ("timestamp", SVARINT))
+            @dataclass(frozen=True)
+            class Misordered(Message):
+                timestamp: int
+                ballot: int
+
+
+class TestBatchRoundTrip:
     @settings(max_examples=30, deadline=None)
     @given(
         inner=st.lists(
@@ -271,14 +301,6 @@ class TestFuzzRoundTrip:
 
 
 class TestRejection:
-    def test_every_truncation_is_rejected(self):
-        # Chop the frame at every possible length: each prefix must raise
-        # WireError (decode_frame never returns a message from a short buffer).
-        frame = encode_frame(sample_messages()["MPropose"])
-        for cut in range(len(frame)):
-            with pytest.raises(WireError):
-                decode_frame(frame[:cut])
-
     def test_trailing_garbage_is_rejected(self):
         payload = encode(sample_messages()["MStable"])
         with pytest.raises(WireError):
@@ -299,24 +321,18 @@ class TestRejection:
         with pytest.raises(WireError):
             decode_frame(b"")
 
+    def test_oversized_frame_declaration_is_rejected(self):
+        # Nested frames (MBatch inners) go through the same cap as the
+        # stream transport's top-level length check.
+        prefix = bytearray()
+        write_uvarint(prefix, MAX_FRAME_BYTES + 1)
+        with pytest.raises(WireError, match="exceeds the cap"):
+            decode_frame(bytes(prefix))
+
     def test_invalid_promise_range_is_rejected(self):
         message = MCommit(dot=intern_dot(0, 1), timestamp=2, detached={0: ((0, 4),)})
         with pytest.raises(WireError):
             encode(message)
-
-    def test_bitflips_never_escape_wireerror(self):
-        # Corruption may still decode to a *different* valid message (no
-        # checksum in the frame), but it must never raise anything other
-        # than WireError.
-        frame = encode_frame(sample_messages()["MProposeAck"])
-        for position in range(len(frame)):
-            for bit in (0x01, 0x80):
-                corrupt = bytearray(frame)
-                corrupt[position] ^= bit
-                try:
-                    decode_frame(bytes(corrupt))
-                except WireError:
-                    pass
 
 
 def test_struct_stays_inside_the_wire_package():

@@ -101,12 +101,6 @@ class TestFaultPlan:
         with pytest.raises(TypeError):
             FaultPlan(["crash at 100"]).validate(3, 1)  # type: ignore[list-item]
 
-    def test_from_legacy_crash_compiles_one_event(self):
-        plan = FaultPlan.from_legacy_crash(1, 0, 800.0)
-        assert len(plan) == 1
-        (event,) = plan
-        assert event == Crash(at_ms=800.0, site_rank=1, shard=0)
-
 
 class _RecordingNetwork:
     def __init__(self):

@@ -12,6 +12,7 @@ import asyncio
 import pytest
 
 from repro.core.base import MBatch
+from repro.core.wireschema import MAX_FRAME_BYTES, write_uvarint
 from repro.runtime.channel import Channel, Router
 from repro.runtime.transport import StreamConnection, StreamServer
 from repro.runtime.virtual_clock import run_with_virtual_clock
@@ -64,6 +65,31 @@ class TestUnixStream:
             return server.decode_errors, channel.empty()
 
         decode_errors, empty = asyncio.run(scenario())
+        assert decode_errors == 1
+        assert empty
+
+    def test_oversized_frame_declaration_closes_the_connection(self, tmp_path):
+        path = str(tmp_path / "wire.sock")
+
+        async def scenario():
+            channel = Channel.create(7)
+            server = await StreamServer.serve_unix(channel, path)
+            reader, writer = await asyncio.open_unix_connection(path)
+            # Sender 3 declares a 2**40-byte frame and then sends nothing,
+            # holding the connection open: the server must refuse the length
+            # up front instead of waiting on (and buffering) the body.
+            unit = bytearray([3])
+            write_uvarint(unit, 1 << 40)
+            assert (1 << 40) > MAX_FRAME_BYTES
+            writer.write(bytes(unit))
+            await writer.drain()
+            closed_by_server = await asyncio.wait_for(reader.read(), timeout=2.0)
+            writer.close()
+            await server.close()
+            return closed_by_server, server.decode_errors, channel.empty()
+
+        closed_by_server, decode_errors, empty = asyncio.run(scenario())
+        assert closed_by_server == b""
         assert decode_errors == 1
         assert empty
 

@@ -78,51 +78,21 @@ class TestNetwork:
         assert network.stats.messages_sent == 1
         assert network.stats.bytes_sent >= 500
 
-    def test_measure_encoded_records_measured_frames(self):
+    def test_bytes_sent_is_the_encoded_frame_length(self):
         from repro.core.identifiers import Dot
         from repro.core.messages import MPayload, MStable
-        from repro.wire import encoded_size
-
-        network = make_network(measure_encoded=True)
-        command = Command.write(Dot(0, 1), ["k"], payload_size=500)
-        payload = MPayload(command.dot, command, {0: (0, 1)})
-        stable = MStable(command.dot, partition=0)
-        network.transmit(0, 1, payload, 0.0, lambda *args: None)
-        network.transmit(0, 1, stable, 0.0, lambda *args: None)
-        stats = network.stats
-        # Estimate accounting is untouched; measured columns fill alongside.
-        assert stats.bytes_sent == payload.size_bytes() + stable.size_bytes()
-        assert stats.encoded_bytes == encoded_size(payload) + encoded_size(stable)
-        assert stats.per_kind_encoded["MPayload"] == encoded_size(payload)
-        assert stats.per_kind_estimated["MStable"] == stable.size_bytes()
-        rows = {row["kind"]: row for row in network.drift_report()}
-        # Epoch-2: size_bytes() is the exact frame length, so nothing drifts.
-        assert rows["MStable"]["drifted"] is False
-        assert rows["MPayload"]["drifted"] is False
-        assert stats.bytes_sent == stats.encoded_bytes
-
-    def test_measure_encoded_covers_batches(self):
-        from repro.core.identifiers import Dot
-        from repro.core.messages import MStable
-        from repro.wire import encoded_size
-
-        network = make_network(measure_encoded=True)
-        messages = [MStable(Dot(0, seq), partition=0) for seq in range(1, 4)]
-        network.transmit_batch(0, 1, messages, 0.0, lambda *args: None)
-        stats = network.stats
-        assert stats.encoded_bytes == sum(encoded_size(m) for m in messages)
-        # The MBatch envelope adds framing on top of the inner frames.
-        assert stats.encoded_batch_overhead > 0
-
-    def test_measure_encoded_off_records_nothing(self):
-        from repro.core.identifiers import Dot
-        from repro.core.messages import MStable
+        from repro.wire import encode_frame
 
         network = make_network()
-        network.transmit(0, 1, MStable(Dot(0, 1), partition=0), 0.0, lambda *args: None)
-        assert network.stats.encoded_bytes == 0
-        assert not network.stats.per_kind_encoded
-        assert network.drift_report() == []
+        command = Command.write(Dot(0, 1), ["k"], payload_size=500)
+        payload = MPayload(command.dot, command, {0: (0, 1)})
+        stables = [MStable(Dot(0, seq), partition=0) for seq in range(1, 4)]
+        network.transmit(0, 1, payload, 0.0, lambda *args: None)
+        network.transmit_batch(0, 1, stables, 0.0, lambda *args: None)
+        # Inner frames only: the MBatch envelope is deliberately not charged.
+        assert network.stats.bytes_sent == sum(
+            len(encode_frame(message)) for message in [payload, *stables]
+        )
 
     def test_drop_probability_validation(self):
         with pytest.raises(ValueError):
