@@ -2,10 +2,12 @@
 
 While the discrete-event simulator (:mod:`repro.simulator`) drives the
 protocols with virtual time, this package runs them "for real": each process
-is an asyncio task with an inbox queue, messages travel over in-memory
-channels (optionally with injected latency), and clients are asyncio
-coroutines.  The examples use it to demonstrate the library outside the
-simulator, and the integration tests use it to exercise concurrency.
+is an inbox task plus a tick task on an absolute deadline, messages travel
+over in-memory channels whose links are pipelined (injected latency delays
+the frame, never the sender), and clients are asyncio coroutines; see
+``docs/runtime.md``.  The examples use it to demonstrate the library
+outside the simulator, and the integration tests use it to exercise
+concurrency.
 """
 
 from repro.runtime.cluster import AsyncCluster, AsyncClusterOptions

@@ -1,8 +1,10 @@
 """AsyncCluster: run a replicated deployment as asyncio tasks.
 
-Each protocol process runs in its own task: it waits on its inbox, handles
-one message at a time, periodically ticks, and its outbox is drained into
-the router after every step.  Clients submit commands through
+Each protocol process runs as two tasks: one waits on its inbox and handles
+one message at a time, the other ticks on an absolute deadline every
+``tick_interval`` whatever the inbox holds.  After every step the outbox is
+handed to the router, which never makes the sender wait for a link's delay
+(``docs/runtime.md``).  Clients submit commands through
 :meth:`AsyncCluster.submit` and await the execution reply.
 
 The runtime works with any protocol from :mod:`repro.protocols.registry`.
@@ -41,6 +43,12 @@ class AsyncClusterOptions:
     #: test exercises the :mod:`repro.wire` codec path end-to-end.
     wire_bytes: bool = True
     protocol_kwargs: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.tick_interval <= 0:
+            raise ValueError("tick_interval must be positive")
+        if self.latency_seconds < 0:
+            raise ValueError("latency_seconds must be non-negative")
 
 
 class AsyncCluster:
@@ -87,36 +95,35 @@ class AsyncCluster:
         #: back to ``time.monotonic`` outside a loop.
         self._time_fn = None
         self._start_time = 0.0
-        #: Loop the cluster last started under; a restart under a different
-        #: loop resets the router channels (see :meth:`start`).
-        self._loop = None
 
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> None:
-        """Start one task per process plus the client-reply dispatcher."""
+        """Start the inbox and tick tasks of every process plus the
+        client-reply dispatcher."""
         if self._running:
             return
-        loop = asyncio.get_running_loop()
-        if self._loop is not None and loop is not self._loop:
-            # Restarted under a different loop (e.g. a second
-            # run_with_virtual_clock call): the old loop's queues are
-            # unusable, so give every endpoint a fresh inbox.
-            self.router.reset()
-        self._loop = loop
         self._rebind_clock()
         self._running = True
         for process in self.processes:
             self._tasks.append(asyncio.create_task(self._run_process(process)))
+            self._tasks.append(asyncio.create_task(self._run_ticks(process)))
         self._tasks.append(asyncio.create_task(self._run_client_inbox()))
 
     async def stop(self) -> None:
-        """Cancel all tasks and wait for them to finish."""
+        """Cancel all tasks, wait for them to finish and empty the links.
+
+        In-flight frames and undelivered inbox entries are dropped and the
+        link timers cancelled, so nothing of this loop survives into a
+        restart, which may happen under a different loop (e.g. a second
+        ``run_with_virtual_clock`` call).
+        """
         self._running = False
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
+        self.router.reset()
 
     async def __aenter__(self) -> "AsyncCluster":
         await self.start()
@@ -154,6 +161,12 @@ class AsyncCluster:
         return (self._time_fn() - self._start_time) * 1000.0
 
     async def _flush(self, process: ProcessBase) -> None:
+        """Hand the outbox to the router.
+
+        ``Router.send`` never suspends, so neither does this: the inbox
+        task, the tick task and :meth:`submit` of one process each drain
+        and ship in one uninterrupted step and need no lock between them.
+        """
         for envelope in process.drain_outbox():
             await self.router.send(
                 envelope.sender, envelope.destination, envelope.message
@@ -163,21 +176,28 @@ class AsyncCluster:
         channel = self.router.channel(process.process_id)
         assert channel is not None
         try:
-            # The loop re-checks ``_running``: ``asyncio.wait_for`` can
-            # swallow a one-shot ``Task.cancel()`` when the inner ``get()``
-            # completes in the same event-loop step, which would leave this
-            # task alive forever and deadlock ``stop()``'s gather.
             while self._running:
-                try:
-                    sender, message = await asyncio.wait_for(
-                        channel.get(), timeout=self.options.tick_interval
-                    )
-                    process.deliver(sender, message, self._now_ms())
-                except asyncio.TimeoutError:
-                    process.tick(self._now_ms())
+                sender, message = await channel.get()
+                process.deliver(sender, message, self._now_ms())
                 await self._flush(process)
         except asyncio.CancelledError:
             return
+
+    async def _run_ticks(self, process: ProcessBase) -> None:
+        """Tick ``process`` on absolute deadlines, ``tick_interval`` apart."""
+        loop = asyncio.get_running_loop()
+        interval = self.options.tick_interval
+        deadline = loop.time() + interval
+        while self._running:
+            await asyncio.sleep(deadline - loop.time())
+            process.tick(self._now_ms())
+            await self._flush(process)
+            deadline += interval
+            now = loop.time()
+            if deadline <= now:
+                # More than an interval late: skip the missed ticks rather
+                # than fire them in a burst.
+                deadline = now + interval
 
     async def _run_client_inbox(self) -> None:
         channel = self.router.channel(self._client_endpoint)
@@ -205,11 +225,15 @@ class AsyncCluster:
         process = self.processes[process_id]
         dot = process.dot_generator.next_id()
         command = Command.write(dot, keys, payload_size=payload_size, client_id=0)
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending_replies[dot] = future
-        process.submit(command, self._now_ms())
-        await self._flush(process)
-        return await asyncio.wait_for(future, timeout=timeout)
+        try:
+            process.submit(command, self._now_ms())
+            await self._flush(process)
+            return await asyncio.wait_for(future, timeout=timeout)
+        finally:
+            # A timeout or a cancelled caller leaves no reply future behind.
+            self._pending_replies.pop(dot, None)
 
     async def submit_many(
         self, keys_list: Sequence[Sequence[str]], timeout: float = 30.0

@@ -150,7 +150,7 @@ class StreamServer:
                 if unit is None:
                     break
                 self.frames_received += 1
-                await self.channel.put(unit[0], unit[1])
+                self.channel.put(unit[0], unit[1])
         except WireError:
             self.decode_errors += 1
         finally:

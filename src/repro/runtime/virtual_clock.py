@@ -1,14 +1,15 @@
 """Virtual-time asyncio event loop for deterministic runtime tests.
 
-The asyncio runtime (:mod:`repro.runtime.cluster`) is time-driven: each
-process task waits on its inbox with a ``tick_interval`` timeout and falls
-back to :meth:`ProcessBase.tick`.  On a real clock those timeouts burn wall
-time (5 ms per tick per process) and make test outcomes depend on scheduler
-jitter.  :class:`VirtualClockEventLoop` removes both problems: whenever the
-loop has no ready callbacks it jumps its clock straight to the earliest
-pending timer instead of sleeping, so timeouts and ``asyncio.sleep`` fire
-instantly in virtual time while message passing (which wakes tasks through
-ready callbacks) is always fully drained before time advances.
+The asyncio runtime (:mod:`repro.runtime.cluster`) is time-driven: every
+process ticks on an absolute deadline each ``tick_interval`` and every
+delayed frame lands when its link timer fires.  On a real clock those
+timers burn wall time (5 ms per tick) and make test outcomes depend on
+scheduler jitter.  :class:`VirtualClockEventLoop` removes both problems:
+whenever the loop has no ready callbacks it jumps its clock straight to the
+earliest pending timer instead of sleeping, so ticks, link delays, timeouts
+and ``asyncio.sleep`` fire instantly and at their exact virtual time, while
+message handling (which wakes tasks through ready callbacks) is always
+fully drained before time advances.
 
 Use :func:`run_with_virtual_clock` as a drop-in replacement for
 ``asyncio.run`` in tests.

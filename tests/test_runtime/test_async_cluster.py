@@ -1,7 +1,7 @@
 """Integration tests for the asyncio runtime.
 
 All scenarios run on the virtual-clock event loop
-(:mod:`repro.runtime.virtual_clock`): tick timeouts and ``asyncio.sleep``
+(:mod:`repro.runtime.virtual_clock`): ticks, link delays and ``asyncio.sleep``
 advance virtual time instantly, so the tests are deterministic and take
 milliseconds of wall time regardless of the simulated durations.
 """
@@ -55,7 +55,7 @@ class TestRouter:
         async def scenario():
             channel = Channel.create(3)
             empty_before = channel.empty()
-            await channel.put(0, "x")
+            channel.put(0, "x")
             return empty_before, channel.empty()
 
         before, after = run(scenario())
