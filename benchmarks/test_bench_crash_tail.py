@@ -1,19 +1,20 @@
-"""Crash-during-contention tail benchmark (commit-hint watchdog end-to-end).
+"""Crash-during-contention tail benchmark (the repair pass end-to-end).
 
 A Tempo coordinator is crashed mid-run under the contended fig6 workload.
 Commands it was coordinating are stranded mid-broadcast: fast-quorum members
 self-commit from the ack broadcast, everyone else learns of the identifiers
 only through promise broadcasts (commit hints) whose promised commit never
-arrives — the exact path the commit-hint watchdog (``TempoProcess._hint_tick``)
-escalates to a forced ``MCommitRequest``.  Meanwhile the stranded attached
-promises freeze the stability frontier, stalling execution cluster-wide until
-the partition leader recovers the commands (Algorithm 4).
+arrives — the exact path on which the repair pass (``repro.core.repair``)
+asks for the commit with an ``MRepairRequest`` one recovery timeout later.
+Meanwhile the stranded attached promises freeze the stability frontier,
+stalling execution cluster-wide until the partition leader recovers the
+commands (Algorithm 4).
 
 The benchmark asserts the recovery story end to end: survivors converge on an
 identical execution order with no pending commands, the latency tail is
 bounded by the recovery timeout (plus a few wide-area round trips) rather
-than unbounded, the median is unaffected, and the liveness machinery
-(commit requests) demonstrably fired more than in the healthy twin run.
+than unbounded, the median is unaffected, and the repair pass demonstrably
+fired — while the healthy twin run never asked for anything.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
 from repro.faults import Crash, FaultPlan
 
-#: Tolerated tail bound: recovery timeout (500 ms) + leader-election lag via
-#: the pending watchdog (another timeout) + a few wide-area round trips.
+#: Tolerated tail bound: recovery timeout (500 ms) + one more repair round
+#: (another timeout) + a few wide-area round trips.
 TAIL_BOUND_MS = 2_000.0
 
 
@@ -98,13 +99,14 @@ def test_bench_crash_during_contention_tail(benchmark, results_emitter):
     )
     assert abs(crashed.percentile(50.0) - healthy.percentile(50.0)) <= 25.0
 
-    # The commit-hint watchdog / liveness path fired: stranded identifiers
-    # forced extra MCommitRequests over the healthy twin, and no hint was
-    # leaked (every hint either committed or escalated).
-    assert crashed.stats["sent:MCommitRequest"] > healthy.stats["sent:MCommitRequest"]
+    # The repair pass fired for the stranded identifiers and only for them
+    # (the healthy twin asks for nothing), and nothing is left waiting:
+    # every stranded identifier was committed, however long we look.
+    assert crashed.stats["sent:MRepairRequest"] > 0
+    assert "sent:MRepairRequest" not in healthy.stats
     for process in survivors:
-        assert not process._commit_hinted, (
-            f"process {process.process_id} leaked commit hints"
+        assert process.blocked_on(float("inf")) == [], (
+            f"process {process.process_id} still waits for an ingredient"
         )
 
     # Progress still happened under the crash (clients at the four healthy

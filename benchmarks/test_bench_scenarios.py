@@ -72,8 +72,8 @@ def test_bench_scenario_matrix(benchmark, results_emitter):
         if cell.tail_gated:
             assert float(row["p99.9"]) <= WORST_CELL_TAIL_BOUND_MS, row
 
-    # The MStable send-once gap is closed: the cross-shard stability
-    # watchdog re-solicits the lost notifications, so the targeted loss
+    # The MStable send-once gap is closed: the blocked partition's repair
+    # pass asks for the lost notifications again, so the targeted loss
     # cell drains completely once the window lifts.
     mstable = by_cell[("mstable-loss/x-shard", "tempo")]
     assert mstable["converged"] == "yes" and mstable["stuck"] == 0, mstable

@@ -303,9 +303,9 @@ def codec_exhaustiveness_findings() -> List[LintFinding]:
 _DISPATCH_EXEMPT = frozenset({"ClientReply", "ClientSubmit", "MBatch"})
 
 #: Module groups whose construction/dispatch sets are checked together (the
-#: Tempo state machine spans process.py and the recovery mixin).
+#: Tempo state machine spans process.py and the recovery and repair mixins).
 _DISPATCH_GROUPS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("tempo", ("core/process.py", "core/recovery.py")),
+    ("tempo", ("core/process.py", "core/recovery.py", "core/repair.py")),
     # Atlas, EPaxos and Janus share DependencyProcessBase's dispatch table
     # (Janus subclasses Atlas), so their construction sets are pooled.
     (

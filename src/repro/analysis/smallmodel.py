@@ -31,11 +31,11 @@ surviving replicas.
 
 The optional message-loss branch (``lose_kinds``) drops one in-flight
 message of any registered kind at every depth (once per path, fair-lossy
-links): the model then proves the liveness machinery — commit hints, the
-hint watchdog's forced ``MCommitRequest``, §B.1 recovery, the
-promise-resync watchdog, and the cross-shard ``MStableRequest`` watchdog —
-re-delivers what was lost; the full liveness invariant still holds with no
-process crashed.  A
+links): the model then proves that the repair pass
+(:mod:`repro.core.repair` — the blocked side asks for the commit, the
+promises or the remote ``MStable`` it is missing, and the partition leader
+recovers, §B.1) re-delivers what was lost; the full liveness invariant
+still holds with no process crashed.  A
 two-partition topology (``num_partitions=2``) makes every command
 cross-shard, so losing a cross-partition ``MStable`` is exhaustively
 enumerated — the model counterpart of the scenario matrix's
@@ -560,9 +560,8 @@ def explore_tempo(
     the registered message classes (for instance ``["MCommit", "MStable"]``)
     of which one in-flight instance may vanish at any depth (once per path,
     fair-lossy links).  No process crashes on a loss path, so the
-    full liveness invariant stands — the commit-hint watchdog,
-    ``MCommitRequest``/``MPromiseResync`` machinery and the cross-shard
-    ``MStableRequest`` watchdog must re-deliver whatever was lost.
+    full liveness invariant stands — the repair pass must pull whatever
+    was lost.
 
     ``num_partitions=2`` builds a two-partition topology (``num_processes``
     replicas *per partition*); every command then accesses one key in each
@@ -639,9 +638,11 @@ def explore_tempo(
         times = [interval * (round + 1) for round in range(settle_rounds)]
         times.extend(recovery_at + interval * round for round in range(settle_rounds))
         if degraded:
-            # Crash/loss schedules can chain two timeouts: a commit hint
-            # noted during the first recovery window arms the hint watchdog,
-            # whose forced MCommitRequest fires one recovery timeout later.
+            # Crash/loss schedules need a second timeout: a dot first heard
+            # of during the recovery window above (a commit hint, say) is
+            # only overdue one recovery timeout later, and the repair
+            # pass's patience with a frozen frontier or a missing remote
+            # MStable is two timeouts from the first tick.
             times.extend(
                 2 * recovery_at + interval * round for round in range(settle_rounds)
             )

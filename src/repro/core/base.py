@@ -240,7 +240,7 @@ class ProcessBase(abc.ABC):
 
     def messages_handled(self) -> int:
         """Total messages handled, without materialising the per-kind view
-        (the monitor samples this per process on a fixed interval)."""
+        (perfbench divides handler time by it for ``us_per_msg``)."""
         return sum(self._message_counts.values())
 
     # -- failure injection ------------------------------------------------------

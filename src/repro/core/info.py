@@ -54,7 +54,6 @@ class CommandInfo:
     committed_at: Optional[float] = None
     stable_sent: bool = False
     stable_from: Set[int] = field(default_factory=set)
-    first_seen_at: Optional[float] = None
 
     def move_to(self, new_phase: Phase) -> None:
         """Transition to ``new_phase``, enforcing Figure 1.

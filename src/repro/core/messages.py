@@ -11,13 +11,14 @@ accounted size and the shipped bytes cannot disagree.
 Naming follows the paper: ``MSubmit``, ``MPropose``, ``MProposeAck``,
 ``MPayload``, ``MCommit``, ``MConsensus``, ``MConsensusAck``, ``MBump``,
 ``MPromises``, ``MStable``, ``MRec``, ``MRecAck``, ``MRecNAck`` and
-``MCommitRequest``; ``MPromiseResync`` and ``MExecutedClock`` are
+``MCommitRequest``; ``MRepairRequest`` and ``MExecutedClock`` are
 implementation liveness/GC additions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.core.commands import Command
@@ -248,30 +249,6 @@ class MCommitRequest(Message):
     and commit information (Algorithm 6, liveness mechanism)."""
 
 
-@wire_schema(("frontier", UVARINT))
-@dataclass(frozen=True)
-class MPromiseResync(Message):
-    """Ask a peer to re-broadcast its full issued-promise set.
-
-    Promises are normally sent exactly once (footnote 2 of the paper), so a
-    lost ``MPromises`` leaves a permanent hole in the receiver's view of the
-    sender's promise frontier, freezing its stable timestamp.  A process
-    whose stability frontier stalls while committed commands wait to execute
-    broadcasts this request; each peer answers point-to-point with an
-    un-drained :class:`MPromises` snapshot (the tracker retains the full set
-    for exactly this re-broadcast, see
-    :class:`repro.core.promises.PromiseTracker`) plus the payload/commit
-    information of its committed commands whose attached promises sit above
-    ``frontier`` — the requester's current contiguous frontier *for the
-    receiver* — so one round fills every promise hole, including the holes
-    punched by attached promises of commits the requester never received.
-    ``dot`` is a sentinel identifying the requester, as in
-    :class:`MPromises`.
-    """
-
-    frontier: int = 0
-
-
 @wire_schema(("clock", CLOCK_MAP))
 @dataclass(frozen=True)
 class MExecutedClock(Message):
@@ -314,23 +291,33 @@ class MDeliveryAck(Message):
     frontier: int = 0
 
 
-@wire_schema(("partition", UVARINT))
-@dataclass(frozen=True)
-class MStableRequest(Message):
-    """Ask a remote partition to re-send ``MStable`` for a blocked command.
+class Need(IntEnum):
+    """The ingredient a command is missing before it can execute here."""
 
-    Cross-partition stability notifications are send-once; if every copy
-    toward a partition is lost, that partition's replicas hold the
-    committed command forever (the documented ``mstable-loss/x-shard``
-    gap).  The cross-shard stability watchdog detects a committed command
-    blocked on a remote partition's stability for at least two recovery
-    windows and sends this request to that partition's processes;
-    a receiver that already stabilised (or even collected) ``dot``
-    answers with a fresh :class:`MStable`.  ``partition`` identifies the
-    requester's partition, mirroring :class:`MStable`.
+    COMMIT = 0
+    PROMISES = 1
+    STABLE = 2
+
+
+@wire_schema(("need", UVARINT), ("frontier", UVARINT))
+@dataclass(frozen=True)
+class MRepairRequest(Message):
+    """Ask a peer for the ingredient ``dot`` is missing at the requester.
+
+    The happy path sends commits, promises and cross-partition stability
+    notifications exactly once, so a lost copy is only ever replaced when
+    the blocked side pulls it again (:mod:`repro.core.repair`).  The reply
+    reuses the ordinary payloads: ``MPayload`` + ``MCommit`` for
+    :attr:`Need.COMMIT` if the receiver committed ``dot``; ``MStable`` for
+    :attr:`Need.STABLE` if it stabilised (or already collected) it; and for
+    :attr:`Need.PROMISES` an ``MPromises`` with everything the receiver
+    issued above ``frontier`` — the requester's contiguous frontier of the
+    receiver's promises — plus the payload and commit of its committed
+    commands attached above it.  ``frontier`` is 0 for the other needs.
     """
 
-    partition: int = 0
+    need: int
+    frontier: int = 0
 
 
 @wire_schema(("command", COMMAND))
@@ -365,8 +352,7 @@ TEMPO_MESSAGE_TYPES = (
     MRecAck,
     MRecNAck,
     MCommitRequest,
-    MPromiseResync,
     MExecutedClock,
     MDeliveryAck,
-    MStableRequest,
+    MRepairRequest,
 )

@@ -2,7 +2,9 @@
 
 This module implements Algorithms 1-3 and 5-6 of the paper as a single
 message-driven state machine, :class:`TempoProcess`.  Recovery (Algorithm 4)
-lives in :mod:`repro.core.recovery` and is mixed in.
+lives in :mod:`repro.core.recovery` and the liveness mechanism of §B — asking
+again for whatever a stuck command is missing — in :mod:`repro.core.repair`;
+both are mixed in.
 
 A :class:`TempoProcess` replicates exactly one partition.  Multi-partition
 commands are handled by running the commit protocol independently at every
@@ -32,22 +34,24 @@ from repro.core.messages import (
     MConsensusAck,
     MDeliveryAck,
     MExecutedClock,
+    Message,
     MPayload,
-    MPromiseResync,
     MPromises,
     MPropose,
     MProposeAck,
     MRec,
     MRecAck,
     MRecNAck,
+    MRepairRequest,
     MStable,
-    MStableRequest,
     MSubmit,
+    Need,
 )
 from repro.core.phases import Phase
 from repro.core.promises import Promise, PromiseSet, PromiseTracker, RangeCollector
 from repro.core.quorums import QuorumSystem
 from repro.core.recovery import RecoveryMixin
+from repro.core.repair import RepairMixin
 from repro.reliability import TRACKED_KIND_IDS
 
 ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
@@ -61,7 +65,7 @@ _ACK_KIND_MCOMMIT = TRACKED_KIND_IDS["MCommit"]
 _ACK_KIND_MSTABLE = TRACKED_KIND_IDS["MStable"]
 
 
-class TempoProcess(RecoveryMixin, ProcessBase):
+class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
     """A Tempo replica of one partition.
 
     Args:
@@ -90,6 +94,10 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         self.partitioner = partitioner or Partitioner(config.num_partitions)
         self.quorum_system = quorum_system or QuorumSystem(config)
         self.apply_fn = apply_fn
+        #: The partition's other replicas: everyone this process broadcasts to.
+        self._other_peers: List[int] = [
+            peer for peer in self.partition_peers() if peer != process_id
+        ]
         #: Implementation-level optimisation (documented in DESIGN.md):
         #: fast-quorum members send their MProposeAck to the whole fast
         #: quorum, so every member can detect the fast-path commit locally
@@ -106,7 +114,7 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         #: timestamp (:meth:`_local_fast_commit`), so the message carries no
         #: information they lack.  The slow path never elides: consensus
         #: outcomes are only known to the leader.  Lost-ack liveness is
-        #: covered by the recovery sweep's forced MCommitRequest.
+        #: covered by the repair pass (:mod:`repro.core.repair`).
         self.commit_elision = commit_elision and ack_broadcast
         #: Epoch-2 GC: globally-executed watermark exchange with the
         #: partition peers (see :mod:`repro.core.gc`); ``None`` disables
@@ -125,56 +133,23 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         self._buffered_attached: Dict[Dot, List[Tuple[int, int]]] = {}
         #: Committed-but-not-executed identifiers and their final timestamps.
         self._committed: Dict[Dot, int] = {}
-        #: Identifiers for which an MCommitRequest was already sent, mapped
-        #: to whether that request went to every useful peer (``True``) or
-        #: only to the slimmed PAYLOAD-phase target set (``False``).  A
-        #: slimmed request may be upgraded to a broadcast once — e.g. when
-        #: recovery later needs an answer and the original target crashed.
-        self._commit_requested: Dict[Dot, bool] = {}
-        #: Last time the recovery sweep force-re-sent an MCommitRequest per
-        #: dot, debouncing it to one broadcast per recovery-timeout window.
-        self._commit_rerequested: Dict[Dot, float] = {}
-        #: Last time this process broadcast an MRec per dot (see
-        #: RecoveryMixin.recover): a recovery ballot of our own that stalls
-        #: for a full recovery timeout is re-attempted with a higher ballot
-        #: — the MRec broadcast may have been lost (fair-lossy links) —
-        #: debounced to one attempt per window so a long partition cannot
-        #: storm the link with recovery traffic.
-        self._recovery_attempted: Dict[Dot, float] = {}
-        #: Identifiers a promise broadcast reported as committed elsewhere
-        #: (commit-metadata piggyback): the commit broadcast is known to be
-        #: in flight, so no MCommitRequest is needed unless the hint goes
-        #: stale (see _hint_tick).
-        self._commit_hinted: Set[Dot] = set()
-        #: Min-heap of ``(hinted_at, dot)`` backing the hint watchdog.
-        self._hint_watch: List[Tuple[float, Dot]] = []
+        #: Identifiers for which the healthy-path MCommitRequest (Algorithm 6,
+        #: line 96) was already sent; asking again is the repair pass's job.
+        self._commit_requested: Set[Dot] = set()
+        #: The repair pass's only state: per need, the dots missing that
+        #: ingredient mapped to ``[since, asked]`` (:mod:`repro.core.repair`).
+        self._blocked: Dict[Need, Dict[Dot, List[float]]] = {
+            need: {} for need in Need
+        }
         #: Min-heap of ``(timestamp, dot)`` for committed identifiers whose
         #: MStable has not been sent yet (drained by stability_check).
         self._commit_heap: List[Tuple[int, Dot]] = []
         #: Min-heap of ``(timestamp, dot)`` for identifiers whose MStable was
         #: sent and that await execution in ``(timestamp, dot)`` order.
         self._stable_heap: List[Tuple[int, Dot]] = []
-        #: Min-heap of ``(first_seen_at, dot)`` gating the recovery scan: the
-        #: full ``_info`` sweep only runs once the oldest watched pending
-        #: command exceeds the recovery timeout.
-        self._pending_watch: List[Tuple[float, Dot]] = []
         self._last_promise_broadcast = float("-inf")
         self._last_gc_announce = float("-inf")
         self._last_stability_check = float("-inf")
-        #: Stability-stall watchdog state (see _stability_resync_tick):
-        #: the highest stable timestamp ever observed, when the frontier
-        #: last moved while committed work was blocked on it, and the last
-        #: time an MPromiseResync round was requested (debounce).
-        self._stable_frontier_seen = -1
-        self._stable_stalled_since: Optional[float] = None
-        self._last_promise_resync = float("-inf")
-        #: Cross-shard MStable watchdog state (see _stable_watchdog_tick):
-        #: the execution-head dot currently blocked on a remote partition's
-        #: stability notification, when it first blocked, and the last time
-        #: an MStableRequest round was sent (debounce).
-        self._xshard_blocked_dot: Optional[Dot] = None
-        self._xshard_blocked_since = 0.0
-        self._last_stable_request = float("-inf")
         #: Highest contiguous promise frontier each partition peer has
         #: acknowledged absorbing from this process (via MDeliveryAck
         #: piggyback).  ``None`` until reliable delivery is enabled; when
@@ -226,10 +201,9 @@ class TempoProcess(RecoveryMixin, ProcessBase):
             MRecAck: self._on_rec_ack,
             MRecNAck: self._on_rec_nack,
             MCommitRequest: self._on_commit_request,
-            MPromiseResync: self._on_promise_resync,
             MExecutedClock: self._on_executed_clock,
             MDeliveryAck: self._on_delivery_ack,
-            MStableRequest: self._on_stable_request,
+            MRepairRequest: self._on_repair_request,
         }
 
     # ------------------------------------------------------------------ helpers
@@ -348,9 +322,9 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         if detached:
             self.tracker.add_detached_range(detached[0], detached[-1])
 
-    def _watch_pending(self, dot: Dot, first_seen: float) -> None:
-        """Register ``dot`` with the recovery watchdog (see _recovery_tick)."""
-        heappush(self._pending_watch, (first_seen, dot))
+    def _sentinel(self) -> Dot:
+        """Sender-identifying dot of the messages not tied to one command."""
+        return Dot(self.process_id, self.dot_generator.peek().sequence)
 
     # ------------------------------------------------------------------ submit
 
@@ -395,10 +369,6 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         quorums = dict(message.quorums)
         fast_quorum = quorums[self.partition]
         timestamp = self.clock.value + 1
-        record = self.info(dot)
-        if record.first_seen_at is None:
-            record.first_seen_at = now
-            self._watch_pending(dot, now)
         propose = MPropose(dot, command, quorums, timestamp)
         self.send(fast_quorum, propose, now)
         others = [
@@ -418,12 +388,7 @@ class TempoProcess(RecoveryMixin, ProcessBase):
             return
         record.command = message.command
         record.quorums = dict(message.quorums)
-        # Falsy (not ``is None``) on purpose: a first_seen_at of exactly 0.0
-        # is treated as unset, preserving the original `or now` semantics on
-        # which the recovery-timeout bookkeeping was calibrated.
-        if not record.first_seen_at:
-            record.first_seen_at = now
-            self._watch_pending(message.dot, now)
+        self._await_commit(message.dot, now)
         record.move_to(Phase.PAYLOAD)
         self._maybe_commit(message.dot, now)
 
@@ -437,9 +402,7 @@ class TempoProcess(RecoveryMixin, ProcessBase):
             return
         record.command = message.command
         record.quorums = dict(message.quorums)
-        if not record.first_seen_at:
-            record.first_seen_at = now
-            self._watch_pending(dot, now)
+        self._await_commit(dot, now)
         record.move_to(Phase.PROPOSE)
         result = self.clock.proposal(message.timestamp)
         record.timestamp = result.timestamp
@@ -709,8 +672,7 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         record.committed_at = now
         record.move_to(Phase.COMMIT)
         self._committed[dot] = final
-        self._commit_rerequested.pop(dot, None)
-        self._recovery_attempted.pop(dot, None)
+        self._blocked[Need.COMMIT].pop(dot, None)
         heappush(self._commit_heap, (final, dot))
         result = self.clock.bump(final)
         self._track_detached(result.detached)
@@ -776,47 +738,33 @@ class TempoProcess(RecoveryMixin, ProcessBase):
             buffered.extend(
                 (promise.process, promise.timestamp) for promise in attached
             )
+            self._await_commit(dot, now)
             # The commit-metadata piggyback only replaces the request round
-            # for identifiers this process knows nothing about: for those,
-            # a peer reporting the commit proves the commit broadcast is in
-            # flight.  Known identifiers go through _request_commit_info,
-            # which applies the phase-aware debounce (and always requests
-            # for recovery-phase records: committed peers ignore MRec,
-            # §B.1, so MCommitRequest is how recovery learns the outcome).
-            hintable = record is None or record.command is None
-            if hintable and dot in committed_hints:
-                self._note_commit_hint(dot, now)
-            else:
-                self._request_commit_info(dot, now)
+            # for identifiers this process knows nothing about: a peer
+            # reporting the commit proves the commit broadcast reached it,
+            # so on the common path the copy addressed here is in flight
+            # and requesting it again would duplicate the traffic.  (When
+            # that premise fails — the peer self-committed under a crashed
+            # coordinator, or this copy was lost — the repair pass asks
+            # one recovery timeout later.)  Known identifiers go through
+            # _request_commit_info, which applies the phase-aware debounce
+            # (and always requests for recovery-phase records: committed
+            # peers ignore MRec, §B.1).
+            hinted = dot in committed_hints and (
+                record is None or record.command is None
+            )
+            if not hinted and dot not in self._commit_requested:
+                self._request_commit_info(dot, record, now)
         self._schedule_stability_check(now)
 
-    def _note_commit_hint(self, dot: Dot, now: float) -> None:
-        """Record that a peer reported ``dot`` as committed.
+    def _request_commit_info(
+        self, dot: Dot, record: Optional[CommandInfo], now: float
+    ) -> None:
+        """Ask peers, once, for the payload/commit of an uncommitted
+        identifier a peer attached a promise to (Algorithm 6, line 96).
 
-        On the common path the peer committed through the coordinator's
-        commit broadcast (or by assembling the fast-quorum acks), so the
-        commit information addressed to this process is already in flight
-        and requesting it again would duplicate the traffic.  That premise
-        can fail — the peer may have fast-path self-committed under a
-        crashed coordinator, or recovered the commit via a point-to-point
-        reply while our copy of the broadcast was lost — so the hint
-        watchdog (:meth:`_hint_tick`) falls back to a forced
-        MCommitRequest once the commit has not arrived within the recovery
-        timeout, trading worst-case commit-info latency (one timeout
-        instead of one RTT, only on those failure paths) for the removed
-        steady-state traffic.
-        """
-        if dot in self._commit_hinted or dot in self._commit_requested:
-            return
-        self._commit_hinted.add(dot)
-        heappush(self._hint_watch, (now, dot))
-
-    def _request_commit_info(self, dot: Dot, now: float, force: bool = False) -> None:
-        """Ask peers for the payload/commit of an identifier known only
-        through attached promises (Algorithm 6, line 96).
-
-        Debounced by phase for identifiers whose command is already known
-        and still driven by the normal protocol (``ballot == 0``):
+        Identifiers whose command is already known and still driven by the
+        normal protocol (``ballot == 0``) are debounced by phase:
 
         * ``PROPOSE``: this process is a fast-quorum member and will detect
           the commit from the ack broadcast itself — never request.
@@ -827,21 +775,13 @@ class TempoProcess(RecoveryMixin, ProcessBase):
           whose reply can actually beat the broadcast — see
           :meth:`_commit_info_targets`.
 
-        Recovery-phase identifiers always request from every peer:
-        committed peers ignore MRec (§B.1), so MCommitRequest is the only
-        way a stalled recovery learns the outcome.  A dot whose only
-        previous request used the slimmed PAYLOAD target set is allowed
-        one upgrade to such a broadcast, so a crashed slim target can
-        never make the outcome unlearnable.  ``force`` (used by the hint
-        watchdog once a commit hint goes stale) bypasses the debounce.
+        Everything else asks every peer (recovery-phase identifiers
+        included: committed peers ignore MRec, §B.1).  A request or reply
+        that gets lost is the repair pass's to replace.
         """
-        record = self._info.get(dot)
-        if record is not None and record.is_committed:
-            return
         targets: Optional[List[int]] = None
         if (
             record is not None
-            and not force
             and record.command is not None
             and record.phase not in _RECOVERY_PHASES
         ):
@@ -857,26 +797,19 @@ class TempoProcess(RecoveryMixin, ProcessBase):
                     # broadcast is imminent.
                     return
                 targets = self._commit_info_targets(record)
-        broadcast = targets is None
-        already_broadcast = self._commit_requested.get(dot)
-        if already_broadcast is not None and (already_broadcast or not broadcast):
-            return
-        if broadcast:
-            targets = [
-                process for process in self.partition_peers()
-                if process != self.process_id
-            ]
+        if targets is None:
+            targets = self._other_peers
             in_recovery = record is not None and (
                 record.ballot != 0 or record.phase in _RECOVERY_PHASES
             )
-            if not force and not in_recovery:
+            if not in_recovery:
                 # Same argument as _commit_info_targets: by the time the
                 # initial coordinator could answer, its own commit
                 # broadcast (which includes this process) is already out.
-                slimmed = [process for process in targets if process != dot.source]
-                if slimmed:
-                    targets = slimmed
-        self._commit_requested[dot] = broadcast
+                targets = [
+                    process for process in targets if process != dot.source
+                ] or targets
+        self._commit_requested.add(dot)
         if targets:
             self.send(targets, MCommitRequest(dot), now)
 
@@ -924,200 +857,19 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         cache[quorum] = targets
         return targets
 
-    def _hint_tick(self, now: float) -> None:
-        """Escalate stale commit hints to real MCommitRequests.
-
-        Hints whose identifier has committed are discarded lazily; the
-        oldest still-uncommitted hint only escalates after the recovery
-        timeout, so failure-free runs never send a request for a hinted
-        identifier.
-        """
-        watch = self._hint_watch
-        while watch:
-            hinted_at, dot = watch[0]
-            record = self._info.get(dot)
-            if (record is not None and record.is_committed) or (
-                self.gc is not None and self.gc.collected(dot)
-            ):
-                heappop(watch)
-                self._commit_hinted.discard(dot)
-                continue
-            if now - hinted_at < self.config.recovery_timeout:
-                return
-            heappop(watch)
-            self._commit_hinted.discard(dot)
-            self._request_commit_info(dot, now, force=True)
-
-    def _on_commit_request(self, sender: int, message: MCommitRequest, now: float) -> None:
+    def _on_commit_request(self, sender: int, message: Message, now: float) -> None:
         """Re-send payload and commit information (Algorithm 6, line 86)."""
-        dot = message.dot
-        record = self._info.get(dot)
-        if record is None or not record.is_committed or record.command is None:
-            return
-        self.send([sender], MPayload(dot, record.command, dict(record.quorums)), now)
+        record = self._info.get(message.dot)
+        if record is not None and record.is_committed and record.command is not None:
+            self._send_commit_info(sender, message.dot, record, now)
+
+    def _send_commit_info(
+        self, target: int, dot: Dot, record: CommandInfo, now: float
+    ) -> None:
+        self.send([target], MPayload(dot, record.command, dict(record.quorums)), now)
         final = record.final_timestamp or record.timestamp
         for partition in sorted(record.quorums):
-            self.send([sender], MCommit(dot, timestamp=final, partition=partition), now)
-
-    def _on_promise_resync(
-        self, sender: int, message: MPromiseResync, now: float
-    ) -> None:
-        """Re-send the full issued-promise set to a stalled peer (§B.2).
-
-        Promises normally travel exactly once (footnote 2), so the reply
-        uses the tracker's *un-drained* snapshot — everything this process
-        ever issued and has not garbage-collected — letting the requester
-        fill the holes a lossy period punched into its view of our
-        frontier.  Holes left by *attached* promises need more than the
-        promise itself: the requester only counts an attached promise once
-        it has the command committed, so for every committed command whose
-        attached timestamp lies above the requester's reported frontier the
-        payload and commit information are re-sent too, collapsing what
-        would otherwise be one hint-watchdog round trip per hole into this
-        single reply.  Point-to-point: only the stalled requester pays the
-        re-broadcast bytes.
-        """
-        detached_ranges, attached = self.tracker.snapshot_ranges(drain=False)
-        if not detached_ranges and not attached:
-            return
-        committed = set()
-        for dot, promises in attached.items():
-            record = self._info.get(dot)
-            if record is None or not record.is_committed:
-                continue
-            committed.add(dot)
-            if record.command is None:
-                continue  # compacted: every correct process executed it
-            if all(p.timestamp <= message.frontier for p in promises):
-                continue  # below the requester's frontier: already counted
-            self.send(
-                [sender], MPayload(dot, record.command, dict(record.quorums)), now
-            )
-            final = record.final_timestamp or record.timestamp
-            for partition in sorted(record.quorums):
-                self.send(
-                    [sender], MCommit(dot, timestamp=final, partition=partition), now
-                )
-        reply = MPromises(
-            Dot(self.process_id, self.dot_generator.peek().sequence),
-            detached={self.process_id: detached_ranges} if detached_ranges else {},
-            attached=attached,
-            committed=frozenset(committed),
-        )
-        self.send([sender], reply, now)
-
-    def _stability_resync_tick(self, now: float) -> None:
-        """Detect a frozen stability frontier and request a promise resync.
-
-        A healed (or flaky-link) replica can hold committed commands whose
-        timestamps never become stable: the promises its peers issued
-        during the outage were broadcast exactly once, into the void, and
-        the send-once optimisation means nothing re-sends them.  When
-        committed work has been blocked on a non-advancing frontier for two
-        full recovery-timeout windows (long enough that crash recovery's
-        ordinary stability hiccups never trigger it), broadcast an
-        :class:`MPromiseResync`; peers answer with full snapshots and the
-        frontier jumps forward.  Debounced to one round per window.
-        """
-        heap = self._commit_heap
-        if not heap:
-            self._stable_stalled_since = None
-            return
-        stable = self.promises.stable_timestamp(self.partition_peers())
-        if heap[0][0] <= stable:
-            # The head is already stable; stability_check will drain it.
-            self._stable_stalled_since = None
-            return
-        if stable > self._stable_frontier_seen:
-            self._stable_frontier_seen = stable
-            self._stable_stalled_since = now
-            return
-        if self._stable_stalled_since is None:
-            self._stable_stalled_since = now
-            return
-        if now - self._stable_stalled_since < 2 * self.config.recovery_timeout:
-            return
-        if now - self._last_promise_resync < self.config.recovery_timeout:
-            return
-        self._last_promise_resync = now
-        sentinel = Dot(self.process_id, self.dot_generator.peek().sequence)
-        for target in self.partition_peers():
-            if target == self.process_id:
-                continue
-            # Per-target frontier: each peer re-sends exactly the commits
-            # whose attached promises this process is missing from *it*.
-            self.send(
-                [target],
-                MPromiseResync(
-                    sentinel,
-                    frontier=self.promises.highest_contiguous_promise(target),
-                ),
-                now,
-            )
-
-    def _stable_watchdog_tick(self, now: float) -> None:
-        """Re-solicit a remote shard's stability notification when stuck.
-
-        The PSMR execution rule (Algorithm 3/6) blocks a multi-partition
-        command until *every* accessed partition's MStable arrives, and that
-        notification is sent exactly once — a drop leaves the command
-        committed-but-unexecuted forever, and it wedges everything ordered
-        after it.  Watch the execution head: if the same identifier has been
-        blocked on a remote partition for two full recovery-timeout windows
-        (ordinary cross-shard skew resolves within one WAN delay, far below
-        that), ask the processes of each missing partition to re-send with
-        an :class:`MStableRequest`.  Debounced to one round per window;
-        always on — a healthy run never crosses the threshold, so the
-        watchdog costs one heap peek per tick and sends nothing.
-        """
-        heap = self._stable_heap
-        if not heap:
-            self._xshard_blocked_dot = None
-            return
-        dot = heap[0][1]
-        record = self._info[dot]
-        if record.has_all_stable():
-            # Not blocked — merely waiting for the next execution attempt.
-            self._xshard_blocked_dot = None
-            return
-        if dot != self._xshard_blocked_dot:
-            self._xshard_blocked_dot = dot
-            self._xshard_blocked_since = now
-            return
-        if now - self._xshard_blocked_since < 2 * self.config.recovery_timeout:
-            return
-        if now - self._last_stable_request < self.config.recovery_timeout:
-            return
-        self._last_stable_request = now
-        request = MStableRequest(dot, partition=self.partition)
-        for partition in sorted(set(record.quorums) - record.stable_from):
-            if partition == self.partition:
-                continue  # own-partition stability is derived locally
-            self.send(
-                sorted(self.config.processes_of_partition(partition)),
-                request,
-                now,
-            )
-
-    def _on_stable_request(
-        self, sender: int, message: MStableRequest, now: float
-    ) -> None:
-        """Re-send this partition's MStable for a command a remote shard is
-        blocked on (the original notification was lost)."""
-        dot = message.dot
-        record = self._info.get(dot)
-        if record is not None:
-            stable_here = record.stable_sent
-        else:
-            # A collected record was globally executed, which requires this
-            # partition to have declared it stable first.
-            stable_here = self.gc is not None and self.gc.collected(dot)
-        if not stable_here:
-            return  # not stable yet: the ordinary send will happen later
-        reply = MStable(dot, partition=self.partition)
-        self.send([sender], reply, now)
-        if self.reliability is not None:
-            self.reliability.track([sender], reply, now)
+            self.send([target], MCommit(dot, timestamp=final, partition=partition), now)
 
     def _on_stable(self, sender: int, message: MStable, now: float) -> None:
         """Record a per-partition stability notification (Algorithm 6).
@@ -1152,17 +904,13 @@ class TempoProcess(RecoveryMixin, ProcessBase):
             if record is not None and record.is_committed:
                 committed.add(dot)
         message = MPromises(
-            Dot(self.process_id, self.dot_generator.peek().sequence),
+            self._sentinel(),
             detached={self.process_id: detached_ranges} if detached_ranges else {},
             attached=attached,
             committed=frozenset(committed),
         )
-        targets = [
-            process for process in self.partition_peers()
-            if process != self.process_id
-        ]
-        if targets:
-            self.send(targets, message, now)
+        if self._other_peers:
+            self.send(self._other_peers, message, now)
 
     def stability_check(self, now: float = 0.0) -> None:
         """Detect stable timestamps and drive execution (lines 49 & 97).
@@ -1248,10 +996,7 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         if now - self._last_stability_check >= self.config.stability_interval:
             self._last_stability_check = now
             self.stability_check(now)
-        self._hint_tick(now)
-        self._recovery_tick(now)
-        self._stability_resync_tick(now)
-        self._stable_watchdog_tick(now)
+        self._repair_tick(now)
         self._reliability_tick(now)
 
     # ------------------------------------------------------------------ watermark GC
@@ -1266,14 +1011,10 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         if gc is None:
             return
         clock = gc.announcement()
-        if clock:
-            sentinel = Dot(self.process_id, self.dot_generator.peek().sequence)
-            targets = [
-                process for process in self.partition_peers()
-                if process != self.process_id
-            ]
-            if targets:
-                self.send(targets, MExecutedClock(sentinel, clock=clock), now)
+        if clock and self._other_peers:
+            self.send(
+                self._other_peers, MExecutedClock(self._sentinel(), clock=clock), now
+            )
         self._gc_sweep()
 
     def _on_executed_clock(
@@ -1310,75 +1051,14 @@ class TempoProcess(RecoveryMixin, ProcessBase):
             "of local execution"
         )
         self._buffered_attached.pop(dot, None)
-        self._commit_requested.pop(dot, None)
-        self._commit_rerequested.pop(dot, None)
-        self._recovery_attempted.pop(dot, None)
-        self._commit_hinted.discard(dot)
-
-    def _recovery_tick(self, now: float) -> None:
-        """Attempt recovery of stuck pending commands (Algorithm 6, line 75).
-
-        The scan over ``_info`` is gated by the ``_pending_watch`` heap: it
-        only runs when the oldest still-pending watched command has exceeded
-        the recovery timeout, so healthy runs never pay for it.  When the
-        scan does run it iterates ``_info`` itself (not the watch heap), so
-        re-broadcast/recovery order is identical to an ungated sweep.
-        """
-        watch = self._pending_watch
-        while watch:
-            first_seen, dot = watch[0]
-            record = self._info.get(dot)
-            if record is not None and record.is_pending:
-                if now - first_seen < self.config.recovery_timeout:
-                    return
-                break
-            heappop(watch)
-        else:
-            return
-        for dot, record in list(self._info.items()):
-            if not record.is_pending:
-                continue
-            first_seen = record.first_seen_at
-            if first_seen is None or now - first_seen < self.config.recovery_timeout:
-                continue
-            if record.command is not None and record.quorums:
-                # Re-broadcast the payload so every correct process learns it.
-                targets = [
-                    process
-                    for process in self._processes_of(sorted(record.quorums))
-                    if process != self.process_id
-                ]
-                if targets:
-                    self.send(
-                        targets,
-                        MPayload(dot, record.command, dict(record.quorums)),
-                        now,
-                    )
-            if self._should_attempt_recovery(dot, now):
-                self.recover(dot, now)
-            # A peer that already committed ignores MRec (§B.1), so a
-            # recovery that races a crashed coordinator's partial commit
-            # broadcast can stall with no acks: the outcome is then only
-            # learnable through MCommitRequest.  Re-request once per
-            # recovery-timeout window per dot — an every-tick broadcast
-            # floods the degraded period with tens of thousands of
-            # redundant requests.
-            last = self._commit_rerequested.get(dot)
-            if last is None or now - last >= self.config.recovery_timeout:
-                self._commit_rerequested[dot] = now
-                self._commit_requested.pop(dot, None)
-                self._request_commit_info(dot, now, force=True)
+        self._commit_requested.discard(dot)
 
     # ------------------------------------------------------------------ reliable delivery
 
     def enable_reliability(self, buffer) -> None:
         """Arm retransmission and start tracking per-peer acked frontiers."""
         super().enable_reliability(buffer)
-        self._acked_frontiers = {
-            peer: 0
-            for peer in self.partition_peers()
-            if peer != self.process_id
-        }
+        self._acked_frontiers = {peer: 0 for peer in self._other_peers}
 
     def _on_delivery_ack(self, sender: int, message: MDeliveryAck, now: float) -> None:
         super()._on_delivery_ack(sender, message, now)

@@ -8,7 +8,7 @@ The mixin assumes the host class provides the attributes created by
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.identifiers import Dot
 from repro.core.messages import (
@@ -52,35 +52,23 @@ class RecoveryMixin:
         info = self._info.get(dot)
         if info is None or not info.is_pending:
             return
-        self._recovery_attempted[dot] = now
         ballot = self._next_recovery_ballot(info.ballot)
         info.recovery_acks.setdefault(ballot, {})
         self.send(self.partition_peers(), MRec(dot, ballot), now)
 
-    def _should_attempt_recovery(self, dot: Dot, now: Optional[float] = None) -> bool:
-        """Whether this process should call :meth:`recover` for ``dot``.
+    def _should_attempt_recovery(self, dot: Dot) -> bool:
+        """Whether this process should call :meth:`recover` for ``dot``:
+        only the partition leader recovers (§B.1).
 
-        Only the partition leader recovers (§B.1).  A ballot started by
-        *another* process is always taken over.  A stalled ballot of the
-        leader's own is re-attempted — the MRec broadcast may have been
-        lost (fair-lossy links; e.g. a partition that has since healed) —
-        but only once per recovery-timeout window, so a long outage cannot
-        storm the partition with recovery traffic.
+        The repair pass asks once per recovery-timeout window per dot, so
+        the leader takes over a ballot another process started and
+        re-attempts a stalled one of its own — the ``MRec`` broadcast may
+        have been lost — at that same bounded rate.
         """
         info = self._info.get(dot)
         if info is None or not info.is_pending:
             return False
-        if self.leader_of_partition() != self.process_id:
-            return False
-        if info.ballot == 0:
-            return True
-        owner = self.ballot_owner_rank(info.ballot)
-        if owner != self.config.rank_in_partition(self.process_id):
-            return True
-        if now is None:
-            return False
-        last = self._recovery_attempted.get(dot)
-        return last is None or now - last >= self.config.recovery_timeout
+        return self.leader_of_partition() == self.process_id
 
     # -- handlers -------------------------------------------------------------------
 

@@ -15,12 +15,12 @@ Each cell reports tail latency, how many commands were left stuck on alive
 replicas, and whether the survivors converged (no stuck commands and — for
 Tempo, whose execution is a per-shard total order — identical execution
 orders).  Convergence is a *requirement* for every cell whose fault plan
-can lose or delay traffic: Tempo's liveness machinery (commit-hint
-watchdog, §B.1 recovery, periodic promise re-broadcast) plus the reliable-
-delivery layer (:mod:`repro.reliability`: ack-driven commit/MStable
-retransmission, the cross-shard stability watchdog, and coordinator
-re-solicitation for the dependency baselines) drains everything such a
-window strands.  The only cells still reported honestly as
+can lose or delay traffic: Tempo's repair pass (:mod:`repro.core.repair`:
+the blocked side asks again for a missing commit, promises or remote
+``MStable``, and the leader recovers, §B.1) plus the reliable-delivery
+layer (:mod:`repro.reliability`: ack-driven commit/MStable retransmission,
+and coordinator re-solicitation for the dependency baselines) drains
+everything such a window strands.  The only cells still reported honestly as
 ``converged=no`` are the baselines' unrecoverable coordinator crashes
 (``crash@s0``): the dead coordinator held quorum state no other replica
 can reconstruct, and crash-only plans deliberately keep the reliability
@@ -42,7 +42,7 @@ from repro.cluster.runner import run_experiment
 from repro.faults import Crash, FaultPlan, FlakyLink, Partition, Restart, TargetedLoss
 
 #: Tail bound (ms) gating the promoted worst cells: recovery timeout
-#: (500 ms) + watchdog lag + wide-area round trips, matching the
+#: (500 ms) + one repair round + wide-area round trips, matching the
 #: crash-tail benchmark's budget.
 WORST_CELL_TAIL_BOUND_MS = 2_000.0
 
@@ -144,10 +144,9 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
     # returns later holding its durable state.  While it is down the
     # watermark GC stalls at every survivor (the crashed peer stays in the
     # minimum); after the restart the replica must catch up — Tempo via
-    # its periodic liveness machinery, the baselines via the reliable-
-    # delivery layer's commit retransmission and coordinator
-    # re-solicitation — and the campaign asserts post-restart convergence
-    # for every protocol.
+    # its repair pass, the baselines via the reliable-delivery layer's
+    # commit retransmission and coordinator re-solicitation — and the
+    # campaign asserts post-restart convergence for every protocol.
     restart_at = options.duration_ms * 0.6
     for protocol in options.protocols:
         cells.append(

@@ -17,8 +17,8 @@ Design constraints (see ``docs/reliable_delivery.md``):
 * **Bounded.**  Re-sends back off exponentially (``backoff_base_ms`` ·
   2^attempt) and stop after ``max_attempts``; an entry that exhausts its
   budget is dropped and counted in :attr:`RetransmitBuffer.expired` —
-  the periodic watchdogs (``MCommitRequest``, ``MPromiseResync``, the
-  cross-shard ``MStable`` watchdog) remain the last-resort safety net.
+  Tempo's repair pass (:mod:`repro.core.repair`), where the blocked side
+  asks again, remains the last-resort safety net.
 * **Epoch-stamped.**  Acks carry the acker's recovery epoch; acks from a
   previous epoch of a since-restarted peer are ignored (the restarted
   peer re-acks from its durable state), mirroring how ``GcTracker``
@@ -45,14 +45,14 @@ TRACKED_KIND_IDS: Dict[str, int] = {
 }
 
 #: First re-send one recovery timeout after the original send — the same
-#: cadence as the MCommitRequest / MPromiseResync watchdogs, so a lost
-#: message is retried exactly when the protocol starts suspecting loss.
+#: window that paces Tempo's repair pass, so a lost message is retried
+#: exactly when the protocol starts suspecting loss.
 DEFAULT_BACKOFF_BASE_MS = 500.0
 
 #: Re-send budget per tracked (destination, kind, dot) entry.  With the
 #: default backoff base the attempts land ~0.5 s, 1 s, 2 s, 4 s and 8 s
 #: after the original send; anything still unacknowledged after that is
-#: a crashed (or partitioned-forever) peer, which the watchdogs and the
+#: a crashed (or partitioned-forever) peer, which the repair pass and the
 #: failure detector own.
 DEFAULT_MAX_ATTEMPTS = 5
 

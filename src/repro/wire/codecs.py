@@ -32,15 +32,14 @@ from repro.core.messages import (
     MDeliveryAck,
     MExecutedClock,
     MPayload,
-    MPromiseResync,
     MPromises,
     MPropose,
     MProposeAck,
     MRec,
     MRecAck,
     MRecNAck,
+    MRepairRequest,
     MStable,
-    MStableRequest,
     MSubmit,
 )
 from repro.protocols.dep_messages import (
@@ -78,7 +77,9 @@ def _dec_mbatch(r: Reader) -> MBatch:
 
 #: Stable kind-byte assignments; append-only, never reorder (the byte is the
 #: on-wire dispatch key).  Adding a kind is one row here, next to the class's
-#: ``@wire_schema`` declaration and its sample in ``wire/samples.py``.
+#: ``@wire_schema`` declaration and its sample in ``wire/samples.py``.  A
+#: retired kind leaves a gap — 32 (MPromiseResync) and 35 (MStableRequest)
+#: went when the repair pass replaced them — and its byte is never reused.
 _KINDS: Tuple[Tuple[int, type], ...] = (
     (0, MBatch),
     (1, MSubmit),
@@ -112,10 +113,9 @@ _KINDS: Tuple[Tuple[int, type], ...] = (
     (29, MAccepted),
     (30, MDecided),
     (31, MJanusDeps),
-    (32, MPromiseResync),
     (33, MExecutedClock),
     (34, MDeliveryAck),
-    (35, MStableRequest),
+    (36, MRepairRequest),
 )
 
 #: Message class -> (kind byte, body encoder); the class keys mirror the

@@ -29,16 +29,16 @@ from repro.core.messages import (
     MDeliveryAck,
     MExecutedClock,
     MPayload,
-    MPromiseResync,
     MPromises,
     MPropose,
     MProposeAck,
     MRec,
     MRecAck,
     MRecNAck,
+    MRepairRequest,
     MStable,
-    MStableRequest,
     MSubmit,
+    Need,
 )
 from repro.core.phases import Phase
 from repro.core.promises import Promise
@@ -97,9 +97,8 @@ def sample_messages(payload_size: int = 100) -> Dict[str, object]:
         "MRecAck": MRecAck(dot, 41, Phase.PROPOSE, 0, 5),
         "MRecNAck": MRecNAck(dot, 5),
         "MCommitRequest": MCommitRequest(dot),
-        "MPromiseResync": MPromiseResync(dot, frontier=17),
         "MDeliveryAck": MDeliveryAck(dot, kind_id=5, epoch=1, frontier=41),
-        "MStableRequest": MStableRequest(dot, 0),
+        "MRepairRequest": MRepairRequest(dot, Need.PROMISES, frontier=17),
         "MExecutedClock": MExecutedClock(dot, clock={0: 12, 1: 9, 2: 36}),
         "ClientSubmit": ClientSubmit(dot, command),
         "ClientReply": ClientReply(dot, result={"key-0": str(dot)}),

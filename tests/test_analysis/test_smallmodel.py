@@ -42,7 +42,7 @@ class TestTempoModels:
         # One in-flight MCommit may vanish at any depth (fair-lossy links);
         # nobody crashes, so the FULL liveness invariant stands: the
         # receiver that missed the commit learns the identifier through
-        # promise broadcasts and the hint watchdog / MCommitRequest
+        # promise broadcasts and the repair pass / MCommitRequest
         # machinery re-delivers the outcome — every command still executes
         # at every replica, in one agreed order.
         result = explore_tempo(
@@ -149,8 +149,8 @@ class TestGeneralisedLossModels:
         # unit test (the CI analysis job sweeps a deeper prefix), so this
         # is a *bounded* soundness gate: within the state budget, losing a
         # cross-partition MStable at any depth must produce no protocol
-        # violation — the cross-shard MStableRequest watchdog re-solicits
-        # the lost notification during settle.
+        # violation — the blocked partition's repair pass asks for the lost
+        # notification again during settle.
         result = explore_tempo(
             num_commands=1,
             lose_kinds=["MStable"],

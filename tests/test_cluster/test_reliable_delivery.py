@@ -11,7 +11,7 @@ Three properties the layer must hold simultaneously:
 * **Loss is healed with bounded traffic.**  Sustained targeted loss of
   the critical kinds converges via a handful of backed-off re-sends per
   entry — a small multiple of the healthy twin's traffic, never a storm —
-  and without leaning on the MPromiseResync last resort.
+  and without leaning on the repair pass's promise requests.
 * **The baselines are covered too.**  Atlas/EPaxos commit broadcasts are
   tracked through the same buffer, so their formerly stranded loss and
   restart cells drain.
@@ -116,10 +116,9 @@ class TestBoundedRetransmissionUnderLoss:
         # The ack-driven buffer heals the window; the MStable re-send
         # count stays a small multiple of the healthy twin's traffic.
         assert_bounded_retransmission(faulty, healthy, "MStable")
-        # ...and the layer, not the last-resort promise resync, does the
-        # healing: the watchdog cadence is unchanged.
-        resyncs = faulty.stats.get("sent:MPromiseResync", 0.0)
-        assert resyncs <= 30.0, f"MPromiseResync storm: {resyncs:.0f} sends"
+        # ...and the layer, not the repair pass, does the healing: a dot
+        # whose MStable is re-sent within a window never becomes overdue.
+        assert_bounded_retransmission(faulty, healthy, "MRepairRequest")
         assert faulty.stats.get("retransmit_resends", 0.0) > 0.0
         assert faulty.stats.get("retransmit_acked", 0.0) > 0.0
 

@@ -121,7 +121,8 @@ class TestTempoCollection:
                 assert dot not in process._info
                 assert process.phase_of(dot) is Phase.EXECUTE
             assert not process._buffered_attached
-            assert not process._commit_requested
+            # Nothing is left waiting for an ingredient, however long we wait.
+            assert process.blocked_on(float("inf")) == []
 
     def test_late_duplicates_are_suppressed(self):
         cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)

@@ -88,8 +88,7 @@ class TestSizes:
             "MSubmit", "MPropose", "MProposeAck", "MPayload", "MCommit",
             "MConsensus", "MConsensusAck", "MBump", "MPromises", "MStable",
             "MRec", "MRecAck", "MRecNAck", "MCommitRequest",
-            "MPromiseResync", "MExecutedClock", "MDeliveryAck",
-            "MStableRequest",
+            "MExecutedClock", "MDeliveryAck", "MRepairRequest",
         }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.identifiers import Dot
-from repro.core.messages import MCommit, MStable, MStableRequest
+from repro.core.messages import MCommit, MRepairRequest, MStable, Need
 from repro.protocols.dep_messages import MCaesarCommit, MDepCommit
 from repro.reliability import (
     DEFAULT_BACKOFF_BASE_MS,
@@ -62,7 +62,7 @@ class TestTrack:
 
     def test_untracked_kinds_are_rejected(self):
         buffer = RetransmitBuffer(0)
-        request = MStableRequest(Dot(0, 1), partition=0)
+        request = MRepairRequest(Dot(0, 1), Need.STABLE)
         with pytest.raises(ValueError, match="not a tracked message kind"):
             buffer.track([1], request, now=0.0)
 
