@@ -68,6 +68,8 @@ def _record_traffic(config, result) -> None:
             "live_records": int(result.stats.get("live_records", 0)),
             "archived_records": int(result.stats.get("archived_records", 0)),
             "peak_live_per_key": int(result.stats.get("peak_live_per_key", 0)),
+            "conflict_keys": int(result.stats.get("conflict_keys", 0)),
+            "issued_promises": int(result.stats.get("issued_promises", 0)),
             "gc_collected": int(result.stats.get("gc_collected", 0)),
         }
     )

@@ -277,11 +277,7 @@ class ProcessBase(abc.ABC):
             self.send([destination], message, now)
 
     def _on_delivery_ack(self, sender: int, message: object, now: float) -> None:
-        """Retire the retransmit-buffer entry a peer just acknowledged.
-
-        Protocols with promise state override this to also absorb the
-        piggybacked frontier (the promise-GC floor); they must call up.
-        """
+        """Retire the retransmit-buffer entry a peer just acknowledged."""
         buffer = self.reliability
         if buffer is not None:
             buffer.record_ack(sender, message.kind_id, message.dot, message.epoch)
@@ -333,6 +329,8 @@ class ProcessBase(abc.ABC):
         ``archived`` the executed history a protocol keeps for dependency
         computation (zero here; dependency protocols override),
         ``peak_live_per_key`` the per-key conflict-window high-water mark,
+        ``conflict_keys`` the keys holding per-key conflict state,
+        ``issued_promises`` the entries of Tempo's issued-promise ledger
         and ``gc_collected`` the identifiers dropped by the watermark GC.
         ``executed`` (the execution-order witness) is deliberately
         unbounded and reported separately so the bounds can exclude it.
@@ -342,6 +340,8 @@ class ProcessBase(abc.ABC):
             "executed": len(self.executed),
             "archived": 0,
             "peak_live_per_key": 0,
+            "conflict_keys": 0,
+            "issued_promises": 0,
             "gc_collected": 0,
         }
         gc = getattr(self, "gc", None)

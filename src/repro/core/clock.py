@@ -15,8 +15,7 @@ reports which timestamps were consumed by each operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 
 @dataclass
@@ -30,7 +29,7 @@ class ProposalResult:
     """
 
     timestamp: int
-    detached: Tuple[int, ...]
+    detached: range
 
 
 @dataclass
@@ -44,7 +43,7 @@ class BumpResult:
     """
 
     new_clock: int
-    detached: Tuple[int, ...]
+    detached: range
 
 
 @dataclass
@@ -52,7 +51,6 @@ class LogicalClock:
     """Per-process scalar clock (the ``Clock`` variable of Algorithm 1)."""
 
     value: int = 0
-    _history: List[Tuple[str, int]] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.value < 0:
@@ -68,9 +66,8 @@ class LogicalClock:
         if minimum < 0:
             raise ValueError("proposal minimum must be non-negative")
         timestamp = max(minimum, self.value + 1)
-        detached = tuple(range(self.value + 1, timestamp))
+        detached = range(self.value + 1, timestamp)
         self.value = timestamp
-        self._history.append(("proposal", timestamp))
         return ProposalResult(timestamp=timestamp, detached=detached)
 
     def bump(self, timestamp: int) -> BumpResult:
@@ -83,11 +80,6 @@ class LogicalClock:
         if timestamp < 0:
             raise ValueError("bump timestamp must be non-negative")
         new_value = max(timestamp, self.value)
-        detached = tuple(range(self.value + 1, new_value + 1))
+        detached = range(self.value + 1, new_value + 1)
         self.value = new_value
-        self._history.append(("bump", new_value))
         return BumpResult(new_clock=new_value, detached=detached)
-
-    def history(self) -> Tuple[Tuple[str, int], ...]:
-        """Sequence of (operation, resulting clock) pairs, for debugging."""
-        return tuple(self._history)

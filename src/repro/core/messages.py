@@ -281,9 +281,9 @@ class MDeliveryAck(Message):
     dot and ``kind_id`` its wire kind byte, together naming the exact
     retransmit-buffer entry to retire; ``epoch`` is the acker's recovery
     epoch (acks from before a restart are stale); ``frontier`` piggybacks
-    the acker's contiguous promise frontier *for the message's sender*,
-    feeding the acknowledgement-driven floor in
-    ``PromiseTracker.compact()`` (0 for protocols without promises).
+    the acker's contiguous promise frontier *for the message's sender* (0
+    for protocols without promises).  Nothing reads it: the promise GC it
+    floored is gone (``docs/memory.md``), the field stays for the wire.
     """
 
     kind_id: int = 0

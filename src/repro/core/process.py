@@ -48,7 +48,7 @@ from repro.core.messages import (
     Need,
 )
 from repro.core.phases import Phase
-from repro.core.promises import Promise, PromiseSet, PromiseTracker, RangeCollector
+from repro.core.promises import Promise, PromiseSet, PromiseTracker
 from repro.core.quorums import QuorumSystem
 from repro.core.recovery import RecoveryMixin
 from repro.core.repair import RepairMixin
@@ -150,13 +150,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         self._last_promise_broadcast = float("-inf")
         self._last_gc_announce = float("-inf")
         self._last_stability_check = float("-inf")
-        #: Highest contiguous promise frontier each partition peer has
-        #: acknowledged absorbing from this process (via MDeliveryAck
-        #: piggyback).  ``None`` until reliable delivery is enabled; when
-        #: set, :meth:`compact` floors promise GC at the minimum so a
-        #: late-joining or lossy peer can never lose promises it still
-        #: needs (the documented late-joiner gap).
-        self._acked_frontiers: Optional[Dict[int, int]] = None
         #: Set when a commit or promise absorption during a delivery scope
         #: made new timestamps potentially stable; the scope's
         #: :meth:`_flush_step` then runs one stability check for the whole
@@ -605,8 +598,8 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         if self.reliability is not None and sender != self.process_id:
             # Ack before any dedup/GC early return: the sender retransmits
             # until acked, so a duplicate usually means our first ack was
-            # lost.  Partition peers additionally learn our contiguous
-            # promise frontier for them (feeds their compact() floor).
+            # lost.  The ack carries our contiguous promise frontier for a
+            # partition peer (MDeliveryAck.frontier).
             frontier = (
                 self.promises.highest_contiguous_promise(sender)
                 if sender in self.partition_peer_set()
@@ -1039,11 +1032,12 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
     def _collect(self, dot: Dot) -> None:
         """Forget ``dot`` entirely: it executed at every partition peer.
 
-        Unlike :meth:`compact` (which nulls the payload but keeps the record
-        for duplicate suppression), collection removes the record itself —
-        the watermark predicate (:meth:`GcTracker.collected`) takes over
-        duplicate suppression at O(1) per message, so memory stays
-        proportional to the live command window.
+        The record itself goes — the watermark predicate
+        (:meth:`GcTracker.collected`) takes over duplicate suppression at
+        O(1) per message — and the promise this process attached to the
+        dot is re-filed as detached: executed everywhere means committed
+        everywhere, where the two count alike (``docs/memory.md``).  Memory
+        stays proportional to the live command window.
         """
         record = self._info.pop(dot, None)
         assert record is None or record.phase is Phase.EXECUTE, (
@@ -1052,66 +1046,14 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         )
         self._buffered_attached.pop(dot, None)
         self._commit_requested.discard(dot)
-
-    # ------------------------------------------------------------------ reliable delivery
-
-    def enable_reliability(self, buffer) -> None:
-        """Arm retransmission and start tracking per-peer acked frontiers."""
-        super().enable_reliability(buffer)
-        self._acked_frontiers = {peer: 0 for peer in self._other_peers}
-
-    def _on_delivery_ack(self, sender: int, message: MDeliveryAck, now: float) -> None:
-        super()._on_delivery_ack(sender, message, now)
-        frontiers = self._acked_frontiers
-        if frontiers is not None:
-            known = frontiers.get(sender)
-            if known is not None and message.frontier > known:
-                frontiers[sender] = message.frontier
+        self.tracker.fold(dot)
 
     # ------------------------------------------------------------------ introspection
 
-    def compact(self) -> int:
-        """Reclaim memory for fully executed commands.
-
-        Drops the payload and coordinator-side bookkeeping of commands that
-        have been executed locally and whose timestamp is below the current
-        stable timestamp (every correct process already knows about them),
-        and garbage-collects the corresponding issued promises (footnote 2
-        of the paper).  Returns the number of command records compacted.
-        The phase map itself is retained so duplicate messages keep being
-        ignored.
-        """
-        stable = self.stable_timestamp()
-        frontiers = self._acked_frontiers
-        if frontiers:
-            # Acknowledgement-driven GC floor: never drop a promise (or the
-            # record carrying it) that an alive partition peer has not yet
-            # confirmed absorbing.  Crashed peers stop acking, so — exactly
-            # like GcTracker's watermark — they pin the floor until they
-            # recover and catch up, closing the late-joiner gap documented
-            # in docs/fault_injection.md.
-            acked_floor = min(frontiers.values())
-            if acked_floor < stable:
-                stable = acked_floor
-        compacted = 0
-        executed_dots = []
-        for dot, record in self._info.items():
-            if record.phase is not Phase.EXECUTE:
-                continue
-            timestamp = record.final_timestamp or record.timestamp
-            if timestamp > stable:
-                continue
-            executed_dots.append(dot)
-            if record.command is not None or record.proposals:
-                record.command = None
-                record.proposals = {}
-                record.collected_attached = set()
-                record.collected_detached = RangeCollector()
-                record.consensus_acks = {}
-                record.recovery_acks = {}
-                compacted += 1
-        self.tracker.garbage_collect(stable, executed_dots)
-        return compacted
+    def memory_footprint(self) -> Dict[str, int]:
+        footprint = super().memory_footprint()
+        footprint["issued_promises"] = self.tracker.ledger_size()
+        return footprint
 
     def pending_dots(self) -> List[Dot]:
         """Identifiers currently in a pending phase."""

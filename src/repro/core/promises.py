@@ -83,6 +83,9 @@ class _IntRanges:
     def __bool__(self) -> bool:
         return bool(self._ranges)
 
+    def __len__(self) -> int:
+        return len(self._ranges)
+
     def count(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self._ranges)
 
@@ -142,20 +145,6 @@ class _IntRanges:
             added.append((cursor, hi))
         ranges[start:index] = [[merge_lo, merge_hi]]
         return added
-
-    def split_at(self, limit: int) -> Tuple[List[List[int]], List[List[int]]]:
-        """Partition into (ranges with values <= limit, ranges above it)."""
-        low: List[List[int]] = []
-        high: List[List[int]] = []
-        for lo, hi in self._ranges:
-            if hi <= limit:
-                low.append([lo, hi])
-            elif lo > limit:
-                high.append([lo, hi])
-            else:
-                low.append([lo, limit])
-                high.append([limit + 1, hi])
-        return low, high
 
 
 def _materialise(process: int, ranges: Iterable[Tuple[int, int]]) -> FrozenSet[Promise]:
@@ -249,6 +238,11 @@ class PromiseTracker:
     full set is retained for re-broadcast on demand (e.g. after suspected
     message loss).  Detached promises are stored as integer ranges (see the
     module docstring); ``Promise`` objects only exist on the wire.
+
+    The attached ledger holds the commands in flight, not the history:
+    :meth:`fold` turns the attached promises of a command known to be
+    committed at every peer into detached ones, which coalesce with the
+    clock-jump ranges around them (``docs/memory.md``).
     """
 
     def __init__(self, process: int) -> None:
@@ -257,6 +251,8 @@ class PromiseTracker:
         self._pending_detached = _IntRanges()
         self._attached: Dict[Dot, Set[int]] = {}
         self._pending_attached: Dict[Dot, Set[int]] = {}
+        #: Dots :meth:`fold` was asked for before their promise first went out.
+        self._fold_when_sent: Set[Dot] = set()
 
     # -- recording ------------------------------------------------------------
 
@@ -293,6 +289,26 @@ class PromiseTracker:
             raise ValueError("promise timestamps start at 1")
         self._attached.setdefault(dot, set()).add(timestamp)
         self._pending_attached.setdefault(dot, set()).add(timestamp)
+
+    def fold(self, dot: Dot) -> None:
+        """Re-file the promises attached to ``dot`` as detached ones.
+
+        Only for a ``dot`` committed at every peer: there an attached
+        promise counts exactly as a detached one does.  Nothing is queued
+        for broadcast (the promises went out attached), so a promise still
+        waiting for its first broadcast stays attached until the draining
+        :meth:`snapshot_ranges` has handed it out.
+        """
+        if dot in self._pending_attached:
+            self._fold_when_sent.add(dot)
+            return
+        add_range = self._detached.add_range
+        for timestamp in self._attached.pop(dot, ()):
+            add_range(timestamp, timestamp)
+
+    def ledger_size(self) -> int:
+        """Attached entries plus detached ranges held for re-broadcast."""
+        return len(self._attached) + len(self._detached)
 
     # -- inspection -----------------------------------------------------------
 
@@ -358,47 +374,16 @@ class PromiseTracker:
             }
             self._pending_detached = _IntRanges()
             self._pending_attached = {}
+            if self._fold_when_sent:
+                for dot in self._fold_when_sent:
+                    self.fold(dot)
+                self._fold_when_sent.clear()
             return detached_ranges, attached
         return tuple(self._detached.ranges()), self.attached()
 
     def has_pending(self) -> bool:
         """Whether there is anything new to broadcast."""
         return bool(self._pending_detached or self._pending_attached)
-
-    def garbage_collect(self, up_to_timestamp: int, executed_dots: Iterable[Dot]) -> int:
-        """Drop promises that every peer is known to have received.
-
-        The paper (footnote 2) notes that promises can be garbage-collected
-        as soon as they are received by all processes of the partition; the
-        caller passes the timestamp below which this is known to hold (e.g.
-        the minimum stable timestamp acknowledged by all peers) together
-        with the identifiers whose commands have been executed everywhere.
-        Pending (not yet broadcast) promises are never dropped, empty
-        attached entries are removed, and the operation is idempotent:
-        calling it again with the same arguments drops nothing further.
-        Returns the number of promises discarded.
-        """
-        detached_low, detached_high = self._detached.split_at(up_to_timestamp)
-        pending_low, _ = self._pending_detached.split_at(up_to_timestamp)
-        dropped = sum(hi - lo + 1 for lo, hi in detached_low) - sum(
-            hi - lo + 1 for lo, hi in pending_low
-        )
-        kept = _IntRanges()
-        kept._ranges = pending_low + detached_high
-        self._detached = kept
-        for dot in list(executed_dots):
-            timestamps = self._attached.get(dot)
-            if timestamps is None:
-                continue
-            if not timestamps:
-                del self._attached[dot]
-                continue
-            if dot in self._pending_attached:
-                continue
-            if all(ts <= up_to_timestamp for ts in timestamps):
-                dropped += len(timestamps)
-                del self._attached[dot]
-        return dropped
 
 
 class PromiseSet:

@@ -179,11 +179,12 @@ class RepairMixin:
     def _resend_promises(self, sender: int, frontier: int, now: float) -> None:
         """Re-send everything issued above ``frontier`` in one ``MPromises``.
 
-        The tracker keeps the full issued set for exactly this.  An attached
-        promise only counts at the requester once it has the command
-        committed, so the payload and commit of every committed command
-        attached above the frontier go first — one reply fills every hole
-        instead of one commit round per hole.
+        The tracker keeps the full issued set for exactly this: collected
+        history as one detached range, commands in flight attached.  An
+        attached promise only counts at the requester once it has the
+        command committed, so the payload and commit of every committed
+        command attached above the frontier go first — one reply fills
+        every hole instead of one commit round per hole.
         """
         detached, attached = self.tracker.snapshot_ranges(drain=False)
         detached = tuple(
@@ -201,8 +202,7 @@ class RepairMixin:
             record = self._info.get(dot)
             if record is not None and record.is_committed:
                 committed.add(dot)
-                if record.command is not None:  # else compacted: executed everywhere
-                    self._send_commit_info(sender, dot, record, now)
+                self._send_commit_info(sender, dot, record, now)
         reply = MPromises(
             self._sentinel(),
             detached={self.process_id: detached} if detached else {},

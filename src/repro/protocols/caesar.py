@@ -574,6 +574,9 @@ class CaesarProcess(ProcessBase):
             len(bucket) for bucket in self._committed_per_key.values()
         )
         footprint["peak_live_per_key"] = self.peak_live_per_key
+        footprint["conflict_keys"] = len(self._known_per_key) + len(
+            self._committed_per_key
+        )
         return footprint
 
     def committed_dots(self) -> List[Dot]:

@@ -213,6 +213,8 @@ class DependencyProtocolProcess(ProcessBase):
         #: view is pruned as commands execute and its peak size is bounded
         #: by the number of in-flight commands.
         self._conflicts: Dict[str, Set[Dot]] = {}
+        #: Highest ``peak_live`` among the summaries :meth:`_collect` dropped.
+        self._dropped_peak_live = 0
         self._max_sequence_per_key: Dict[str, int] = {}
         self.executor = DependencyGraphExecutor(
             collected=self.gc.collected if self.gc is not None else None
@@ -661,7 +663,11 @@ class DependencyProtocolProcess(ProcessBase):
 
     def _collect(self, dot: Dot) -> None:
         """Forget a globally-executed dot: its record, its per-key archive
-        entries (with cache invalidation) and its dependency-graph node."""
+        entries (with cache invalidation) and its dependency-graph node.
+
+        A key whose summary this leaves empty loses the summary too — a
+        missing key already reads as "no conflicts" — so the index holds
+        the keys of in-flight commands, not every key ever written."""
         record = self._info.pop(dot, None)
         assert record is None or record.status == "execute", (
             f"collecting {dot} in status {record.status}: watermark ran "
@@ -673,8 +679,14 @@ class DependencyProtocolProcess(ProcessBase):
             index = self._conflict_index
             for key in command.keys:
                 summary = index.get(key)
-                if summary is not None:
-                    summary.drop_archived(dot, read_only)
+                if summary is None:
+                    continue
+                summary.drop_archived(dot, read_only)
+                if not summary.live and not summary.executed:
+                    if summary.peak_live > self._dropped_peak_live:
+                        self._dropped_peak_live = summary.peak_live
+                    del index[key]
+                    del self._conflicts[key]
         self.executor.collect(dot)
 
     # -- introspection -------------------------------------------------------------------
@@ -705,7 +717,8 @@ class DependencyProtocolProcess(ProcessBase):
         carries the executed history needed to keep emitted dependency
         sets exact.
         """
-        live = peak = archived = 0
+        live = archived = 0
+        peak = self._dropped_peak_live
         for summary in self._conflict_index.values():
             live += len(summary.live)
             peak = max(peak, summary.peak_live)
@@ -717,4 +730,5 @@ class DependencyProtocolProcess(ProcessBase):
         conflicts = self.conflict_footprint()
         footprint["archived"] = conflicts["archived"]
         footprint["peak_live_per_key"] = conflicts["peak_live"]
+        footprint["conflict_keys"] = len(self._conflict_index)
         return footprint

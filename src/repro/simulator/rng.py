@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from bisect import bisect_left
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 #: Named sub-stream for fault-injection randomness (link drop/jitter draws,
 #: targeted message loss).  Splitting it off the network's main stream means
@@ -71,12 +73,31 @@ class SeededRng:
         return self.fork(FAULT_RNG_STREAM)
 
 
+@lru_cache(maxsize=8)
+def _zipf_cdf(num_items: int, theta: float) -> Tuple[float, ...]:
+    """Cumulative Zipf distribution over ``num_items`` ranks, last entry 1.0.
+
+    Immutable and cached: every sampler of one ``(num_items, theta)`` — one
+    per client of a YCSB+T run — reads the same table.
+    """
+    weights = [1.0 / ((rank + 1) ** theta) for rank in range(num_items)]
+    total = sum(weights)
+    cumulative = []
+    acc = 0.0
+    for weight in weights:
+        acc += weight / total
+        cumulative.append(acc)
+    cumulative[-1] = 1.0
+    return tuple(cumulative)
+
+
 class ZipfSampler:
     """Zipfian sampler over ``{0, .., n-1}`` with exponent ``theta``.
 
     Used by the YCSB+T workload (§6.4): the paper evaluates ``zipf = 0.5``
-    (low contention) and ``zipf = 0.7`` (moderate contention).  The sampler
-    precomputes the cumulative distribution; sampling is O(log n).
+    (low contention) and ``zipf = 0.7`` (moderate contention).  The
+    cumulative distribution is shared between samplers (:func:`_zipf_cdf`);
+    a sampler owns only its RNG, and sampling is O(log n).
     """
 
     def __init__(self, num_items: int, theta: float, rng: Optional[SeededRng] = None) -> None:
@@ -87,27 +108,13 @@ class ZipfSampler:
         self.num_items = num_items
         self.theta = theta
         self.rng = rng or SeededRng()
-        weights = [1.0 / ((rank + 1) ** theta) for rank in range(num_items)]
-        total = sum(weights)
-        cumulative = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            cumulative.append(acc)
-        cumulative[-1] = 1.0
-        self._cumulative = cumulative
+        self._cumulative = _zipf_cdf(num_items, theta)
 
     def sample(self) -> int:
         """Draw one item index; smaller indices are more popular."""
-        draw = self.rng.uniform()
-        lo, hi = 0, self.num_items - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < draw:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # The first rank whose cumulative weight reaches the draw; draws are
+        # below 1.0 and the last entry is 1.0, so the search never needs it.
+        return bisect_left(self._cumulative, self.rng.uniform(), 0, self.num_items - 1)
 
     def sample_distinct(self, count: int) -> List[int]:
         """Draw ``count`` distinct item indices."""

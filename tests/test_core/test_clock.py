@@ -24,12 +24,12 @@ class TestProposal:
     def test_proposal_generates_detached_promises_for_skipped_values(self):
         clock = LogicalClock(value=1)
         result = clock.proposal(6)
-        assert result.detached == (2, 3, 4, 5)
+        assert result.detached == range(2, 6)
 
     def test_proposal_without_skip_has_no_detached_promises(self):
         clock = LogicalClock(value=5)
         result = clock.proposal(6)
-        assert result.detached == ()
+        assert not result.detached
 
     def test_table1_example_b_and_c(self):
         # Process B at clock 6 receiving proposal 6 proposes 7 (Table 1).
@@ -44,7 +44,7 @@ class TestProposal:
         clock_c = LogicalClock(value=1)
         result = clock_c.proposal(6)
         assert result.timestamp == 6
-        assert result.detached == (2, 3, 4, 5)
+        assert result.detached == range(2, 6)
 
     def test_rejects_negative_minimum(self):
         with pytest.raises(ValueError):
@@ -56,17 +56,17 @@ class TestBump:
         clock = LogicalClock(value=3)
         result = clock.bump(7)
         assert clock.value == 7
-        assert result.detached == (4, 5, 6, 7)
+        assert result.detached == range(4, 8)
 
     def test_bump_never_goes_backwards(self):
         clock = LogicalClock(value=9)
         result = clock.bump(4)
         assert clock.value == 9
-        assert result.detached == ()
+        assert not result.detached
 
     def test_bump_to_current_value_is_noop(self):
         clock = LogicalClock(value=5)
-        assert clock.bump(5).detached == ()
+        assert not clock.bump(5).detached
 
     def test_rejects_negative_timestamp(self):
         with pytest.raises(ValueError):
@@ -77,12 +77,6 @@ class TestClockInvariants:
     def test_rejects_negative_initial_value(self):
         with pytest.raises(ValueError):
             LogicalClock(value=-1)
-
-    def test_history_records_operations(self):
-        clock = LogicalClock()
-        clock.proposal(3)
-        clock.bump(5)
-        assert clock.history() == (("proposal", 3), ("bump", 5))
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=1000)), max_size=50))
     def test_clock_is_monotone_and_promises_cover_all_skipped_values(self, operations):

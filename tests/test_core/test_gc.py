@@ -20,7 +20,7 @@ from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.gc import GcTracker
 from repro.core.identifiers import Dot
-from repro.core.messages import MCommit, MPropose
+from repro.core.messages import MCommit, MPromises, MPropose
 from repro.core.phases import Phase
 from repro.kvstore.store import KeyValueStore
 from repro.protocols.atlas import AtlasProcess
@@ -121,8 +121,28 @@ class TestTempoCollection:
                 assert dot not in process._info
                 assert process.phase_of(dot) is Phase.EXECUTE
             assert not process._buffered_attached
+            # The promises attached to them folded into one issued range.
+            assert process.tracker.attached() == {}
+            assert process.tracker.detached_ranges() == [(1, process.clock.value)]
             # Nothing is left waiting for an ingredient, however long we wait.
             assert process.blocked_on(float("inf")) == []
+
+    def test_promise_collected_before_its_first_broadcast_folds_after_it(self):
+        cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)
+        process = cluster.process(0)
+        dot = cluster.submit(0, ["k"]).dot
+        cluster.run()  # executed, but no tick yet: the promise never went out
+        assert process.tracker.has_pending()
+        process._collect(dot)  # the watermark passes the dot first
+        assert process.tracker.attached_for(dot)
+        process.broadcast_promises(0.0)
+        envelopes = process.drain_outbox()
+        assert [envelope.destination for envelope in envelopes] == [1, 2]
+        for envelope in envelopes:
+            assert isinstance(envelope.message, MPromises)
+            assert dot in envelope.message.attached  # unchanged on the wire
+        assert process.tracker.attached() == {}
+        assert process.tracker.detached_ranges() == [(1, process.clock.value)]
 
     def test_late_duplicates_are_suppressed(self):
         cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)

@@ -100,45 +100,36 @@ class TestPromiseTracker:
             Promise(0, 1), Promise(0, 2), Promise(0, 3), Promise(0, 5)
         }
 
-    def test_garbage_collect_is_idempotent(self):
-        tracker = PromiseTracker(0)
-        tracker.add_detached([1, 2, 3, 4])
-        tracker.add_attached(Dot(0, 1), 5)
-        tracker.snapshot(drain=True)
-        first = tracker.garbage_collect(3, [Dot(0, 1)])
-        assert first == 3
-        assert tracker.detached() == {Promise(0, 4)}
-        # Re-entry with the same arguments drops nothing further.
-        assert tracker.garbage_collect(3, [Dot(0, 1)]) == 0
-        assert tracker.detached() == {Promise(0, 4)}
-
-    def test_garbage_collect_keeps_pending_promises(self):
+    def test_fold_refiles_broadcast_attached_promises_as_detached(self):
         tracker = PromiseTracker(0)
         tracker.add_detached([1, 2])
+        tracker.add_attached(Dot(0, 1), 3)
+        tracker.add_detached([4])
+        tracker.add_attached(Dot(0, 2), 5)
         tracker.snapshot(drain=True)
-        tracker.add_detached([3])  # still pending
-        dropped = tracker.garbage_collect(3, [])
-        assert dropped == 2
-        assert tracker.detached() == {Promise(0, 3)}
-        detached, _ = tracker.snapshot(drain=True)
-        assert detached == {Promise(0, 3)}
+        issued = tracker.all_issued()
+        tracker.fold(Dot(0, 1))
+        # Same promises, one ledger entry fewer: 3 joined the ranges around it.
+        assert tracker.all_issued() == issued
+        assert tracker.attached() == {Dot(0, 2): {Promise(0, 5)}}
+        assert tracker.detached_ranges() == [(1, 4)]
+        assert tracker.ledger_size() == 2
+        # Already broadcast as attached: not queued a second time.
+        assert not tracker.has_pending()
+        tracker.fold(Dot(0, 1))  # idempotent, unknown dots included
+        tracker.fold(Dot(9, 9))
+        assert tracker.detached_ranges() == [(1, 4)]
 
-    def test_garbage_collect_drops_empty_attached_entries(self):
+    def test_fold_waits_for_a_promise_s_first_broadcast(self):
         tracker = PromiseTracker(0)
         tracker.add_attached(Dot(0, 1), 2)
-        tracker.snapshot(drain=True)
-        # Simulate an entry whose promise set emptied out.
-        tracker._attached[Dot(0, 2)] = set()
-        dropped = tracker.garbage_collect(10, [Dot(0, 1), Dot(0, 2)])
-        assert dropped == 1
-        assert tracker.attached() == {}
-
-    def test_garbage_collect_never_drops_pending_attached(self):
-        tracker = PromiseTracker(0)
-        tracker.add_attached(Dot(0, 1), 2)
-        dropped = tracker.garbage_collect(10, [Dot(0, 1)])
-        assert dropped == 0
+        tracker.fold(Dot(0, 1))
         assert tracker.attached_for(Dot(0, 1)) == {Promise(0, 2)}
+        _, attached = tracker.snapshot(drain=True)
+        assert attached == {Dot(0, 1): {Promise(0, 2)}}  # went out attached
+        assert tracker.attached() == {}
+        assert tracker.detached_ranges() == [(2, 2)]
+        assert not tracker.has_pending()
 
 
 class TestPromiseSet:

@@ -238,3 +238,69 @@ def test_blocked_on_is_pure():
     assert victim.blocked_on(overdue_at) == [(need, dot, TICK)]
     assert victim.blocked_on(overdue_at) == [(need, dot, TICK)]
     assert victim.drain_outbox() == []
+
+
+# -- a stale frontier below collected history ----------------------------------
+
+
+def stale_frontier_reply(history: int):
+    """Lose every MPromises from replica 2 toward replica 0 while ``history``
+    commands execute and are collected everywhere (0 still has a majority:
+    itself and replica 1), restart 0, then lose replica 1's promises as
+    well for one more command, so that 0 has to ask.  Returns replica 2's
+    answers to 0's PROMISES requests, 2's clock when the history was
+    collected, the frontier 0 held for 2 at that point and the last dot."""
+    cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)
+    victim, peer = cluster.process(0), cluster.process(2)
+    replies: List[MPromises] = []
+    lost_from = {2}
+    lost_until = [float("inf")]
+
+    def lose(envelope: Envelope, now: float) -> bool:
+        if envelope.destination != 0 or not isinstance(envelope.message, MPromises):
+            return False
+        if now < lost_until[0] and envelope.sender in lost_from:
+            return True
+        if envelope.sender == 2:
+            replies.append(envelope.message)
+        return False
+
+    drive = Drive(cluster, victim, lose)
+    for index in range(history):
+        cluster.submit(index % 3, ["hot"], drive.now)
+        drive.run(until=drive.now + 5 * TICK)
+    drive.run(until=drive.now + 40 * TICK)  # the last clock exchanges
+    collected_up_to = peer.clock.value
+    stale = victim.promises.highest_contiguous_promise(2)
+    assert len(victim.executed) == history
+    assert peer._info == {} and peer.tracker.attached() == {}
+    assert peer.tracker.detached_ranges() == [(1, collected_up_to)]
+
+    victim.crash()
+    victim.recover_process()
+    lost_from.add(1)
+    lost_until[0] = drive.now + WINDOW
+    command = cluster.submit(2, ["hot"], drive.now)
+    drive.run(until=drive.now + 4 * WINDOW)
+    assert command.dot in victim.executed_dots()
+    assert {need for need, _ in drive.rounds} == {Need.PROMISES}
+    return replies, collected_up_to, stale, command.dot
+
+
+def test_one_reply_lifts_a_stale_frontier_past_collected_history():
+    replies, collected_up_to, stale, in_flight = stale_frontier_reply(history=9)
+    assert stale < collected_up_to
+    # One MPromises: the collected commands' promises as one range from the
+    # stale frontier up, no attached entry (nor commit) for any of them.
+    (reply,) = replies
+    (span, *_), = reply.detached.values()
+    assert span[0] == stale + 1 and span[1] >= collected_up_to
+    assert set(reply.attached) == {in_flight}
+
+
+def test_promise_reply_size_does_not_depend_on_run_length():
+    (short,), *_ = stale_frontier_reply(history=9)
+    (long,), *_ = stale_frontier_reply(history=90)
+    assert len(long.attached) == len(short.attached)
+    # Ten times the history widens a varint or two, nothing else.
+    assert long.size_bytes() <= short.size_bytes() + 4

@@ -10,8 +10,9 @@ here long before it would OOM a real deployment.
 
 The columns come from :meth:`ProcessBase.memory_footprint` via the
 experiment stats (``live_records`` / ``archived_records`` /
-``peak_live_per_key`` / ``gc_collected``); ``BENCH_fig6.json`` carries the
-same columns for the full benchmark and CI gates them there too.
+``peak_live_per_key`` / ``conflict_keys`` / ``issued_promises`` /
+``gc_collected``); ``BENCH_fig6.json`` carries the same columns for the full
+benchmark and CI gates them there too.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ class TestMemoryStaysFlat:
         tail = 2 * 5 * 4  # two commands per client still in flight
         assert long["live_records"] <= tail, long
         assert long["archived_records"] <= tail, long
+
+        # So did the per-key conflict state (a key keeps a summary only
+        # while a command on it is uncollected) and Tempo's issued-promise
+        # ledger (collected commands' promises fold into one range per
+        # replica).
+        assert long["conflict_keys"] <= tail, long
+        assert long["issued_promises"] <= tail + 5, long
 
         # The per-key conflict window is bounded by concurrency, not run
         # length: 10x the duration may not widen the high-water mark beyond

@@ -276,6 +276,38 @@ class TestRng:
         items = sampler.sample_distinct(5)
         assert len(set(items)) == 5
 
+    @pytest.mark.parametrize("theta", [0.5, 0.7, 0.95])
+    def test_zipf_sample_equals_the_hand_written_binary_search(self, theta):
+        from repro.simulator.rng import ZipfSampler
+
+        def reference_sample(sampler):
+            draw = sampler.rng.uniform()
+            lo, hi = 0, sampler.num_items - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if sampler._cumulative[mid] < draw:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return lo
+
+        for seed in (1, 7, 42):
+            sampler = ZipfSampler(20_000, theta, rng=SeededRng(seed))
+            reference = ZipfSampler(20_000, theta, rng=SeededRng(seed))
+            assert [sampler.sample() for _ in range(10_000)] == [
+                reference_sample(reference) for _ in range(10_000)
+            ]
+
+    def test_zipf_samplers_share_one_table_per_distribution(self):
+        from repro.simulator.rng import ZipfSampler
+
+        first = ZipfSampler(20_000, 0.7, rng=SeededRng(1))
+        second = ZipfSampler(20_000, 0.7, rng=SeededRng(2))
+        assert first._cumulative is second._cumulative
+        assert first._cumulative[-1] == 1.0
+        assert ZipfSampler(20_000, 0.5)._cumulative is not first._cumulative
+        assert ZipfSampler(100, 0.7)._cumulative is not first._cumulative
+
     def test_exponential_requires_positive_mean(self):
         with pytest.raises(ValueError):
             SeededRng(1).exponential(0.0)
