@@ -27,12 +27,8 @@ def _fast_path_ratio(faults: int, concurrent: int, epaxos_style: bool) -> float:
     the fast path, under the given fast-path rule."""
     config = ProtocolConfig(num_processes=5, faults=faults)
     partitioner = Partitioner(1)
-    # Watermark GC off: the ratio below reads the per-command records after
-    # settling, which collection would have dropped.
     processes = [
-        TempoProcess(
-            process_id, config, partitioner=partitioner, watermark_gc=False
-        )
+        TempoProcess(process_id, config, partitioner=partitioner)
         for process_id in range(5)
     ]
     network = RecordingNetwork(processes)
@@ -42,6 +38,8 @@ def _fast_path_ratio(faults: int, concurrent: int, epaxos_style: bool) -> float:
         command = process.new_command(["hot"])
         process.submit(command, 0.0)
         commands.append(command)
+    # 15 one-millisecond rounds: the ratio below reads the per-command
+    # records, which the watermark GC drops a gc_interval (25 ms) in.
     network.settle(rounds=15)
     fast = 0
     for command in commands:

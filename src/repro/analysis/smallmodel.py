@@ -41,14 +41,13 @@ cross-shard, so losing a cross-partition ``MStable`` is exhaustively
 enumerated — the model counterpart of the scenario matrix's
 ``mstable-loss/x-shard`` cell.
 
-Epoch-2 state machines are part of the model: ``commit_elision`` toggles
-the fast-path MCommit elision (fast-quorum members self-commit, so the
-coordinator skips their commit message) and ``watermark_gc`` toggles the
-globally-executed watermark exchange.  With GC on, every reachable state —
-not just quiescent ones — is checked against the collection-safety
-invariant: a dot at or below any process's watermark must have executed at
-EVERY replica, i.e. no committed command's bookkeeping is ever dropped
-before it is globally executed.
+The fast-path MCommit elision (fast-quorum members self-commit, so the
+coordinator skips their commit message) and the globally-executed watermark
+exchange are part of the model.  Every reachable state — not just quiescent
+ones — is checked against the collection-safety invariant: a dot at or
+below any process's watermark must have executed at EVERY replica, i.e. no
+committed command's bookkeeping is ever dropped before it is globally
+executed.
 """
 
 from __future__ import annotations
@@ -175,10 +174,8 @@ class _Explorer:
         final_check: Callable[[List[ProcessBase], bool, List[Violation]], None],
         crash_process: Optional[int],
         max_states: int,
+        state_check: Callable[[Sequence[ProcessBase], List[Violation]], None],
         stop_at_first_violation: bool = False,
-        state_check: Optional[
-            Callable[[Sequence[ProcessBase], List[Violation]], None]
-        ] = None,
         lose_predicate: Optional[Callable[[object], bool]] = None,
     ) -> None:
         self.result = result
@@ -225,12 +222,11 @@ class _Explorer:
             result.max_depth = depth
         if result.states_explored > self.max_states:
             raise _StateBudgetExceeded
-        if self.state_check is not None:
-            # Invariants that must hold in EVERY reachable state, not just
-            # at quiescence (TLA+-style safety properties).
-            self.state_check(processes, result.violations)
-            if result.violations and self.stop_at_first_violation:
-                raise _FoundViolation
+        # Invariants that must hold in EVERY reachable state, not just at
+        # quiescence (TLA+-style safety properties).
+        self.state_check(processes, result.violations)
+        if result.violations and self.stop_at_first_violation:
+            raise _FoundViolation
         choices = sorted(
             pair
             for pair, queue in channels.items()
@@ -292,8 +288,8 @@ def _run(
     final_check,
     crash_process: Optional[int],
     max_states: int,
+    state_check,
     stop_at_first_violation: bool = False,
-    state_check=None,
     lose_predicate=None,
 ) -> ExplorationResult:
     channels: Channels = {}
@@ -305,8 +301,8 @@ def _run(
         final_check,
         crash_process,
         max_states,
+        state_check,
         stop_at_first_violation=stop_at_first_violation,
-        state_check=state_check,
         lose_predicate=lose_predicate,
     )
     try:
@@ -424,14 +420,12 @@ def _check_common_final_state(
             )
 
 
-# -- epoch-2 GC (shared between the Tempo and Caesar models) ----------------------
+# -- watermark GC (shared between the Tempo and Caesar models) --------------------
 
 
 def _gc_digest(process: ProcessBase) -> object:
-    """Canonical fingerprint of a process's ``GcTracker`` state (or ``()``)."""
-    gc = getattr(process, "gc", None)
-    if gc is None:
-        return ()
+    """Canonical fingerprint of a process's ``GcTracker`` state."""
+    gc = process.gc
     return (
         tuple(sorted(gc._frontier.items())),
         tuple(sorted(gc._watermark.items())),
@@ -466,9 +460,7 @@ def _gc_collection_safety(
         for process in current
     }
     for process in current:
-        gc = getattr(process, "gc", None)
-        if gc is None:
-            continue
+        gc = process.gc
         for source in sorted(gc._sources):
             watermark = gc.watermark_of(source)
             for sequence in range(1, watermark + 1):
@@ -543,8 +535,6 @@ def explore_tempo(
     lose_kinds: Optional[Sequence[str]] = None,
     num_partitions: int = 1,
     ack_broadcast: bool = True,
-    commit_elision: bool = True,
-    watermark_gc: bool = True,
     max_states: int = 400_000,
     settle_rounds: int = 8,
     stop_at_first_violation: bool = False,
@@ -569,11 +559,9 @@ def explore_tempo(
     lost cross-partition ``MStable`` is exhaustively enumerated — the model
     counterpart of the scenario matrix's ``mstable-loss/x-shard`` cell.
 
-    ``commit_elision`` and ``watermark_gc`` (both on by default, matching
-    the production process) put the epoch-2 state machines under the model:
-    the digest covers the GC tracker, and with GC on every reachable state
-    is checked against the collection-safety invariant (no dot collected
-    before it executed everywhere).
+    The digest covers the GC tracker, and every reachable state is checked
+    against the collection-safety invariant (no dot collected before it
+    executed everywhere).
 
     State-space sizes (exhaustive, clean): the default-config
     ``r=3, 2 commands`` model has 121,225 states with 42,624 final
@@ -602,8 +590,6 @@ def explore_tempo(
             config,
             partitioner=partitioner,
             ack_broadcast=ack_broadcast,
-            commit_elision=commit_elision,
-            watermark_gc=watermark_gc,
         )
         for process_id in range(config.total_processes())
     ]
@@ -652,7 +638,7 @@ def explore_tempo(
                     process.tick(now)
             _drain_outboxes(final_processes, channels)
             _pump_fifo(final_processes, channels, now)
-            if watermark_gc and not settle_violations:
+            if not settle_violations:
                 # The watermark only moves during the settle-phase clock
                 # exchange, so the transient windows live here: check after
                 # every round, not just at the settled state.
@@ -701,8 +687,7 @@ def explore_tempo(
         current: Sequence[ProcessBase], violations: List[Violation]
     ) -> None:
         stability_safety(current, violations)
-        if watermark_gc:
-            _gc_collection_safety(current, violations)
+        _gc_collection_safety(current, violations)
 
     def final_check(
         final_processes: List[ProcessBase], crashed: bool, violations: List[Violation]
@@ -714,14 +699,13 @@ def explore_tempo(
             violations,
             require_all=not crashed,
         )
-        if watermark_gc:
-            # Collection happens mostly during settle (the clock exchange
-            # rides the periodic tick), so re-assert GC safety on the
-            # settled state, not just along the schedule — and fold in any
-            # transient violation the per-round settle checks observed.
-            _gc_collection_safety(final_processes, violations)
-            violations.extend(settle_violations)
-            settle_violations.clear()
+        # Collection happens mostly during settle (the clock exchange
+        # rides the periodic tick), so re-assert GC safety on the
+        # settled state, not just along the schedule — and fold in any
+        # transient violation the per-round settle checks observed.
+        _gc_collection_safety(final_processes, violations)
+        violations.extend(settle_violations)
+        settle_violations.clear()
 
     lose_names = set(lose_kinds or ())
     protocol_label = f"tempo r={num_processes} f={faults}"
@@ -791,7 +775,6 @@ def explore_caesar(
     faults: int = 1,
     num_commands: int = 2,
     num_keys: int = 1,
-    watermark_gc: bool = True,
     max_states: int = 400_000,
 ) -> ExplorationResult:
     """Exhaustively explore a bounded Caesar schedule.
@@ -800,17 +783,14 @@ def explore_caesar(
     conflicting commands execute out of timestamp order or diverge across
     replicas.  Caesar here commits purely through messages (no periodic
     duties), so the settle phase only drives the execution retry tick —
-    plus, with ``watermark_gc``, a second round of ticks one ``gc_interval``
-    later so the clock exchange and collection run before the final checks
-    (the GC safety invariant is asserted in every reachable state either
-    way).
+    plus a second round of ticks one ``gc_interval`` later so the clock
+    exchange and collection run before the final checks (the GC safety
+    invariant is asserted in every reachable state either way).
     """
     config = ProtocolConfig(num_processes=num_processes, faults=faults)
     partitioner = Partitioner(1)
     processes = [
-        CaesarProcess(
-            process_id, config, partitioner=partitioner, watermark_gc=watermark_gc
-        )
+        CaesarProcess(process_id, config, partitioner=partitioner)
         for process_id in range(num_processes)
     ]
     dots = []
@@ -822,10 +802,9 @@ def explore_caesar(
     expected = set(dots)
 
     times = [float(round + 1) for round in range(4)]
-    if watermark_gc:
-        # A second tick window one gc_interval later: executions recorded
-        # during the first window get announced, ingested and collected.
-        times.extend(config.gc_interval + round + 1 for round in range(4))
+    # A second tick window one gc_interval later: executions recorded
+    # during the first window get announced, ingested and collected.
+    times.extend(config.gc_interval + round + 1 for round in range(4))
     settle_violations: List[Violation] = []
 
     def settle(
@@ -836,7 +815,7 @@ def explore_caesar(
                 process.tick(now)
             _drain_outboxes(final_processes, channels)
             _pump_fifo(final_processes, channels, now)
-            if watermark_gc and not settle_violations:
+            if not settle_violations:
                 _gc_collection_safety(final_processes, settle_violations)
 
     def timestamp_of(process: CaesarProcess, dot) -> Optional[object]:
@@ -851,10 +830,9 @@ def explore_caesar(
         _check_common_final_state(
             final_processes, expected, timestamp_of, violations, require_all=True
         )
-        if watermark_gc:
-            _gc_collection_safety(final_processes, violations)
-            violations.extend(settle_violations)
-            settle_violations.clear()
+        _gc_collection_safety(final_processes, violations)
+        violations.extend(settle_violations)
+        settle_violations.clear()
 
     result = ExplorationResult(protocol=f"caesar r={num_processes} f={faults}")
     return _run(
@@ -865,7 +843,7 @@ def explore_caesar(
         final_check,
         crash_process=None,
         max_states=max_states,
-        state_check=_gc_collection_safety if watermark_gc else None,
+        state_check=_gc_collection_safety,
     )
 
 
@@ -913,18 +891,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=True,
         help="Tempo ack-broadcast optimisation (default on)",
     )
-    parser.add_argument(
-        "--commit-elision",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="Tempo fast-path MCommit elision (default on)",
-    )
-    parser.add_argument(
-        "--watermark-gc",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="globally-executed watermark GC (default on)",
-    )
     parser.add_argument("--max-states", type=int, default=400_000)
     parser.add_argument(
         "--bounded",
@@ -945,8 +911,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             lose_kinds=args.lose_kind,
             num_partitions=args.partitions,
             ack_broadcast=args.ack_broadcast,
-            commit_elision=args.commit_elision,
-            watermark_gc=args.watermark_gc,
             max_states=args.max_states,
         )
     else:
@@ -955,7 +919,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             faults=args.faults,
             num_commands=args.commands,
             num_keys=args.keys,
-            watermark_gc=args.watermark_gc,
             max_states=args.max_states,
         )
     print(result.summary())

@@ -28,6 +28,7 @@ from typing import (
 from repro.core.commands import Command
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
+from repro.core.messages import ClientReply, MDeliveryAck
 
 
 class Envelope(NamedTuple):
@@ -85,6 +86,10 @@ class ProcessBase(abc.ABC):
             config.processes_of_partition(self.partition)
         )
         self._partition_peer_set: FrozenSet[int] = frozenset(self._partition_peers)
+        #: The partition's other replicas: everyone this process broadcasts to.
+        self._other_peers: List[int] = [
+            peer for peer in self._partition_peers if peer != process_id
+        ]
         #: Depth of the current delivery step (``deliver`` nests through
         #: synchronous self-addressed sends); ``_flush_step`` fires when the
         #: outermost delivery unwinds.
@@ -282,23 +287,13 @@ class ProcessBase(abc.ABC):
         if buffer is not None:
             buffer.record_ack(sender, message.kind_id, message.dot, message.epoch)
 
-    def _ack_delivery(
-        self, sender: int, kind_id: int, dot: Dot, now: float, frontier: int = 0
-    ) -> None:
+    def _ack_delivery(self, sender: int, kind_id: int, dot: Dot, now: float) -> None:
         """Send one delivery ack for a tracked inbound message.
 
         Callers gate on ``self.reliability is not None`` and on
         ``sender != self.process_id`` (self-deliveries need no ack).
         """
-        # Imported here, not at module level: ``repro.core.messages`` is a
-        # sibling leaf module and this path only runs with a buffer installed.
-        from repro.core.messages import MDeliveryAck
-
-        self.send(
-            [sender],
-            MDeliveryAck(dot, kind_id=kind_id, epoch=self.epoch, frontier=frontier),
-            now,
-        )
+        self.send([sender], MDeliveryAck(dot, kind_id=kind_id, epoch=self.epoch), now)
 
     def believes_alive(self, process: int) -> bool:
         """Failure-detector view of ``process`` (defaults to alive)."""
@@ -319,6 +314,16 @@ class ProcessBase(abc.ABC):
     def executed_dots(self) -> List[Dot]:
         """Identifiers executed so far, in execution order."""
         return [dot for dot, _ in self.executed]
+
+    def _client_reply(self, dot: Dot, command: Command, result) -> Envelope:
+        """The reply for a command this process submitted.  Clients are
+        addressed with negative identifiers by the cluster layer; the
+        runtime routes this envelope."""
+        return Envelope(
+            sender=self.process_id,
+            destination=-(command.client_id + 1),
+            message=ClientReply(dot, result=result),
+        )
 
     # -- introspection -----------------------------------------------------------
 

@@ -20,7 +20,6 @@ class ProtocolConfig:
         num_processes: total number of processes per partition (``r``).
         faults: number of tolerated failures per partition (``f``).
         num_partitions: number of partitions of the service state.
-        shards_per_partition: unused placeholder kept for API compatibility.
         batching: whether commands are batched before being submitted.
         batch_max_size: maximum number of commands per batch.
         batch_max_delay: maximum delay, in milliseconds, before a batch is

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.identifiers import Dot
+from repro.core.config import ProtocolConfig
+from repro.core.identifiers import Dot, intern_dot
+from repro.core.messages import MExecutedClock
 
 
 class GcTracker:
@@ -173,3 +175,55 @@ class GcTracker:
             ),
             "collected": self.collected_count,
         }
+
+
+class WatermarkGcMixin:
+    """The watermark exchange: announce, ingest, sweep.
+
+    Mixed in ahead of ``ProcessBase`` by every protocol that collects
+    (FPaxos keeps no per-command records and does not).  The host calls
+    :meth:`_gc_announce` from its ``tick``, routes ``MExecutedClock`` to
+    :meth:`_on_executed_clock`, reports executions to
+    ``self.gc.record_executed`` and supplies :meth:`_collect`.
+    """
+
+    def __init__(self, process_id: int, config: ProtocolConfig) -> None:
+        super().__init__(process_id, config)
+        self.gc = GcTracker(process_id, self.partition_peers())
+        self._last_gc_announce = float("-inf")
+
+    def _gc_announce(self, now: float) -> None:
+        """Once per ``gc_interval``, announce the local executed clock to
+        the partition peers and sweep.
+
+        The exchange has its own (slower) cadence — collection latency only
+        bounds the live-record window, so there is no reason to pay a clock
+        exchange per tick — and only sends when the frontier advanced since
+        the last announcement (the tracker's dirty flag), so an idle
+        partition exchanges nothing.
+        """
+        if now - self._last_gc_announce < self.config.gc_interval:
+            return
+        self._last_gc_announce = now
+        clock = self.gc.announcement()
+        if clock and self._other_peers:
+            sentinel = Dot(self.process_id, self.dot_generator.peek().sequence)
+            self.send(self._other_peers, MExecutedClock(sentinel, clock=clock), now)
+        self._gc_sweep()
+
+    def _on_executed_clock(
+        self, sender: int, message: MExecutedClock, now: float
+    ) -> None:
+        """Merge a peer's executed clock and collect below the new watermark."""
+        self.gc.ingest(sender, message.clock)
+        self._gc_sweep()
+
+    def _gc_sweep(self) -> None:
+        """Drop bookkeeping for every newly globally-executed identifier."""
+        for source, lo, hi in self.gc.advance():
+            for sequence in range(lo, hi + 1):
+                self._collect(intern_dot(source, sequence))
+
+    def _collect(self, dot: Dot) -> None:
+        """Forget ``dot`` entirely: it executed at every partition peer."""
+        raise NotImplementedError

@@ -270,7 +270,7 @@ class MExecutedClock(Message):
     clock: Mapping[int, int] = field(default_factory=dict)
 
 
-@wire_schema(("kind_id", UVARINT), ("epoch", UVARINT), ("frontier", UVARINT))
+@wire_schema(("kind_id", UVARINT), ("epoch", UVARINT))
 @dataclass(frozen=True)
 class MDeliveryAck(Message):
     """Acknowledge delivery of one tracked critical message.
@@ -280,15 +280,11 @@ class MDeliveryAck(Message):
     the receiver acknowledges them.  ``dot`` is the acknowledged message's
     dot and ``kind_id`` its wire kind byte, together naming the exact
     retransmit-buffer entry to retire; ``epoch`` is the acker's recovery
-    epoch (acks from before a restart are stale); ``frontier`` piggybacks
-    the acker's contiguous promise frontier *for the message's sender* (0
-    for protocols without promises).  Nothing reads it: the promise GC it
-    floored is gone (``docs/memory.md``), the field stays for the wire.
+    epoch (acks from before a restart are stale).
     """
 
     kind_id: int = 0
     epoch: int = 0
-    frontier: int = 0
 
 
 class Need(IntEnum):

@@ -18,15 +18,14 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.base import Envelope, ProcessBase
+from repro.core.base import ProcessBase
 from repro.core.clock import LogicalClock
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.gc import GcTracker
-from repro.core.identifiers import Dot, DotGenerator, intern_dot
+from repro.core.gc import WatermarkGcMixin
+from repro.core.identifiers import Dot, DotGenerator
 from repro.core.info import CommandInfo
 from repro.core.messages import (
-    ClientReply,
     MBump,
     MCommit,
     MCommitRequest,
@@ -65,7 +64,7 @@ _ACK_KIND_MCOMMIT = TRACKED_KIND_IDS["MCommit"]
 _ACK_KIND_MSTABLE = TRACKED_KIND_IDS["MStable"]
 
 
-class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
+class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
     """A Tempo replica of one partition.
 
     Args:
@@ -87,17 +86,11 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         quorum_system: Optional[QuorumSystem] = None,
         apply_fn: Optional[ApplyFn] = None,
         ack_broadcast: bool = True,
-        commit_elision: bool = True,
-        watermark_gc: bool = True,
     ) -> None:
         super().__init__(process_id, config)
         self.partitioner = partitioner or Partitioner(config.num_partitions)
         self.quorum_system = quorum_system or QuorumSystem(config)
         self.apply_fn = apply_fn
-        #: The partition's other replicas: everyone this process broadcasts to.
-        self._other_peers: List[int] = [
-            peer for peer in self.partition_peers() if peer != process_id
-        ]
         #: Implementation-level optimisation (documented in DESIGN.md):
         #: fast-quorum members send their MProposeAck to the whole fast
         #: quorum, so every member can detect the fast-path commit locally
@@ -107,21 +100,15 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         #: paper's evaluation.  Safety is unaffected: every member computes
         #: the same timestamp from the same set of proposals and only
         #: self-commits when the fast-path condition holds.
+        #:
+        #: It also lets the fast path skip the MCommit to the own-partition
+        #: fast-quorum members: they hold every proposal of the quorum and
+        #: self-commit the identical timestamp (:meth:`_local_fast_commit`),
+        #: so the message carries no information they lack.  The slow path
+        #: never elides: consensus outcomes are only known to the leader.
+        #: Lost-ack liveness is covered by the repair pass
+        #: (:mod:`repro.core.repair`).
         self.ack_broadcast = ack_broadcast
-        #: Epoch-2 optimisation: on the fast path, skip the MCommit to the
-        #: own-partition fast-quorum members — with ``ack_broadcast`` they
-        #: hold every proposal of the quorum and self-commit the identical
-        #: timestamp (:meth:`_local_fast_commit`), so the message carries no
-        #: information they lack.  The slow path never elides: consensus
-        #: outcomes are only known to the leader.  Lost-ack liveness is
-        #: covered by the repair pass (:mod:`repro.core.repair`).
-        self.commit_elision = commit_elision and ack_broadcast
-        #: Epoch-2 GC: globally-executed watermark exchange with the
-        #: partition peers (see :mod:`repro.core.gc`); ``None`` disables
-        #: collection entirely (epoch-1 behaviour).
-        self.gc: Optional[GcTracker] = (
-            GcTracker(process_id, self.partition_peers()) if watermark_gc else None
-        )
         self.clock = LogicalClock()
         self.tracker = PromiseTracker(process_id)
         self.promises = PromiseSet()
@@ -148,7 +135,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         #: sent and that await execution in ``(timestamp, dot)`` order.
         self._stable_heap: List[Tuple[int, Dot]] = []
         self._last_promise_broadcast = float("-inf")
-        self._last_gc_announce = float("-inf")
         self._last_stability_check = float("-inf")
         #: Set when a commit or promise absorption during a delivery scope
         #: made new timestamps potentially stable; the scope's
@@ -214,7 +200,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         record = self._info.get(dot)
         if record is not None:
             return record.phase
-        if self.gc is not None and self.gc.collected(dot):
+        if self.gc.collected(dot):
             # Collected records were globally executed before being dropped.
             return Phase.EXECUTE
         return Phase.START
@@ -374,7 +360,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
 
     def _on_payload(self, sender: int, message: MPayload, now: float) -> None:
         """Store the payload of a command outside the fast quorum (line 9)."""
-        if self.gc is not None and self.gc.collected(message.dot):
+        if self.gc.collected(message.dot):
             return  # late duplicate of a globally-executed command
         record = self.info(message.dot)
         if record.phase is not Phase.START:
@@ -388,7 +374,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
     def _on_propose(self, sender: int, message: MPropose, now: float) -> None:
         """Compute a timestamp proposal as a fast-quorum member (line 12)."""
         dot = message.dot
-        if self.gc is not None and self.gc.collected(dot):
+        if self.gc.collected(dot):
             return  # late duplicate of a globally-executed command
         record = self.info(dot)
         if record.phase is not Phase.START:
@@ -457,12 +443,12 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         then buffered in a fresh START-phase record instead of dropped —
         the member's own self-addressed ack (sent when MPropose finally
         arrives) completes the proposal set and re-runs the fast-path
-        check.  With commit elision the coordinator's MCommit no longer
-        backstops a dropped ack, so the buffering is what keeps the
+        check.  The coordinator's MCommit is elided for quorum members and
+        so does not backstop a dropped ack: the buffering is what keeps the
         fast path loss-free under reordering.
         """
         dot = message.dot
-        if self.gc is not None and self.gc.collected(dot):
+        if self.gc.collected(dot):
             return  # late duplicate of a globally-executed command
         record = self._info.get(dot)
         if record is None:
@@ -527,7 +513,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
     ) -> None:
         """Send MCommit for this partition to every process in ``I_c``.
 
-        With ``elide`` (fast path only) and ``commit_elision`` enabled, the
+        With ``elide`` (fast path only) under ``ack_broadcast``, the
         own-partition fast-quorum members are dropped from the target list:
         each of them holds the full proposal set through the ack broadcast
         and self-commits the same timestamp — including the piggybacked
@@ -544,7 +530,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
             detached=record.collected_detached.to_wire(),
         )
         targets = self._targets_for(record.quorums)
-        if elide and self.commit_elision:
+        if elide and self.ack_broadcast:
             quorum = record.quorums.get(self.partition, ())
             key = (frozenset(record.quorums), tuple(quorum))
             elided = self._elided_target_cache.get(key)
@@ -562,7 +548,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
     def _on_consensus(self, sender: int, message: MConsensus, now: float) -> None:
         """Accept a Flexible-Paxos phase-2 proposal (line 26)."""
         dot = message.dot
-        if self.gc is not None and self.gc.collected(dot):
+        if self.gc.collected(dot):
             return  # outcome decided and globally executed long ago
         record = self.info(dot)
         if record.ballot > message.ballot:
@@ -598,15 +584,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         if self.reliability is not None and sender != self.process_id:
             # Ack before any dedup/GC early return: the sender retransmits
             # until acked, so a duplicate usually means our first ack was
-            # lost.  The ack carries our contiguous promise frontier for a
-            # partition peer (MDeliveryAck.frontier).
-            frontier = (
-                self.promises.highest_contiguous_promise(sender)
-                if sender in self.partition_peer_set()
-                else 0
-            )
-            self._ack_delivery(sender, _ACK_KIND_MCOMMIT, dot, now, frontier)
-        if self.gc is not None and self.gc.collected(dot):
+            # lost.
+            self._ack_delivery(sender, _ACK_KIND_MCOMMIT, dot, now)
+        if self.gc.collected(dot):
             # Late duplicate (commit-request or resync reply) for a command
             # already globally executed: the piggybacked promises are still
             # absorbed — absorption is idempotent, and the identifier being
@@ -720,7 +700,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
             if record is not None and record.is_committed:
                 self.promises.add_all(attached)
                 continue
-            if gc is not None and gc.collected(dot):
+            if gc.collected(dot):
                 # Globally executed and collected: its attached promises are
                 # usable immediately, and no commit info needs requesting.
                 self.promises.add_all(attached)
@@ -877,7 +857,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
             # Cross-partition sender retransmits until acked; ack duplicates
             # too (our earlier ack may itself have been dropped).
             self._ack_delivery(sender, _ACK_KIND_MSTABLE, message.dot, now)
-        if self.gc is not None and self.gc.collected(message.dot):
+        if self.gc.collected(message.dot):
             return  # late duplicate of a globally-executed command
         record = self.info(message.dot)
         record.stable_from.add(message.partition)
@@ -957,20 +937,10 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         record.move_to(Phase.EXECUTE)
         del self._committed[dot]
         self.record_execution(dot, command, now)
-        if self.gc is not None:
-            self.gc.record_executed(dot)
+        self.gc.record_executed(dot)
         if command.client_id is not None and record.submitted_at is not None:
             # This process submitted the command: reply to the client.
-            # Clients are addressed with negative identifiers by the cluster
-            # layer; the runtime routes this envelope.
             self.outbox.append(self._client_reply(dot, command, result))
-
-    def _client_reply(self, dot: Dot, command: Command, result):
-        return Envelope(
-            sender=self.process_id,
-            destination=-(command.client_id + 1),
-            message=ClientReply(dot, result=result),
-        )
 
     # ------------------------------------------------------------------ periodic work
 
@@ -979,13 +949,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         if now - self._last_promise_broadcast >= self.config.promise_interval:
             self._last_promise_broadcast = now
             self.broadcast_promises(now)
-        if now - self._last_gc_announce >= self.config.gc_interval:
-            self._last_gc_announce = now
-            # GC watermark exchange is piggybacked on the periodic tick
-            # traffic but at its own (slower) cadence: collection latency
-            # only bounds the live-record window, so there is no reason to
-            # pay a clock exchange per promise broadcast (epoch-2).
-            self._gc_announce(now)
+        self._gc_announce(now)
         if now - self._last_stability_check >= self.config.stability_interval:
             self._last_stability_check = now
             self.stability_check(now)
@@ -993,41 +957,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, ProcessBase):
         self._reliability_tick(now)
 
     # ------------------------------------------------------------------ watermark GC
-
-    def _gc_announce(self, now: float) -> None:
-        """Announce the local executed clock to the partition peers.
-
-        Only sent when the frontier advanced since the last announcement
-        (the tracker's dirty flag), so an idle partition exchanges nothing.
-        """
-        gc = self.gc
-        if gc is None:
-            return
-        clock = gc.announcement()
-        if clock and self._other_peers:
-            self.send(
-                self._other_peers, MExecutedClock(self._sentinel(), clock=clock), now
-            )
-        self._gc_sweep()
-
-    def _on_executed_clock(
-        self, sender: int, message: MExecutedClock, now: float
-    ) -> None:
-        """Merge a peer's executed clock and collect below the new watermark."""
-        gc = self.gc
-        if gc is None:
-            return
-        gc.ingest(sender, message.clock)
-        self._gc_sweep()
-
-    def _gc_sweep(self) -> None:
-        """Drop bookkeeping for every newly globally-executed identifier."""
-        gc = self.gc
-        if gc is None:
-            return
-        for source, lo, hi in gc.advance():
-            for sequence in range(lo, hi + 1):
-                self._collect(intern_dot(source, sequence))
 
     def _collect(self, dot: Dot) -> None:
         """Forget ``dot`` entirely: it executed at every partition peer.

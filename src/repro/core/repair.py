@@ -20,6 +20,8 @@ round last asked for it.
 * ``STABLE`` — the head of the stable heap while a remote partition's
   notification is missing.  Both heads are observed once per tick and are
   overdue after two windows (cross-site skew resolves well within one).
+  An overdue ``STABLE`` head stands for the backlog queued behind it: the
+  round asks for every entry of the stable heap still missing one.
 
 :meth:`RepairMixin.blocked_on` reads the structure and nothing else; a
 healthy run reports ``[]`` on every tick.  Each overdue item is asked for
@@ -93,7 +95,7 @@ class RepairMixin:
             elif need is Need.PROMISES:
                 self._ask_for_promises(dot, now)
             else:
-                self._ask_for_stable(dot, now)
+                self._ask_for_stable(now)
 
     def _watch_head(self, need: Need, dot: Optional[Dot], now: float) -> None:
         """``dot`` (or ``None``) is the one item currently missing ``need``;
@@ -140,14 +142,19 @@ class RepairMixin:
             frontier = self.promises.highest_contiguous_promise(peer)
             self.send([peer], MRepairRequest(dot, Need.PROMISES, frontier), now)
 
-    def _ask_for_stable(self, dot: Dot, now: float) -> None:
+    def _ask_for_stable(self, now: float) -> None:
         """Algorithm 6 blocks a multi-partition command until every accessed
         partition's ``MStable`` arrived, and it is sent once: ask the
-        partitions still missing."""
-        record = self._info[dot]
-        request = MRepairRequest(dot, Need.STABLE)
-        for partition in sorted(set(record.quorums) - record.stable_from):
-            self.send(self.config.processes_of_partition(partition), request, now)
+        partitions still missing.  Whatever lost the head's notification
+        usually lost its successors' too, and they only become the head —
+        and overdue — one at a time, so the round covers the whole heap."""
+        for _, dot in sorted(self._stable_heap):
+            record = self._info[dot]
+            request = MRepairRequest(dot, Need.STABLE)
+            for partition in sorted(set(record.quorums) - record.stable_from):
+                self.send(
+                    self.config.processes_of_partition(partition), request, now
+                )
 
     # -- answering ------------------------------------------------------------
 
@@ -169,7 +176,7 @@ class RepairMixin:
             stable_here = record.stable_sent
         else:
             # A collected record executed everywhere, so it was stable here.
-            stable_here = self.gc is not None and self.gc.collected(dot)
+            stable_here = self.gc.collected(dot)
         if stable_here:
             reply = MStable(dot, partition=self.partition)
             self.send([sender], reply, now)

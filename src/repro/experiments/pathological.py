@@ -94,11 +94,10 @@ def _count_committed(protocol: str, process, commands) -> int:
         # A record collected by the watermark GC was globally executed,
         # hence committed; count it even though its ``_info`` entry (and
         # with it ``committed_timestamp``) is gone.
-        gc = process.gc
         return sum(
             1 for command in commands
             if process.committed_timestamp(command.dot) is not None
-            or (gc is not None and gc.collected(command.dot))
+            or process.gc.collected(command.dot)
         )
     return sum(
         1 for command in commands

@@ -32,12 +32,12 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.base import Envelope, ProcessBase
+from repro.core.base import ProcessBase
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.gc import GcTracker
-from repro.core.identifiers import Dot, DotGenerator, intern_dot
-from repro.core.messages import ClientReply, MDeliveryAck, MExecutedClock
+from repro.core.gc import WatermarkGcMixin
+from repro.core.identifiers import Dot, DotGenerator
+from repro.core.messages import MDeliveryAck, MExecutedClock
 from repro.core.quorums import QuorumSystem
 from repro.protocols.dep_messages import (
     MCaesarCommit,
@@ -88,7 +88,7 @@ class _DeferredReply:
     keys: Tuple[str, ...] = ()
 
 
-class CaesarProcess(ProcessBase):
+class CaesarProcess(WatermarkGcMixin, ProcessBase):
     """A Caesar replica."""
 
     name = "caesar"
@@ -100,19 +100,11 @@ class CaesarProcess(ProcessBase):
         partitioner: Optional[Partitioner] = None,
         quorum_system: Optional[QuorumSystem] = None,
         apply_fn: Optional[ApplyFn] = None,
-        watermark_gc: bool = True,
     ) -> None:
         super().__init__(process_id, config)
         self.partitioner = partitioner or Partitioner(config.num_partitions)
         self.quorum_system = quorum_system or QuorumSystem(config)
         self.apply_fn = apply_fn
-        #: Epoch-2 GC: globally-executed watermark exchange with the
-        #: partition peers (see :mod:`repro.core.gc`); ``None`` disables
-        #: collection entirely (epoch-1 behaviour).
-        self.gc: Optional[GcTracker] = (
-            GcTracker(process_id, self.partition_peers()) if watermark_gc else None
-        )
-        self._last_gc_announce = float("-inf")
         self.dot_generator = DotGenerator(process_id)
         self.clock = 0
         self._info: Dict[Dot, CaesarInfo] = {}
@@ -164,7 +156,7 @@ class CaesarProcess(ProcessBase):
     def status_of(self, dot: Dot) -> str:
         record = self._info.get(dot)
         if record is None:
-            if self.gc is not None and self.gc.collected(dot):
+            if self.gc.collected(dot):
                 return "execute"
             return "start"
         return record.status
@@ -245,7 +237,7 @@ class CaesarProcess(ProcessBase):
         handler(sender, message, now)
 
     def _on_propose(self, sender: int, message: MCaesarPropose, now: float) -> None:
-        if self.gc is not None and self.gc.collected(message.dot):
+        if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
         if record.status in ("commit", "execute"):
@@ -348,7 +340,7 @@ class CaesarProcess(ProcessBase):
             # Ack before any dedup/GC early return: a duplicate usually
             # means our first ack was lost.
             self._ack_delivery(sender, _ACK_KIND_MCAESARCOMMIT, message.dot, now)
-        if self.gc is not None and self.gc.collected(message.dot):
+        if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
         if record.status in ("commit", "execute"):
@@ -361,7 +353,7 @@ class CaesarProcess(ProcessBase):
         # Stability only ever has to look at the dependencies that are not
         # yet executed here; the executed history is subtracted once, now.
         live = set(message.dependencies - self._executed_dots)
-        if self.gc is not None and live:
+        if live:
             # A peer with a smaller watermark may still list dependencies
             # collected here; those executed everywhere, so they are
             # settled by definition.
@@ -457,7 +449,7 @@ class CaesarProcess(ProcessBase):
         for dependency in live:
             other = info.get(dependency)
             if other is None:
-                if gc is not None and gc.collected(dependency):
+                if gc.collected(dependency):
                     # Globally executed and collected: settled forever.
                     settled.append(dependency)
                     continue
@@ -488,62 +480,19 @@ class CaesarProcess(ProcessBase):
         self._executed_dots.add(dot)
         record.live_deps = None
         self.record_execution(dot, record.command, now)
-        if self.gc is not None:
-            self.gc.record_executed(dot)
+        self.gc.record_executed(dot)
         if record.submitted_here and record.command.client_id is not None:
-            self.outbox.append(
-                Envelope(
-                    sender=self.process_id,
-                    destination=-(record.command.client_id + 1),
-                    message=ClientReply(dot, result=result),
-                )
-            )
+            self.outbox.append(self._client_reply(dot, record.command, result))
 
     def tick(self, now: float) -> None:
         # No deferred flush here: only a commit can clear the wait
         # condition, and _on_commit already re-evaluates the replies
         # conflicting with the committed command via the per-key index.
         self._try_execute(now)
-        if now - self._last_gc_announce >= self.config.gc_interval:
-            self._last_gc_announce = now
-            self._gc_announce(now)
+        self._gc_announce(now)
         self._reliability_tick(now)
 
     # -- watermark GC -------------------------------------------------------------------
-
-    def _gc_announce(self, now: float) -> None:
-        """Announce the local executed clock to the partition peers (only
-        when the frontier advanced since the last announcement)."""
-        gc = self.gc
-        if gc is None:
-            return
-        clock = gc.announcement()
-        if clock:
-            sentinel = Dot(self.process_id, self.dot_generator.peek().sequence)
-            targets = [
-                process for process in self.partition_peers()
-                if process != self.process_id
-            ]
-            if targets:
-                self.send(targets, MExecutedClock(sentinel, clock=clock), now)
-        self._gc_sweep()
-
-    def _on_executed_clock(
-        self, sender: int, message: MExecutedClock, now: float
-    ) -> None:
-        gc = self.gc
-        if gc is None:
-            return
-        gc.ingest(sender, message.clock)
-        self._gc_sweep()
-
-    def _gc_sweep(self) -> None:
-        gc = self.gc
-        if gc is None:
-            return
-        for source, lo, hi in gc.advance():
-            for sequence in range(lo, hi + 1):
-                self._collect(intern_dot(source, sequence))
 
     def _collect(self, dot: Dot) -> None:
         """Forget a globally-executed dot: its record, its committed-

@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.base import Envelope, ProcessBase
+from repro.core.base import ProcessBase
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.gc import GcTracker
-from repro.core.identifiers import Dot, DotGenerator, intern_dot
-from repro.core.messages import ClientReply, MDeliveryAck, MExecutedClock
+from repro.core.gc import WatermarkGcMixin
+from repro.core.identifiers import Dot, DotGenerator
+from repro.core.messages import MDeliveryAck, MExecutedClock
 from repro.core.quorums import QuorumSystem
 from repro.protocols.dep_messages import (
     MDepAccept,
@@ -130,7 +130,7 @@ class KeyConflicts:
         return cache
 
     def drop_archived(self, dot: Dot, read_only: bool) -> None:
-        """Forget a *globally executed* dot from the archive (epoch-2 GC).
+        """Forget a *globally executed* dot from the archive.
 
         Unlike :meth:`retire` this changes the combined views, so the
         caches must be invalidated.  Dropping is safe exactly because the
@@ -169,7 +169,7 @@ class DepInfo:
     last_solicit: float = float("-inf")
 
 
-class DependencyProtocolProcess(ProcessBase):
+class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
     """Base class for EPaxos-style protocols.
 
     Subclasses must implement :meth:`fast_quorum_size`,
@@ -187,19 +187,11 @@ class DependencyProtocolProcess(ProcessBase):
         quorum_system: Optional[QuorumSystem] = None,
         apply_fn: Optional[ApplyFn] = None,
         read_write_aware: bool = True,
-        watermark_gc: bool = True,
     ) -> None:
         super().__init__(process_id, config)
         self.partitioner = partitioner or Partitioner(config.num_partitions)
         self.quorum_system = quorum_system or QuorumSystem(config)
         self.apply_fn = apply_fn
-        #: Epoch-2 GC: globally-executed watermark exchange with the
-        #: partition peers (see :mod:`repro.core.gc`); ``None`` disables
-        #: collection entirely (epoch-1 behaviour).
-        self.gc: Optional[GcTracker] = (
-            GcTracker(process_id, self.partition_peers()) if watermark_gc else None
-        )
-        self._last_gc_announce = float("-inf")
         #: Whether reads only depend on writes (the read/write distinction of
         #: §3.3 that dependency-based protocols can exploit).
         self.read_write_aware = read_write_aware
@@ -216,9 +208,7 @@ class DependencyProtocolProcess(ProcessBase):
         #: Highest ``peak_live`` among the summaries :meth:`_collect` dropped.
         self._dropped_peak_live = 0
         self._max_sequence_per_key: Dict[str, int] = {}
-        self.executor = DependencyGraphExecutor(
-            collected=self.gc.collected if self.gc is not None else None
-        )
+        self.executor = DependencyGraphExecutor(collected=self.gc.collected)
         #: Message-type -> bound handler (exact class match); bound methods
         #: resolve subclass overrides (e.g. Janus) correctly.
         self._dispatch: Dict[type, Callable[[int, object, float], None]] = {
@@ -261,7 +251,7 @@ class DependencyProtocolProcess(ProcessBase):
     def status_of(self, dot: Dot) -> str:
         record = self._info.get(dot)
         if record is None:
-            if self.gc is not None and self.gc.collected(dot):
+            if self.gc.collected(dot):
                 return "execute"
             return "start"
         return record.status
@@ -404,7 +394,7 @@ class DependencyProtocolProcess(ProcessBase):
         handler(sender, message, now)
 
     def _on_preaccept(self, sender: int, message: MPreAccept, now: float) -> None:
-        if self.gc is not None and self.gc.collected(message.dot):
+        if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
         if record.status in ("commit", "execute"):
@@ -457,7 +447,7 @@ class DependencyProtocolProcess(ProcessBase):
             self.send(self._slow_quorum(), accept, now)
 
     def _on_accept(self, sender: int, message: MDepAccept, now: float) -> None:
-        if self.gc is not None and self.gc.collected(message.dot):
+        if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
         if record.status in ("commit", "execute"):
@@ -504,7 +494,7 @@ class DependencyProtocolProcess(ProcessBase):
             # Ack before any dedup/GC early return: a duplicate usually
             # means our first ack was lost.
             self._ack_delivery(sender, _ACK_KIND_MDEPCOMMIT, message.dot, now)
-        if self.gc is not None and self.gc.collected(message.dot):
+        if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
         if record.status in ("commit", "execute"):
@@ -540,16 +530,9 @@ class DependencyProtocolProcess(ProcessBase):
             record.status = "execute"
             self._retire_executed(record.command)
             self.record_execution(dot, record.command, now)
-            if self.gc is not None:
-                self.gc.record_executed(dot)
+            self.gc.record_executed(dot)
             if record.submitted_here and record.command.client_id is not None:
-                self.outbox.append(
-                    Envelope(
-                        sender=self.process_id,
-                        destination=-(record.command.client_id + 1),
-                        message=ClientReply(dot, result=result),
-                    )
-                )
+                self.outbox.append(self._client_reply(dot, record.command, result))
 
     def tick(self, now: float) -> None:
         """Periodically retry execution (a commit elsewhere may have
@@ -557,9 +540,7 @@ class DependencyProtocolProcess(ProcessBase):
         newly = self.executor.advance()
         if newly:
             self._execute_all(newly, now)
-        if now - self._last_gc_announce >= self.config.gc_interval:
-            self._last_gc_announce = now
-            self._gc_announce(now)
+        self._gc_announce(now)
         self._resolicit_tick(now)
         self._reliability_tick(now)
 
@@ -626,40 +607,6 @@ class DependencyProtocolProcess(ProcessBase):
                     )
 
     # -- watermark GC -------------------------------------------------------------------
-
-    def _gc_announce(self, now: float) -> None:
-        """Announce the local executed clock to the partition peers (only
-        when the frontier advanced since the last announcement)."""
-        gc = self.gc
-        if gc is None:
-            return
-        clock = gc.announcement()
-        if clock:
-            sentinel = Dot(self.process_id, self.dot_generator.peek().sequence)
-            targets = [
-                process for process in self.partition_peers()
-                if process != self.process_id
-            ]
-            if targets:
-                self.send(targets, MExecutedClock(sentinel, clock=clock), now)
-        self._gc_sweep()
-
-    def _on_executed_clock(
-        self, sender: int, message: MExecutedClock, now: float
-    ) -> None:
-        gc = self.gc
-        if gc is None:
-            return
-        gc.ingest(sender, message.clock)
-        self._gc_sweep()
-
-    def _gc_sweep(self) -> None:
-        gc = self.gc
-        if gc is None:
-            return
-        for source, lo, hi in gc.advance():
-            for sequence in range(lo, hi + 1):
-                self._collect(intern_dot(source, sequence))
 
     def _collect(self, dot: Dot) -> None:
         """Forget a globally-executed dot: its record, its per-key archive

@@ -180,7 +180,7 @@ class DependencyGraph:
         ready_roots = list(self._unexecuted)
         if not ready_roots:
             return []
-        blocked = self._blocked_set(ready_roots)
+        blocked = self._blocked_set()
         components = self._tarjan(
             [dot for dot in ready_roots if dot not in blocked], blocked
         )
@@ -215,7 +215,7 @@ class DependencyGraph:
 
     # -- internals --------------------------------------------------------------
 
-    def _blocked_set(self, roots: Sequence[Dot]) -> Set[Dot]:
+    def _blocked_set(self) -> Set[Dot]:
         """Commands that transitively depend on an uncommitted command.
 
         A command is blocked exactly when it can reach an uncommitted
@@ -225,8 +225,7 @@ class DependencyGraph:
         the actually-blocked region (and is O(1) when nothing is missing),
         replacing the historical O(pending x deps) fixed point; the
         resulting set is the same least fixed point, so the execution order
-        downstream is unchanged.  ``roots`` is kept for API compatibility
-        but no longer consulted: blocked membership is a global property.
+        downstream is unchanged.
         """
         blocked: Set[Dot] = set()
         if not self._missing:

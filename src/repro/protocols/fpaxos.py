@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.core.base import Envelope, ProcessBase
+from repro.core.base import ProcessBase
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot, DotGenerator
-from repro.core.messages import ClientReply
 from repro.core.quorums import QuorumSystem
 from repro.protocols.dep_messages import MAccept, MAccepted, MDecided, MForward
 
@@ -190,13 +189,7 @@ class FPaxosProcess(ProcessBase):
             self._applied_up_to = slot
             self.record_execution(command.dot, command, now)
             if command.dot in self._submitted_here and command.client_id is not None:
-                self.outbox.append(
-                    Envelope(
-                        sender=self.process_id,
-                        destination=-(command.client_id + 1),
-                        message=ClientReply(command.dot, result=result),
-                    )
-                )
+                self.outbox.append(self._client_reply(command.dot, command, result))
 
     # -- introspection -------------------------------------------------------------------
 

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.base import Envelope
 from repro.core.commands import Command, KeyOp
 from repro.core.identifiers import Dot
-from repro.core.messages import ClientReply
 from repro.protocols.atlas import AtlasProcess
 from repro.protocols.dep_messages import MDepAccept, MDepCommit, MPreAccept
 
@@ -142,13 +140,7 @@ class JanusProcess(AtlasProcess):
             self._expected_slow.pop(dot, None)
             self.record_execution(dot, record.command, now)
             if record.submitted_here and record.command.client_id is not None:
-                self.outbox.append(
-                    Envelope(
-                        sender=self.process_id,
-                        destination=-(record.command.client_id + 1),
-                        message=ClientReply(dot, result=result),
-                    )
-                )
+                self.outbox.append(self._client_reply(dot, record.command, result))
 
     def _restrict_to_shard(self, command: Command) -> Optional[Command]:
         """Project ``command`` onto the keys of this process's shard."""

@@ -23,19 +23,15 @@ from repro.wire.codecs import (
     has_codec,
     registered_types,
 )
-from repro.wire.drift import DRIFT_THRESHOLD, drift_rows, drifted_kinds
 from repro.wire.samples import sample_messages
 
 __all__ = [
-    "DRIFT_THRESHOLD",
     "KIND_TO_TYPE",
     "Reader",
     "TYPE_TO_KIND",
     "WireError",
     "decode",
     "decode_frame",
-    "drift_rows",
-    "drifted_kinds",
     "encode",
     "encode_frame",
     "encoded_size",

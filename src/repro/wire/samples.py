@@ -1,14 +1,13 @@
 """Canonical sample messages, one per registered wire kind.
 
-Shared by the round-trip tests, the codec microbenchmark and the drift
-report: the samples are deliberately *representative* of the traffic the
-fig5/fig6 experiments generate (100-byte payloads, single-partition fast
-quorums, a couple of dependencies / piggybacked promises), so measuring
-their encoded size against ``size_bytes()`` says something about the byte
-accounting of the real runs.
+Shared by the round-trip tests and the codec microbenchmark: the samples
+are deliberately *representative* of the traffic the fig5/fig6 experiments
+generate (100-byte payloads, single-partition fast quorums, a couple of
+dependencies / piggybacked promises).
 
 Everything here is deterministic — same instances, same bytes, every call —
-which is what lets ``results/wire_drift.txt`` be a committed golden file.
+which is what lets ``tests/test_core/wire_frames.json`` pin every frame byte
+for byte.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def sample_messages(payload_size: int = 100) -> Dict[str, object]:
         "MRecAck": MRecAck(dot, 41, Phase.PROPOSE, 0, 5),
         "MRecNAck": MRecNAck(dot, 5),
         "MCommitRequest": MCommitRequest(dot),
-        "MDeliveryAck": MDeliveryAck(dot, kind_id=5, epoch=1, frontier=41),
+        "MDeliveryAck": MDeliveryAck(dot, kind_id=5, epoch=1),
         "MRepairRequest": MRepairRequest(dot, Need.PROMISES, frontier=17),
         "MExecutedClock": MExecutedClock(dot, clock={0: 12, 1: 9, 2: 36}),
         "ClientSubmit": ClientSubmit(dot, command),

@@ -23,7 +23,6 @@ class TempoCluster:
         faults: int = 1,
         num_partitions: int = 1,
         partitioner: Optional[Partitioner] = None,
-        watermark_gc: bool = False,
     ) -> None:
         self.config = ProtocolConfig(
             num_processes=num_processes,
@@ -41,13 +40,6 @@ class TempoCluster:
                 self.config,
                 partitioner=self.partitioner,
                 apply_fn=store.apply,
-                # Unit tests inspect per-command records (phases, committed
-                # timestamps) after settling; watermark GC — deliberately —
-                # drops exactly that state once a command is globally
-                # executed, so the shared cluster keeps it off.  The GC path
-                # has its own tests (tests/test_core/test_gc.py) and runs in
-                # every experiment-level suite.
-                watermark_gc=watermark_gc,
             )
             self.processes.append(process)
         self.network = InlineNetwork(self.processes)

@@ -15,12 +15,25 @@ Three properties the layer must hold simultaneously:
 * **The baselines are covered too.**  Atlas/EPaxos commit broadcasts are
   tracked through the same buffer, so their formerly stranded loss and
   restart cells drain.
+
+And one about what Tempo does *not* need: with the buffer never installed,
+its repair pass alone converges every lossy matrix cell (the evidence for
+ROADMAP item 3(a), ``docs/reliable_delivery.md`` "Accounting").
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
+from repro.core.base import ProcessBase
+from repro.experiments.scenarios import (
+    WORST_CELL_TAIL_BOUND_MS,
+    ScenarioOptions,
+    build_matrix,
+    run_cell,
+)
 from repro.faults import Crash, FaultPlan, FlakyLink, Restart, TargetedLoss
 
 from test_fault_recovery import (
@@ -181,3 +194,26 @@ class TestRestartCatchUp:
             result = run_experiment(baseline_config(protocol, fault_plan=plan))
             assert stuck_commands(result) == 0, protocol
             assert result.stats.get("retransmit_tracked", 0.0) > 0.0
+
+
+class TestTempoPullOnly:
+    """Tempo's four lossy matrix cells with the push side stubbed out."""
+
+    @pytest.mark.parametrize(
+        "scenario", ["restart@s1", "partition@s0", "flaky-links", "mstable-loss"]
+    )
+    def test_the_repair_pass_alone_converges_the_cell(self, monkeypatch, scenario):
+        refused = []
+        monkeypatch.setattr(
+            ProcessBase,
+            "enable_reliability",
+            lambda process, buffer: refused.append(process.process_id),
+        )
+        (cell,) = build_matrix(
+            ScenarioOptions(protocols=("tempo",), select=[scenario])
+        )
+        assert cell.requires_convergence
+        row = run_cell(cell)  # trace-certified; asserts convergence itself
+        assert refused, "the runner never tried to arm this cell"
+        assert row["stuck"] == 0 and row["converged"] == "yes", row
+        assert row["p99.9"] <= WORST_CELL_TAIL_BOUND_MS, row

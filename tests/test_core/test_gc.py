@@ -110,7 +110,7 @@ def settle_gc(cluster, rounds: int = 80) -> None:
 
 class TestTempoCollection:
     def test_executed_records_are_collected(self):
-        cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)
+        cluster = TempoCluster(num_processes=3, faults=1)
         commands = [cluster.submit(index % 3, ["hot"]) for index in range(6)]
         settle_gc(cluster)
         for process in cluster.processes:
@@ -128,7 +128,7 @@ class TestTempoCollection:
             assert process.blocked_on(float("inf")) == []
 
     def test_promise_collected_before_its_first_broadcast_folds_after_it(self):
-        cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)
+        cluster = TempoCluster(num_processes=3, faults=1)
         process = cluster.process(0)
         dot = cluster.submit(0, ["k"]).dot
         cluster.run()  # executed, but no tick yet: the promise never went out
@@ -145,7 +145,7 @@ class TestTempoCollection:
         assert process.tracker.detached_ranges() == [(1, process.clock.value)]
 
     def test_late_duplicates_are_suppressed(self):
-        cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)
+        cluster = TempoCluster(num_processes=3, faults=1)
         command = cluster.submit(0, ["k"])
         settle_gc(cluster)
         target = cluster.process(1)
@@ -167,7 +167,7 @@ class TestTempoCollection:
     def test_crashed_peer_stalls_collection(self):
         """A crashed peer stays in the minimum: survivors keep every record
         (GC stalls) rather than dropping state the peer still needs."""
-        cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)
+        cluster = TempoCluster(num_processes=3, faults=1)
         victim = cluster.process(2)
         victim.crash()
         victim.outbox.clear()
@@ -182,7 +182,7 @@ class TestTempoCollection:
                 assert command.dot in process._info
 
     def test_convergence_unaffected_by_collection(self):
-        cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)
+        cluster = TempoCluster(num_processes=3, faults=1)
         commands = [cluster.submit(index % 3, ["hot"]) for index in range(8)]
         settle_gc(cluster)
         dots = {command.dot for command in commands}
@@ -198,7 +198,7 @@ class TestTempoCollection:
         assert len(snapshots) == 1
 
 
-def build_dep_cluster(factory, num_processes: int = 3, **kwargs):
+def build_dep_cluster(factory, num_processes: int = 3):
     config = ProtocolConfig(num_processes=num_processes, faults=1)
     partitioner = Partitioner(1)
     stores = {}
@@ -208,11 +208,7 @@ def build_dep_cluster(factory, num_processes: int = 3, **kwargs):
         stores[process_id] = store
         processes.append(
             factory(
-                process_id,
-                config,
-                partitioner=partitioner,
-                apply_fn=store.apply,
-                **kwargs,
+                process_id, config, partitioner=partitioner, apply_fn=store.apply
             )
         )
     return processes, stores, InlineNetwork(processes)
@@ -288,19 +284,3 @@ class TestDependencyCollection:
             tuple(sorted(store.snapshot().items())) for store in stores.values()
         }
         assert len(snapshots) == 1
-
-    def test_gc_disabled_preserves_epoch1_archives(self):
-        processes, stores, network = build_dep_cluster(
-            AtlasProcess, watermark_gc=False
-        )
-        commands = []
-        for index in range(4):
-            process = processes[index % 3]
-            command = process.new_command(["hot"])
-            process.submit(command, 0.0)
-            commands.append(command)
-        network.settle(rounds=80)
-        for process in processes:
-            assert process.gc is None
-            footprint = process.conflict_footprint()
-            assert footprint["archived"] >= len(commands)

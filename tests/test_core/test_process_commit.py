@@ -15,7 +15,6 @@ from repro.simulator.inline import RecordingNetwork
 def build_cluster(r=5, f=1, **kwargs):
     config = ProtocolConfig(num_processes=r, faults=f)
     partitioner = Partitioner(1)
-    kwargs.setdefault("watermark_gc", False)
     processes = [
         TempoProcess(process_id, config, partitioner=partitioner, **kwargs)
         for process_id in range(r)

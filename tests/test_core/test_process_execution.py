@@ -25,7 +25,6 @@ def build_cluster(r=3, f=1, ack_broadcast=True):
                 partitioner=partitioner,
                 apply_fn=store.apply,
                 ack_broadcast=ack_broadcast,
-                watermark_gc=False,
             )
         )
     return processes, stores, InlineNetwork(processes)

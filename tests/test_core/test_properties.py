@@ -27,10 +27,13 @@ from repro.simulator.inline import InlineNetwork
 
 
 def run_workload(r, f, schedule, reorder_seed=None, ack_broadcast=True):
-    """Submit the given schedule and settle; returns processes and commands.
+    """Submit the given schedule and settle; returns processes, stores,
+    commands and the timestamp every replica executed every command at.
 
     ``schedule`` is a list of (submitter, key_index) pairs; key index 0 is a
-    shared hot key, other indices are per-submitter private keys.
+    shared hot key, other indices are per-submitter private keys.  The
+    timestamps are captured by an execution listener: settling outlasts a
+    ``gc_interval``, after which the watermark GC has dropped the records.
     """
     config = ProtocolConfig(num_processes=r, faults=f)
     partitioner = Partitioner(1)
@@ -46,9 +49,15 @@ def run_workload(r, f, schedule, reorder_seed=None, ack_broadcast=True):
                 partitioner=partitioner,
                 apply_fn=store.apply,
                 ack_broadcast=ack_broadcast,
-                watermark_gc=False,
             )
         )
+    executed_at = {}
+
+    def remember(process_id, dot, command, now):
+        executed_at[process_id, dot] = processes[process_id].committed_timestamp(dot)
+
+    for process in processes:
+        process.add_execution_listener(remember)
     network = InlineNetwork(processes)
     if reorder_seed is not None:
         import random
@@ -71,7 +80,7 @@ def run_workload(r, f, schedule, reorder_seed=None, ack_broadcast=True):
         # Deliver a little as we go so schedules interleave.
         network.step(0.0)
     network.settle(rounds=30)
-    return processes, stores, commands
+    return processes, stores, commands, executed_at
 
 
 schedule_strategy = st.lists(
@@ -82,7 +91,9 @@ schedule_strategy = st.lists(
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(schedule=schedule_strategy, seed=st.integers(0, 1_000))
 def test_psmr_properties_hold_under_random_schedules(schedule, seed):
-    processes, stores, commands = run_workload(3, 1, schedule, reorder_seed=seed)
+    processes, stores, commands, executed_at = run_workload(
+        3, 1, schedule, reorder_seed=seed
+    )
     dots = [command.dot for command in commands]
 
     # Liveness under quiescence: everything executes everywhere.
@@ -94,9 +105,8 @@ def test_psmr_properties_hold_under_random_schedules(schedule, seed):
 
     # Property 1: timestamp agreement.
     for dot in dots:
-        timestamps = {process.committed_timestamp(dot) for process in processes}
-        timestamps.discard(None)
-        assert len(timestamps) == 1
+        timestamps = {executed_at[process.process_id, dot] for process in processes}
+        assert len(timestamps) == 1 and None not in timestamps
 
     # Ordering: all processes execute all commands in the same total order
     # (Tempo orders every pair of commands by timestamp/id, so the full
@@ -115,14 +125,15 @@ def test_psmr_properties_hold_under_random_schedules(schedule, seed):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(schedule=schedule_strategy, seed=st.integers(0, 1_000))
 def test_psmr_properties_with_five_replicas_f2(schedule, seed):
-    processes, stores, commands = run_workload(5, 2, schedule, reorder_seed=seed)
+    processes, stores, commands, executed_at = run_workload(
+        5, 2, schedule, reorder_seed=seed
+    )
     dots = {command.dot for command in commands}
     for process in processes:
         assert dots <= set(process.executed_dots())
     for dot in dots:
-        timestamps = {process.committed_timestamp(dot) for process in processes}
-        timestamps.discard(None)
-        assert len(timestamps) == 1
+        timestamps = {executed_at[process.process_id, dot] for process in processes}
+        assert len(timestamps) == 1 and None not in timestamps
     orders = {
         tuple(dot for dot in process.executed_dots() if dot in dots)
         for process in processes
@@ -135,7 +146,7 @@ def test_psmr_properties_with_five_replicas_f2(schedule, seed):
 def test_psmr_properties_without_ack_broadcast(schedule):
     """The paper-literal protocol (no ack broadcast) satisfies the same
     properties."""
-    processes, stores, commands = run_workload(
+    processes, stores, commands, _ = run_workload(
         3, 1, schedule, ack_broadcast=False
     )
     dots = {command.dot for command in commands}
@@ -161,9 +172,7 @@ def test_crash_of_one_replica_preserves_safety(schedule, victim):
     config = ProtocolConfig(num_processes=3, faults=1)
     partitioner = Partitioner(1)
     processes = [
-        TempoProcess(
-            process_id, config, partitioner=partitioner, watermark_gc=False
-        )
+        TempoProcess(process_id, config, partitioner=partitioner)
         for process_id in range(3)
     ]
     network = InlineNetwork(processes)

@@ -24,7 +24,6 @@ def build_cluster(r=5, f=1):
                 config,
                 partitioner=partitioner,
                 apply_fn=store.apply,
-                watermark_gc=False,
             )
         )
     return processes, stores, InlineNetwork(processes)

@@ -25,7 +25,6 @@ def build_cluster(r=5, f=1):
             config,
             partitioner=partitioner,
             ack_broadcast=False,
-            watermark_gc=False,
         )
         for process_id in range(r)
     ]

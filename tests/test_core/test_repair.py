@@ -147,7 +147,7 @@ def peer_promises_lost():
     return drive, command.dot, Need.PROMISES, 2
 
 
-def cross_shard_stable_lost():
+def cross_shard_stable_lost(commands: int = 1):
     """Every MStable from partition 0 toward partition 1 lost."""
 
     class ByPrefix(Partitioner):
@@ -165,7 +165,8 @@ def cross_shard_stable_lost():
         and isinstance(e.message, MStable)
         and e.sender < 3 <= e.destination,
     )
-    command = cluster.submit(0, ["p0-a", "p1-a"])
+    for _ in range(commands):
+        command = cluster.submit(0, ["p0-a", "p1-a"])
     cluster.run()
     return drive, command.dot, Need.STABLE, 2
 
@@ -213,6 +214,27 @@ def test_missing_ingredient_is_reported_asked_for_and_repaired(row):
         assert len(ordered) <= windows
 
 
+def test_stable_backlog_is_pulled_in_one_round():
+    """Six cross-shard commands all lack partition 0's MStable.  Only the
+    head of the stable heap is ever reported, but the round it triggers
+    asks for every one of them, so the last executes as soon as the first
+    — not one head, and two windows, at a time."""
+    drive, last, need, windows = cross_shard_stable_lost(commands=6)
+    victim = drive.victim
+    drive.run(until=(windows + 2) * WINDOW)
+
+    dots = [Dot(0, sequence) for sequence in range(1, last.sequence + 1)]
+    assert victim.executed_dots() == dots
+    reported = {(n, d) for blocked in drive.reports.values() for n, d, _ in blocked}
+    assert reported == {(need, dots[0])}
+    assert set(drive.rounds) == {(need, dot) for dot in dots}
+    (asked_at,) = set.union(*drive.rounds.values())  # one round, one tick
+    # Answered within it: the next tick's observation clears the head.
+    assert max(drive.reports) == asked_at + TICK
+    for process in drive.cluster.processes:
+        assert process.blocked_on(float("inf")) == []
+
+
 def test_healthy_run_is_never_blocked_and_never_asks():
     cluster = TempoCluster(num_processes=5, faults=1)
     drive = Drive(cluster, cluster.process(4), lambda e, now: False)
@@ -250,7 +272,7 @@ def stale_frontier_reply(history: int):
     well for one more command, so that 0 has to ask.  Returns replica 2's
     answers to 0's PROMISES requests, 2's clock when the history was
     collected, the frontier 0 held for 2 at that point and the last dot."""
-    cluster = TempoCluster(num_processes=3, faults=1, watermark_gc=True)
+    cluster = TempoCluster(num_processes=3, faults=1)
     victim, peer = cluster.process(0), cluster.process(2)
     replies: List[MPromises] = []
     lost_from = {2}

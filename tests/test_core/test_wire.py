@@ -145,6 +145,10 @@ class TestRoundTrip:
         decoded, offset = decode_frame(encode_frame(message))
         assert decoded == message
         assert offset == len(encode_frame(message)) == encoded_size(message)
+        if kind != "MBatch":
+            # The envelope has no size_bytes() of its own: the network
+            # charges the inner frames only.
+            assert message.size_bytes() == offset
 
     def test_sample_frames_are_byte_identical_to_the_pinned_fixture(self):
         # wire_frames.json holds encode_frame() of every sample as produced

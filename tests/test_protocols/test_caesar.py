@@ -84,14 +84,17 @@ class TestWaitCondition:
         assert blocked_total > 0
 
     def test_execution_waits_for_smaller_timestamp_dependencies(self, make_cluster):
-        cluster = make_cluster("caesar", r=3, f=1, watermark_gc=False)
+        cluster = make_cluster("caesar", r=3, f=1)
         first = cluster.submit(0, ["hot"])
         second = cluster.submit(1, ["hot"])
-        cluster.settle(rounds=30)
+        # Settle for less than a gc_interval (25 ticks): the timestamps are
+        # read off the records, which the watermark GC drops after that.
+        cluster.settle(rounds=20)
         reference = cluster.processes[2]
         executed = [
             dot for dot in reference.executed_dots() if dot in (first.dot, second.dot)
         ]
+        assert len(executed) == 2
         timestamps = {
             dot: reference._info[dot].timestamp for dot in (first.dot, second.dot)
         }

@@ -11,6 +11,11 @@ tests pin down the three contracts of that scheme:
    unioned back in),
 3. late (re)delivered messages referencing pruned dots are handled exactly
    as before pruning existed.
+
+The archive only lives until the watermark GC collects it, one
+``gc_interval`` after the commands executed everywhere, so the inline tests
+settle for less than that and inspect the window in between
+(``tests/test_core/test_gc.py`` covers what happens after).
 """
 
 from __future__ import annotations
@@ -24,16 +29,21 @@ from repro.protocols.dep_messages import (
 )
 
 
+#: Settle rounds tick one millisecond apart: stay below ``gc_interval`` (25).
+SETTLE_ROUNDS = 20
+
+
 def drive_hot_key_traffic(cluster, count: int = 10, key: str = "hot"):
     """Submit ``count`` conflicting commands round-robin and settle."""
+    assert SETTLE_ROUNDS < cluster.config.gc_interval
     commands = [cluster.submit(index % 5, [key]) for index in range(count)]
-    cluster.settle(rounds=40)
+    cluster.settle(rounds=SETTLE_ROUNDS)
     return commands
 
 
 class TestDependencyPruning:
     def test_executed_commands_leave_the_live_sets(self, make_cluster):
-        cluster = make_cluster("atlas", watermark_gc=False)
+        cluster = make_cluster("atlas")
         commands = drive_hot_key_traffic(cluster)
         for process in cluster.processes:
             for command in commands:
@@ -47,17 +57,17 @@ class TestDependencyPruning:
     def test_emitted_dependencies_still_cover_pruned_history(self, make_cluster):
         """Pruning must not change what _conflicts_of computes: a new
         conflicting command still depends on the executed (pruned) ones."""
-        cluster = make_cluster("atlas", watermark_gc=False)
+        cluster = make_cluster("atlas")
         commands = drive_hot_key_traffic(cluster, count=6)
         follow_up = cluster.submit(0, ["hot"])
-        cluster.settle(rounds=40)
+        cluster.settle(rounds=SETTLE_ROUNDS)
         coordinator = cluster.processes[0]
         dependencies = coordinator.committed_dependencies(follow_up.dot)
         for command in commands:
             assert command.dot in dependencies
 
     def test_late_commit_redelivery_for_pruned_dot_is_ignored(self, make_cluster):
-        cluster = make_cluster("atlas", watermark_gc=False)
+        cluster = make_cluster("atlas")
         commands = drive_hot_key_traffic(cluster, count=4)
         target = cluster.processes[1]
         executed_before = len(target.executed)
@@ -74,7 +84,7 @@ class TestDependencyPruning:
         assert target.conflict_footprint()["live"] == 0
 
     def test_late_preaccept_for_pruned_dot_is_ignored(self, make_cluster):
-        cluster = make_cluster("atlas", watermark_gc=False)
+        cluster = make_cluster("atlas")
         commands = drive_hot_key_traffic(cluster, count=4)
         target = cluster.processes[2]
         executed_before = len(target.executed)
@@ -87,10 +97,10 @@ class TestDependencyPruning:
     def test_preaccept_referencing_pruned_dependencies_recovers(self, make_cluster):
         """A fresh command whose carried dependencies mention executed
         (locally pruned) dots must still commit and execute."""
-        cluster = make_cluster("atlas", watermark_gc=False)
+        cluster = make_cluster("atlas")
         commands = drive_hot_key_traffic(cluster, count=4)
         follow_up = cluster.submit(3, ["hot"])
-        cluster.settle(rounds=40)
+        cluster.settle(rounds=SETTLE_ROUNDS)
         for process in cluster.processes:
             assert process.status_of(follow_up.dot) == "execute"
         assert cluster.consistent_order(commands + [follow_up])
@@ -99,7 +109,7 @@ class TestDependencyPruning:
 
 class TestCaesarPruning:
     def test_committed_commands_leave_known_per_key(self, make_cluster):
-        cluster = make_cluster("caesar", watermark_gc=False)
+        cluster = make_cluster("caesar")
         commands = drive_hot_key_traffic(cluster)
         for process in cluster.processes:
             live = sum(len(bucket) for bucket in process._known_per_key.values())
@@ -111,16 +121,16 @@ class TestCaesarPruning:
             assert process.peak_live_per_key <= len(commands)
 
     def test_reply_dependencies_still_cover_pruned_history(self, make_cluster):
-        cluster = make_cluster("caesar", watermark_gc=False)
+        cluster = make_cluster("caesar")
         commands = drive_hot_key_traffic(cluster, count=6)
         follow_up = cluster.submit(0, ["hot"])
-        cluster.settle(rounds=40)
+        cluster.settle(rounds=SETTLE_ROUNDS)
         record = cluster.processes[0]._info[follow_up.dot]
         for command in commands:
             assert command.dot in record.dependencies
 
     def test_late_propose_for_committed_dot_is_ignored(self, make_cluster):
-        cluster = make_cluster("caesar", watermark_gc=False)
+        cluster = make_cluster("caesar")
         commands = drive_hot_key_traffic(cluster, count=4)
         target = cluster.processes[1]
         record = target._info[commands[0].dot]
@@ -150,10 +160,6 @@ class TestBoundedUnderContention:
             duration_ms=duration_ms,
             warmup_ms=300.0,
             seed=1,
-            # Epoch-1 semantics under test: the archive keeps the whole
-            # executed history.  With watermark GC on, the archive itself
-            # is collected (tests/test_core/test_gc.py covers that).
-            protocol_kwargs={"watermark_gc": False},
         )
         result = run_experiment(config)
         return config, result
@@ -169,8 +175,9 @@ class TestBoundedUnderContention:
             # not yet executed here, hence the slack factor.
             assert footprint["peak_live"] <= 2 * in_flight_bound, footprint
             # The executed history dwarfs the live window: growth went to
-            # the archive, not to the scanned-per-command live sets.
-            assert footprint["archived"] > 3 * footprint["peak_live"], footprint
+            # the archive and from there to the watermark GC, not to the
+            # scanned-per-command live sets.
+            assert process.gc.collected_count > 3 * footprint["peak_live"], footprint
 
     def test_caesar_live_sets_bounded_by_in_flight(self):
         config, result = self.run_contended(
@@ -179,8 +186,5 @@ class TestBoundedUnderContention:
         in_flight_bound = config.total_clients()
         assert result.completed > 150
         for process in result.deployment.processes:
-            archived = sum(
-                len(bucket) for bucket in process._committed_per_key.values()
-            )
             assert process.peak_live_per_key <= 2 * in_flight_bound
-            assert archived > 3 * process.peak_live_per_key
+            assert process.gc.collected_count > 3 * process.peak_live_per_key
