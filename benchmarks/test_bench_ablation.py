@@ -14,23 +14,18 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cluster.config import ExperimentConfig
+from repro.cluster.replicas import build_replicas
 from repro.cluster.runner import run_experiment
-from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.process import TempoProcess
-from repro.protocols.atlas import AtlasProcess
 from repro.simulator.inline import RecordingNetwork
 
 
 def _fast_path_ratio(faults: int, concurrent: int, epaxos_style: bool) -> float:
     """Fraction of concurrently submitted conflicting commands committed on
     the fast path, under the given fast-path rule."""
-    config = ProtocolConfig(num_processes=5, faults=faults)
-    partitioner = Partitioner(1)
-    processes = [
-        TempoProcess(process_id, config, partitioner=partitioner)
-        for process_id in range(5)
-    ]
+    processes = build_replicas(
+        "tempo", ProtocolConfig(num_processes=5, faults=faults)
+    ).processes
     network = RecordingNetwork(processes)
     commands = []
     for index in range(concurrent):
@@ -125,17 +120,11 @@ def test_bench_ablation_read_write_awareness(benchmark, results_emitter):
     def measure() -> List[Dict[str, object]]:
         rows = []
         for aware in (True, False):
-            config = ProtocolConfig(num_processes=3, faults=1)
-            partitioner = Partitioner(1)
-            processes = [
-                AtlasProcess(
-                    process_id,
-                    config,
-                    partitioner=partitioner,
-                    read_write_aware=aware,
-                )
-                for process_id in range(3)
-            ]
+            processes = build_replicas(
+                "atlas",
+                ProtocolConfig(num_processes=3, faults=1),
+                read_write_aware=aware,
+            ).processes
             network = RecordingNetwork(processes)
             total_deps = 0
             commands = []

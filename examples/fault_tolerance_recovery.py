@@ -13,32 +13,17 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.commands import Partitioner
+from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
-from repro.core.process import TempoProcess
-from repro.kvstore.store import KeyValueStore
 from repro.simulator.inline import RecordingNetwork
 
 
 def main() -> None:
-    config = ProtocolConfig(num_processes=5, faults=1)
-    partitioner = Partitioner(1)
-    stores = {}
-    processes = []
-    for process_id in range(5):
-        store = KeyValueStore()
-        stores[process_id] = store
-        processes.append(
-            TempoProcess(
-                process_id,
-                config,
-                partitioner=partitioner,
-                apply_fn=store.apply,
-                # Disable the ack-broadcast optimisation so the crash really
-                # leaves the command undecided (worst case for recovery).
-                ack_broadcast=False,
-            )
-        )
+    # Disable the ack-broadcast optimisation so the crash really leaves the
+    # command undecided (worst case for recovery).
+    processes = build_replicas(
+        "tempo", ProtocolConfig(num_processes=5, faults=1), ack_broadcast=False
+    ).processes
     network = RecordingNetwork(processes)
 
     # 1. Process 0 coordinates a command.

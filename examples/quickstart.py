@@ -13,32 +13,18 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.commands import Partitioner
+from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
-from repro.core.process import TempoProcess
-from repro.kvstore.store import KeyValueStore
 from repro.simulator.inline import InlineNetwork
 
 
 def main() -> None:
     # 1. Configuration: three replicas, tolerating one failure.
     config = ProtocolConfig(num_processes=3, faults=1)
-    partitioner = Partitioner(num_partitions=1)
 
     # 2. One Tempo process plus one key-value store per replica.
-    stores = {}
-    processes = []
-    for process_id in range(config.num_processes):
-        store = KeyValueStore()
-        stores[process_id] = store
-        processes.append(
-            TempoProcess(
-                process_id,
-                config,
-                partitioner=partitioner,
-                apply_fn=store.apply,
-            )
-        )
+    replicas = build_replicas("tempo", config)
+    processes, stores = replicas.processes, replicas.stores
     network = InlineNetwork(processes)
 
     # 3. Submit commands at different replicas; "account" commands conflict.
@@ -76,8 +62,7 @@ def main() -> None:
     print("  " + " -> ".join(orders.pop()))
 
     # 7. ... and the replicated stores converged.
-    snapshots = {tuple(sorted(store.snapshot().items())) for store in stores.values()}
-    assert len(snapshots) == 1
+    assert replicas.stores_agree()
     print("\nreplicated store contents:")
     for key, value in sorted(stores[0].snapshot().items()):
         print(f"  {key} = {value}")

@@ -341,9 +341,7 @@ def _check_common_final_state(
     for process in live:
         for dot, _ in process.executed:
             must_execute.add(dot)
-        committed = getattr(process, "committed_dots", None)
-        if committed is not None:
-            must_execute.update(committed())
+        must_execute.update(process.committed_dots())
     for process in live:
         executed = [dot for dot, _ in process.executed]
         missing = must_execute - set(executed)

@@ -28,10 +28,12 @@ class TraceEvent(NamedTuple):
     partition: int
     dot: Dot
     keys: Tuple[str, ...]
-    #: Committed timestamp at execution time: an ``int`` for Tempo, a
+    #: Committed timestamp at execution time
+    #: (:meth:`ProcessBase.committed_timestamp`): an ``int`` for Tempo, a
     #: ``(clock, rank)`` tuple for Caesar, ``None`` for the protocols that
     #: do not order execution by an agreed timestamp (Atlas/EPaxos/Janus
-    #: execute by dependency ordering, FPaxos by slot).
+    #: execute by dependency ordering, FPaxos by slot) — their events skip
+    #: the timestamp checks.
     timestamp: Optional[object]
     time: float
     #: Subset of ``keys`` the command *writes*.  The consistency checks use
@@ -49,24 +51,6 @@ class CommandWindow:
     keys: Tuple[str, ...]
     submitted_at: float
     replied_at: Optional[float] = None
-
-
-def _timestamp_of(process: ProcessBase, dot: Dot) -> Optional[object]:
-    """Committed timestamp of ``dot`` at ``process``, if the protocol has one.
-
-    Duck-typed per protocol family: Tempo exposes ``committed_timestamp``
-    (an ``int``); Caesar keeps ``(clock, rank)`` tuples in its info table.
-    The dependency- and slot-ordered baselines have no agreed per-command
-    timestamp, so their events carry ``None`` and skip the timestamp checks.
-    """
-    reader = getattr(process, "committed_timestamp", None)
-    if reader is not None:
-        return reader(dot)
-    if getattr(process, "name", None) == "caesar":
-        record = process._info.get(dot)
-        if record is not None and record.status in ("commit", "execute"):
-            return record.timestamp
-    return None
 
 
 @dataclass
@@ -98,7 +82,7 @@ class ExecutionTraceRecorder:
                     partition=partition,
                     dot=dot,
                     keys=tuple(command.keys),
-                    timestamp=_timestamp_of(process, dot),
+                    timestamp=process.committed_timestamp(dot),
                     time=now,
                     write_keys=tuple(op.key for op in command.ops if op.is_write()),
                 )

@@ -8,11 +8,14 @@ for a configured duration and reports latency/throughput metrics.
 
 from repro.cluster.client import ClosedLoopClient
 from repro.cluster.config import ExperimentConfig
+from repro.cluster.replicas import Replicas, build_replicas
 from repro.cluster.runner import ExperimentResult, run_experiment
 
 __all__ = [
     "ClosedLoopClient",
     "ExperimentConfig",
     "ExperimentResult",
+    "Replicas",
+    "build_replicas",
     "run_experiment",
 ]

@@ -29,7 +29,7 @@ class ExperimentConfig:
         read_ratio: read fraction for the microbenchmark.
         duration_ms: how long clients keep submitting (simulated ms).
         warmup_ms: samples before this time are discarded.
-        seed: RNG seed (workloads, jitter).
+        seed: RNG seed (workloads, client start stagger, the fault stream).
         sites: site names; defaults to the paper's five EC2 regions.
         protocol_kwargs: extra arguments for the protocol constructor.
         fault_plan: declarative timeline of fault events (crashes, restarts,

@@ -20,18 +20,16 @@ from typing import Callable, Dict, List, Optional
 from repro.analysis.trace import ExecutionTraceRecorder
 from repro.cluster.client import ClosedLoopClient
 from repro.cluster.config import ExperimentConfig
+from repro.cluster.replicas import build_replicas
 from repro.core.base import ProcessBase
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.quorums import QuorumSystem
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import Crash
 from repro.kvstore.sharding import ShardMap
 from repro.reliability import RetransmitBuffer
-from repro.kvstore.store import KeyValueStore
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.throughput import ThroughputTracker
-from repro.protocols.registry import build_process
 from repro.simulator.latency import ec2_latency_matrix
 from repro.simulator.network import Network
 from repro.simulator.rng import SeededRng
@@ -98,26 +96,19 @@ class _Deployment:
         )
         self.latency_matrix = ec2_latency_matrix(self.sites)
         self.network = Network(self.latency_matrix, rng=SeededRng(config.seed))
-        self.quorum_system = QuorumSystem(
-            self.protocol_config, latencies=self._process_latencies()
+        replicas = build_replicas(
+            config.protocol,
+            self.protocol_config,
+            partitioner=self.partitioner,
+            latencies=self._process_latencies(),
+            **config.protocol_kwargs,
         )
-        self.stores: Dict[int, KeyValueStore] = {}
-        self.processes: List[ProcessBase] = []
-        for process_id in range(self.protocol_config.total_processes()):
-            store = KeyValueStore(self.protocol_config.partition_of_process(process_id))
-            self.stores[process_id] = store
-            process = build_process(
-                config.protocol,
-                process_id,
-                self.protocol_config,
-                partitioner=self.partitioner,
-                quorum_system=self.quorum_system,
-                apply_fn=store.apply,
-                **config.protocol_kwargs,
-            )
-            self.processes.append(process)
-            site = self.sites[self.protocol_config.site_of_process(process_id)]
-            self.network.place(process_id, site)
+        self.quorum_system = replicas.quorum_system
+        self.stores = replicas.stores
+        self.processes = replicas.processes
+        for process in self.processes:
+            site = self.sites[self.protocol_config.site_of_process(process.process_id)]
+            self.network.place(process.process_id, site)
         self.simulation = Simulation(
             self.processes,
             self.network,
@@ -181,21 +172,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         def submit(client: ClosedLoopClient, keys: List[str], is_read: bool, now: float) -> Command:
             shards = sorted({deployment.partitioner.partition_of(key) for key in keys})
             target = deployment.process_for(client.site_rank, shards[0])
-            dot = target.dot_generator.next_id()
-            if is_read:
-                command = Command.read(
-                    dot, keys, payload_size=client.payload_size, client_id=client.client_id
-                )
-            else:
-                command = Command.write(
-                    dot, keys, payload_size=client.payload_size, client_id=client.client_id
-                )
+            command = target.new_command(
+                keys,
+                payload_size=client.payload_size,
+                client_id=client.client_id,
+                read_only=is_read,
+            )
             # Client -> co-located replica delay is the local (intra-site)
             # latency of the network.
             delay = deployment.network.options.local_latency_ms
             simulation.submit_at(now + delay, target.process_id, command)
             if recorder is not None:
-                recorder.note_submit(dot, keys, now)
+                recorder.note_submit(command.dot, keys, now)
             return command
 
         return submit
@@ -245,8 +233,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             ).process_id,
             num_shards=config.num_shards,
         ).install(simulation)
-        # Reliable delivery (ack-driven retransmission + the promise-GC
-        # ack floor) arms only for plans that can *lose or delay* traffic:
+        # Reliable delivery (ack-driven retransmission) arms only for
+        # plans that can *lose or delay* traffic:
         # restarts, partitions, flaky links, targeted loss.  A crash-only
         # plan drops no message a live process will ever need again (the
         # crashed replica never returns), so those runs — and with them

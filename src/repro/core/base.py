@@ -8,6 +8,34 @@ by delivering messages and draining the outbox.
 
 Self-addressed messages are delivered synchronously (the paper assumes
 "self-addressed messages are delivered immediately", §3.1).
+
+The replica shell
+-----------------
+
+:class:`ProcessBase` is the one replica shell under all six protocols (the
+paper's "implemented in the same framework", §6).  The shell owns
+
+* identity and deployment: ``process_id``, ``config``, the partition and its
+  peers, the shared ``partitioner`` and ``quorum_system`` (which alone knows
+  "the ``k`` closest peers", :meth:`QuorumSystem.closest`), ``apply_fn``;
+* command minting: ``dot_generator`` and :meth:`ProcessBase.new_command`,
+  the only place an identifier is drawn;
+* message plumbing: the outbox, synchronous self-delivery, ``MBatch``
+  unpacking, the per-type ``_dispatch`` probe and the dispatch-or-
+  ``TypeError`` :meth:`ProcessBase.on_message`;
+* the execution seam :meth:`ProcessBase._execute_command`: apply, report to
+  the execution listeners, advance the GC frontier when the protocol mixes
+  :class:`repro.core.gc.WatermarkGcMixin` in, reply when the command was
+  submitted here;
+* the per-command record table ``_info`` and the accounting read off it
+  (:meth:`ProcessBase.memory_footprint`, :meth:`ProcessBase.committed_dots`).
+
+A protocol supplies :meth:`ProcessBase.submit`, a ``_dispatch`` table of
+bound handlers, optionally :meth:`ProcessBase.tick`, its own record type
+(with an ``is_committed`` flag) stored in ``_info``, and calls
+``_execute_command`` once per command at the point its ordering rule lets
+the command execute.  :meth:`ProcessBase.committed_timestamp` is overridden
+by the protocols that order execution by an agreed timestamp.
 """
 
 from __future__ import annotations
@@ -25,10 +53,11 @@ from typing import (
     Tuple,
 )
 
-from repro.core.commands import Command
+from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.identifiers import Dot
+from repro.core.identifiers import Dot, DotGenerator
 from repro.core.messages import ClientReply, MDeliveryAck
+from repro.core.quorums import QuorumSystem
 
 
 class Envelope(NamedTuple):
@@ -62,25 +91,57 @@ class MBatch(NamedTuple):
 ExecutionListener = Callable[[int, Dot, Command, float], None]
 """Callback ``(process_id, dot, command, now)`` invoked on command execution."""
 
+ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
+"""Applies an executed command to the replicated state (e.g. a key-value
+store) and returns the per-key results sent back to the client."""
+
 
 class ProcessBase(abc.ABC):
-    """Base class for protocol processes.
+    """The replica shell: base class of every protocol process.
 
-    Subclasses implement :meth:`submit`, :meth:`on_message` and
-    :meth:`tick`; this class provides the outbox, execution bookkeeping and
-    the synchronous self-delivery used throughout the pseudocode.
+    Subclasses implement :meth:`submit`, fill ``_dispatch`` and usually
+    override :meth:`tick`; see the module docstring for what the shell owns.
+
+    Args:
+        process_id: global process identifier.
+        config: deployment configuration (``r``, ``f``, partitions, ...).
+        partitioner: key-to-partition mapping used to derive the partitions a
+            command accesses.
+        quorum_system: optional pre-built quorum system (e.g. latency-aware);
+            a rank-distance one is built by default.
+        apply_fn: optional callable invoked with each command when it is
+            executed (e.g. to apply it to a key-value store).
     """
 
     #: Type-indexed message dispatch table.  Every protocol populates an
     #: instance attribute of this name in ``__init__``; :meth:`deliver`
     #: dispatches through it directly (one pointer-hash dict probe per
-    #: message), skipping the :meth:`on_message` call frame.  Processes
-    #: without a table (``None``) fall back to :meth:`on_message`.
-    _dispatch: Optional[Dict[type, Callable[[int, object, float], None]]] = None
+    #: message), skipping the :meth:`on_message` call frame.  A type the
+    #: table does not hold goes to :meth:`on_message`, so the empty default
+    #: routes everything there.
+    _dispatch: Dict[type, Callable[[int, object, float], None]] = {}
 
-    def __init__(self, process_id: int, config: ProtocolConfig) -> None:
+    def __init__(
+        self,
+        process_id: int,
+        config: ProtocolConfig,
+        partitioner: Optional[Partitioner] = None,
+        quorum_system: Optional[QuorumSystem] = None,
+        apply_fn: Optional[ApplyFn] = None,
+    ) -> None:
         self.process_id = process_id
         self.config = config
+        self.partitioner = partitioner or Partitioner(config.num_partitions)
+        self.quorum_system = quorum_system or QuorumSystem(config)
+        self.apply_fn = apply_fn
+        self.dot_generator = DotGenerator(process_id)
+        #: Live per-command records, keyed by identifier; each protocol
+        #: stores its own record type (FPaxos, a log, stores none).
+        self._info: Dict[Dot, object] = {}
+        #: Watermark-GC tracker, built by
+        #: :class:`repro.core.gc.WatermarkGcMixin` for the protocols that
+        #: collect (FPaxos does not).
+        self.gc = None
         self.partition = config.partition_of_process(process_id)
         self._partition_peers: Tuple[int, ...] = tuple(
             config.processes_of_partition(self.partition)
@@ -178,34 +239,23 @@ class ProcessBase(abc.ABC):
         depth = self._step_depth
         self._step_depth = depth + 1
         counts = self._message_counts
-        dispatch = self._dispatch
+        dispatch_get = self._dispatch.get
         try:
             if type(message) is MBatch:
-                if dispatch is not None:
-                    dispatch_get = dispatch.get
-                    for inner in message.messages:
-                        message_type = inner.__class__
-                        counts[message_type] = counts.get(message_type, 0) + 1
-                        handler = dispatch_get(message_type)
-                        if handler is not None:
-                            handler(sender, inner, now)
-                        else:
-                            self.on_message(sender, inner, now)
-                else:
-                    on_message = self.on_message
-                    for inner in message.messages:
-                        message_type = inner.__class__
-                        counts[message_type] = counts.get(message_type, 0) + 1
-                        on_message(sender, inner, now)
+                for inner in message.messages:
+                    message_type = inner.__class__
+                    counts[message_type] = counts.get(message_type, 0) + 1
+                    handler = dispatch_get(message_type)
+                    if handler is not None:
+                        handler(sender, inner, now)
+                    else:
+                        self.on_message(sender, inner, now)
             else:
                 message_type = message.__class__
                 counts[message_type] = counts.get(message_type, 0) + 1
-                if dispatch is not None:
-                    handler = dispatch.get(message_type)
-                    if handler is not None:
-                        handler(sender, message, now)
-                    else:
-                        self.on_message(sender, message, now)
+                handler = dispatch_get(message_type)
+                if handler is not None:
+                    handler(sender, message, now)
                 else:
                     self.on_message(sender, message, now)
         finally:
@@ -220,13 +270,36 @@ class ProcessBase(abc.ABC):
         per-message reactive work into per-batch work.
         """
 
+    def new_command(
+        self,
+        keys: Iterable[str],
+        payload_size: int = 100,
+        client_id: Optional[int] = None,
+        read_only: bool = False,
+    ) -> Command:
+        """Mint a command over ``keys`` with an identifier drawn here."""
+        build = Command.read if read_only else Command.write
+        return build(
+            self.dot_generator.next_id(),
+            keys,
+            payload_size=payload_size,
+            client_id=client_id,
+        )
+
+    def _sentinel(self) -> Dot:
+        """Sender-identifying dot of the messages not tied to one command."""
+        return Dot(self.process_id, self.dot_generator.peek().sequence)
+
     @abc.abstractmethod
     def submit(self, command: Command, now: float = 0.0) -> None:
         """Submit a command at this process on behalf of a client."""
 
-    @abc.abstractmethod
     def on_message(self, sender: int, message: object, now: float) -> None:
-        """Handle one protocol message."""
+        """Handle one protocol message: dispatch by exact type, or raise."""
+        handler = self._dispatch.get(message.__class__)
+        if handler is None:
+            raise TypeError(f"unexpected message {message!r}")
+        handler(sender, message, now)
 
     def tick(self, now: float) -> None:
         """Periodic processing (promise broadcast, stability, recovery).
@@ -305,6 +378,25 @@ class ProcessBase(abc.ABC):
 
     # -- execution bookkeeping ---------------------------------------------------
 
+    def _execute_command(
+        self, dot: Dot, command: Command, now: float, reply: bool
+    ) -> None:
+        """The one execution seam: apply, record, advance the GC frontier,
+        and — when ``reply``, i.e. the command was submitted here — answer
+        the client.  A protocol calls it once per command, after marking its
+        own record executed."""
+        result = self._apply(command)
+        self.record_execution(dot, command, now)
+        if self.gc is not None:
+            self.gc.record_executed(dot)
+        if reply and command.client_id is not None:
+            self.outbox.append(self._client_reply(dot, command, result))
+
+    def _apply(self, command: Command) -> Optional[Dict[str, Optional[str]]]:
+        """Apply ``command`` to the replicated state (Janus* narrows it to
+        the local shard's operations)."""
+        return self.apply_fn(command) if self.apply_fn is not None else None
+
     def record_execution(self, dot: Dot, command: Command, now: float) -> None:
         """Record that this process executed ``command``."""
         self.executed.append((dot, command))
@@ -340,19 +432,25 @@ class ProcessBase(abc.ABC):
         ``executed`` (the execution-order witness) is deliberately
         unbounded and reported separately so the bounds can exclude it.
         """
-        footprint = {
-            "records": len(getattr(self, "_info", ())),
+        return {
+            "records": len(self._info),
             "executed": len(self.executed),
             "archived": 0,
             "peak_live_per_key": 0,
             "conflict_keys": 0,
             "issued_promises": 0,
-            "gc_collected": 0,
+            "gc_collected": self.gc.collected_count if self.gc is not None else 0,
         }
-        gc = getattr(self, "gc", None)
-        if gc is not None:
-            footprint["gc_collected"] = gc.collected_count
-        return footprint
+
+    def committed_timestamp(self, dot: Dot) -> Optional[object]:
+        """Final timestamp of ``dot`` if committed or executed here; ``None``
+        for the protocols that do not order execution by an agreed
+        timestamp (dependency order, log slot)."""
+        return None
+
+    def committed_dots(self) -> List[Dot]:
+        """Identifiers committed (or executed) here whose record is live."""
+        return [dot for dot, record in self._info.items() if record.is_committed]
 
     def partition_peers(self) -> Sequence[int]:
         """Processes replicating the same partition (including self)."""

@@ -8,8 +8,8 @@ implementation knobs (batching, promise-broadcast interval, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -141,58 +141,3 @@ class ProtocolConfig:
             partition * self.num_processes + rank
             for partition in range(self.num_partitions)
         ]
-
-
-@dataclass
-class Deployment:
-    """A concrete deployment: configuration plus site names.
-
-    ``site_names[i]`` is the name of the site hosting the processes with
-    rank ``i`` in every partition.  The default names match the 5 EC2
-    regions used in the paper's evaluation.
-    """
-
-    config: ProtocolConfig
-    site_names: Sequence[str] = field(
-        default_factory=lambda: (
-            "ireland",
-            "n-california",
-            "singapore",
-            "canada",
-            "sao-paulo",
-        )
-    )
-
-    def __post_init__(self) -> None:
-        if len(self.site_names) < self.config.num_processes:
-            raise ValueError(
-                "a deployment needs at least one site name per process rank"
-            )
-
-    def site_of(self, process: int) -> str:
-        """Name of the site hosting the given global process."""
-        return self.site_names[self.config.site_of_process(process)]
-
-    def processes_at_site(self, site: str) -> List[int]:
-        """Global process identifiers hosted at ``site``."""
-        try:
-            rank = list(self.site_names).index(site)
-        except ValueError as exc:
-            raise KeyError(f"unknown site {site!r}") from exc
-        return [
-            partition * self.config.num_processes + rank
-            for partition in range(self.config.num_partitions)
-            if rank < self.config.num_processes
-        ]
-
-    def sites(self) -> List[str]:
-        """Names of the sites actually used by this deployment."""
-        return list(self.site_names[: self.config.num_processes])
-
-    def site_latency_table(self) -> Dict[str, Dict[str, float]]:
-        """Convenience accessor for the EC2 latency matrix of Appendix A."""
-        from repro.simulator.latency import EC2_PING_LATENCIES
-
-        return {
-            a: dict(EC2_PING_LATENCIES[a]) for a in self.sites()
-        }

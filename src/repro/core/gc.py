@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot, intern_dot
 from repro.core.messages import MExecutedClock
 
@@ -183,13 +182,14 @@ class WatermarkGcMixin:
     Mixed in ahead of ``ProcessBase`` by every protocol that collects
     (FPaxos keeps no per-command records and does not).  The host calls
     :meth:`_gc_announce` from its ``tick``, routes ``MExecutedClock`` to
-    :meth:`_on_executed_clock`, reports executions to
-    ``self.gc.record_executed`` and supplies :meth:`_collect`.
+    :meth:`_on_executed_clock` and supplies :meth:`_collect`; the shell's
+    execution seam (``ProcessBase._execute_command``) reports executions to
+    ``self.gc.record_executed``.
     """
 
-    def __init__(self, process_id: int, config: ProtocolConfig) -> None:
-        super().__init__(process_id, config)
-        self.gc = GcTracker(process_id, self.partition_peers())
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.gc = GcTracker(self.process_id, self.partition_peers())
         self._last_gc_announce = float("-inf")
 
     def _gc_announce(self, now: float) -> None:
@@ -207,8 +207,9 @@ class WatermarkGcMixin:
         self._last_gc_announce = now
         clock = self.gc.announcement()
         if clock and self._other_peers:
-            sentinel = Dot(self.process_id, self.dot_generator.peek().sequence)
-            self.send(self._other_peers, MExecutedClock(sentinel, clock=clock), now)
+            self.send(
+                self._other_peers, MExecutedClock(self._sentinel(), clock=clock), now
+            )
         self._gc_sweep()
 
     def _on_executed_clock(

@@ -20,10 +20,9 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.core.base import ProcessBase
 from repro.core.clock import LogicalClock
-from repro.core.commands import Command, Partitioner
-from repro.core.config import ProtocolConfig
+from repro.core.commands import Command
 from repro.core.gc import WatermarkGcMixin
-from repro.core.identifiers import Dot, DotGenerator
+from repro.core.identifiers import Dot
 from repro.core.info import CommandInfo
 from repro.core.messages import (
     MBump,
@@ -48,12 +47,9 @@ from repro.core.messages import (
 )
 from repro.core.phases import Phase
 from repro.core.promises import Promise, PromiseSet, PromiseTracker
-from repro.core.quorums import QuorumSystem
 from repro.core.recovery import RecoveryMixin
 from repro.core.repair import RepairMixin
 from repro.reliability import TRACKED_KIND_IDS
-
-ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
 
 #: Phases in which a command's commit outcome may only be learnable through
 #: MCommitRequest (committed peers ignore MRec, §B.1).
@@ -65,32 +61,13 @@ _ACK_KIND_MSTABLE = TRACKED_KIND_IDS["MStable"]
 
 
 class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
-    """A Tempo replica of one partition.
+    """A Tempo replica of one partition (constructor arguments: see
+    :class:`repro.core.base.ProcessBase`)."""
 
-    Args:
-        process_id: global process identifier.
-        config: deployment configuration (``r``, ``f``, partitions, ...).
-        partitioner: key-to-partition mapping used to derive the partitions a
-            command accesses.
-        quorum_system: optional pre-built quorum system (e.g. latency-aware);
-            a rank-distance one is built by default.
-        apply_fn: optional callable invoked with each command when it is
-            executed (e.g. to apply it to a key-value store).
-    """
+    _info: Dict[Dot, CommandInfo]
 
-    def __init__(
-        self,
-        process_id: int,
-        config: ProtocolConfig,
-        partitioner: Optional[Partitioner] = None,
-        quorum_system: Optional[QuorumSystem] = None,
-        apply_fn: Optional[ApplyFn] = None,
-        ack_broadcast: bool = True,
-    ) -> None:
-        super().__init__(process_id, config)
-        self.partitioner = partitioner or Partitioner(config.num_partitions)
-        self.quorum_system = quorum_system or QuorumSystem(config)
-        self.apply_fn = apply_fn
+    def __init__(self, *args, ack_broadcast: bool = True, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         #: Implementation-level optimisation (documented in DESIGN.md):
         #: fast-quorum members send their MProposeAck to the whole fast
         #: quorum, so every member can detect the fast-path commit locally
@@ -110,10 +87,8 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         #: (:mod:`repro.core.repair`).
         self.ack_broadcast = ack_broadcast
         self.clock = LogicalClock()
-        self.tracker = PromiseTracker(process_id)
+        self.tracker = PromiseTracker(self.process_id)
         self.promises = PromiseSet()
-        self.dot_generator = DotGenerator(process_id)
-        self._info: Dict[Dot, CommandInfo] = {}
         #: Attached promises received for identifiers not yet committed here,
         #: buffered as ``(process, timestamp)`` pairs (Algorithm 2, line 47);
         #: plain tuples keep the per-commit buffering allocation-light.
@@ -212,20 +187,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             return None
         return record.final_timestamp
 
-    def new_command(
-        self,
-        keys: Sequence[str],
-        payload_size: int = 100,
-        client_id: Optional[int] = None,
-    ) -> Command:
-        """Create a fresh write command with an identifier minted here."""
-        return Command.write(
-            self.dot_generator.next_id(),
-            keys,
-            payload_size=payload_size,
-            client_id=client_id,
-        )
-
     def _command_partitions(self, command: Command) -> List[int]:
         return sorted(command.partitions(self.partitioner))
 
@@ -301,10 +262,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if detached:
             self.tracker.add_detached_range(detached[0], detached[-1])
 
-    def _sentinel(self) -> Dot:
-        """Sender-identifying dot of the messages not tied to one command."""
-        return Dot(self.process_id, self.dot_generator.peek().sequence)
-
     # ------------------------------------------------------------------ submit
 
     def submit(self, command: Command, now: float = 0.0) -> None:
@@ -330,14 +287,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record.submitted_at = now
         message = MSubmit(command.dot, command, quorums)
         self.send(sorted(set(coordinators.values())), message, now)
-
-    # ------------------------------------------------------------------ dispatch
-
-    def on_message(self, sender: int, message: object, now: float) -> None:
-        handler = self._dispatch.get(message.__class__)
-        if handler is None:
-            raise TypeError(f"unexpected message {message!r}")
-        handler(sender, message, now)
 
     # ------------------------------------------------------------------ commit protocol
 
@@ -806,27 +755,28 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         cache = self._commit_info_target_cache
         if quorum in cache:
             return cache[quorum]
-        coordinator = quorum[0]
-        distance = self.quorum_system._distance
-        members = [
-            member for member in quorum
-            if member != coordinator and member != self.process_id
-        ]
-        if not members:
+        quorum_set = set(quorum)
+        # Every other peer, nearest first.
+        order = self.quorum_system.closest(
+            self.process_id, len(self._partition_peers)
+        )[1:]
+        nearest = next(
+            (peer for peer in order if peer in quorum_set and peer != quorum[0]),
+            None,
+        )
+        if nearest is None:
             cache[quorum] = None
             return None
-        nearest = min(
-            members, key=lambda member: (distance(self.process_id, member), member)
+        distance = self.quorum_system.distance
+        cutoff = distance(self.process_id, nearest)
+        targets = sorted(
+            [nearest]
+            + [
+                peer
+                for peer in order
+                if peer not in quorum_set and distance(self.process_id, peer) < cutoff
+            ]
         )
-        nearest_distance = distance(self.process_id, nearest)
-        quorum_set = set(quorum)
-        targets = [nearest]
-        for peer in self.partition_peers():
-            if peer in quorum_set or peer == self.process_id:
-                continue
-            if distance(self.process_id, peer) < nearest_distance:
-                targets.append(peer)
-        targets = sorted(targets)
         cache[quorum] = targets
         return targets
 
@@ -933,14 +883,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         command = record.command
         if command is None:
             raise RuntimeError(f"executing {dot} without a payload")
-        result = self.apply_fn(command) if self.apply_fn is not None else None
         record.move_to(Phase.EXECUTE)
         del self._committed[dot]
-        self.record_execution(dot, command, now)
-        self.gc.record_executed(dot)
-        if command.client_id is not None and record.submitted_at is not None:
-            # This process submitted the command: reply to the client.
-            self.outbox.append(self._client_reply(dot, command, result))
+        self._execute_command(dot, command, now, record.submitted_at is not None)
 
     # ------------------------------------------------------------------ periodic work
 

@@ -16,7 +16,7 @@ paper's implementation does to minimise the fast-path round-trip.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import ProtocolConfig
 
@@ -38,6 +38,8 @@ class QuorumSystem:
     ) -> None:
         self.config = config
         self._latencies = latencies
+        #: ``closest()`` results per ``(process, count)``.
+        self._closest: Dict[Tuple[int, int], List[int]] = {}
 
     # -- sizes ---------------------------------------------------------------
 
@@ -55,38 +57,53 @@ class QuorumSystem:
 
     # -- quorum selection ----------------------------------------------------
 
-    def _distance(self, origin: int, target: int) -> float:
+    def distance(self, origin: int, target: int) -> float:
+        """One-way latency between two processes when known, otherwise
+        their rank distance within the partition (deterministic)."""
         if self._latencies is not None:
             return float(self._latencies[origin][target])
-        # Fall back to rank distance within the partition (deterministic).
         config = self.config
         rank_a = config.rank_in_partition(origin)
         rank_b = config.rank_in_partition(target)
         span = abs(rank_a - rank_b)
         return float(min(span, config.num_processes - span))
 
-    def _closest(self, coordinator: int, members: Sequence[int], count: int) -> List[int]:
-        if coordinator not in members:
-            raise ValueError("coordinator must replicate the partition")
-        if count > len(members):
-            raise ValueError(
-                f"cannot build a quorum of {count} out of {len(members)} processes"
+    def closest(self, process: int, count: int) -> List[int]:
+        """``process`` followed by its ``count - 1`` nearest partition
+        peers in ``(distance, id)`` order — the one quorum-selection rule
+        every protocol uses.  Computed once per ``(process, count)``; the
+        returned list is shared, callers must not mutate it."""
+        key = (process, count)
+        quorum = self._closest.get(key)
+        if quorum is None:
+            config = self.config
+            members = config.processes_of_partition(
+                config.partition_of_process(process)
             )
-        others = sorted(
-            (member for member in members if member != coordinator),
-            key=lambda member: (self._distance(coordinator, member), member),
-        )
-        return [coordinator] + others[: count - 1]
+            if count > len(members):
+                raise ValueError(
+                    f"cannot build a quorum of {count} out of {len(members)} processes"
+                )
+            others = sorted(
+                (member for member in members if member != process),
+                key=lambda member: (self.distance(process, member), member),
+            )
+            quorum = self._closest[key] = [process] + others[: count - 1]
+        return quorum
 
     def fast_quorum(self, coordinator: int, partition: int) -> List[int]:
         """Fast quorum for ``partition`` led by ``coordinator``."""
-        members = self.config.processes_of_partition(partition)
-        return self._closest(coordinator, members, self.fast_quorum_size)
+        self._check_replicates(coordinator, partition)
+        return self.closest(coordinator, self.fast_quorum_size)
 
     def slow_quorum(self, coordinator: int, partition: int) -> List[int]:
         """Slow (Flexible-Paxos phase-2) quorum led by ``coordinator``."""
-        members = self.config.processes_of_partition(partition)
-        return self._closest(coordinator, members, self.slow_quorum_size)
+        self._check_replicates(coordinator, partition)
+        return self.closest(coordinator, self.slow_quorum_size)
+
+    def _check_replicates(self, coordinator: int, partition: int) -> None:
+        if self.config.partition_of_process(coordinator) != partition:
+            raise ValueError("coordinator must replicate the partition")
 
     def fast_quorums(
         self, submitter: int, partitions: Sequence[int]
@@ -113,7 +130,7 @@ class QuorumSystem:
         colocated = partition * self.config.num_processes + rank
         if colocated in members:
             return colocated
-        return min(members, key=lambda member: (self._distance(submitter, member), member))
+        return min(members, key=lambda member: (self.distance(submitter, member), member))
 
     def coordinators_for(
         self, submitter: int, partitions: Sequence[int]

@@ -21,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.commands import Partitioner
+from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
-from repro.core.process import TempoProcess
-from repro.kvstore.store import KeyValueStore
-from repro.protocols.caesar import CaesarProcess
-from repro.protocols.epaxos import EPaxosProcess
+from repro.protocols.dependency import DependencyProtocolProcess
 from repro.simulator.inline import InlineNetwork
 
 
@@ -65,43 +62,13 @@ class PathologyReport:
         }
 
 
-def _build(protocol: str):
-    config = ProtocolConfig(num_processes=3, faults=1)
-    partitioner = Partitioner(1)
-    processes = []
-    for process_id in range(3):
-        store = KeyValueStore()
-        if protocol == "tempo":
-            process = TempoProcess(
-                process_id, config, partitioner=partitioner, apply_fn=store.apply
-            )
-        elif protocol == "epaxos":
-            process = EPaxosProcess(
-                process_id, config, partitioner=partitioner, apply_fn=store.apply
-            )
-        elif protocol == "caesar":
-            process = CaesarProcess(
-                process_id, config, partitioner=partitioner, apply_fn=store.apply
-            )
-        else:
-            raise KeyError(protocol)
-        processes.append(process)
-    return processes
-
-
-def _count_committed(protocol: str, process, commands) -> int:
-    if protocol == "tempo":
-        # A record collected by the watermark GC was globally executed,
-        # hence committed; count it even though its ``_info`` entry (and
-        # with it ``committed_timestamp``) is gone.
-        return sum(
-            1 for command in commands
-            if process.committed_timestamp(command.dot) is not None
-            or process.gc.collected(command.dot)
-        )
+def _count_committed(process, commands) -> int:
+    # A record collected by the watermark GC was globally executed, hence
+    # committed; count it even though its ``_info`` entry is gone.
+    committed = set(process.committed_dots())
     return sum(
         1 for command in commands
-        if process.status_of(command.dot) in ("commit", "execute")
+        if command.dot in committed or process.gc.collected(command.dot)
     )
 
 
@@ -114,7 +81,9 @@ def replay_schedule(protocol: str, rounds: int = 6) -> PathologyReport:
     submitted, which is what makes each new command conflict with (and be
     ordered relative to) the previous ones before they can complete.
     """
-    processes = _build(protocol)
+    processes = build_replicas(
+        protocol, ProtocolConfig(num_processes=3, faults=1)
+    ).processes
     network = InlineNetwork(processes)
     commands = []
     in_flight = []
@@ -135,10 +104,11 @@ def replay_schedule(protocol: str, rounds: int = 6) -> PathologyReport:
     submitter = processes[0]
     all_commands = [command for _, command in commands]
     executed_during = len(set(submitter.executed_dots()) & {c.dot for c in all_commands})
-    committed_during = _count_committed(protocol, submitter, all_commands)
+    committed_during = _count_committed(submitter, all_commands)
     blocked = getattr(submitter, "blocked_replies_ever", 0)
     largest_during = 0
-    if protocol == "epaxos":
+    graph_ordered = isinstance(submitter, DependencyProtocolProcess)
+    if graph_ordered:
         largest_during = max(
             submitter.executor.graph.largest_pending_component(),
             submitter.max_component_size(),
@@ -151,9 +121,9 @@ def replay_schedule(protocol: str, rounds: int = 6) -> PathologyReport:
         if target is not None:
             target.deliver(envelope.sender, envelope.message, 0.0)
     network.settle(rounds=15)
-    committed_final = _count_committed(protocol, submitter, all_commands)
+    committed_final = _count_committed(submitter, all_commands)
     executed_final = len(set(submitter.executed_dots()) & {c.dot for c in all_commands})
-    if protocol == "epaxos":
+    if graph_ordered:
         largest_during = max(largest_during, submitter.max_component_size())
 
     return PathologyReport(

@@ -14,11 +14,10 @@ clock configuration and observing which path they take).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.commands import Partitioner
+from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
-from repro.core.messages import MCommit, MConsensus
 from repro.core.process import TempoProcess
 from repro.simulator.inline import RecordingNetwork
 
@@ -88,12 +87,9 @@ def simulate_row(example: FastPathExample) -> Dict[str, object]:
     table's initial values.  The row reports whether an ``MConsensus``
     message (slow path) was needed and the committed timestamp.
     """
-    config = ProtocolConfig(num_processes=5, faults=example.faults)
-    partitioner = Partitioner(1)
-    processes = [
-        TempoProcess(process_id, config, partitioner=partitioner)
-        for process_id in range(5)
-    ]
+    processes = build_replicas(
+        "tempo", ProtocolConfig(num_processes=5, faults=example.faults)
+    ).processes
     coordinator = processes[0]
     _preset_clock(coordinator, example.coordinator_proposal - 1)
     quorum = coordinator.quorum_system.fast_quorum(0, 0)

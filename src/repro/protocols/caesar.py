@@ -33,20 +33,16 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.base import ProcessBase
-from repro.core.commands import Command, Partitioner
-from repro.core.config import ProtocolConfig
+from repro.core.commands import Command
 from repro.core.gc import WatermarkGcMixin
-from repro.core.identifiers import Dot, DotGenerator
+from repro.core.identifiers import Dot
 from repro.core.messages import MDeliveryAck, MExecutedClock
-from repro.core.quorums import QuorumSystem
 from repro.protocols.dep_messages import (
     MCaesarCommit,
     MCaesarPropose,
     MCaesarProposeAck,
 )
 from repro.reliability import TRACKED_KIND_IDS
-
-ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
 
 Timestamp = Tuple[int, int]
 
@@ -71,6 +67,10 @@ class CaesarInfo:
     #: full history-sized dependency set.
     live_deps: Optional[Set[Dot]] = None
 
+    @property
+    def is_committed(self) -> bool:
+        return self.status in ("commit", "execute")
+
 
 @dataclass
 class _DeferredReply:
@@ -93,21 +93,11 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
 
     name = "caesar"
 
-    def __init__(
-        self,
-        process_id: int,
-        config: ProtocolConfig,
-        partitioner: Optional[Partitioner] = None,
-        quorum_system: Optional[QuorumSystem] = None,
-        apply_fn: Optional[ApplyFn] = None,
-    ) -> None:
-        super().__init__(process_id, config)
-        self.partitioner = partitioner or Partitioner(config.num_partitions)
-        self.quorum_system = quorum_system or QuorumSystem(config)
-        self.apply_fn = apply_fn
-        self.dot_generator = DotGenerator(process_id)
+    _info: Dict[Dot, CaesarInfo]
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.clock = 0
-        self._info: Dict[Dot, CaesarInfo] = {}
         #: Per-key set of *live* (known but not yet committed) commands —
         #: the only ones the wait condition can block on.  Pruned on commit,
         #: so its peak size is bounded by in-flight commands.
@@ -161,15 +151,12 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
             return "start"
         return record.status
 
-    def new_command(
-        self, keys, payload_size: int = 100, client_id: Optional[int] = None
-    ) -> Command:
-        return Command.write(
-            self.dot_generator.next_id(),
-            keys,
-            payload_size=payload_size,
-            client_id=client_id,
-        )
+    def committed_timestamp(self, dot: Dot) -> Optional[Timestamp]:
+        """Final ``(clock, rank)`` timestamp of ``dot`` if committed here."""
+        record = self._info.get(dot)
+        if record is None or not record.is_committed:
+            return None
+        return record.timestamp
 
     def _next_timestamp(self) -> Timestamp:
         self.clock += 1
@@ -201,16 +188,9 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
             committed.setdefault(key, {})[dot] = timestamp
 
     def _fast_quorum(self) -> List[int]:
-        members = self.config.processes_of_partition(self.partition)
-        size = min(self.config.caesar_fast_quorum_size, len(members))
-        others = sorted(
-            (member for member in members if member != self.process_id),
-            key=lambda member: (
-                self.quorum_system._distance(self.process_id, member),
-                member,
-            ),
+        return self.quorum_system.closest(
+            self.process_id, self.config.caesar_fast_quorum_size
         )
-        return [self.process_id] + others[: size - 1]
 
     # -- submission ----------------------------------------------------------------
 
@@ -229,12 +209,6 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         )
 
     # -- message handling -------------------------------------------------------------
-
-    def on_message(self, sender: int, message: object, now: float) -> None:
-        handler = self._dispatch.get(message.__class__)
-        if handler is None:
-            raise TypeError(f"unexpected message {message!r}")
-        handler(sender, message, now)
 
     def _on_propose(self, sender: int, message: MCaesarPropose, now: float) -> None:
         if self.gc.collected(message.dot):
@@ -475,14 +449,10 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         return stable
 
     def _execute(self, dot: Dot, record: CaesarInfo, now: float) -> None:
-        result = self.apply_fn(record.command) if self.apply_fn else None
         record.status = "execute"
         self._executed_dots.add(dot)
         record.live_deps = None
-        self.record_execution(dot, record.command, now)
-        self.gc.record_executed(dot)
-        if record.submitted_here and record.command.client_id is not None:
-            self.outbox.append(self._client_reply(dot, record.command, result))
+        self._execute_command(dot, record.command, now, record.submitted_here)
 
     def tick(self, now: float) -> None:
         # No deferred flush here: only a commit can clear the wait
@@ -527,10 +497,3 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
             self._committed_per_key
         )
         return footprint
-
-    def committed_dots(self) -> List[Dot]:
-        return [
-            dot
-            for dot, record in self._info.items()
-            if record.status in ("commit", "execute")
-        ]

@@ -23,12 +23,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.base import ProcessBase
-from repro.core.commands import Command, Partitioner
-from repro.core.config import ProtocolConfig
+from repro.core.commands import Command
 from repro.core.gc import WatermarkGcMixin
-from repro.core.identifiers import Dot, DotGenerator
+from repro.core.identifiers import Dot
 from repro.core.messages import MDeliveryAck, MExecutedClock
-from repro.core.quorums import QuorumSystem
 from repro.protocols.dep_messages import (
     MDepAccept,
     MDepAcceptAck,
@@ -38,8 +36,6 @@ from repro.protocols.dep_messages import (
 )
 from repro.protocols.depgraph import DependencyGraphExecutor
 from repro.reliability import TRACKED_KIND_IDS
-
-ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
 
 _EMPTY_DEPS: FrozenSet[Dot] = frozenset()
 
@@ -168,6 +164,10 @@ class DepInfo:
     #: recovery-timeout window.
     last_solicit: float = float("-inf")
 
+    @property
+    def is_committed(self) -> bool:
+        return self.status in ("commit", "execute")
+
 
 class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
     """Base class for EPaxos-style protocols.
@@ -179,24 +179,13 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
     #: Human-readable protocol name, overridden by subclasses.
     name = "dependency"
 
-    def __init__(
-        self,
-        process_id: int,
-        config: ProtocolConfig,
-        partitioner: Optional[Partitioner] = None,
-        quorum_system: Optional[QuorumSystem] = None,
-        apply_fn: Optional[ApplyFn] = None,
-        read_write_aware: bool = True,
-    ) -> None:
-        super().__init__(process_id, config)
-        self.partitioner = partitioner or Partitioner(config.num_partitions)
-        self.quorum_system = quorum_system or QuorumSystem(config)
-        self.apply_fn = apply_fn
+    _info: Dict[Dot, DepInfo]
+
+    def __init__(self, *args, read_write_aware: bool = True, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         #: Whether reads only depend on writes (the read/write distinction of
         #: §3.3 that dependency-based protocols can exploit).
         self.read_write_aware = read_write_aware
-        self.dot_generator = DotGenerator(process_id)
-        self._info: Dict[Dot, DepInfo] = {}
         #: Per-key conflict summaries (live/executed split plus cached
         #: combined views), used to compute conflicts in O(live) per command.
         self._conflict_index: Dict[str, KeyConflicts] = {}
@@ -262,19 +251,6 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         if record is None or record.status not in ("commit", "execute"):
             return frozenset()
         return record.dependencies
-
-    def new_command(
-        self,
-        keys,
-        payload_size: int = 100,
-        client_id: Optional[int] = None,
-        read_only: bool = False,
-    ) -> Command:
-        """Mint a new command at this process."""
-        dot = self.dot_generator.next_id()
-        if read_only:
-            return Command.read(dot, keys, payload_size=payload_size, client_id=client_id)
-        return Command.write(dot, keys, payload_size=payload_size, client_id=client_id)
 
     def _conflicts_of(self, command: Command) -> Tuple[FrozenSet[Dot], int]:
         """Locally known conflicting commands and the next sequence number.
@@ -346,28 +322,10 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
                 summary.retire(dot, read_only)
 
     def _fast_quorum(self) -> List[int]:
-        members = self.config.processes_of_partition(self.partition)
-        size = self.fast_quorum_size()
-        others = sorted(
-            (member for member in members if member != self.process_id),
-            key=lambda member: (
-                self.quorum_system._distance(self.process_id, member),
-                member,
-            ),
-        )
-        return [self.process_id] + others[: size - 1]
+        return self.quorum_system.closest(self.process_id, self.fast_quorum_size())
 
     def _slow_quorum(self) -> List[int]:
-        members = self.config.processes_of_partition(self.partition)
-        size = self.slow_quorum_size()
-        others = sorted(
-            (member for member in members if member != self.process_id),
-            key=lambda member: (
-                self.quorum_system._distance(self.process_id, member),
-                member,
-            ),
-        )
-        return [self.process_id] + others[: size - 1]
+        return self.quorum_system.closest(self.process_id, self.slow_quorum_size())
 
     # -- submission ----------------------------------------------------------------
 
@@ -386,12 +344,6 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         self.send(self._fast_quorum(), message, now)
 
     # -- message handling -------------------------------------------------------------
-
-    def on_message(self, sender: int, message: object, now: float) -> None:
-        handler = self._dispatch.get(message.__class__)
-        if handler is None:
-            raise TypeError(f"unexpected message {message!r}")
-        handler(sender, message, now)
 
     def _on_preaccept(self, sender: int, message: MPreAccept, now: float) -> None:
         if self.gc.collected(message.dot):
@@ -526,13 +478,9 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
                 continue
             if record.status == "execute":
                 continue
-            result = self.apply_fn(record.command) if self.apply_fn else None
             record.status = "execute"
             self._retire_executed(record.command)
-            self.record_execution(dot, record.command, now)
-            self.gc.record_executed(dot)
-            if record.submitted_here and record.command.client_id is not None:
-                self.outbox.append(self._client_reply(dot, record.command, result))
+            self._execute_command(dot, record.command, now, record.submitted_here)
 
     def tick(self, now: float) -> None:
         """Periodically retry execution (a commit elsewhere may have
@@ -637,13 +585,6 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         self.executor.collect(dot)
 
     # -- introspection -------------------------------------------------------------------
-
-    def committed_dots(self) -> List[Dot]:
-        return [
-            dot
-            for dot, record in self._info.items()
-            if record.status in ("commit", "execute")
-        ]
 
     def pending_dots(self) -> List[Dot]:
         return [

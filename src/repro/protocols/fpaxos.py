@@ -19,16 +19,12 @@ keeps a static leader (rank 0 of the partition by default) and exposes
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 from repro.core.base import ProcessBase
-from repro.core.commands import Command, Partitioner
-from repro.core.config import ProtocolConfig
-from repro.core.identifiers import Dot, DotGenerator
-from repro.core.quorums import QuorumSystem
+from repro.core.commands import Command
+from repro.core.identifiers import Dot
 from repro.protocols.dep_messages import MAccept, MAccepted, MDecided, MForward
-
-ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
 
 
 class FPaxosProcess(ProcessBase):
@@ -36,21 +32,9 @@ class FPaxosProcess(ProcessBase):
 
     name = "fpaxos"
 
-    def __init__(
-        self,
-        process_id: int,
-        config: ProtocolConfig,
-        partitioner: Optional[Partitioner] = None,
-        quorum_system: Optional[QuorumSystem] = None,
-        apply_fn: Optional[ApplyFn] = None,
-        leader_rank: int = 0,
-    ) -> None:
-        super().__init__(process_id, config)
-        self.partitioner = partitioner or Partitioner(config.num_partitions)
-        self.quorum_system = quorum_system or QuorumSystem(config)
-        self.apply_fn = apply_fn
+    def __init__(self, *args, leader_rank: int = 0, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.leader_rank = leader_rank
-        self.dot_generator = DotGenerator(process_id)
         self.ballot = 1
         # -- leader state
         self._next_slot = 1
@@ -63,8 +47,8 @@ class FPaxosProcess(ProcessBase):
         #: Commands known to be decided, applied in slot order.
         self._decided_log: Dict[int, Command] = {}
         self._applied_up_to = 0
+        #: Commands submitted here and not yet answered.
         self._submitted_here: Set[Dot] = set()
-        self._submitted_at: Dict[Dot, float] = {}
         self._dispatch: Dict[type, Callable[[int, object, float], None]] = {
             MForward: self._on_forward,
             MAccept: self._on_accept,
@@ -93,37 +77,17 @@ class FPaxosProcess(ProcessBase):
 
     # -- helpers -----------------------------------------------------------------
 
-    def new_command(
-        self,
-        keys,
-        payload_size: int = 100,
-        client_id: Optional[int] = None,
-    ) -> Command:
-        return Command.write(
-            self.dot_generator.next_id(),
-            keys,
-            payload_size=payload_size,
-            client_id=client_id,
-        )
-
     def _phase2_quorum(self) -> List[int]:
         """The ``f + 1`` closest processes including the leader."""
-        members = self.config.processes_of_partition(self.partition)
-        others = sorted(
-            (member for member in members if member != self.process_id),
-            key=lambda member: (
-                self.quorum_system._distance(self.process_id, member),
-                member,
-            ),
+        return self.quorum_system.closest(
+            self.process_id, self.config.slow_quorum_size
         )
-        return [self.process_id] + others[: self.config.slow_quorum_size - 1]
 
     # -- submission ----------------------------------------------------------------
 
     def submit(self, command: Command, now: float = 0.0) -> None:
         """Submit a command; non-leaders forward it to the leader."""
         self._submitted_here.add(command.dot)
-        self._submitted_at[command.dot] = now
         if self.is_leader():
             self._order(command, now)
         else:
@@ -139,12 +103,6 @@ class FPaxosProcess(ProcessBase):
         self.send(self._phase2_quorum(), MAccept(command.dot, command, slot, self.ballot), now)
 
     # -- message handling -------------------------------------------------------------
-
-    def on_message(self, sender: int, message: object, now: float) -> None:
-        handler = self._dispatch.get(message.__class__)
-        if handler is None:
-            raise TypeError(f"unexpected message {message!r}")
-        handler(sender, message, now)
 
     def _on_forward(self, sender: int, message: MForward, now: float) -> None:
         if not self.is_leader():
@@ -185,11 +143,10 @@ class FPaxosProcess(ProcessBase):
         while (self._applied_up_to + 1) in self._decided_log:
             slot = self._applied_up_to + 1
             command = self._decided_log[slot]
-            result = self.apply_fn(command) if self.apply_fn else None
             self._applied_up_to = slot
-            self.record_execution(command.dot, command, now)
-            if command.dot in self._submitted_here and command.client_id is not None:
-                self.outbox.append(self._client_reply(command.dot, command, result))
+            submitted_here = command.dot in self._submitted_here
+            self._submitted_here.discard(command.dot)
+            self._execute_command(command.dot, command, now, submitted_here)
 
     # -- introspection -------------------------------------------------------------------
 

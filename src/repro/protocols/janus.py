@@ -20,12 +20,12 @@ commands it has heard about.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.commands import Command, KeyOp
 from repro.core.identifiers import Dot
 from repro.protocols.atlas import AtlasProcess
-from repro.protocols.dep_messages import MDepAccept, MDepCommit, MPreAccept
+from repro.protocols.dep_messages import MDepAccept, MPreAccept
 
 
 class JanusProcess(AtlasProcess):
@@ -122,25 +122,15 @@ class JanusProcess(AtlasProcess):
     # -- execution ---------------------------------------------------------------------
 
     def _execute_all(self, dots: List[Dot], now: float) -> None:
-        """Execute ready commands, applying only the operations on keys of
-        this process's shard."""
         for dot in dots:
-            record = self._info.get(dot)
-            if record is None or record.command is None:
-                continue
-            if record.status == "execute":
-                continue
-            local_command = self._restrict_to_shard(record.command)
-            result = None
-            if local_command is not None and self.apply_fn is not None:
-                result = self.apply_fn(local_command)
-            record.status = "execute"
-            self._retire_executed(record.command)
             self._expected_fast.pop(dot, None)
             self._expected_slow.pop(dot, None)
-            self.record_execution(dot, record.command, now)
-            if record.submitted_here and record.command.client_id is not None:
-                self.outbox.append(self._client_reply(dot, record.command, result))
+        super()._execute_all(dots, now)
+
+    def _apply(self, command: Command):
+        """Apply only the operations on keys of this process's shard."""
+        local_command = self._restrict_to_shard(command)
+        return super()._apply(local_command) if local_command is not None else None
 
     def _restrict_to_shard(self, command: Command) -> Optional[Command]:
         """Project ``command`` onto the keys of this process's shard."""

@@ -8,13 +8,11 @@ test.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.core.base import ProcessBase
-from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.process import TempoProcess
-from repro.core.quorums import QuorumSystem
 from repro.protocols.atlas import AtlasProcess
 from repro.protocols.caesar import CaesarProcess
 from repro.protocols.epaxos import EPaxosProcess
@@ -40,18 +38,13 @@ def protocol_names() -> list:
 
 
 def build_process(
-    name: str,
-    process_id: int,
-    config: ProtocolConfig,
-    partitioner: Optional[Partitioner] = None,
-    quorum_system: Optional[QuorumSystem] = None,
-    apply_fn=None,
-    **kwargs,
+    name: str, process_id: int, config: ProtocolConfig, **kwargs
 ) -> ProcessBase:
     """Instantiate a protocol process by name.
 
-    Extra keyword arguments are forwarded to the process constructor (e.g.
-    ``leader_rank`` for FPaxos).
+    Keyword arguments are forwarded to the process constructor: the shell's
+    ``partitioner`` / ``quorum_system`` / ``apply_fn`` and the protocol's own
+    (e.g. ``leader_rank`` for FPaxos).
     """
     try:
         factory = PROTOCOLS[name]
@@ -59,11 +52,4 @@ def build_process(
         raise KeyError(
             f"unknown protocol {name!r}; available: {', '.join(protocol_names())}"
         ) from exc
-    return factory(
-        process_id,
-        config,
-        partitioner=partitioner,
-        quorum_system=quorum_system,
-        apply_fn=apply_fn,
-        **kwargs,
-    )
+    return factory(process_id, config, **kwargs)

@@ -17,14 +17,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.cluster.replicas import build_replicas
 from repro.core.base import ProcessBase
-from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 from repro.core.messages import ClientReply
-from repro.core.quorums import QuorumSystem
-from repro.kvstore.store import KeyValueStore
-from repro.protocols.registry import build_process
 from repro.runtime.channel import Router
 
 
@@ -61,28 +58,19 @@ class AsyncCluster:
             faults=self.options.faults,
             num_partitions=self.options.num_partitions,
         )
-        self.partitioner = Partitioner(self.config.num_partitions)
-        self.quorum_system = QuorumSystem(self.config)
+        self._replicas = build_replicas(
+            self.options.protocol, self.config, **self.options.protocol_kwargs
+        )
+        self.partitioner = self._replicas.partitioner
+        self.quorum_system = self._replicas.quorum_system
+        self.stores = self._replicas.stores
+        self.processes = self._replicas.processes
         latency = None
         if self.options.latency_seconds > 0:
             latency = lambda sender, destination: self.options.latency_seconds  # noqa: E731
         self.router = Router(latency=latency, wire_bytes=self.options.wire_bytes)
-        self.stores: Dict[int, KeyValueStore] = {}
-        self.processes: List[ProcessBase] = []
-        for process_id in range(self.config.total_processes()):
-            store = KeyValueStore(self.config.partition_of_process(process_id))
-            self.stores[process_id] = store
-            process = build_process(
-                self.options.protocol,
-                process_id,
-                self.config,
-                partitioner=self.partitioner,
-                quorum_system=self.quorum_system,
-                apply_fn=store.apply,
-                **self.options.protocol_kwargs,
-            )
-            self.processes.append(process)
-            self.router.register(process_id)
+        for process in self.processes:
+            self.router.register(process.process_id)
         self._tasks: List[asyncio.Task] = []
         self._running = False
         self._pending_replies: Dict[Dot, asyncio.Future] = {}
@@ -223,8 +211,8 @@ class AsyncCluster:
     ) -> ClientReply:
         """Submit a write command at ``process_id`` and await its execution."""
         process = self.processes[process_id]
-        dot = process.dot_generator.next_id()
-        command = Command.write(dot, keys, payload_size=payload_size, client_id=0)
+        command = process.new_command(keys, payload_size=payload_size, client_id=0)
+        dot = command.dot
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending_replies[dot] = future
         try:
@@ -259,12 +247,4 @@ class AsyncCluster:
 
     def stores_agree(self) -> bool:
         """Whether every replica of every partition has identical contents."""
-        by_partition: Dict[int, List[KeyValueStore]] = {}
-        for process_id, store in self.stores.items():
-            partition = self.config.partition_of_process(process_id)
-            by_partition.setdefault(partition, []).append(store)
-        for stores in by_partition.values():
-            snapshots = [store.snapshot() for store in stores]
-            if any(snapshot != snapshots[0] for snapshot in snapshots[1:]):
-                return False
-        return True
+        return self._replicas.stores_agree()

@@ -8,8 +8,7 @@ experiments that only care about message *orderings*.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.base import Envelope, ProcessBase
 
@@ -79,26 +78,17 @@ class InlineNetwork:
 
 
 class RecordingNetwork(InlineNetwork):
-    """Inline network that also records every delivered envelope."""
+    """Inline network that also records every envelope it drains, as
+    ``(sender, destination, kind name)``."""
 
     def __init__(self, processes: Iterable[ProcessBase]) -> None:
         super().__init__(processes)
         self.log: List[Tuple[int, int, str]] = []
-        self._queue: Deque[Envelope] = deque()
 
-    def step(self, now: float = 0.0) -> int:
-        envelopes = self.collect()
-        for envelope in envelopes:
-            self.log.append(
-                (envelope.sender, envelope.destination, type(envelope.message).__name__)
-            )
-        count = 0
-        for envelope in envelopes:
-            target = self.processes.get(envelope.destination)
-            if target is None:
-                self.undeliverable.append(envelope)
-                continue
-            target.deliver(envelope.sender, envelope.message, now)
-            count += 1
-        self.delivered += count
-        return len(envelopes)
+    def collect(self) -> List[Envelope]:
+        envelopes = super().collect()
+        self.log.extend(
+            (envelope.sender, envelope.destination, type(envelope.message).__name__)
+            for envelope in envelopes
+        )
+        return envelopes

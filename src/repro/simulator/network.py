@@ -1,12 +1,10 @@
 """Simulated wide-area network.
 
 The network delivers messages between processes (and clients) with one-way
-latencies taken from a :class:`repro.simulator.latency.LatencyMatrix`, plus
-optional jitter.  Crashed processes silently drop incoming messages (crash-
-stop model).  Message loss can be injected for liveness testing; the paper's
-protocols assume fair-lossy links, which periodic re-broadcast copes with.
+latencies taken from a :class:`repro.simulator.latency.LatencyMatrix`.
+Crashed processes silently drop incoming messages (crash-stop model).
 
-Fault injection (``repro.faults``) installs richer per-link state: a
+Noise and loss are per-link fault state installed by ``repro.faults``: a
 bidirectional site partition, per-link degradation windows (added delay,
 jitter, probabilistic drop) and message-class-targeted loss.  All fault
 randomness draws from a dedicated :attr:`Network.fault_rng` stream split off
@@ -17,7 +15,7 @@ fault machinery, and activating a fault never shifts workload randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.base import MBatch
 from repro.simulator.latency import LatencyMatrix
@@ -28,15 +26,9 @@ from repro.simulator.rng import SeededRng
 class NetworkOptions:
     """Tunables for the simulated network."""
 
-    jitter_ms: float = 0.0
-    drop_probability: float = 0.0
     local_latency_ms: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.jitter_ms < 0:
-            raise ValueError("jitter_ms must be non-negative")
-        if not 0.0 <= self.drop_probability < 1.0:
-            raise ValueError("drop_probability must be in [0, 1)")
         if self.local_latency_ms < 0:
             raise ValueError("local_latency_ms must be non-negative")
 
@@ -138,8 +130,7 @@ class Network:
         self._faults_active = False
         self.stats = NetworkStats()
         #: Cache of ``(sender, destination) -> base one-way delay`` pairs;
-        #: invalidated when an endpoint is (re)placed.  Jitter, when enabled,
-        #: is drawn per transmission on top of the cached base.
+        #: invalidated when an endpoint is (re)placed.
         self._delay_cache: Dict[Tuple[int, int], float] = {}
         #: Cache of message type -> (kind name, size function or None).
         self._type_info: Dict[type, Tuple[str, Optional[Callable[[object], int]]]] = {}
@@ -290,7 +281,7 @@ class Network:
     # -- delivery -------------------------------------------------------------
 
     def _base_delay(self, sender: int, destination: int) -> float:
-        """Jitter-free one-way delay, cached per endpoint pair."""
+        """One-way delay between two endpoints, cached per pair."""
         cached = self._delay_cache.get((sender, destination))
         if cached is not None:
             return cached
@@ -302,23 +293,6 @@ class Network:
             base = self.latency_matrix.latency(site_a, site_b)
         self._delay_cache[(sender, destination)] = base
         return base
-
-    def delay(self, sender: int, destination: int) -> float:
-        """One-way delay between two endpoints, including jitter.
-
-        Jitter is a fault/noise knob, so the draw comes from the dedicated
-        fault stream (:attr:`fault_rng`), never the main RNG.
-        """
-        base = self._base_delay(sender, destination)
-        if self.options.jitter_ms:
-            base += self.fault_rng.uniform_between(0.0, self.options.jitter_ms)
-        return base
-
-    def should_drop(self) -> bool:
-        """Whether an injected message drop occurs (fault-stream draw)."""
-        if not self.options.drop_probability:
-            return False
-        return self.fault_rng.uniform() < self.options.drop_probability
 
     def _resolve_type_info(
         self, message_type: type
@@ -378,7 +352,7 @@ class Network:
         per_kind[kind] = per_kind.get(kind, 0) + 1
         if size_method is not None:
             stats.bytes_sent += int(size_method(message))
-        if destination in self._crashed or self.should_drop():
+        if destination in self._crashed:
             stats.messages_dropped += 1
             return None
         if self._faults_active:
@@ -388,15 +362,12 @@ class Network:
                 return None
         else:
             extra = 0.0
-        if self.options.jitter_ms:
-            at = now + self.delay(sender, destination) + extra
-        else:
-            # Jitter-free deliveries (the default) read the cached base
-            # delay directly, skipping two call frames per message.
-            base = self._delay_cache.get((sender, destination))
-            if base is None:
-                base = self._base_delay(sender, destination)
-            at = now + base + extra
+        # Read the cached base delay directly, skipping a call frame per
+        # message.
+        base = self._delay_cache.get((sender, destination))
+        if base is None:
+            base = self._base_delay(sender, destination)
+        at = now + base + extra
         deliver(at, sender, destination, message)
         stats.messages_delivered += 1
         stats.deliveries += 1
@@ -412,101 +383,72 @@ class Network:
     ) -> Optional[float]:
         """Route several messages to one destination as one delivery.
 
-        Stats, crash handling and loss injection are applied per inner
-        message, in order, exactly as ``len(messages)`` calls to
-        :meth:`transmit` would.  On a deterministic network (no jitter) all
-        surviving messages share one delivery time, so they are delivered as
-        a single :class:`repro.core.base.MBatch` — one simulator event
-        instead of one per message.  With jitter enabled each message keeps
-        its own per-transmission delay draw and its own delivery, preserving
-        the unbatched behaviour bit for bit.  Returns the batch delivery
-        time (``None`` when nothing survived or jitter forced the
-        per-message path).
+        Stats and crash handling are applied per inner message, in order,
+        exactly as ``len(messages)`` calls to :meth:`transmit` would.  On a
+        healthy network all messages share one delivery time, so they are
+        delivered as a single :class:`repro.core.base.MBatch` — one
+        simulator event instead of one per message.  While a fault is
+        installed each message gets its own verdict (a degraded link draws
+        its drop and its delay per message) and its own delivery,
+        preserving the unbatched behaviour bit for bit.  Returns the batch
+        delivery time (``None`` when the destination has crashed or faults
+        forced the per-message path).
         """
         if not messages:
             return None
         stats = self.stats
-        crashed = destination in self._crashed
-        jittery = bool(self.options.jitter_ms)
-        faulty = self._faults_active
-        if not crashed and not jittery and not faulty and not self.options.drop_probability:
-            # Fast path: every message survives and shares one delivery, so
-            # the per-message stats work collapses to one ``per_kind`` update
-            # per *run* of same-type inner messages (outboxes are dominated
-            # by broadcast runs of a single kind).  Counter values are
-            # identical to ``len(messages)`` calls of :meth:`transmit`.
-            count = len(messages)
-            per_kind = stats.per_kind
-            type_info = self._type_info
-            bytes_sent = 0
-            index = 0
-            while index < count:
-                message = messages[index]
-                message_type = message.__class__
-                info = type_info.get(message_type)
-                if info is None:
-                    info = self._resolve_type_info(message_type)
-                kind, size_method = info
-                run_end = index + 1
-                while run_end < count and messages[run_end].__class__ is message_type:
-                    run_end += 1
-                run_length = run_end - index
-                per_kind[kind] = per_kind.get(kind, 0) + run_length
-                if size_method is not None:
-                    for position in range(index, run_end):
-                        bytes_sent += int(size_method(messages[position]))
-                index = run_end
-            stats.messages_sent += count
-            stats.bytes_sent += bytes_sent
-            at = now + self._base_delay(sender, destination)
-            if count == 1:
-                deliver(at, sender, destination, messages[0])
-            else:
-                deliver(at, sender, destination, MBatch(tuple(messages)))
-                stats.batches_sent += 1
-            stats.messages_delivered += count
-            stats.deliveries += 1
-            return at
-        survivors: List[object] = []
-        for message in messages:
-            self._count_message(message)
-            if crashed or self.should_drop():
-                stats.messages_dropped += 1
-                continue
-            if faulty:
-                # Per-message fault verdicts (a degraded link adds its own
-                # delay per message), so an active-fault window falls back
-                # to the per-message delivery path like jitter does.
-                message_type = message.__class__
-                info = self._type_info.get(message_type)
-                if info is None:
-                    info = self._resolve_type_info(message_type)
-                extra = self._fault_verdict(sender, destination, info[0])
+        if destination in self._crashed:
+            for message in messages:
+                self._count_message(message)
+            stats.messages_dropped += len(messages)
+            return None
+        if self._faults_active:
+            base = self._base_delay(sender, destination)
+            for message in messages:
+                self._count_message(message)
+                kind = self._type_info[message.__class__][0]
+                extra = self._fault_verdict(sender, destination, kind)
                 if extra is None:
                     stats.messages_dropped += 1
                     continue
-                deliver(
-                    now + self.delay(sender, destination) + extra,
-                    sender,
-                    destination,
-                    message,
-                )
+                deliver(now + base + extra, sender, destination, message)
                 stats.messages_delivered += 1
                 stats.deliveries += 1
-            elif jittery:
-                deliver(now + self.delay(sender, destination), sender, destination, message)
-                stats.messages_delivered += 1
-                stats.deliveries += 1
-            else:
-                survivors.append(message)
-        if not survivors:
             return None
+        # Every message survives and shares one delivery, so the
+        # per-message stats work collapses to one ``per_kind`` update per
+        # *run* of same-type inner messages (outboxes are dominated by
+        # broadcast runs of a single kind).  Counter values are identical
+        # to ``len(messages)`` calls of :meth:`transmit`.
+        count = len(messages)
+        per_kind = stats.per_kind
+        type_info = self._type_info
+        bytes_sent = 0
+        index = 0
+        while index < count:
+            message = messages[index]
+            message_type = message.__class__
+            info = type_info.get(message_type)
+            if info is None:
+                info = self._resolve_type_info(message_type)
+            kind, size_method = info
+            run_end = index + 1
+            while run_end < count and messages[run_end].__class__ is message_type:
+                run_end += 1
+            run_length = run_end - index
+            per_kind[kind] = per_kind.get(kind, 0) + run_length
+            if size_method is not None:
+                for position in range(index, run_end):
+                    bytes_sent += int(size_method(messages[position]))
+            index = run_end
+        stats.messages_sent += count
+        stats.bytes_sent += bytes_sent
         at = now + self._base_delay(sender, destination)
-        if len(survivors) == 1:
-            deliver(at, sender, destination, survivors[0])
+        if count == 1:
+            deliver(at, sender, destination, messages[0])
         else:
-            deliver(at, sender, destination, MBatch(tuple(survivors)))
+            deliver(at, sender, destination, MBatch(tuple(messages)))
             stats.batches_sent += 1
-        stats.messages_delivered += len(survivors)
+        stats.messages_delivered += count
         stats.deliveries += 1
         return at

@@ -18,8 +18,6 @@ Hot-path notes:
   other kind goes through a table indexed by the ``EventKind`` value;
 * ticks are *fused*: one shared TICK event per interval walks every alive
   process, instead of one event per process per interval;
-* the loop is split into a predicate-free fast variant and a predicated
-  variant, so the common path never tests ``_stop_predicate``;
 * only the outbox of the process an event was delivered to is drained —
   handlers can only ever append to their own process's outbox
   (self-addressed messages are delivered synchronously), so scanning every
@@ -115,7 +113,6 @@ class Simulation:
         #: Handlers for envelopes addressed to endpoints that are not
         #: processes (e.g. clients).  Keyed by endpoint id.
         self.external_endpoints: Dict[int, Callable[[int, object, float], None]] = {}
-        self._stop_predicate: Optional[Callable[["Simulation"], bool]] = None
         #: Dispatch table indexed by ``EventKind`` value; MESSAGE (slot 0)
         #: is inlined in the run loops and never dispatched through it.
         self._dispatch: Tuple[Optional[Callable[[int, object], None]], ...] = (
@@ -141,10 +138,6 @@ class Simulation:
         ``handler(sender, message, now)`` is called on delivery.
         """
         self.external_endpoints[endpoint] = handler
-
-    def set_stop_predicate(self, predicate: Callable[["Simulation"], bool]) -> None:
-        """Stop the run early once ``predicate(simulation)`` becomes true."""
-        self._stop_predicate = predicate
 
     def schedule(
         self, delay: float, callback: Callable[[float], None]
@@ -253,10 +246,7 @@ class Simulation:
         if collector_was_enabled:
             gc.disable()
         try:
-            if self._stop_predicate is None:
-                self._run_fast(horizon)
-            else:
-                self._run_predicated(horizon)
+            self._run_loop(horizon)
         finally:
             if collector_was_enabled:
                 gc.enable()
@@ -264,8 +254,8 @@ class Simulation:
         stats.end_time = self.now
         return stats
 
-    def _run_fast(self, horizon: float) -> None:
-        """The common run loop: no stop predicate to test per event."""
+    def _run_loop(self, horizon: float) -> None:
+        """Drain timestamp lanes up to ``horizon`` or the event budget."""
         queue = self.queue
         pop_lane = queue.pop_lane
         stats = self.stats
@@ -301,15 +291,7 @@ class Simulation:
                     stats.messages_delivered += count
                     process = processes.get(target)
                     if process is not None:
-                        try:
-                            per_process[target] += count
-                        except IndexError:
-                            # A process registered after construction (the
-                            # dict-era API allowed it): grow the table.
-                            per_process.extend(
-                                [0] * (target + 1 - len(per_process))
-                            )
-                            per_process[target] += count
+                        per_process[target] += count
                         process.deliver(sender, payload, time)
                         if process.outbox:
                             envelopes = process.outbox
@@ -330,65 +312,6 @@ class Simulation:
                 queue.requeue_lane(time, overflow)
         stats.events_processed = events_processed
 
-    def _run_predicated(self, horizon: float) -> None:
-        """Run-loop variant testing the stop predicate after every event."""
-        queue = self.queue
-        stats = self.stats
-        processes = self.processes
-        external = self.external_endpoints
-        dispatch = self._dispatch
-        max_events = self.options.max_events
-        message_kind = _MESSAGE
-        predicate = self._stop_predicate
-        per_process = stats._per_process
-        events_processed = stats.events_processed
-        while events_processed < max_events:
-            popped = queue.pop_lane(horizon)
-            if popped is None:
-                break
-            time, lane = popped
-            self.now = time
-            stop = False
-            while lane:
-                _, kind, target, payload, sender = lane.popleft()
-                events_processed += 1
-                if kind is message_kind:
-                    count = len(payload.messages) if type(payload) is MBatch else 1
-                    stats.messages_delivered += count
-                    process = processes.get(target)
-                    if process is not None:
-                        try:
-                            per_process[target] += count
-                        except IndexError:
-                            # A process registered after construction (the
-                            # dict-era API allowed it): grow the table.
-                            per_process.extend(
-                                [0] * (target + 1 - len(per_process))
-                            )
-                            per_process[target] += count
-                        process.deliver(sender, payload, time)
-                        self._drain_process(process)
-                    else:
-                        handler = external.get(target)
-                        if handler is not None:
-                            if type(payload) is MBatch:
-                                for message in payload.messages:
-                                    handler(sender, message, time)
-                            else:
-                                handler(sender, payload, time)
-                            self.flush_outboxes()
-                else:
-                    dispatch[kind](target, payload)
-                stats.events_processed = events_processed
-                if predicate(self) or events_processed >= max_events:
-                    stop = True
-                    break
-            if lane:
-                queue.requeue_lane(time, lane)
-            if stop:
-                break
-        stats.events_processed = events_processed
-
     # -- event handlers --------------------------------------------------------------
 
     def _handle_tick_event(self, target: int, payload: object) -> None:
@@ -397,23 +320,8 @@ class Simulation:
         The walk order is the process-insertion order, which is exactly the
         order the pre-fusion per-process TICK events popped in; ``stats.ticks``
         still counts one tick per process per interval.
-
-        A TICK pushed with an explicit ``target`` (the seed's per-process
-        form, still valid through the public ``EventQueue.push``) keeps the
-        seed semantics: tick that one process and perpetuate a chain for it
-        alone, never spawning a second fused chain.
         """
         processes = self.processes
-        if target >= 0:
-            process = processes.get(target)
-            if process is None:
-                return
-            self.stats.ticks += 1
-            if process.alive:
-                process.tick(self.now)
-                self._drain_process(process)
-            self.queue.push(self.now + self.options.tick_interval, _TICK, target=target)
-            return
         self.queue.push(self.now + self.options.tick_interval, _TICK)
         self.stats.ticks += len(processes)
         now = self.now

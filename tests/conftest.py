@@ -6,6 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
+from repro.cluster.replicas import build_replicas
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.process import TempoProcess
@@ -29,19 +30,9 @@ class TempoCluster:
             faults=faults,
             num_partitions=num_partitions,
         )
-        self.partitioner = partitioner or Partitioner(num_partitions)
-        self.stores: Dict[int, KeyValueStore] = {}
-        self.processes: List[TempoProcess] = []
-        for process_id in range(self.config.total_processes()):
-            store = KeyValueStore(self.config.partition_of_process(process_id))
-            self.stores[process_id] = store
-            process = TempoProcess(
-                process_id,
-                self.config,
-                partitioner=self.partitioner,
-                apply_fn=store.apply,
-            )
-            self.processes.append(process)
+        replicas = build_replicas("tempo", self.config, partitioner=partitioner)
+        self.stores: Dict[int, KeyValueStore] = replicas.stores
+        self.processes: List[TempoProcess] = replicas.processes
         self.network = InlineNetwork(self.processes)
 
     def process(self, process_id: int) -> TempoProcess:

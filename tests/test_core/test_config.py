@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.config import Deployment, ProtocolConfig
+from repro.core.config import ProtocolConfig
 
 
 class TestQuorumSizes:
@@ -82,39 +82,3 @@ class TestProcessLayout:
             config.processes_of_partition(1)
         with pytest.raises(ValueError):
             config.partition_of_process(3)
-
-
-class TestDeployment:
-    def test_default_sites_are_the_paper_regions(self):
-        deployment = Deployment(ProtocolConfig(num_processes=5, faults=1))
-        assert deployment.sites() == [
-            "ireland",
-            "n-california",
-            "singapore",
-            "canada",
-            "sao-paulo",
-        ]
-
-    def test_site_of_process(self):
-        deployment = Deployment(ProtocolConfig(num_processes=3, faults=1, num_partitions=2))
-        assert deployment.site_of(0) == "ireland"
-        assert deployment.site_of(4) == "n-california"
-
-    def test_processes_at_site(self):
-        deployment = Deployment(ProtocolConfig(num_processes=3, faults=1, num_partitions=2))
-        assert deployment.processes_at_site("ireland") == [0, 3]
-
-    def test_unknown_site_raises(self):
-        deployment = Deployment(ProtocolConfig(num_processes=3, faults=1))
-        with pytest.raises(KeyError):
-            deployment.processes_at_site("mars")
-
-    def test_requires_enough_site_names(self):
-        with pytest.raises(ValueError):
-            Deployment(ProtocolConfig(num_processes=3, faults=1), site_names=("a", "b"))
-
-    def test_latency_table_covers_all_sites(self):
-        deployment = Deployment(ProtocolConfig(num_processes=5, faults=1))
-        table = deployment.site_latency_table()
-        for site in deployment.sites():
-            assert site in table

@@ -42,7 +42,9 @@ LONG_MS = 4_000.0  # 10x
 
 
 class TestMemoryStaysFlat:
-    @pytest.mark.parametrize("protocol", ["tempo", "atlas", "caesar"])
+    @pytest.mark.parametrize(
+        "protocol", ["tempo", "atlas", "epaxos", "caesar", "janus"]
+    )
     def test_live_state_does_not_scale_with_run_length(self, protocol):
         short = run_cell(protocol, BASE_MS)
         long = run_cell(protocol, LONG_MS)

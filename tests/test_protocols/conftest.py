@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import pytest
 
-from repro.core.commands import Partitioner
+from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
 from repro.kvstore.store import KeyValueStore
-from repro.protocols.registry import build_process
 from repro.simulator.inline import InlineNetwork
 
 
@@ -19,33 +18,14 @@ class ProtocolCluster:
     def __init__(self, protocol: str, r: int = 5, f: int = 1, **kwargs) -> None:
         self.protocol = protocol
         self.config = ProtocolConfig(num_processes=r, faults=f)
-        self.partitioner = Partitioner(1)
-        self.stores: Dict[int, KeyValueStore] = {}
-        self.processes: List = []
-        for process_id in range(r):
-            store = KeyValueStore()
-            self.stores[process_id] = store
-            self.processes.append(
-                build_process(
-                    protocol,
-                    process_id,
-                    self.config,
-                    partitioner=self.partitioner,
-                    apply_fn=store.apply,
-                    **kwargs,
-                )
-            )
+        self.replicas = build_replicas(protocol, self.config, **kwargs)
+        self.stores: Dict[int, KeyValueStore] = self.replicas.stores
+        self.processes: List = self.replicas.processes
         self.network = InlineNetwork(self.processes)
 
     def submit(self, process_id: int, keys, read_only: bool = False):
         process = self.processes[process_id]
-        if read_only and hasattr(process, "new_command"):
-            try:
-                command = process.new_command(keys, read_only=True)
-            except TypeError:
-                command = process.new_command(keys)
-        else:
-            command = process.new_command(keys)
+        command = process.new_command(keys, read_only=read_only)
         process.submit(command, 0.0)
         return command
 
@@ -69,10 +49,7 @@ class ProtocolCluster:
         return len(orders) == 1
 
     def stores_converged(self) -> bool:
-        snapshots = {
-            tuple(sorted(store.snapshot().items())) for store in self.stores.values()
-        }
-        return len(snapshots) == 1
+        return self.replicas.stores_agree()
 
 
 @pytest.fixture

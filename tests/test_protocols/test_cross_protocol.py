@@ -11,28 +11,22 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cluster.config import ExperimentConfig
+from repro.cluster.replicas import build_replicas
+from repro.cluster.runner import _Deployment
 from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
-from repro.kvstore.store import KeyValueStore
-from repro.protocols.registry import build_process, protocol_names
+from repro.core.messages import ClientReply
+from repro.core.quorums import QuorumSystem
+from repro.protocols.registry import protocol_names
 from repro.simulator.inline import InlineNetwork
 
 FULL_REPLICATION_PROTOCOLS = ["tempo", "atlas", "epaxos", "caesar", "fpaxos"]
 
 
 def run_schedule(protocol, schedule, r=5, f=1, recorder=None):
-    config = ProtocolConfig(num_processes=r, faults=f)
-    partitioner = Partitioner(1)
-    stores = {}
-    processes = []
-    for process_id in range(r):
-        store = KeyValueStore()
-        stores[process_id] = store
-        processes.append(
-            build_process(
-                protocol, process_id, config, partitioner=partitioner, apply_fn=store.apply
-            )
-        )
+    replicas = build_replicas(protocol, ProtocolConfig(num_processes=r, faults=f))
+    processes, stores = replicas.processes, replicas.stores
     if recorder is not None:
         # Before any submission: the trace must cover every execution.
         recorder.attach(processes)
@@ -87,6 +81,118 @@ class TestAllProtocolsBasics:
         for process in processes:
             executed = process.executed_dots()
             assert len(executed) == len(set(executed))
+
+
+#: ``closest(process, 5)`` on the paper's five EC2 sites (ireland,
+#: n-california, singapore, canada, sao-paulo); every smaller quorum is a
+#: prefix.  Pinned literally so a change to distances or tie-breaking cannot
+#: move quorums silently.
+EC2_CLOSEST = {
+    0: [0, 3, 1, 4, 2],
+    1: [1, 3, 0, 2, 4],
+    2: [2, 1, 0, 3, 4],
+    3: [3, 0, 1, 4, 2],
+    4: [4, 3, 0, 1, 2],
+}
+#: The same without a latency table: rank distance, ties broken by id.
+RANK_CLOSEST = {
+    0: [0, 1, 4, 2, 3],
+    1: [1, 0, 2, 3, 4],
+    2: [2, 1, 3, 0, 4],
+    3: [3, 2, 4, 0, 1],
+    4: [4, 0, 3, 1, 2],
+}
+
+
+def quorums_asked_for(protocol, process):
+    """Every quorum ``process`` selects by distance, per protocol family."""
+    if protocol in ("atlas", "epaxos", "janus"):
+        return [process._fast_quorum(), process._slow_quorum()]
+    if protocol == "caesar":
+        return [process._fast_quorum()]
+    if protocol == "fpaxos":
+        return [process._phase2_quorum()]
+    system = process.quorum_system
+    return [
+        system.fast_quorum(process.process_id, 0),
+        system.slow_quorum(process.process_id, 0),
+    ]
+
+
+class TestReplicaShell:
+    """What ``ProcessBase`` promises under every protocol."""
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_shell_contract(self, protocol):
+        replicas = build_replicas(protocol, ProtocolConfig(num_processes=5, faults=1))
+        processes = replicas.processes
+
+        # One minting signature, reads included, identifiers drawn here.
+        read = processes[2].new_command(["k"], read_only=True)
+        write = processes[2].new_command(["k"], payload_size=7, client_id=3)
+        assert read.is_read_only() and not write.is_read_only()
+        assert (read.dot.source, write.dot.source) == (2, 2)
+        assert write.dot.sequence == read.dot.sequence + 1
+        assert (write.payload_size, write.client_id) == (7, 3)
+
+        # A message class the protocol never registered is an error, on
+        # both entry points.
+        with pytest.raises(TypeError):
+            processes[0].deliver(1, object(), 0.0)
+        with pytest.raises(TypeError):
+            processes[0].on_message(1, object(), 0.0)
+
+        # Each client command is applied once and reported once at every
+        # replica, and answered once, by the replica it was submitted at.
+        reported = []
+        for process in processes:
+            process.add_execution_listener(
+                lambda process_id, dot, command, now: reported.append((process_id, dot))
+            )
+        network = InlineNetwork(processes)
+        commands = {}
+        for index in range(6):
+            submitter = processes[index % 5]
+            command = submitter.new_command(
+                ["hot" if index % 2 else f"k{index}"], client_id=index
+            )
+            submitter.submit(command, 0.0)
+            commands[command.dot] = (submitter.process_id, command)
+            network.step(0.0)
+        network.settle(rounds=40)
+        for dot in commands:
+            for process_id, store in replicas.stores.items():
+                assert store.applied_commands().count(dot) == 1
+                assert reported.count((process_id, dot)) == 1
+        replies = [
+            (envelope.message.dot, envelope.sender, envelope.destination)
+            for envelope in network.undeliverable
+            if isinstance(envelope.message, ClientReply)
+        ]
+        assert sorted(replies) == sorted(
+            (dot, submitter, -(command.client_id + 1))
+            for dot, (submitter, command) in commands.items()
+        )
+        assert replicas.stores_agree()
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    @pytest.mark.parametrize("faults", [1, 2])
+    def test_quorums_on_the_ec2_sites_are_the_pinned_lists(self, protocol, faults):
+        deployment = _Deployment(ExperimentConfig(protocol=protocol, faults=faults))
+        for process in deployment.processes:
+            for quorum in quorums_asked_for(protocol, process):
+                assert quorum == EC2_CLOSEST[process.process_id][: len(quorum)]
+
+    def test_closest_is_pinned_for_every_size(self):
+        config = ProtocolConfig(num_processes=5, faults=1)
+        by_latency = _Deployment(ExperimentConfig()).quorum_system
+        by_rank = QuorumSystem(config)
+        for process in range(5):
+            for size in range(1, 6):
+                assert by_latency.closest(process, size) == EC2_CLOSEST[process][:size]
+                assert by_rank.closest(process, size) == RANK_CLOSEST[process][:size]
+        with pytest.raises(ValueError):
+            by_rank.closest(0, 6)
 
 
 class TestTraceChecker:

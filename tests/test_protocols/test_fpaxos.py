@@ -28,6 +28,9 @@ class TestOrdering:
         orders = {tuple(process.executed_dots()) for process in cluster.processes}
         assert len(orders) == 1
         assert len(list(orders)[0]) == len(commands)
+        # Every submitted command was answered, so no submit bookkeeping is
+        # left behind.
+        assert all(not process._submitted_here for process in cluster.processes)
 
     def test_non_leader_submissions_are_forwarded(self, make_cluster):
         cluster = make_cluster("fpaxos")

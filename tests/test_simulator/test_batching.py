@@ -2,8 +2,8 @@
 
 Covers the MBatch envelope semantics: send order is preserved inside a
 batch, batches never span more than one event-handling step, stats count
-inner messages, and jitter/drop injection falls back to per-message
-behaviour.  The message-traffic regression test for the commit-request
+inner messages, and a degraded link (jitter, drops) falls back to
+per-message behaviour.  The message-traffic regression test for the commit-request
 debounce lives in ``tests/test_experiments/test_message_traffic.py``.
 """
 
@@ -13,7 +13,7 @@ from repro.core.base import MBatch, ProcessBase
 from repro.core.config import ProtocolConfig
 from repro.simulator.events import EventKind
 from repro.simulator.latency import uniform_latency_matrix
-from repro.simulator.network import Network, NetworkOptions
+from repro.simulator.network import LinkDegradation, Network
 from repro.simulator.rng import SeededRng
 from repro.simulator.sim import Simulation, SimulationOptions
 
@@ -36,16 +36,20 @@ class RecordingProcess(ProcessBase):
         self.seen.append((sender, message, now))
 
 
-def build(num_processes=3, **network_options):
+def build(num_processes=3, **degradation):
+    """``degradation`` (``LinkDegradation`` fields) degrades the a-b link,
+    the one between processes 0 and 1."""
     config = ProtocolConfig(num_processes=num_processes, faults=1)
     processes = [
         RecordingProcess(process_id, config) for process_id in range(num_processes)
     ]
     sites = [chr(ord("a") + index) for index in range(num_processes)]
     matrix = uniform_latency_matrix(sites, one_way_ms=10.0)
-    network = Network(matrix, NetworkOptions(**network_options), rng=SeededRng(7))
+    network = Network(matrix, rng=SeededRng(7))
     for process_id, site in zip(range(num_processes), sites):
         network.place(process_id, site)
+    if degradation:
+        network.degrade_link("a", "b", LinkDegradation(**degradation))
     simulation = Simulation(
         processes, network, SimulationOptions(tick_interval=1000.0, max_time=10_000.0)
     )
@@ -239,8 +243,8 @@ class TestBatchStatsFastPath:
         """``transmit`` inlines the body of ``_count_message`` for speed;
         this pins the two copies together: the inline accounting must stay
         byte-for-byte equivalent to routing the same messages through the
-        method (which the jittery/droppy ``transmit_batch`` path still
-        uses)."""
+        method (which the crashed and active-fault ``transmit_batch``
+        paths still use)."""
         messages = self._mixed_messages()
 
         _, inline_sim = build()

@@ -15,21 +15,14 @@ import pytest
 from repro.core.identifiers import intern_dot
 from repro.core.messages import MCommitRequest, MStable
 from repro.simulator.latency import ec2_latency_matrix
-from repro.simulator.network import (
-    LinkDegradation,
-    Network,
-    NetworkOptions,
-    TargetedLoss,
-)
+from repro.simulator.network import LinkDegradation, Network, TargetedLoss
 from repro.simulator.rng import FAULT_RNG_STREAM, SeededRng
 
 SITES = ["ireland", "canada", "singapore"]
 
 
-def make_network(**options) -> Network:
-    network = Network(
-        ec2_latency_matrix(SITES), NetworkOptions(**options), rng=SeededRng(1)
-    )
+def make_network() -> Network:
+    network = Network(ec2_latency_matrix(SITES), rng=SeededRng(1))
     for endpoint, site in enumerate(SITES):
         network.place(endpoint, site)
     return network
@@ -86,20 +79,20 @@ class TestPartition:
 class TestLinkDegradation:
     def test_extra_delay_is_added_both_ways(self):
         network = make_network()
-        base = network.delay(0, 1)
+        base = transmit(network, 0, 1)
         network.degrade_link("ireland", "canada", LinkDegradation(extra_delay_ms=30.0))
         assert transmit(network, 0, 1) == pytest.approx(base + 30.0)
         assert transmit(network, 1, 0) == pytest.approx(base + 30.0)
 
     def test_other_links_are_unaffected(self):
         network = make_network()
-        base = network.delay(0, 2)
+        base = transmit(network, 0, 2)
         network.degrade_link("ireland", "canada", LinkDegradation(extra_delay_ms=30.0))
         assert transmit(network, 0, 2) == pytest.approx(base)
 
     def test_jitter_is_bounded_and_varies(self):
         network = make_network()
-        base = network.delay(0, 1)
+        base = transmit(network, 0, 1)
         network.degrade_link(
             "ireland", "canada", LinkDegradation(extra_delay_ms=10.0, jitter_ms=5.0)
         )
@@ -117,7 +110,7 @@ class TestLinkDegradation:
 
     def test_restore_link_ends_the_window(self):
         network = make_network()
-        base = network.delay(0, 1)
+        base = transmit(network, 0, 1)
         network.degrade_link("ireland", "canada", LinkDegradation(extra_delay_ms=30.0))
         network.restore_link("canada", "ireland")  # order-insensitive key
         assert transmit(network, 0, 1) == pytest.approx(base)

@@ -9,10 +9,9 @@ from repro.core.base import ProcessBase
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.process import TempoProcess
-from repro.simulator.events import EventKind
 from repro.simulator.inline import InlineNetwork
 from repro.simulator.latency import ec2_latency_matrix, uniform_latency_matrix
-from repro.simulator.network import Network, NetworkOptions
+from repro.simulator.network import LinkDegradation, Network
 from repro.simulator.rng import SeededRng
 from repro.simulator.sim import Simulation, SimulationOptions
 
@@ -35,27 +34,33 @@ class EchoProcess(ProcessBase):
         self.ticks += 1
 
 
-def make_network(**options):
+def make_network():
     matrix = ec2_latency_matrix(["ireland", "canada"])
-    network = Network(matrix, NetworkOptions(**options), rng=SeededRng(1))
+    network = Network(matrix, rng=SeededRng(1))
     network.place(0, "ireland")
     network.place(1, "canada")
     return network
 
 
+def delay(network, sender, destination):
+    """Delivery time of one message sent at time zero."""
+    return network.transmit(sender, destination, "m", 0.0, lambda *args: None)
+
+
 class TestNetwork:
     def test_delay_between_sites_is_one_way_latency(self):
         network = make_network()
-        assert network.delay(0, 1) == 36.0
+        assert delay(network, 0, 1) == 36.0
 
     def test_local_delay(self):
         network = make_network()
         network.place(2, "ireland")
-        assert network.delay(0, 2) == network.options.local_latency_ms
+        assert delay(network, 0, 2) == network.options.local_latency_ms
 
     def test_jitter_adds_bounded_noise(self):
-        network = make_network(jitter_ms=5.0)
-        delays = {network.delay(0, 1) for _ in range(20)}
+        network = make_network()
+        network.degrade_link("ireland", "canada", LinkDegradation(jitter_ms=5.0))
+        delays = {delay(network, 0, 1) for _ in range(20)}
         assert all(36.0 <= delay <= 41.0 for delay in delays)
         assert len(delays) > 1
 
@@ -96,7 +101,7 @@ class TestNetwork:
 
     def test_drop_probability_validation(self):
         with pytest.raises(ValueError):
-            NetworkOptions(drop_probability=1.5)
+            LinkDegradation(drop_probability=1.5)
 
     def test_unplaced_endpoint_raises(self):
         network = make_network()
@@ -162,50 +167,39 @@ class TestSimulationLoop:
         simulation.run()
         assert received, "client reply should have been routed to the external endpoint"
 
-    def test_stop_predicate_halts_early(self):
+    def test_run_until_halts_early_and_resumes(self):
         processes, simulation = self.build()
         command = processes[0].new_command(["x"])
         simulation.submit_at(0.0, 0, command)
-        simulation.set_stop_predicate(lambda sim: sim.stats.events_processed >= 5)
-        stats = simulation.run()
-        assert stats.events_processed == 5
+        simulation.run(until=15.0)
+        # One 20 ms round trip is still in flight at the horizon.
+        assert simulation.now <= 15.0
+        assert command.dot not in processes[0].executed_dots()
+        simulation.run()
+        assert command.dot in processes[0].executed_dots()
+
+    def test_event_budget_halts_at_the_exact_count(self):
+        processes, simulation = self.build()
+        simulation.options.max_events = 5
+        simulation.submit_at(0.0, 0, processes[0].new_command(["x"]))
+        assert simulation.run().events_processed == 5
+        # The rest of the lane the budget cut through is still queued.
+        simulation.options.max_events = 1_000
+        simulation.run()
+        assert processes[0].executed
 
     def test_tick_events_recur(self):
         processes, simulation = self.build()
         simulation.run(until=50.0)
         assert simulation.stats.ticks >= 3 * 9
 
-    def test_targeted_tick_keeps_the_seed_per_process_chain(self):
-        """A TICK pushed with an explicit target (the seed's per-process
-        form) ticks that process alone and perpetuates its own chain,
-        without spawning a second fused all-process chain."""
+    def test_messages_are_counted_per_process(self):
         processes, simulation = self.build()
-        simulation.queue.push(2.0, EventKind.TICK, target=0)
-        simulation.run(until=20.0)
-        # Fused chain: 5, 10, 15, 20 -> 4 walks x 3 processes; targeted
-        # chain: 2, 7, 12, 17 -> 4 single ticks.
-        assert simulation.stats.ticks == 4 * 3 + 4
-
-    def test_process_registered_after_construction_is_accounted(self):
-        """The dict-era API allowed adding processes to a running deployment
-        (simulation.processes is public); the preallocated per-process
-        message table must grow rather than crash."""
-        config = ProtocolConfig(num_processes=3, faults=1)
-        partitioner = Partitioner(1)
-        processes = [
-            TempoProcess(process_id, config, partitioner=partitioner)
-            for process_id in range(3)
-        ]
-        matrix = uniform_latency_matrix(["a", "b", "c"], one_way_ms=10.0)
-        network = Network(matrix)
-        for process_id, site in zip(range(3), ["a", "b", "c"]):
-            network.place(process_id, site)
-        simulation = Simulation(processes[:2], network, SimulationOptions(max_time=2_000.0))
-        simulation.processes[2] = processes[2]
-        command = processes[0].new_command(["x"])
-        simulation.submit_at(1.0, 0, command)
-        simulation.run()
-        assert simulation.stats.per_process_messages.get(2, 0) > 0
+        simulation.submit_at(1.0, 0, processes[0].new_command(["x"]))
+        stats = simulation.run()
+        per_process = stats.per_process_messages
+        assert sorted(per_process) == [0, 1, 2]
+        assert sum(per_process.values()) == stats.messages_delivered
 
 
 class TestInlineNetwork:
