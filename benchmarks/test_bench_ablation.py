@@ -17,7 +17,8 @@ from repro.cluster.config import ExperimentConfig
 from repro.cluster.replicas import build_replicas
 from repro.cluster.runner import run_experiment
 from repro.core.config import ProtocolConfig
-from repro.simulator.inline import RecordingNetwork
+from repro.core.messages import MPropose, MProposeAck
+from repro.simulator.inline import InlineNetwork, RecordingNetwork
 
 
 def _fast_path_ratio(faults: int, concurrent: int, epaxos_style: bool) -> float:
@@ -26,23 +27,34 @@ def _fast_path_ratio(faults: int, concurrent: int, epaxos_style: bool) -> float:
     processes = build_replicas(
         "tempo", ProtocolConfig(num_processes=5, faults=faults)
     ).processes
-    network = RecordingNetwork(processes)
+    network = InlineNetwork(processes)
+    # The proposals each coordinator decides on, read off the wire (an
+    # executed record no longer holds them): its own is the timestamp of
+    # its MPropose, the members' arrive as MProposeAcks addressed to it.
+    proposed: Dict[object, Dict[int, int]] = {}
+
+    def note(envelopes):
+        for envelope in envelopes:
+            message = envelope.message
+            if isinstance(message, MPropose) or (
+                isinstance(message, MProposeAck)
+                and envelope.destination == message.dot.source
+            ):
+                proposed.setdefault(message.dot, {})[envelope.sender] = message.timestamp
+        return envelopes
+
+    network.set_reorder(note)
     commands = []
     for index in range(concurrent):
         process = processes[index % 5]
         command = process.new_command(["hot"])
         process.submit(command, 0.0)
         commands.append(command)
-    # 15 one-millisecond rounds: the ratio below reads the per-command
-    # records, which the watermark GC drops a gc_interval (25 ms) in.
     network.settle(rounds=15)
     fast = 0
     for command in commands:
-        coordinator = processes[command.dot.source]
-        record = coordinator._info[command.dot]
-        proposals = list(record.proposals.values())
-        if not proposals:
-            continue
+        proposals = list(proposed[command.dot].values())
+        assert len(proposals) == processes[0].config.fast_quorum_size
         top = max(proposals)
         if epaxos_style:
             taken = len(set(proposals)) == 1

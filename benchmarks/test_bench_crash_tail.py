@@ -2,8 +2,9 @@
 
 A Tempo coordinator is crashed mid-run under the contended fig6 workload.
 Commands it was coordinating are stranded mid-broadcast: fast-quorum members
-self-commit from the ack broadcast, everyone else learns of the identifiers
-only through promise broadcasts (commit hints) whose promised commit never
+self-commit from the ack broadcast and relay the commit to their share of
+the other replicas; whoever was the crashed coordinator's own share learns
+of the identifiers only through promise broadcasts whose commit never
 arrives — the exact path on which the repair pass (``repro.core.repair``)
 asks for the commit with an ``MRepairRequest`` one recovery timeout later.
 Meanwhile the stranded attached promises freeze the stability frontier,
@@ -92,12 +93,19 @@ def test_bench_crash_during_contention_tail(benchmark, results_emitter):
     assert agreed[: len(prefix)] == prefix
 
     # Bounded tail: the stall is capped by the recovery machinery, not the
-    # run length; the fast path (median) is unaffected.
+    # run length; the fast path (median) is unaffected.  Site by site: the
+    # crashed site's clients are the fastest and stop contributing, which
+    # alone moves the pooled median (186.0 -> 211.5) while no surviving
+    # site's own median moves by more than 21 ms.
     assert crashed.percentile(99.9) <= TAIL_BOUND_MS, _row("crash", crashed)
     assert crashed.percentile(99.9) > healthy.percentile(99.9), (
         "crash run should show the recovery stall in its tail"
     )
-    assert abs(crashed.percentile(50.0) - healthy.percentile(50.0)) <= 25.0
+    for site in crashed.deployment.sites[1:]:
+        gap = crashed.per_site_latency[site].percentile(
+            50.0
+        ) - healthy.per_site_latency[site].percentile(50.0)
+        assert abs(gap) <= 25.0, (site, gap)
 
     # The repair pass fired for the stranded identifiers and only for them
     # (the healthy twin asks for nothing), and nothing is left waiting:

@@ -41,9 +41,10 @@ cross-shard, so losing a cross-partition ``MStable`` is exhaustively
 enumerated — the model counterpart of the scenario matrix's
 ``mstable-loss/x-shard`` cell.
 
-The fast-path MCommit elision (fast-quorum members self-commit, so the
-coordinator skips their commit message) and the globally-executed watermark
-exchange are part of the model.  Every reachable state — not just quiescent
+The fast-path MCommit elision and relay (fast-quorum members self-commit,
+so nobody sends them a commit message, and each of them sends it to its
+share of the other processes) and the globally-executed watermark exchange
+are part of the model.  Every reachable state — not just quiescent
 ones — is checked against the collection-safety invariant: a dot at or
 below any process's watermark must have executed at EVERY replica, i.e. no
 committed command's bookkeeping is ever dropped before it is globally
@@ -492,12 +493,19 @@ def _tempo_digest(process: TempoProcess) -> object:
                 record.accepted_ballot,
                 record.stable_sent,
                 tuple(sorted(record.partition_commits.items())),
-                tuple(sorted(record.proposals.items())),
-                tuple(sorted(repr(p) for p in record.collected_attached)),
-                repr(record.collected_detached),
+                # Released (None) once executed: reads as empty.
+                tuple(sorted((record.proposals or {}).items())),
+                tuple(sorted(repr(p) for p in record.collected_attached or ())),
+                tuple(
+                    sorted(
+                        record.collected_detached.to_wire().items()
+                        if record.collected_detached
+                        else ()
+                    )
+                ),
                 tuple(
                     (ts, tuple(sorted(acks)))
-                    for ts, acks in sorted(record.consensus_acks.items())
+                    for ts, acks in sorted((record.consensus_acks or {}).items())
                 ),
                 tuple(sorted(record.stable_from)),
             )
@@ -561,11 +569,12 @@ def explore_tempo(
     against the collection-safety invariant (no dot collected before it
     executed everywhere).
 
-    State-space sizes (exhaustive, clean): the default-config
-    ``r=3, 2 commands`` model has 121,225 states with 42,624 final
-    (quiescent-then-settled) states; with ``ack_broadcast=False`` the
-    commit traffic shrinks and the same schedule closes in a few thousand
-    states — the right size for a per-commit pytest gate.  Mutation hunts
+    State-space sizes (exhaustive, clean, ``r=3``): two commands close in
+    88 states, three in 1 682 (64 and 976 with ``ack_broadcast=False``);
+    ``r=4`` with two commands in 10 101.  The fingerprint must stay a pure
+    function of protocol state — an object address in it (a default
+    ``repr``) makes every restored copy a new state and turns these
+    lattices into interleaving trees of 10^4-10^5 nodes.  Mutation hunts
     should pass ``stop_at_first_violation=True``: the DFS unwinds at the
     first settled state that breaks an invariant instead of enumerating
     the rest of the space.

@@ -55,6 +55,20 @@ class CommandInfo:
     stable_sent: bool = False
     stable_from: Set[int] = field(default_factory=set)
 
+    def release_commit_state(self) -> None:
+        """Drop what only the commit protocol reads, once the command has
+        executed: the record then lives on (until the watermark GC collects
+        it, or for good at a foreign shard) for duplicate suppression and
+        repair replies alone, which need ``command``, ``quorums``,
+        ``final_timestamp``, ``phase`` and ``stable_from``.  The five
+        containers are ~0.7 KB of a ~1 KB record (``docs/memory.md``); no
+        handler reaches them past the pending phases."""
+        self.proposals = None
+        self.collected_attached = None
+        self.collected_detached = None
+        self.consensus_acks = None
+        self.recovery_acks = None
+
     def move_to(self, new_phase: Phase) -> None:
         """Transition to ``new_phase``, enforcing Figure 1.
 

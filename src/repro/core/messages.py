@@ -183,11 +183,11 @@ class MPromises(Message):
     command); a sentinel dot identifying the sender is used instead.
 
     ``committed`` piggybacks commit metadata: the subset of ``attached``
-    identifiers the sender already knows to be committed.  A receiver that
-    only knows such an identifier through its attached promises can rely on
-    the coordinator's commit broadcast (which provably reached the sender
-    and is therefore in flight) instead of issuing an ``MCommitRequest``
-    round — see ``docs/batching.md`` for the full rule.
+    identifiers the sender already knows to be committed.  It used to let a
+    receiver skip the healthy-path ``MCommitRequest`` for such an
+    identifier; with the commit relay nothing is requested on the healthy
+    path, so the field is still sent but has no reader
+    (``docs/wire_format.md``).
 
     ``detached`` is range-encoded (``PromiseRangeWire``): detached promises
     are issued by clock jumps and therefore arrive as contiguous runs, so

@@ -68,22 +68,25 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
 
     def __init__(self, *args, ack_broadcast: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: Implementation-level optimisation (documented in DESIGN.md):
-        #: fast-quorum members send their MProposeAck to the whole fast
-        #: quorum, so every member can detect the fast-path commit locally
-        #: instead of waiting for the coordinator's MCommit.  This removes a
-        #: wide-area round trip from the stability-detection path and is what
-        #: lets execution happen essentially at commit time, as in the
-        #: paper's evaluation.  Safety is unaffected: every member computes
-        #: the same timestamp from the same set of proposals and only
-        #: self-commits when the fast-path condition holds.
+        #: Implementation-level optimisation: fast-quorum members send their
+        #: MProposeAck to the whole fast quorum, so every member detects the
+        #: fast-path commit locally instead of waiting for the coordinator's
+        #: MCommit.  Every member computes the same timestamp from the same
+        #: set of proposals and only self-commits when the fast-path
+        #: condition holds (the one gap, a member crashing right after it
+        #: did, is ROADMAP item 2(e)).  Two things follow from it,
+        #: on the fast path only (slow path and recovery outcomes are known
+        #: to the leader alone and keep the full coordinator broadcast):
         #:
-        #: It also lets the fast path skip the MCommit to the own-partition
-        #: fast-quorum members: they hold every proposal of the quorum and
-        #: self-commit the identical timestamp (:meth:`_local_fast_commit`),
-        #: so the message carries no information they lack.  The slow path
-        #: never elides: consensus outcomes are only known to the leader.
-        #: Lost-ack liveness is covered by the repair pass
+        #: * elision — own-partition fast-quorum members get no MCommit:
+        #:   they self-commit the identical timestamp with the identical
+        #:   promises (:meth:`_local_fast_commit`);
+        #: * relay — every other process of ``I_c`` gets its MCommit from
+        #:   exactly one quorum member, the one whose copy arrives first
+        #:   (:meth:`QuorumSystem.commit_relays`, ``docs/commit_relay.md``).
+        #:
+        #: A lost ack or relayed copy, or a relayer crashed after
+        #: self-committing, is the repair pass's to replace
         #: (:mod:`repro.core.repair`).
         self.ack_broadcast = ack_broadcast
         self.clock = LogicalClock()
@@ -95,8 +98,8 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         self._buffered_attached: Dict[Dot, List[Tuple[int, int]]] = {}
         #: Committed-but-not-executed identifiers and their final timestamps.
         self._committed: Dict[Dot, int] = {}
-        #: Identifiers for which the healthy-path MCommitRequest (Algorithm 6,
-        #: line 96) was already sent; asking again is the repair pass's job.
+        #: Recovery-phase identifiers for which the MCommitRequest (Algorithm
+        #: 6, line 96) was already sent; asking again is the repair pass's job.
         self._commit_requested: Set[Dot] = set()
         #: The repair pass's only state: per need, the dots missing that
         #: ingredient mapped to ``[since, asked]`` (:mod:`repro.core.repair`).
@@ -119,16 +122,12 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         #: Like ``_stability_dirty`` but for MStable notifications, which
         #: only require an execution attempt, not a full stability pass.
         self._execute_dirty = False
-        #: ``_commit_info_targets`` result per fast-quorum tuple (the quorum
-        #: determines the answer; commands share a handful of quorums).
-        self._commit_info_target_cache: Dict[
-            Tuple[int, ...], Optional[List[int]]
-        ] = {}
         #: Sorted ack-broadcast target list per fast-quorum tuple.
         self._ack_target_cache: Dict[Tuple[int, ...], List[int]] = {}
-        #: Fast-path MCommit target list with the self-committing quorum
-        #: members elided, cached per (partition set, fast quorum).
-        self._elided_target_cache: Dict[
+        #: Fast-path MCommit targets of *this* process — the share of
+        #: ``I_c`` the relay plan assigns it, plus itself when it
+        #: coordinates — cached per (partition set, fast quorum).
+        self._fast_commit_target_cache: Dict[
             Tuple[FrozenSet[int], Tuple[int, ...]], List[int]
         ] = {}
         #: Broadcast target lists (``I_c``) cached per accessed-partition
@@ -421,7 +420,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         is_coordinator = bool(fast_quorum) and fast_quorum[0] == self.process_id
         if count >= self.config.faults:
             if is_coordinator:
-                self._broadcast_commit(dot, record, timestamp, now, elide=True)
+                self._broadcast_commit(dot, record, timestamp, now, fast=True)
             else:
                 self._local_fast_commit(dot, record, timestamp, now)
         elif is_coordinator:
@@ -436,6 +435,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
     ) -> None:
         """A non-coordinator fast-quorum member observed the fast-path commit
         for its own partition (``ack_broadcast`` optimisation)."""
+        # A multi-partition dot stays in PROPOSE until the other partitions
+        # report, so a duplicate ack can bring it back here: relay once.
+        first = self.partition not in record.partition_commits
         peers = self.partition_peer_set()
         if record.collected_detached:
             self.promises.absorb_ranges(record.collected_detached.to_wire(), only=peers)
@@ -450,6 +452,8 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record.partition_commits[self.partition] = max(
             record.partition_commits.get(self.partition, 0), timestamp
         )
+        if first:
+            self._broadcast_commit(dot, record, timestamp, now, fast=True)
         self._maybe_commit(dot, now)
 
     def _broadcast_commit(
@@ -458,19 +462,34 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record: CommandInfo,
         timestamp: int,
         now: float,
-        elide: bool = False,
+        fast: bool = False,
     ) -> None:
-        """Send MCommit for this partition to every process in ``I_c``.
+        """Send MCommit for this partition to the processes of ``I_c``.
 
-        With ``elide`` (fast path only) under ``ack_broadcast``, the
-        own-partition fast-quorum members are dropped from the target list:
-        each of them holds the full proposal set through the ack broadcast
-        and self-commits the same timestamp — including the piggybacked
-        attached/detached promises, which it absorbed from the acks
-        themselves.  The coordinator itself, non-quorum peers (who need the
-        promises) and every cross-partition process still receive the
-        message.
+        Slow path, recovery and ``ack_broadcast=False``: the coordinator
+        sends to all of them.  With ``fast`` under ``ack_broadcast`` every
+        fast-quorum member holds the full proposal set — and the promises
+        piggybacked on the acks — so the own-partition quorum members get
+        no copy (they self-commit the same timestamp) and every other
+        process gets exactly one, from the member the relay plan names;
+        this process sends its share of that plan, plus the copy the
+        coordinator commits itself by.
         """
+        if fast and self.ack_broadcast:
+            quorum = tuple(record.quorums.get(self.partition, ()))
+            key = (frozenset(record.quorums), quorum)
+            targets = self._fast_commit_target_cache.get(key)
+            if targets is None:
+                targets = self.quorum_system.commit_relays(
+                    quorum, self._targets_for(record.quorums)
+                )[self.process_id]
+                if quorum[0] == self.process_id:
+                    targets = sorted(targets + [self.process_id])
+                self._fast_commit_target_cache[key] = targets
+            if not targets:
+                return
+        else:
+            targets = self._targets_for(record.quorums)
         commit = MCommit(
             dot,
             timestamp=timestamp,
@@ -478,16 +497,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             attached=frozenset(record.collected_attached),
             detached=record.collected_detached.to_wire(),
         )
-        targets = self._targets_for(record.quorums)
-        if elide and self.ack_broadcast:
-            quorum = record.quorums.get(self.partition, ())
-            key = (frozenset(record.quorums), tuple(quorum))
-            elided = self._elided_target_cache.get(key)
-            if elided is None:
-                skip = set(quorum) - {self.process_id}
-                elided = [t for t in targets if t not in skip]
-                self._elided_target_cache[key] = elided
-            targets = elided
         self.send(targets, commit, now)
         if self.reliability is not None:
             # Lossy-run safety net: keep the commit buffered until every
@@ -515,15 +524,13 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         """Commit once a slow quorum accepted the proposal (line 31)."""
         dot = message.dot
         record = self._info.get(dot)
-        if record is None:
-            return
+        if record is None or not record.is_pending:
+            return  # decided already: a late ack has nothing left to drive
         acks = record.consensus_acks.setdefault(message.ballot, set())
         acks.add(sender)
         if record.ballot != message.ballot:
             return
         if len(acks) < self.config.slow_quorum_size:
-            return
-        if record.is_committed:
             return
         self._broadcast_commit(dot, record, record.timestamp, now)
 
@@ -642,7 +649,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         """Absorb promises broadcast by a peer (Algorithm 2, line 46)."""
         if message.detached:
             self.promises.absorb_ranges(message.detached)
-        committed_hints = message.committed
         gc = self.gc
         for dot, attached in message.attached.items():
             record = self._info.get(dot)
@@ -660,125 +666,21 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             buffered.extend(
                 (promise.process, promise.timestamp) for promise in attached
             )
+            # The dot's MCommit is pushed here by exactly one sender
+            # (coordinator or relaying quorum member), so nothing is asked
+            # on the healthy path; if that copy is lost the repair pass
+            # pulls it one recovery timeout from now.  The one exception:
+            # a recovery-phase record waits on MRec, which committed peers
+            # ignore (§B.1) — ask them for the outcome, once.
             self._await_commit(dot, now)
-            # The commit-metadata piggyback only replaces the request round
-            # for identifiers this process knows nothing about: a peer
-            # reporting the commit proves the commit broadcast reached it,
-            # so on the common path the copy addressed here is in flight
-            # and requesting it again would duplicate the traffic.  (When
-            # that premise fails — the peer self-committed under a crashed
-            # coordinator, or this copy was lost — the repair pass asks
-            # one recovery timeout later.)  Known identifiers go through
-            # _request_commit_info, which applies the phase-aware debounce
-            # (and always requests for recovery-phase records: committed
-            # peers ignore MRec, §B.1).
-            hinted = dot in committed_hints and (
-                record is None or record.command is None
-            )
-            if not hinted and dot not in self._commit_requested:
-                self._request_commit_info(dot, record, now)
+            if (
+                record is not None
+                and record.phase in _RECOVERY_PHASES
+                and dot not in self._commit_requested
+            ):
+                self._commit_requested.add(dot)
+                self.send(self._other_peers, MCommitRequest(dot), now)
         self._schedule_stability_check(now)
-
-    def _request_commit_info(
-        self, dot: Dot, record: Optional[CommandInfo], now: float
-    ) -> None:
-        """Ask peers, once, for the payload/commit of an uncommitted
-        identifier a peer attached a promise to (Algorithm 6, line 96).
-
-        Identifiers whose command is already known and still driven by the
-        normal protocol (``ballot == 0``) are debounced by phase:
-
-        * ``PROPOSE``: this process is a fast-quorum member and will detect
-          the commit from the ack broadcast itself — never request.
-        * ``PAYLOAD``: the coordinator's MCommit broadcast is on its way,
-          but a fast-quorum member may self-commit (ack broadcast) well
-          before that broadcast arrives here, and its reply is what lets
-          this replica bump its clock early.  Request only from the peers
-          whose reply can actually beat the broadcast — see
-          :meth:`_commit_info_targets`.
-
-        Everything else asks every peer (recovery-phase identifiers
-        included: committed peers ignore MRec, §B.1).  A request or reply
-        that gets lost is the repair pass's to replace.
-        """
-        targets: Optional[List[int]] = None
-        if (
-            record is not None
-            and record.command is not None
-            and record.phase not in _RECOVERY_PHASES
-        ):
-            if record.phase is Phase.PROPOSE:
-                # Fast-quorum member: the commit arrives via the ack
-                # broadcast, or — when a consensus ballot was accepted —
-                # via the consensus leader's imminent commit broadcast.
-                return
-            if record.phase is Phase.PAYLOAD:
-                if record.ballot != 0:
-                    # Slow path underway: this process accepted (or saw)
-                    # a consensus proposal, so the leader's commit
-                    # broadcast is imminent.
-                    return
-                targets = self._commit_info_targets(record)
-        if targets is None:
-            targets = self._other_peers
-            in_recovery = record is not None and (
-                record.ballot != 0 or record.phase in _RECOVERY_PHASES
-            )
-            if not in_recovery:
-                # Same argument as _commit_info_targets: by the time the
-                # initial coordinator could answer, its own commit
-                # broadcast (which includes this process) is already out.
-                targets = [
-                    process for process in targets if process != dot.source
-                ] or targets
-        self._commit_requested.add(dot)
-        if targets:
-            self.send(targets, MCommitRequest(dot), now)
-
-    def _commit_info_targets(self, record: CommandInfo) -> Optional[List[int]]:
-        """Peers whose commit-info reply can beat the in-flight broadcast.
-
-        For a PAYLOAD-phase identifier the commit will arrive through the
-        coordinator's MCommit broadcast; a request is only useful where the
-        reply can arrive earlier.  The coordinator's own reply never can
-        (it replies only after committing, at which point its broadcast is
-        already out), and a farther process relaying the commit cannot beat
-        a closer one holding it, so the useful targets reduce to the
-        nearest non-coordinator fast-quorum member (the canonical early
-        self-committer) plus any non-quorum peer strictly closer than it
-        (whose own early-learned commit can be relayed faster).  Returns
-        ``None`` when the quorum is unknown, falling back to all peers.
-        """
-        quorum = record.quorums.get(self.partition, ())
-        if not quorum:
-            return None
-        cache = self._commit_info_target_cache
-        if quorum in cache:
-            return cache[quorum]
-        quorum_set = set(quorum)
-        # Every other peer, nearest first.
-        order = self.quorum_system.closest(
-            self.process_id, len(self._partition_peers)
-        )[1:]
-        nearest = next(
-            (peer for peer in order if peer in quorum_set and peer != quorum[0]),
-            None,
-        )
-        if nearest is None:
-            cache[quorum] = None
-            return None
-        distance = self.quorum_system.distance
-        cutoff = distance(self.process_id, nearest)
-        targets = sorted(
-            [nearest]
-            + [
-                peer
-                for peer in order
-                if peer not in quorum_set and distance(self.process_id, peer) < cutoff
-            ]
-        )
-        cache[quorum] = targets
-        return targets
 
     def _on_commit_request(self, sender: int, message: Message, now: float) -> None:
         """Re-send payload and commit information (Algorithm 6, line 86)."""
@@ -884,6 +786,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if command is None:
             raise RuntimeError(f"executing {dot} without a payload")
         record.move_to(Phase.EXECUTE)
+        record.release_commit_state()
         del self._committed[dot]
         self._execute_command(dot, command, now, record.submitted_at is not None)
 

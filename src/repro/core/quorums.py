@@ -16,7 +16,7 @@ paper's implementation does to minimise the fast-path round-trip.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import ProtocolConfig
 
@@ -90,6 +90,43 @@ class QuorumSystem:
             )
             quorum = self._closest[key] = [process] + others[: count - 1]
         return quorum
+
+    def commit_relays(
+        self, quorum: Sequence[int], targets: Iterable[int]
+    ) -> Dict[int, List[int]]:
+        """Who sends the fast-path ``MCommit`` to whom: every process of
+        ``targets`` outside ``quorum`` mapped to exactly one quorum member,
+        the one whose copy arrives first.
+
+        With the ack broadcast member ``m`` of a quorum led by
+        ``c = quorum[0]`` holds every proposal at
+        ``learn(m) = max_k d(c, k) + d(k, m)`` (``2 * d(c, k)`` for ``c``
+        itself), and its copy reaches ``p`` at ``learn(m) + d(m, p)``.  Ties
+        go to the coordinator, then to the lowest id.  A pure function of
+        the quorum and the distances, so the coordinator and every member
+        derive the same plan without exchanging a message
+        (``docs/commit_relay.md``).
+        """
+        distance = self.distance
+        coordinator = quorum[0]
+        learn = {
+            member: max(
+                distance(coordinator, k) + distance(k, member) for k in quorum
+            )
+            for member in quorum
+        }
+        plan: Dict[int, List[int]] = {member: [] for member in quorum}
+        for target in sorted(set(targets) - set(quorum)):
+            sender = min(
+                quorum,
+                key=lambda member: (
+                    learn[member] + distance(member, target),
+                    member != coordinator,
+                    member,
+                ),
+            )
+            plan[sender].append(target)
+        return plan
 
     def fast_quorum(self, coordinator: int, partition: int) -> List[int]:
         """Fast quorum for ``partition`` led by ``coordinator``."""

@@ -107,13 +107,13 @@ class RecoveryMixin:
         """Handle ``MRecAck`` (Algorithm 4, line 86)."""
         dot = message.dot
         info = self._info.get(dot)
-        if info is None:
+        if info is None or not info.is_pending:
             return
         acks = info.recovery_acks.setdefault(message.ballot, {})
         acks[sender] = (message.timestamp, message.phase, message.accepted_ballot)
         if len(acks) < self.config.recovery_quorum_size:
             return
-        if info.ballot != message.ballot or not info.is_pending:
+        if info.ballot != message.ballot:
             return
         proposal = self._recovery_consensus_value(dot, info, acks)
         self.send(

@@ -24,13 +24,16 @@ class TempoCluster:
         faults: int = 1,
         num_partitions: int = 1,
         partitioner: Optional[Partitioner] = None,
+        latencies=None,
     ) -> None:
         self.config = ProtocolConfig(
             num_processes=num_processes,
             faults=faults,
             num_partitions=num_partitions,
         )
-        replicas = build_replicas("tempo", self.config, partitioner=partitioner)
+        replicas = build_replicas(
+            "tempo", self.config, partitioner=partitioner, latencies=latencies
+        )
         self.stores: Dict[int, KeyValueStore] = replicas.stores
         self.processes: List[TempoProcess] = replicas.processes
         self.network = InlineNetwork(self.processes)

@@ -15,7 +15,9 @@ from repro.core.messages import (
     MPayload,
     MPromises,
     MPropose,
+    MRepairRequest,
     MStable,
+    Need,
 )
 from repro.core.phases import Phase
 from repro.core.process import TempoProcess
@@ -91,7 +93,22 @@ class TestOutOfOrderDelivery:
 
 
 class TestUnknownCommands:
-    def test_attached_promises_for_unknown_commands_trigger_a_commit_request(self):
+    """An attached promise may be the first a replica hears of a command.
+    Its MCommit is pushed by exactly one sender, so the healthy path asks
+    nobody; a copy that never arrives is the repair pass's to pull, once
+    per recovery-timeout window."""
+
+    WINDOW = 500.0  # ProtocolConfig.recovery_timeout
+
+    @staticmethod
+    def asked(target, kind):
+        return [
+            (envelope.destination, envelope.message.dot)
+            for envelope in target.drain_outbox()
+            if isinstance(envelope.message, kind)
+        ]
+
+    def test_attached_promises_for_unknown_commands_wait_for_the_repair_pass(self):
         processes, _ = build()
         target = processes[1]
         ghost = Dot(0, 42)
@@ -101,12 +118,14 @@ class TestUnknownCommands:
             attached={ghost: frozenset({Promise(2, 5)})},
         )
         target.deliver(2, message, 0.0)
-        requests = [
-            envelope
-            for envelope in target.drain_outbox()
-            if isinstance(envelope.message, MCommitRequest)
-        ]
-        assert requests and requests[0].message.dot == ghost
+        # Buffered, not counted (Algorithm 2, line 47), and nothing asked.
+        assert target._buffered_attached[ghost] == [(2, 5)]
+        assert target.promises.highest_contiguous_promise(2) == 0
+        assert target.drain_outbox() == []
+        assert target.blocked_on(self.WINDOW - 5.0) == []
+        assert target.blocked_on(self.WINDOW) == [(Need.COMMIT, ghost, 0.0)]
+        target.tick(self.WINDOW)
+        assert self.asked(target, MRepairRequest) == [(0, ghost), (2, ghost)]
 
     def test_commit_request_for_unknown_command_is_ignored(self):
         processes, _ = build()
@@ -114,7 +133,7 @@ class TestUnknownCommands:
         target.deliver(2, MCommitRequest(Dot(0, 99)), 0.0)
         assert target.drain_outbox() == []
 
-    def test_commit_request_is_sent_only_once_per_identifier(self):
+    def test_commit_request_is_sent_only_once_per_window_by_the_repair_pass(self):
         processes, _ = build()
         target = processes[1]
         ghost = Dot(0, 43)
@@ -122,14 +141,16 @@ class TestUnknownCommands:
             Dot(2, 1), attached={ghost: frozenset({Promise(2, 6)})}
         )
         target.deliver(2, message, 0.0)
-        target.drain_outbox()
-        target.deliver(2, message, 0.0)
-        repeats = [
-            envelope
-            for envelope in target.drain_outbox()
-            if isinstance(envelope.message, MCommitRequest)
-        ]
-        assert repeats == []
+        target.deliver(2, message, 5.0)  # repeated mention: the clock keeps running
+        assert self.asked(target, MCommitRequest) == []
+        rounds = []
+        for tick in range(1, 2 * int(self.WINDOW / 5.0)):
+            target.tick(tick * 5.0)
+            if self.asked(target, MRepairRequest):
+                rounds.append(tick * 5.0)
+        assert rounds == [self.WINDOW]
+        target.tick(2 * self.WINDOW)
+        assert self.asked(target, MRepairRequest) == [(0, ghost), (2, ghost)]
 
     def test_detached_promises_from_unknown_processes_are_harmless(self):
         processes, _ = build()

@@ -96,3 +96,85 @@ class TestCoordinators:
         for partition, quorum in mapping.items():
             assert set(quorum) <= set(config.processes_of_partition(partition))
             assert len(quorum) == config.fast_quorum_size
+
+
+#: ``commit_relays(fast_quorum(c), I_c)`` on the paper's five EC2 sites
+#: (ireland, n-california, singapore, canada, sao-paulo), per f and
+#: coordinator c: sender -> the processes it serves.  Pinned literally so a
+#: change to distances or tie-breaking cannot move the plan silently.
+EC2_RELAYS = {
+    1: {
+        0: {0: [], 3: [], 1: [2, 4]},
+        1: {1: [], 3: [], 0: [2, 4]},
+        2: {2: [], 1: [], 0: [3, 4]},
+        3: {3: [2, 4], 0: [], 1: []},
+        4: {4: [], 3: [1], 0: [2]},
+    },
+    2: {
+        0: {0: [], 3: [2], 1: [], 4: []},
+        1: {1: [], 3: [4], 0: [], 2: []},
+        2: {2: [], 1: [], 0: [], 3: [4]},
+        3: {3: [2], 0: [], 1: [], 4: []},
+        4: {4: [], 3: [2], 0: [], 1: []},
+    },
+}
+
+
+def ec2_quorum_system(**config):
+    from repro.cluster.config import ExperimentConfig
+    from repro.cluster.runner import _Deployment
+
+    return _Deployment(ExperimentConfig(protocol="tempo", **config)).quorum_system
+
+
+class TestCommitRelays:
+    """The fast-path ``MCommit`` relay plan (``docs/commit_relay.md``)."""
+
+    @pytest.mark.parametrize("faults", [1, 2])
+    def test_plan_on_the_ec2_sites_is_the_pinned_table(self, faults):
+        quorums = ec2_quorum_system(faults=faults)
+        for coordinator in range(5):
+            quorum = quorums.fast_quorum(coordinator, 0)
+            plan = quorums.commit_relays(quorum, range(5))
+            assert plan == EC2_RELAYS[faults][coordinator]
+
+    def test_rank_distance_three_replicas_the_member_relays(self):
+        quorums = QuorumSystem(ProtocolConfig(num_processes=3, faults=1))
+        assert quorums.commit_relays([0, 1], range(3)) == {0: [], 1: [2]}
+        assert quorums.commit_relays([1, 0], range(3)) == {1: [], 0: [2]}
+        assert quorums.commit_relays([2, 0], range(3)) == {2: [], 0: [1]}
+
+    def test_two_shard_plan_covers_the_other_shard(self):
+        """3 sites x 2 shards: ``I_c`` is all six processes.  The coordinator
+        keeps only its co-located replica of the other shard (0.25 ms away);
+        the one member, which holds the outcome a quorum round trip earlier
+        than the coordinator, serves everybody else."""
+        quorums = ec2_quorum_system(faults=1, num_sites=3, num_shards=2)
+        assert quorums.commit_relays([0, 1], range(6)) == {0: [3], 1: [2, 4, 5]}
+        assert quorums.commit_relays([4, 3], range(6)) == {4: [1], 3: [0, 2, 5]}
+        assert quorums.commit_relays([5, 4], range(6)) == {5: [2], 4: [0, 1, 3]}
+
+    @pytest.mark.parametrize("faults", [1, 2])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_every_outsider_has_exactly_one_sender(self, faults, shards):
+        quorums = ec2_quorum_system(faults=faults, num_shards=shards)
+        everyone = range(5 * shards)
+        for coordinator in everyone:
+            quorum = quorums.fast_quorum(coordinator, coordinator // 5)
+            plan = quorums.commit_relays(quorum, everyone)
+            assert set(plan) == set(quorum)
+            served = sorted(target for share in plan.values() for target in share)
+            assert served == sorted(set(everyone) - set(quorum))
+
+    def test_ties_go_to_the_coordinator_then_the_lowest_id(self):
+        # Uniform distances: a member learns at 2 (c -> k -> m) and the
+        # coordinator at 2 as well, so every target is a tie.
+        latencies = {a: {b: 0.0 if a == b else 1.0 for b in range(5)} for a in range(5)}
+        quorums = QuorumSystem(
+            ProtocolConfig(num_processes=5, faults=1), latencies=latencies
+        )
+        assert quorums.commit_relays([2, 0, 1], range(5)) == {2: [3, 4], 0: [], 1: []}
+        # With the coordinator's own link slower the members tie: lowest id.
+        for member in (0, 1):
+            latencies[2][member] = latencies[member][2] = 3.0
+        assert quorums.commit_relays([2, 1, 0], range(5)) == {2: [], 1: [], 0: [3, 4]}

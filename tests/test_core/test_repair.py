@@ -18,7 +18,6 @@ from repro.core.commands import Partitioner
 from repro.core.identifiers import Dot
 from repro.core.messages import (
     MCommit,
-    MCommitRequest,
     MPayload,
     MPromises,
     MRepairRequest,
@@ -94,17 +93,11 @@ def non_quorum_member(cluster: TempoCluster, coordinator: int = 0) -> TempoProce
 
 def attached_only_commit_lost():
     """Payload and commit lost toward a replica outside the fast quorum.  It
-    learns of the dot through an attached promise alone; the one
-    MCommitRequest that triggers finds nobody committed yet."""
+    learns of the dot through an attached promise alone, broadcast before
+    anybody committed, and asks nobody until the dot is overdue."""
     cluster = TempoCluster(num_processes=5, faults=1)
     victim = non_quorum_member(cluster)
-    lost = toward(victim, MPayload, MCommit)
-    drive = Drive(
-        cluster,
-        victim,
-        lambda e, now: lost(e, now)
-        or (e.sender == victim.process_id and isinstance(e.message, MCommitRequest)),
-    )
+    drive = Drive(cluster, victim, toward(victim, MPayload, MCommit))
     command = cluster.submit(0, ["x"])
     cluster.network.step()  # proposals made, acks still queued: not committed
     for process in cluster.processes:
@@ -114,8 +107,8 @@ def attached_only_commit_lost():
 
 
 def hinted_commit_lost():
-    """Payload and commit lost toward a replica that then hears from a
-    peer's MPromises that the dot is committed: a hint, so no request."""
+    """Payload and commit lost toward a replica that first hears of the dot
+    from a peer's MPromises after everybody else committed it."""
     cluster = TempoCluster(num_processes=5, faults=1)
     victim = non_quorum_member(cluster)
     drive = Drive(cluster, victim, toward(victim, MPayload, MCommit))
@@ -254,7 +247,7 @@ def test_healthy_run_is_never_blocked_and_never_asks():
 def test_blocked_on_is_pure():
     drive, dot, need, _ = hinted_commit_lost()
     victim = drive.victim
-    drive.run(until=TICK)  # the first promise broadcast carries the hint
+    drive.run(until=TICK)  # the first promise broadcast names the dot
     overdue_at = TICK + WINDOW
     assert victim.blocked_on(overdue_at - TICK) == []
     assert victim.blocked_on(overdue_at) == [(need, dot, TICK)]
