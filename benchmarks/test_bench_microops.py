@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.core.clock import LogicalClock
 from repro.core.identifiers import Dot
-from repro.core.promises import Promise, PromiseSet
+from repro.core.promises import PromiseSet
 from repro.kvstore.store import KeyValueStore
 from repro.core.commands import Command
 from repro.protocols.depgraph import DependencyGraph
@@ -20,7 +20,7 @@ def test_bench_promise_set_insertion(benchmark):
         promises = PromiseSet()
         for process in range(5):
             for timestamp in range(1, 501):
-                promises.add(Promise(process, timestamp))
+                promises.add_timestamp(process, timestamp)
         return promises
 
     promises = benchmark(insert)
@@ -31,7 +31,7 @@ def test_bench_stability_query(benchmark):
     promises = PromiseSet()
     for process in range(5):
         for timestamp in range(1, 2001):
-            promises.add(Promise(process, timestamp))
+            promises.add_timestamp(process, timestamp)
 
     result = benchmark(promises.stable_timestamp, range(5))
     assert result == 2000

@@ -60,12 +60,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.consistency import Violation
+from repro.cluster.replicas import build_replicas
 from repro.core.base import ProcessBase
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 from repro.core.process import TempoProcess
-from repro.core.quorums import QuorumSystem
 from repro.protocols.caesar import CaesarProcess
 
 #: A channel is the FIFO of in-flight messages from one process to another.
@@ -495,7 +495,6 @@ def _tempo_digest(process: TempoProcess) -> object:
                 tuple(sorted(record.partition_commits.items())),
                 # Released (None) once executed: reads as empty.
                 tuple(sorted((record.proposals or {}).items())),
-                tuple(sorted(repr(p) for p in record.collected_attached or ())),
                 tuple(
                     sorted(
                         record.collected_detached.to_wire().items()
@@ -591,15 +590,9 @@ def explore_tempo(
                 f"key{partition}": partition for partition in range(num_partitions)
             },
         )
-    processes = [
-        TempoProcess(
-            process_id,
-            config,
-            partitioner=partitioner,
-            ack_broadcast=ack_broadcast,
-        )
-        for process_id in range(config.total_processes())
-    ]
+    processes = build_replicas(
+        "tempo", config, partitioner=partitioner, ack_broadcast=ack_broadcast
+    ).processes
     dots = []
     for index in range(num_commands):
         submitter = processes[index % len(processes)]
@@ -795,11 +788,7 @@ def explore_caesar(
     invariant is asserted in every reachable state either way).
     """
     config = ProtocolConfig(num_processes=num_processes, faults=faults)
-    partitioner = Partitioner(1)
-    processes = [
-        CaesarProcess(process_id, config, partitioner=partitioner)
-        for process_id in range(num_processes)
-    ]
+    processes = build_replicas("caesar", config).processes
     dots = []
     for index in range(num_commands):
         submitter = processes[index % num_processes]

@@ -54,7 +54,6 @@ class ClosedLoopClient:
         self.payload_size = payload_size
         self.endpoint = -(client_id + 1)
         self.latency = LatencyHistogram()
-        self.all_latency = LatencyHistogram()
         self.pending: Dict[Dot, float] = {}
         self.completed = 0
         self.submitted = 0
@@ -87,7 +86,6 @@ class ClosedLoopClient:
         if submitted_at is None:
             return
         latency = now - submitted_at
-        self.all_latency.record(latency)
         if now >= self.warmup_ms:
             self.latency.record(latency)
         self.completed += 1

@@ -3,7 +3,7 @@
 The configuration captures the replication factor ``r`` per partition, the
 tolerated number of failures ``f`` (following Flexible Paxos,
 ``1 <= f <= floor((r - 1) / 2)``), the number of partitions/shards and a few
-implementation knobs (batching, promise-broadcast interval, ...).
+implementation knobs (promise-broadcast interval, recovery timeout, ...).
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ class ProtocolConfig:
         num_processes: total number of processes per partition (``r``).
         faults: number of tolerated failures per partition (``f``).
         num_partitions: number of partitions of the service state.
-        batching: whether commands are batched before being submitted.
-        batch_max_size: maximum number of commands per batch.
-        batch_max_delay: maximum delay, in milliseconds, before a batch is
-            flushed.
         promise_interval: how often (milliseconds of simulated time) a
             process broadcasts its promises (Algorithm 2, line 44).
         stability_interval: how often a process runs the stability/execution
@@ -40,9 +36,6 @@ class ProtocolConfig:
     num_processes: int = 3
     faults: int = 1
     num_partitions: int = 1
-    batching: bool = False
-    batch_max_size: int = 105
-    batch_max_delay: float = 5.0
     promise_interval: float = 5.0
     stability_interval: float = 5.0
     recovery_timeout: float = 500.0
@@ -61,9 +54,7 @@ class ProtocolConfig:
             )
         if self.faults > max_f and self.num_processes > 1:
             raise ValueError("faults too large for the replication factor")
-        if self.batch_max_size < 1:
-            raise ValueError("batch_max_size must be >= 1")
-        for name in ("batch_max_delay", "promise_interval", "stability_interval",
+        for name in ("promise_interval", "stability_interval",
                      "recovery_timeout", "gc_interval"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -10,11 +10,11 @@ acks, per-partition commits and MStable notifications).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.commands import Command
 from repro.core.phases import InvalidPhaseTransition, Phase
-from repro.core.promises import Promise, RangeCollector
+from repro.core.promises import RangeCollector
 
 
 @dataclass(slots=True)
@@ -37,10 +37,12 @@ class CommandInfo:
     accepted_ballot: int = 0
 
     # -- coordinator-side state -------------------------------------------------
+    #: ``process -> proposed timestamp`` from the collected MProposeAcks —
+    #: which is also the attached promise ``<process, timestamp>`` each ack
+    #: stands for, so the MCommit piggyback ships this map as it is.
     proposals: Dict[int, int] = field(default_factory=dict)
-    collected_attached: Set[Promise] = field(default_factory=set)
     #: Detached promises piggybacked on the collected MProposeAcks, kept as
-    #: per-process ranges (never materialised into ``Promise`` objects).
+    #: per-process ranges.
     collected_detached: RangeCollector = field(default_factory=RangeCollector)
     consensus_acks: Dict[int, Set[int]] = field(default_factory=dict)
     recovery_acks: Dict[int, Dict[int, Tuple[int, Phase, int]]] = field(
@@ -60,11 +62,10 @@ class CommandInfo:
         executed: the record then lives on (until the watermark GC collects
         it, or for good at a foreign shard) for duplicate suppression and
         repair replies alone, which need ``command``, ``quorums``,
-        ``final_timestamp``, ``phase`` and ``stable_from``.  The five
+        ``final_timestamp``, ``phase`` and ``stable_from``.  The four
         containers are ~0.7 KB of a ~1 KB record (``docs/memory.md``); no
         handler reaches them past the pending phases."""
         self.proposals = None
-        self.collected_attached = None
         self.collected_detached = None
         self.consensus_acks = None
         self.recovery_acks = None
@@ -94,22 +95,6 @@ class CommandInfo:
     def is_committed(self) -> bool:
         phase = self.phase
         return phase is Phase.COMMIT or phase is Phase.EXECUTE
-
-    def accessed_partitions(self) -> FrozenSet[int]:
-        """Partitions accessed by the command, derived from the fast-quorum
-        mapping carried in the payload messages."""
-        return frozenset(self.quorums.keys())
-
-    def has_all_commits(self) -> bool:
-        """Whether a commit was received from every accessed partition."""
-        quorums = self.quorums
-        if not quorums:
-            return False
-        partition_commits = self.partition_commits
-        for partition in quorums:
-            if partition not in partition_commits:
-                return False
-        return True
 
     def has_all_stable(self) -> bool:
         """Whether an MStable was received from every accessed partition."""

@@ -19,23 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.commands import Command
 from repro.core.identifiers import Dot
 from repro.core.phases import Phase
-from repro.core.promises import Promise, PromiseRangeWire
+from repro.core.promises import PromiseRangeWire
 from repro.core.wireschema import (
     ATTACHED_MAP,
     CLOCK_MAP,
     COMMAND,
-    DOT_SET,
     PHASE,
     PROMISE_RANGE_MAP,
-    PROMISE_SET,
     QUORUM_MAP,
     RESULT,
     SVARINT,
+    TIMESTAMP_MAP,
     UVARINT,
     wire_schema,
 )
@@ -92,24 +91,20 @@ class MPropose(Message):
     timestamp: int
 
 
-@wire_schema(
-    ("timestamp", SVARINT),
-    ("attached", PROMISE_SET),
-    ("detached", PROMISE_RANGE_MAP),
-)
+@wire_schema(("timestamp", SVARINT), ("detached", PROMISE_RANGE_MAP))
 @dataclass(frozen=True)
 class MProposeAck(Message):
     """Fast-quorum process -> coordinator: timestamp proposal (plus the
     promises issued while computing it, piggybacked as in §3.2).
 
+    The attached promise is not a field: it is ``<sender, timestamp>`` of
+    this very ack, which the receiver files under ``proposals[sender]``.
     ``detached`` is range-encoded (``PromiseRangeWire``): the proposal's
     clock jump issues one contiguous run of detached promises, so the ack
-    carries ``{sender: ((lo, hi),)}`` instead of a ``Promise`` per skipped
-    timestamp.
+    carries ``{sender: ((lo, hi),)}``.
     """
 
     timestamp: int
-    attached: FrozenSet[Promise] = frozenset()
     detached: PromiseRangeWire = field(default_factory=dict)
 
 
@@ -125,22 +120,23 @@ class MPayload(Message):
 @wire_schema(
     ("timestamp", SVARINT),
     ("partition", UVARINT),
-    ("attached", PROMISE_SET),
+    ("attached", TIMESTAMP_MAP),
     ("detached", PROMISE_RANGE_MAP),
 )
 @dataclass(frozen=True)
 class MCommit(Message):
     """Commit notification with the (per-partition) committed timestamp.
 
-    The piggybacked ``detached`` promises (everything the fast quorum
-    skipped while proposing) are range-encoded per issuing process
-    (``PromiseRangeWire``); ``attached`` stays materialised (at most one
-    promise per quorum member).
+    The piggybacked promises are what the fast quorum issued while
+    proposing: ``attached`` is the coordinator's ``process -> proposed
+    timestamp`` map (one attached promise per quorum member), ``detached``
+    everything the members skipped, range-encoded per issuing process
+    (``PromiseRangeWire``).
     """
 
     timestamp: int
     partition: int = 0
-    attached: FrozenSet[Promise] = frozenset()
+    attached: Mapping[int, int] = field(default_factory=dict)
     detached: PromiseRangeWire = field(default_factory=dict)
 
 
@@ -170,11 +166,7 @@ class MBump(Message):
     timestamp: int
 
 
-@wire_schema(
-    ("detached", PROMISE_RANGE_MAP),
-    ("attached", ATTACHED_MAP),
-    ("committed", DOT_SET),
-)
+@wire_schema(("detached", PROMISE_RANGE_MAP), ("attached", ATTACHED_MAP))
 @dataclass(frozen=True)
 class MPromises(Message):
     """Periodic broadcast of issued promises (Algorithm 2, line 45).
@@ -182,22 +174,16 @@ class MPromises(Message):
     ``dot`` is unused for this message kind (promises are not tied to one
     command); a sentinel dot identifying the sender is used instead.
 
-    ``committed`` piggybacks commit metadata: the subset of ``attached``
-    identifiers the sender already knows to be committed.  It used to let a
-    receiver skip the healthy-path ``MCommitRequest`` for such an
-    identifier; with the commit relay nothing is requested on the healthy
-    path, so the field is still sent but has no reader
-    (``docs/wire_format.md``).
-
-    ``detached`` is range-encoded (``PromiseRangeWire``): detached promises
-    are issued by clock jumps and therefore arrive as contiguous runs, so
-    the broadcast carries ``(lo, hi)`` intervals straight from the sender's
-    tracker instead of one ``Promise`` per timestamp.
+    A process only ever broadcasts its own promises, so the issuer is the
+    sender and is not repeated per promise: ``attached`` maps each dot to
+    the ascending timestamps the sender attached to it.  ``detached`` is
+    range-encoded (``PromiseRangeWire``): detached promises are issued by
+    clock jumps and therefore arrive as contiguous runs, so the broadcast
+    carries ``(lo, hi)`` intervals straight from the sender's tracker.
     """
 
     detached: PromiseRangeWire = field(default_factory=dict)
-    attached: Mapping[Dot, FrozenSet[Promise]] = field(default_factory=dict)
-    committed: FrozenSet[Dot] = frozenset()
+    attached: Mapping[Dot, Tuple[int, ...]] = field(default_factory=dict)
 
 
 @wire_schema(("partition", UVARINT))

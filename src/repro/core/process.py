@@ -46,7 +46,7 @@ from repro.core.messages import (
     Need,
 )
 from repro.core.phases import Phase
-from repro.core.promises import Promise, PromiseSet, PromiseTracker
+from repro.core.promises import PromiseRangeWire, PromiseSet, PromiseTracker
 from repro.core.recovery import RecoveryMixin
 from repro.core.repair import RepairMixin
 from repro.reliability import TRACKED_KIND_IDS
@@ -93,11 +93,8 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         self.tracker = PromiseTracker(self.process_id)
         self.promises = PromiseSet()
         #: Attached promises received for identifiers not yet committed here,
-        #: buffered as ``(process, timestamp)`` pairs (Algorithm 2, line 47);
-        #: plain tuples keep the per-commit buffering allocation-light.
+        #: buffered as ``(process, timestamp)`` pairs (Algorithm 2, line 47).
         self._buffered_attached: Dict[Dot, List[Tuple[int, int]]] = {}
-        #: Committed-but-not-executed identifiers and their final timestamps.
-        self._committed: Dict[Dot, int] = {}
         #: Recovery-phase identifiers for which the MCommitRequest (Algorithm
         #: 6, line 96) was already sent; asking again is the repair pass's job.
         self._commit_requested: Set[Dot] = set()
@@ -236,30 +233,49 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             self._stable_targets[key] = targets
         return targets
 
-    def _absorb_own_issue(
-        self, dot: Dot, attached_timestamp: int, detached: Sequence[int]
+    def _buffer_attached(self, dot: Dot) -> List[Tuple[int, int]]:
+        """The pairs buffered for ``dot`` until it commits here (line 47)."""
+        return self._buffered_attached.setdefault(dot, [])
+
+    def _issue(self, result, dot: Optional[Dot] = None) -> None:
+        """Account for the promises a clock move just issued: all of them
+        are queued for broadcast, the skipped (detached) run is known here
+        at once, and the promise attached to ``dot`` — when the move was a
+        proposal — is buffered until the command commits (Algorithm 2,
+        line 47 applies to local promises too)."""
+        detached = result.detached
+        if detached:
+            # Clock jumps issue contiguous timestamps: one range.
+            lo, hi = detached[0], detached[-1]
+            self.tracker.add_detached_range(lo, hi)
+            self.promises.add_range(self.process_id, lo, hi)
+        if dot is not None:
+            self.tracker.add_attached(dot, result.timestamp)
+            self._buffer_attached(dot).append((self.process_id, result.timestamp))
+
+    def _absorb_piggyback(
+        self,
+        dot: Dot,
+        attached: Dict[int, int],
+        detached: PromiseRangeWire,
+        usable: bool = False,
     ) -> None:
-        """Account locally for promises this process just issued.
+        """Take in the promises one commit of ``dot`` carries — a received
+        ``MCommit``'s, or the ones this fast-quorum member collected itself.
 
-        Detached promises become known immediately; the attached promise is
-        buffered until the command commits (Algorithm 2, line 47 applies to
-        local promises too).
+        Only promises issued by this partition's processes matter for the
+        local stability detection.  Detached ones are known at once;
+        attached ones wait for ``dot`` to commit here (line 47) unless they
+        are ``usable`` already (``dot`` executed everywhere).
         """
-        self._absorb_detached(detached)
-        buffered = self._buffered_attached.get(dot)
-        if buffered is None:
-            buffered = self._buffered_attached[dot] = []
-        buffered.append((self.process_id, attached_timestamp))
-
-    def _absorb_detached(self, detached: Sequence[int]) -> None:
-        # Clock jumps issue contiguous timestamps: absorb them as one range.
+        peers = self.partition_peer_set()
         if detached:
-            self.promises.add_range(self.process_id, detached[0], detached[-1])
-
-    def _track_detached(self, detached: Sequence[int]) -> None:
-        """Record a clock jump's detached promises in the tracker as a range."""
-        if detached:
-            self.tracker.add_detached_range(detached[0], detached[-1])
+            self.promises.absorb_ranges(detached, only=peers)
+        pairs = [pair for pair in attached.items() if pair[0] in peers]
+        if usable:
+            self.promises.add_all(pairs)
+        elif pairs:
+            self._buffer_attached(dot).extend(pairs)
 
     # ------------------------------------------------------------------ submit
 
@@ -333,14 +349,11 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record.move_to(Phase.PROPOSE)
         result = self.clock.proposal(message.timestamp)
         record.timestamp = result.timestamp
-        self._track_detached(result.detached)
-        self.tracker.add_attached(dot, result.timestamp)
-        self._absorb_own_issue(dot, result.timestamp, result.detached)
+        self._issue(result, dot)
         detached = result.detached
         ack = MProposeAck(
             dot,
             timestamp=result.timestamp,
-            attached=frozenset({Promise(self.process_id, result.timestamp)}),
             detached=(
                 {self.process_id: ((detached[0], detached[-1]),)} if detached else {}
             ),
@@ -375,9 +388,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record = self._info.get(message.dot)
         if record is None or record.phase is not Phase.PROPOSE:
             return
-        result = self.clock.bump(message.timestamp)
-        self._track_detached(result.detached)
-        self._absorb_detached(result.detached)
+        self._issue(self.clock.bump(message.timestamp))
 
     def _on_propose_ack(self, sender: int, message: MProposeAck, now: float) -> None:
         """Collect fast-quorum proposals (line 17).
@@ -398,13 +409,11 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         dot = message.dot
         if self.gc.collected(dot):
             return  # late duplicate of a globally-executed command
-        record = self._info.get(dot)
-        if record is None:
-            record = self.info(dot)
+        record = self.info(dot)
         if record.phase not in (Phase.START, Phase.PROPOSE):
             return
+        # Also the attached promise <sender, timestamp> the ack stands for.
         record.proposals[sender] = message.timestamp
-        record.collected_attached.update(message.attached)
         if message.detached:
             record.collected_detached.update(message.detached)
         if record.phase is not Phase.PROPOSE:
@@ -438,17 +447,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         # A multi-partition dot stays in PROPOSE until the other partitions
         # report, so a duplicate ack can bring it back here: relay once.
         first = self.partition not in record.partition_commits
-        peers = self.partition_peer_set()
-        if record.collected_detached:
-            self.promises.absorb_ranges(record.collected_detached.to_wire(), only=peers)
-        buffered = None
-        for promise in record.collected_attached:
-            if promise.process in peers:
-                if buffered is None:
-                    buffered = self._buffered_attached.get(dot)
-                    if buffered is None:
-                        buffered = self._buffered_attached[dot] = []
-                buffered.append((promise.process, promise.timestamp))
+        self._absorb_piggyback(
+            dot, record.proposals, record.collected_detached.to_wire()
+        )
         record.partition_commits[self.partition] = max(
             record.partition_commits.get(self.partition, 0), timestamp
         )
@@ -494,7 +495,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             dot,
             timestamp=timestamp,
             partition=self.partition,
-            attached=frozenset(record.collected_attached),
+            attached=dict(sorted(record.proposals.items())),
             detached=record.collected_detached.to_wire(),
         )
         self.send(targets, commit, now)
@@ -515,9 +516,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record.timestamp = message.timestamp
         record.ballot = message.ballot
         record.accepted_ballot = message.ballot
-        result = self.clock.bump(message.timestamp)
-        self._track_detached(result.detached)
-        self._absorb_detached(result.detached)
+        self._issue(self.clock.bump(message.timestamp))
         self.send([sender], MConsensusAck(dot, message.ballot), now)
 
     def _on_consensus_ack(self, sender: int, message: MConsensusAck, now: float) -> None:
@@ -548,30 +547,13 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             # absorbed — absorption is idempotent, and the identifier being
             # executed makes its attached promises directly usable — but no
             # record is recreated.
-            peers = self.partition_peer_set()
-            if message.detached:
-                self.promises.absorb_ranges(message.detached, only=peers)
-            for promise in message.attached:
-                if promise.process in peers:
-                    self.promises.add_timestamp(promise.process, promise.timestamp)
+            self._absorb_piggyback(dot, message.attached, message.detached, usable=True)
             return
         record = self.info(dot)
         record.partition_commits[message.partition] = max(
             record.partition_commits.get(message.partition, 0), message.timestamp
         )
-        # Piggybacked promises: only promises issued by processes of this
-        # partition matter for the local stability detection.
-        peers = self.partition_peer_set()
-        if message.detached:
-            self.promises.absorb_ranges(message.detached, only=peers)
-        buffered = None
-        for promise in message.attached:
-            if promise.process in peers:
-                if buffered is None:
-                    buffered = self._buffered_attached.get(dot)
-                    if buffered is None:
-                        buffered = self._buffered_attached[dot] = []
-                buffered.append((promise.process, promise.timestamp))
+        self._absorb_piggyback(dot, message.attached, message.detached)
         self._maybe_commit(dot, now)
 
     def _maybe_commit(self, dot: Dot, now: float) -> None:
@@ -600,18 +582,13 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record.timestamp = final
         record.committed_at = now
         record.move_to(Phase.COMMIT)
-        self._committed[dot] = final
         self._blocked[Need.COMMIT].pop(dot, None)
         heappush(self._commit_heap, (final, dot))
-        result = self.clock.bump(final)
-        self._track_detached(result.detached)
-        self._absorb_detached(result.detached)
+        self._issue(self.clock.bump(final))
         # Attached promises for this identifier become usable now (line 47).
         buffered = self._buffered_attached.pop(dot, None)
         if buffered:
-            add_timestamp = self.promises.add_timestamp
-            for process, timestamp in buffered:
-                add_timestamp(process, timestamp)
+            self.promises.add_all(buffered)
         # Committing may immediately make new timestamps stable (the
         # piggybacked promises typically suffice); react within this event-
         # handling step instead of waiting for the next periodic check.
@@ -650,22 +627,16 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if message.detached:
             self.promises.absorb_ranges(message.detached)
         gc = self.gc
-        for dot, attached in message.attached.items():
+        for dot, timestamps in message.attached.items():
+            # The issuer of a broadcast promise is the broadcast's sender.
+            attached = [(sender, timestamp) for timestamp in timestamps]
             record = self._info.get(dot)
-            if record is not None and record.is_committed:
+            if (record is not None and record.is_committed) or gc.collected(dot):
+                # Committed here, or globally executed and collected: the
+                # attached promises are usable immediately.
                 self.promises.add_all(attached)
                 continue
-            if gc.collected(dot):
-                # Globally executed and collected: its attached promises are
-                # usable immediately, and no commit info needs requesting.
-                self.promises.add_all(attached)
-                continue
-            buffered = self._buffered_attached.get(dot)
-            if buffered is None:
-                buffered = self._buffered_attached[dot] = []
-            buffered.extend(
-                (promise.process, promise.timestamp) for promise in attached
-            )
+            self._buffer_attached(dot).extend(attached)
             # The dot's MCommit is pushed here by exactly one sender
             # (coordinator or relaying quorum member), so nothing is asked
             # on the healthy path; if that copy is lost the repair pass
@@ -723,16 +694,10 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if not self.tracker.has_pending():
             return
         detached_ranges, attached = self.tracker.snapshot_ranges(drain=True)
-        committed = set()
-        for dot in attached:
-            record = self._info.get(dot)
-            if record is not None and record.is_committed:
-                committed.add(dot)
         message = MPromises(
             self._sentinel(),
             detached={self.process_id: detached_ranges} if detached_ranges else {},
             attached=attached,
-            committed=frozenset(committed),
         )
         if self._other_peers:
             self.send(self._other_peers, message, now)
@@ -787,7 +752,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             raise RuntimeError(f"executing {dot} without a payload")
         record.move_to(Phase.EXECUTE)
         record.release_commit_state()
-        del self._committed[dot]
         self._execute_command(dot, command, now, record.submitted_at is not None)
 
     # ------------------------------------------------------------------ periodic work

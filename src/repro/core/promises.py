@@ -13,32 +13,33 @@ partition into a ``Promises`` set and derives, per process, the *highest
 contiguous promise* — the largest ``c`` such that all of ``<j, 1> .. <j, c>``
 are known.  Stability of a timestamp follows from Theorem 1.
 
-Performance notes
------------------
+One representation
+------------------
 
-Detached promises are issued by clock jumps, so they arrive as contiguous
-integer ranges.  :class:`PromiseTracker` therefore stores them as sorted
-disjoint ``[lo, hi]`` ranges (``Promise`` objects are only materialised at
-the broadcast/inspection boundary), which makes issuing a jump of any size
-O(1) and makes the drain performed by :meth:`PromiseTracker.snapshot`
-proportional to the number of *ranges*, not promises.  Similarly,
-:class:`PromiseSet` absorbs a contiguous range in O(1) via
-:meth:`PromiseSet.add_range` when it extends the frontier, and caches the
-sorted-frontier answer of :meth:`PromiseSet.stable_timestamp` until a
-frontier actually moves.
+A promise is a plain ``(process, timestamp)`` pair and a run of promises is
+an inclusive ``(lo, hi)`` range — in the clock, the tracker, the messages
+and the ``PromiseSet`` alike; nothing on a message path builds an object
+per promise (``docs/promise_ranges.md``).  Detached promises are issued by
+clock jumps and so arrive as contiguous runs: :class:`PromiseTracker`
+stores them as sorted disjoint ranges, which makes a jump of any size O(1)
+to issue and to drain, :meth:`PromiseSet.add_range` absorbs a run that
+extends the frontier in O(1), and :meth:`PromiseSet.stable_timestamp`
+caches its sorted-frontier answer until a frontier moves.  Timestamps are
+range-checked (``>= 1``) where they enter the program:
+:meth:`PromiseTracker.add_attached`, :meth:`PromiseTracker.add_detached_range`
+and the wire readers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -47,25 +48,17 @@ from typing import (
 from repro.core.identifiers import Dot
 
 #: Wire encoding of detached promises: per process, the sorted disjoint
-#: inclusive ``(lo, hi)`` timestamp ranges it promised.  This is what the
-#: promise-carrying messages (``MPromises``, ``MProposeAck``, ``MCommit``)
-#: put on the wire instead of materialised ``Promise`` objects — see
-#: ``docs/promise_ranges.md``.
+#: inclusive ``(lo, hi)`` timestamp ranges it promised (``MPromises``,
+#: ``MProposeAck``, ``MCommit``; see ``docs/promise_ranges.md``).
 PromiseRangeWire = Mapping[int, Tuple[Tuple[int, int], ...]]
 
 
-@dataclass(frozen=True, order=True)
-class Promise:
-    """A promise ``<process, timestamp>``."""
+class Promise(NamedTuple):
+    """A promise ``<process, timestamp>``: a named ``(process, timestamp)``
+    pair, interchangeable with the bare tuple."""
 
     process: int
     timestamp: int
-
-    def __post_init__(self) -> None:
-        if self.timestamp < 1:
-            raise ValueError("promise timestamps start at 1")
-        if self.process < 0:
-            raise ValueError("process identifiers are non-negative")
 
 
 class _IntRanges:
@@ -86,23 +79,8 @@ class _IntRanges:
     def __len__(self) -> int:
         return len(self._ranges)
 
-    def count(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self._ranges)
-
     def ranges(self) -> List[Tuple[int, int]]:
         return [(lo, hi) for lo, hi in self._ranges]
-
-    def contains(self, value: int) -> bool:
-        ranges = self._ranges
-        index = bisect_left(ranges, [value + 1]) - 1
-        return index >= 0 and ranges[index][0] <= value <= ranges[index][1]
-
-    def iter_values(self) -> Iterator[int]:
-        for lo, hi in self._ranges:
-            yield from range(lo, hi + 1)
-
-    def clear(self) -> None:
-        self._ranges = []
 
     def add_range(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Insert ``[lo, hi]``; return the sub-ranges that were newly covered."""
@@ -147,46 +125,12 @@ class _IntRanges:
         return added
 
 
-def _materialise(process: int, ranges: Iterable[Tuple[int, int]]) -> FrozenSet[Promise]:
-    return frozenset(
-        Promise(process, timestamp)
-        for lo, hi in ranges
-        for timestamp in range(lo, hi + 1)
-    )
-
-
-def range_wire_count(wire: PromiseRangeWire) -> int:
-    """Number of logical promises encoded by a range map.
-
-    The wire-size accounting of the promise-carrying messages charges per
-    logical promise, exactly as the historical ``FrozenSet[Promise]``
-    encoding did, so the byte counters are unaffected by the encoding.
-    """
-    count = 0
-    for spans in wire.values():
-        for lo, hi in spans:
-            count += hi - lo + 1
-    return count
-
-
-def range_wire_promises(wire: PromiseRangeWire) -> FrozenSet[Promise]:
-    """Materialise a range map into ``Promise`` objects (tests/inspection)."""
-    return frozenset(
-        Promise(process, timestamp)
-        for process, spans in wire.items()
-        for lo, hi in spans
-        for timestamp in range(lo, hi + 1)
-    )
-
-
 class RangeCollector:
     """Mutable per-process promise-range accumulator.
 
     The coordinator collects the detached promises piggybacked on
-    ``MProposeAck`` messages into one of these (instead of a
-    ``Set[Promise]``) and reads them back out as ranges when building the
-    ``MCommit`` piggyback, so the contended fast path never materialises a
-    ``Promise`` object per skipped timestamp.
+    ``MProposeAck`` messages into one of these and reads them back out as
+    ranges when building the ``MCommit`` piggyback.
     """
 
     __slots__ = ("_by_process",)
@@ -220,14 +164,6 @@ class RangeCollector:
             if ranges
         }
 
-    def count(self) -> int:
-        """Number of logical promises collected."""
-        return sum(ranges.count() for ranges in self._by_process.values())
-
-    def promises(self) -> FrozenSet[Promise]:
-        """Materialised view (tests/inspection only)."""
-        return range_wire_promises(self.to_wire())
-
 
 class PromiseTracker:
     """Per-process accumulator of locally *issued* promises.
@@ -236,8 +172,9 @@ class PromiseTracker:
     at a single process.  Promises are drained when broadcast so each promise
     is, in the common case, sent only once (footnote 2 of the paper); the
     full set is retained for re-broadcast on demand (e.g. after suspected
-    message loss).  Detached promises are stored as integer ranges (see the
-    module docstring); ``Promise`` objects only exist on the wire.
+    message loss).  Detached promises are stored as integer ranges and
+    attached ones as timestamps per command — the process is the tracker's
+    own, so no pair is ever stored (see the module docstring).
 
     The attached ledger holds the commands in flight, not the history:
     :meth:`fold` turns the attached promises of a command known to be
@@ -264,24 +201,6 @@ class PromiseTracker:
             raise ValueError("promise timestamps start at 1")
         for new_lo, new_hi in self._detached.add_range(lo, hi):
             self._pending_detached.add_range(new_lo, new_hi)
-
-    def add_detached(self, timestamps: Iterable[int]) -> None:
-        """Record detached promises for the given timestamps.
-
-        Consecutive runs in the input are coalesced into range insertions;
-        already-recorded timestamps are not re-queued for broadcast.
-        """
-        run_lo = run_hi = None
-        for timestamp in timestamps:
-            if run_lo is None:
-                run_lo = run_hi = timestamp
-            elif timestamp == run_hi + 1:
-                run_hi = timestamp
-            else:
-                self.add_detached_range(run_lo, run_hi)
-                run_lo = run_hi = timestamp
-        if run_lo is not None:
-            self.add_detached_range(run_lo, run_hi)
 
     def add_attached(self, dot: Dot, timestamp: int) -> None:
         """Record the attached promise for a proposal on command ``dot``."""
@@ -310,76 +229,36 @@ class PromiseTracker:
         """Attached entries plus detached ranges held for re-broadcast."""
         return len(self._attached) + len(self._detached)
 
-    # -- inspection -----------------------------------------------------------
-
-    def detached(self) -> FrozenSet[Promise]:
-        return _materialise(self.process, self._detached.ranges())
-
-    def detached_ranges(self) -> List[Tuple[int, int]]:
-        """Detached promises as sorted disjoint inclusive ranges."""
-        return self._detached.ranges()
-
-    def attached(self) -> Dict[Dot, FrozenSet[Promise]]:
-        process = self.process
-        return {
-            dot: frozenset(Promise(process, ts) for ts in timestamps)
-            for dot, timestamps in self._attached.items()
-        }
-
-    def attached_for(self, dot: Dot) -> FrozenSet[Promise]:
-        process = self.process
-        return frozenset(
-            Promise(process, ts) for ts in self._attached.get(dot, ())
-        )
-
-    def all_issued(self) -> FrozenSet[Promise]:
-        """All promises (attached or detached) issued so far."""
-        process = self.process
-        issued = set(self.detached())
-        for timestamps in self._attached.values():
-            issued.update(Promise(process, ts) for ts in timestamps)
-        return frozenset(issued)
-
     # -- broadcasting ---------------------------------------------------------
-
-    def snapshot(
-        self, drain: bool = True
-    ) -> Tuple[FrozenSet[Promise], Dict[Dot, FrozenSet[Promise]]]:
-        """Return promises to broadcast in the next ``MPromises`` message.
-
-        With ``drain=True`` (the default, matching the paper's
-        send-each-promise-once optimisation) the returned promises are
-        removed from the pending set; with ``drain=False`` the full issued
-        set is returned.
-        """
-        detached_ranges, attached = self.snapshot_ranges(drain)
-        return _materialise(self.process, detached_ranges), attached
 
     def snapshot_ranges(
         self, drain: bool = True
-    ) -> Tuple[Tuple[Tuple[int, int], ...], Dict[Dot, FrozenSet[Promise]]]:
-        """Range-encoded variant of :meth:`snapshot`.
+    ) -> Tuple[Tuple[Tuple[int, int], ...], Dict[Dot, Tuple[int, ...]]]:
+        """Promises to broadcast in the next ``MPromises`` message: the
+        detached ones as sorted disjoint inclusive ``(lo, hi)`` ranges, the
+        attached ones as ``dot -> ascending timestamps`` (all issued by this
+        tracker's own process).
 
-        Returns the detached promises as sorted disjoint inclusive
-        ``(lo, hi)`` ranges (all of this tracker's own process), without
-        materialising a ``Promise`` object per timestamp; the attached
-        promises (one or two per command) stay materialised.
+        With ``drain=True`` (the default, matching the paper's
+        send-each-promise-once optimisation) only the promises not handed
+        out yet are returned, and they stop being pending; with
+        ``drain=False`` everything still held is returned.
         """
         if drain:
-            process = self.process
-            detached_ranges = tuple(self._pending_detached.ranges())
-            attached = {
-                dot: frozenset(Promise(process, ts) for ts in timestamps)
-                for dot, timestamps in self._pending_attached.items()
-            }
+            detached, attached = self._pending_detached, self._pending_attached
             self._pending_detached = _IntRanges()
             self._pending_attached = {}
-            if self._fold_when_sent:
-                for dot in self._fold_when_sent:
-                    self.fold(dot)
-                self._fold_when_sent.clear()
-            return detached_ranges, attached
-        return tuple(self._detached.ranges()), self.attached()
+        else:
+            detached, attached = self._detached, self._attached
+        snapshot = (
+            tuple(detached.ranges()),
+            {dot: tuple(sorted(timestamps)) for dot, timestamps in attached.items()},
+        )
+        if drain and self._fold_when_sent:
+            for dot in self._fold_when_sent:
+                self.fold(dot)
+            self._fold_when_sent.clear()
+        return snapshot
 
     def has_pending(self) -> bool:
         """Whether there is anything new to broadcast."""
@@ -406,13 +285,8 @@ class PromiseSet:
         self._size = 0
         self._stable_cache: Dict[Tuple[int, ...], int] = {}
 
-    def add(self, promise: Promise) -> None:
-        """Insert a single promise."""
-        self.add_timestamp(promise.process, promise.timestamp)
-
     def add_timestamp(self, process: int, timestamp: int) -> None:
-        """Insert the promise ``<process, timestamp>`` without materialising
-        a :class:`Promise` object."""
+        """Insert the promise ``<process, timestamp>``."""
         frontier = self._frontier.get(process, 0)
         if timestamp <= frontier:
             return
@@ -477,10 +351,11 @@ class PromiseSet:
                 pending.add(timestamp)
                 self._size += 1
 
-    def add_all(self, promises: Iterable[Promise]) -> None:
+    def add_all(self, promises: Iterable[Tuple[int, int]]) -> None:
+        """Insert every ``(process, timestamp)`` pair of ``promises``."""
         add_timestamp = self.add_timestamp
-        for promise in promises:
-            add_timestamp(promise.process, promise.timestamp)
+        for process, timestamp in promises:
+            add_timestamp(process, timestamp)
 
     def absorb_ranges(
         self, wire: PromiseRangeWire, only: Optional[FrozenSet[int]] = None
@@ -500,11 +375,11 @@ class PromiseSet:
             for lo, hi in spans:
                 add_range(process, lo, hi)
 
-    def __contains__(self, promise: Promise) -> bool:
-        frontier = self._frontier.get(promise.process, 0)
-        if promise.timestamp <= frontier:
+    def __contains__(self, promise: Tuple[int, int]) -> bool:
+        process, timestamp = promise
+        if timestamp <= self._frontier.get(process, 0):
             return True
-        return promise.timestamp in self._pending.get(promise.process, set())
+        return timestamp in self._pending.get(process, ())
 
     def __len__(self) -> int:
         return self._size

@@ -86,9 +86,7 @@ class RecoveryMixin:
         if info.ballot == 0:
             if info.phase is Phase.PAYLOAD:
                 result = self.clock.proposal(0)
-                self._track_detached(result.detached)
-                self.tracker.add_attached(dot, result.timestamp)
-                self._absorb_own_issue(dot, result.timestamp, result.detached)
+                self._issue(result, dot)
                 info.timestamp = result.timestamp
                 info.move_to(Phase.RECOVER_R)
             elif info.phase is Phase.PROPOSE:

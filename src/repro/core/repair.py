@@ -12,10 +12,9 @@ each with ``[since, asked]`` — when the dot started to wait and when a
 round last asked for it.
 
 * ``COMMIT`` — every dot this process knows and has not committed: seen
-  with a payload, reported committed by a peer's ``MPromises``, or known
-  only through an attached promise.  Entered by the handlers that learn of
-  the dot, dropped by ``_maybe_commit``.  Overdue after one
-  ``recovery_timeout`` window.
+  with a payload, or known only through an attached promise.  Entered by
+  the handlers that learn of the dot, dropped by ``_maybe_commit``.
+  Overdue after one ``recovery_timeout`` window.
 * ``PROMISES`` — the head of the commit heap while it is not stable.
 * ``STABLE`` — the head of the stable heap while a remote partition's
   notification is missing.  Both heads are observed once per tick and are
@@ -198,22 +197,19 @@ class RepairMixin:
             (max(lo, frontier + 1), hi) for lo, hi in detached if hi > frontier
         )
         attached = {
-            dot: promises
-            for dot, promises in attached.items()
-            if any(promise.timestamp > frontier for promise in promises)
+            dot: timestamps
+            for dot, timestamps in attached.items()
+            if timestamps[-1] > frontier
         }
         if not detached and not attached:
             return
-        committed = set()
         for dot in attached:
             record = self._info.get(dot)
             if record is not None and record.is_committed:
-                committed.add(dot)
                 self._send_commit_info(sender, dot, record, now)
         reply = MPromises(
             self._sentinel(),
             detached={self.process_id: detached} if detached else {},
             attached=attached,
-            committed=frozenset(committed),
         )
         self.send([sender], reply, now)

@@ -40,7 +40,6 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.commands import Command, KeyOp, OpKind
 from repro.core.identifiers import intern_dot
 from repro.core.phases import Phase
-from repro.core.promises import Promise
 
 #: Hard cap on a single varint's width (10 bytes encode up to 70 bits,
 #: enough for any 64-bit value); anything longer is corruption.
@@ -419,39 +418,6 @@ class QUORUM_MAP:
         return size
 
 
-class PROMISE_SET:
-    """Count-prefixed ``(process, timestamp >= 1)`` promises, sorted."""
-
-    @staticmethod
-    def write(buf: bytearray, promises) -> None:
-        write_uvarint(buf, len(promises))
-        for promise in sorted(promises):
-            write_uvarint(buf, promise.process)
-            write_uvarint(buf, promise.timestamp)
-
-    @staticmethod
-    def read(reader: Reader):
-        promises = []
-        for _ in range(reader.read_uvarint()):
-            process = reader.read_uvarint()
-            timestamp = reader.read_uvarint()
-            if timestamp < 1:
-                raise WireError(f"promise timestamp must be >= 1, got {timestamp}")
-            promises.append(Promise(process, timestamp))
-        return frozenset(promises)
-
-    @staticmethod
-    def size(promises) -> int:
-        size = uvarint_size(len(promises))
-        for promise in promises:
-            process = promise.process
-            timestamp = promise.timestamp
-            size += (1 if process < 0x80 else (process.bit_length() + 6) // 7) + (
-                1 if timestamp < 0x80 else (timestamp.bit_length() + 6) // 7
-            )
-        return size
-
-
 class PROMISE_RANGE_MAP:
     """Count-prefixed ``process -> ((lo, hi), ...)`` runs of detached
     promises, sorted by process; each span ships as ``lo, hi - lo``."""
@@ -493,29 +459,45 @@ class PROMISE_RANGE_MAP:
         return size
 
 
+def _read_promise_timestamp(reader: Reader) -> int:
+    timestamp = reader.read_uvarint()
+    if timestamp < 1:
+        raise WireError(f"promise timestamp must be >= 1, got {timestamp}")
+    return timestamp
+
+
 class ATTACHED_MAP:
-    """Count-prefixed ``dot -> promise set``, sorted by dot."""
+    """Count-prefixed ``dot -> ascending timestamps >= 1`` (the sender's
+    promises attached to each dot), sorted by dot."""
 
     @staticmethod
     def write(buf: bytearray, attached) -> None:
         write_uvarint(buf, len(attached))
         for dot in sorted(attached):
             DOT.write(buf, dot)
-            PROMISE_SET.write(buf, attached[dot])
+            timestamps = attached[dot]
+            write_uvarint(buf, len(timestamps))
+            for timestamp in timestamps:
+                write_uvarint(buf, timestamp)
 
     @staticmethod
     def read(reader: Reader):
         attached = {}
         for _ in range(reader.read_uvarint()):
             dot = DOT.read(reader)
-            attached[dot] = PROMISE_SET.read(reader)
+            attached[dot] = tuple(
+                _read_promise_timestamp(reader)
+                for _ in range(reader.read_uvarint())
+            )
         return attached
 
     @staticmethod
     def size(attached) -> int:
         size = uvarint_size(len(attached))
-        for dot, promises in attached.items():
-            size += DOT.size(dot) + PROMISE_SET.size(promises)
+        for dot, timestamps in attached.items():
+            size += DOT.size(dot) + uvarint_size(len(timestamps))
+            for timestamp in timestamps:
+                size += uvarint_size(timestamp)
         return size
 
 
@@ -597,6 +579,22 @@ class CLOCK_MAP:
         for source, frontier in clock.items():
             size += uvarint_size(source) + uvarint_size(frontier)
         return size
+
+
+class TIMESTAMP_MAP:
+    """``process -> timestamp >= 1`` (one attached promise per proposer) in
+    :class:`CLOCK_MAP`'s layout; the reader also range-checks the timestamp."""
+
+    write = staticmethod(CLOCK_MAP.write)
+    size = staticmethod(CLOCK_MAP.size)
+
+    @staticmethod
+    def read(reader: Reader):
+        proposals = {}
+        for _ in range(reader.read_uvarint()):
+            process = reader.read_uvarint()
+            proposals[process] = _read_promise_timestamp(reader)
+        return proposals
 
 
 # -- the generator -------------------------------------------------------------------

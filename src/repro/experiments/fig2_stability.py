@@ -12,11 +12,10 @@ values as the paper, and are also asserted by unit tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.identifiers import Dot
 from repro.core.promises import Promise, PromiseSet
-from repro.core.stability import promise_table, stable_timestamp
 from repro.protocols.depgraph import DependencyGraph
 
 #: Processes A, B, C of Figure 2 mapped to identifiers 0, 1, 2.
@@ -39,6 +38,26 @@ FIGURE2_EXPECTED: Dict[str, int] = {
     "Y+Z": 2,
     "X+Y+Z": 3,
 }
+
+
+def promise_table(
+    promise_sets: Iterable[Iterable[Promise]], processes: Sequence[int]
+) -> List[Tuple[str, int]]:
+    """The right-hand side of Figure 2: for every non-empty combination of
+    ``promise_sets``, the highest stable timestamp (Theorem 1) when exactly
+    that combination is known.  Combinations are labelled by the indices of
+    the included sets (e.g. ``"0+2"``).
+    """
+    sets = [tuple(promise_set) for promise_set in promise_sets]
+    results: List[Tuple[str, int]] = []
+    for mask in range(1, 2 ** len(sets)):
+        included = [index for index in range(len(sets)) if mask & (1 << index)]
+        known = PromiseSet()
+        for index in included:
+            known.add_all(sets[index])
+        label = "+".join(str(index) for index in included)
+        results.append((label, known.stable_timestamp(processes)))
+    return results
 
 
 def figure2_rows() -> List[Dict[str, object]]:
@@ -85,7 +104,7 @@ def figure3_tempo() -> Dict[str, object]:
             Promise(2, 1), Promise(0, 3),              # z -> ts 3
         ]
     )
-    stable = stable_timestamp(promises, FIGURE2_PROCESSES)
+    stable = promises.stable_timestamp(FIGURE2_PROCESSES)
     committed = {W: 2, Y: 2, Z: 3}
     executable = sorted(
         (dot for dot, timestamp in committed.items() if timestamp <= stable),

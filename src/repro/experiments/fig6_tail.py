@@ -143,23 +143,3 @@ def run_multishard(options: MultiShardOptions = MultiShardOptions()) -> List[Dic
             row["completed"] = result.completed
             rows.append(row)
     return rows
-
-
-def tail_amplification(rows: List[Dict[str, object]]) -> Dict[str, float]:
-    """p99.9 of each protocol divided by Tempo f=1's p99.9 at the same load —
-    the paper's 1.4-14x improvement claim, per protocol."""
-    amplification: Dict[str, float] = {}
-    by_load: Dict[int, Dict[str, float]] = {}
-    for row in rows:
-        by_load.setdefault(int(row["clients_per_site"]), {})[str(row["protocol"])] = float(
-            row["p99.9"]
-        )
-    for load, per_protocol in by_load.items():
-        baseline = per_protocol.get("tempo f=1")
-        if not baseline:
-            continue
-        for protocol, value in per_protocol.items():
-            if protocol == "tempo f=1":
-                continue
-            amplification[f"{protocol}@{load}"] = value / baseline
-    return amplification

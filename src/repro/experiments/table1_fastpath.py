@@ -74,9 +74,8 @@ def _preset_clock(process: TempoProcess, value: int) -> None:
     if value <= 0:
         return
     process.clock.value = value
-    timestamps = range(1, value + 1)
-    process.tracker.add_detached(timestamps)
-    process._absorb_detached(timestamps)
+    process.tracker.add_detached_range(1, value)
+    process.promises.add_range(process.process_id, 1, value)
 
 
 def simulate_row(example: FastPathExample) -> Dict[str, object]:

@@ -40,7 +40,6 @@ from repro.core.messages import (
     Need,
 )
 from repro.core.phases import Phase
-from repro.core.promises import Promise
 from repro.protocols.dep_messages import (
     MAccept,
     MAccepted,
@@ -74,12 +73,12 @@ def sample_messages(payload_size: int = 100) -> Dict[str, object]:
     command = _command(payload_size)
     quorums: Dict[int, Tuple[int, ...]] = {0: (0, 2, 3)}
     deps = frozenset({intern_dot(0, 11), intern_dot(1, 29)})
-    attached = frozenset({Promise(2, 41)})
+    attached = {2: 41}
     detached = {2: ((38, 40),)}
     samples = {
         "MSubmit": MSubmit(dot, command, quorums),
         "MPropose": MPropose(dot, command, quorums, 41),
-        "MProposeAck": MProposeAck(dot, 41, attached, detached),
+        "MProposeAck": MProposeAck(dot, 41, detached),
         "MPayload": MPayload(dot, command, quorums),
         "MCommit": MCommit(dot, 41, 0, attached, detached),
         "MConsensus": MConsensus(dot, 41, 3),
@@ -88,8 +87,7 @@ def sample_messages(payload_size: int = 100) -> Dict[str, object]:
         "MPromises": MPromises(
             dot,
             detached={2: ((38, 44), (46, 47))},
-            attached={intern_dot(2, 36): frozenset({Promise(2, 37)})},
-            committed=frozenset({intern_dot(2, 36)}),
+            attached={intern_dot(2, 36): (37,)},
         ),
         "MStable": MStable(dot, 0),
         "MRec": MRec(dot, 5),

@@ -2,10 +2,9 @@
 
 from repro.workloads.micro import MicroWorkload
 from repro.workloads.ycsbt import YcsbTWorkload, YCSB_WORKLOADS
-from repro.workloads.batching import Batcher, BatchingModel
+from repro.workloads.batching import BatchingModel
 
 __all__ = [
-    "Batcher",
     "BatchingModel",
     "MicroWorkload",
     "YCSB_WORKLOADS",

@@ -2,70 +2,14 @@
 
 The paper batches commands at a site: a batch is flushed after 5 ms or once
 105 commands are buffered, whichever comes first; the batch is then
-submitted as a single multi-partition command.  :class:`Batcher` reproduces
-the buffering logic (used by tests and the asyncio runtime), while
-:class:`BatchingModel` captures the effect batching has on the per-command
-resource cost, which is what the Figure 8 throughput model needs.
+submitted as a single multi-partition command.  :class:`BatchingModel`
+captures the effect that has on the per-command resource cost, which is
+what the Figure 8 throughput model needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
-
-from repro.core.commands import Command
-
-
-@dataclass
-class Batcher:
-    """Buffers commands and flushes them by size or by age."""
-
-    max_size: int = 105
-    max_delay_ms: float = 5.0
-    _buffer: List[Command] = field(default_factory=list)
-    _oldest: Optional[float] = None
-    flushed_batches: int = 0
-    flushed_commands: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_size < 1:
-            raise ValueError("max_size must be >= 1")
-        if self.max_delay_ms <= 0:
-            raise ValueError("max_delay_ms must be positive")
-
-    def add(self, command: Command, now: float) -> Optional[List[Command]]:
-        """Add a command; return a full batch if the size trigger fired."""
-        if not self._buffer:
-            self._oldest = now
-        self._buffer.append(command)
-        if len(self._buffer) >= self.max_size:
-            return self.flush(now)
-        return None
-
-    def poll(self, now: float) -> Optional[List[Command]]:
-        """Return a batch if the age trigger fired."""
-        if self._buffer and self._oldest is not None:
-            if now - self._oldest >= self.max_delay_ms:
-                return self.flush(now)
-        return None
-
-    def flush(self, now: float) -> Optional[List[Command]]:
-        """Flush whatever is buffered."""
-        if not self._buffer:
-            return None
-        batch, self._buffer = self._buffer, []
-        self._oldest = None
-        self.flushed_batches += 1
-        self.flushed_commands += len(batch)
-        return batch
-
-    def pending(self) -> int:
-        return len(self._buffer)
-
-    def average_batch_size(self) -> float:
-        if self.flushed_batches == 0:
-            return 0.0
-        return self.flushed_commands / self.flushed_batches
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from repro.core.config import ProtocolConfig
 from repro.core.identifiers import intern_dot
 from repro.core.messages import MCommit, MPayload, MPromises, MPropose
 from repro.core.process import TempoProcess
-from repro.core.promises import Promise
 
 
 def _buggy_stable_timestamp(self, processes):
@@ -91,7 +90,7 @@ def _replay_recovery_race():
             a.dot,
             timestamp=3,
             partition=0,
-            attached=frozenset({Promise(1, 3), Promise(2, 2), Promise(3, 2)}),
+            attached={1: 3, 2: 2, 3: 2},
             detached={1: ((2, 2),), 2: ((1, 1),)},
         ),
         1.0,
@@ -102,7 +101,7 @@ def _replay_recovery_race():
     process.deliver(
         2,
         MPromises(
-            intern_dot(2, 2), detached={2: ((3, 3),)}, attached={}, committed=frozenset()
+            intern_dot(2, 2), detached={2: ((3, 3),)}, attached={}
         ),
         2.0,
     )
@@ -116,7 +115,7 @@ def _replay_recovery_race():
             b.dot,
             timestamp=1,
             partition=0,
-            attached=frozenset({Promise(0, 1), Promise(1, 1)}),
+            attached={0: 1, 1: 1},
             detached={},
         ),
         3.0,

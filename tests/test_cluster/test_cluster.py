@@ -82,7 +82,6 @@ class TestClosedLoopClient:
         client.on_reply(0, ClientReply(command.dot), 100.0)
         assert client.completed == 1
         assert len(client.latency) == 0
-        assert len(client.all_latency) == 1
 
     def test_no_submission_after_stop(self):
         client, submissions = self._client(stop_at=100.0)

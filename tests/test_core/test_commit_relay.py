@@ -30,7 +30,6 @@ from repro.core.messages import (
     Need,
 )
 from repro.core.phases import Phase
-from repro.core.promises import Promise
 from repro.experiments.scenarios import WORST_CELL_TAIL_BOUND_MS
 from repro.simulator.inline import InlineNetwork
 from repro.simulator.latency import EC2_REGIONS, ec2_latency_matrix
@@ -250,7 +249,7 @@ class TestOneSenderFailureModel:
         assert target.phase_of(command.dot) is Phase.RECOVER_R
         target.drain_outbox()
         promises = MPromises(
-            Dot(1, 1), attached={command.dot: frozenset({Promise(1, 1)})}
+            Dot(1, 1), attached={command.dot: (1,)}
         )
         for _ in range(2):  # asked once, not once per MPromises
             target.deliver(1, promises, 0.0)

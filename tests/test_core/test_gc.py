@@ -122,8 +122,10 @@ class TestTempoCollection:
                 assert process.phase_of(dot) is Phase.EXECUTE
             assert not process._buffered_attached
             # The promises attached to them folded into one issued range.
-            assert process.tracker.attached() == {}
-            assert process.tracker.detached_ranges() == [(1, process.clock.value)]
+            assert process.tracker.snapshot_ranges(drain=False) == (
+                ((1, process.clock.value),),
+                {},
+            )
             # Nothing is left waiting for an ingredient, however long we wait.
             assert process.blocked_on(float("inf")) == []
 
@@ -134,15 +136,17 @@ class TestTempoCollection:
         cluster.run()  # executed, but no tick yet: the promise never went out
         assert process.tracker.has_pending()
         process._collect(dot)  # the watermark passes the dot first
-        assert process.tracker.attached_for(dot)
+        assert dot in process.tracker.snapshot_ranges(drain=False)[1]
         process.broadcast_promises(0.0)
         envelopes = process.drain_outbox()
         assert [envelope.destination for envelope in envelopes] == [1, 2]
         for envelope in envelopes:
             assert isinstance(envelope.message, MPromises)
             assert dot in envelope.message.attached  # unchanged on the wire
-        assert process.tracker.attached() == {}
-        assert process.tracker.detached_ranges() == [(1, process.clock.value)]
+        assert process.tracker.snapshot_ranges(drain=False) == (
+            ((1, process.clock.value),),
+            {},
+        )
 
     def test_late_duplicates_are_suppressed(self):
         cluster = TempoCluster(num_processes=3, faults=1)
@@ -158,7 +162,7 @@ class TestTempoCollection:
         )
         target.on_message(
             0,
-            MCommit(command.dot, max(timestamp, 1), attached=frozenset()),
+            MCommit(command.dot, max(timestamp, 1), attached={}),
             999.0,
         )
         assert command.dot not in target._info

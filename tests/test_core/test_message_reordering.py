@@ -21,7 +21,6 @@ from repro.core.messages import (
 )
 from repro.core.phases import Phase
 from repro.core.process import TempoProcess
-from repro.core.promises import Promise
 from repro.core.identifiers import Dot
 from repro.simulator.inline import InlineNetwork
 
@@ -70,7 +69,7 @@ class TestOutOfOrderDelivery:
         # Later payload + commit + local stability complete the execution.
         target.deliver(0, MPayload(command.dot, command, quorums), 0.0)
         target.deliver(0, MCommit(command.dot, timestamp=1, partition=0,
-                                  attached=frozenset({Promise(0, 1), Promise(2, 1)})), 0.0)
+                                  attached={0: 1, 2: 1}), 0.0)
         target.stability_check(0.0)
         assert command.dot in target.executed_dots()
 
@@ -115,7 +114,7 @@ class TestUnknownCommands:
         message = MPromises(
             Dot(2, 1),
             detached={},
-            attached={ghost: frozenset({Promise(2, 5)})},
+            attached={ghost: (5,)},
         )
         target.deliver(2, message, 0.0)
         # Buffered, not counted (Algorithm 2, line 47), and nothing asked.
@@ -138,7 +137,7 @@ class TestUnknownCommands:
         target = processes[1]
         ghost = Dot(0, 43)
         message = MPromises(
-            Dot(2, 1), attached={ghost: frozenset({Promise(2, 6)})}
+            Dot(2, 1), attached={ghost: (6,)}
         )
         target.deliver(2, message, 0.0)
         target.deliver(2, message, 5.0)  # repeated mention: the clock keeps running

@@ -101,8 +101,8 @@ class TestExecutionBookkeeping:
         network.settle()
         assert command.dot in processes[0].committed_dots()
         assert command.dot in processes[0].executed_dots()
-        # The committed-but-unexecuted map is drained.
-        assert not processes[0]._committed
+        # Nothing committed is left waiting for stability or execution.
+        assert not processes[0]._commit_heap and not processes[0]._stable_heap
 
     def test_each_command_is_executed_exactly_once(self):
         processes, stores, network = build_cluster()

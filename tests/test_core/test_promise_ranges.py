@@ -1,36 +1,46 @@
 """Tests for the range-native promise pipeline.
 
-Covers the three properties the refactor relies on:
+Covers the properties the pair/range representation relies on:
 
 * **round-trip equivalence** — tracker ranges -> wire -> ``PromiseSet``
-  absorption is indistinguishable from materialising every promise and
-  feeding it through the historical per-promise path;
+  absorption is indistinguishable from feeding every promise through one
+  pair at a time;
 * **batch-scoped stability equivalence** — delivering a message sequence as
   one ``MBatch`` produces exactly the same execution order, promise state
   and outgoing traffic as delivering the messages one by one;
-* **allocation witness** — the detached hot path (clock jump -> tracker ->
-  broadcast -> absorption at a peer) materialises zero ``Promise`` objects.
+* **one absorption** — a commit's piggyback lands the same way through each
+  of the three places that take one in;
+* **allocation witness** — no message path, in the simulator or through the
+  codec, builds a ``Promise`` or any other per-promise object: pairs and
+  ranges only.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.commands import Partitioner
+from repro.cluster import ExperimentConfig, build_replicas, run_experiment
+from repro.core.base import MBatch, ProcessBase
+from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
-from repro.core.messages import MCommit, MPayload, MPromises
+from repro.core.messages import MCommit, MPayload, MPromises, MPropose, MProposeAck
 from repro.core.process import TempoProcess
-from repro.core.base import MBatch
-from repro.core.promises import (
-    Promise,
-    PromiseSet,
-    PromiseTracker,
-    RangeCollector,
-    range_wire_count,
-    range_wire_promises,
-)
+from repro.core.promises import PromiseSet, PromiseTracker, RangeCollector
+from repro.experiments.table1_fastpath import _preset_clock
 from repro.simulator.rng import SeededRng
+from repro.wire import decode_frame, encode_frame
+
+
+def pairs_of(wire):
+    """Every ``(process, timestamp)`` pair a range map stands for."""
+    return [
+        (process, timestamp)
+        for process, spans in wire.items()
+        for lo, hi in spans
+        for timestamp in range(lo, hi + 1)
+    ]
 
 
 def build(r=3, ids=None):
@@ -45,7 +55,8 @@ def build(r=3, ids=None):
 class TestRoundTrip:
     def test_snapshot_ranges_equals_materialised_snapshot(self):
         by_range = PromiseTracker(3)
-        by_set = PromiseTracker(3)
+        one_by_one = PromiseTracker(3)
+        issued = set()
         rng = SeededRng(11)
         cursor = 1
         for _ in range(50):
@@ -54,14 +65,16 @@ class TestRoundTrip:
             lo = cursor + gap
             hi = lo + width
             by_range.add_detached_range(lo, hi)
-            by_set.add_detached(range(lo, hi + 1))
+            for timestamp in range(lo, hi + 1):
+                one_by_one.add_detached_range(timestamp, timestamp)
+            issued.update(range(lo, hi + 1))
             cursor = hi + 1
         ranges, _ = by_range.snapshot_ranges(drain=False)
-        materialised, _ = by_set.snapshot(drain=False)
-        assert range_wire_promises({3: ranges}) == materialised
+        assert ranges == one_by_one.snapshot_ranges(drain=False)[0]
+        assert set(pairs_of({3: ranges})) == {(3, timestamp) for timestamp in issued}
 
     def test_wire_to_tracker_to_emitted_ranges_matches_promise_sets(self):
-        """ranges -> wire -> PromiseSet == the per-promise legacy path."""
+        """ranges -> wire -> PromiseSet == one pair at a time."""
         rng = SeededRng(7)
         wire = {}
         for process in range(5):
@@ -76,16 +89,13 @@ class TestRoundTrip:
 
         via_ranges = PromiseSet()
         via_ranges.absorb_ranges(wire)
-        via_promises = PromiseSet()
-        via_promises.add_all(range_wire_promises(wire))
+        via_pairs = PromiseSet()
+        via_pairs.add_all(pairs_of(wire))
 
         processes = tuple(range(5))
-        assert len(via_ranges) == len(via_promises)
-        for process in processes:
-            assert via_ranges.highest_contiguous_promise(
-                process
-            ) == via_promises.highest_contiguous_promise(process)
-        assert via_ranges.stable_timestamp(processes) == via_promises.stable_timestamp(
+        assert len(via_ranges) == len(via_pairs)
+        assert via_ranges.frontier(processes) == via_pairs.frontier(processes)
+        assert via_ranges.stable_timestamp(processes) == via_pairs.stable_timestamp(
             processes
         )
 
@@ -99,14 +109,15 @@ class TestRoundTrip:
         collector = RangeCollector()
         collector.update({1: ((4, 6),), 2: ((1, 1),)})
         collector.update({1: ((5, 9), (12, 12)), 2: ((2, 3),)})
-        expected = (
-            {Promise(1, t) for t in (4, 5, 6, 7, 8, 9, 12)}
-            | {Promise(2, t) for t in (1, 2, 3)}
-        )
-        assert collector.promises() == expected
-        assert collector.count() == len(expected)
+        expected = {(1, t) for t in (4, 5, 6, 7, 8, 9, 12)} | {
+            (2, t) for t in (1, 2, 3)
+        }
         assert collector.to_wire() == {1: ((4, 9), (12, 12)), 2: ((1, 3),)}
-        assert range_wire_count(collector.to_wire()) == len(expected)
+        assert set(pairs_of(collector.to_wire())) == expected
+        absorbed = PromiseSet()
+        absorbed.absorb_ranges(collector.to_wire())
+        assert len(absorbed) == len(expected)
+        assert all(pair in absorbed for pair in expected)
 
 
 def _drive(target, deliveries, batched: bool):
@@ -141,7 +152,7 @@ class TestBatchScopedStability:
                     command_a.dot,
                     timestamp=1,
                     partition=0,
-                    attached=frozenset({Promise(0, 1), Promise(1, 1)}),
+                    attached={0: 1, 1: 1},
                 ),
             ),
             (
@@ -150,7 +161,7 @@ class TestBatchScopedStability:
                     command_b.dot,
                     timestamp=2,
                     partition=0,
-                    attached=frozenset({Promise(0, 2), Promise(1, 2)}),
+                    attached={0: 2, 1: 2},
                 ),
             ),
             (0, MPromises(Dot(0, 99), detached={0: ((3, 8),)})),
@@ -202,19 +213,138 @@ class TestStableNotificationTargets:
         assert not (set(config.processes_of_partition(0)) - {1}) & set(targets)
 
 
+QUORUM = (0, 1, 2)
+
+
+def _replica(process_id, clocks):
+    """One replica of a fresh five-process partition that already heard the
+    promises members 1 and 2 issued before the command (``clocks``)."""
+    process = build_replicas(
+        "tempo", ProtocolConfig(num_processes=5, faults=1)
+    ).processes[process_id]
+    for member, clock in clocks.items():
+        if member == process_id:
+            _preset_clock(process, clock)  # its own past
+        else:
+            process.deliver(
+                member, MPromises(Dot(member, 1), detached={member: ((1, clock),)}), 0.0
+            )
+    return process
+
+
+def _ack(dot, member, proposed, clock):
+    """The ack of a member whose clock stood at ``clock`` and proposed
+    ``proposed``: the run it skipped rides along as detached promises."""
+    skipped = {member: ((clock + 1, proposed - 1),)} if proposed - 1 > clock else {}
+    return MProposeAck(dot, proposed, skipped)
+
+
+class TestOneAbsorption:
+    """The peer-filtered absorption of a commit's piggyback exists once
+    (``TempoProcess._absorb_piggyback``); it is reached from a member's own
+    fast-path commit, from ``MCommit``, and from ``MCommit`` for a dot that
+    was already collected."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        proposal=st.integers(1, 12),
+        clock_1=st.integers(0, 15),
+        lead=st.integers(0, 6),
+    )
+    def test_three_entry_points_leave_the_same_promises(self, proposal, clock_1, lead):
+        # Member 2 holds the highest clock, so its proposal is the commit
+        # timestamp and committing bumps no quorum member's clock further.
+        clock_2 = max(proposal - 1, clock_1) + lead
+        clocks = {1: clock_1, 2: clock_2}
+        dot = Dot(0, 1)
+        command = Command.write(dot, ["k"])
+        quorums = {0: QUORUM}
+        proposals = {
+            0: proposal,
+            1: max(proposal, clock_1 + 1),
+            2: clock_2 + 1,
+        }
+        final = proposals[2]
+        acks = {
+            0: _ack(dot, 0, proposal, 0),
+            1: _ack(dot, 1, proposals[1], clock_1),
+        }
+
+        # Entry 1: fast-quorum member 2 commits by itself from the acks.
+        member = _replica(2, clocks)
+        member.deliver(0, MPropose(dot, command, quorums, proposal), 0.0)
+        for sender, ack in acks.items():
+            member.deliver(sender, ack, 0.0)
+        record = member._info[dot]
+        assert record.is_committed and record.final_timestamp == final
+        commit = next(
+            envelope.message
+            for envelope in member.drain_outbox()
+            if type(envelope.message) is MCommit
+        )
+        assert commit.attached == proposals
+
+        # Entry 2: a process outside the quorum is told by MCommit.
+        outsider = _replica(3, clocks)
+        outsider.deliver(0, MPayload(dot, command, quorums), 0.0)
+        outsider.deliver(2, commit, 0.0)
+        assert outsider._info[dot].is_committed
+
+        # Entry 3: the same MCommit reaches a process that collected the dot.
+        late = _replica(4, clocks)
+        late.gc.record_executed(dot)
+        for peer in late.partition_peers():
+            late.gc.ingest(peer, {dot.source: dot.sequence})
+        late.gc.advance()
+        assert late.gc.collected(dot)
+        late.deliver(2, commit, 0.0)
+        assert dot not in late._info
+
+        expected = [proposals[0], proposals[1], final]
+        for process in (member, outsider, late):
+            assert process.promises.frontier(QUORUM) == expected
+            assert process._buffered_attached == {}
+            assert all(pair in process.promises for pair in proposals.items())
+
+
+def _only_pairs_and_ranges(message):
+    """Whether ``message``'s promise fields hold ints in plain tuples and
+    dicts, and nothing else."""
+    if type(message) is MProposeAck:
+        fields = [message.detached]
+    elif type(message) is MCommit:
+        fields = [message.attached, message.detached]
+    elif type(message) is MPromises:
+        fields = [message.detached, tuple(message.attached.values())]
+    else:
+        return True
+
+    def plain(value):
+        if type(value) is dict:
+            return all(type(key) is int and plain(item) for key, item in value.items())
+        if type(value) is tuple:
+            return all(plain(item) for item in value)
+        return type(value) is int
+
+    return all(plain(field) for field in fields)
+
+
 class TestAllocationWitness:
     @pytest.fixture
     def promise_counter(self, monkeypatch):
         import repro.core.promises as promises_module
 
         counter = {"created": 0}
-        original = promises_module.Promise.__post_init__
+        original = promises_module.Promise.__new__
 
-        def counting(self):
+        def counting(cls, *args, **kwargs):
             counter["created"] += 1
-            original(self)
+            return original(cls, *args, **kwargs)
 
-        monkeypatch.setattr(promises_module.Promise, "__post_init__", counting)
+        monkeypatch.setattr(promises_module.Promise, "__new__", counting)
+        promises_module.Promise(0, 1)
+        assert counter["created"] == 1, "the witness does not see constructions"
+        counter["created"] = 0
         return counter
 
     def test_detached_hot_path_materialises_no_promises(self, promise_counter):
@@ -246,4 +376,43 @@ class TestAllocationWitness:
         promises = PromiseSet()
         promises.absorb_ranges(wire, only=frozenset({1, 2}))
         assert promises.highest_contiguous_promise(1) == 5_000
+        assert promise_counter["created"] == 0
+
+    def test_no_message_path_builds_a_per_promise_object(
+        self, promise_counter, monkeypatch
+    ):
+        """A healthy, fully conflicting five-site run: every promise-carrying
+        message a replica sends — as sent, and as it comes back out of
+        ``decode_frame(encode_frame(...))`` — holds pairs and ranges only,
+        and nothing constructed a ``Promise`` on the way."""
+        seen = {"MProposeAck": 0, "MCommit": 0, "MPromises": 0}
+        attached = {"MCommit": 0, "MPromises": 0}
+        send = ProcessBase.send
+
+        def witnessing_send(self, destinations, message, now=0.0):
+            kind = type(message).__name__
+            if kind in seen:
+                seen[kind] += 1
+                if kind in attached and message.attached:
+                    attached[kind] += 1
+                assert _only_pairs_and_ranges(message), message
+                frame = encode_frame(message)
+                decoded, _ = decode_frame(frame)
+                assert decoded == message and len(frame) == message.size_bytes()
+                assert _only_pairs_and_ranges(decoded), decoded
+            send(self, destinations, message, now)
+
+        monkeypatch.setattr(ProcessBase, "send", witnessing_send)
+        result = run_experiment(
+            ExperimentConfig(
+                protocol="tempo",
+                num_sites=5,
+                clients_per_site=2,
+                conflict_rate=1.0,
+                duration_ms=1_500.0,
+                warmup_ms=100.0,
+            )
+        )
+        assert result.completed > 0
+        assert all(seen.values()) and all(attached.values()), (seen, attached)
         assert promise_counter["created"] == 0

@@ -6,129 +6,137 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.identifiers import Dot
+from repro.core.messages import MCommit
 from repro.core.promises import Promise, PromiseSet, PromiseTracker
+from repro.wire import WireError, encode
+
+
+def issued(tracker):
+    """Everything the tracker holds: ``(detached ranges, dot -> timestamps)``."""
+    return tracker.snapshot_ranges(drain=False)
 
 
 class TestPromise:
+    """A promise is a plain pair; range checks sit where values enter."""
+
     def test_rejects_zero_timestamp(self):
+        tracker = PromiseTracker(0)
         with pytest.raises(ValueError):
-            Promise(0, 0)
+            tracker.add_attached(Dot(0, 1), 0)
+        with pytest.raises(ValueError):
+            tracker.add_detached_range(0, 3)
+        assert issued(tracker) == ((), {})
 
     def test_rejects_negative_process(self):
-        with pytest.raises(ValueError):
-            Promise(-1, 1)
+        with pytest.raises(WireError):
+            encode(MCommit(Dot(0, 1), timestamp=1, attached={-1: 1}))
 
     def test_ordering(self):
         assert Promise(0, 1) < Promise(0, 2) < Promise(1, 1)
+        assert Promise(1, 5) == (1, 5)
 
 
 class TestPromiseTracker:
     def test_detached_promises_accumulate(self):
         tracker = PromiseTracker(0)
-        tracker.add_detached([1, 2, 3])
-        assert tracker.detached() == {Promise(0, 1), Promise(0, 2), Promise(0, 3)}
+        tracker.add_detached_range(1, 2)
+        tracker.add_detached_range(3, 3)
+        assert issued(tracker) == (((1, 3),), {})
 
     def test_attached_promises_are_per_command(self):
         tracker = PromiseTracker(1)
         tracker.add_attached(Dot(0, 1), 5)
         tracker.add_attached(Dot(0, 2), 6)
-        assert tracker.attached_for(Dot(0, 1)) == {Promise(1, 5)}
-        assert tracker.attached_for(Dot(0, 2)) == {Promise(1, 6)}
+        tracker.add_attached(Dot(0, 2), 4)
+        assert issued(tracker)[1] == {Dot(0, 1): (5,), Dot(0, 2): (4, 6)}
 
     def test_snapshot_drains_pending_promises(self):
         tracker = PromiseTracker(0)
-        tracker.add_detached([1])
+        tracker.add_detached_range(1, 1)
         tracker.add_attached(Dot(0, 1), 2)
-        detached, attached = tracker.snapshot(drain=True)
-        assert detached == {Promise(0, 1)}
-        assert attached == {Dot(0, 1): frozenset({Promise(0, 2)})}
+        assert tracker.snapshot_ranges(drain=True) == (((1, 1),), {Dot(0, 1): (2,)})
         # Second snapshot is empty: each promise is sent only once.
-        detached, attached = tracker.snapshot(drain=True)
-        assert not detached and not attached
+        assert tracker.snapshot_ranges(drain=True) == ((), {})
 
     def test_snapshot_without_drain_returns_everything(self):
         tracker = PromiseTracker(0)
-        tracker.add_detached([1, 2])
-        tracker.snapshot(drain=True)
-        detached, _ = tracker.snapshot(drain=False)
-        assert detached == {Promise(0, 1), Promise(0, 2)}
+        tracker.add_detached_range(1, 2)
+        tracker.snapshot_ranges(drain=True)
+        assert issued(tracker)[0] == ((1, 2),)
 
     def test_has_pending(self):
         tracker = PromiseTracker(0)
         assert not tracker.has_pending()
-        tracker.add_detached([4])
+        tracker.add_detached_range(4, 4)
         assert tracker.has_pending()
-        tracker.snapshot(drain=True)
+        tracker.snapshot_ranges(drain=True)
         assert not tracker.has_pending()
 
     def test_all_issued_combines_attached_and_detached(self):
         tracker = PromiseTracker(2)
-        tracker.add_detached([1])
+        tracker.add_detached_range(1, 1)
         tracker.add_attached(Dot(0, 1), 2)
-        assert tracker.all_issued() == {Promise(2, 1), Promise(2, 2)}
+        assert issued(tracker) == (((1, 1),), {Dot(0, 1): (2,)})
 
     def test_duplicate_detached_promise_not_requeued(self):
         tracker = PromiseTracker(0)
-        tracker.add_detached([1])
-        tracker.snapshot(drain=True)
-        tracker.add_detached([1])
-        detached, _ = tracker.snapshot(drain=True)
-        assert detached == frozenset()
+        tracker.add_detached_range(1, 1)
+        tracker.snapshot_ranges(drain=True)
+        tracker.add_detached_range(1, 1)
+        assert not tracker.has_pending()
+        assert tracker.snapshot_ranges(drain=True) == ((), {})
 
     def test_add_detached_range_matches_elementwise_add(self):
         by_range = PromiseTracker(0)
         by_range.add_detached_range(3, 7)
         elementwise = PromiseTracker(0)
-        elementwise.add_detached([3, 4, 5, 6, 7])
-        assert by_range.detached() == elementwise.detached()
-        assert by_range.detached_ranges() == [(3, 7)]
+        for timestamp in (3, 4, 5, 6, 7):
+            elementwise.add_detached_range(timestamp, timestamp)
+        assert issued(by_range) == issued(elementwise) == (((3, 7),), {})
 
     def test_add_detached_range_overlap_only_queues_new_timestamps(self):
         tracker = PromiseTracker(0)
         tracker.add_detached_range(1, 3)
-        tracker.snapshot(drain=True)
+        tracker.snapshot_ranges(drain=True)
         tracker.add_detached_range(2, 5)
-        detached, _ = tracker.snapshot(drain=True)
-        assert detached == {Promise(0, 4), Promise(0, 5)}
-        assert tracker.detached_ranges() == [(1, 5)]
+        assert tracker.snapshot_ranges(drain=True)[0] == ((4, 5),)
+        assert issued(tracker)[0] == ((1, 5),)
 
     def test_unsorted_detached_input_is_normalised(self):
         tracker = PromiseTracker(0)
-        tracker.add_detached([5, 1, 3, 2])
-        assert tracker.detached_ranges() == [(1, 3), (5, 5)]
-        assert tracker.detached() == {
-            Promise(0, 1), Promise(0, 2), Promise(0, 3), Promise(0, 5)
-        }
+        for timestamp in (5, 1, 3, 2):
+            tracker.add_detached_range(timestamp, timestamp)
+        assert issued(tracker)[0] == ((1, 3), (5, 5))
 
     def test_fold_refiles_broadcast_attached_promises_as_detached(self):
         tracker = PromiseTracker(0)
-        tracker.add_detached([1, 2])
+        tracker.add_detached_range(1, 2)
         tracker.add_attached(Dot(0, 1), 3)
-        tracker.add_detached([4])
+        tracker.add_detached_range(4, 4)
         tracker.add_attached(Dot(0, 2), 5)
-        tracker.snapshot(drain=True)
-        issued = tracker.all_issued()
+        tracker.snapshot_ranges(drain=True)
+        assert issued(tracker) == (
+            ((1, 2), (4, 4)),
+            {Dot(0, 1): (3,), Dot(0, 2): (5,)},
+        )
         tracker.fold(Dot(0, 1))
         # Same promises, one ledger entry fewer: 3 joined the ranges around it.
-        assert tracker.all_issued() == issued
-        assert tracker.attached() == {Dot(0, 2): {Promise(0, 5)}}
-        assert tracker.detached_ranges() == [(1, 4)]
+        assert issued(tracker) == (((1, 4),), {Dot(0, 2): (5,)})
         assert tracker.ledger_size() == 2
         # Already broadcast as attached: not queued a second time.
         assert not tracker.has_pending()
         tracker.fold(Dot(0, 1))  # idempotent, unknown dots included
         tracker.fold(Dot(9, 9))
-        assert tracker.detached_ranges() == [(1, 4)]
+        assert issued(tracker)[0] == ((1, 4),)
 
     def test_fold_waits_for_a_promise_s_first_broadcast(self):
         tracker = PromiseTracker(0)
         tracker.add_attached(Dot(0, 1), 2)
         tracker.fold(Dot(0, 1))
-        assert tracker.attached_for(Dot(0, 1)) == {Promise(0, 2)}
-        _, attached = tracker.snapshot(drain=True)
-        assert attached == {Dot(0, 1): {Promise(0, 2)}}  # went out attached
-        assert tracker.attached() == {}
-        assert tracker.detached_ranges() == [(2, 2)]
+        assert issued(tracker) == ((), {Dot(0, 1): (2,)})
+        _, attached = tracker.snapshot_ranges(drain=True)
+        assert attached == {Dot(0, 1): (2,)}  # went out attached
+        assert issued(tracker) == (((2, 2),), {})
         assert not tracker.has_pending()
 
 
@@ -137,7 +145,7 @@ class TestPromiseSet:
         promises = PromiseSet()
         promises.add_all([Promise(0, 1), Promise(0, 2), Promise(0, 4)])
         assert promises.highest_contiguous_promise(0) == 2
-        promises.add(Promise(0, 3))
+        promises.add_timestamp(0, 3)
         assert promises.highest_contiguous_promise(0) == 4
 
     def test_unknown_process_has_zero_frontier(self):
@@ -145,16 +153,16 @@ class TestPromiseSet:
 
     def test_membership(self):
         promises = PromiseSet()
-        promises.add(Promise(1, 1))
-        promises.add(Promise(1, 3))
+        promises.add_timestamp(1, 1)
+        promises.add_timestamp(1, 3)
         assert Promise(1, 1) in promises
         assert Promise(1, 3) in promises
         assert Promise(1, 2) not in promises
 
     def test_duplicates_do_not_grow_the_set(self):
         promises = PromiseSet()
-        promises.add(Promise(0, 1))
-        promises.add(Promise(0, 1))
+        promises.add_timestamp(0, 1)
+        promises.add_timestamp(0, 1)
         assert len(promises) == 1
 
     def test_stable_timestamp_requires_majority(self):
@@ -163,16 +171,16 @@ class TestPromiseSet:
         promises.add_all([Promise(0, 1), Promise(0, 2)])
         assert promises.stable_timestamp([0, 1, 2]) == 0
         # A second process (majority of 3) brings stability up to 1.
-        promises.add(Promise(1, 1))
+        promises.add_timestamp(1, 1)
         assert promises.stable_timestamp([0, 1, 2]) == 1
 
     def test_stable_timestamp_is_majority_minimum(self):
         promises = PromiseSet()
         for timestamp in range(1, 6):
-            promises.add(Promise(0, timestamp))
+            promises.add_timestamp(0, timestamp)
         for timestamp in range(1, 4):
-            promises.add(Promise(1, timestamp))
-        promises.add(Promise(2, 1))
+            promises.add_timestamp(1, timestamp)
+        promises.add_timestamp(2, 1)
         # Frontiers are [5, 3, 1]; the majority value (index 1) is 3.
         assert promises.stable_timestamp([0, 1, 2]) == 3
 
@@ -186,7 +194,7 @@ class TestPromiseSet:
         promises = PromiseSet()
         promises.add_range(0, 1, 9)
         promises.add_range(1, 1, 9)
-        promises.add(Promise(2, 1))
+        promises.add_timestamp(2, 1)
         assert promises.stable_timestamp([0, 1, 2, 3]) == 1
         # A third process catching up makes 9 stable.
         promises.add_range(2, 2, 9)
@@ -200,23 +208,23 @@ class TestPromiseSet:
 
     def test_out_of_order_insertion_advances_across_gaps(self):
         promises = PromiseSet()
-        promises.add(Promise(0, 5))
-        promises.add(Promise(0, 3))
+        promises.add_timestamp(0, 5)
+        promises.add_timestamp(0, 3)
         assert promises.highest_contiguous_promise(0) == 0
-        promises.add(Promise(0, 1))
+        promises.add_timestamp(0, 1)
         assert promises.highest_contiguous_promise(0) == 1
-        promises.add(Promise(0, 2))
+        promises.add_timestamp(0, 2)
         # 3 was waiting out of order; 4 is still missing.
         assert promises.highest_contiguous_promise(0) == 3
-        promises.add(Promise(0, 4))
+        promises.add_timestamp(0, 4)
         assert promises.highest_contiguous_promise(0) == 5
 
     def test_duplicate_adds_after_frontier_absorption(self):
         promises = PromiseSet()
         promises.add_all([Promise(0, 1), Promise(0, 2)])
         size = len(promises)
-        promises.add(Promise(0, 1))
-        promises.add(Promise(0, 2))
+        promises.add_timestamp(0, 1)
+        promises.add_timestamp(0, 2)
         assert len(promises) == size
 
     def test_contains_after_frontier_absorption(self):
@@ -236,13 +244,13 @@ class TestPromiseSet:
 
     def test_add_range_absorbs_pending_timestamps(self):
         promises = PromiseSet()
-        promises.add(Promise(0, 3))
-        promises.add(Promise(0, 6))
+        promises.add_timestamp(0, 3)
+        promises.add_timestamp(0, 6)
         promises.add_range(0, 1, 4)
         # 3 was pending inside the range; 5 is missing, 6 stays pending.
         assert promises.highest_contiguous_promise(0) == 4
         assert len(promises) == 5
-        promises.add(Promise(0, 5))
+        promises.add_timestamp(0, 5)
         assert promises.highest_contiguous_promise(0) == 6
 
     def test_add_range_above_frontier_stays_pending(self):
@@ -277,7 +285,7 @@ class TestPromiseSet:
         promises = PromiseSet()
         naive = {}
         for process, timestamp in pairs:
-            promises.add(Promise(process, timestamp))
+            promises.add_timestamp(process, timestamp)
             naive.setdefault(process, set()).add(timestamp)
         for process in range(4):
             known = naive.get(process, set())
@@ -315,7 +323,7 @@ class TestPromiseSet:
     def test_stable_timestamp_never_exceeds_majority_frontier(self, pairs):
         promises = PromiseSet()
         for process, timestamp in pairs:
-            promises.add(Promise(process, timestamp))
+            promises.add_timestamp(process, timestamp)
         processes = list(range(5))
         stable = promises.stable_timestamp(processes)
         above = sum(

@@ -288,8 +288,8 @@ def stale_frontier_reply(history: int):
     collected_up_to = peer.clock.value
     stale = victim.promises.highest_contiguous_promise(2)
     assert len(victim.executed) == history
-    assert peer._info == {} and peer.tracker.attached() == {}
-    assert peer.tracker.detached_ranges() == [(1, collected_up_to)]
+    assert peer._info == {}
+    assert peer.tracker.snapshot_ranges(drain=False) == (((1, collected_up_to),), {})
 
     victim.crash()
     victim.recover_process()

@@ -1,48 +1,46 @@
-"""Unit tests for the stability-detection helpers (Theorem 1, Figure 2)."""
+"""Stability detection (Theorem 1, Figure 2) and the execution order it
+licenses (Algorithm 2, line 52) — on the objects that ship: ``PromiseSet``
+and a ``TempoProcess`` fed commits and promises."""
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+from typing import Dict, List
 
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import build_replicas
+from repro.core.commands import Command
+from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
+from repro.core.messages import MCommit, MPayload, MPromises
 from repro.core.promises import Promise, PromiseSet
-from repro.core.stability import (
-    execution_order,
-    highest_contiguous_promises,
-    is_stable,
-    promise_table,
-    stable_timestamp,
-)
+from repro.experiments.fig2_stability import promise_table
 
 
 def _promise_set(entries):
     promises = PromiseSet()
-    promises.add_all(Promise(process, timestamp) for process, timestamp in entries)
+    promises.add_all(entries)
     return promises
 
 
 class TestStableTimestamp:
     def test_empty_set_is_never_stable(self):
-        promises = PromiseSet()
-        assert stable_timestamp(promises, [0, 1, 2]) == 0
-        assert not is_stable(promises, [0, 1, 2], 1)
+        assert PromiseSet().stable_timestamp([0, 1, 2]) == 0
 
     def test_majority_rule(self):
         promises = _promise_set([(0, 1), (0, 2), (1, 1), (1, 2), (2, 1)])
-        assert stable_timestamp(promises, [0, 1, 2]) == 2
-        assert is_stable(promises, [0, 1, 2], 2)
-        assert not is_stable(promises, [0, 1, 2], 3)
+        assert promises.stable_timestamp([0, 1, 2]) == 2
 
     def test_five_processes_need_three_frontiers(self):
         promises = _promise_set(
             [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (3, 1), (3, 2)]
         )
         # Frontiers: [3, 2, 1, 2, 0] -> sorted [0, 1, 2, 2, 3] -> index 2 = 2.
-        assert stable_timestamp(promises, [0, 1, 2, 3, 4]) == 2
+        assert promises.stable_timestamp([0, 1, 2, 3, 4]) == 2
 
     def test_highest_contiguous_promises_helper(self):
         promises = _promise_set([(0, 1), (1, 1), (1, 2)])
-        assert highest_contiguous_promises(promises, [0, 1, 2]) == {0: 1, 1: 2, 2: 0}
+        assert promises.frontier([0, 1, 2]) == [1, 2, 0]
 
 
 class TestFigure2:
@@ -57,6 +55,27 @@ class TestFigure2:
         assert rows["0+2"] == 2
         assert rows["1+2"] == 2
         assert rows["0+1+2"] == 3
+
+
+def execution_order(committed: Dict[Dot, int], stable_up_to: int) -> List[Dot]:
+    """What one replica of a five-process partition executes, in order, once
+    ``committed`` (dot -> timestamp) is committed there and a majority's
+    promises reach ``stable_up_to``."""
+    process = build_replicas("tempo", ProtocolConfig(num_processes=5, faults=1)).processes[0]
+    quorums = {0: (0, 1, 2)}
+    for dot, timestamp in committed.items():
+        process.deliver(1, MPayload(dot, Command.write(dot, ["k"]), quorums), 0.0)
+        process.deliver(1, MCommit(dot, timestamp), 0.0)
+    # Committing bumped the replica's own clock — and promises — to the
+    # highest timestamp; two peers make it a majority up to ``stable_up_to``.
+    for peer in (1, 2):
+        process.deliver(
+            peer, MPromises(Dot(peer, 1), detached={peer: ((1, stable_up_to),)}), 0.0
+        )
+    assert process.stable_timestamp() == min(
+        stable_up_to, max(committed.values(), default=0)
+    )
+    return list(process.executed_dots())
 
 
 class TestExecutionOrder:
@@ -75,6 +94,7 @@ class TestExecutionOrder:
     def test_empty_when_nothing_stable(self):
         assert execution_order({Dot(0, 1): 5}, stable_up_to=0) == []
 
+    @settings(max_examples=40, deadline=None)
     @given(
         st.dictionaries(
             st.builds(Dot, st.integers(0, 3), st.integers(1, 50)),

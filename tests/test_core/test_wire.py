@@ -34,9 +34,14 @@ import repro.protocols.dep_messages as dep_messages
 from repro.core.base import MBatch
 from repro.core.commands import Command, KeyOp, OpKind
 from repro.core.identifiers import intern_dot
-from repro.core.messages import MBump, MCommit, Message, TEMPO_MESSAGE_TYPES
+from repro.core.messages import (
+    MBump,
+    MCommit,
+    Message,
+    MPromises,
+    TEMPO_MESSAGE_TYPES,
+)
 from repro.core.phases import Phase
-from repro.core.promises import Promise
 from repro.core.wireschema import (
     ATTACHED_MAP,
     BOOL,
@@ -47,10 +52,10 @@ from repro.core.wireschema import (
     MAX_FRAME_BYTES,
     PHASE,
     PROMISE_RANGE_MAP,
-    PROMISE_SET,
     QUORUM_MAP,
     RESULT,
     SVARINT,
+    TIMESTAMP_MAP,
     TS_PAIR,
     UVARINT,
     wire_schema,
@@ -207,9 +212,7 @@ _commands = st.builds(
 _spans = st.tuples(
     st.integers(min_value=1, max_value=2**32), st.integers(min_value=0, max_value=2**16)
 ).map(lambda pair: (pair[0], pair[0] + pair[1]))
-_promise_sets = st.frozensets(
-    st.builds(Promise, _small, st.integers(min_value=1, max_value=2**40)), max_size=6
-)
+_promise_timestamps = st.integers(min_value=1, max_value=2**40)
 
 _FIELD_STRATEGIES = {
     UVARINT: _uvarints,
@@ -220,11 +223,15 @@ _FIELD_STRATEGIES = {
     DOT_SET: st.frozensets(_dots, max_size=5),
     COMMAND: _commands,
     QUORUM_MAP: st.dictionaries(_small, st.lists(_small, max_size=5).map(tuple), max_size=3),
-    PROMISE_SET: _promise_sets,
+    TIMESTAMP_MAP: st.dictionaries(_small, _promise_timestamps, max_size=6),
     PROMISE_RANGE_MAP: st.dictionaries(
         _small, st.lists(_spans, min_size=1, max_size=4).map(tuple), max_size=4
     ),
-    ATTACHED_MAP: st.dictionaries(_dots, _promise_sets, max_size=3),
+    ATTACHED_MAP: st.dictionaries(
+        _dots,
+        st.frozensets(_promise_timestamps, max_size=4).map(sorted).map(tuple),
+        max_size=3,
+    ),
     RESULT: st.one_of(
         st.none(), st.dictionaries(_keys, st.one_of(st.none(), _keys), max_size=4)
     ),
@@ -339,6 +346,21 @@ class TestRejection:
         message = MCommit(dot=intern_dot(0, 1), timestamp=2, detached={0: ((0, 4),)})
         with pytest.raises(WireError):
             encode(message)
+
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            MCommit(dot=intern_dot(0, 1), timestamp=2, attached={1: 0}),
+            MPromises(dot=intern_dot(0, 1), attached={intern_dot(0, 2): (0, 3)}),
+        ],
+        ids=lambda message: message.kind,
+    )
+    def test_promise_timestamp_below_one_is_rejected_on_decode(self, message):
+        # Range checks sit where values enter the program: the wire readers
+        # (and PromiseTracker.add_attached / add_detached_range locally).
+        with pytest.raises(WireError, match="promise timestamp must be >= 1"):
+            decode(encode(message))
 
 
 def test_struct_stays_inside_the_wire_package():

@@ -6,11 +6,9 @@ import pytest
 
 from repro.kvstore.sharding import ShardMap
 from repro.simulator.rng import SeededRng
-from repro.workloads.batching import Batcher, BatchingModel
+from repro.workloads.batching import BatchingModel
 from repro.workloads.micro import MicroWorkload
 from repro.workloads.ycsbt import YCSB_WORKLOADS, YcsbTWorkload
-from repro.core.commands import Command
-from repro.core.identifiers import Dot
 
 
 class TestMicroWorkload:
@@ -110,45 +108,6 @@ class TestYcsbT:
     def test_write_ratio_validation(self):
         with pytest.raises(ValueError):
             YcsbTWorkload(client_id=1, shard_map=ShardMap(2), write_ratio=1.5)
-
-
-class TestBatcher:
-    def _command(self, index):
-        return Command.write(Dot(0, index), ["k"])
-
-    def test_flush_by_size(self):
-        batcher = Batcher(max_size=3, max_delay_ms=1000.0)
-        assert batcher.add(self._command(1), 0.0) is None
-        assert batcher.add(self._command(2), 0.0) is None
-        batch = batcher.add(self._command(3), 0.0)
-        assert batch is not None and len(batch) == 3
-
-    def test_flush_by_age(self):
-        batcher = Batcher(max_size=100, max_delay_ms=5.0)
-        batcher.add(self._command(1), 0.0)
-        assert batcher.poll(4.0) is None
-        batch = batcher.poll(5.1)
-        assert batch is not None and len(batch) == 1
-
-    def test_flush_empties_the_buffer(self):
-        batcher = Batcher()
-        batcher.add(self._command(1), 0.0)
-        batcher.flush(0.0)
-        assert batcher.pending() == 0
-        assert batcher.flush(0.0) is None
-
-    def test_average_batch_size(self):
-        batcher = Batcher(max_size=2, max_delay_ms=100.0)
-        batcher.add(self._command(1), 0.0)
-        batcher.add(self._command(2), 0.0)
-        batcher.add(self._command(3), 0.0)
-        batcher.flush(0.0)
-        assert batcher.average_batch_size() == 1.5
-
-    def test_paper_batching_parameters_are_defaults(self):
-        batcher = Batcher()
-        assert batcher.max_size == 105
-        assert batcher.max_delay_ms == 5.0
 
 
 class TestBatchingModel:
