@@ -14,8 +14,8 @@ into real static analysis (import/alias aware) and add new repo-wide ones:
 * ``codec-exhaustiveness`` — a :class:`~repro.core.messages.Message`
   subclass without a wire codec or a canonical sample.
 * ``dispatch-completeness`` — a protocol module constructs a protocol
-  message its dispatch table cannot handle (Tempo's table must equal
-  ``TEMPO_MESSAGE_TYPES`` exactly).
+  message its dispatch table cannot handle, or a declared message kind has
+  no protocol that sends it or none that handles it.
 * ``nondeterminism`` — ``random`` or wall-clock ``time`` reads outside
   ``simulator/rng.py`` and ``repro/runtime/`` (the simulator must be a
   deterministic function of the seed).
@@ -267,9 +267,7 @@ def codec_exhaustiveness_findings() -> List[LintFinding]:
                         code="codec-exhaustiveness",
                         message=(
                             f"{obj.__name__} has no wire codec — declare its "
-                            "fields with @wire_schema on the class and add its "
-                            "(kind byte, class) row to _KINDS in "
-                            "repro/wire/codecs.py"
+                            "kind byte and fields with @wire_schema on the class"
                         ),
                     )
                 )
@@ -298,9 +296,18 @@ def codec_exhaustiveness_findings() -> List[LintFinding]:
 
 # -- per-protocol dispatch completeness ------------------------------------------
 
-#: Messages legitimately constructed but never dispatched by a protocol:
-#: client-facing replies, and the transport envelope.
-_DISPATCH_EXEMPT = frozenset({"ClientReply", "ClientSubmit", "MBatch"})
+#: The one kind a replica constructs and no replica dispatches: the reply
+#: leaves for the client.  (The ``MBatch`` envelope is not a class of the
+#: message modules; ``ProcessBase.deliver`` unpacks it.)
+_DISPATCH_EXEMPT = frozenset({"ClientReply"})
+
+#: Where message kinds are declared (``@wire_schema`` on the class).
+_MESSAGE_MODULES = ("core/messages.py", "protocols/dep_messages.py")
+
+#: The replica shell and its GC mixin: what they construct is sent by every
+#: protocol built on them, so it has a sender, but it is held against no one
+#: group's dispatch table (FPaxos mixes no GC in).
+_SHELL_MODULES = ("core/base.py", "core/gc.py")
 
 #: Module groups whose construction/dispatch sets are checked together (the
 #: Tempo state machine spans process.py and the recovery and repair mixins).
@@ -322,19 +329,24 @@ _DISPATCH_GROUPS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 
-def _message_class_names() -> Set[str]:
-    import inspect
-
-    import repro.core.messages as core_messages
-    import repro.protocols.dep_messages as dep_messages
-    from repro.core.messages import Message
-
-    names: Set[str] = set()
-    for module in (core_messages, dep_messages):
-        for name, obj in inspect.getmembers(module, inspect.isclass):
-            if issubclass(obj, Message) and obj is not Message:
-                names.add(name)
-    return names
+def _declared_kinds(root: Path) -> Dict[str, Tuple[Path, int]]:
+    """``class name -> (module path, line)`` of every message kind declared
+    with ``@wire_schema`` in the message modules under ``root``."""
+    kinds: Dict[str, Tuple[Path, int]] = {}
+    for module in _MESSAGE_MODULES:
+        path = root / module
+        tree = _parse(path)
+        if tree is None:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.bases and any(
+                isinstance(decorator, ast.Call)
+                and isinstance(decorator.func, ast.Name)
+                and decorator.func.id == "wire_schema"
+                for decorator in node.decorator_list
+            ):
+                kinds[node.name] = (path, node.lineno)
+    return kinds
 
 
 def _scan_module(path: Path, message_names: Set[str]) -> Tuple[Set[str], Set[str], int]:
@@ -370,17 +382,27 @@ def _scan_module(path: Path, message_names: Set[str]) -> Tuple[Set[str], Set[str
 
 
 def dispatch_completeness_findings(root: Optional[Path] = None) -> List[LintFinding]:
-    """A protocol's dispatch table covers every message it constructs.
+    """Every message kind has a sender and a handler, and a protocol can
+    route what it sends.
 
-    A message class instantiated by a protocol group is on its wire; if the
-    group's ``_dispatch`` table cannot route it, a replica would raise (or
-    silently drop) on delivery.  Tempo's table must additionally equal
-    ``TEMPO_MESSAGE_TYPES`` exactly — the canonical list used by the wire
-    exhaustiveness tests.
+    Two rules over the kinds declared in the message modules:
+
+    * a message class instantiated by a protocol group is on its wire; if
+      the group's ``_dispatch`` table cannot route it, a replica would raise
+      (or silently drop) on delivery;
+    * a kind exists because a protocol sends it: every declared kind is
+      constructed somewhere in a protocol group or the shared shell, and is
+      a ``_dispatch`` key of at least one group.  A kind with neither is a
+      decoder that faces the network for nothing.
     """
     root = root or _src_root()
-    message_names = _message_class_names()
+    kinds = _declared_kinds(root)
+    message_names = set(kinds)
     findings: List[LintFinding] = []
+    sent: Set[str] = set()
+    handled: Set[str] = set()
+    for module in _SHELL_MODULES:
+        sent |= _scan_module(root / module, message_names)[0]
     for group, modules in _DISPATCH_GROUPS:
         constructed: Set[str] = set()
         dispatch_keys: Set[str] = set()
@@ -395,6 +417,8 @@ def dispatch_completeness_findings(root: Optional[Path] = None) -> List[LintFind
                 dispatch_keys |= module_dispatch
                 anchor_path = root / module
                 anchor_line = line
+        sent |= constructed
+        handled |= dispatch_keys
         missing = sorted((constructed - _DISPATCH_EXEMPT) - dispatch_keys)
         for name in missing:
             findings.append(
@@ -408,23 +432,25 @@ def dispatch_completeness_findings(root: Optional[Path] = None) -> List[LintFind
                     ),
                 )
             )
-        if group == "tempo":
-            from repro.core.messages import TEMPO_MESSAGE_TYPES
-
-            expected = {cls.__name__ for cls in TEMPO_MESSAGE_TYPES}
-            if dispatch_keys != expected:
-                drift = sorted(dispatch_keys.symmetric_difference(expected))
-                findings.append(
-                    LintFinding(
-                        path=_relative(anchor_path, root),
-                        line=anchor_line,
-                        code="dispatch-completeness",
-                        message=(
-                            "tempo dispatch table drifted from "
-                            f"TEMPO_MESSAGE_TYPES: {drift}"
-                        ),
-                    )
+    for name in sorted(message_names - _DISPATCH_EXEMPT):
+        lacks = [
+            what
+            for what, having in (("sender", sent), ("handler", handled))
+            if name not in having
+        ]
+        if lacks:
+            path, line = kinds[name]
+            findings.append(
+                LintFinding(
+                    path=_relative(path, root),
+                    line=line,
+                    code="dispatch-completeness",
+                    message=(
+                        f"{name} is a declared kind with no {' and no '.join(lacks)} "
+                        "in any protocol — retire it (RETIRED_KINDS) or wire it in"
+                    ),
                 )
+            )
     return findings
 
 

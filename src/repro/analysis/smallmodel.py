@@ -340,11 +340,10 @@ def _check_common_final_state(
     # submitted command must execute everywhere.
     must_execute = set(expected_dots) if require_all else set()
     for process in live:
-        for dot, _ in process.executed:
-            must_execute.add(dot)
+        must_execute.update(process.executed)
         must_execute.update(process.committed_dots())
     for process in live:
-        executed = [dot for dot, _ in process.executed]
+        executed = process.executed
         missing = must_execute - set(executed)
         if missing:
             violations.append(
@@ -366,7 +365,7 @@ def _check_common_final_state(
     # prefix is immutable history and must embed in the common order).
     orders = {}
     for process in processes:
-        executed = tuple(dot for dot, _ in process.executed)
+        executed = tuple(process.executed)
         orders[process.process_id] = executed
     reference: Optional[Tuple] = None
     for process_id, executed in sorted(orders.items()):
@@ -390,7 +389,7 @@ def _check_common_final_state(
     timestamps: Dict[object, Dict[object, List[int]]] = {}
     for process in processes:
         previous = None
-        for dot, _ in process.executed:
+        for dot in process.executed:
             timestamp = timestamp_of(process, dot)
             if timestamp is None:
                 continue
@@ -455,7 +454,7 @@ def _gc_collection_safety(
     garbage-collected before it was globally executed.
     """
     executed_sets = {
-        process.process_id: {dot for dot, _ in process.executed}
+        process.process_id: set(process.executed)
         for process in current
     }
     for process in current:
@@ -525,7 +524,7 @@ def _tempo_digest(process: TempoProcess) -> object:
         tuple(process.promises.frontier(peers)),
         len(process.promises),
         buffered,
-        tuple((dot.source, dot.sequence) for dot, _ in process.executed),
+        tuple((dot.source, dot.sequence) for dot in process.executed),
         _gc_digest(process),
         info,
     )
@@ -764,7 +763,7 @@ def _caesar_digest(process: CaesarProcess) -> object:
         process.process_id,
         process.clock,
         deferred,
-        tuple((dot.source, dot.sequence) for dot, _ in process.executed),
+        tuple((dot.source, dot.sequence) for dot in process.executed),
         _gc_digest(process),
         info,
     )

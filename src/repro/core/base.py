@@ -160,7 +160,9 @@ class ProcessBase(abc.ABC):
         #: per delivery for protocols that don't use the hook.
         self._wants_flush = type(self)._flush_step is not ProcessBase._flush_step
         self.outbox: List[Envelope] = []
-        self.executed: List[Tuple[Dot, Command]] = []
+        #: Identifiers executed here, in execution order (the command itself
+        #: goes to the listeners and is not retained).
+        self.executed: List[Dot] = []
         self._execution_listeners: List[ExecutionListener] = []
         self.alive = True
         #: Recovery epoch: bumped on every :meth:`recover_process`, stamped
@@ -360,13 +362,14 @@ class ProcessBase(abc.ABC):
         if buffer is not None:
             buffer.record_ack(sender, message.kind_id, message.dot, message.epoch)
 
-    def _ack_delivery(self, sender: int, kind_id: int, dot: Dot, now: float) -> None:
-        """Send one delivery ack for a tracked inbound message.
+    def _ack_delivery(self, sender: int, message: object, now: float) -> None:
+        """Acknowledge one tracked inbound message by dot and kind byte.
 
         Callers gate on ``self.reliability is not None`` and on
         ``sender != self.process_id`` (self-deliveries need no ack).
         """
-        self.send([sender], MDeliveryAck(dot, kind_id=kind_id, epoch=self.epoch), now)
+        ack = MDeliveryAck(message.dot, kind_id=message.WIRE_KIND, epoch=self.epoch)
+        self.send([sender], ack, now)
 
     def believes_alive(self, process: int) -> bool:
         """Failure-detector view of ``process`` (defaults to alive)."""
@@ -399,13 +402,13 @@ class ProcessBase(abc.ABC):
 
     def record_execution(self, dot: Dot, command: Command, now: float) -> None:
         """Record that this process executed ``command``."""
-        self.executed.append((dot, command))
+        self.executed.append(dot)
         for listener in self._execution_listeners:
             listener(self.process_id, dot, command, now)
 
     def executed_dots(self) -> List[Dot]:
         """Identifiers executed so far, in execution order."""
-        return [dot for dot, _ in self.executed]
+        return list(self.executed)
 
     def _client_reply(self, dot: Dot, command: Command, result) -> Envelope:
         """The reply for a command this process submitted.  Clients are
@@ -429,8 +432,9 @@ class ProcessBase(abc.ABC):
         ``conflict_keys`` the keys holding per-key conflict state,
         ``issued_promises`` the entries of Tempo's issued-promise ledger
         and ``gc_collected`` the identifiers dropped by the watermark GC.
-        ``executed`` (the execution-order witness) is deliberately
-        unbounded and reported separately so the bounds can exclude it.
+        ``executed`` (the execution-order witness, one identifier per
+        command) is deliberately unbounded and reported separately so the
+        bounds can exclude it.
         """
         return {
             "records": len(self._info),

@@ -2,14 +2,14 @@
 
 The configuration captures the replication factor ``r`` per partition, the
 tolerated number of failures ``f`` (following Flexible Paxos,
-``1 <= f <= floor((r - 1) / 2)``), the number of partitions/shards and a few
-implementation knobs (promise-broadcast interval, recovery timeout, ...).
+``1 <= f <= floor((r - 1) / 2)``) and the number of partitions/shards; the
+four timer periods every deployment runs with are constants of the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import ClassVar, List
 
 
 @dataclass(frozen=True)
@@ -20,26 +20,26 @@ class ProtocolConfig:
         num_processes: total number of processes per partition (``r``).
         faults: number of tolerated failures per partition (``f``).
         num_partitions: number of partitions of the service state.
-        promise_interval: how often (milliseconds of simulated time) a
-            process broadcasts its promises (Algorithm 2, line 44).
-        stability_interval: how often a process runs the stability/execution
-            check (Algorithm 2, line 49).
-        recovery_timeout: how long (milliseconds) a pending command may stay
-            un-committed before a process attempts recovery.
-        gc_interval: how often (milliseconds) a process announces its
-            executed-watermark clock to its partition peers (epoch-2 GC).
-            Collection latency only bounds the live-record window, so this
-            runs slower than the promise cadence to keep the periodic
-            traffic small.
     """
 
     num_processes: int = 3
     faults: int = 1
     num_partitions: int = 1
-    promise_interval: float = 5.0
-    stability_interval: float = 5.0
-    recovery_timeout: float = 500.0
-    gc_interval: float = 25.0
+
+    #: How often (milliseconds of simulated time) a process broadcasts its
+    #: promises (Algorithm 2, line 44).
+    promise_interval: ClassVar[float] = 5.0
+    #: How often a process runs the stability/execution check (Algorithm 2,
+    #: line 49).
+    stability_interval: ClassVar[float] = 5.0
+    #: How long (milliseconds) a pending command may stay un-committed
+    #: before a process attempts recovery.
+    recovery_timeout: ClassVar[float] = 500.0
+    #: How often (milliseconds) a process announces its executed-watermark
+    #: clock to its partition peers.  Collection latency only bounds the
+    #: live-record window, so this runs slower than the promise cadence to
+    #: keep the periodic traffic small.
+    gc_interval: ClassVar[float] = 25.0
 
     def __post_init__(self) -> None:
         if self.num_processes < 1:
@@ -54,10 +54,6 @@ class ProtocolConfig:
             )
         if self.faults > max_f and self.num_processes > 1:
             raise ValueError("faults too large for the replication factor")
-        for name in ("promise_interval", "stability_interval",
-                     "recovery_timeout", "gc_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     # -- derived quantities -------------------------------------------------
 

@@ -53,7 +53,6 @@ class CommandInfo:
     # -- commit/execution-side state ---------------------------------------------
     partition_commits: Dict[int, int] = field(default_factory=dict)
     final_timestamp: Optional[int] = None
-    committed_at: Optional[float] = None
     stable_sent: bool = False
     stable_from: Set[int] = field(default_factory=set)
 

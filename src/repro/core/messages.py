@@ -1,10 +1,11 @@
 """Tempo protocol messages.
 
-Every message of Algorithms 1-6 is a frozen dataclass that declares its
-wire body once, in a :func:`~repro.core.wireschema.wire_schema` decorator
-listing ``(field name, field type)`` in dataclass order.  From that one
-declaration the decorator generates the body codec :mod:`repro.wire` frames
-and ``size_bytes()`` — the exact length of the encoded frame, which is what
+Every message of Algorithms 1-6 is a frozen dataclass that declares itself
+once, in a :func:`~repro.core.wireschema.wire_schema` decorator giving its
+append-only kind byte and then ``(field name, field type)`` in dataclass
+order.  From that one declaration :mod:`repro.wire.codecs` registers the
+kind and the decorator generates the body codec :mod:`repro.wire` frames and
+``size_bytes()`` — the exact length of the encoded frame, which is what
 the resource/throughput model charges against the NIC budget — so the
 accounted size and the shipped bytes cannot disagree.
 
@@ -40,13 +41,14 @@ from repro.core.wireschema import (
 )
 
 
-@wire_schema()
 @dataclass(frozen=True)
 class Message:
     """Base class for all protocol messages.
 
-    ``size_bytes()`` — the exact serialized frame size used by the resource
-    model — is generated per class by :func:`wire_schema`.
+    A concrete kind declares itself once, with :func:`wire_schema`: its
+    append-only kind byte and its fields, from which ``size_bytes()`` — the
+    exact serialized frame size used by the resource model — and the body
+    codec are generated.
     """
 
     dot: Dot
@@ -70,7 +72,7 @@ class Message:
         return type(self).__name__
 
 
-@wire_schema(("command", COMMAND), ("quorums", QUORUM_MAP))
+@wire_schema(1, ("command", COMMAND), ("quorums", QUORUM_MAP))
 @dataclass(frozen=True)
 class MSubmit(Message):
     """Client-facing submission forwarded to the per-partition coordinators."""
@@ -80,6 +82,7 @@ class MSubmit(Message):
 
 
 @wire_schema(
+    2,
     ("command", COMMAND), ("quorums", QUORUM_MAP), ("timestamp", SVARINT)
 )
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ class MPropose(Message):
     timestamp: int
 
 
-@wire_schema(("timestamp", SVARINT), ("detached", PROMISE_RANGE_MAP))
+@wire_schema(3, ("timestamp", SVARINT), ("detached", PROMISE_RANGE_MAP))
 @dataclass(frozen=True)
 class MProposeAck(Message):
     """Fast-quorum process -> coordinator: timestamp proposal (plus the
@@ -108,7 +111,7 @@ class MProposeAck(Message):
     detached: PromiseRangeWire = field(default_factory=dict)
 
 
-@wire_schema(("command", COMMAND), ("quorums", QUORUM_MAP))
+@wire_schema(4, ("command", COMMAND), ("quorums", QUORUM_MAP))
 @dataclass(frozen=True)
 class MPayload(Message):
     """Coordinator -> processes outside the fast quorum: payload only."""
@@ -118,6 +121,7 @@ class MPayload(Message):
 
 
 @wire_schema(
+    5,
     ("timestamp", SVARINT),
     ("partition", UVARINT),
     ("attached", TIMESTAMP_MAP),
@@ -140,7 +144,7 @@ class MCommit(Message):
     detached: PromiseRangeWire = field(default_factory=dict)
 
 
-@wire_schema(("timestamp", SVARINT), ("ballot", SVARINT))
+@wire_schema(6, ("timestamp", SVARINT), ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MConsensus(Message):
     """Flexible-Paxos phase-2 message on the slow path / during recovery."""
@@ -149,7 +153,7 @@ class MConsensus(Message):
     ballot: int
 
 
-@wire_schema(("ballot", SVARINT))
+@wire_schema(7, ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MConsensusAck(Message):
     """Acceptance of an :class:`MConsensus` proposal."""
@@ -157,7 +161,7 @@ class MConsensusAck(Message):
     ballot: int
 
 
-@wire_schema(("timestamp", SVARINT))
+@wire_schema(8, ("timestamp", SVARINT))
 @dataclass(frozen=True)
 class MBump(Message):
     """Fast-quorum process -> co-located replicas of the other partitions:
@@ -166,7 +170,7 @@ class MBump(Message):
     timestamp: int
 
 
-@wire_schema(("detached", PROMISE_RANGE_MAP), ("attached", ATTACHED_MAP))
+@wire_schema(9, ("detached", PROMISE_RANGE_MAP), ("attached", ATTACHED_MAP))
 @dataclass(frozen=True)
 class MPromises(Message):
     """Periodic broadcast of issued promises (Algorithm 2, line 45).
@@ -186,7 +190,7 @@ class MPromises(Message):
     attached: Mapping[Dot, Tuple[int, ...]] = field(default_factory=dict)
 
 
-@wire_schema(("partition", UVARINT))
+@wire_schema(10, ("partition", UVARINT))
 @dataclass(frozen=True)
 class MStable(Message):
     """Per-partition stability notification for a multi-partition command."""
@@ -194,7 +198,7 @@ class MStable(Message):
     partition: int = 0
 
 
-@wire_schema(("ballot", SVARINT))
+@wire_schema(11, ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MRec(Message):
     """Recovery phase-1 message (Algorithm 4)."""
@@ -203,6 +207,7 @@ class MRec(Message):
 
 
 @wire_schema(
+    12,
     ("timestamp", SVARINT),
     ("phase", PHASE),
     ("accepted_ballot", SVARINT),
@@ -219,7 +224,7 @@ class MRecAck(Message):
     ballot: int
 
 
-@wire_schema(("ballot", SVARINT))
+@wire_schema(13, ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MRecNAck(Message):
     """Negative acknowledgement telling the recovering leader to retry with a
@@ -228,14 +233,14 @@ class MRecNAck(Message):
     ballot: int
 
 
-@wire_schema()
+@wire_schema(14)
 @dataclass(frozen=True)
 class MCommitRequest(Message):
     """Ask a process that already committed ``dot`` to re-send its payload
     and commit information (Algorithm 6, liveness mechanism)."""
 
 
-@wire_schema(("clock", CLOCK_MAP))
+@wire_schema(33, ("clock", CLOCK_MAP))
 @dataclass(frozen=True)
 class MExecutedClock(Message):
     """Periodic globally-executed watermark exchange (epoch-2 GC).
@@ -256,7 +261,7 @@ class MExecutedClock(Message):
     clock: Mapping[int, int] = field(default_factory=dict)
 
 
-@wire_schema(("kind_id", UVARINT), ("epoch", UVARINT))
+@wire_schema(34, ("kind_id", UVARINT), ("epoch", UVARINT))
 @dataclass(frozen=True)
 class MDeliveryAck(Message):
     """Acknowledge delivery of one tracked critical message.
@@ -281,7 +286,7 @@ class Need(IntEnum):
     STABLE = 2
 
 
-@wire_schema(("need", UVARINT), ("frontier", UVARINT))
+@wire_schema(36, ("need", UVARINT), ("frontier", UVARINT))
 @dataclass(frozen=True)
 class MRepairRequest(Message):
     """Ask a peer for the ingredient ``dot`` is missing at the requester.
@@ -302,39 +307,9 @@ class MRepairRequest(Message):
     frontier: int = 0
 
 
-@wire_schema(("command", COMMAND))
-@dataclass(frozen=True)
-class ClientSubmit(Message):
-    """Client -> closest process: submit a command."""
-
-    command: Command
-
-
-@wire_schema(("result", RESULT))
+@wire_schema(16, ("result", RESULT))
 @dataclass(frozen=True)
 class ClientReply(Message):
     """Process -> client: the command was executed; return values omitted."""
 
     result: Optional[Dict[str, Optional[str]]] = None
-
-
-#: All Tempo protocol message classes, useful for dispatch tables and tests.
-TEMPO_MESSAGE_TYPES = (
-    MSubmit,
-    MPropose,
-    MProposeAck,
-    MPayload,
-    MCommit,
-    MConsensus,
-    MConsensusAck,
-    MBump,
-    MPromises,
-    MStable,
-    MRec,
-    MRecAck,
-    MRecNAck,
-    MCommitRequest,
-    MExecutedClock,
-    MDeliveryAck,
-    MRepairRequest,
-)

@@ -49,15 +49,10 @@ from repro.core.phases import Phase
 from repro.core.promises import PromiseRangeWire, PromiseSet, PromiseTracker
 from repro.core.recovery import RecoveryMixin
 from repro.core.repair import RepairMixin
-from repro.reliability import TRACKED_KIND_IDS
 
 #: Phases in which a command's commit outcome may only be learnable through
 #: MCommitRequest (committed peers ignore MRec, §B.1).
 _RECOVERY_PHASES = frozenset({Phase.RECOVER_R, Phase.RECOVER_P})
-
-#: Wire kind bytes stamped into delivery acks for the tracked kinds.
-_ACK_KIND_MCOMMIT = TRACKED_KIND_IDS["MCommit"]
-_ACK_KIND_MSTABLE = TRACKED_KIND_IDS["MStable"]
 
 
 class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
@@ -540,7 +535,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             # Ack before any dedup/GC early return: the sender retransmits
             # until acked, so a duplicate usually means our first ack was
             # lost.
-            self._ack_delivery(sender, _ACK_KIND_MCOMMIT, dot, now)
+            self._ack_delivery(sender, message, now)
         if self.gc.collected(dot):
             # Late duplicate (commit-request or resync reply) for a command
             # already globally executed: the piggybacked promises are still
@@ -580,7 +575,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
                 final = committed
         record.final_timestamp = final
         record.timestamp = final
-        record.committed_at = now
         record.move_to(Phase.COMMIT)
         self._blocked[Need.COMMIT].pop(dot, None)
         heappush(self._commit_heap, (final, dot))
@@ -679,7 +673,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if self.reliability is not None and sender != self.process_id:
             # Cross-partition sender retransmits until acked; ack duplicates
             # too (our earlier ack may itself have been dropped).
-            self._ack_delivery(sender, _ACK_KIND_MSTABLE, message.dot, now)
+            self._ack_delivery(sender, message, now)
         if self.gc.collected(message.dot):
             return  # late duplicate of a globally-executed command
         record = self.info(message.dot)

@@ -3,20 +3,22 @@
 This is the single source of the wire layout.  A message class declares its
 body once, next to its dataclass fields::
 
-    @wire_schema(("timestamp", SVARINT), ("ballot", SVARINT))
+    @wire_schema(6, ("timestamp", SVARINT), ("ballot", SVARINT))
     @dataclass(frozen=True)
     class MConsensus(Message):
         timestamp: int
         ballot: int
 
-and :func:`wire_schema` generates, at class-definition time, the body
-encoder, the body decoder and ``size_bytes()`` from that one declaration
+— its append-only kind byte, then its fields — and :func:`wire_schema`
+generates, at class-definition time, the body encoder, the body decoder and
+``size_bytes()`` from that one declaration
 (generated source, the way ``dataclasses`` builds ``__init__``).  A *field
 type* is one object holding ``write(buf, value)``, ``read(reader)`` and
 ``size(value)`` side by side, so the three views of a layout cannot drift.
 
 The module sits below :mod:`repro.core.messages` in the import graph;
-:mod:`repro.wire.codecs` adds the kind-byte table and the framing on top.
+:mod:`repro.wire.codecs` walks the declared classes into the kind-byte
+registry and adds the framing on top.
 
 Layout rules (``docs/wire_format.md`` has the framing):
 
@@ -600,19 +602,34 @@ class TIMESTAMP_MAP:
 # -- the generator -------------------------------------------------------------------
 
 
-def wire_schema(*declared: Tuple[str, type]) -> Callable[[type], type]:
-    """Class decorator: derive a message kind's codec from its declaration.
+#: Kind bytes that once named a message and never will again: a byte is
+#: append-only, so a retired one stays a gap (``docs/wire_format.md`` lists
+#: what each was).
+RETIRED_KINDS = frozenset({15, 24, 25, 31, 32, 35})
 
-    ``declared`` lists ``(field name, field type)`` for every dataclass field
-    after the leading ``dot``, in dataclass order — anything else raises
-    ``TypeError`` at class definition.  Attached to the class:
 
+def wire_schema(kind: int, *declared: Tuple[str, type]) -> Callable[[type], type]:
+    """Class decorator: the one declaration of a message kind.
+
+    ``kind`` is the class's append-only kind byte — the on-wire dispatch key
+    :mod:`repro.wire.codecs` registers it under; a byte outside ``0..255``
+    or in :data:`RETIRED_KINDS` raises ``RuntimeError`` at class definition.
+    ``declared`` lists ``(field name,
+    field type)`` for every dataclass field after the leading ``dot``, in
+    dataclass order — anything else raises ``TypeError`` at class
+    definition.  Attached to the class:
+
+    * ``WIRE_KIND`` — the kind byte;
     * ``WIRE_FIELDS`` — the full declaration, ``dot`` first;
     * ``encode_body(buf, message)`` / ``decode_body(reader)`` — the body
-      codec :mod:`repro.wire.codecs` registers under the kind byte;
+      codec;
     * ``size_bytes(self)`` — exact length of the encoded frame (length
       prefix + kind byte + body) without materialising it.
     """
+    if not 0 <= kind <= 0xFF:
+        raise RuntimeError(f"kind byte {kind} out of range")
+    if kind in RETIRED_KINDS:
+        raise RuntimeError(f"kind byte {kind} is retired and never reused")
 
     def attach(cls: type) -> type:
         fields = (("dot", DOT),) + declared
@@ -654,6 +671,7 @@ def wire_schema(*declared: Tuple[str, type]) -> Callable[[type], type]:
         for generated in ("encode_body", "decode_body", "size_bytes"):
             namespace[generated].__qualname__ = f"{cls.__name__}.{generated}"
             namespace[generated].__module__ = cls.__module__
+        cls.WIRE_KIND = kind
         cls.WIRE_FIELDS = fields
         cls.encode_body = staticmethod(namespace["encode_body"])
         cls.decode_body = staticmethod(namespace["decode_body"])

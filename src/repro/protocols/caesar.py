@@ -19,11 +19,14 @@ This implementation reproduces:
 * dependency collection (conflicting commands with smaller timestamps) and
   execution in timestamp order gated on dependency commitment.
 
-Simplification (documented in DESIGN.md): the rejection/retry slow path of
-Caesar is reduced to a single retry round that accepts the coordinator's
-timestamp, because the evaluation's Caesar* variant measures commit-time
-behaviour (commands are "executed as soon as committed", §6.3) and the
-dominant effect is the wait condition, which is fully modelled.
+Not modelled: Caesar's rejection / retry slow path.  No replica ever rejects
+a proposal — once the wait condition clears it acknowledges the
+coordinator's timestamp as proposed — so every command commits after one
+round over the fast quorum with that timestamp and the union of the
+reported dependencies, and there is no retry message on the wire.  The
+evaluation's Caesar* variant measures commit-time behaviour (commands are
+"executed as soon as committed", §6.3) and the dominant effect is the wait
+condition, which is fully modelled.
 """
 
 from __future__ import annotations
@@ -42,12 +45,8 @@ from repro.protocols.dep_messages import (
     MCaesarPropose,
     MCaesarProposeAck,
 )
-from repro.reliability import TRACKED_KIND_IDS
 
 Timestamp = Tuple[int, int]
-
-#: Wire kind byte stamped into delivery acks for MCaesarCommit.
-_ACK_KIND_MCAESARCOMMIT = TRACKED_KIND_IDS["MCaesarCommit"]
 
 
 @dataclass
@@ -61,7 +60,6 @@ class CaesarInfo:
     acks: Dict[int, FrozenSet[Dot]] = field(default_factory=dict)
     submitted_here: bool = False
     submitted_at: Optional[float] = None
-    committed_at: Optional[float] = None
     #: Dependencies not yet executed here (populated at commit time);
     #: the stability check walks only this live remainder instead of the
     #: full history-sized dependency set.
@@ -78,7 +76,6 @@ class _DeferredReply:
 
     dot: Dot
     coordinator: int
-    since: float
     #: Monotonic sequence number preserving the original deferral order, so
     #: re-evaluation (and therefore the reply order) matches the historical
     #: single-list scan exactly.
@@ -223,18 +220,16 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         self._register(message.command)
         self.clock = max(self.clock, message.timestamp[0])
         if self._wait_condition_blocks(message.dot, now):
-            self._defer_reply(message.dot, sender, now)
+            self._defer_reply(message.dot, sender)
             return
         self._reply_propose(message.dot, sender, now)
 
-    def _defer_reply(self, dot: Dot, coordinator: int, now: float) -> None:
+    def _defer_reply(self, dot: Dot, coordinator: int) -> None:
         """Park a blocked reply, indexed by every key it conflicts on."""
         sequence = self._deferred_sequence
         self._deferred_sequence += 1
         keys = tuple(self._info[dot].command.keys)
-        self._deferred[sequence] = _DeferredReply(
-            dot, coordinator, now, sequence, keys
-        )
+        self._deferred[sequence] = _DeferredReply(dot, coordinator, sequence, keys)
         for key in keys:
             self._deferred_by_key.setdefault(key, set()).add(sequence)
         self.blocked_replies_ever += 1
@@ -287,8 +282,7 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
                 if other is not None and zero != other.timestamp < timestamp:
                     dependencies.add(other_dot)
         dependencies.discard(dot)
-        ack = MCaesarProposeAck(dot, timestamp, frozenset(dependencies), accepted=True)
-        self.send([coordinator], ack, now)
+        self.send([coordinator], MCaesarProposeAck(dot, frozenset(dependencies)), now)
 
     def _on_propose_ack(self, sender: int, message: MCaesarProposeAck, now: float) -> None:
         record = self._info.get(message.dot)
@@ -313,7 +307,7 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         if self.reliability is not None and sender != self.process_id:
             # Ack before any dedup/GC early return: a duplicate usually
             # means our first ack was lost.
-            self._ack_delivery(sender, _ACK_KIND_MCAESARCOMMIT, message.dot, now)
+            self._ack_delivery(sender, message, now)
         if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
@@ -323,7 +317,6 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         record.timestamp = message.timestamp
         record.dependencies = message.dependencies
         record.status = "commit"
-        record.committed_at = now
         # Stability only ever has to look at the dependencies that are not
         # yet executed here; the executed history is subtracted once, now.
         live = set(message.dependencies - self._executed_dots)

@@ -2,9 +2,9 @@
 and by Caesar.
 
 They mirror the structure of the Tempo messages in
-:mod:`repro.core.messages`: each class declares its wire body once with
-:func:`~repro.core.wireschema.wire_schema`, which generates its codec and
-its exact ``size_bytes()`` for the resource model.
+:mod:`repro.core.messages`: each class declares its kind byte and wire body
+once with :func:`~repro.core.wireschema.wire_schema`, which generates its
+codec and its exact ``size_bytes()`` for the resource model.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ from repro.core.commands import Command
 from repro.core.identifiers import Dot
 from repro.core.messages import Message
 from repro.core.wireschema import (
-    BOOL,
     COMMAND,
     DOT_SET,
     SVARINT,
     TS_PAIR,
-    UVARINT,
     wire_schema,
 )
 
 
-@wire_schema(("command", COMMAND), ("dependencies", DOT_SET), ("sequence", SVARINT))
+@wire_schema(17, ("command", COMMAND), ("dependencies", DOT_SET), ("sequence", SVARINT))
 @dataclass(frozen=True)
 class MPreAccept(Message):
     """Coordinator -> fast quorum: command plus initial dependencies."""
@@ -36,7 +34,7 @@ class MPreAccept(Message):
     sequence: int = 0
 
 
-@wire_schema(("dependencies", DOT_SET), ("sequence", SVARINT))
+@wire_schema(18, ("dependencies", DOT_SET), ("sequence", SVARINT))
 @dataclass(frozen=True)
 class MPreAcceptAck(Message):
     """Fast-quorum member -> coordinator: possibly extended dependencies."""
@@ -46,6 +44,7 @@ class MPreAcceptAck(Message):
 
 
 @wire_schema(
+    19,
     ("command", COMMAND),
     ("dependencies", DOT_SET),
     ("sequence", SVARINT),
@@ -61,7 +60,7 @@ class MDepAccept(Message):
     ballot: int
 
 
-@wire_schema(("ballot", SVARINT))
+@wire_schema(20, ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MDepAcceptAck(Message):
     """Acceptance of a slow-path proposal."""
@@ -69,12 +68,7 @@ class MDepAcceptAck(Message):
     ballot: int
 
 
-@wire_schema(
-    ("command", COMMAND),
-    ("dependencies", DOT_SET),
-    ("sequence", SVARINT),
-    ("shard", UVARINT),
-)
+@wire_schema(21, ("command", COMMAND), ("dependencies", DOT_SET), ("sequence", SVARINT))
 @dataclass(frozen=True)
 class MDepCommit(Message):
     """Commit notification with the final dependencies."""
@@ -82,13 +76,12 @@ class MDepCommit(Message):
     command: Command
     dependencies: FrozenSet[Dot]
     sequence: int = 0
-    shard: int = 0
 
 
 # -- Caesar ---------------------------------------------------------------------
 
 
-@wire_schema(("command", COMMAND), ("timestamp", TS_PAIR))
+@wire_schema(22, ("command", COMMAND), ("timestamp", TS_PAIR))
 @dataclass(frozen=True)
 class MCaesarPropose(Message):
     """Coordinator -> fast quorum: command plus a unique timestamp proposal."""
@@ -97,36 +90,18 @@ class MCaesarPropose(Message):
     timestamp: Tuple[int, int]
 
 
-@wire_schema(("timestamp", TS_PAIR), ("dependencies", DOT_SET), ("accepted", BOOL))
+@wire_schema(23, ("dependencies", DOT_SET))
 @dataclass(frozen=True)
 class MCaesarProposeAck(Message):
-    """Reply to a Caesar proposal, sent only after the wait condition clears."""
+    """Reply to a Caesar proposal, sent only after the wait condition clears:
+    the conflicting commands the sender knows with a smaller timestamp.  The
+    proposal's timestamp is not echoed — the coordinator holds it under
+    ``dot``, and no replica rejects (``protocols/caesar.py``)."""
 
-    timestamp: Tuple[int, int]
-    dependencies: FrozenSet[Dot]
-    accepted: bool = True
-
-
-@wire_schema(("command", COMMAND), ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
-@dataclass(frozen=True)
-class MCaesarRetry(Message):
-    """Coordinator -> replicas: retry with a higher timestamp (slow path)."""
-
-    command: Command
-    timestamp: Tuple[int, int]
     dependencies: FrozenSet[Dot]
 
 
-@wire_schema(("timestamp", TS_PAIR), ("dependencies", DOT_SET))
-@dataclass(frozen=True)
-class MCaesarRetryAck(Message):
-    """Acknowledgement of a retry."""
-
-    timestamp: Tuple[int, int]
-    dependencies: FrozenSet[Dot]
-
-
-@wire_schema(("command", COMMAND), ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
+@wire_schema(26, ("command", COMMAND), ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
 @dataclass(frozen=True)
 class MCaesarCommit(Message):
     """Commit with final timestamp and dependencies."""
@@ -139,7 +114,7 @@ class MCaesarCommit(Message):
 # -- FPaxos -----------------------------------------------------------------------
 
 
-@wire_schema(("command", COMMAND))
+@wire_schema(27, ("command", COMMAND))
 @dataclass(frozen=True)
 class MForward(Message):
     """Non-leader -> leader: forward a client command."""
@@ -147,7 +122,7 @@ class MForward(Message):
     command: Command
 
 
-@wire_schema(("command", COMMAND), ("slot", SVARINT), ("ballot", SVARINT))
+@wire_schema(28, ("command", COMMAND), ("slot", SVARINT), ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MAccept(Message):
     """Leader -> phase-2 quorum: ordered command at a log slot."""
@@ -157,7 +132,7 @@ class MAccept(Message):
     ballot: int
 
 
-@wire_schema(("slot", SVARINT), ("ballot", SVARINT))
+@wire_schema(29, ("slot", SVARINT), ("ballot", SVARINT))
 @dataclass(frozen=True)
 class MAccepted(Message):
     """Acceptor -> leader: slot accepted."""
@@ -166,43 +141,10 @@ class MAccepted(Message):
     ballot: int
 
 
-@wire_schema(("command", COMMAND), ("slot", SVARINT))
+@wire_schema(30, ("command", COMMAND), ("slot", SVARINT))
 @dataclass(frozen=True)
 class MDecided(Message):
     """Leader -> everyone: slot decided."""
 
     command: Command
     slot: int
-
-
-# -- Janus* -------------------------------------------------------------------------
-
-
-@wire_schema(("shard", UVARINT), ("dependencies", DOT_SET))
-@dataclass(frozen=True)
-class MJanusDeps(Message):
-    """Per-shard coordinator -> submitting coordinator: this shard's deps."""
-
-    shard: int
-    dependencies: FrozenSet[Dot]
-
-
-#: All baseline-protocol message classes, mirroring ``TEMPO_MESSAGE_TYPES``:
-#: dispatch tables, the wire-codec exhaustiveness gate and tests walk this.
-DEP_MESSAGE_TYPES = (
-    MPreAccept,
-    MPreAcceptAck,
-    MDepAccept,
-    MDepAcceptAck,
-    MDepCommit,
-    MCaesarPropose,
-    MCaesarProposeAck,
-    MCaesarRetry,
-    MCaesarRetryAck,
-    MCaesarCommit,
-    MForward,
-    MAccept,
-    MAccepted,
-    MDecided,
-    MJanusDeps,
-)

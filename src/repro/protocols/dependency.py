@@ -20,7 +20,7 @@ slow-quorum size, which is exactly where EPaxos and Atlas differ (§6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import ProcessBase
 from repro.core.commands import Command
@@ -35,12 +35,8 @@ from repro.protocols.dep_messages import (
     MPreAcceptAck,
 )
 from repro.protocols.depgraph import DependencyGraphExecutor
-from repro.reliability import TRACKED_KIND_IDS
 
 _EMPTY_DEPS: FrozenSet[Dot] = frozenset()
-
-#: Wire kind byte stamped into delivery acks for MDepCommit.
-_ACK_KIND_MDEPCOMMIT = TRACKED_KIND_IDS["MDepCommit"]
 
 
 class KeyConflicts:
@@ -156,9 +152,12 @@ class DepInfo:
     ballot: int = 0
     preaccept_acks: Dict[int, Tuple[FrozenSet[Dot], int]] = field(default_factory=dict)
     accept_acks: Set[int] = field(default_factory=set)
+    #: The processes the coordinator's current round asked, in send order
+    #: (set at submit and again on entering the slow path); the round
+    #: completes when every one of them has acked.
+    expected: Sequence[int] = ()
     submitted_here: bool = False
     submitted_at: Optional[float] = None
-    committed_at: Optional[float] = None
     #: Last time the coordinator re-solicited the missing quorum acks for
     #: this command (see _resolicit_tick); debounces to one round per
     #: recovery-timeout window.
@@ -167,6 +166,10 @@ class DepInfo:
     @property
     def is_committed(self) -> bool:
         return self.status in ("commit", "execute")
+
+    def awaiting(self, acked) -> List[int]:
+        """Members of the current round whose ack is missing from ``acked``."""
+        return [member for member in self.expected if member not in acked]
 
 
 class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
@@ -321,10 +324,12 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
             if summary is not None:
                 summary.retire(dot, read_only)
 
-    def _fast_quorum(self) -> List[int]:
+    def _fast_targets(self, command: Command) -> List[int]:
+        """Who is asked to pre-accept ``command``, in send order."""
         return self.quorum_system.closest(self.process_id, self.fast_quorum_size())
 
-    def _slow_quorum(self) -> List[int]:
+    def _slow_targets(self, command: Command) -> List[int]:
+        """Who is asked to accept ``command`` on the slow path, in send order."""
         return self.quorum_system.closest(self.process_id, self.slow_quorum_size())
 
     # -- submission ----------------------------------------------------------------
@@ -340,8 +345,9 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         record.dependencies = dependencies
         record.sequence = sequence
         record.status = "preaccept"
+        record.expected = self._fast_targets(command)
         message = MPreAccept(command.dot, command, dependencies, sequence)
-        self.send(self._fast_quorum(), message, now)
+        self.send(record.expected, message, now)
 
     # -- message handling -------------------------------------------------------------
 
@@ -376,7 +382,7 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         if record is None or record.status != "preaccept" or not record.submitted_here:
             return
         record.preaccept_acks[sender] = (message.dependencies, message.sequence)
-        if len(record.preaccept_acks) < self.fast_quorum_size():
+        if record.awaiting(record.preaccept_acks):
             return
         union_deps = frozenset().union(
             *(deps for deps, _ in record.preaccept_acks.values())
@@ -389,6 +395,7 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         else:
             record.status = "accept"
             record.ballot = self.config.rank_in_partition(self.process_id) + 1
+            record.expected = self._slow_targets(record.command)
             accept = MDepAccept(
                 record.command.dot,
                 record.command,
@@ -396,7 +403,7 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
                 sequence,
                 record.ballot,
             )
-            self.send(self._slow_quorum(), accept, now)
+            self.send(record.expected, accept, now)
 
     def _on_accept(self, sender: int, message: MDepAccept, now: float) -> None:
         if self.gc.collected(message.dot):
@@ -416,7 +423,7 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         if record is None or record.status != "accept" or not record.submitted_here:
             return
         record.accept_acks.add(sender)
-        if len(record.accept_acks) < self.slow_quorum_size():
+        if record.awaiting(record.accept_acks):
             return
         self._broadcast_commit(record, now)
 
@@ -428,11 +435,7 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         if record.command is None:
             return
         commit = MDepCommit(
-            record.command.dot,
-            record.command,
-            record.dependencies,
-            record.sequence,
-            shard=self.partition,
+            record.command.dot, record.command, record.dependencies, record.sequence
         )
         targets = sorted(set(self._commit_targets(record)))
         self.send(targets, commit, now)
@@ -445,7 +448,7 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         if self.reliability is not None and sender != self.process_id:
             # Ack before any dedup/GC early return: a duplicate usually
             # means our first ack was lost.
-            self._ack_delivery(sender, _ACK_KIND_MDEPCOMMIT, message.dot, now)
+            self._ack_delivery(sender, message, now)
         if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
@@ -455,7 +458,6 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         record.dependencies = message.dependencies
         record.sequence = message.sequence
         record.status = "commit"
-        record.committed_at = now
         # The quorum bookkeeping is dead past this point (the ack handlers
         # gate on the pre-commit statuses); drop it so each ack's
         # history-sized dependency snapshot can be reclaimed.
@@ -522,37 +524,22 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
                 continue
             record.last_solicit = now
             if record.status == "preaccept":
-                missing = [
-                    member
-                    for member in self._fast_quorum()
-                    if member not in record.preaccept_acks
-                ]
-                if missing:
-                    self.send(
-                        missing,
-                        MPreAccept(
-                            dot, record.command, record.dependencies, record.sequence
-                        ),
-                        now,
-                    )
+                acked = record.preaccept_acks
+                message = MPreAccept(
+                    dot, record.command, record.dependencies, record.sequence
+                )
             else:
-                missing = [
-                    member
-                    for member in self._slow_quorum()
-                    if member not in record.accept_acks
-                ]
-                if missing:
-                    self.send(
-                        missing,
-                        MDepAccept(
-                            dot,
-                            record.command,
-                            record.dependencies,
-                            record.sequence,
-                            record.ballot,
-                        ),
-                        now,
-                    )
+                acked = record.accept_acks
+                message = MDepAccept(
+                    dot,
+                    record.command,
+                    record.dependencies,
+                    record.sequence,
+                    record.ballot,
+                )
+            missing = record.awaiting(acked)
+            if missing:
+                self.send(missing, message, now)
 
     # -- watermark GC -------------------------------------------------------------------
 

@@ -326,14 +326,15 @@ class DependencyGraph:
 
 
 class DependencyGraphExecutor:
-    """Drives a :class:`DependencyGraph` and records the execution order."""
+    """Drives a :class:`DependencyGraph`: each call returns the commands it
+    made executable, in execution order (the replica shell keeps the order,
+    ``ProcessBase.executed``)."""
 
     def __init__(
         self, collected: Optional[Callable[[Dot], bool]] = None
     ) -> None:
         self.graph = DependencyGraph(collected=collected)
-        self.execution_order: List[Dot] = []
-        self.component_sizes: List[int] = []
+        self._max_component_size = 0
         #: Whether the committed subgraph changed since the last advance().
         #: Executing commands never unblocks anything (blocking is caused by
         #: *uncommitted* dependencies only) and advance() reaches a fixed
@@ -358,9 +359,9 @@ class DependencyGraphExecutor:
             live = graph._nodes[dot].live_deps
             if live and not (len(live) == 1 and dot in live):
                 return []
-            self.component_sizes.append(1)
+            if not self._max_component_size:
+                self._max_component_size = 1
             graph.mark_executed(dot)
-            self.execution_order.append(dot)
             return [dot]
         self._dirty = True
         return self.advance()
@@ -373,24 +374,20 @@ class DependencyGraphExecutor:
         newly: List[Dot] = []
         components = self.graph.executable_components()
         for component in components:
-            self.component_sizes.append(len(component))
+            if len(component) > self._max_component_size:
+                self._max_component_size = len(component)
             for dot in component:
                 self.graph.mark_executed(dot)
-                self.execution_order.append(dot)
                 newly.append(dot)
         return newly
 
     def collect(self, dot: Dot) -> None:
-        """Prune a globally-executed dot from the graph (the recorded
-        ``execution_order`` is deliberately kept: it is the equivalence and
-        convergence witness, like ``ProcessBase.executed``)."""
+        """Prune a globally-executed dot from the graph."""
         self.graph.collect(dot)
-
-    def executed(self) -> Tuple[Dot, ...]:
-        return tuple(self.execution_order)
 
     def pending(self) -> List[Dot]:
         return self.graph.pending_execution()
 
     def max_component_size(self) -> int:
-        return max(self.component_sizes, default=0)
+        """Largest strongly connected component executed so far."""
+        return self._max_component_size

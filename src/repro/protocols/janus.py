@@ -20,98 +20,35 @@ commands it has heard about.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.commands import Command, KeyOp
-from repro.core.identifiers import Dot
 from repro.protocols.atlas import AtlasProcess
-from repro.protocols.dep_messages import MDepAccept, MPreAccept
 
 
 class JanusProcess(AtlasProcess):
-    """A Janus* replica of one shard (= one partition)."""
+    """A Janus* replica of one shard (= one partition): Atlas with every
+    round asked of a quorum in each shard the command accesses."""
 
     name = "janus"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Per-command set of processes whose fast-path ack is expected.
-        self._expected_fast: Dict[Dot, Set[int]] = {}
-        #: Per-command set of processes whose slow-path ack is expected.
-        self._expected_slow: Dict[Dot, Set[int]] = {}
+    # -- who is asked ----------------------------------------------------------------
 
-    # -- submission ----------------------------------------------------------------
+    def _closest_in_accessed_shards(self, command: Command, count: int) -> List[int]:
+        """Union, over the shards ``command`` accesses, of the ``count``
+        replicas of the shard closest to this site's; ascending (the send
+        order)."""
+        members = set()
+        for shard in command.partitions(self.partitioner):
+            local = self.quorum_system.coordinator_for(self.process_id, shard)
+            members.update(self.quorum_system.closest(local, count))
+        return sorted(members)
 
-    def _accessed_shards(self, command: Command) -> List[int]:
-        return sorted(command.partitions(self.partitioner))
+    def _fast_targets(self, command: Command) -> List[int]:
+        return self._closest_in_accessed_shards(command, self.fast_quorum_size())
 
-    def submit(self, command: Command, now: float = 0.0) -> None:
-        """Submit a (possibly multi-shard) command coordinated by this
-        process."""
-        record = self.info(command.dot)
-        record.command = command
-        record.submitted_here = True
-        record.submitted_at = now
-        dependencies, sequence = self._conflicts_of(command)
-        self._register(command, sequence)
-        record.dependencies = dependencies
-        record.sequence = sequence
-        record.status = "preaccept"
-        shards = self._accessed_shards(command)
-        expected: Set[int] = set()
-        for shard in shards:
-            coordinator = self.quorum_system.coordinator_for(self.process_id, shard)
-            quorum = self.quorum_system.fast_quorum(coordinator, shard)
-            expected.update(quorum)
-        self._expected_fast[command.dot] = expected
-        message = MPreAccept(command.dot, command, dependencies, sequence)
-        self.send(sorted(expected), message, now)
-
-    # -- coordinator-side overrides -----------------------------------------------------
-
-    def _on_preaccept_ack(self, sender: int, message, now: float) -> None:
-        record = self._info.get(message.dot)
-        if record is None or record.status != "preaccept" or not record.submitted_here:
-            return
-        record.preaccept_acks[sender] = (message.dependencies, message.sequence)
-        expected = self._expected_fast.get(message.dot, set())
-        if set(record.preaccept_acks) < expected:
-            return
-        union_deps = frozenset().union(
-            *(deps for deps, _ in record.preaccept_acks.values())
-        )
-        sequence = max(seq for _, seq in record.preaccept_acks.values())
-        record.dependencies = union_deps
-        record.sequence = sequence
-        if self.allows_fast_path(union_deps, record.preaccept_acks, self.process_id):
-            self._broadcast_commit(record, now)
-            return
-        record.status = "accept"
-        record.ballot = self.config.rank_in_partition(self.process_id) + 1
-        shards = self._accessed_shards(record.command)
-        expected_slow: Set[int] = set()
-        for shard in shards:
-            coordinator = self.quorum_system.coordinator_for(self.process_id, shard)
-            expected_slow.update(self.quorum_system.slow_quorum(coordinator, shard))
-        self._expected_slow[record.command.dot] = expected_slow
-        accept = MDepAccept(
-            record.command.dot,
-            record.command,
-            union_deps,
-            sequence,
-            record.ballot,
-        )
-        self.send(sorted(expected_slow), accept, now)
-
-    def _on_accept_ack(self, sender: int, message, now: float) -> None:
-        record = self._info.get(message.dot)
-        if record is None or record.status != "accept" or not record.submitted_here:
-            return
-        record.accept_acks.add(sender)
-        expected = self._expected_slow.get(message.dot, set())
-        if record.accept_acks < expected:
-            return
-        self._broadcast_commit(record, now)
+    def _slow_targets(self, command: Command) -> List[int]:
+        return self._closest_in_accessed_shards(command, self.slow_quorum_size())
 
     def _commit_targets(self, record) -> List[int]:
         """Non-genuine commit dissemination: every process of the
@@ -120,12 +57,6 @@ class JanusProcess(AtlasProcess):
         return list(range(self.config.total_processes()))
 
     # -- execution ---------------------------------------------------------------------
-
-    def _execute_all(self, dots: List[Dot], now: float) -> None:
-        for dot in dots:
-            self._expected_fast.pop(dot, None)
-            self._expected_slow.pop(dot, None)
-        super()._execute_all(dots, now)
 
     def _apply(self, command: Command):
         """Apply only the operations on keys of this process's shard."""

@@ -13,13 +13,11 @@ shares it.  See ``docs/reliable_delivery.md``.
 from repro.reliability.buffer import (
     DEFAULT_BACKOFF_BASE_MS,
     DEFAULT_MAX_ATTEMPTS,
-    TRACKED_KIND_IDS,
     RetransmitBuffer,
 )
 
 __all__ = [
     "DEFAULT_BACKOFF_BASE_MS",
     "DEFAULT_MAX_ATTEMPTS",
-    "TRACKED_KIND_IDS",
     "RetransmitBuffer",
 ]

@@ -3,8 +3,10 @@
 A :class:`RetransmitBuffer` tracks the small set of *critical* messages a
 process sends — the ones whose loss strands work forever rather than just
 delaying it (commit broadcasts, cross-partition stability notifications) —
-keyed by ``(destination, wire kind, dot)``.  The receiver acknowledges each
-tracked message with an ``MDeliveryAck`` carrying its recovery epoch; until
+keyed by ``(destination, wire kind, dot)``, the kind byte read off the
+message's class (``WIRE_KIND``, its ``@wire_schema`` declaration).  The
+receiver acknowledges each tracked message with an ``MDeliveryAck`` naming
+the same byte and carrying its recovery epoch; until
 that ack arrives the buffer re-offers the message on recovery-timeout ticks
 with exponential backoff, up to a bounded number of attempts, so a lossy
 window is healed by a handful of re-sends instead of a storm.
@@ -31,18 +33,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-#: Wire kind-byte of every tracked message class, mirrored from the
-#: ``repro.wire`` registry.  The reliability layer sits *below* the wire
-#: package in the import order (``repro.wire`` imports ``repro.core``,
-#: which imports this), so the ids are pinned here and cross-checked
-#: against ``repro.wire.TYPE_TO_KIND`` by ``tests/test_reliability``.
-TRACKED_KIND_IDS: Dict[str, int] = {
-    "MCommit": 5,
-    "MStable": 10,
-    "MDepCommit": 21,
-    "MCaesarCommit": 26,
-}
 
 #: First re-send one recovery timeout after the original send — the same
 #: window that paces Tempo's repair pass, so a lost message is retried
@@ -123,14 +113,12 @@ class RetransmitBuffer:
         already tracking this exact (kind, dot) keeps its schedule — a
         re-broadcast of the same message is not a fresh budget.
         """
-        kind_name = type(message).__name__
-        try:
-            kind_id = TRACKED_KIND_IDS[kind_name]
-        except KeyError:
+        kind_id = getattr(type(message), "WIRE_KIND", None)
+        if kind_id is None:
             raise ValueError(
-                f"{kind_name} is not a tracked message kind "
-                f"(tracked: {sorted(TRACKED_KIND_IDS)})"
-            ) from None
+                f"{type(message).__name__} declares no wire kind: the "
+                "receiver's ack could not name it"
+            )
         dot = message.dot
         added = 0
         next_due = now + self.backoff_base_ms

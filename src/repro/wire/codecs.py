@@ -10,56 +10,20 @@ ship frames over real transports.  Wire layout (``docs/wire_format.md``)::
 The bodies are not written here: each message class declares its fields
 once with :func:`repro.core.wireschema.wire_schema`, which generates its
 ``encode_body``/``decode_body`` (and ``size_bytes()``) from the field types
-in that module.  This module adds what a class cannot know about itself —
-its append-only kind byte — plus the one hand-written body, the
-:class:`repro.core.base.MBatch` transport envelope, which nests inner
-frames and may nest further batches.
+in that module, next to its append-only kind byte.  This module walks the
+declared classes into the kind-byte registry and adds the one hand-written
+body, the :class:`repro.core.base.MBatch` transport envelope (kind 0), which
+nests inner frames and may nest further batches.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
+from repro.core import messages as core_messages
 from repro.core.base import MBatch
-from repro.core.messages import (
-    ClientReply,
-    ClientSubmit,
-    MBump,
-    MCommit,
-    MCommitRequest,
-    MConsensus,
-    MConsensusAck,
-    MDeliveryAck,
-    MExecutedClock,
-    MPayload,
-    MPromises,
-    MPropose,
-    MProposeAck,
-    MRec,
-    MRecAck,
-    MRecNAck,
-    MRepairRequest,
-    MStable,
-    MSubmit,
-)
-from repro.protocols.dep_messages import (
-    MAccept,
-    MAccepted,
-    MCaesarCommit,
-    MCaesarPropose,
-    MCaesarProposeAck,
-    MCaesarRetry,
-    MCaesarRetryAck,
-    MDecided,
-    MDepAccept,
-    MDepAcceptAck,
-    MDepCommit,
-    MForward,
-    MJanusDeps,
-    MPreAccept,
-    MPreAcceptAck,
-)
 from repro.core.wireschema import Reader, WireError, uvarint_size, write_uvarint
+from repro.protocols import dep_messages
 
 
 def _enc_mbatch(buf: bytearray, m: MBatch) -> None:
@@ -75,49 +39,6 @@ def _dec_mbatch(r: Reader) -> MBatch:
 
 # -- registry ---------------------------------------------------------------------
 
-#: Stable kind-byte assignments; append-only, never reorder (the byte is the
-#: on-wire dispatch key).  Adding a kind is one row here, next to the class's
-#: ``@wire_schema`` declaration and its sample in ``wire/samples.py``.  A
-#: retired kind leaves a gap — 32 (MPromiseResync) and 35 (MStableRequest)
-#: went when the repair pass replaced them — and its byte is never reused.
-_KINDS: Tuple[Tuple[int, type], ...] = (
-    (0, MBatch),
-    (1, MSubmit),
-    (2, MPropose),
-    (3, MProposeAck),
-    (4, MPayload),
-    (5, MCommit),
-    (6, MConsensus),
-    (7, MConsensusAck),
-    (8, MBump),
-    (9, MPromises),
-    (10, MStable),
-    (11, MRec),
-    (12, MRecAck),
-    (13, MRecNAck),
-    (14, MCommitRequest),
-    (15, ClientSubmit),
-    (16, ClientReply),
-    (17, MPreAccept),
-    (18, MPreAcceptAck),
-    (19, MDepAccept),
-    (20, MDepAcceptAck),
-    (21, MDepCommit),
-    (22, MCaesarPropose),
-    (23, MCaesarProposeAck),
-    (24, MCaesarRetry),
-    (25, MCaesarRetryAck),
-    (26, MCaesarCommit),
-    (27, MForward),
-    (28, MAccept),
-    (29, MAccepted),
-    (30, MDecided),
-    (31, MJanusDeps),
-    (33, MExecutedClock),
-    (34, MDeliveryAck),
-    (36, MRepairRequest),
-)
-
 #: Message class -> (kind byte, body encoder); the class keys mirror the
 #: protocols' type-keyed ``_dispatch`` tables.
 _ENCODERS: Dict[type, Tuple[int, Callable]] = {}
@@ -128,22 +49,32 @@ KIND_TO_TYPE: Dict[int, type] = {}
 #: Message class -> kind byte.
 TYPE_TO_KIND: Dict[type, int] = {}
 
-for _kind_id, _cls in _KINDS:
-    if not 0 <= _kind_id <= 0xFF:
-        raise RuntimeError(f"kind byte {_kind_id} out of range")
-    if _kind_id in _DECODERS or _cls in _ENCODERS:
-        raise RuntimeError(f"duplicate codec registration: {_kind_id} / {_cls.__name__}")
-    if _cls is MBatch:
-        _ENCODERS[_cls] = (_kind_id, _enc_mbatch)
-        _DECODERS[_kind_id] = _dec_mbatch
-    else:
-        # ``vars``: the class's own declaration, not one inherited from a base.
-        if "WIRE_FIELDS" not in vars(_cls):
-            raise RuntimeError(f"{_cls.__name__} has no @wire_schema declaration")
-        _ENCODERS[_cls] = (_kind_id, _cls.encode_body)
-        _DECODERS[_kind_id] = _cls.decode_body
-    KIND_TO_TYPE[_kind_id] = _cls
-    TYPE_TO_KIND[_cls] = _kind_id
+
+def _register(kind_id: int, cls: type, encoder: Callable, decoder: Callable) -> None:
+    if kind_id in KIND_TO_TYPE:
+        raise RuntimeError(
+            f"kind byte {kind_id} declared by both "
+            f"{KIND_TO_TYPE[kind_id].__name__} and {cls.__name__}"
+        )
+    _ENCODERS[cls] = (kind_id, encoder)
+    _DECODERS[kind_id] = decoder
+    KIND_TO_TYPE[kind_id] = cls
+    TYPE_TO_KIND[cls] = kind_id
+
+
+#: Kind 0, the one hand-written body; every other kind is a class of the two
+#: message modules carrying its own ``@wire_schema`` declaration (``vars``:
+#: declared on the class itself, not inherited, not imported from the other
+#: module), registered under the byte it names.
+_register(0, MBatch, _enc_mbatch, _dec_mbatch)
+for _module in (core_messages, dep_messages):
+    for _cls in vars(_module).values():
+        if (
+            isinstance(_cls, type)
+            and _cls.__module__ == _module.__name__
+            and "WIRE_KIND" in vars(_cls)
+        ):
+            _register(_cls.WIRE_KIND, _cls, _cls.encode_body, _cls.decode_body)
 
 
 def registered_types() -> Tuple[type, ...]:

@@ -19,7 +19,6 @@ from repro.core.commands import Command
 from repro.core.identifiers import Dot, intern_dot
 from repro.core.messages import (
     ClientReply,
-    ClientSubmit,
     MBump,
     MCommit,
     MCommitRequest,
@@ -46,14 +45,11 @@ from repro.protocols.dep_messages import (
     MCaesarCommit,
     MCaesarPropose,
     MCaesarProposeAck,
-    MCaesarRetry,
-    MCaesarRetryAck,
     MDecided,
     MDepAccept,
     MDepAcceptAck,
     MDepCommit,
     MForward,
-    MJanusDeps,
     MPreAccept,
     MPreAcceptAck,
 )
@@ -97,23 +93,19 @@ def sample_messages(payload_size: int = 100) -> Dict[str, object]:
         "MDeliveryAck": MDeliveryAck(dot, kind_id=5, epoch=1),
         "MRepairRequest": MRepairRequest(dot, Need.PROMISES, frontier=17),
         "MExecutedClock": MExecutedClock(dot, clock={0: 12, 1: 9, 2: 36}),
-        "ClientSubmit": ClientSubmit(dot, command),
         "ClientReply": ClientReply(dot, result={"key-0": str(dot)}),
         "MPreAccept": MPreAccept(dot, command, deps, 4),
         "MPreAcceptAck": MPreAcceptAck(dot, deps, 4),
         "MDepAccept": MDepAccept(dot, command, deps, 4, 3),
         "MDepAcceptAck": MDepAcceptAck(dot, 3),
-        "MDepCommit": MDepCommit(dot, command, deps, 4, 0),
+        "MDepCommit": MDepCommit(dot, command, deps, 4),
         "MCaesarPropose": MCaesarPropose(dot, command, (41, 2)),
-        "MCaesarProposeAck": MCaesarProposeAck(dot, (41, 2), deps, True),
-        "MCaesarRetry": MCaesarRetry(dot, command, (53, 2), deps),
-        "MCaesarRetryAck": MCaesarRetryAck(dot, (53, 2), deps),
+        "MCaesarProposeAck": MCaesarProposeAck(dot, deps),
         "MCaesarCommit": MCaesarCommit(dot, command, (53, 2), deps),
         "MForward": MForward(dot, command),
         "MAccept": MAccept(dot, command, 37, 3),
         "MAccepted": MAccepted(dot, 37, 3),
         "MDecided": MDecided(dot, command, 37),
-        "MJanusDeps": MJanusDeps(dot, 0, deps),
     }
     samples["MBatch"] = MBatch(
         (samples["MCommit"], samples["MStable"], samples["MConsensusAck"])

@@ -9,13 +9,16 @@ lint that can never fail enforces nothing) and that the sanctioned locations
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import repro
 from repro.analysis.lint import (
     ALL_CHECKS,
     determinism_findings,
+    dispatch_completeness_findings,
     hot_class_slots_findings,
     run_all,
     scheduler_internal_findings,
@@ -56,6 +59,89 @@ class TestRepoWide:
             "dispatch-completeness",
             "nondeterminism",
         ]
+
+
+#: The four kinds PR 24 retired, as the parent's message modules declared
+#: them: registered, sampled, round-tripped — and sent or handled by nothing.
+_PARENT_ONLY_KINDS = {
+    "core/messages.py": '''
+
+@wire_schema(15, ("command", COMMAND))
+@dataclass(frozen=True)
+class ClientSubmit(Message):
+    command: Command
+''',
+    "protocols/dep_messages.py": '''
+
+@wire_schema(24, ("command", COMMAND), ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
+@dataclass(frozen=True)
+class MCaesarRetry(Message):
+    command: Command
+    timestamp: Tuple[int, int]
+    dependencies: FrozenSet[Dot]
+
+
+@wire_schema(25, ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
+@dataclass(frozen=True)
+class MCaesarRetryAck(Message):
+    timestamp: Tuple[int, int]
+    dependencies: FrozenSet[Dot]
+
+
+@wire_schema(31, ("shard", UVARINT), ("dependencies", DOT_SET))
+@dataclass(frozen=True)
+class MJanusDeps(Message):
+    shard: int
+    dependencies: FrozenSet[Dot]
+''',
+}
+
+
+def _shipped_tree(tmp_path: Path) -> Path:
+    """A copy of the shipped source tree the rule can be pointed at."""
+    root = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent, root, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return root
+
+
+def _append(path: Path, source: str) -> None:
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(source)
+
+
+class TestSenderAndHandlerGate:
+    def test_the_parents_four_unsent_kinds_are_reported_and_nothing_else(
+        self, tmp_path
+    ):
+        root = _shipped_tree(tmp_path)
+        assert dispatch_completeness_findings(root) == []
+        for module, declarations in _PARENT_ONLY_KINDS.items():
+            _append(root / module, declarations)
+        findings = dispatch_completeness_findings(root)
+        assert {finding.code for finding in findings} == {"dispatch-completeness"}
+        assert sorted(finding.message.split()[0] for finding in findings) == [
+            "ClientSubmit",
+            "MCaesarRetry",
+            "MCaesarRetryAck",
+            "MJanusDeps",
+        ]
+        assert all("no sender and no handler" in f.message for f in findings)
+
+    def test_a_kind_that_is_sent_but_never_handled_is_reported(self, tmp_path):
+        root = _shipped_tree(tmp_path)
+        _append(root / "core/messages.py", _PARENT_ONLY_KINDS["core/messages.py"])
+        _append(
+            root / "protocols/fpaxos.py",
+            "\n\ndef _forward(command):\n    return ClientSubmit(command.dot, command)\n",
+        )
+        messages = [finding.message for finding in dispatch_completeness_findings(root)]
+        # Once as "this group cannot route what it sends", once as "no
+        # protocol handles this kind".
+        assert len(messages) == 2
+        assert any("fpaxos: ClientSubmit is constructed but missing" in m for m in messages)
+        assert any("ClientSubmit is a declared kind with no handler" in m for m in messages)
 
 
 class TestStructGate:

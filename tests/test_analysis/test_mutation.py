@@ -154,8 +154,7 @@ class TestTraceCheckerDetection:
     def test_trace_checker_flags_the_recovery_race(self, mutated):
         process, report = _replay_recovery_race()
         # Premature stability: a@3 executed while b@1 was still in flight.
-        executed = [dot for dot, _ in process.executed]
-        assert [str(dot) for dot in executed] == ["2.1", "0.1"]
+        assert [str(dot) for dot in process.executed] == ["2.1", "0.1"]
         assert not report.ok
         codes = {violation.code for violation in report.violations}
         assert "timestamp-order" in codes
@@ -164,5 +163,5 @@ class TestTraceCheckerDetection:
         process, report = _replay_recovery_race()
         report.raise_if_violations()
         # Correct stability holds a@3 back until b@1 resolves.
-        executed = [str(dot) for dot, _ in process.executed]
+        executed = [str(dot) for dot in process.executed]
         assert executed[0] == "0.1"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,13 +35,7 @@ import repro.protocols.dep_messages as dep_messages
 from repro.core.base import MBatch
 from repro.core.commands import Command, KeyOp, OpKind
 from repro.core.identifiers import intern_dot
-from repro.core.messages import (
-    MBump,
-    MCommit,
-    Message,
-    MPromises,
-    TEMPO_MESSAGE_TYPES,
-)
+from repro.core.messages import MBump, MCommit, Message, MPromises
 from repro.core.phases import Phase
 from repro.core.wireschema import (
     ATTACHED_MAP,
@@ -54,6 +49,7 @@ from repro.core.wireschema import (
     PROMISE_RANGE_MAP,
     QUORUM_MAP,
     RESULT,
+    RETIRED_KINDS,
     SVARINT,
     TIMESTAMP_MAP,
     TS_PAIR,
@@ -61,7 +57,6 @@ from repro.core.wireschema import (
     wire_schema,
     write_uvarint,
 )
-from repro.protocols.dep_messages import DEP_MESSAGE_TYPES
 from repro.wire import (
     KIND_TO_TYPE,
     TYPE_TO_KIND,
@@ -97,8 +92,7 @@ class TestExhaustiveness:
         ]
         assert not missing, (
             f"message kinds without a wire codec: {missing} — declare them "
-            "with @wire_schema, add a _KINDS row in repro/wire/codecs.py and "
-            "a sample"
+            "with @wire_schema (kind byte first) and add a sample"
         )
 
     def test_batch_envelope_has_a_codec(self):
@@ -112,25 +106,83 @@ class TestExhaustiveness:
         ]
         assert not missing, f"registered kinds without a sample: {missing}"
 
-    def test_type_tuples_match_the_registry(self):
-        registered = set(registered_types())
-        for cls in TEMPO_MESSAGE_TYPES + DEP_MESSAGE_TYPES:
-            assert cls in registered
+    def test_registry_is_the_declared_classes(self):
+        # No table beside the classes: what is registered is exactly what
+        # the two message modules declare, under the byte each names.
+        declared = {cls: cls.WIRE_KIND for cls in _message_classes()}
+        assert {**declared, MBatch: 0} == TYPE_TO_KIND
+        assert {kind: cls for cls, kind in TYPE_TO_KIND.items()} == KIND_TO_TYPE
 
     def test_kind_bytes_are_stable(self):
         # The registry is append-only: re-numbering breaks any stored or
-        # in-flight frame.  Spot-check anchors across the id space.
-        assert TYPE_TO_KIND[MBatch] == 0
-        assert TYPE_TO_KIND[core_messages.MSubmit] == 1
-        assert TYPE_TO_KIND[core_messages.ClientReply] == 16
-        assert TYPE_TO_KIND[dep_messages.MPreAccept] == 17
-        assert TYPE_TO_KIND[dep_messages.MJanusDeps] == 31
-        assert TYPE_TO_KIND[core_messages.MExecutedClock] == 33
-        assert TYPE_TO_KIND[core_messages.MDeliveryAck] == 34
-        assert TYPE_TO_KIND[core_messages.MRepairRequest] == 36
-        # Retired kinds leave gaps: their bytes are never handed out again.
-        assert 32 not in KIND_TO_TYPE and 35 not in KIND_TO_TYPE
-        assert len(TYPE_TO_KIND) == 35
+        # in-flight frame.  Every (byte, class) pair, literally.
+        assert [(TYPE_TO_KIND[cls], cls.__name__) for cls in registered_types()] == [
+            (0, "MBatch"),
+            (1, "MSubmit"),
+            (2, "MPropose"),
+            (3, "MProposeAck"),
+            (4, "MPayload"),
+            (5, "MCommit"),
+            (6, "MConsensus"),
+            (7, "MConsensusAck"),
+            (8, "MBump"),
+            (9, "MPromises"),
+            (10, "MStable"),
+            (11, "MRec"),
+            (12, "MRecAck"),
+            (13, "MRecNAck"),
+            (14, "MCommitRequest"),
+            (16, "ClientReply"),
+            (17, "MPreAccept"),
+            (18, "MPreAcceptAck"),
+            (19, "MDepAccept"),
+            (20, "MDepAcceptAck"),
+            (21, "MDepCommit"),
+            (22, "MCaesarPropose"),
+            (23, "MCaesarProposeAck"),
+            (26, "MCaesarCommit"),
+            (27, "MForward"),
+            (28, "MAccept"),
+            (29, "MAccepted"),
+            (30, "MDecided"),
+            (33, "MExecutedClock"),
+            (34, "MDeliveryAck"),
+            (36, "MRepairRequest"),
+        ]
+
+    @pytest.mark.parametrize("kind", [15, 24, 25, 31, 32, 35])
+    def test_a_retired_byte_is_never_reused(self, kind):
+        # 15 ClientSubmit, 24 MCaesarRetry, 25 MCaesarRetryAck, 31 MJanusDeps,
+        # 32 MPromiseResync, 35 MStableRequest: gaps for good.
+        assert kind in RETIRED_KINDS and kind not in KIND_TO_TYPE
+        with pytest.raises(WireError, match="unknown message kind byte"):
+            decode(bytes([kind]))
+        with pytest.raises(RuntimeError, match="retired"):
+
+            @wire_schema(kind)
+            @dataclass(frozen=True)
+            class Revived(Message):
+                pass
+
+    def test_the_documented_kind_table_is_the_registry(self):
+        # docs/wire_format.md keeps the at-a-glance table the code no longer
+        # has; its (byte, kind) rows must be what is registered.
+        text = (Path(__file__).parents[2] / "docs" / "wire_format.md").read_text()
+        rows = re.findall(r"^\| (\d+) \| `(\w+)` \| `[\w/.]+`", text, re.MULTILINE)
+        assert [(int(byte), name) for byte, name in rows] == [
+            (TYPE_TO_KIND[cls], cls.__name__) for cls in registered_types()
+        ]
+        # Every other byte the page tabulates is a retired one.
+        cells = re.findall(r"^\| ([\d, ]+) \| `\w+`", text, re.MULTILINE)
+        documented = {int(byte) for cell in cells for byte in cell.split(",")}
+        assert documented - set(KIND_TO_TYPE) == RETIRED_KINDS
+
+    def test_a_byte_declared_twice_is_refused(self):
+        from repro.wire import codecs
+
+        with pytest.raises(RuntimeError, match="declared by both MBump and"):
+            codecs._register(TYPE_TO_KIND[MBump], MCommit, None, None)
+        assert KIND_TO_TYPE[TYPE_TO_KIND[MBump]] is MBump
 
     def test_codec_exhaustiveness_lint_agrees(self):
         # The same closure properties, as enforced repo-wide by
@@ -279,7 +331,7 @@ class TestSchemaDriven:
     def test_incomplete_or_misordered_declaration_fails_at_class_definition(self):
         with pytest.raises(TypeError, match="declare every field"):
 
-            @wire_schema(("ballot", SVARINT))
+            @wire_schema(200, ("ballot", SVARINT))
             @dataclass(frozen=True)
             class MissingField(Message):
                 timestamp: int
@@ -287,7 +339,7 @@ class TestSchemaDriven:
 
         with pytest.raises(TypeError, match="in dataclass order"):
 
-            @wire_schema(("ballot", SVARINT), ("timestamp", SVARINT))
+            @wire_schema(200, ("ballot", SVARINT), ("timestamp", SVARINT))
             @dataclass(frozen=True)
             class Misordered(Message):
                 timestamp: int

@@ -17,10 +17,16 @@ benchmark and CI gates them there too.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.config import ExperimentConfig
+from repro.cluster.replicas import build_replicas
 from repro.cluster.runner import run_experiment
+from repro.core.config import ProtocolConfig
+from repro.simulator.inline import InlineNetwork
 
 
 def run_cell(protocol: str, duration_ms: float) -> dict:
@@ -40,11 +46,11 @@ def run_cell(protocol: str, duration_ms: float) -> dict:
 BASE_MS = 400.0
 LONG_MS = 4_000.0  # 10x
 
+COLLECTING_PROTOCOLS = ["tempo", "atlas", "epaxos", "caesar", "janus"]
+
 
 class TestMemoryStaysFlat:
-    @pytest.mark.parametrize(
-        "protocol", ["tempo", "atlas", "epaxos", "caesar", "janus"]
-    )
+    @pytest.mark.parametrize("protocol", COLLECTING_PROTOCOLS)
     def test_live_state_does_not_scale_with_run_length(self, protocol):
         short = run_cell(protocol, BASE_MS)
         long = run_cell(protocol, LONG_MS)
@@ -80,3 +86,28 @@ class TestMemoryStaysFlat:
         # dropped (not that nothing was ever tracked).
         assert stats["gc_collected"] > 100, stats["gc_collected"]
         assert stats["live_records"] == 0, stats["live_records"]
+
+    @pytest.mark.parametrize("protocol", COLLECTING_PROTOCOLS)
+    def test_a_collected_command_is_no_longer_held_by_any_replica(self, protocol):
+        # The execution log keeps identifiers: once the watermark GC drops
+        # a dot's record, nothing at a replica (record table, conflict
+        # state, executor, store, log) references its Command any more.
+        config = ProtocolConfig(num_processes=3, faults=1)
+        replicas = build_replicas(protocol, config)
+        network = InlineNetwork(replicas.processes)
+
+        def submit_first():
+            command = replicas.processes[0].new_command(["k"], client_id=1)
+            replicas.processes[0].submit(command, 0.0)
+            return weakref.ref(command), command.dot
+
+        held, dot = submit_first()
+        network.settle(rounds=10)
+        assert all(dot in process.executed for process in replicas.processes)
+        gc.collect()
+        assert held() is not None  # the live records still need it
+        # Two gc_intervals of one-ms rounds after it executed everywhere.
+        network.settle(now=10.0, rounds=2 * int(config.gc_interval))
+        gc.collect()
+        assert held() is None
+        assert all(dot in process.executed for process in replicas.processes)

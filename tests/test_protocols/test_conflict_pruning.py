@@ -73,11 +73,7 @@ class TestDependencyPruning:
         executed_before = len(target.executed)
         record = target.info(commands[0].dot)
         message = MDepCommit(
-            commands[0].dot,
-            record.command,
-            record.dependencies,
-            record.sequence,
-            shard=0,
+            commands[0].dot, record.command, record.dependencies, record.sequence
         )
         target.on_message(0, message, 999.0)
         assert len(target.executed) == executed_before

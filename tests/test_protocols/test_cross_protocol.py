@@ -107,7 +107,8 @@ RANK_CLOSEST = {
 def quorums_asked_for(protocol, process):
     """Every quorum ``process`` selects by distance, per protocol family."""
     if protocol in ("atlas", "epaxos", "janus"):
-        return [process._fast_quorum(), process._slow_quorum()]
+        command = process.new_command(["k"])
+        return [process._fast_targets(command), process._slow_targets(command)]
     if protocol == "caesar":
         return [process._fast_quorum()]
     if protocol == "fpaxos":
@@ -181,7 +182,9 @@ class TestReplicaShell:
         deployment = _Deployment(ExperimentConfig(protocol=protocol, faults=faults))
         for process in deployment.processes:
             for quorum in quorums_asked_for(protocol, process):
-                assert quorum == EC2_CLOSEST[process.process_id][: len(quorum)]
+                closest = EC2_CLOSEST[process.process_id][: len(quorum)]
+                # Janus* asks the union over the accessed shards, ascending.
+                assert quorum == (sorted(closest) if protocol == "janus" else closest)
 
     def test_closest_is_pinned_for_every_size(self):
         config = ProtocolConfig(num_processes=5, faults=1)

@@ -88,10 +88,13 @@ class TestBasicExecution:
 class TestExecutor:
     def test_executor_records_order_and_component_sizes(self):
         executor = DependencyGraphExecutor()
-        executor.commit(dot(0, 1), [dot(1, 1)], sequence=2)
-        assert executor.executed() == ()
+        assert executor.commit(dot(0, 1), [dot(1, 1)], sequence=2) == []
+        assert executor.max_component_size() == 0
         newly = executor.commit(dot(1, 1), [dot(0, 1)], sequence=1)
         assert newly == [dot(1, 1), dot(0, 1)]
+        assert executor.max_component_size() == 2
+        # The maximum is a running one: a later singleton does not lower it.
+        assert executor.commit(dot(2, 1), []) == [dot(2, 1)]
         assert executor.max_component_size() == 2
 
     def test_pending_lists_unexecuted_committed_commands(self):
@@ -113,9 +116,9 @@ class TestExecutor:
 
     def test_duplicate_commit_does_not_mark_graph_dirty(self):
         executor = DependencyGraphExecutor()
-        executor.commit(dot(0, 1), [])
+        assert executor.commit(dot(0, 1), []) == [dot(0, 1)]
         assert executor.commit(dot(0, 1), []) == []
-        assert executor.execution_order == [dot(0, 1)]
+        assert executor.advance() == []
 
 
 class TestProperties:

@@ -137,3 +137,39 @@ class TestMultiShard:
             for process in processes:
                 if process.partition in accessed:
                     assert command.dot in process.executed_dots()
+
+
+class TestCrossShardLoss:
+    """Lost pre-accept acks of a cross-shard command are re-solicited from
+    the quorums of *every* accessed shard (the round's stored targets), not
+    from the coordinator's own shard only."""
+
+    @pytest.mark.parametrize("cross_shard_only", [False, True])
+    def test_lossy_preaccept_acks_leave_no_cross_shard_command_stuck(
+        self, cross_shard_only
+    ):
+        from repro.cluster.config import ExperimentConfig
+        from repro.cluster.runner import run_experiment
+        from repro.experiments.scenarios import _convergence
+        from repro.faults.plan import FaultPlan, TargetedLoss
+
+        loss = TargetedLoss(
+            800, 1400, "MPreAcceptAck", probability=0.3,
+            cross_shard_only=cross_shard_only,
+        )
+        result = run_experiment(
+            ExperimentConfig(
+                protocol="janus",
+                num_sites=3,
+                num_shards=2,
+                keys_per_command=2,
+                clients_per_site=4,
+                duration_ms=2000,
+                fault_plan=FaultPlan([loss]),
+                record_execution_trace=True,
+            )
+        )
+        stuck, _ = _convergence(result, "janus")
+        assert stuck == 0
+        assert result.completed == result.submitted > 0
+        assert result.stats["sent:MPreAccept"] > 0

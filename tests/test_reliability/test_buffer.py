@@ -4,38 +4,48 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.base import MBatch
+from repro.core.commands import Command
 from repro.core.identifiers import Dot
-from repro.core.messages import MCommit, MRepairRequest, MStable, Need
+from repro.core.messages import MCommit, MDeliveryAck, MStable
 from repro.protocols.dep_messages import MCaesarCommit, MDepCommit
 from repro.reliability import (
     DEFAULT_BACKOFF_BASE_MS,
     DEFAULT_MAX_ATTEMPTS,
-    TRACKED_KIND_IDS,
     RetransmitBuffer,
 )
-from repro.wire import TYPE_TO_KIND
+from repro.wire import TYPE_TO_KIND, decode, encode, has_codec
+
+
+def _tracked_messages():
+    """One message of each kind the protocols hand to ``track``."""
+    dot = Dot(0, 1)
+    command = Command.write(dot, ["k"])
+    return (
+        MCommit(dot, timestamp=3, partition=0),
+        MStable(dot, partition=0),
+        MDepCommit(dot, command, frozenset()),
+        MCaesarCommit(dot, command, (1, 0), frozenset()),
+    )
 
 
 class TestTrackedKindPins:
     def test_tracked_kind_ids_match_the_wire_registry(self):
-        # The reliability package sits below repro.wire in the import
-        # order, so it pins the kind bytes; they must stay in lockstep
-        # with the registry (which is append-only).
-        for type_, kind in TYPE_TO_KIND.items():
-            if type_.__name__ in TRACKED_KIND_IDS:
-                assert TRACKED_KIND_IDS[type_.__name__] == kind
+        # An entry is filed under the kind byte of the message's class —
+        # the byte the receiver's MDeliveryAck names.
+        buffer = RetransmitBuffer(0)
+        for message in _tracked_messages():
+            buffer.track([1], message, now=0.0)
+            kind = TYPE_TO_KIND[type(message)]
+            assert list(buffer.pending_keys())[-1] == (1, kind, message.dot)
+            assert buffer.record_ack(1, kind, message.dot, epoch=0)
 
     def test_every_tracked_kind_is_registered(self):
-        registered = {type_.__name__ for type_ in TYPE_TO_KIND}
-        assert set(TRACKED_KIND_IDS) <= registered
-
-    def test_tracked_set_is_exactly_the_critical_commit_and_stable_kinds(self):
-        assert set(TRACKED_KIND_IDS) == {
-            MCommit.__name__,
-            MStable.__name__,
-            MDepCommit.__name__,
-            MCaesarCommit.__name__,
-        }
+        # A re-send and its ack cross the wire: the tracked kinds and the
+        # ack itself all decode at the receiver.
+        for message in _tracked_messages() + (MDeliveryAck(Dot(0, 1), 5, 1),):
+            assert has_codec(type(message))
+            assert decode(encode(message)) == message
 
 
 class TestTrack:
@@ -61,10 +71,12 @@ class TestTrack:
         assert buffer.pending() == 2
 
     def test_untracked_kinds_are_rejected(self):
+        # An ack names the tracked message by kind byte: a message whose
+        # class declares none (the batch envelope) cannot be tracked.
         buffer = RetransmitBuffer(0)
-        request = MRepairRequest(Dot(0, 1), Need.STABLE)
-        with pytest.raises(ValueError, match="not a tracked message kind"):
-            buffer.track([1], request, now=0.0)
+        batch = MBatch((MStable(Dot(0, 1), partition=0),))
+        with pytest.raises(ValueError, match="declares no wire kind"):
+            buffer.track([1], batch, now=0.0)
 
     def test_constructor_validates_budget_parameters(self):
         with pytest.raises(ValueError):
@@ -82,7 +94,7 @@ class TestAcks:
 
     def test_ack_retires_exactly_one_destination(self):
         buffer, commit = self._tracked()
-        kind = TRACKED_KIND_IDS["MCommit"]
+        kind = MCommit.WIRE_KIND
         assert buffer.record_ack(1, kind, commit.dot, epoch=0)
         assert buffer.pending() == 1
         assert (1, kind, commit.dot) not in buffer.pending_keys()
@@ -90,19 +102,19 @@ class TestAcks:
 
     def test_duplicate_ack_is_harmless(self):
         buffer, commit = self._tracked()
-        kind = TRACKED_KIND_IDS["MCommit"]
+        kind = MCommit.WIRE_KIND
         assert buffer.record_ack(1, kind, commit.dot, epoch=0)
         assert not buffer.record_ack(1, kind, commit.dot, epoch=0)
         assert buffer.stats()["acked"] == 1
 
     def test_stale_epoch_acks_are_ignored(self):
         buffer, commit = self._tracked()
-        kind = TRACKED_KIND_IDS["MCommit"]
+        kind = MCommit.WIRE_KIND
         # Peer 1 restarts into epoch 2; a late ack from epoch 1 must not
         # retire an entry re-tracked afterwards.
         assert buffer.record_ack(1, kind, commit.dot, epoch=2)
         buffer.track([1], MStable(commit.dot, partition=0), now=0.0)
-        stable_kind = TRACKED_KIND_IDS["MStable"]
+        stable_kind = MStable.WIRE_KIND
         assert not buffer.record_ack(1, stable_kind, commit.dot, epoch=1)
         assert buffer.stats()["stale_acks"] == 1
         assert (1, stable_kind, commit.dot) in buffer.pending_keys()
@@ -111,7 +123,7 @@ class TestAcks:
 
     def test_acked_entries_are_never_resent(self):
         buffer, commit = self._tracked()
-        kind = TRACKED_KIND_IDS["MCommit"]
+        kind = MCommit.WIRE_KIND
         buffer.record_ack(1, kind, commit.dot, epoch=0)
         buffer.record_ack(2, kind, commit.dot, epoch=0)
         assert buffer.due(1e9) == []

@@ -101,7 +101,7 @@ class TestAsyncCluster:
                 await cluster.submit_many([["k1"], ["k2"], ["k1"]])
                 await asyncio.sleep(0.3)
                 orders = {
-                    tuple(str(dot) for dot, _ in process.executed)
+                    tuple(str(dot) for dot in process.executed)
                     for process in cluster.processes
                 }
                 return orders
