@@ -8,8 +8,10 @@ Three pillars (see ``docs/correctness_spec.md``):
   invariants (per-key order agreement, timestamp monotonicity,
   execute-at-most-once, real-time order against client windows).
 * :mod:`repro.analysis.smallmodel` — exhaustive DFS over all delivery-order
-  interleavings of a bounded schedule (TLA+-style state enumeration) for
-  the Tempo commit/recovery path and Caesar's wait condition.
+  interleavings of a bounded schedule (TLA+-style state enumeration) of any
+  of the six protocols — Tempo, Atlas, EPaxos, Caesar, FPaxos and Janus* —
+  with Tempo's coordinator crash and message loss on top, over a state
+  digest derived from every non-exempt attribute.
 * :mod:`repro.analysis.lint` — AST-based source gates, runnable as
   ``python -m repro.analysis.lint``.
 

@@ -1,75 +1,58 @@
 """Exhaustive small-model exploration of bounded protocol schedules.
 
 TLA+-style explicit-state enumeration, in the spirit of the mechanized
-event-system checkers (GeneSyst, BesFS): build a bounded cluster (2–4
-processes, one partition, ≤3 conflicting commands), submit every command up
-front, then DFS over *all* delivery-order interleavings.  Messages travel on
-per-``(sender, destination)`` FIFO channels — the same ordering guarantee
-the simulator's deterministic per-pair latencies provide — so a schedule is
-a choice, at each step, of which channel delivers its head next.  States
-are memoized by a canonical fingerprint (channel contents + protocol state
-digest), which collapses the exponential interleaving tree into the
-commuting-delivery state lattice.
+event-system checkers (GeneSyst, BesFS): :func:`explore` builds a bounded
+cluster of any registered protocol with ``build_replicas``, submits every
+command up front, then runs a DFS over *all* delivery-order interleavings of
+per-``(sender, destination)`` FIFO channels (the ordering the simulator's
+per-pair latencies provide).  Tempo, the one protocol whose recovery and
+repair pass are in the tree, also takes a coordinator crash and the loss of
+one message of named kinds, each at any depth, once per path.
 
-At every quiescent point (all channels empty) the model runs a
-deterministic *settle* phase (periodic ticks — promise broadcast, stability
-detection, recovery — with FIFO delivery to quiescence) and then asserts
-the protocol's final-state invariants:
+States are memoized by a fingerprint derived, not written: every process is
+digested by :func:`canonical`, a walker over all of its attributes except
+those its classes exempt in ``_DIGEST_EXEMPT`` (caches, constant wiring and
+statistics, each with its reason), and every in-flight message as the bytes
+the runtime ships (:func:`repro.wire.encode`).  New protocol state is thus
+digested unless someone exempts it: a field left out would merge distinct
+states and prune reachable ones.
 
-* every command executes at every live replica (liveness within bounds);
-* all replicas execute in the same order;
-* committed timestamps agree per identifier and execution order is
-  monotone in ``(timestamp, id)`` — premature stability (e.g. the even-``r``
-  majority-index bug in ``PromiseSet.stable_timestamp``) surfaces here;
-* for Caesar, execution respects the wait-condition ordering (timestamp
-  order among conflicting commands).
-
-The optional coordinator-crash branch crashes one process at every depth of
-the schedule (once per path); the settle phase then jumps past the recovery
-timeout so Algorithm 4 runs, and the invariants are asserted over the
-surviving replicas.
-
-The optional message-loss branch (``lose_kinds``) drops one in-flight
-message of any registered kind at every depth (once per path, fair-lossy
-links): the model then proves that the repair pass
-(:mod:`repro.core.repair` — the blocked side asks for the commit, the
-promises or the remote ``MStable`` it is missing, and the partition leader
-recovers, §B.1) re-delivers what was lost; the full liveness invariant
-still holds with no process crashed.  A
-two-partition topology (``num_partitions=2``) makes every command
-cross-shard, so losing a cross-partition ``MStable`` is exhaustively
-enumerated — the model counterpart of the scenario matrix's
-``mstable-loss/x-shard`` cell.
-
-The fast-path MCommit elision and relay (fast-quorum members self-commit,
-so nobody sends them a commit message, and each of them sends it to its
-share of the other processes) and the globally-executed watermark exchange
-are part of the model.  Every reachable state — not just quiescent
-ones — is checked against the collection-safety invariant: a dot at or
-below any process's watermark must have executed at EVERY replica, i.e. no
-committed command's bookkeeping is ever dropped before it is globally
-executed.
+Every reachable state is checked for collection safety (no dot at or below
+a watermark unexecuted anywhere) and, at Tempo processes, Theorem 1 (a
+stable timestamp is backed by a strict majority's promises).  At
+quiescence one settle schedule built from the ``ProtocolConfig`` timers
+runs the periodic duties, and the final state must have executed every
+command at every live replica, once, in one order, at agreed timestamps.
 """
 
 from __future__ import annotations
 
 import copy
-import io
+import enum
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.consistency import Violation
 from repro.cluster.replicas import build_replicas
 from repro.core.base import ProcessBase
-from repro.core.commands import Command, Partitioner
+from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 from repro.core.process import TempoProcess
-from repro.protocols.caesar import CaesarProcess
+from repro.protocols.registry import PROTOCOLS
+from repro.wire import encode, registered_types
 
 #: A channel is the FIFO of in-flight messages from one process to another.
 Channels = Dict[Tuple[int, int], List[object]]
+
+#: The protocols whose fault paths are in the tree: coordinator recovery
+#: (Algorithm 4) and the pull-only repair pass.  The baselines have neither
+#: (ROADMAP 4(c), 5(b)), so a crash or a loss would strand them by design.
+_FAULT_TOLERANT = frozenset({"tempo"})
+#: The protocols that order a command across the partitions it accesses;
+#: the others run it at the submitter's partition alone.
+_PARTIAL_REPLICATION = frozenset({"tempo", "janus"})
 
 
 @dataclass
@@ -78,7 +61,6 @@ class ExplorationResult:
 
     protocol: str
     states_explored: int = 0
-    distinct_states: int = 0
     final_states: int = 0
     max_depth: int = 0
     complete: bool = True
@@ -97,8 +79,7 @@ class ExplorationResult:
         return (
             f"{self.protocol} small model: {status} — "
             f"{self.states_explored} states explored "
-            f"({self.distinct_states} distinct, {self.final_states} final, "
-            f"depth ≤ {self.max_depth}){suffix}"
+            f"({self.final_states} final, depth ≤ {self.max_depth}){suffix}"
         )
 
 
@@ -110,15 +91,76 @@ class _FoundViolation(Exception):
     pass
 
 
-def _snapshot(processes: Sequence[ProcessBase], channels: Channels):
-    """Capture a branchable copy of the model state.
+# -- the derived state digest -------------------------------------------------------
 
-    Pickling the whole ``(processes, channels)`` pair round-trips roughly
-    twice as fast as :func:`copy.deepcopy`, and the DFS restores one copy
-    per branch, so this dominates exploration throughput.  Deepcopy remains
-    the fallback for protocol state that does not pickle (e.g. an
-    ``apply_fn`` closure).
+_ATOMS = frozenset({int, float, str, bytes, bool, type(None)})
+
+
+def _fields(value: object) -> List[str]:
+    """``value``'s slots and ``__dict__`` names, sorted, minus the names its
+    classes exempt in ``_DIGEST_EXEMPT``."""
+    names = set(getattr(value, "__dict__", ()))
+    exempt: Set[str] = set()
+    for klass in type(value).__mro__:
+        declared = vars(klass).get("__slots__", ())
+        names.update((declared,) if isinstance(declared, str) else declared)
+        exempt.update(vars(klass).get("_DIGEST_EXEMPT", ()))
+    return sorted(names - exempt - {"__dict__", "__weakref__"})
+
+
+def canonical(value: object) -> object:
+    """The canonical, hashable form of ``value``, for state fingerprints.
+
+    Atoms stay as they are, a ``Dot`` becomes a pair, an enum its name and a
+    ``range`` a pair; lists and tuples keep their order while dicts and sets
+    are sorted.  Any other object becomes its class name followed by its
+    slots and ``__dict__`` in name order, minus the names its classes list
+    in ``_DIGEST_EXEMPT``.  A function, method, type or fieldless object has
+    no canonical form and raises ``TypeError`` — never a ``repr``, which
+    would put an address in the fingerprint.
     """
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is Dot:
+        return (value.source, value.sequence)
+    if isinstance(value, enum.Enum):
+        return value.name
+    if isinstance(value, (list, tuple)):
+        return tuple([canonical(item) for item in value])
+    if isinstance(value, dict):
+        return tuple(
+            sorted([(canonical(key), canonical(item)) for key, item in value.items()])
+        )
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted([canonical(item) for item in value]))
+    if kind is range:
+        return (value.start, value.stop)
+    if callable(value):
+        raise TypeError(f"{kind.__qualname__} {value!r} has no canonical form")
+    names = _fields(value)
+    if not names:
+        raise TypeError(f"{kind.__qualname__} has no fields to digest")
+    return (kind.__qualname__, *[canonical(getattr(value, name)) for name in names])
+
+
+def _in_flight(channels: Channels) -> Tuple[object, ...]:
+    """The channels' digest: every undelivered message as the bytes the
+    runtime would ship (the codec writes collections sorted, so equal
+    messages digest equal however their dicts were filled)."""
+    return tuple(
+        (pair, tuple([encode(message) for message in queue]))
+        for pair, queue in sorted(channels.items())
+    )
+
+
+# -- model plumbing -----------------------------------------------------------------
+
+
+def _snapshot(processes: Sequence[ProcessBase], channels: Channels):
+    """A branchable copy of the model state: pickling round-trips about twice
+    as fast as :func:`copy.deepcopy`, the fallback for state that does not
+    pickle, and the DFS restores one copy per branch."""
     try:
         blob = pickle.dumps((list(processes), channels), pickle.HIGHEST_PROTOCOL)
     except Exception:
@@ -144,19 +186,24 @@ def _drain_outboxes(processes: Sequence[ProcessBase], channels: Channels) -> Non
             ).append(envelope.message)
 
 
+def _pop(channels: Channels, pair: Tuple[int, int]) -> object:
+    """Take the head of ``pair``'s channel; an emptied channel goes."""
+    queue = channels[pair]
+    message = queue.pop(0)
+    if not queue:
+        del channels[pair]
+    return message
+
+
 def _pump_fifo(processes: Sequence[ProcessBase], channels: Channels, now: float) -> None:
     """Deliver every in-flight message in deterministic FIFO order."""
     for _ in range(10_000):
-        pairs = sorted(pair for pair, queue in channels.items() if queue)
-        if not pairs:
+        if not channels:
             return
-        for pair in pairs:
-            queue = channels.get(pair)
-            if not queue:
+        for pair in sorted(channels):
+            if pair not in channels:
                 continue
-            message = queue.pop(0)
-            if not queue:
-                del channels[pair]
+            message = _pop(channels, pair)
             target = processes[pair[1]]
             if target.alive:
                 target.deliver(pair[0], message, now)
@@ -164,111 +211,274 @@ def _pump_fifo(processes: Sequence[ProcessBase], channels: Channels, now: float)
     raise RuntimeError("small-model settle did not quiesce")  # pragma: no cover
 
 
-class _Explorer:
-    """Generic DFS over delivery interleavings with memoized fingerprints."""
+def _settle_times(config: ProtocolConfig, degraded: bool) -> List[float]:
+    """The one settle schedule: eight ticks at the promise cadence, eight
+    past the recovery timeout (eight more one timeout later on a crash or
+    loss path, where the repair pass waits up to two windows), then eight
+    one GC interval later, so the last executions are collected before the
+    final checks."""
+    cadence = config.promise_interval
+    recovery = config.recovery_timeout + cadence
+    starts = [cadence, recovery] + ([2 * recovery] if degraded else [])
+    times = [start + cadence * tick for start in starts for tick in range(8)]
+    start = times[-1] + config.gc_interval
+    return times + [start + cadence * tick for tick in range(8)]
 
-    def __init__(
-        self,
-        result: ExplorationResult,
-        digest: Callable[[ProcessBase], object],
-        settle: Callable[[List[ProcessBase], Channels, bool], None],
-        final_check: Callable[[List[ProcessBase], bool, List[Violation]], None],
-        crash_process: Optional[int],
-        max_states: int,
-        state_check: Callable[[Sequence[ProcessBase], List[Violation]], None],
-        stop_at_first_violation: bool = False,
-        lose_predicate: Optional[Callable[[object], bool]] = None,
-    ) -> None:
-        self.result = result
-        self.digest = digest
-        self.settle = settle
-        self.final_check = final_check
-        self.crash_process = crash_process
-        self.max_states = max_states
-        self.stop_at_first_violation = stop_at_first_violation
-        self.state_check = state_check
-        self.lose_predicate = lose_predicate
-        self.seen: Set[object] = set()
 
-    def fingerprint(
-        self,
-        processes: Sequence[ProcessBase],
-        channels: Channels,
-        crashed: bool,
-        lost: bool,
-    ) -> object:
-        in_flight = tuple(
-            (pair, tuple(repr(message) for message in queue))
-            for pair, queue in sorted(channels.items())
-            if queue
+# -- invariants ---------------------------------------------------------------------
+
+
+def _check_final_state(
+    processes: Sequence[ProcessBase],
+    expected_dots: Set[Dot],
+    violations: List[Violation],
+    require_all: bool,
+) -> None:
+    def flag(code: str, text: str) -> None:
+        violations.append(Violation(code, text))
+
+    live = [process for process in processes if process.alive]
+    # Liveness within the bounded schedule: a command committed anywhere
+    # live must execute at every live replica; without a crash, every
+    # submitted command must execute everywhere.
+    must_execute = set(expected_dots) if require_all else set()
+    for process in live:
+        must_execute.update(process.executed)
+        must_execute.update(process.committed_dots())
+    for process in live:
+        executed = process.executed
+        missing = sorted(str(dot) for dot in must_execute - set(executed))
+        if missing:
+            flag("liveness", f"process {process.process_id} never executed {missing}")
+        if len(executed) != len(set(executed)):
+            flag("execute-twice", f"process {process.process_id} executed {executed}")
+    # Order agreement across every replica (crashed ones too: their executed
+    # prefix is immutable history and must embed in the common order).
+    reference: Optional[List[Dot]] = None
+    for process in processes:
+        executed = process.executed
+        if reference is None:
+            reference = executed if process.alive else None
+            continue
+        common = set(executed) & set(reference)
+        left = [dot for dot in executed if dot in common]
+        right = [dot for dot in reference if dot in common]
+        if left != right:
+            flag(
+                "order-divergence",
+                f"process {process.process_id} executed {left}, the reference {right}",
+            )
+    # Timestamp agreement per dot and per-process monotone execution order
+    # (protocols that order by dependencies or log slot report no timestamp).
+    timestamps: Dict[Dot, Dict[object, List[int]]] = {}
+    for process in processes:
+        previous = None
+        for dot in process.executed:
+            timestamp = process.committed_timestamp(dot)
+            if timestamp is None:
+                continue
+            timestamps.setdefault(dot, {}).setdefault(timestamp, []).append(
+                process.process_id
+            )
+            if previous is not None and (timestamp, dot) <= previous:
+                flag(
+                    "timestamp-order",
+                    f"process {process.process_id} executed {dot} at {timestamp} "
+                    f"after {previous[1]} at {previous[0]} — executed before stable",
+                )
+            previous = (timestamp, dot)
+    for dot, per_timestamp in timestamps.items():
+        if len(per_timestamp) > 1:
+            flag(
+                "timestamp-divergence",
+                f"{dot} committed at different timestamps: {sorted(per_timestamp)}",
+            )
+
+
+def _gc_collection_safety(
+    processes: Sequence[ProcessBase], violations: List[Violation]
+) -> None:
+    """No dot is collected before it executed everywhere.
+
+    A dot at or below any process's globally-executed watermark has had its
+    bookkeeping dropped (or is about to); that is sound only if it already
+    executed at *every* replica — crashed ones included, since the watermark
+    only covers sequences a crashed peer announced before dying.
+    """
+    executed = [set(process.executed) for process in processes]
+    for process in processes:
+        gc = process.gc
+        if gc is None:
+            continue
+        for source in sorted(gc._sources):
+            watermark = gc.watermark_of(source)
+            for sequence in range(1, watermark + 1):
+                dot = Dot(source, sequence)
+                for peer, held in zip(processes, executed):
+                    if dot not in held:
+                        violations.append(
+                            Violation(
+                                "gc-before-global-execution",
+                                f"process {process.process_id} holds watermark "
+                                f"{watermark} for source {source}, but process "
+                                f"{peer.process_id} never executed {dot}",
+                            )
+                        )
+
+
+def _stability_safety(
+    processes: Sequence[ProcessBase], violations: List[Violation]
+) -> None:
+    """Theorem 1, re-derived independently of the implementation.
+
+    A timestamp ``s`` may be stable at a Tempo process only if a strict
+    majority of its partition has promised every timestamp up to ``s``.
+    The even-``r`` majority-index regression (the ``r//2``-th sorted
+    frontier instead of the ``(r-1)//2``-th) yields an ``s`` backed by only
+    ``r/2`` processes and is caught at the first asymmetric frontier, long
+    before the premature execution it licenses would diverge.
+    """
+    for process in processes:
+        if not process.alive or not isinstance(process, TempoProcess):
+            continue
+        peers = list(process.partition_peers())
+        stable = process.promises.stable_timestamp(peers)
+        if stable <= 0:
+            continue
+        majority = process.config.majority
+        backed = sum(
+            1 for frontier in process.promises.frontier(peers) if frontier >= stable
         )
-        return (crashed, lost, in_flight, tuple(self.digest(p) for p in processes))
+        if backed < majority:
+            violations.append(
+                Violation(
+                    "stability-safety",
+                    f"process {process.process_id} considers timestamp "
+                    f"{stable} stable with promises from only {backed} of "
+                    f"{len(peers)} processes (majority is {majority}) — "
+                    "Theorem 1 requires a strict majority",
+                )
+            )
+
+
+# -- the explorer -------------------------------------------------------------------
+
+
+@dataclass
+class _Explorer:
+    """DFS over delivery interleavings with memoized fingerprints."""
+
+    result: ExplorationResult
+    config: ProtocolConfig
+    expected: Set[Dot]
+    crash_victim: Optional[int]
+    lose_names: FrozenSet[str]
+    max_states: int
+    stop_at_first_violation: bool
+    seen: Set[object] = field(default_factory=set)
+
+    #: A transition re-digests only the processes it touched; the others'
+    #: digests are inherited from the parent state.  Tests turn this off to
+    #: show the inheritance changes no count.
+    inherit_digests = True
+
+    def redigest(
+        self,
+        digests: Tuple[object, ...],
+        processes: Sequence[ProcessBase],
+        touched: Optional[int],
+    ) -> Tuple[object, ...]:
+        """Digests after a transition that changed process ``touched``
+        (``None``: possibly every process)."""
+        if touched is None or not self.inherit_digests:
+            return tuple(canonical(process) for process in processes)
+        return (
+            digests[:touched] + (canonical(processes[touched]),) + digests[touched + 1 :]
+        )
+
+    def _stop_if_violated(self) -> None:
+        if self.result.violations and self.stop_at_first_violation:
+            raise _FoundViolation
+
+    def settle_and_check(
+        self, processes: List[ProcessBase], channels: Channels, crashed: bool, lost: bool
+    ) -> None:
+        """Run the settle schedule, then the final-state checks."""
+        violations = self.result.violations
+        transient: List[Violation] = []
+        for now in _settle_times(self.config, crashed or lost):
+            for process in processes:
+                if process.alive:
+                    process.tick(now)
+            _drain_outboxes(processes, channels)
+            _pump_fifo(processes, channels, now)
+            if not transient:
+                # The watermark moves mostly during the settle-phase clock
+                # exchange, so the transient windows live here: check after
+                # every round, not just at the settled state.
+                _gc_collection_safety(processes, transient)
+        _check_final_state(processes, self.expected, violations, require_all=not crashed)
+        _gc_collection_safety(processes, violations)
+        violations.extend(transient)
 
     def explore(
         self,
         processes: List[ProcessBase],
         channels: Channels,
+        digests: Tuple[object, ...],
         crashed: bool,
         lost: bool,
         depth: int,
     ) -> None:
-        fingerprint = self.fingerprint(processes, channels, crashed, lost)
+        fingerprint = (crashed, lost, _in_flight(channels), digests)
         if fingerprint in self.seen:
             return
         self.seen.add(fingerprint)
         result = self.result
         result.states_explored += 1
-        result.distinct_states = len(self.seen)
-        if depth > result.max_depth:
-            result.max_depth = depth
+        result.max_depth = max(result.max_depth, depth)
         if result.states_explored > self.max_states:
             raise _StateBudgetExceeded
         # Invariants that must hold in EVERY reachable state, not just at
         # quiescence (TLA+-style safety properties).
-        self.state_check(processes, result.violations)
-        if result.violations and self.stop_at_first_violation:
-            raise _FoundViolation
-        choices = sorted(
-            pair
-            for pair, queue in channels.items()
-            if queue and processes[pair[1]].alive
-        )
+        _stability_safety(processes, result.violations)
+        _gc_collection_safety(processes, result.violations)
+        self._stop_if_violated()
+        choices = sorted(pair for pair in channels if processes[pair[1]].alive)
         restore = _snapshot(processes, channels)
         if not choices:
-            final_processes, final_channels = restore()
-            self.settle(final_processes, final_channels, crashed or lost)
             result.final_states += 1
-            self.final_check(final_processes, crashed, result.violations)
-            if result.violations and self.stop_at_first_violation:
-                raise _FoundViolation
+            self.settle_and_check(*restore(), crashed, lost)
+            self._stop_if_violated()
         for pair in choices:
             branch_processes, branch_channels = restore()
-            queue = branch_channels[pair]
-            message = queue.pop(0)
-            if not queue:
-                del branch_channels[pair]
+            message = _pop(branch_channels, pair)
             branch_processes[pair[1]].deliver(pair[0], message, 0.0)
             _drain_outboxes(branch_processes, branch_channels)
-            self.explore(branch_processes, branch_channels, crashed, lost, depth + 1)
-        if self.lose_predicate is not None and not lost:
-            # Message-loss transition (fair-lossy links): at every depth,
-            # any deliverable head message matching the predicate may
-            # instead vanish in transit — once per path, so the model stays
-            # bounded while covering a loss at every protocol stage.
+            self.explore(
+                branch_processes,
+                branch_channels,
+                self.redigest(digests, branch_processes, pair[1]),
+                crashed,
+                lost,
+                depth + 1,
+            )
+        if self.lose_names and not lost:
+            # Message-loss transition (fair-lossy links): at every depth, any
+            # deliverable head message of a named kind may instead vanish in
+            # transit — once per path, so the model stays bounded while
+            # covering a loss at every protocol stage.
             for pair in choices:
-                if not self.lose_predicate(channels[pair][0]):
+                if type(channels[pair][0]).__name__ not in self.lose_names:
                     continue
                 branch_processes, branch_channels = restore()
-                queue = branch_channels[pair]
-                queue.pop(0)
-                if not queue:
-                    del branch_channels[pair]
+                _pop(branch_channels, pair)
                 self.explore(
-                    branch_processes, branch_channels, crashed, True, depth + 1
+                    branch_processes, branch_channels, digests, crashed, True, depth + 1
                 )
-        if self.crash_process is not None and not crashed:
+        if self.crash_victim is not None and not crashed:
             branch_processes, branch_channels = restore()
-            victim = self.crash_process
+            victim = self.crash_victim
             branch_processes[victim].crash()
             # Crash-stop: in-flight traffic to and from the victim is lost,
             # and the failure detector eventually reports the crash.
@@ -278,36 +488,101 @@ class _Explorer:
             for process in branch_processes:
                 if process.process_id != victim:
                     process.set_alive_view(victim, False)
-            self.explore(branch_processes, branch_channels, True, lost, depth + 1)
+            self.explore(
+                branch_processes,
+                branch_channels,
+                self.redigest(digests, branch_processes, None),
+                True,
+                lost,
+                depth + 1,
+            )
 
 
-def _run(
-    result: ExplorationResult,
-    processes: List[ProcessBase],
-    digest,
-    settle,
-    final_check,
-    crash_process: Optional[int],
-    max_states: int,
-    state_check,
+def explore(
+    protocol: str,
+    *,
+    num_processes: int = 3,
+    faults: int = 1,
+    num_commands: int = 2,
+    num_keys: int = 1,
+    num_partitions: int = 1,
+    crash_coordinator: bool = False,
+    lose_kinds: Optional[Sequence[str]] = None,
+    max_states: int = 400_000,
     stop_at_first_violation: bool = False,
-    lose_predicate=None,
+    **protocol_kwargs,
 ) -> ExplorationResult:
+    """Exhaustively explore a bounded schedule of ``protocol``.
+
+    ``num_commands`` conflicting commands (cycling over ``num_keys`` keys)
+    are submitted up front at distinct replicas and every delivery
+    interleaving is explored.  With ``num_partitions > 1`` there are
+    ``num_processes`` replicas per partition and every command accesses one
+    key in each partition.  ``protocol_kwargs`` reach the protocol
+    constructor (``ack_broadcast=False`` for Tempo, say), which rejects the
+    ones it does not take.
+
+    ``crash_coordinator`` lets the first command's submitter crash at any
+    depth; ``lose_kinds`` names the registered message kinds (for instance
+    ``["MCommit", "MStable"]``) of which one in-flight instance may vanish
+    at any depth.  Both need a protocol whose recovery and repair are in the
+    tree — Tempo — and raise ``ValueError`` elsewhere, as do an unregistered
+    kind and partitions on a protocol that does not order a command across
+    them: a typo must not explore a loss-free lattice and report it clean.
+
+    Counts are exact: the fingerprint is a pure function of protocol state,
+    so a count that moves means the reachable states moved.  Mutation hunts
+    should pass ``stop_at_first_violation=True``: the DFS unwinds at the
+    first state that breaks an invariant.
+    """
+    lose_names = frozenset(lose_kinds or ())
+    if (crash_coordinator or lose_names) and protocol not in _FAULT_TOLERANT:
+        raise ValueError(
+            f"{protocol} has no coordinator recovery or repair pass in the tree "
+            "(ROADMAP 4(c), 5(b)): crash_coordinator and lose_kinds are Tempo's"
+        )
+    unknown = lose_names - {kind.__name__ for kind in registered_types()}
+    if unknown:
+        raise ValueError(f"lose_kinds names unregistered kinds {sorted(unknown)}")
+    if num_partitions > 1 and protocol not in _PARTIAL_REPLICATION:
+        raise ValueError(
+            f"{protocol} does not replicate a command across partitions: "
+            f"num_partitions > 1 needs one of {sorted(_PARTIAL_REPLICATION)}"
+        )
+    config = ProtocolConfig(
+        num_processes=num_processes, faults=faults, num_partitions=num_partitions
+    )
+    partitioner = Partitioner(
+        num_partitions,
+        explicit={f"key{partition}": partition for partition in range(num_partitions)},
+    )
+    processes = build_replicas(
+        protocol, config, partitioner=partitioner, **protocol_kwargs
+    ).processes
+    expected = set()
+    for index in range(num_commands):
+        submitter = processes[index % len(processes)]
+        if num_partitions == 1:
+            keys = [f"key{index % num_keys}"]
+        else:
+            keys = [f"key{partition}" for partition in range(num_partitions)]
+        command = submitter.new_command(keys)
+        submitter.submit(command, 0.0)
+        expected.add(command.dot)
+    label = f"{protocol} r={num_processes} f={faults}"
+    if num_partitions > 1:
+        label += f" p={num_partitions}"
+    result = ExplorationResult(protocol=label)
+    victim = processes[0].process_id if crash_coordinator else None
+    explorer = _Explorer(
+        result, config, expected, victim, lose_names, max_states, stop_at_first_violation
+    )
     channels: Channels = {}
     _drain_outboxes(processes, channels)
-    explorer = _Explorer(
-        result,
-        digest,
-        settle,
-        final_check,
-        crash_process,
-        max_states,
-        state_check,
-        stop_at_first_violation=stop_at_first_violation,
-        lose_predicate=lose_predicate,
-    )
     try:
-        explorer.explore(processes, channels, False, False, 0)
+        explorer.explore(
+            processes, channels, explorer.redigest((), processes, None), False, False, 0
+        )
     except _FoundViolation:
         result.complete = False
         result.stop_reason = "first-violation"
@@ -324,531 +599,13 @@ def _run(
     return result
 
 
-# -- shared final-state checks ----------------------------------------------------
-
-
-def _check_common_final_state(
-    processes: Sequence[ProcessBase],
-    expected_dots: Set,
-    timestamp_of,
-    violations: List[Violation],
-    require_all: bool,
-) -> None:
-    live = [process for process in processes if process.alive]
-    # Liveness within the bounded schedule: a command committed anywhere
-    # live must execute at every live replica; without a crash, every
-    # submitted command must execute everywhere.
-    must_execute = set(expected_dots) if require_all else set()
-    for process in live:
-        must_execute.update(process.executed)
-        must_execute.update(process.committed_dots())
-    for process in live:
-        executed = process.executed
-        missing = must_execute - set(executed)
-        if missing:
-            violations.append(
-                Violation(
-                    "liveness",
-                    f"process {process.process_id} never executed "
-                    f"{sorted(str(dot) for dot in missing)} after settle",
-                )
-            )
-        if len(executed) != len(set(executed)):
-            violations.append(
-                Violation(
-                    "execute-twice",
-                    f"process {process.process_id} executed a command twice: "
-                    f"{executed}",
-                )
-            )
-    # Order agreement across every replica (crashed ones too: their executed
-    # prefix is immutable history and must embed in the common order).
-    orders = {}
-    for process in processes:
-        executed = tuple(process.executed)
-        orders[process.process_id] = executed
-    reference: Optional[Tuple] = None
-    for process_id, executed in sorted(orders.items()):
-        if reference is None and processes[process_id].alive:
-            reference = executed
-            continue
-        if reference is None:
-            continue
-        common = set(executed) & set(reference)
-        left = [dot for dot in executed if dot in common]
-        right = [dot for dot in reference if dot in common]
-        if left != right:
-            violations.append(
-                Violation(
-                    "order-divergence",
-                    f"process {process_id} executed {left} but the reference "
-                    f"order is {right}",
-                )
-            )
-    # Timestamp agreement per dot and per-process monotone execution order.
-    timestamps: Dict[object, Dict[object, List[int]]] = {}
-    for process in processes:
-        previous = None
-        for dot in process.executed:
-            timestamp = timestamp_of(process, dot)
-            if timestamp is None:
-                continue
-            timestamps.setdefault(dot, {}).setdefault(timestamp, []).append(
-                process.process_id
-            )
-            current = (timestamp, dot)
-            if previous is not None and current <= previous:
-                violations.append(
-                    Violation(
-                        "timestamp-order",
-                        f"process {process.process_id} executed {dot} at "
-                        f"{timestamp} after {previous[1]} at {previous[0]} — "
-                        "executed before stable",
-                    )
-                )
-            previous = current
-    for dot, per_timestamp in timestamps.items():
-        if len(per_timestamp) > 1:
-            violations.append(
-                Violation(
-                    "timestamp-divergence",
-                    f"{dot} committed at different timestamps: "
-                    f"{sorted(per_timestamp)}",
-                )
-            )
-
-
-# -- watermark GC (shared between the Tempo and Caesar models) --------------------
-
-
-def _gc_digest(process: ProcessBase) -> object:
-    """Canonical fingerprint of a process's ``GcTracker`` state."""
-    gc = process.gc
-    return (
-        tuple(sorted(gc._frontier.items())),
-        tuple(sorted(gc._watermark.items())),
-        tuple(
-            (peer, tuple(sorted(clock.items())))
-            for peer, clock in sorted(gc._peer_clocks.items())
-        ),
-        tuple(
-            (source, tuple(sorted(pending)))
-            for source, pending in sorted(gc._pending.items())
-            if pending
-        ),
-        tuple(sorted(gc._stale)),
-        gc._dirty,
-    )
-
-
-def _gc_collection_safety(
-    current: Sequence[ProcessBase], violations: List[Violation]
-) -> None:
-    """The watermark-GC safety invariant, checked in EVERY reachable state.
-
-    A dot at or below any process's globally-executed watermark has had its
-    bookkeeping dropped (or is about to); that is sound only if the dot
-    already executed at *every* replica — crashed ones included, since the
-    watermark can only cover sequences the crashed peer announced as
-    executed before dying.  A violation here means a committed command was
-    garbage-collected before it was globally executed.
-    """
-    executed_sets = {
-        process.process_id: set(process.executed)
-        for process in current
-    }
-    for process in current:
-        gc = process.gc
-        for source in sorted(gc._sources):
-            watermark = gc.watermark_of(source)
-            for sequence in range(1, watermark + 1):
-                dot = Dot(source, sequence)
-                for peer_id, executed in sorted(executed_sets.items()):
-                    if dot not in executed:
-                        violations.append(
-                            Violation(
-                                "gc-before-global-execution",
-                                f"process {process.process_id} holds watermark "
-                                f"{watermark} for source {source}, collecting "
-                                f"{dot}, but process {peer_id} never executed "
-                                "it — collected before globally executed",
-                            )
-                        )
-
-
-# -- Tempo model ------------------------------------------------------------------
-
-
-def _tempo_digest(process: TempoProcess) -> object:
-    info = tuple(
-        sorted(
-            (
-                dot.source,
-                dot.sequence,
-                record.phase.name,
-                record.timestamp,
-                record.final_timestamp or 0,
-                record.ballot,
-                record.accepted_ballot,
-                record.stable_sent,
-                tuple(sorted(record.partition_commits.items())),
-                # Released (None) once executed: reads as empty.
-                tuple(sorted((record.proposals or {}).items())),
-                tuple(
-                    sorted(
-                        record.collected_detached.to_wire().items()
-                        if record.collected_detached
-                        else ()
-                    )
-                ),
-                tuple(
-                    (ts, tuple(sorted(acks)))
-                    for ts, acks in sorted((record.consensus_acks or {}).items())
-                ),
-                tuple(sorted(record.stable_from)),
-            )
-            for dot, record in process._info.items()
-        )
-    )
-    peers = process.partition_peers()
-    buffered = tuple(
-        sorted(
-            (dot.source, dot.sequence, tuple(sorted(entries)))
-            for dot, entries in process._buffered_attached.items()
-        )
-    )
-    return (
-        process.process_id,
-        process.alive,
-        process.clock.value,
-        tuple(process.promises.frontier(peers)),
-        len(process.promises),
-        buffered,
-        tuple((dot.source, dot.sequence) for dot in process.executed),
-        _gc_digest(process),
-        info,
-    )
-
-
-def explore_tempo(
-    num_processes: int = 3,
-    faults: int = 1,
-    num_commands: int = 2,
-    num_keys: int = 1,
-    crash_coordinator: bool = False,
-    lose_kinds: Optional[Sequence[str]] = None,
-    num_partitions: int = 1,
-    ack_broadcast: bool = True,
-    max_states: int = 400_000,
-    settle_rounds: int = 8,
-    stop_at_first_violation: bool = False,
-) -> ExplorationResult:
-    """Exhaustively explore a bounded Tempo schedule.
-
-    ``num_commands`` conflicting commands (cycling over ``num_keys`` keys)
-    are submitted up front at distinct replicas; every delivery interleaving
-    is explored.  With ``crash_coordinator`` the replica submitting the
-    first command may crash at any depth, exercising recovery (Algorithm 4).
-
-    The loss transition generalises over message kinds: ``lose_kinds`` names
-    the registered message classes (for instance ``["MCommit", "MStable"]``)
-    of which one in-flight instance may vanish at any depth (once per path,
-    fair-lossy links).  No process crashes on a loss path, so the
-    full liveness invariant stands — the repair pass must pull whatever
-    was lost.
-
-    ``num_partitions=2`` builds a two-partition topology (``num_processes``
-    replicas *per partition*); every command then accesses one key in each
-    partition, so commit and stability must cross the shard boundary and a
-    lost cross-partition ``MStable`` is exhaustively enumerated — the model
-    counterpart of the scenario matrix's ``mstable-loss/x-shard`` cell.
-
-    The digest covers the GC tracker, and every reachable state is checked
-    against the collection-safety invariant (no dot collected before it
-    executed everywhere).
-
-    State-space sizes (exhaustive, clean, ``r=3``): two commands close in
-    88 states, three in 1 682 (64 and 976 with ``ack_broadcast=False``);
-    ``r=4`` with two commands in 10 101.  The fingerprint must stay a pure
-    function of protocol state — an object address in it (a default
-    ``repr``) makes every restored copy a new state and turns these
-    lattices into interleaving trees of 10^4-10^5 nodes.  Mutation hunts
-    should pass ``stop_at_first_violation=True``: the DFS unwinds at the
-    first settled state that breaks an invariant instead of enumerating
-    the rest of the space.
-    """
-    config = ProtocolConfig(
-        num_processes=num_processes, faults=faults, num_partitions=num_partitions
-    )
-    if num_partitions == 1:
-        partitioner = Partitioner(1)
-    else:
-        partitioner = Partitioner(
-            num_partitions,
-            explicit={
-                f"key{partition}": partition for partition in range(num_partitions)
-            },
-        )
-    processes = build_replicas(
-        "tempo", config, partitioner=partitioner, ack_broadcast=ack_broadcast
-    ).processes
-    dots = []
-    for index in range(num_commands):
-        submitter = processes[index % len(processes)]
-        if num_partitions == 1:
-            keys = [f"key{index % num_keys}"]
-        else:
-            # One key per partition: every command is cross-shard, so its
-            # execution needs the remote partitions' MStable notifications.
-            keys = [f"key{partition}" for partition in range(num_partitions)]
-        command = submitter.new_command(keys)
-        submitter.submit(command, 0.0)
-        dots.append(command.dot)
-    expected = set(dots)
-
-    interval = config.promise_interval
-    recovery_at = config.recovery_timeout + interval
-    #: GC-safety violations observed at intermediate settle rounds of the
-    #: CURRENT final state; ``final_check`` folds them into the result (the
-    #: explorer calls settle and final_check back to back per final state).
-    settle_violations: List[Violation] = []
-
-    def settle(
-        final_processes: List[ProcessBase], channels: Channels, degraded: bool
-    ) -> None:
-        # Periodic duties at the normal cadence first (promise broadcast and
-        # stability detection), then — so recovery can run for schedules
-        # that crashed the coordinator or lost a payload — the same cadence
-        # past the recovery timeout.
-        times = [interval * (round + 1) for round in range(settle_rounds)]
-        times.extend(recovery_at + interval * round for round in range(settle_rounds))
-        if degraded:
-            # Crash/loss schedules need a second timeout: a dot first heard
-            # of during the recovery window above (a commit hint, say) is
-            # only overdue one recovery timeout later, and the repair
-            # pass's patience with a frozen frontier or a missing remote
-            # MStable is two timeouts from the first tick.
-            times.extend(
-                2 * recovery_at + interval * round for round in range(settle_rounds)
-            )
-        for now in times:
-            for process in final_processes:
-                if process.alive:
-                    process.tick(now)
-            _drain_outboxes(final_processes, channels)
-            _pump_fifo(final_processes, channels, now)
-            if not settle_violations:
-                # The watermark only moves during the settle-phase clock
-                # exchange, so the transient windows live here: check after
-                # every round, not just at the settled state.
-                _gc_collection_safety(final_processes, settle_violations)
-
-    def timestamp_of(process: TempoProcess, dot) -> Optional[int]:
-        return process.committed_timestamp(dot)
-
-    majority = num_processes // 2 + 1
-
-    def stability_safety(
-        current: Sequence[ProcessBase], violations: List[Violation]
-    ) -> None:
-        # Theorem 1, re-derived independently of the implementation: a
-        # timestamp ``s`` may be considered stable at a process only if a
-        # strict majority of its peers have promised every timestamp up to
-        # ``s``.  The even-``r`` majority-index regression (picking the
-        # ``r//2``-th sorted frontier instead of the ``(r-1)//2``-th) yields
-        # an ``s`` backed by only ``r/2`` processes — one short — and is
-        # caught here at the first asymmetric frontier, long before the
-        # premature execution it licenses would diverge.
-        for process in current:
-            if not process.alive:
-                continue
-            peers = list(process.partition_peers())
-            stable = process.promises.stable_timestamp(peers)
-            if stable <= 0:
-                continue
-            backed = sum(
-                1
-                for frontier in process.promises.frontier(peers)
-                if frontier >= stable
-            )
-            if backed < majority:
-                violations.append(
-                    Violation(
-                        "stability-safety",
-                        f"process {process.process_id} considers timestamp "
-                        f"{stable} stable with promises from only {backed} of "
-                        f"{len(peers)} processes (majority is {majority}) — "
-                        "Theorem 1 requires a strict majority",
-                    )
-                )
-
-    def state_check(
-        current: Sequence[ProcessBase], violations: List[Violation]
-    ) -> None:
-        stability_safety(current, violations)
-        _gc_collection_safety(current, violations)
-
-    def final_check(
-        final_processes: List[ProcessBase], crashed: bool, violations: List[Violation]
-    ) -> None:
-        _check_common_final_state(
-            final_processes,
-            expected,
-            timestamp_of,
-            violations,
-            require_all=not crashed,
-        )
-        # Collection happens mostly during settle (the clock exchange
-        # rides the periodic tick), so re-assert GC safety on the
-        # settled state, not just along the schedule — and fold in any
-        # transient violation the per-round settle checks observed.
-        _gc_collection_safety(final_processes, violations)
-        violations.extend(settle_violations)
-        settle_violations.clear()
-
-    lose_names = set(lose_kinds or ())
-    protocol_label = f"tempo r={num_processes} f={faults}"
-    if num_partitions > 1:
-        protocol_label += f" p={num_partitions}"
-    result = ExplorationResult(protocol=protocol_label)
-    return _run(
-        result,
-        processes,
-        _tempo_digest,
-        settle,
-        final_check,
-        crash_process=dots[0].source if crash_coordinator else None,
-        max_states=max_states,
-        stop_at_first_violation=stop_at_first_violation,
-        state_check=state_check,
-        lose_predicate=(
-            (lambda message: type(message).__name__ in lose_names)
-            if lose_names
-            else None
-        ),
-    )
-
-
-# -- Caesar model -----------------------------------------------------------------
-
-
-def _caesar_digest(process: CaesarProcess) -> object:
-    info = tuple(
-        sorted(
-            (
-                dot.source,
-                dot.sequence,
-                record.status,
-                record.timestamp,
-                tuple(
-                    sorted(
-                        (dep.source, dep.sequence) for dep in record.dependencies
-                    )
-                ),
-                tuple(
-                    (sender, tuple(sorted((d.source, d.sequence) for d in deps)))
-                    for sender, deps in sorted(record.acks.items())
-                ),
-            )
-            for dot, record in process._info.items()
-        )
-    )
-    deferred = tuple(
-        sorted(
-            (entry.dot.source, entry.dot.sequence, entry.coordinator)
-            for entry in process._deferred.values()
-        )
-    )
-    return (
-        process.process_id,
-        process.clock,
-        deferred,
-        tuple((dot.source, dot.sequence) for dot in process.executed),
-        _gc_digest(process),
-        info,
-    )
-
-
-def explore_caesar(
-    num_processes: int = 3,
-    faults: int = 1,
-    num_commands: int = 2,
-    num_keys: int = 1,
-    max_states: int = 400_000,
-) -> ExplorationResult:
-    """Exhaustively explore a bounded Caesar schedule.
-
-    Checks that the wait condition and dependency-based stability never let
-    conflicting commands execute out of timestamp order or diverge across
-    replicas.  Caesar here commits purely through messages (no periodic
-    duties), so the settle phase only drives the execution retry tick —
-    plus a second round of ticks one ``gc_interval`` later so the clock
-    exchange and collection run before the final checks (the GC safety
-    invariant is asserted in every reachable state either way).
-    """
-    config = ProtocolConfig(num_processes=num_processes, faults=faults)
-    processes = build_replicas("caesar", config).processes
-    dots = []
-    for index in range(num_commands):
-        submitter = processes[index % num_processes]
-        command = submitter.new_command([f"key{index % num_keys}"])
-        submitter.submit(command, 0.0)
-        dots.append(command.dot)
-    expected = set(dots)
-
-    times = [float(round + 1) for round in range(4)]
-    # A second tick window one gc_interval later: executions recorded
-    # during the first window get announced, ingested and collected.
-    times.extend(config.gc_interval + round + 1 for round in range(4))
-    settle_violations: List[Violation] = []
-
-    def settle(
-        final_processes: List[ProcessBase], channels: Channels, crashed: bool
-    ) -> None:
-        for now in times:
-            for process in final_processes:
-                process.tick(now)
-            _drain_outboxes(final_processes, channels)
-            _pump_fifo(final_processes, channels, now)
-            if not settle_violations:
-                _gc_collection_safety(final_processes, settle_violations)
-
-    def timestamp_of(process: CaesarProcess, dot) -> Optional[object]:
-        record = process._info.get(dot)
-        if record is not None and record.status in ("commit", "execute"):
-            return record.timestamp
-        return None
-
-    def final_check(
-        final_processes: List[ProcessBase], crashed: bool, violations: List[Violation]
-    ) -> None:
-        _check_common_final_state(
-            final_processes, expected, timestamp_of, violations, require_all=True
-        )
-        _gc_collection_safety(final_processes, violations)
-        violations.extend(settle_violations)
-        settle_violations.clear()
-
-    result = ExplorationResult(protocol=f"caesar r={num_processes} f={faults}")
-    return _run(
-        result,
-        processes,
-        _caesar_digest,
-        settle,
-        final_check,
-        crash_process=None,
-        max_states=max_states,
-        state_check=_gc_collection_safety,
-    )
-
-
-# -- CLI entry point ---------------------------------------------------------------
+# -- CLI entry point ----------------------------------------------------------------
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one bounded model from the command line; non-zero on violations.
 
-    ``python -m repro.analysis.smallmodel --protocol tempo --commands 2``
+    ``python -m repro.analysis.smallmodel --protocol atlas --commands 3``
     prints the exploration summary (state counts, completeness) and every
     violation.  The CI ``analysis`` job uses this to drive the models too
     large for the per-commit pytest gate.
@@ -859,73 +616,68 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro.analysis.smallmodel",
         description="Exhaustive small-model exploration of a bounded schedule.",
     )
-    parser.add_argument("--protocol", choices=("tempo", "caesar"), default="tempo")
+    parser.add_argument("--protocol", choices=sorted(PROTOCOLS), default="tempo")
     parser.add_argument("--processes", type=int, default=3)
     parser.add_argument("--faults", type=int, default=1)
     parser.add_argument("--commands", type=int, default=2)
     parser.add_argument("--keys", type=int, default=1)
-    parser.add_argument("--crash", action="store_true", help="crash the coordinator")
+    parser.add_argument(
+        "--crash", action="store_true", help="crash the coordinator (tempo only)"
+    )
     parser.add_argument(
         "--lose-kind",
         action="append",
         default=None,
         metavar="KIND",
-        help="allow one in-flight message of this class (e.g. MStable) to be "
-        "lost; repeatable (tempo only)",
+        help="allow one in-flight message of this registered kind (e.g. "
+        "MStable) to be lost; repeatable (tempo only)",
     )
     parser.add_argument(
         "--partitions",
         type=int,
         default=1,
         help="number of partitions (PROCESSES replicas each); >1 makes every "
-        "command cross-shard (tempo only)",
+        "command cross-shard",
     )
     parser.add_argument(
         "--ack-broadcast",
         action=argparse.BooleanOptionalAction,
-        default=True,
-        help="Tempo ack-broadcast optimisation (default on)",
+        default=None,
+        help="Tempo's ack-broadcast optimisation (the protocol default is on); "
+        "protocols without it reject the flag",
     )
     parser.add_argument("--max-states", type=int, default=400_000)
     parser.add_argument(
         "--bounded",
         action="store_true",
-        help="treat a clean run truncated by --max-states as success: a "
-        "sound-but-bounded sweep for models too large to close (e.g. the "
-        "6-process two-partition topology); any protocol violation inside "
-        "the explored prefix still fails",
+        help="treat a clean run truncated by --max-states as success (a "
+        "bounded sweep of a model too large to close); any protocol violation "
+        "inside the explored prefix still fails",
     )
     args = parser.parse_args(argv)
-    if args.protocol == "tempo":
-        result = explore_tempo(
+    protocol_kwargs = {}
+    if args.ack_broadcast is not None:
+        protocol_kwargs["ack_broadcast"] = args.ack_broadcast
+    try:
+        result = explore(
+            args.protocol,
             num_processes=args.processes,
             faults=args.faults,
             num_commands=args.commands,
             num_keys=args.keys,
+            num_partitions=args.partitions,
             crash_coordinator=args.crash,
             lose_kinds=args.lose_kind,
-            num_partitions=args.partitions,
-            ack_broadcast=args.ack_broadcast,
             max_states=args.max_states,
+            **protocol_kwargs,
         )
-    else:
-        result = explore_caesar(
-            num_processes=args.processes,
-            faults=args.faults,
-            num_commands=args.commands,
-            num_keys=args.keys,
-            max_states=args.max_states,
-        )
+    except (ValueError, TypeError) as exc:
+        parser.error(str(exc))
     print(result.summary())
     for violation in result.violations:
         print(f"  {violation}")
     if args.bounded and result.stop_reason == "max_states":
-        protocol_violations = [
-            violation
-            for violation in result.violations
-            if violation.code != "state-budget"
-        ]
-        return 1 if protocol_violations else 0
+        return int(any(v.code != "state-budget" for v in result.violations))
     return 0 if result.ok else 1
 
 

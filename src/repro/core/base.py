@@ -121,6 +121,27 @@ class ProcessBase(abc.ABC):
     #: routes everything there.
     _dispatch: Dict[type, Callable[[int, object, float], None]] = {}
 
+    #: Attributes the explorer's state digest skips
+    #: (:func:`repro.analysis.smallmodel.canonical`); subclasses add theirs.
+    _DIGEST_EXEMPT = frozenset(
+        {
+            "config",  # constant wiring
+            "partitioner",  # constant wiring, shared by the cluster
+            "quorum_system",  # constant wiring, shared by the cluster
+            "apply_fn",  # wiring to the store, whose contents `executed` fixes
+            "partition",  # constant, derived from process_id
+            "_partition_peers",  # constant, derived from process_id
+            "_partition_peer_set",  # cache of _partition_peers
+            "_other_peers",  # cache of _partition_peers
+            "_dispatch",  # constant wiring: bound handlers
+            "_execution_listeners",  # observers, not protocol state
+            "_wants_flush",  # constant, derived from the class
+            "outbox",  # drained by the runtime after every step
+            "_step_depth",  # zero between deliveries
+            "_message_counts",  # statistic
+        }
+    )
+
     def __init__(
         self,
         process_id: int,

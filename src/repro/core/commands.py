@@ -59,6 +59,8 @@ class Command:
     payload_size: int = 100
     client_id: Optional[int] = None
 
+    _DIGEST_EXEMPT = frozenset({"_keys", "_read_only"})  # caches of ops
+
     def __post_init__(self) -> None:
         if not self.ops:
             raise ValueError("a command must access at least one key")

@@ -61,6 +61,19 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
 
     _info: Dict[Dot, CommandInfo]
 
+    _DIGEST_EXEMPT = frozenset(
+        {
+            "_ack_target_cache",  # cache
+            "_fast_commit_target_cache",  # cache
+            "_partition_targets",  # cache
+            "_stable_targets",  # cache
+            # Derived from _info (committed, not yet stable / not yet
+            # executed); the list layout is only insertion history.
+            "_commit_heap",
+            "_stable_heap",
+        }
+    )
+
     def __init__(self, *args, ack_broadcast: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: Implementation-level optimisation: fast-quorum members send their

@@ -278,6 +278,7 @@ class PromiseSet:
     """
 
     __slots__ = ("_frontier", "_pending", "_size", "_stable_cache")
+    _DIGEST_EXEMPT = frozenset({"_stable_cache"})  # cache of _frontier
 
     def __init__(self) -> None:
         self._frontier: Dict[int, int] = {}

@@ -92,6 +92,14 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
 
     _info: Dict[Dot, CaesarInfo]
 
+    _DIGEST_EXEMPT = frozenset(
+        {
+            "blocked_replies_ever",  # statistic
+            "peak_live_per_key",  # statistic
+            "_commit_heap",  # derived from _info; the layout is insertion history
+        }
+    )
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.clock = 0

@@ -63,6 +63,7 @@ class KeyConflicts:
         "_all_cache",
         "_writes_cache",
     )
+    _DIGEST_EXEMPT = frozenset({"_all_cache", "_writes_cache"})  # caches
 
     def __init__(self) -> None:
         #: Registered, not yet executed (any kind).  Exposed through
@@ -183,6 +184,8 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
     name = "dependency"
 
     _info: Dict[Dot, DepInfo]
+
+    _DIGEST_EXEMPT = frozenset({"_dropped_peak_live"})  # statistic
 
     def __init__(self, *args, read_write_aware: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -50,6 +50,8 @@ class CommittedNode:
 class DependencyGraph:
     """The committed dependency graph at one process."""
 
+    _DIGEST_EXEMPT = frozenset({"_collected"})  # wiring to the GC predicate
+
     def __init__(
         self, collected: Optional[Callable[[Dot], bool]] = None
     ) -> None:
@@ -329,6 +331,8 @@ class DependencyGraphExecutor:
     """Drives a :class:`DependencyGraph`: each call returns the commands it
     made executable, in execution order (the replica shell keeps the order,
     ``ProcessBase.executed``)."""
+
+    _DIGEST_EXEMPT = frozenset({"_max_component_size"})  # statistic
 
     def __init__(
         self, collected: Optional[Callable[[Dot], bool]] = None

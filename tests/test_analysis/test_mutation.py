@@ -26,7 +26,7 @@ from __future__ import annotations
 import pytest
 
 import repro.core.promises as promises_mod
-from repro.analysis.smallmodel import explore_tempo
+from repro.analysis.smallmodel import explore
 from repro.analysis.trace import ExecutionTraceRecorder
 from repro.core.commands import Command, KeyOp, OpKind, Partitioner
 from repro.core.config import ProtocolConfig
@@ -128,7 +128,8 @@ def _replay_recovery_race():
 
 class TestExplorerDetection:
     def test_explorer_flags_the_mutation_within_a_few_states(self, mutated):
-        result = explore_tempo(
+        result = explore(
+            "tempo",
             num_processes=4,
             num_commands=2,
             stop_at_first_violation=True,
@@ -145,7 +146,7 @@ class TestExplorerDetection:
     def test_explorer_is_clean_on_the_same_model_without_the_mutation(self):
         # Same r=4 state space, same per-state check, correct code: nothing
         # but the (expected) budget marker within the same prefix of states.
-        result = explore_tempo(num_processes=4, num_commands=2, max_states=800)
+        result = explore("tempo", num_processes=4, num_commands=2, max_states=800)
         codes = [violation.code for violation in result.violations]
         assert codes == ["state-budget"]
 

@@ -1,76 +1,91 @@
-"""Exhaustive small-model gates: bounded Tempo and Caesar schedules.
+"""Exhaustive small-model gates: bounded schedules of all six protocols.
 
 Each test enumerates EVERY delivery-order interleaving of its bounded
 schedule (``complete`` asserts the DFS ran to closure, not to a budget) and
-must come back violation-free.  State counts are pinned exactly: the
+must come back violation-free.  ``(states, finals)`` are pinned exactly: the
 fingerprint is a pure function of protocol state, so a count that moves
-means the protocol's reachable states moved.  Each docstring gives the count
-at the parent of the commit-relay PR beside the new one — the old numbers
-were inflated by a memory address in the fingerprint (``repr`` of a
-``RangeCollector``), which defeated the memoization: re-run with that one
-line fixed, the parent closes the same lattices at the sizes given as
-"true".  The CI ``analysis`` job drives the three-command lattices through
+means the protocol's reachable states moved.
+
+Where a pin reads ``old → new``, the old count came from the hand-written
+digests the derived one replaced; each rise is one field those digests left
+out, so they merged states that differ in it (``docs/correctness_spec.md``):
+
+* Tempo — ``PromiseSet._pending``, the promises a process holds above its
+  contiguous frontier (the hand digest kept only the frontier and a count);
+* Caesar — the deferral order of wait-condition replies:
+  ``_deferred_sequence`` and the sequence keys of ``_deferred``, which fix
+  the order the parked replies go out in.
+
+The CI ``analysis`` job drives the larger lattices through
 ``python -m repro.analysis.smallmodel``.
 """
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.analysis.smallmodel import explore_caesar, explore_tempo, main
+from repro.analysis.smallmodel import _Explorer, _in_flight, canonical, explore, main
+from repro.cluster.replicas import build_replicas
+from repro.core.config import ProtocolConfig
 from repro.core.gc import GcTracker
+from repro.core.identifiers import Dot
+from repro.core.messages import MCommit
+from repro.core.promises import PromiseSet
+from repro.protocols.registry import PROTOCOLS
+
+
+def _counts(result):
+    assert result.complete, result.summary()
+    assert result.ok, result.summary()
+    return (result.states_explored, result.final_states)
 
 
 class TestTempoModels:
+    """r = 3, conflicting commands, ack broadcast off."""
+
     def test_two_conflicting_commands_exhaustive(self):
-        """r=3, conflicting commands, ack_broadcast off.  Two commands: 64
-        states, 1 final (parent 15 153 / 5 328 with the address in the
-        fingerprint, true 64 / 1: no relay without the ack broadcast).
-        Three commands close as well now: 976 states, 4 final."""
-        for commands, states, final in ((2, 64, 1), (3, 976, 4)):
-            result = explore_tempo(num_commands=commands, ack_broadcast=False)
-            assert result.complete, result.summary()
-            assert result.ok, result.summary()
-            assert (result.states_explored, result.final_states) == (states, final)
+        """One command 10 / 1; two 64 / 1 → 68 / 2; three 976 / 4 →
+        1 276 / 19 (``_pending``)."""
+        for commands, pin in ((1, (10, 1)), (2, (68, 2)), (3, (1_276, 19))):
+            result = explore("tempo", num_commands=commands, ack_broadcast=False)
+            assert _counts(result) == pin
 
     def test_coordinator_crash_recovery_exhaustive(self):
-        # The coordinator of the only command may crash at every depth;
+        # The coordinator of the first command may crash at every depth;
         # survivors must recover (Algorithm 4) and — when the crash raced a
         # partial commit broadcast — learn the outcome via MCommitRequest
-        # (§B.1): committed peers ignore MRec, so without the periodic
-        # re-request a stalled recovery would never terminate.
-        # One command: 20 states, 11 final (parent 48 / 31, true 20 / 11);
-        # two commands: 128 / 26 (parent 34 776, true 128 / 26).
-        for commands, states, final in ((1, 20, 11), (2, 128, 26)):
-            result = explore_tempo(
-                num_commands=commands, crash_coordinator=True, ack_broadcast=False
+        # (§B.1): committed peers ignore MRec.  One command 20 / 11; two
+        # 128 / 26 → 136 / 31 (``_pending``).  Three, in CI: 1 896 / 176 →
+        # 2 496 / 275.
+        for commands, pin in ((1, (20, 11)), (2, (136, 31))):
+            result = explore(
+                "tempo",
+                num_commands=commands,
+                crash_coordinator=True,
+                ack_broadcast=False,
             )
-            assert result.complete, result.summary()
-            assert result.ok, result.summary()
-            assert (result.states_explored, result.final_states) == (states, final)
+            assert _counts(result) == pin
 
     def test_lost_commit_broadcast_exhaustive(self):
         # One in-flight MCommit may vanish at any depth (fair-lossy links);
-        # nobody crashes, so the FULL liveness invariant stands: the
-        # receiver that missed the commit learns the identifier through
-        # promise broadcasts and the repair pass's COMMIT round re-delivers
-        # the outcome — every command still executes at every replica, in
-        # one agreed order.  15 states, 3 final (parent 46 / 21, true
-        # 15 / 3); two commands 128 / 5 (parent 60 073, true 128 / 5).
-        for commands, states, final in ((1, 15, 3), (2, 128, 5)):
-            result = explore_tempo(
-                num_commands=commands, lose_kinds=["MCommit"], ack_broadcast=False
+        # nobody crashes, so the FULL liveness invariant stands: the repair
+        # pass's COMMIT round re-delivers the outcome.  One command 15 / 3;
+        # two 128 / 5 → 136 / 8 (``_pending``).  Three, in CI: 2 554 / 26 →
+        # 3 357 / 83.
+        for commands, pin in ((1, (15, 3)), (2, (136, 8))):
+            result = explore(
+                "tempo", num_commands=commands, lose_kinds=["MCommit"], ack_broadcast=False
             )
-            assert result.complete, result.summary()
-            assert result.ok, result.summary()
-            assert (result.states_explored, result.final_states) == (states, final)
+            assert _counts(result) == pin
         # The loss transition genuinely branched the schedule.
-        baseline = explore_tempo(num_commands=1, ack_broadcast=False)
+        baseline = explore("tempo", num_commands=1, ack_broadcast=False)
         assert baseline.states_explored == 10 < 15
 
     def test_two_keys_do_not_interfere(self):
         # Commands on distinct keys still share the timestamp lattice.
-        result = explore_tempo(num_commands=2, num_keys=2, ack_broadcast=False)
+        result = explore("tempo", num_commands=2, num_keys=2, ack_broadcast=False)
         assert result.complete and result.ok, result.summary()
 
 
@@ -84,39 +99,28 @@ class TestEpoch2Models:
     has the relayed ``MCommit`` in it."""
 
     def test_elision_and_gc_exhaustive(self):
-        """The ack broadcast on, so the fast-quorum member self-commits and
-        relays: every interleaving closes clean, with the GC safety
-        invariant asserted in every reachable state and every settle
-        round.  One command 14 states (parent 37, true 12: the relayed copy
-        leaves the member, not the coordinator, so it is in flight in two
-        more states); two 88 (parent 121 225, true 69); three 1 682."""
-        for commands, states in ((1, 14), (2, 88), (3, 1_682)):
-            result = explore_tempo(num_commands=commands)
-            assert result.complete, result.summary()
-            assert result.ok, result.summary()
-            assert result.states_explored == states
+        """The ack broadcast on: every interleaving closes clean, with the
+        GC safety invariant asserted in every reachable state and every
+        settle round.  One command 14 / 1; two 88 / 1 → 92 / 2; three
+        1 682 / 2 → 1 894 / 9 (``_pending``)."""
+        for commands, pin in ((1, (14, 1)), (2, (92, 2)), (3, (1_894, 9))):
+            assert _counts(explore("tempo", num_commands=commands)) == pin
 
     def test_elision_under_coordinator_crash(self):
         """Elided commits + recovery: the self-committing fast-quorum
         member must still get the outcome to everyone when the coordinator
-        dies at any depth — now by relaying it itself.  28 states, 11 final
-        (parent 74 / 48, true 24 / 13)."""
-        result = explore_tempo(num_commands=1, crash_coordinator=True)
-        assert result.complete, result.summary()
-        assert result.ok, result.summary()
-        assert (result.states_explored, result.final_states) == (28, 11)
+        dies at any depth — by relaying it itself.  28 / 11."""
+        result = explore("tempo", num_commands=1, crash_coordinator=True)
+        assert _counts(result) == (28, 11)
 
     def test_lost_relayed_commit_exhaustive(self):
         """The relayed MCommit has one sender; losing it (or the
         coordinator's own copy) at any depth leaves its target to the
-        repair pass's COMMIT round, and every command still executes
-        everywhere in one order.  Two commands 124 states, 3 final (parent
-        24 331 / 10 530, true 83 / 3); three 2 636 / 8."""
-        for commands, states, final in ((2, 124, 3), (3, 2_636, 8)):
-            result = explore_tempo(num_commands=commands, lose_kinds=["MCommit"])
-            assert result.complete, result.summary()
-            assert result.ok, result.summary()
-            assert (result.states_explored, result.final_states) == (states, final)
+        repair pass's COMMIT round.  Two commands 124 / 3 → 128 / 4; three
+        2 636 / 8 → 2 937 / 23 (``_pending``)."""
+        for commands, pin in ((2, (128, 4)), (3, (2_937, 23))):
+            result = explore("tempo", num_commands=commands, lose_kinds=["MCommit"])
+            assert _counts(result) == pin
 
     @pytest.mark.xfail(
         strict=True,
@@ -127,7 +131,8 @@ class TestEpoch2Models:
         "lattice the address-keyed fingerprint could not close",
     )
     def test_two_commands_under_coordinator_crash_with_the_ack_broadcast(self):
-        result = explore_tempo(num_commands=2, crash_coordinator=True)
+        # 176 / 36 → 184 / 41 (``_pending``), still timestamp-divergence.
+        result = explore("tempo", num_commands=2, crash_coordinator=True)
         assert result.complete, result.summary()
         assert result.ok, result.summary()
 
@@ -149,7 +154,8 @@ class TestEpoch2Models:
             return newly
 
         monkeypatch.setattr(GcTracker, "advance", premature_advance)
-        result = explore_tempo(
+        result = explore(
+            "tempo",
             num_commands=1,
             crash_coordinator=True,
             ack_broadcast=False,
@@ -161,8 +167,8 @@ class TestEpoch2Models:
 
 
 class TestGeneralisedLossModels:
-    """PR 10 satellite: the loss transition generalised beyond MCommit,
-    and the two-partition topology that makes cross-shard MStable loss
+    """The loss transition generalised beyond MCommit, and the
+    two-partition topology that makes cross-shard MStable loss
     expressible in the model."""
 
     def test_two_partition_mstable_loss_bounded_sweep(self):
@@ -173,10 +179,9 @@ class TestGeneralisedLossModels:
         # violation — the blocked partition's repair pass asks for the lost
         # notification again during settle.  A final state does not depend
         # on delivery order, so the 2 000-state DFS prefix settles exactly
-        # two: everything delivered, and the last MStable lost.  (The
-        # parent's "> 1 000 final states" were these two, reached again and
-        # again through states the address-keyed fingerprint never matched.)
-        result = explore_tempo(
+        # two: everything delivered, and the last MStable lost.
+        result = explore(
+            "tempo",
             num_commands=1,
             lose_kinds=["MStable"],
             num_partitions=2,
@@ -186,7 +191,7 @@ class TestGeneralisedLossModels:
         assert not result.complete and result.stop_reason == "max_states"
         codes = {violation.code for violation in result.violations}
         assert codes == {"state-budget"}, result.summary()
-        assert result.final_states == 2, result.summary()
+        assert (result.states_explored, result.final_states) == (2_001, 2)
         assert "p=2" in result.protocol
 
     def test_cli_bounded_mode_tolerates_clean_truncation(self):
@@ -208,18 +213,131 @@ class TestGeneralisedLossModels:
 
 class TestCaesarModel:
     def test_two_conflicting_commands_exhaustive(self):
-        # Caesar commits purely through messages: the model closes in under
-        # a hundred states but covers every propose/ack/commit interleaving
-        # of two conflicting commands, including the wait-condition path.
-        result = explore_caesar(num_commands=2)
-        assert result.complete, result.summary()
-        assert result.ok, result.summary()
-        assert result.states_explored > 20
+        # Caesar commits purely through messages; the lattice covers every
+        # propose/ack/commit interleaving, the wait-condition path included.
+        # Two commands 78 / 1 → 87 / 2, three 250 / 1 → 389 / 2 (the
+        # deferral order of the parked replies).
+        for commands, pin in ((2, (87, 2)), (3, (389, 2))):
+            assert _counts(explore("caesar", num_commands=commands)) == pin
+
+
+class TestBaselineModels:
+    """The dependency-graph baselines and FPaxos, never explored before the
+    explorer took any protocol of the registry: r = 3, conflicting
+    commands, healthy links (their recovery and repair are not in the
+    tree)."""
+
+    @pytest.mark.parametrize(
+        "protocol, pins",
+        [
+            ("atlas", ((2, (24, 1)), (3, (384, 7)))),
+            ("epaxos", ((2, (30, 1)), (3, (616, 7)))),
+            # One shard: Janus* is Atlas there, lattice for lattice.
+            ("janus", ((2, (24, 1)), (3, (384, 7)))),
+            ("fpaxos", ((2, (20, 1)), (3, (124, 2)))),
+        ],
+    )
+    def test_conflicting_commands_exhaustive(self, protocol, pins):
+        for commands, pin in pins:
+            assert _counts(explore(protocol, num_commands=commands)) == pin
+
+    def test_two_shard_janus_exhaustive(self):
+        # Every command accesses both shards, so the pre-accept round and
+        # the commit span all six processes.  Two commands (10 863 / 3)
+        # run in CI.
+        result = explore("janus", num_commands=1, num_partitions=2)
+        assert _counts(result) == (58, 1)
+
+
+class TestDerivedDigest:
+    def test_no_exempt_name_is_stale(self):
+        # Every name a class exempts is an attribute of its instances in
+        # the clusters build_replicas makes, for every protocol, and every
+        # class declaring an exemption shows up in one of them.
+        declaring = {
+            cls
+            for name, module in list(sys.modules.items())
+            if name.startswith("repro.")
+            for cls in vars(module).values()
+            if isinstance(cls, type) and "_DIGEST_EXEMPT" in vars(cls)
+        }
+        seen = set()
+        for protocol in PROTOCOLS:
+            processes = build_replicas(protocol, ProtocolConfig()).processes
+            processes[0].submit(processes[0].new_command(["key0"]), 0.0)
+            for instance in _reachable(processes):
+                for cls in declaring:
+                    if isinstance(instance, cls):
+                        seen.add(cls)
+                        stale = vars(cls)["_DIGEST_EXEMPT"] - _attributes(instance)
+                        assert not stale, (protocol, cls.__name__, stale)
+        assert seen == declaring, declaring - seen
+
+    def test_walker_rejects_what_has_no_canonical_form(self):
+        tracker = GcTracker(0, [0, 1, 2])
+        with pytest.raises(TypeError):
+            canonical({"callback": tracker.collected})
+        with pytest.raises(TypeError):
+            canonical([object()])
+        assert canonical({Dot(1, 2): {3, 1}}) == (((1, 2), (1, 3)),)
+
+    def test_messages_digest_as_their_wire_frames(self):
+        first = MCommit(Dot(0, 1), timestamp=3, partition=0, attached={1: 3, 2: 2})
+        second = MCommit(Dot(0, 1), timestamp=3, partition=0, attached={2: 2, 1: 3})
+        assert repr(first) != repr(second)
+        assert _in_flight({(0, 1): [first]}) == _in_flight({(0, 1): [second]})
+
+    def test_the_digest_has_teeth(self, monkeypatch):
+        # Put back the hand digest's blind spot — the promises held above
+        # the frontier — and the lattice shrinks to the old pin.
+        monkeypatch.setattr(
+            PromiseSet, "_DIGEST_EXEMPT", PromiseSet._DIGEST_EXEMPT | {"_pending"}
+        )
+        result = explore("tempo", ack_broadcast=False)
+        assert _counts(result) == (64, 1)
+
+    @pytest.mark.parametrize(
+        "protocol, options",
+        [
+            ("tempo", dict(crash_coordinator=True, ack_broadcast=False)),
+            ("tempo", dict(lose_kinds=["MCommit"], ack_broadcast=False)),
+            ("caesar", dict()),
+        ],
+    )
+    def test_inherited_digests_change_no_count(self, monkeypatch, protocol, options):
+        inherited = _counts(explore(protocol, **options))
+        monkeypatch.setattr(_Explorer, "inherit_digests", False)
+        assert _counts(explore(protocol, **options)) == inherited
+
+
+class TestFailsLoudly:
+    @pytest.mark.parametrize(
+        "protocol, options",
+        [
+            ("tempo", dict(lose_kinds=["MComit"])),
+            ("atlas", dict(crash_coordinator=True)),
+            ("caesar", dict(lose_kinds=["MCaesarCommit"])),
+            ("epaxos", dict(num_partitions=2)),
+        ],
+    )
+    def test_settings_it_cannot_honour_raise(self, protocol, options):
+        with pytest.raises(ValueError):
+            explore(protocol, **options)
+
+    def test_protocol_keywords_reach_the_constructor(self):
+        with pytest.raises(TypeError):
+            explore("caesar", ack_broadcast=False)
+
+    def test_cli_rejects_and_offers_every_protocol(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--protocol", "caesar", "--crash"])
+        assert "caesar" in capsys.readouterr().err
+        assert main(["--protocol", "fpaxos", "--commands", "1"]) == 0
 
 
 class TestBudgetAndReporting:
     def test_budget_truncation_is_reported_loudly(self):
-        result = explore_tempo(num_commands=2, max_states=50)
+        result = explore("tempo", num_commands=2, max_states=50)
         assert not result.complete
         assert result.stop_reason == "max_states"
         codes = [violation.code for violation in result.violations]
@@ -227,7 +345,39 @@ class TestBudgetAndReporting:
         assert "stopped early" in result.summary()
 
     def test_summary_reports_state_counts(self):
-        result = explore_caesar(num_commands=1)
+        result = explore("caesar", num_commands=1)
         summary = result.summary()
         assert "states explored" in summary
         assert str(result.states_explored) in summary
+
+
+def _attributes(instance):
+    """The attributes ``instance`` holds: its ``__dict__`` and set slots."""
+    names = set(getattr(instance, "__dict__", ()))
+    for cls in type(instance).__mro__:
+        slots = vars(cls).get("__slots__", ())
+        names.update(
+            slot
+            for slot in ((slots,) if isinstance(slots, str) else slots)
+            if hasattr(instance, slot)
+        )
+    return names
+
+
+def _reachable(roots):
+    """Every object reachable from ``roots`` through containers and
+    attributes, exempt ones included (functions and atoms are leaves)."""
+    seen, stack = set(), list(roots)
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or callable(value):
+            continue
+        seen.add(id(value))
+        if isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__") or hasattr(type(value), "__slots__"):
+            yield value
+            stack.extend(getattr(value, name) for name in _attributes(value))
