@@ -26,9 +26,15 @@ BENCH_FIG6_PATH = os.path.join(
 BENCH_FIG6_NODE = "test_bench_fig6_tail_percentiles"
 
 
-def emit(name: str, rows: Sequence[Dict[str, object]], title: str, columns: Optional[List[str]] = None) -> str:
+def emit(
+    name: str,
+    rows: Sequence[Dict[str, object]],
+    title: str,
+    columns: Optional[List[str]] = None,
+    footnote: str = "",
+) -> str:
     """Format rows as a table, print it and persist it under ``results/``."""
-    table = format_table(list(rows), columns=columns, title=title)
+    table = format_table(list(rows), columns=columns, title=title, footnote=footnote)
     print("\n" + table + "\n")
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.txt")

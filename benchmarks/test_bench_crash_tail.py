@@ -9,7 +9,9 @@ arrives — the exact path on which the repair pass (``repro.core.repair``)
 asks for the commit with an ``MRepairRequest`` one recovery timeout later.
 Meanwhile the stranded attached promises freeze the stability frontier,
 stalling execution cluster-wide until the partition leader recovers the
-commands (Algorithm 4).
+commands (Algorithm 4).  Commands submitted after the crash are proposed to
+quorums without the suspected replica, so only the in-flight ones wait for
+recovery (``docs/fault_injection.md``, "Failure detector").
 
 The benchmark asserts the recovery story end to end: survivors converge on an
 identical execution order with no pending commands, the latency tail is
@@ -27,6 +29,8 @@ from repro.faults import Crash, FaultPlan
 #: Tolerated tail bound: recovery timeout (500 ms) + one more repair round
 #: (another timeout) + a few wide-area round trips.
 TAIL_BOUND_MS = 2_000.0
+#: Closed-loop noise on a surviving site's median, either way.
+MEDIAN_NOISE_MS = 25.0
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -54,6 +58,15 @@ def _row(name: str, result) -> dict:
         "p99.9": round(result.percentile(99.9), 1),
         "commit_requests": int(result.stats.get("sent:MCommitRequest", 0.0)),
     }
+
+
+def _quorum_round_trip(quorums, process: int, suspected=frozenset()) -> float:
+    """Round trip from ``process`` to the farthest member of the fast
+    quorum it picks while suspecting ``suspected``."""
+    return max(
+        quorums.distance(process, member) + quorums.distance(member, process)
+        for member in quorums.fast_quorum(process, 0, suspected)
+    )
 
 
 def test_bench_crash_during_contention_tail(benchmark, results_emitter):
@@ -93,19 +106,33 @@ def test_bench_crash_during_contention_tail(benchmark, results_emitter):
     assert agreed[: len(prefix)] == prefix
 
     # Bounded tail: the stall is capped by the recovery machinery, not the
-    # run length; the fast path (median) is unaffected.  Site by site: the
+    # run length; the fast path (median) is bounded too.  Site by site: the
     # crashed site's clients are the fastest and stop contributing, which
-    # alone moves the pooled median (186.0 -> 211.5) while no surviving
-    # site's own median moves by more than 21 ms.
+    # alone moves the pooled median (186.0 -> 200.0).  Each surviving site
+    # proposes its new commands to the nearest quorum without the suspected
+    # Ireland, whose round trip is longer, so its median may rise by that
+    # growth plus 25 ms of closed-loop noise, and fall by the noise only:
+    #
+    #   site          quorum round trip     median gap (crash - healthy)
+    #   n-california  141 -> 181 (+40)      +9.5
+    #   singapore     186 -> 221 (+35)      -16.5
+    #   canada         78 -> 123 (+45)      +28.5
+    #   sao-paulo     183 -> 190  (+7)      0.0
     assert crashed.percentile(99.9) <= TAIL_BOUND_MS, _row("crash", crashed)
     assert crashed.percentile(99.9) > healthy.percentile(99.9), (
         "crash run should show the recovery stall in its tail"
     )
-    for site in crashed.deployment.sites[1:]:
+    deployment = crashed.deployment
+    suspected = frozenset({crashed_process.process_id})
+    for site_rank, site in enumerate(deployment.sites[1:], start=1):
+        process = deployment.process_for(site_rank, 0).process_id
+        growth = _quorum_round_trip(
+            deployment.quorum_system, process, suspected
+        ) - _quorum_round_trip(deployment.quorum_system, process)
         gap = crashed.per_site_latency[site].percentile(
             50.0
         ) - healthy.per_site_latency[site].percentile(50.0)
-        assert abs(gap) <= 25.0, (site, gap)
+        assert -MEDIAN_NOISE_MS <= gap <= growth + MEDIAN_NOISE_MS, (site, gap, growth)
 
     # The repair pass fired for the stranded identifiers and only for them
     # (the healthy twin asks for nothing), and nothing is left waiting:

@@ -13,7 +13,8 @@ The matrix doubles as the CI regression gate for the unhappy paths:
   convergence inside ``run_cell`` (no stuck commands, one agreed execution
   order per shard) — the reliable-delivery layer flips the formerly
   stranded restart/partition/flaky/targeted cells; only the baselines'
-  unrecoverable coordinator crashes still report ``converged=no``;
+  coordinator crashes, outside the paper's scope, report ``converged=no*``
+  and put the table's legend under it;
 * the promoted worst cells (Tempo's crash and partition cells, whose
   recovery stalls dominate the grid) additionally gate their p99.9 under
   ``WORST_CELL_TAIL_BOUND_MS``;
@@ -28,9 +29,12 @@ import os
 import pytest
 
 from repro.experiments.scenarios import (
+    NOT_CONVERGED_BY_SCOPE,
+    TITLE,
     WORST_CELL_TAIL_BOUND_MS,
     ScenarioOptions,
     build_matrix,
+    legend,
     run_cell,
 )
 
@@ -54,12 +58,7 @@ def test_bench_scenario_matrix(benchmark, results_emitter):
     rows = benchmark.pedantic(
         lambda: [run_cell(cell) for cell in cells], rounds=1, iterations=1
     )
-    results_emitter(
-        "scenario_matrix",
-        rows,
-        "Fault-injection scenario matrix - trace-certified, "
-        "p50/p99/p99.9 latency (ms), stuck commands on alive replicas",
-    )
+    results_emitter("scenario_matrix", rows, TITLE, footnote=legend(rows))
 
     # Every protocol with a liveness story converged in every cell that
     # requires it (run_cell already asserted; spot-check the table too).
@@ -96,9 +95,10 @@ def test_bench_scenario_matrix(benchmark, results_emitter):
         assert row["converged"] == "yes" and row["stuck"] == 0, row
         assert row["gc"] > 0, row
 
-    # The baselines' unrecoverable coordinator crash stays honestly
-    # reported: crash-only plans keep the reliability layer off, and the
-    # dead coordinator's quorum state is not reconstructible.
+    # The baselines' coordinator crash stays honestly reported, and says
+    # why: Atlas / EPaxos coordinator recovery is outside the paper's scope
+    # (the dead coordinator's quorum state is not reconstructible).
     for protocol in ("atlas", "epaxos"):
         crashed = by_cell[("crash@s0/t800", protocol)]
-        assert crashed["stuck"] > 0 and crashed["converged"] == "no", crashed
+        assert crashed["stuck"] > 0, crashed
+        assert crashed["converged"] == NOT_CONVERGED_BY_SCOPE, crashed

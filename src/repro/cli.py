@@ -243,7 +243,13 @@ def _command_throughput(args) -> int:
 def _command_scenarios(args) -> int:
     import os
 
-    from repro.experiments.scenarios import ScenarioOptions, build_matrix, run_cell
+    from repro.experiments.scenarios import (
+        TITLE,
+        ScenarioOptions,
+        build_matrix,
+        legend,
+        run_cell,
+    )
 
     options = ScenarioOptions(
         duration_ms=args.duration,
@@ -263,13 +269,7 @@ def _command_scenarios(args) -> int:
     # Every cell is certified: force the trace checker on for the run.
     os.environ["REPRO_TRACE_CHECK"] = "1"
     rows = [run_cell(cell) for cell in cells]
-    print(
-        format_table(
-            rows,
-            title="Fault-injection scenario matrix - trace-certified, "
-            "p50/p99/p99.9 latency (ms), stuck commands on alive replicas",
-        )
-    )
+    print(format_table(rows, title=TITLE, footnote=legend(rows)))
     return 0
 
 

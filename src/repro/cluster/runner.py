@@ -237,8 +237,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # plans that can *lose or delay* traffic:
         # restarts, partitions, flaky links, targeted loss.  A crash-only
         # plan drops no message a live process will ever need again (the
-        # crashed replica never returns), so those runs — and with them
-        # the crash-tail goldens — stay byte-identical to the seed.
+        # crashed replica never returns), so those runs arm nothing.
         if any(not isinstance(event, Crash) for event in fault_plan):
             for process in deployment.processes:
                 process.enable_reliability(RetransmitBuffer(process.process_id))

@@ -17,7 +17,9 @@ paper's "implemented in the same framework", §6).  The shell owns
 
 * identity and deployment: ``process_id``, ``config``, the partition and its
   peers, the shared ``partitioner`` and ``quorum_system`` (which alone knows
-  "the ``k`` closest peers", :meth:`QuorumSystem.closest`), ``apply_fn``;
+  "the ``k`` closest peers", :meth:`QuorumSystem.closest`), ``apply_fn``,
+  and the failure detector's output ``suspected`` that every new command's
+  quorum avoids;
 * command minting: ``dot_generator`` and :meth:`ProcessBase.new_command`,
   the only place an identifier is drawn;
 * message plumbing: the outbox, synchronous self-delivery, ``MBatch``
@@ -195,9 +197,12 @@ class ProcessBase(abc.ABC):
         #: plan can lose messages; ``None`` — the default — keeps every hook
         #: a single attribute test so healthy runs stay bit-identical.
         self.reliability = None
-        #: Which peers this process currently believes to be alive; runtimes
-        #: (or tests) update it to emulate a failure detector.
-        self.alive_view: Dict[int, bool] = {}
+        #: The failure detector's output: the processes this one suspects.
+        #: The simulator is the detector (an oracle: :meth:`set_alive_view`
+        #: on every ``Crash`` / ``Restart``); the asyncio runtime has none.
+        #: Read by :meth:`leader_of_partition` and by the quorum choice of
+        #: every new command (:meth:`QuorumSystem.closest`).
+        self.suspected: FrozenSet[int] = frozenset()
         #: Count of handled messages per message *type*.  Keyed by class on
         #: the hot path (pointer hashing beats string hashing); the public
         #: :attr:`message_counts` property derives the kind-name view used
@@ -394,11 +399,14 @@ class ProcessBase(abc.ABC):
 
     def believes_alive(self, process: int) -> bool:
         """Failure-detector view of ``process`` (defaults to alive)."""
-        return self.alive_view.get(process, True)
+        return process not in self.suspected
 
     def set_alive_view(self, process: int, alive: bool) -> None:
         """Update the failure-detector view for ``process``."""
-        self.alive_view[process] = alive
+        if alive:
+            self.suspected = self.suspected - {process}
+        else:
+            self.suspected = self.suspected | {process}
 
     # -- execution bookkeeping ---------------------------------------------------
 

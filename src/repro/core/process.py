@@ -291,7 +291,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         """Submit ``command`` on behalf of a client (Algorithm 1, line 1).
 
         The submitting process must replicate one of the accessed
-        partitions.
+        partitions.  The fast quorums ``Q`` it picks avoid every replica it
+        suspects; they travel with the command, so relay plans, ack targets
+        and recovery all follow this one choice.
         """
         partitions = self._command_partitions(command)
         if self.partition not in partitions:
@@ -302,7 +304,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         coordinators = self._colocated_coordinators(partitions)
         quorums = {
             partition: tuple(
-                self.quorum_system.fast_quorum(coordinator, partition)
+                self.quorum_system.fast_quorum(coordinator, partition, self.suspected)
             )
             for partition, coordinator in coordinators.items()
         }

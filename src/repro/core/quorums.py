@@ -11,12 +11,16 @@ Tempo uses three quorum kinds per partition (§3):
 
 Fast quorums are chosen as the processes closest to the coordinator (by
 site latency when available, by rank distance otherwise), which is what the
-paper's implementation does to minimise the fast-path round-trip.
+paper's implementation does to minimise the fast-path round-trip.  A new
+command's quorum skips the peers suspected by the process that picks it:
+any ``floor(r/2) + f`` replicas that include the coordinator are a valid
+fast quorum, and the choice travels with the command
+(``docs/fault_injection.md``, "Failure detector").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import ProtocolConfig
 
@@ -68,28 +72,47 @@ class QuorumSystem:
         span = abs(rank_a - rank_b)
         return float(min(span, config.num_processes - span))
 
-    def closest(self, process: int, count: int) -> List[int]:
+    def closest(
+        self, process: int, count: int, suspected: FrozenSet[int] = frozenset()
+    ) -> List[int]:
         """``process`` followed by its ``count - 1`` nearest partition
         peers in ``(distance, id)`` order — the one quorum-selection rule
         every protocol uses.  Computed once per ``(process, count)``; the
-        returned list is shared, callers must not mutate it."""
+        returned list is shared, callers must not mutate it.
+
+        ``suspected`` is the caller's failure-detector output.  A cached
+        quorum that holds no suspect is returned as it is; otherwise the
+        nearest unsuspected peers replace it, unless fewer than ``count - 1``
+        remain, when the cached quorum is the only one there is.
+        """
         key = (process, count)
         quorum = self._closest.get(key)
         if quorum is None:
-            config = self.config
-            members = config.processes_of_partition(
-                config.partition_of_process(process)
-            )
-            if count > len(members):
-                raise ValueError(
-                    f"cannot build a quorum of {count} out of {len(members)} processes"
-                )
-            others = sorted(
-                (member for member in members if member != process),
-                key=lambda member: (self.distance(process, member), member),
-            )
-            quorum = self._closest[key] = [process] + others[: count - 1]
+            quorum = self._closest[key] = self._by_distance(process, count)[:count]
+        if suspected and not suspected.isdisjoint(quorum):
+            live = [
+                member
+                for member in self._by_distance(process, count)[1:]
+                if member not in suspected
+            ]
+            if len(live) >= count - 1:
+                return [process] + live[: count - 1]
         return quorum
+
+    def _by_distance(self, process: int, count: int) -> List[int]:
+        """``process`` followed by every partition peer, nearest first;
+        ``ValueError`` when the partition has fewer than ``count``."""
+        config = self.config
+        members = config.processes_of_partition(config.partition_of_process(process))
+        if count > len(members):
+            raise ValueError(
+                f"cannot build a quorum of {count} out of {len(members)} processes"
+            )
+        others = sorted(
+            (member for member in members if member != process),
+            key=lambda member: (self.distance(process, member), member),
+        )
+        return [process] + others
 
     def commit_relays(
         self, quorum: Sequence[int], targets: Iterable[int]
@@ -128,10 +151,16 @@ class QuorumSystem:
             plan[sender].append(target)
         return plan
 
-    def fast_quorum(self, coordinator: int, partition: int) -> List[int]:
-        """Fast quorum for ``partition`` led by ``coordinator``."""
+    def fast_quorum(
+        self,
+        coordinator: int,
+        partition: int,
+        suspected: FrozenSet[int] = frozenset(),
+    ) -> List[int]:
+        """Fast quorum for ``partition`` led by ``coordinator``, avoiding
+        ``suspected`` as :meth:`closest` does."""
         self._check_replicates(coordinator, partition)
-        return self.closest(coordinator, self.fast_quorum_size)
+        return self.closest(coordinator, self.fast_quorum_size, suspected)
 
     def slow_quorum(self, coordinator: int, partition: int) -> List[int]:
         """Slow (Flexible-Paxos phase-2) quorum led by ``coordinator``."""

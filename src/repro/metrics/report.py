@@ -56,8 +56,10 @@ def format_table(
     rows: Sequence[Dict[str, object]],
     columns: Optional[List[str]] = None,
     title: str = "",
+    footnote: str = "",
 ) -> str:
-    """Render rows as an aligned plain-text table."""
+    """Render rows as an aligned plain-text table, ``footnote`` (if any) on
+    the line under it."""
     if not rows:
         return f"{title}\n(no rows)"
     if columns is None:
@@ -80,4 +82,6 @@ def format_table(
         lines.append(
             " | ".join(str(row.get(column, "")).ljust(widths[column]) for column in columns)
         )
+    if footnote:
+        lines.append(footnote)
     return "\n".join(lines)

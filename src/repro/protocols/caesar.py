@@ -194,7 +194,7 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
 
     def _fast_quorum(self) -> List[int]:
         return self.quorum_system.closest(
-            self.process_id, self.config.caesar_fast_quorum_size
+            self.process_id, self.config.caesar_fast_quorum_size, self.suspected
         )
 
     # -- submission ----------------------------------------------------------------
@@ -297,7 +297,7 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         if record is None or not record.submitted_here or record.status != "propose":
             return
         record.acks[sender] = message.dependencies
-        if len(record.acks) < len(self._fast_quorum()):
+        if len(record.acks) < self.config.caesar_fast_quorum_size:
             return
         dependencies = frozenset().union(*record.acks.values()) if record.acks else frozenset()
         record.dependencies = dependencies

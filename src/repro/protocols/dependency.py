@@ -328,12 +328,17 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
                 summary.retire(dot, read_only)
 
     def _fast_targets(self, command: Command) -> List[int]:
-        """Who is asked to pre-accept ``command``, in send order."""
-        return self.quorum_system.closest(self.process_id, self.fast_quorum_size())
+        """Who is asked to pre-accept ``command``, in send order: the
+        nearest unsuspected quorum (:meth:`QuorumSystem.closest`)."""
+        return self.quorum_system.closest(
+            self.process_id, self.fast_quorum_size(), self.suspected
+        )
 
     def _slow_targets(self, command: Command) -> List[int]:
         """Who is asked to accept ``command`` on the slow path, in send order."""
-        return self.quorum_system.closest(self.process_id, self.slow_quorum_size())
+        return self.quorum_system.closest(
+            self.process_id, self.slow_quorum_size(), self.suspected
+        )
 
     # -- submission ----------------------------------------------------------------
 

@@ -78,9 +78,9 @@ class FPaxosProcess(ProcessBase):
     # -- helpers -----------------------------------------------------------------
 
     def _phase2_quorum(self) -> List[int]:
-        """The ``f + 1`` closest processes including the leader."""
+        """The ``f + 1`` closest unsuspected processes including the leader."""
         return self.quorum_system.closest(
-            self.process_id, self.config.slow_quorum_size
+            self.process_id, self.config.slow_quorum_size, self.suspected
         )
 
     # -- submission ----------------------------------------------------------------

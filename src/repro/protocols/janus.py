@@ -41,7 +41,7 @@ class JanusProcess(AtlasProcess):
         members = set()
         for shard in command.partitions(self.partitioner):
             local = self.quorum_system.coordinator_for(self.process_id, shard)
-            members.update(self.quorum_system.closest(local, count))
+            members.update(self.quorum_system.closest(local, count, self.suspected))
         return sorted(members)
 
     def _fast_targets(self, command: Command) -> List[int]:

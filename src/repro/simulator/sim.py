@@ -167,7 +167,10 @@ class Simulation:
         The paper assumes crash-stop; restart models the crash-*recovery*
         variant where a replica returns with the protocol state it held at
         the crash (as if persisted).  The network delivers to it again and
-        every failure detector flips it back to alive.
+        every process stops suspecting it: the simulator is an oracle
+        failure detector that suspects a process at its crash instant and
+        trusts it again here, and nothing else — a partition, a flaky link,
+        a targeted loss — moves it.
         """
         process = self.processes.get(process_id)
         if process is None:

@@ -178,3 +178,60 @@ class TestCommitRelays:
         for member in (0, 1):
             latencies[2][member] = latencies[member][2] = 3.0
         assert quorums.commit_relays([2, 1, 0], range(5)) == {2: [], 1: [], 0: [3, 4]}
+
+
+#: ``fast_quorum(c, 0, {s})`` on the five EC2 sites, per f, coordinator c and
+#: the one suspected site s: the nearest unsuspected peers in ``(distance,
+#: id)`` order.  Pinned literally, like the healthy lists.
+EC2_SUSPECTED = {
+    1: {
+        0: {1: [0, 3, 4], 2: [0, 3, 1], 3: [0, 1, 4], 4: [0, 3, 1]},
+        1: {0: [1, 3, 2], 2: [1, 3, 0], 3: [1, 0, 2], 4: [1, 3, 0]},
+        2: {0: [2, 1, 3], 1: [2, 0, 3], 3: [2, 1, 0], 4: [2, 1, 0]},
+        3: {0: [3, 1, 4], 1: [3, 0, 4], 2: [3, 0, 1], 4: [3, 0, 1]},
+        4: {0: [4, 3, 1], 1: [4, 3, 0], 2: [4, 3, 0], 3: [4, 0, 1]},
+    },
+    2: {
+        0: {1: [0, 3, 4, 2], 2: [0, 3, 1, 4], 3: [0, 1, 4, 2], 4: [0, 3, 1, 2]},
+        1: {0: [1, 3, 2, 4], 2: [1, 3, 0, 4], 3: [1, 0, 2, 4], 4: [1, 3, 0, 2]},
+        2: {0: [2, 1, 3, 4], 1: [2, 0, 3, 4], 3: [2, 1, 0, 4], 4: [2, 1, 0, 3]},
+        3: {0: [3, 1, 4, 2], 1: [3, 0, 4, 2], 2: [3, 0, 1, 4], 4: [3, 0, 1, 2]},
+        4: {0: [4, 3, 1, 2], 1: [4, 3, 0, 2], 2: [4, 3, 0, 1], 3: [4, 0, 1, 2]},
+    },
+}
+
+
+class TestSuspectedQuorums:
+    """A new command's quorum avoids what its coordinator suspects
+    (``docs/fault_injection.md``, "Failure detector")."""
+
+    @pytest.mark.parametrize("faults", [1, 2])
+    def test_one_suspect_on_the_ec2_sites_is_the_pinned_table(self, faults):
+        quorums = ec2_quorum_system(faults=faults)
+        for coordinator, by_suspect in EC2_SUSPECTED[faults].items():
+            for suspect, expected in by_suspect.items():
+                quorum = quorums.fast_quorum(coordinator, 0, frozenset({suspect}))
+                assert quorum == expected, (coordinator, suspect)
+                assert suspect not in quorum
+
+    def test_too_few_live_peers_falls_back_to_the_cached_quorum(self):
+        quorums = QuorumSystem(ProtocolConfig(num_processes=5, faults=2))
+        cached = quorums.fast_quorum(0, 0)
+        assert cached == [0, 1, 4, 2]
+        # Two suspects leave two live peers; the quorum needs three.
+        assert quorums.fast_quorum(0, 0, frozenset({1, 4})) is cached
+        # One suspect leaves three: exactly enough.
+        assert quorums.fast_quorum(0, 0, frozenset({1})) == [0, 4, 2, 3]
+        three = QuorumSystem(ProtocolConfig(num_processes=3, faults=1))
+        assert three.closest(0, 2, frozenset({1, 2})) is three.closest(0, 2)
+
+    def test_a_suspect_outside_the_quorum_returns_the_cached_list(self):
+        quorums = ec2_quorum_system(faults=1)
+        cached = quorums.fast_quorum(0, 0)
+        assert cached == [0, 3, 1]
+        for suspect in (2, 4):
+            assert quorums.fast_quorum(0, 0, frozenset({suspect})) is cached
+        assert quorums.fast_quorum(0, 0, frozenset()) is cached
+        # The suspect-avoiding list is never cached in its place.
+        assert quorums.fast_quorum(0, 0, frozenset({3})) == [0, 1, 4]
+        assert quorums.fast_quorum(0, 0) is cached

@@ -16,8 +16,9 @@ from repro.cluster.replicas import build_replicas
 from repro.cluster.runner import _Deployment
 from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.messages import ClientReply
+from repro.core.messages import ClientReply, MPropose
 from repro.core.quorums import QuorumSystem
+from repro.protocols.dep_messages import MAccept, MCaesarPropose, MPreAccept
 from repro.protocols.registry import protocol_names
 from repro.simulator.inline import InlineNetwork
 
@@ -120,6 +121,31 @@ def quorums_asked_for(protocol, process):
     ]
 
 
+#: The message that opens a new command's first round, per protocol.
+FIRST_ROUND = {
+    "tempo": MPropose,
+    "atlas": MPreAccept,
+    "epaxos": MPreAccept,
+    "janus": MPreAccept,
+    "caesar": MCaesarPropose,
+    "fpaxos": MAccept,
+}
+
+
+def first_round(protocol, process):
+    """Who the first round of a new command submitted at ``process`` goes
+    to, itself included, ascending."""
+    process.drain_outbox()
+    process.submit(process.new_command(["k"]), 0.0)
+    kind = FIRST_ROUND[protocol]
+    asked = {
+        envelope.destination
+        for envelope in process.drain_outbox()
+        if type(envelope.message) is kind
+    }
+    return sorted(asked | {process.process_id})
+
+
 class TestReplicaShell:
     """What ``ProcessBase`` promises under every protocol."""
 
@@ -185,6 +211,22 @@ class TestReplicaShell:
                 closest = EC2_CLOSEST[process.process_id][: len(quorum)]
                 # Janus* asks the union over the accessed shards, ascending.
                 assert quorum == (sorted(closest) if protocol == "janus" else closest)
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_a_new_command_skips_the_suspected_replica(self, protocol):
+        """The first round of a command submitted while a quorum member is
+        suspected goes to the nearest unsuspected replicas instead; once the
+        member is trusted again the round is the cached quorum's."""
+        deployment = _Deployment(ExperimentConfig(protocol=protocol))
+        process = deployment.processes[0]  # FPaxos's leader as well
+        suspect = EC2_CLOSEST[0][1]
+        healthy = first_round(protocol, process)
+        assert suspect in healthy
+        process.set_alive_view(suspect, False)
+        avoiding = [member for member in EC2_CLOSEST[0] if member != suspect]
+        assert first_round(protocol, process) == sorted(avoiding[: len(healthy)])
+        process.set_alive_view(suspect, True)
+        assert first_round(protocol, process) == healthy
 
     def test_closest_is_pinned_for_every_size(self):
         config = ProtocolConfig(num_processes=5, faults=1)
