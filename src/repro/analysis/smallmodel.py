@@ -18,11 +18,12 @@ digested unless someone exempts it: a field left out would merge distinct
 states and prune reachable ones.
 
 Every reachable state is checked for collection safety (no dot at or below
-a watermark unexecuted anywhere) and, at Tempo processes, Theorem 1 (a
-stable timestamp is backed by a strict majority's promises).  At
-quiescence one settle schedule built from the ``ProtocolConfig`` timers
-runs the periodic duties, and the final state must have executed every
-command at every live replica, once, in one order, at agreed timestamps.
+a watermark unexecuted at a replica of a partition it accesses) and, at
+Tempo processes, Theorem 1 (a stable timestamp is backed by a strict
+majority's promises).  At quiescence one settle schedule built from the
+``ProtocolConfig`` timers runs the periodic duties, and the final state
+must have executed every command at every live replica, once, in one
+order, at agreed timestamps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import copy
 import enum
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from typing import Set, Tuple
 
 from repro.analysis.consistency import Violation
 from repro.cluster.replicas import build_replicas
@@ -230,7 +232,7 @@ def _settle_times(config: ProtocolConfig, degraded: bool) -> List[float]:
 
 def _check_final_state(
     processes: Sequence[ProcessBase],
-    expected_dots: Set[Dot],
+    expected_dots: Iterable[Dot],
     violations: List[Violation],
     require_all: bool,
 ) -> None:
@@ -296,26 +298,29 @@ def _check_final_state(
 
 
 def _gc_collection_safety(
-    processes: Sequence[ProcessBase], violations: List[Violation]
+    processes: Sequence[ProcessBase],
+    accessed: Mapping[Dot, FrozenSet[int]],
+    violations: List[Violation],
 ) -> None:
-    """No dot is collected before it executed everywhere.
+    """No dot is collected before it executed everywhere it runs.
 
-    A dot at or below any process's globally-executed watermark has had its
-    bookkeeping dropped (or is about to); that is sound only if it already
-    executed at *every* replica — crashed ones included, since the watermark
-    only covers sequences a crashed peer announced before dying.
+    A dot at or below any process's globally-executed watermark for its
+    source has had its bookkeeping dropped (or is about to); that is sound
+    only if it already executed at every replica of every partition it
+    accesses — crashed ones included, since the watermark only covers
+    sequences a crashed peer announced before dying.  ``accessed`` maps each
+    submitted dot to those partitions.
     """
     executed = [set(process.executed) for process in processes]
     for process in processes:
         gc = process.gc
         if gc is None:
             continue
-        for source in sorted(gc._sources):
-            watermark = gc.watermark_of(source)
+        for source, watermark in sorted(gc._watermark.items()):
             for sequence in range(1, watermark + 1):
                 dot = Dot(source, sequence)
                 for peer, held in zip(processes, executed):
-                    if dot not in held:
+                    if peer.partition in accessed[dot] and dot not in held:
                         violations.append(
                             Violation(
                                 "gc-before-global-execution",
@@ -370,7 +375,8 @@ class _Explorer:
 
     result: ExplorationResult
     config: ProtocolConfig
-    expected: Set[Dot]
+    #: Every submitted dot, with the partitions its command accesses.
+    expected: Dict[Dot, FrozenSet[int]]
     crash_victim: Optional[int]
     lose_names: FrozenSet[str]
     max_states: int
@@ -416,9 +422,9 @@ class _Explorer:
                 # The watermark moves mostly during the settle-phase clock
                 # exchange, so the transient windows live here: check after
                 # every round, not just at the settled state.
-                _gc_collection_safety(processes, transient)
+                _gc_collection_safety(processes, self.expected, transient)
         _check_final_state(processes, self.expected, violations, require_all=not crashed)
-        _gc_collection_safety(processes, violations)
+        _gc_collection_safety(processes, self.expected, violations)
         violations.extend(transient)
 
     def explore(
@@ -442,7 +448,7 @@ class _Explorer:
         # Invariants that must hold in EVERY reachable state, not just at
         # quiescence (TLA+-style safety properties).
         _stability_safety(processes, result.violations)
-        _gc_collection_safety(processes, result.violations)
+        _gc_collection_safety(processes, self.expected, result.violations)
         self._stop_if_violated()
         choices = sorted(pair for pair in channels if processes[pair[1]].alive)
         restore = _snapshot(processes, channels)
@@ -559,7 +565,7 @@ def explore(
     processes = build_replicas(
         protocol, config, partitioner=partitioner, **protocol_kwargs
     ).processes
-    expected = set()
+    expected = {}
     for index in range(num_commands):
         submitter = processes[index % len(processes)]
         if num_partitions == 1:
@@ -568,7 +574,7 @@ def explore(
             keys = [f"key{partition}" for partition in range(num_partitions)]
         command = submitter.new_command(keys)
         submitter.submit(command, 0.0)
-        expected.add(command.dot)
+        expected[command.dot] = command.partitions(partitioner)
     label = f"{protocol} r={num_processes} f={faults}"
     if num_partitions > 1:
         label += f" p={num_partitions}"

@@ -21,7 +21,8 @@ paper's "implemented in the same framework", §6).  The shell owns
   and the failure detector's output ``suspected`` that every new command's
   quorum avoids;
 * command minting: ``dot_generator`` and :meth:`ProcessBase.new_command`,
-  the only place an identifier is drawn;
+  the only place an identifier is drawn, with the per-partition chain tails
+  its links come from;
 * message plumbing: the outbox, synchronous self-delivery, ``MBatch``
   unpacking, the per-type ``_dispatch`` probe and the dispatch-or-
   ``TypeError`` :meth:`ProcessBase.on_message`;
@@ -158,6 +159,10 @@ class ProcessBase(abc.ABC):
         self.quorum_system = quorum_system or QuorumSystem(config)
         self.apply_fn = apply_fn
         self.dot_generator = DotGenerator(process_id)
+        #: Per partition, the last sequence minted here over it: the tails of
+        #: this source's chains (:meth:`new_command`; single-partition
+        #: deployments need no links and keep none).
+        self._chain_tails: Dict[int, int] = {}
         #: Live per-command records, keyed by identifier; each protocol
         #: stores its own record type (FPaxos, a log, stores none).
         self._info: Dict[Dot, object] = {}
@@ -305,14 +310,36 @@ class ProcessBase(abc.ABC):
         client_id: Optional[int] = None,
         read_only: bool = False,
     ) -> Command:
-        """Mint a command over ``keys`` with an identifier drawn here."""
+        """Mint a command over ``keys`` with an identifier drawn here.
+
+        Under partial replication the command also gets its chain links
+        (:attr:`Command.links`): per accessed partition, the last sequence
+        minted here over it, where that is not the sequence just before.
+        """
+        dot = self.dot_generator.next_id()
+        links = ()
+        if self.partitioner.num_partitions > 1:
+            keys = tuple(keys)
+            links = self._chain_links(dot.sequence, keys)
         build = Command.read if read_only else Command.write
         return build(
-            self.dot_generator.next_id(),
-            keys,
-            payload_size=payload_size,
-            client_id=client_id,
+            dot, keys, payload_size=payload_size, client_id=client_id, links=links
         )
+
+    def _chain_links(
+        self, sequence: int, keys: Sequence[str]
+    ) -> Tuple[Tuple[int, int], ...]:
+        """Advance the per-partition chain tails to ``sequence`` and return
+        the links of the partitions whose tail was not ``sequence - 1``."""
+        tails = self._chain_tails
+        links = []
+        partition_of = self.partitioner.partition_of
+        for partition in sorted({partition_of(key) for key in keys}):
+            previous = tails.get(partition, 0)
+            if previous != sequence - 1:
+                links.append((partition, previous))
+            tails[partition] = sequence
+        return tuple(links)
 
     def _sentinel(self) -> Dot:
         """Sender-identifying dot of the messages not tied to one command."""
@@ -420,9 +447,17 @@ class ProcessBase(abc.ABC):
         result = self._apply(command)
         self.record_execution(dot, command, now)
         if self.gc is not None:
-            self.gc.record_executed(dot)
+            self.gc.record_executed(dot, self._chain_previous(command))
         if reply and command.client_id is not None:
             self.outbox.append(self._client_reply(dot, command, result))
+
+    def _chain_previous(self, command: Command) -> int:
+        """The sequence before ``command``'s in the chain of its source's
+        dots that execute here (``repro.core.gc``).  Every dot does by
+        default: the protocols without partitions run every command at every
+        process, and Janus* executes every command everywhere; Tempo, which
+        executes only its partition's, follows the command's link."""
+        return command.dot.sequence - 1
 
     def _apply(self, command: Command) -> Optional[Dict[str, Optional[str]]]:
         """Apply ``command`` to the replicated state (Janus* narrows it to

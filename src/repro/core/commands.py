@@ -52,12 +52,17 @@ class Command:
             (used by the resource/throughput model; the microbenchmark uses
             100 B or 4 KB payloads, §6.2).
         client_id: identifier of the submitting client, if any.
+        links: ``(partition, previous)`` pairs, ascending by partition: for
+            an accessed partition, the sequence of the last command the
+            same source minted over it (0 for none), stated only where it
+            is not ``dot.sequence - 1`` (:meth:`previous`).
     """
 
     dot: Dot
     ops: Tuple[KeyOp, ...]
     payload_size: int = 100
     client_id: Optional[int] = None
+    links: Tuple[Tuple[int, int], ...] = ()
 
     _DIGEST_EXEMPT = frozenset({"_keys", "_read_only"})  # caches of ops
 
@@ -82,10 +87,11 @@ class Command:
         keys: Iterable[str],
         payload_size: int = 100,
         client_id: Optional[int] = None,
+        links: Tuple[Tuple[int, int], ...] = (),
     ) -> "Command":
         """Build a write command over ``keys``."""
         ops = tuple(KeyOp(key=k, kind=OpKind.WRITE, value=str(dot)) for k in keys)
-        return cls(dot=dot, ops=ops, payload_size=payload_size, client_id=client_id)
+        return cls(dot, ops, payload_size=payload_size, client_id=client_id, links=links)
 
     @classmethod
     def read(
@@ -94,10 +100,20 @@ class Command:
         keys: Iterable[str],
         payload_size: int = 100,
         client_id: Optional[int] = None,
+        links: Tuple[Tuple[int, int], ...] = (),
     ) -> "Command":
         """Build a read command over ``keys``."""
         ops = tuple(KeyOp(key=k, kind=OpKind.READ) for k in keys)
-        return cls(dot=dot, ops=ops, payload_size=payload_size, client_id=client_id)
+        return cls(dot, ops, payload_size=payload_size, client_id=client_id, links=links)
+
+    def previous(self, partition: int) -> int:
+        """Sequence of the last command this command's source minted over
+        ``partition`` before it: the predecessor in the source's chain of
+        dots at that partition (``repro.core.gc``)."""
+        for linked, previous in self.links:
+            if linked == partition:
+                return previous
+        return self.dot.sequence - 1
 
     @property
     def keys(self) -> FrozenSet[str]:

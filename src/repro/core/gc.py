@@ -1,32 +1,49 @@
 """Globally-executed watermark tracking (epoch-2 protocol GC).
 
-fantoch's ``GCTrack``: each process tracks, per same-partition *source*, the
-contiguous frontier ``n`` such that every command ``(source, 1..n)`` has
-executed locally, announces that clock to its partition peers
-(:class:`repro.core.messages.MExecutedClock`, piggybacked on the periodic
-tick traffic), and takes per source the **minimum** frontier announced by
-all partition peers — itself included — as the *globally-executed
-watermark*.  Everything at or below the watermark has executed at every
-replica of the partition, so its protocol bookkeeping (``CommandInfo``
-records, per-key conflict archives, Caesar's committed-timestamp archive)
-can be dropped: no correct protocol step ever needs it again, and late
-duplicates referring to collected identifiers are suppressed by the O(1)
-:meth:`GcTracker.collected` predicate.
+fantoch's ``GCTrack``: each process tracks, per *source* (the process that
+minted a dot), an executed frontier, announces that clock to its partition
+peers (:class:`repro.core.messages.MExecutedClock`, piggybacked on the
+periodic tick traffic), and takes per source the **minimum** frontier
+announced by all partition peers — itself included — as the
+*globally-executed watermark*.  Everything at or below the watermark has
+executed at every replica of the partition, so its protocol bookkeeping
+(``CommandInfo`` records, per-key conflict archives, Caesar's committed-
+timestamp archive) can be dropped: no correct protocol step ever needs it
+again, and late duplicates referring to collected identifiers are
+suppressed by the O(1) :meth:`GcTracker.collected` predicate.
 
-Why the frontier is contiguous: a command is submitted at a process of some
-partition it accesses, so every dot minted by a same-partition source is
-eventually executed *here*; dots of foreign sources (cross-partition
-commands submitted elsewhere) are executed here too but are never collected
-— a documented limitation that keeps the frontier per source a single
-integer (the single-shard benchmark deployments have no foreign sources at
-all).
+The chain invariant
+-------------------
+
+A source's dots that execute at a partition form one *chain*: the dots it
+minted over that partition, in sequence order.  The minter knows each
+dot's predecessor in the chain and ships it with the command where it is
+not ``sequence - 1`` (:attr:`repro.core.commands.Command.links`, set by
+:meth:`repro.core.base.ProcessBase.new_command`), so a replica learns it
+with the payload.  The frontier ``F`` for source ``s`` at replica ``j``
+means: every dot of ``s``'s chain at ``j``'s partition with sequence
+``<= F`` has executed at ``j``.  :meth:`GcTracker.record_executed` moves it
+from a dot's predecessor to the dot, so it follows every source — a
+cross-partition command minted at another shard included — and never
+passes a dot of the chain that has not executed.  The tracker assumes two
+things:
+
+* **Every dot of a chain is eventually executed at the chain's partition.**
+  Execution is timestamp- (or dependency-) ordered, not per-source
+  ordered, so out-of-order executions wait above the frontier until the
+  gap closes.  A dot minted but never submitted (ROADMAP 2(a)) leaves a
+  gap that never closes and stalls collection of that source at that
+  partition for good.
+* **A restarted process keeps its state** (the crash model of every fault
+  plan and of the explorer: crash-stop, or restart with state).  The
+  minter's chain tails are part of it: a minter that forgot them would
+  link its next dots past commands still in flight.
 
 Why crashed peers stay in the minimum: excluding a crashed peer would let
 the survivors drop commit information that the peer — or a recovery acting
 on its behalf after a restart — may still need, wedging it forever.  With
 the peer in the minimum, GC merely *stalls* while it is down and resumes
-once it catches up after a restart (process state survives restarts in this
-deployment model), which is safe under every schedule.
+once it catches up after a restart, which is safe under every schedule.
 """
 
 from __future__ import annotations
@@ -42,9 +59,9 @@ class GcTracker:
 
     __slots__ = (
         "process_id",
-        "_sources",
         "_frontier",
         "_pending",
+        "_gaps",
         "_peer_clocks",
         "_watermark",
         "_stale",
@@ -55,13 +72,16 @@ class GcTracker:
     def __init__(self, process_id: int, partition_members: Iterable[int]) -> None:
         members = tuple(sorted(partition_members))
         self.process_id = process_id
-        #: Same-partition sources whose dots this tracker follows.
-        self._sources = frozenset(members)
-        #: Per-source contiguous executed frontier at *this* replica.
+        #: Per-source executed frontier at *this* replica, along the chain.
         self._frontier: Dict[int, int] = {}
-        #: Out-of-order executed sequences above the frontier (execution is
-        #: timestamp-ordered, not per-source-ordered, so gaps are transient).
-        self._pending: Dict[int, Set[int]] = {}
+        #: Executions waiting above the frontier, per source, keyed by their
+        #: chain predecessor: ``previous -> sequence``.
+        self._pending: Dict[int, Dict[int, int]] = {}
+        #: Per source, the chain links ``(previous, sequence)`` between the
+        #: watermark and the frontier that skip sequences, in chain order:
+        #: the skipped sequences are no dots of this chain, and
+        #: :meth:`advance` leaves them out.
+        self._gaps: Dict[int, List[Tuple[int, int]]] = {}
         #: Last announced clock per partition peer.  This process's entry
         #: aliases ``_frontier`` so the local view always participates in
         #: the minimum without a copy per execution.
@@ -79,34 +99,36 @@ class GcTracker:
         self._stale: Set[int] = set()
         #: Whether the local frontier advanced since the last announcement.
         self._dirty = False
-        #: Total identifiers handed to the owner's ``_collect`` so far (the
-        #: memory-bound witnesses read this).
+        #: Dots executed here and then handed to the owner's ``_collect``
+        #: (the memory-bound witnesses read this).
         self.collected_count = 0
 
     # -- local executions -----------------------------------------------------
 
-    def record_executed(self, dot: Dot) -> None:
-        """Note that ``dot`` executed locally; advances the local frontier."""
+    def record_executed(self, dot: Dot, previous: int) -> None:
+        """Note that ``dot``, whose chain predecessor is ``previous``,
+        executed locally; advances the local frontier once ``previous`` is
+        at or below it."""
         source = dot.source
-        if source not in self._sources:
-            return
         frontier = self._frontier.get(source, 0)
         sequence = dot.sequence
         if sequence <= frontier:
             return
-        if sequence == frontier + 1:
-            if frontier == self._watermark.get(source, 0):
-                self._stale.add(source)
-            frontier = sequence
-            pending = self._pending.get(source)
-            if pending:
-                while frontier + 1 in pending:
-                    frontier += 1
-                    pending.remove(frontier)
-            self._frontier[source] = frontier
-            self._dirty = True
+        if previous > frontier:
+            self._pending.setdefault(source, {})[previous] = sequence
             return
-        self._pending.setdefault(source, set()).add(sequence)
+        if frontier == self._watermark.get(source, 0):
+            self._stale.add(source)
+        pending = self._pending.get(source)
+        while True:
+            if sequence - frontier > 1:
+                self._gaps.setdefault(source, []).append((frontier, sequence))
+            frontier = sequence
+            if not pending or frontier not in pending:
+                break
+            sequence = pending.pop(frontier)
+        self._frontier[source] = frontier
+        self._dirty = True
 
     # -- watermark exchange ---------------------------------------------------
 
@@ -134,8 +156,10 @@ class GcTracker:
         """Recompute the watermark; return newly collectable ranges.
 
         Each returned triple ``(source, lo, hi)`` covers the dots
-        ``(source, lo..hi)`` that just became globally executed; the owner
-        is expected to drop their bookkeeping.
+        ``(source, lo..hi)`` of the chain that just became globally
+        executed; the owner is expected to drop their bookkeeping.  A
+        watermark move that crosses a link skipping sequences returns one
+        range on each side of it.
         """
         stale = self._stale
         if not stale:
@@ -146,10 +170,24 @@ class GcTracker:
         for source in stale:
             level = min(clock.get(source, 0) for clock in clocks)
             old = watermark.get(source, 0)
-            if level > old:
-                watermark[source] = level
-                newly.append((source, old + 1, level))
-                self.collected_count += level - old
+            if level <= old:
+                continue
+            watermark[source] = level
+            lo = old + 1
+            gaps = self._gaps.get(source)
+            if gaps:
+                crossed = 0
+                for previous, sequence in gaps:
+                    if sequence > level:
+                        break
+                    if lo <= previous:
+                        newly.append((source, lo, previous))
+                        self.collected_count += previous - lo + 1
+                    lo = sequence
+                    crossed += 1
+                del gaps[:crossed]
+            newly.append((source, lo, level))
+            self.collected_count += level - lo + 1
         stale.clear()
         return newly
 
@@ -157,7 +195,8 @@ class GcTracker:
 
     def collected(self, dot: Dot) -> bool:
         """O(1) suppression predicate: ``dot`` is globally executed and its
-        bookkeeping has been (or may have been) dropped."""
+        bookkeeping has been (or may have been) dropped.  Meaningful for the
+        dots of this partition's chains, the only ones its messages name."""
         return dot.sequence <= self._watermark.get(dot.source, 0)
 
     def watermark_of(self, source: int) -> int:

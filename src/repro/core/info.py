@@ -59,9 +59,9 @@ class CommandInfo:
     def release_commit_state(self) -> None:
         """Drop what only the commit protocol reads, once the command has
         executed: the record then lives on (until the watermark GC collects
-        it, or for good at a foreign shard) for duplicate suppression and
-        repair replies alone, which need ``command``, ``quorums``,
-        ``final_timestamp``, ``phase`` and ``stable_from``.  The four
+        it) for duplicate suppression and repair replies alone, which need
+        ``command``, ``quorums``, ``final_timestamp``, ``phase`` and
+        ``stable_from``.  The four
         containers are ~0.7 KB of a ~1 KB record (``docs/memory.md``); no
         handler reaches them past the pending phases."""
         self.proposals = None

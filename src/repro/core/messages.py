@@ -245,12 +245,13 @@ class MCommitRequest(Message):
 class MExecutedClock(Message):
     """Periodic globally-executed watermark exchange (epoch-2 GC).
 
-    ``clock`` maps each same-partition source to the sender's contiguous
-    executed frontier for that source: every command ``(source, 1..n)`` has
-    executed at the sender.  Each process takes, per source, the minimum
-    frontier announced by *all* partition peers (itself included) as the
-    globally-executed watermark and drops the protocol bookkeeping of every
-    command at or below it — fantoch's ``GCTrack`` exchange.  Crashed peers
+    ``clock`` maps each source to the sender's executed frontier ``n`` for
+    it: every dot of the source's chain at the partition up to ``n`` has
+    executed at the sender (``repro.core.gc``).  Each process takes, per
+    source, the minimum frontier announced by *all* partition peers (itself
+    included) as the globally-executed watermark and drops the protocol
+    bookkeeping of every command at or below it — fantoch's ``GCTrack``
+    exchange.  Crashed peers
     are deliberately *not* excluded from the minimum: a lagging replica may
     still need commit information, so GC simply stalls while a peer is down
     (safe, and bounded again once it restarts — restarts preserve process

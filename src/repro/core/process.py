@@ -763,6 +763,10 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record.release_commit_state()
         self._execute_command(dot, command, now, record.submitted_at is not None)
 
+    def _chain_previous(self, command: Command) -> int:
+        """This replica executes exactly the commands over its partition."""
+        return command.previous(self.partition)
+
     # ------------------------------------------------------------------ periodic work
 
     def tick(self, now: float) -> None:

@@ -330,8 +330,14 @@ class DOT_SET:
         return size
 
 
+#: Bits of the command flag byte: a client id follows, chain links follow.
+_HAS_CLIENT, _HAS_LINKS = 1, 2
+
+
 class COMMAND:
-    """A :class:`Command`: dot, ops, the opaque application payload, client id."""
+    """A :class:`Command`: dot, ops, the opaque application payload, then a
+    flag byte announcing the client id and the chain links that follow it
+    (a command without links encodes as it did before links existed)."""
 
     @staticmethod
     def write(buf: bytearray, command: Command) -> None:
@@ -345,11 +351,18 @@ class COMMAND:
         # opaque bytes (zeros here; the simulator never inspects payloads).
         write_uvarint(buf, command.payload_size)
         buf += bytes(command.payload_size)
-        if command.client_id is None:
-            buf.append(0)
-        else:
-            buf.append(1)
-            write_svarint(buf, command.client_id)
+        client_id, links = command.client_id, command.links
+        flag = 0 if client_id is None else _HAS_CLIENT
+        if links:
+            flag |= _HAS_LINKS
+        buf.append(flag)
+        if client_id is not None:
+            write_svarint(buf, client_id)
+        if links:
+            write_uvarint(buf, len(links))
+            for partition, previous in links:
+                write_uvarint(buf, partition)
+                write_uvarint(buf, previous)
 
     @staticmethod
     def read(reader: Reader) -> Command:
@@ -369,23 +382,56 @@ class COMMAND:
             )
         payload_size = reader.read_uvarint()
         reader.skip(payload_size)
-        client_flag = reader.read_byte()
-        if client_flag > 1:
-            raise WireError(f"invalid client-id flag {client_flag}")
-        client_id = reader.read_svarint() if client_flag else None
+        flag = reader.read_byte()
+        if flag > _HAS_CLIENT | _HAS_LINKS:
+            raise WireError(f"invalid command flag byte {flag}")
+        client_id = reader.read_svarint() if flag & _HAS_CLIENT else None
+        links = ()
+        if flag & _HAS_LINKS:
+            links = COMMAND._read_links(reader, dot.sequence)
         return Command(
-            dot=dot, ops=tuple(ops), payload_size=payload_size, client_id=client_id
+            dot=dot,
+            ops=tuple(ops),
+            payload_size=payload_size,
+            client_id=client_id,
+            links=links,
         )
+
+    @staticmethod
+    def _read_links(reader: Reader, sequence: int) -> Tuple[Tuple[int, int], ...]:
+        """One or more links, ascending by partition, each pointing strictly
+        below ``sequence - 1`` (what the minter leaves implicit)."""
+        count = reader.read_uvarint()
+        if count == 0:
+            raise WireError("command links flagged but none follow")
+        links = []
+        for _ in range(count):
+            partition = reader.read_uvarint()
+            previous = reader.read_uvarint()
+            if links and partition <= links[-1][0]:
+                raise WireError("command links not ascending by partition")
+            if previous >= sequence - 1:
+                raise WireError(
+                    f"command link to {previous} from sequence {sequence} "
+                    "does not skip back"
+                )
+            links.append((partition, previous))
+        return tuple(links)
 
     @staticmethod
     def size(command: Command) -> int:
         size = DOT.size(command.dot) + uvarint_size(len(command.ops))
         for op in command.ops:
             size += _string_size(op.key) + 1 + _optional_string_size(op.value)
-        size += uvarint_size(command.payload_size) + command.payload_size
-        if command.client_id is None:
-            return size + 1
-        return size + 1 + _svarint_size(command.client_id)
+        size += uvarint_size(command.payload_size) + command.payload_size + 1
+        if command.client_id is not None:
+            size += _svarint_size(command.client_id)
+        links = command.links
+        if links:
+            size += uvarint_size(len(links))
+            for partition, previous in links:
+                size += uvarint_size(partition) + uvarint_size(previous)
+        return size
 
 
 class QUORUM_MAP:

@@ -5,6 +5,10 @@ are deliberately *representative* of the traffic the fig5/fig6 experiments
 generate (100-byte payloads, single-partition fast quorums, a couple of
 dependencies / piggybacked promises).
 
+One kind has a second sample: ``MPropose/links`` carries a cross-partition
+command whose source last minted over partition 1 at sequence 30 (its
+chain link, ``Command.links``), the one layout the plain samples leave out.
+
 Everything here is deterministic — same instances, same bytes, every call —
 which is what lets ``tests/test_core/wire_frames.json`` pin every frame byte
 for byte.
@@ -64,7 +68,8 @@ def _command(payload_size: int = 100) -> Command:
 
 
 def sample_messages(payload_size: int = 100) -> Dict[str, object]:
-    """One representative instance per registered kind, keyed by kind name."""
+    """One representative instance per registered kind, keyed by kind name,
+    plus ``MPropose/links``."""
     dot = _dot()
     command = _command(payload_size)
     quorums: Dict[int, Tuple[int, ...]] = {0: (0, 2, 3)}
@@ -107,6 +112,16 @@ def sample_messages(payload_size: int = 100) -> Dict[str, object]:
         "MAccepted": MAccepted(dot, 37, 3),
         "MDecided": MDecided(dot, command, 37),
     }
+    linked = Command.write(
+        dot,
+        ["key-0", "key-1"],
+        payload_size=payload_size,
+        client_id=7,
+        links=((1, 30),),
+    )
+    samples["MPropose/links"] = MPropose(
+        dot, linked, {0: (0, 2, 3), 1: (1, 4, 5)}, 41
+    )
     samples["MBatch"] = MBatch(
         (samples["MCommit"], samples["MStable"], samples["MConsensusAck"])
     )

@@ -3,8 +3,10 @@
 Covers the three layers of the globally-executed watermark scheme
 (:mod:`repro.core.gc`):
 
-1. ``GcTracker`` unit semantics — contiguous frontier, dirty-gated
-   announcements, monotone clock merge, minimum-over-peers watermark;
+1. ``GcTracker`` unit semantics — a frontier along each source's chain
+   (links that skip sequences, out-of-order executions across them),
+   dirty-gated announcements, monotone clock merge, minimum-over-peers
+   watermark;
 2. Tempo integration — executed records (and their satellite bookkeeping)
    are actually dropped once globally executed, late duplicates are
    suppressed by the O(1) predicate, and a crashed peer stalls collection
@@ -16,12 +18,16 @@ Covers the three layers of the globally-executed watermark scheme
 
 from __future__ import annotations
 
+from repro.cluster.config import ExperimentConfig
+from repro.cluster.runner import run_experiment
 from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.gc import GcTracker
-from repro.core.identifiers import Dot
+from repro.core.identifiers import Dot, intern_dot
 from repro.core.messages import MCommit, MPromises, MPropose
 from repro.core.phases import Phase
+from repro.core.process import TempoProcess
+from repro.faults import FaultPlan, FlakyLink
 from repro.kvstore.store import KeyValueStore
 from repro.protocols.atlas import AtlasProcess
 from repro.protocols.caesar import CaesarProcess
@@ -37,29 +43,72 @@ class TestGcTracker:
     def test_in_order_executions_advance_the_frontier(self):
         tracker = self.make()
         for sequence in (1, 2, 3):
-            tracker.record_executed(Dot(1, sequence))
+            tracker.record_executed(Dot(1, sequence), sequence - 1)
         assert tracker.local_frontier(1) == 3
 
     def test_out_of_order_executions_fill_gaps(self):
         tracker = self.make()
-        tracker.record_executed(Dot(1, 2))
-        tracker.record_executed(Dot(1, 4))
+        tracker.record_executed(Dot(1, 2), 1)
+        tracker.record_executed(Dot(1, 4), 3)
         assert tracker.local_frontier(1) == 0
-        tracker.record_executed(Dot(1, 1))
+        tracker.record_executed(Dot(1, 1), 0)
         assert tracker.local_frontier(1) == 2
-        tracker.record_executed(Dot(1, 3))
+        tracker.record_executed(Dot(1, 3), 2)
         assert tracker.local_frontier(1) == 4
         assert tracker.footprint()["pending_out_of_order"] == 0
 
-    def test_foreign_sources_are_ignored(self):
+    def test_a_link_skips_the_sequences_of_other_partitions(self):
+        # Source 7 (another partition's) minted 1 and 2 over this partition,
+        # 3..5 elsewhere, then 6 over this one again.
         tracker = self.make(members=(0, 1, 2))
-        tracker.record_executed(Dot(7, 1))
+        tracker.record_executed(Dot(7, 1), 0)
+        tracker.record_executed(Dot(7, 2), 1)
+        tracker.record_executed(Dot(7, 6), 2)
+        assert tracker.local_frontier(7) == 6
+        for peer in (1, 2):
+            tracker.ingest(peer, {7: 6})
+        # The watermark crosses the link: 3..5 are no dots of this chain,
+        # so they are neither handed to ``_collect`` nor counted.
+        assert tracker.advance() == [(7, 1, 2), (7, 6, 6)]
+        assert tracker.collected_count == 3
+        assert tracker.collected(Dot(7, 6))
+
+    def test_out_of_order_execution_across_a_gap(self):
+        tracker = self.make()
+        tracker.record_executed(Dot(7, 9), 4)
+        tracker.record_executed(Dot(7, 4), 1)
         assert tracker.local_frontier(7) == 0
+        assert tracker.footprint()["pending_out_of_order"] == 2
+        tracker.record_executed(Dot(7, 1), 0)
+        assert tracker.local_frontier(7) == 9
+        assert tracker.footprint()["pending_out_of_order"] == 0
+        for peer in (1, 2):
+            tracker.ingest(peer, {7: 9})
+        assert tracker.advance() == [(7, 1, 1), (7, 4, 4), (7, 9, 9)]
+        assert tracker.collected_count == 3
+
+    def test_an_unexecuted_chain_predecessor_holds_the_frontier(self):
+        # 5 links back to 2; 2 has not executed here, so neither 5 nor the
+        # in-order 6 behind it may move the frontier past 1 — however far
+        # the peers have got.
+        tracker = self.make()
+        tracker.record_executed(Dot(7, 1), 0)
+        tracker.record_executed(Dot(7, 5), 2)
+        tracker.record_executed(Dot(7, 6), 5)
+        assert tracker.local_frontier(7) == 1
+        for peer in (1, 2):
+            tracker.ingest(peer, {7: 6})
+        assert tracker.advance() == [(7, 1, 1)]
+        assert not tracker.collected(Dot(7, 2))
+        tracker.record_executed(Dot(7, 2), 1)
+        assert tracker.local_frontier(7) == 6
+        assert tracker.advance() == [(7, 2, 2), (7, 5, 6)]
+        assert tracker.collected_count == 4
 
     def test_announcement_is_dirty_gated(self):
         tracker = self.make()
         assert tracker.announcement() is None
-        tracker.record_executed(Dot(0, 1))
+        tracker.record_executed(Dot(0, 1), 0)
         assert tracker.announcement() == {0: 1}
         # Nothing moved since: no re-announcement.
         assert tracker.announcement() is None
@@ -67,7 +116,7 @@ class TestGcTracker:
     def test_watermark_is_minimum_over_all_peers(self):
         tracker = self.make(process_id=0)
         for sequence in (1, 2, 3):
-            tracker.record_executed(Dot(0, sequence))
+            tracker.record_executed(Dot(0, sequence), sequence - 1)
         tracker.ingest(1, {0: 2})
         assert tracker.advance() == []  # peer 2 still at 0
         tracker.ingest(2, {0: 5})
@@ -80,7 +129,7 @@ class TestGcTracker:
         tracker = self.make(process_id=0)
         tracker.ingest(1, {0: 4})
         tracker.ingest(1, {0: 2})  # stale announcement must not regress
-        tracker.record_executed(Dot(0, 1))
+        tracker.record_executed(Dot(0, 1), 0)
         tracker.ingest(2, {0: 9})
         assert tracker.advance() == [(0, 1, 1)]
 
@@ -89,14 +138,14 @@ class TestGcTracker:
         the minimum one does (the stale-set optimisation is behaviour
         preserving)."""
         tracker = self.make(process_id=0)
-        tracker.record_executed(Dot(0, 1))
+        tracker.record_executed(Dot(0, 1), 0)
         tracker.ingest(1, {0: 1})
         tracker.ingest(2, {0: 1})
         assert tracker.advance() == [(0, 1, 1)]
         # Peer 1 races ahead; the minimum (still 1) is unchanged.
         tracker.ingest(1, {0: 10})
         assert tracker.advance() == []
-        tracker.record_executed(Dot(0, 2))
+        tracker.record_executed(Dot(0, 2), 1)
         tracker.ingest(2, {0: 2})
         assert tracker.advance() == [(0, 2, 2)]
         assert tracker.collected_count == 2
@@ -200,6 +249,72 @@ class TestTempoCollection:
             for store in cluster.stores.values()
         }
         assert len(snapshots) == 1
+
+
+class TestCrossShardCollection:
+    def test_a_chain_executed_out_of_order_is_collected_in_order(self, monkeypatch):
+        """Jitter on the link between sites 0 and 1 (delay only, no loss)
+        reorders a shard-0 source's proposals at shard 1, so a later
+        cross-shard dot of the source executes there before its chain
+        predecessor does.  The predecessor's record must outlive that: it
+        goes only once every replica of the shard executed it."""
+        steps = []  # (what, process id, dot, detail), in event order
+        record_execution = TempoProcess.record_execution
+        collect = TempoProcess._collect
+
+        def recording_execution(self, dot, command, now):
+            steps.append(("executed", self.process_id, dot, command))
+            record_execution(self, dot, command, now)
+
+        def recording_collect(self, dot):
+            steps.append(("collected", self.process_id, dot, dot in self._info))
+            collect(self, dot)
+
+        monkeypatch.setattr(TempoProcess, "record_execution", recording_execution)
+        monkeypatch.setattr(TempoProcess, "_collect", recording_collect)
+        jitter = FlakyLink(
+            at_ms=300.0, until_ms=1_200.0, site_a=0, site_b=1, jitter_ms=400.0
+        )
+        config = ExperimentConfig(
+            protocol="tempo",
+            num_sites=3,
+            num_shards=2,
+            clients_per_site=8,
+            workload="ycsbt",
+            zipf=0.7,
+            write_ratio=0.5,
+            duration_ms=1_500.0,
+            warmup_ms=100.0,
+            seed=1,
+            sites=("ireland", "n-california", "singapore"),
+            fault_plan=FaultPlan([jitter]),
+            record_execution_trace=True,
+        )
+        # A collection ahead of local execution would fail _collect's phase
+        # assertion inside the run.
+        processes = run_experiment(config).deployment.processes
+        executed = {process.process_id: set() for process in processes}
+        overtaken = set()  # (process id, predecessor executed after its successor)
+        collected = set()
+        for what, process_id, dot, detail in steps:
+            process = processes[process_id]
+            if what == "executed":
+                previous = detail.previous(process.partition)
+                if previous and intern_dot(dot.source, previous) not in executed[process_id]:
+                    overtaken.add((process_id, intern_dot(dot.source, previous)))
+                executed[process_id].add(dot)
+                continue
+            assert detail, f"{dot} collected at {process_id} without its record"
+            assert all(dot in executed[peer] for peer in process.partition_peers()), (
+                f"{dot} collected at {process_id} before its partition executed it"
+            )
+            collected.add((process_id, dot))
+        assert any(processes[pid].partition == 1 for pid, _ in overtaken), overtaken
+        for process_id, dot in overtaken:
+            for peer in processes[process_id].partition_peers():
+                assert (peer, dot) in collected
+        for process in processes:
+            assert not process._info, (process.process_id, sorted(process._info))
 
 
 def build_dep_cluster(factory, num_processes: int = 3):

@@ -142,3 +142,43 @@ class TestMultiPartitionExecution:
         network.settle(rounds=30)
         for submitter, command in commands:
             assert command.dot in submitter.executed_dots()
+
+
+class TestChainLinks:
+    def test_links_of_a_source_alternating_single_and_cross_shard(self):
+        # Process 0 replicates partition 0.  A link is stated only where the
+        # last command minted over a partition is not the sequence before:
+        # partition 0 never needs one, partition 1 whenever single-shard
+        # commands came in between.
+        _, processes, _, _ = build_cluster()
+        shapes = [
+            ["p0-a"],
+            ["p0-a", "p1-b"],
+            ["p0-a"],
+            ["p0-a"],
+            ["p0-a", "p1-b"],
+            ["p0-a", "p1-b"],
+            ["p0-a"],
+            ["p0-a", "p1-b"],
+        ]
+        commands = [processes[0].new_command(keys) for keys in shapes]
+        assert [command.dot.sequence for command in commands] == list(range(1, 9))
+        assert [command.links for command in commands] == [
+            (),
+            ((1, 0),),
+            (),
+            (),
+            ((1, 2),),
+            (),
+            (),
+            ((1, 6),),
+        ]
+        assert [command.previous(0) for command in commands] == list(range(8))
+        cross = [command for command in commands if len(command.keys) == 2]
+        assert [command.previous(1) for command in cross] == [0, 2, 5, 6]
+
+    def test_a_single_partition_deployment_mints_no_links(self):
+        _, processes, _, _ = build_cluster(partitions=1)
+        commands = [processes[0].new_command([f"k{index}"]) for index in range(3)]
+        assert [command.links for command in commands] == [(), (), ()]
+        assert processes[0]._chain_tails == {}

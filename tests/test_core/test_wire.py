@@ -50,6 +50,7 @@ from repro.core.wireschema import (
     QUORUM_MAP,
     RESULT,
     RETIRED_KINDS,
+    Reader,
     SVARINT,
     TIMESTAMP_MAP,
     TS_PAIR,
@@ -253,13 +254,29 @@ _key_ops = st.builds(
     kind=st.sampled_from(OpKind),
     value=st.one_of(st.none(), _keys),
 )
-_commands = st.builds(
-    Command,
-    dot=_dots,
-    ops=st.lists(_key_ops, min_size=1, max_size=4, unique_by=lambda op: op.key).map(tuple),
-    # Small payloads: the corruption sweep decodes the frame once per bit.
-    payload_size=st.integers(min_value=0, max_value=48),
-    client_id=st.one_of(st.none(), st.integers(min_value=0, max_value=2**31)),
+
+
+def _links_of(dot):
+    """Chain links a command minted as ``dot`` can carry: partitions
+    ascending, each pointing below the sequence just before ``dot``'s."""
+    if dot.sequence < 2:
+        return st.just(())
+    return st.dictionaries(
+        _small, st.integers(min_value=0, max_value=dot.sequence - 2), max_size=3
+    ).map(lambda links: tuple(sorted(links.items())))
+
+
+_ops = st.lists(_key_ops, min_size=1, max_size=4, unique_by=lambda op: op.key).map(tuple)
+_commands = _dots.flatmap(
+    lambda dot: st.builds(
+        Command,
+        dot=st.just(dot),
+        ops=_ops,
+        # Small payloads: the corruption sweep decodes the frame once per bit.
+        payload_size=st.integers(min_value=0, max_value=48),
+        client_id=st.one_of(st.none(), st.integers(min_value=0, max_value=2**31)),
+        links=_links_of(dot),
+    )
 )
 _spans = st.tuples(
     st.integers(min_value=1, max_value=2**32), st.integers(min_value=0, max_value=2**16)
@@ -393,6 +410,30 @@ class TestRejection:
         write_uvarint(prefix, MAX_FRAME_BYTES + 1)
         with pytest.raises(WireError, match="exceeds the cap"):
             decode_frame(bytes(prefix))
+
+    @pytest.mark.parametrize("flag", [4, 7, 255])
+    def test_a_command_flag_byte_above_three_is_rejected(self, flag):
+        # Bit 0 announces the client id, bit 1 the chain links; a
+        # command with neither ends in its flag byte.
+        frame = bytearray()
+        COMMAND.write(frame, Command.write(intern_dot(0, 1), ["k"]))
+        assert frame[-1] == 0
+        frame[-1] = flag
+        with pytest.raises(WireError, match="invalid command flag byte"):
+            COMMAND.read(Reader(bytes(frame)))
+
+    @pytest.mark.parametrize(
+        "links",
+        [((1, 3), (0, 1)), ((0, 1), (0, 2)), ((1, 4),), ((1, 5),)],
+        ids=["descending", "repeated", "not-skipping", "forward"],
+    )
+    def test_malformed_command_links_are_rejected(self, links):
+        # A link names a partition once, in ascending order, and skips back
+        # past the sequence just before the command's (sequence 5 here).
+        frame = bytearray()
+        COMMAND.write(frame, Command.write(intern_dot(0, 5), ["k"], links=links))
+        with pytest.raises(WireError, match="command link"):
+            COMMAND.read(Reader(bytes(frame)))
 
     def test_invalid_promise_range_is_rejected(self):
         message = MCommit(dot=intern_dot(0, 1), timestamp=2, detached={0: ((0, 4),)})

@@ -43,10 +43,31 @@ def run_cell(protocol: str, duration_ms: float) -> dict:
     return run_experiment(config).stats
 
 
+def run_partial_cell(protocol: str, duration_ms: float) -> dict:
+    """3 sites x 2 shards, YCSB+T: half the commands cross both shards, so
+    every replica executes commands minted at the other shard."""
+    config = ExperimentConfig(
+        protocol=protocol,
+        num_sites=3,
+        num_shards=2,
+        faults=1,
+        clients_per_site=4,
+        workload="ycsbt",
+        zipf=0.7,
+        write_ratio=0.5,
+        duration_ms=duration_ms,
+        warmup_ms=100.0,
+        seed=1,
+    )
+    return run_experiment(config).stats
+
+
 BASE_MS = 400.0
 LONG_MS = 4_000.0  # 10x
 
 COLLECTING_PROTOCOLS = ["tempo", "atlas", "epaxos", "caesar", "janus"]
+#: The protocols that replicate partially (``num_shards > 1``).
+PARTIAL_PROTOCOLS = ["tempo", "janus"]
 
 
 class TestMemoryStaysFlat:
@@ -79,6 +100,20 @@ class TestMemoryStaysFlat:
             short["peak_live_per_key"],
             long["peak_live_per_key"],
         )
+
+    @pytest.mark.parametrize("protocol", PARTIAL_PROTOCOLS)
+    def test_partial_replication_collects_the_other_shards_commands(self, protocol):
+        # Each source's dots form one chain per partition, so a replica
+        # collects the commands minted at the other shard as well as its
+        # own shard's: nothing is left at the end but the in-flight tail.
+        short = run_partial_cell(protocol, BASE_MS)
+        long = run_partial_cell(protocol, LONG_MS)
+        assert long["gc_collected"] > 4 * short["gc_collected"]
+        tail = 2 * 3 * 4  # two commands per client still in flight
+        assert long["live_records"] <= tail, long
+        assert long["archived_records"] <= tail, long
+        assert long["conflict_keys"] <= tail, long
+        assert long["issued_promises"] <= tail + 6, long
 
     def test_gc_actually_collected_the_history(self):
         stats = run_cell("tempo", BASE_MS)
