@@ -77,6 +77,7 @@ def _record_traffic(config, result) -> None:
             "conflict_keys": int(result.stats.get("conflict_keys", 0)),
             "issued_promises": int(result.stats.get("issued_promises", 0)),
             "gc_collected": int(result.stats.get("gc_collected", 0)),
+            "executed_ranges": int(result.stats.get("executed_ranges", 0)),
         }
     )
 

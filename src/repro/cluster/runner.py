@@ -277,6 +277,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     stats["conflict_keys"] = float(sum(f["conflict_keys"] for f in footprints))
     stats["issued_promises"] = float(sum(f["issued_promises"] for f in footprints))
     stats["gc_collected"] = float(sum(f["gc_collected"] for f in footprints))
+    stats["executed_ranges"] = float(sum(f["executed_ranges"] for f in footprints))
     # Reliable-delivery counters (only present when the run armed it), so
     # the bounded-retransmission tests can assert "no storm" directly.
     buffers = [

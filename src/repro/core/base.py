@@ -26,8 +26,9 @@ paper's "implemented in the same framework", §6).  The shell owns
 * message plumbing: the outbox, synchronous self-delivery, ``MBatch``
   unpacking, the per-type ``_dispatch`` probe and the dispatch-or-
   ``TypeError`` :meth:`ProcessBase.on_message`;
-* the execution seam :meth:`ProcessBase._execute_command`: apply, report to
-  the execution listeners, advance the GC frontier when the protocol mixes
+* the execution seam :meth:`ProcessBase._execute_command`: check that the
+  command executes at most once here, apply, report to the execution
+  listeners, advance the GC frontier when the protocol mixes
   :class:`repro.core.gc.WatermarkGcMixin` in, reply when the command was
   submitted here;
 * the per-command record table ``_info`` and the accounting read off it
@@ -60,6 +61,7 @@ from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot, DotGenerator
 from repro.core.messages import ClientReply, MDeliveryAck
+from repro.core.promises import _IntRanges
 from repro.core.quorums import QuorumSystem
 
 
@@ -138,6 +140,7 @@ class ProcessBase(abc.ABC):
             "_other_peers",  # cache of _partition_peers
             "_dispatch",  # constant wiring: bound handlers
             "_execution_listeners",  # observers, not protocol state
+            "_executed_ranges",  # derived from executed and the chain links
             "_wants_flush",  # constant, derived from the class
             "outbox",  # drained by the runtime after every step
             "_step_depth",  # zero between deliveries
@@ -191,6 +194,12 @@ class ProcessBase(abc.ABC):
         #: Identifiers executed here, in execution order (the command itself
         #: goes to the listeners and is not retained).
         self.executed: List[Dot] = []
+        #: Per source, the sequences covered by the chain links executed
+        #: here: each execution adds ``[previous + 1, sequence]``
+        #: (:meth:`_execute_command`).  The skipped sequences are dots that
+        #: never execute at this partition, so a source collapses to about
+        #: one range, and a dot already covered is executing twice.
+        self._executed_ranges: Dict[int, _IntRanges] = {}
         self._execution_listeners: List[ExecutionListener] = []
         self.alive = True
         #: Recovery epoch: bumped on every :meth:`recover_process`, stamped
@@ -440,14 +449,23 @@ class ProcessBase(abc.ABC):
     def _execute_command(
         self, dot: Dot, command: Command, now: float, reply: bool
     ) -> None:
-        """The one execution seam: apply, record, advance the GC frontier,
-        and — when ``reply``, i.e. the command was submitted here — answer
-        the client.  A protocol calls it once per command, after marking its
-        own record executed."""
+        """The one execution seam: check at-most-once, apply, record,
+        advance the GC frontier, and — when ``reply``, i.e. the command was
+        submitted here — answer the client.  A protocol calls it once per
+        command, after marking its own record executed; a second call for
+        the same dot raises ``ValueError`` (Validity: a command executes at
+        most once)."""
+        previous = self._chain_previous(command)
+        ranges = self._executed_ranges.get(dot.source)
+        if ranges is None:
+            ranges = self._executed_ranges[dot.source] = _IntRanges()
+        covered = ranges.add_range(previous + 1, dot.sequence)
+        if not covered or covered[-1][1] != dot.sequence:
+            raise ValueError(f"command {dot} executed twice at {self.process_id}")
         result = self._apply(command)
         self.record_execution(dot, command, now)
         if self.gc is not None:
-            self.gc.record_executed(dot, self._chain_previous(command))
+            self.gc.record_executed(dot, previous)
         if reply and command.client_id is not None:
             self.outbox.append(self._client_reply(dot, command, result))
 
@@ -494,11 +512,12 @@ class ProcessBase(abc.ABC):
         computation (zero here; dependency protocols override),
         ``peak_live_per_key`` the per-key conflict-window high-water mark,
         ``conflict_keys`` the keys holding per-key conflict state,
-        ``issued_promises`` the entries of Tempo's issued-promise ledger
-        and ``gc_collected`` the identifiers dropped by the watermark GC.
-        ``executed`` (the execution-order witness, one identifier per
-        command) is deliberately unbounded and reported separately so the
-        bounds can exclude it.
+        ``issued_promises`` the entries of Tempo's issued-promise ledger,
+        ``gc_collected`` the identifiers dropped by the watermark GC and
+        ``executed_ranges`` the ranges of the at-most-once check (about one
+        per source).  ``executed`` (the execution-order witness, one
+        identifier per command) is deliberately unbounded and reported
+        separately so the bounds can exclude it.
         """
         return {
             "records": len(self._info),
@@ -508,6 +527,9 @@ class ProcessBase(abc.ABC):
             "conflict_keys": 0,
             "issued_promises": 0,
             "gc_collected": self.gc.collected_count if self.gc is not None else 0,
+            "executed_ranges": sum(
+                len(ranges) for ranges in self._executed_ranges.values()
+            ),
         }
 
     def committed_timestamp(self, dot: Dot) -> Optional[object]:

@@ -14,9 +14,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Dot:
     """A globally unique command identifier.
+
+    Every replica's execution log pins one per command, so it is slotted
+    (``__slots__ == ("source", "sequence", "_hash")``).  It pickles and
+    copies through :func:`intern_dot`, so a restored snapshot holds the
+    interned instances.
 
     Attributes:
         source: identifier of the process that created (submitted) the
@@ -27,6 +32,7 @@ class Dot:
 
     source: int
     sequence: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sequence < 1:
@@ -38,28 +44,25 @@ class Dot:
         # here instead of on every __hash__ call is measurable.
         object.__setattr__(self, "_hash", self.sequence * 64 + self.source)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object):
+        if other is self:
+            return True
+        if other.__class__ is Dot:
+            return self.source == other.source and self.sequence == other.sequence
+        return NotImplemented
+
+    def __reduce__(self):
+        return intern_dot, (self.source, self.sequence)
+
     def initial_coordinator(self) -> int:
         """Return the process that initially coordinated this command."""
         return self.source
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.source}.{self.sequence}"
-
-
-def _dot_hash(self: Dot) -> int:
-    return self._hash
-
-
-def _dot_eq(self: Dot, other: object):
-    if other is self:
-        return True
-    if other.__class__ is Dot:
-        return self.source == other.source and self.sequence == other.sequence
-    return NotImplemented
-
-
-Dot.__hash__ = _dot_hash  # type: ignore[assignment]
-Dot.__eq__ = _dot_eq  # type: ignore[assignment]
 
 
 #: Global intern table, keyed by source.  Each per-source entry is the list

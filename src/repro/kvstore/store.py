@@ -2,17 +2,17 @@
 
 This is the state machine the SMR protocols replicate.  It applies
 :class:`repro.core.commands.Command` objects: writes store the command's
-value for the key, reads return the current value.  The store records the
-sequence of applied commands, which the linearizability/ordering checks in
-the test suite rely on.
+value for the key, reads return the current value.  The store holds the
+application's data and nothing else: the order commands executed in is the
+replica's execution log (``ProcessBase.executed``), and the at-most-once
+check is the replica's execution seam (``ProcessBase._execute_command``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.commands import Command
-from repro.core.identifiers import Dot
 
 
 class KeyValueStore:
@@ -21,30 +21,20 @@ class KeyValueStore:
     def __init__(self, partition: int = 0) -> None:
         self.partition = partition
         self._data: Dict[str, Optional[str]] = {}
-        self._applied: List[Dot] = []
-        self._applied_set: Set[Dot] = set()
-        self._writes_per_key: Dict[str, int] = {}
 
     def apply(self, command: Command) -> Dict[str, Optional[str]]:
         """Apply ``command`` and return the per-key results.
 
         For a write, the result maps the key to the value written; for a
         read, it maps the key to the value read (``None`` if absent).
-        Applying the same command twice is rejected, which enforces the
-        Validity property (a command is executed at most once).
         """
-        if command.dot in self._applied_set:
-            raise ValueError(f"command {command.dot} applied twice")
         results: Dict[str, Optional[str]] = {}
         for op in command.ops:
             if op.is_write():
                 self._data[op.key] = op.value
-                self._writes_per_key[op.key] = self._writes_per_key.get(op.key, 0) + 1
                 results[op.key] = op.value
             else:
                 results[op.key] = self._data.get(op.key)
-        self._applied.append(command.dot)
-        self._applied_set.add(command.dot)
         return results
 
     def get(self, key: str) -> Optional[str]:
@@ -54,14 +44,6 @@ class KeyValueStore:
     def keys(self) -> List[str]:
         """Keys currently present in the store."""
         return sorted(self._data)
-
-    def applied_commands(self) -> Tuple[Dot, ...]:
-        """Identifiers applied so far, in application order."""
-        return tuple(self._applied)
-
-    def writes_to(self, key: str) -> int:
-        """Number of writes applied to ``key``."""
-        return self._writes_per_key.get(key, 0)
 
     def __len__(self) -> int:
         return len(self._data)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,6 +111,20 @@ class TestInterning:
         dot = Dot(3, 21)
         assert hash(dot) == 21 * 64 + 3
         assert hash(dot) == hash(intern_dot(3, 21))
+
+    def test_pickle_and_copies_return_the_interned_instance(self):
+        interned = intern_dot(5, 3)
+        for dot in (interned, Dot(5, 3)):
+            assert pickle.loads(pickle.dumps(dot)) is interned
+            assert copy.deepcopy(dot) is interned
+            assert copy.copy(dot) is interned
+
+    def test_a_dot_is_slotted_and_immutable(self):
+        dot = Dot(1, 2)
+        assert not hasattr(dot, "__dict__")
+        with pytest.raises(AttributeError):
+            dot.sequence = 3
+        assert repr(dot) == "Dot(source=1, sequence=2)"
 
     def test_equality_and_ordering_semantics_survive_interning(self):
         assert intern_dot(0, 2) > intern_dot(0, 1)

@@ -3,6 +3,8 @@ MStable exchange, MBump optimisation."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.process import TempoProcess
@@ -176,6 +178,35 @@ class TestChainLinks:
         assert [command.previous(0) for command in commands] == list(range(8))
         cross = [command for command in commands if len(command.keys) == 2]
         assert [command.previous(1) for command in cross] == [0, 2, 5, 6]
+
+    def test_a_shard_1_replica_executes_linked_chains_out_of_order(self):
+        # Source 0's cross-shard commands (sequences 2, 5, 6, 8) are its
+        # chain at partition 1, which executes them in timestamp order, not
+        # sequence order.  The at-most-once check never fires, and the
+        # sequences the links skip leave no hole: each source ends as one
+        # range.
+        _, processes, _, _ = build_cluster()
+        replica = processes[3]
+        assert replica.partition == 1
+        shapes = [["p0-a"], ["p0-a", "p1-b"], ["p0-a"], ["p0-a"]]
+        shapes += [["p0-a", "p1-b"], ["p0-a", "p1-b"], ["p0-a"], ["p0-a", "p1-b"]]
+        chain = [
+            command
+            for command in (processes[0].new_command(keys) for keys in shapes)
+            if len(command.keys) == 2
+        ]
+        local = [processes[4].new_command(["p1-b"]) for _ in range(3)]
+        order = [chain[2], local[2], chain[0], chain[3], local[0], chain[1], local[1]]
+        for command in order:
+            replica._execute_command(command.dot, command, 0.0, False)
+        assert replica.executed == [command.dot for command in order]
+        assert {
+            source: ranges.ranges()
+            for source, ranges in replica._executed_ranges.items()
+        } == {0: [(1, 8)], 4: [(1, 3)]}
+        assert replica.memory_footprint()["executed_ranges"] == 2
+        with pytest.raises(ValueError):
+            replica._execute_command(chain[1].dot, chain[1], 0.0, False)
 
     def test_a_single_partition_deployment_mints_no_links(self):
         _, processes, _, _ = build_cluster(partitions=1)

@@ -11,8 +11,8 @@ here long before it would OOM a real deployment.
 The columns come from :meth:`ProcessBase.memory_footprint` via the
 experiment stats (``live_records`` / ``archived_records`` /
 ``peak_live_per_key`` / ``conflict_keys`` / ``issued_promises`` /
-``gc_collected``); ``BENCH_fig6.json`` carries the same columns for the full
-benchmark and CI gates them there too.
+``gc_collected`` / ``executed_ranges``); ``BENCH_fig6.json`` carries the
+same columns for the full benchmark and CI gates them there too.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ class TestMemoryStaysFlat:
         # replica).
         assert long["conflict_keys"] <= tail, long
         assert long["issued_promises"] <= tail + 5, long
+        # The at-most-once check keeps about one range per source per
+        # replica: the in-flight tail's out-of-order executions add the rest.
+        assert long["executed_ranges"] <= 5 * 5 + tail, long
 
         # The per-key conflict window is bounded by concurrency, not run
         # length: 10x the duration may not widen the high-water mark beyond
@@ -114,6 +117,8 @@ class TestMemoryStaysFlat:
         assert long["archived_records"] <= tail, long
         assert long["conflict_keys"] <= tail, long
         assert long["issued_promises"] <= tail + 6, long
+        # Six sources (both shards' minters) at each of six replicas.
+        assert long["executed_ranges"] <= 6 * 6 + tail, long
 
     def test_gc_actually_collected_the_history(self):
         stats = run_cell("tempo", BASE_MS)

@@ -23,28 +23,6 @@ class TestKeyValueStore:
         result = store.apply(Command.read(Dot(0, 1), ["missing"]))
         assert result["missing"] is None
 
-    def test_duplicate_application_is_rejected(self):
-        store = KeyValueStore()
-        command = Command.write(Dot(0, 1), ["k"])
-        store.apply(command)
-        with pytest.raises(ValueError):
-            store.apply(command)
-
-    def test_applied_commands_preserve_order(self):
-        store = KeyValueStore()
-        dots = [Dot(0, index) for index in range(1, 6)]
-        for dot in dots:
-            store.apply(Command.write(dot, ["k"]))
-        assert store.applied_commands() == tuple(dots)
-
-    def test_writes_per_key_counted(self):
-        store = KeyValueStore()
-        store.apply(Command.write(Dot(0, 1), ["a", "b"]))
-        store.apply(Command.write(Dot(0, 2), ["a"]))
-        assert store.writes_to("a") == 2
-        assert store.writes_to("b") == 1
-        assert store.writes_to("c") == 0
-
     def test_snapshot_is_a_copy(self):
         store = KeyValueStore()
         store.apply(Command.write(Dot(0, 1), ["k"]))

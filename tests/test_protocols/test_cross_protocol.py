@@ -188,9 +188,9 @@ class TestReplicaShell:
             network.step(0.0)
         network.settle(rounds=40)
         for dot in commands:
-            for process_id, store in replicas.stores.items():
-                assert store.applied_commands().count(dot) == 1
-                assert reported.count((process_id, dot)) == 1
+            for process in processes:
+                assert process.executed.count(dot) == 1
+                assert reported.count((process.process_id, dot)) == 1
         replies = [
             (envelope.message.dot, envelope.sender, envelope.destination)
             for envelope in network.undeliverable
@@ -201,6 +201,24 @@ class TestReplicaShell:
             for dot, (submitter, command) in commands.items()
         )
         assert replicas.stores_agree()
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_a_second_execution_of_a_dot_is_rejected(self, protocol, with_store):
+        # The at-most-once check is the execution seam's, not the store's:
+        # it holds whether or not a store is wired in, in any order.
+        replicas = build_replicas(protocol, ProtocolConfig(num_processes=3, faults=1))
+        process = replicas.processes[0]
+        if not with_store:
+            process.apply_fn = None
+        first, second = process.new_command(["k"]), process.new_command(["k"])
+        process._execute_command(second.dot, second, 0.0, False)
+        process._execute_command(first.dot, first, 0.0, False)
+        for command in (first, second):
+            with pytest.raises(ValueError):
+                process._execute_command(command.dot, command, 0.0, False)
+        assert process.executed == [second.dot, first.dot]
+        assert process.memory_footprint()["executed_ranges"] == 1
 
     @pytest.mark.parametrize("protocol", protocol_names())
     @pytest.mark.parametrize("faults", [1, 2])
