@@ -24,10 +24,6 @@ The matrix doubles as the CI regression gate for the unhappy paths:
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
 from repro.experiments.scenarios import (
     NOT_CONVERGED_BY_SCOPE,
     TITLE,
@@ -37,12 +33,6 @@ from repro.experiments.scenarios import (
     legend,
     run_cell,
 )
-
-
-@pytest.fixture(autouse=True)
-def _force_trace_check(monkeypatch):
-    """Every cell runs under the trace checker, whatever the environment."""
-    monkeypatch.setitem(os.environ, "REPRO_TRACE_CHECK", "1")
 
 
 def test_bench_scenario_matrix(benchmark, results_emitter):

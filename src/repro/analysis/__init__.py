@@ -19,7 +19,7 @@ The analysis layer deliberately reads protocol internals (``_info`` tables,
 promise frontiers): it is the auditor, not part of the protocol surface.
 """
 
-from repro.analysis.consistency import ConsistencyReport, Violation, check_trace
+from repro.analysis.consistency import ConsistencyReport, Violation, check_run
 from repro.analysis.trace import ExecutionTraceRecorder, TraceEvent
 
 __all__ = [
@@ -27,5 +27,5 @@ __all__ = [
     "ExecutionTraceRecorder",
     "TraceEvent",
     "Violation",
-    "check_trace",
+    "check_run",
 ]

@@ -1,7 +1,11 @@
-"""Consistency checks over recorded execution traces.
+"""The one definition of a correct run: :func:`check_run` over a trace.
 
-Five invariants, together an executable form of the correctness argument of
-the paper (PSMR, §2; Tempo ordering, §3):
+Every engine calls it at the end of a run — ``run_experiment`` (through
+:meth:`~repro.analysis.trace.ExecutionTraceRecorder.check`), the scenario
+matrix, and the small-model explorer, which rebuilds its trace after settle.
+Five safety invariants and one liveness invariant, together an executable
+form of the correctness argument of the paper (PSMR, §2; Tempo ordering,
+§3):
 
 1. **Execute-at-most-once** — no replica executes the same identifier twice.
 2. **Per-key order agreement** — replicas of one partition execute the
@@ -25,17 +29,35 @@ may interleave them differently.
 5. **Real-time order** — if command ``a`` completed at its client before
    command ``b`` was submitted and the two conflict (share a key), no
    replica executes ``b`` before ``a``.
+6. **Liveness** — at the end of the run every live replica of a partition
+   executed every command that a live replica of it executed or committed,
+   and every expected command (one whose submitter did not crash), and
+   holds nothing pending.  The report counts the commands live replicas
+   left pending or committed-but-unexecuted as ``stuck``.
 
-All checks operate on the :class:`~repro.analysis.trace.ExecutionTraceRecorder`
-data only — they never re-run the protocol.
+A protocol that declares ``TOTAL_TIMESTAMP_ORDER`` (Tempo) executes every
+command of a partition in ``(timestamp, id)`` order, so invariants 2 and 3
+hold it to every pair of commands at a replica, not only conflicting pairs:
+its replicas must share one total order.
+
+Liveness is a violation like the others, but only the safety rows make
+:meth:`ConsistencyReport.raise_if_violations` raise: a crash may strand a
+protocol with no coordinator recovery by design, and the caller decides
+whether a run had to converge.  All checks operate on the
+:class:`~repro.analysis.trace.ExecutionTraceRecorder` data only — they never
+re-run the protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional
+from typing import Set, Tuple
 
 from repro.core.identifiers import Dot
+
+#: The code of the liveness row; every other code is a safety violation.
+LIVENESS = "liveness"
 
 
 @dataclass(frozen=True)
@@ -57,26 +79,54 @@ class ConsistencyReport:
     events: int = 0
     processes: int = 0
     commands: int = 0
+    #: Commands live replicas left pending or committed-but-unexecuted
+    #: (``None``: the trace carried no end-of-run replica states, so the
+    #: liveness row did not run).
+    stuck: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def converged(self) -> bool:
+        """No liveness violation."""
+        return not any(violation.code == LIVENESS for violation in self.violations)
+
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
-        return (
+        line = (
             f"trace check: {status} — {self.events} executions across "
             f"{self.processes} processes, {self.commands} commands"
         )
+        if self.stuck is not None:
+            state = "converged" if self.converged else "NOT converged"
+            line += f"\nliveness: {state}, {self.stuck} stuck"
+        return line
 
     def raise_if_violations(self) -> None:
-        if self.violations:
-            lines = "\n".join(str(violation) for violation in self.violations)
+        """Raise on any violation of a safety row; a liveness violation is
+        the caller's to judge (:attr:`converged`)."""
+        unsafe = [violation for violation in self.violations if violation.code != LIVENESS]
+        if unsafe:
+            lines = "\n".join(str(violation) for violation in unsafe)
             raise AssertionError(f"{self.summary()}\n{lines}")
 
 
-def check_trace(trace) -> ConsistencyReport:
-    """Run every consistency check over a recorded trace."""
+def check_run(
+    trace,
+    *,
+    expected: Optional[Mapping[Dot, FrozenSet[int]]] = None,
+    crashed: FrozenSet[int] = frozenset(),
+) -> ConsistencyReport:
+    """Every invariant of this module over one finished run.
+
+    ``expected`` maps the commands known to have been submitted to the
+    partitions each accesses (the explorer's command table); each must have
+    executed at every live replica of those partitions unless its submitter
+    is in ``crashed``, the processes that crashed during the run, since a
+    command only its submitter knew dies with it.
+    """
     report = ConsistencyReport(
         events=trace.event_count(),
         processes=len(trace.events_by_process),
@@ -86,11 +136,14 @@ def check_trace(trace) -> ConsistencyReport:
         ),
     )
     violations = report.violations
+    scope = _whole_partition if trace.total_order else _conflicts
     _check_at_most_once(trace, violations)
-    _check_partition_order(trace, violations)
-    _check_timestamp_monotonicity(trace, violations)
+    _check_partition_order(trace, scope, violations)
+    _check_timestamp_monotonicity(trace, scope, violations)
     _check_timestamp_agreement(trace, violations)
     _check_real_time_order(trace, violations)
+    if trace.replicas:
+        report.stuck = _check_liveness(trace, expected or {}, crashed, violations)
     return report
 
 
@@ -111,26 +164,39 @@ def _check_at_most_once(trace, violations: List[Violation]) -> None:
             seen.add(event.dot)
 
 
-def _writes_key(event, key: str) -> bool:
-    """Whether the command of ``event`` writes ``key`` (conservatively
-    ``True`` when the event carries no write-key information)."""
-    writes = getattr(event, "write_keys", None)
-    return True if writes is None else key in writes
+#: An order row's scope: the ``(key, writes it)`` pairs of one event.
+Scope = Callable[[object], Iterable[Tuple[str, bool]]]
+
+#: The one "key" every command of a total-order partition touches.
+_PARTITION_KEY = "<every key>"
 
 
-def _per_key_sequences(trace) -> Dict[str, Dict[int, List[Tuple[Dot, bool]]]]:
+def _conflicts(event) -> List[Tuple[str, bool]]:
+    """PSMR's conflict relation: each key of the event, and whether its
+    command writes it (conservatively ``True`` when the event carries no
+    write-key information)."""
+    writes = event.write_keys
+    return [(key, writes is None or key in writes) for key in event.keys]
+
+
+def _whole_partition(event) -> Tuple[Tuple[str, bool], ...]:
+    """Total order: every command conflicts with every other."""
+    return ((_PARTITION_KEY, True),)
+
+
+def _per_key_sequences(trace, scope: Scope) -> Dict[str, Dict[int, List[Tuple[Dot, bool]]]]:
     """``key -> process -> [(dot, writes_key)] executed touching the key``."""
     sequences: Dict[str, Dict[int, List[Tuple[Dot, bool]]]] = {}
     for process_id, events in trace.events_by_process.items():
         for event in events:
-            for key in event.keys:
+            for key, is_write in scope(event):
                 sequences.setdefault(key, {}).setdefault(process_id, []).append(
-                    (event.dot, _writes_key(event, key))
+                    (event.dot, is_write)
                 )
     return sequences
 
 
-def _check_partition_order(trace, violations: List[Violation]) -> None:
+def _check_partition_order(trace, scope: Scope, violations: List[Violation]) -> None:
     """Replicas of one partition agree on the per-key *conflict* order.
 
     Per key and replica pair, restricted to the identifiers both executed:
@@ -138,7 +204,7 @@ def _check_partition_order(trace, violations: List[Violation]) -> None:
     same number of preceding writes (i.e. every read-write pair is ordered
     the same way).  Read-read pairs are unordered by design.
     """
-    sequences = _per_key_sequences(trace)
+    sequences = _per_key_sequences(trace, scope)
     partitions = trace.partitions
     for key, per_process in sorted(sequences.items()):
         by_partition: Dict[int, List[Tuple[int, List[Tuple[Dot, bool]]]]] = {}
@@ -206,7 +272,7 @@ def _write_positions(sequence, common, common_writes) -> Dict[Dot, int]:
     return positions
 
 
-def _check_timestamp_monotonicity(trace, violations: List[Violation]) -> None:
+def _check_timestamp_monotonicity(trace, scope: Scope, violations: List[Violation]) -> None:
     """Per-key executions are strictly increasing in ``(timestamp, id)``.
 
     An executed timestamp *below* its predecessor on the same key means a
@@ -215,7 +281,8 @@ def _check_timestamp_monotonicity(trace, violations: List[Violation]) -> None:
     pairs are compared — timestamp order is a property of conflicts:
     Caesar's wait condition legally releases non-conflicting commands out
     of timestamp order, and read-read pairs are never conflicts.  Tempo's
-    single stable heap happens to be globally monotone, which implies this.
+    single stable heap is monotone over all of a replica's commands, and its
+    ``TOTAL_TIMESTAMP_ORDER`` scope checks exactly that.
     """
     for process_id, events in trace.events_by_process.items():
         # Per key: the largest (timestamp, id) executed so far over all
@@ -229,8 +296,7 @@ def _check_timestamp_monotonicity(trace, violations: List[Violation]) -> None:
             if event.timestamp is None:
                 continue
             current = (event.timestamp, event.dot)
-            for key in event.keys:
-                is_write = _writes_key(event, key)
+            for key, is_write in scope(event):
                 bound = max_any.get(key) if is_write else max_write.get(key)
                 if (
                     bound is not None
@@ -298,11 +364,9 @@ def _check_real_time_order(trace, violations: List[Violation]) -> None:
     for process_id, events in trace.events_by_process.items():
         per_key: Dict[str, List[Tuple[Dot, bool]]] = {}
         for event in events:
-            for key in event.keys:
-                if event.dot in windows:
-                    per_key.setdefault(key, []).append(
-                        (event.dot, _writes_key(event, key))
-                    )
+            if event.dot in windows:
+                for key, is_write in _conflicts(event):
+                    per_key.setdefault(key, []).append((event.dot, is_write))
         for key, sequence in per_key.items():
             replies = [
                 windows[dot].replied_at
@@ -345,3 +409,60 @@ def _check_real_time_order(trace, violations: List[Violation]) -> None:
                         )
                     )
                     break
+
+
+def _check_liveness(
+    trace,
+    expected: Mapping[Dot, FrozenSet[int]],
+    crashed: FrozenSet[int],
+    violations: List[Violation],
+) -> int:
+    """Every live replica finished what its partition started; returns the
+    ``stuck`` count.
+
+    A command is owed at a partition's live replicas once any of them
+    executed or committed it, or when ``expected`` says it accesses the
+    partition and its submitter never crashed.  ``stuck`` counts, over the
+    live replicas, the pending commands and the committed ones not executed
+    (a committed command whose stability prerequisites were lost stalls the
+    execution queue without ever being pending).
+    """
+    replicas = trace.replicas
+    partitions = trace.partitions
+    executed = {
+        process_id: {event.dot for event in events}
+        for process_id, events in trace.events_by_process.items()
+    }
+    live = sorted(process_id for process_id, state in replicas.items() if state.alive)
+    owed: Dict[int, Set[Dot]] = {}
+    for dot, accessed in expected.items():
+        if dot.source not in crashed:
+            for partition in accessed:
+                owed.setdefault(partition, set()).add(dot)
+    for process_id in live:
+        owed.setdefault(partitions[process_id], set()).update(
+            executed[process_id], replicas[process_id].committed
+        )
+    stuck = 0
+    for process_id in live:
+        state = replicas[process_id]
+        done = executed[process_id]
+        stuck += len(state.pending) + len(set(state.committed) - done)
+        missing = owed[partitions[process_id]] - done
+        if missing:
+            violations.append(
+                Violation(
+                    LIVENESS,
+                    f"process {process_id} never executed "
+                    f"{sorted(str(dot) for dot in missing)}",
+                )
+            )
+        elif state.pending:
+            violations.append(
+                Violation(
+                    LIVENESS,
+                    f"process {process_id} still holds pending "
+                    f"{sorted(str(dot) for dot in state.pending)}",
+                )
+            )
+    return stuck

@@ -21,9 +21,10 @@ Every reachable state is checked for collection safety (no dot at or below
 a watermark unexecuted at a replica of a partition it accesses) and, at
 Tempo processes, Theorem 1 (a stable timestamp is backed by a strict
 majority's promises).  At quiescence one settle schedule built from the
-``ProtocolConfig`` timers runs the periodic duties, and the final state
-must have executed every command at every live replica, once, in one
-order, at agreed timestamps.
+``ProtocolConfig`` timers runs the periodic duties; the settled state is
+rebuilt as an execution trace and held to
+:func:`repro.analysis.consistency.check_run`, the end-of-run check every
+engine shares.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import copy
 import enum
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 from typing import Set, Tuple
 
-from repro.analysis.consistency import Violation
+from repro.analysis.consistency import Violation, check_run
+from repro.analysis.trace import ExecutionTraceRecorder
 from repro.cluster.replicas import build_replicas
 from repro.core.base import ProcessBase
-from repro.core.commands import Partitioner
+from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 from repro.core.process import TempoProcess
@@ -230,73 +232,6 @@ def _settle_times(config: ProtocolConfig, degraded: bool) -> List[float]:
 # -- invariants ---------------------------------------------------------------------
 
 
-def _check_final_state(
-    processes: Sequence[ProcessBase],
-    expected_dots: Iterable[Dot],
-    violations: List[Violation],
-    require_all: bool,
-) -> None:
-    def flag(code: str, text: str) -> None:
-        violations.append(Violation(code, text))
-
-    live = [process for process in processes if process.alive]
-    # Liveness within the bounded schedule: a command committed anywhere
-    # live must execute at every live replica; without a crash, every
-    # submitted command must execute everywhere.
-    must_execute = set(expected_dots) if require_all else set()
-    for process in live:
-        must_execute.update(process.executed)
-        must_execute.update(process.committed_dots())
-    for process in live:
-        executed = process.executed
-        missing = sorted(str(dot) for dot in must_execute - set(executed))
-        if missing:
-            flag("liveness", f"process {process.process_id} never executed {missing}")
-        if len(executed) != len(set(executed)):
-            flag("execute-twice", f"process {process.process_id} executed {executed}")
-    # Order agreement across every replica (crashed ones too: their executed
-    # prefix is immutable history and must embed in the common order).
-    reference: Optional[List[Dot]] = None
-    for process in processes:
-        executed = process.executed
-        if reference is None:
-            reference = executed if process.alive else None
-            continue
-        common = set(executed) & set(reference)
-        left = [dot for dot in executed if dot in common]
-        right = [dot for dot in reference if dot in common]
-        if left != right:
-            flag(
-                "order-divergence",
-                f"process {process.process_id} executed {left}, the reference {right}",
-            )
-    # Timestamp agreement per dot and per-process monotone execution order
-    # (protocols that order by dependencies or log slot report no timestamp).
-    timestamps: Dict[Dot, Dict[object, List[int]]] = {}
-    for process in processes:
-        previous = None
-        for dot in process.executed:
-            timestamp = process.committed_timestamp(dot)
-            if timestamp is None:
-                continue
-            timestamps.setdefault(dot, {}).setdefault(timestamp, []).append(
-                process.process_id
-            )
-            if previous is not None and (timestamp, dot) <= previous:
-                flag(
-                    "timestamp-order",
-                    f"process {process.process_id} executed {dot} at {timestamp} "
-                    f"after {previous[1]} at {previous[0]} — executed before stable",
-                )
-            previous = (timestamp, dot)
-    for dot, per_timestamp in timestamps.items():
-        if len(per_timestamp) > 1:
-            flag(
-                "timestamp-divergence",
-                f"{dot} committed at different timestamps: {sorted(per_timestamp)}",
-            )
-
-
 def _gc_collection_safety(
     processes: Sequence[ProcessBase],
     accessed: Mapping[Dot, FrozenSet[int]],
@@ -377,6 +312,8 @@ class _Explorer:
     config: ProtocolConfig
     #: Every submitted dot, with the partitions its command accesses.
     expected: Dict[Dot, FrozenSet[int]]
+    #: Every submitted command, for the trace rebuilt after settle.
+    commands: Dict[Dot, Command]
     crash_victim: Optional[int]
     lose_names: FrozenSet[str]
     max_states: int
@@ -409,7 +346,8 @@ class _Explorer:
     def settle_and_check(
         self, processes: List[ProcessBase], channels: Channels, crashed: bool, lost: bool
     ) -> None:
-        """Run the settle schedule, then the final-state checks."""
+        """Run the settle schedule, then ``check_run`` over the trace the
+        settled processes rebuild."""
         violations = self.result.violations
         transient: List[Violation] = []
         for now in _settle_times(self.config, crashed or lost):
@@ -423,7 +361,11 @@ class _Explorer:
                 # exchange, so the transient windows live here: check after
                 # every round, not just at the settled state.
                 _gc_collection_safety(processes, self.expected, transient)
-        _check_final_state(processes, self.expected, violations, require_all=not crashed)
+        trace = ExecutionTraceRecorder.rebuild(processes, self.commands)
+        victims = frozenset([self.crash_victim]) if crashed else frozenset()
+        violations.extend(
+            check_run(trace, expected=self.expected, crashed=victims).violations
+        )
         _gc_collection_safety(processes, self.expected, violations)
         violations.extend(transient)
 
@@ -566,6 +508,7 @@ def explore(
         protocol, config, partitioner=partitioner, **protocol_kwargs
     ).processes
     expected = {}
+    commands = {}
     for index in range(num_commands):
         submitter = processes[index % len(processes)]
         if num_partitions == 1:
@@ -575,13 +518,21 @@ def explore(
         command = submitter.new_command(keys)
         submitter.submit(command, 0.0)
         expected[command.dot] = command.partitions(partitioner)
+        commands[command.dot] = command
     label = f"{protocol} r={num_processes} f={faults}"
     if num_partitions > 1:
         label += f" p={num_partitions}"
     result = ExplorationResult(protocol=label)
     victim = processes[0].process_id if crash_coordinator else None
     explorer = _Explorer(
-        result, config, expected, victim, lose_names, max_states, stop_at_first_violation
+        result,
+        config,
+        expected,
+        commands,
+        victim,
+        lose_names,
+        max_states,
+        stop_at_first_violation,
     )
     channels: Channels = {}
     _drain_outboxes(processes, channels)

@@ -10,14 +10,22 @@ process at execution time.  Client submit/reply times are recorded as
 Recording is observation-only: it never touches protocol state, RNG draws or
 the event schedule, so a traced run produces byte-identical results to an
 untraced one.
+
+At the end of a run :meth:`ExecutionTraceRecorder.snapshot` adds one
+:class:`ReplicaState` per replica — alive, pending, committed — the facts
+the liveness row of :func:`repro.analysis.consistency.check_run` needs.  An
+engine that cannot keep a listener (the small-model explorer pickles its
+processes) rebuilds the same trace after the fact with
+:meth:`ExecutionTraceRecorder.rebuild`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.base import ProcessBase
+from repro.core.commands import Command
 from repro.core.identifiers import Dot
 
 
@@ -44,6 +52,29 @@ class TraceEvent(NamedTuple):
     write_keys: Optional[Tuple[str, ...]] = None
 
 
+def _event(process: ProcessBase, dot: Dot, command: Command, now: float) -> TraceEvent:
+    return TraceEvent(
+        process_id=process.process_id,
+        partition=process.partition,
+        dot=dot,
+        keys=tuple(command.keys),
+        timestamp=process.committed_timestamp(dot),
+        time=now,
+        write_keys=tuple(op.key for op in command.ops if op.is_write()),
+    )
+
+
+class ReplicaState(NamedTuple):
+    """One replica at the end of a run."""
+
+    alive: bool
+    #: Identifiers in a pending phase (:meth:`ProcessBase.pending_dots`).
+    pending: Tuple[Dot, ...]
+    #: Identifiers committed here whose record is live
+    #: (:meth:`ProcessBase.committed_dots`).
+    committed: Tuple[Dot, ...]
+
+
 @dataclass
 class CommandWindow:
     """Client-side real-time window of one command."""
@@ -60,33 +91,59 @@ class ExecutionTraceRecorder:
     events_by_process: Dict[int, List[TraceEvent]] = field(default_factory=dict)
     windows: Dict[Dot, CommandWindow] = field(default_factory=dict)
     partitions: Dict[int, int] = field(default_factory=dict)
+    #: End-of-run state per replica (:meth:`snapshot`); empty until then,
+    #: and the liveness row is skipped while it is.
+    replicas: Dict[int, ReplicaState] = field(default_factory=dict)
+    #: Whether the processes declare ``TOTAL_TIMESTAMP_ORDER``: the checks
+    #: then order every pair of a partition's commands, not only conflicts.
+    total_order: bool = False
 
     # -- wiring ----------------------------------------------------------------
 
     def attach(self, processes: Sequence[ProcessBase]) -> "ExecutionTraceRecorder":
         """Subscribe to the execution events of every given process."""
+        self._register(processes)
         for process in processes:
-            self.partitions[process.process_id] = process.partition
-            self.events_by_process.setdefault(process.process_id, [])
             process.add_execution_listener(self._listener_for(process))
         return self
 
+    @classmethod
+    def rebuild(
+        cls, processes: Sequence[ProcessBase], commands: Mapping[Dot, Command]
+    ) -> "ExecutionTraceRecorder":
+        """The trace of a finished run, from each process's ``executed`` log,
+        the submitted ``commands`` and :meth:`ProcessBase.committed_timestamp`
+        read now (``None`` for a record the watermark GC already dropped),
+        with the end-of-run snapshot taken."""
+        trace = cls()
+        trace._register(processes)
+        for process in processes:
+            trace.events_by_process[process.process_id] = [
+                _event(process, dot, commands[dot], 0.0) for dot in process.executed
+            ]
+        return trace.snapshot(processes)
+
+    def snapshot(self, processes: Sequence[ProcessBase]) -> "ExecutionTraceRecorder":
+        """Record every replica's end-of-run :class:`ReplicaState`."""
+        for process in processes:
+            self.replicas[process.process_id] = ReplicaState(
+                process.alive,
+                tuple(process.pending_dots()),
+                tuple(process.committed_dots()),
+            )
+        return self
+
+    def _register(self, processes: Sequence[ProcessBase]) -> None:
+        for process in processes:
+            self.partitions[process.process_id] = process.partition
+            self.events_by_process.setdefault(process.process_id, [])
+        self.total_order = all(process.TOTAL_TIMESTAMP_ORDER for process in processes)
+
     def _listener_for(self, process: ProcessBase):
         events = self.events_by_process[process.process_id]
-        partition = process.partition
 
         def listener(process_id: int, dot: Dot, command, now: float) -> None:
-            events.append(
-                TraceEvent(
-                    process_id=process_id,
-                    partition=partition,
-                    dot=dot,
-                    keys=tuple(command.keys),
-                    timestamp=process.committed_timestamp(dot),
-                    time=now,
-                    write_keys=tuple(op.key for op in command.ops if op.is_write()),
-                )
-            )
+            events.append(_event(process, dot, command, now))
 
         return listener
 
@@ -109,7 +166,7 @@ class ExecutionTraceRecorder:
         return sum(len(events) for events in self.events_by_process.values())
 
     def check(self):
-        """Run the full consistency check over the recorded trace."""
-        from repro.analysis.consistency import check_trace
+        """:func:`repro.analysis.consistency.check_run` over this trace."""
+        from repro.analysis.consistency import check_run
 
-        return check_trace(self)
+        return check_run(self)

@@ -241,8 +241,6 @@ def _command_throughput(args) -> int:
 
 
 def _command_scenarios(args) -> int:
-    import os
-
     from repro.experiments.scenarios import (
         TITLE,
         ScenarioOptions,
@@ -266,8 +264,6 @@ def _command_scenarios(args) -> int:
         for cell in cells:
             print(f"{cell.shape:9s} {cell.protocol:7s} {cell.name}")
         return 0
-    # Every cell is certified: force the trace checker on for the run.
-    os.environ["REPRO_TRACE_CHECK"] = "1"
     rows = [run_cell(cell) for cell in cells]
     print(format_table(rows, title=TITLE, footnote=legend(rows)))
     return 0
@@ -303,7 +299,9 @@ def _command_check(args) -> int:
         f"{args.protocol} r={args.sites} f={args.faults} "
         f"conflict={args.conflict}: {report.summary()}"
     )
-    return 1 if failed else 0
+    for violation in report.violations:
+        print(f"  {violation}")
+    return 1 if failed or not report.ok else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

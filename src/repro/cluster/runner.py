@@ -54,9 +54,10 @@ class ExperimentResult:
     #: The deployment the run executed on (processes, network, stores),
     #: kept so tests can assert on internal protocol state post-run.
     deployment: Optional[object] = field(default=None, repr=False)
-    #: Consistency report of the traced run (``record_execution_trace``),
-    #: ``None`` when tracing was off.  A report with violations never
-    #: reaches the caller: ``run_experiment`` raises instead.
+    #: ``check_run`` report of the traced run (``record_execution_trace``),
+    #: ``None`` when tracing was off.  A report with a safety violation never
+    #: reaches the caller: ``run_experiment`` raises instead; liveness
+    #: (``converged``, ``stuck``) is the caller's to judge.
     trace_report: Optional[object] = field(default=None, repr=False)
 
     def mean_latency(self) -> float:
@@ -294,7 +295,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         stats[f"sent:{kind}"] = float(network_stats.per_kind[kind])
     trace_report = None
     if recorder is not None:
-        trace_report = recorder.check()
+        trace_report = recorder.snapshot(deployment.processes).check()
         trace_report.raise_if_violations()
     result = ExperimentResult(
         config=config,

@@ -126,6 +126,13 @@ class ProcessBase(abc.ABC):
     #: routes everything there.
     _dispatch: Dict[type, Callable[[int, object, float], None]] = {}
 
+    #: Whether a replica executes *every* command of its partition in
+    #: ``(timestamp, id)`` order, conflicting or not, so the replicas of a
+    #: partition share one total order (Tempo, Theorem 1).  The trace checker
+    #: reads it (``repro.analysis.consistency.check_run``) and then holds
+    #: every pair of commands to the order rows, not only conflicting ones.
+    TOTAL_TIMESTAMP_ORDER = False
+
     #: Attributes the explorer's state digest skips
     #: (:func:`repro.analysis.smallmodel.canonical`); subclasses add theirs.
     _DIGEST_EXEMPT = frozenset(
@@ -541,6 +548,11 @@ class ProcessBase(abc.ABC):
     def committed_dots(self) -> List[Dot]:
         """Identifiers committed (or executed) here whose record is live."""
         return [dot for dot, record in self._info.items() if record.is_committed]
+
+    def pending_dots(self) -> List[Dot]:
+        """Identifiers in a pending phase here; none for the protocols that
+        keep no pending set."""
+        return []
 
     def partition_peers(self) -> Sequence[int]:
         """Processes replicating the same partition (including self)."""

@@ -61,6 +61,10 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
 
     _info: Dict[Dot, CommandInfo]
 
+    #: The stable heap executes a partition's commands in ``(timestamp, id)``
+    #: order, conflicting or not (Algorithm 6).
+    TOTAL_TIMESTAMP_ORDER = True
+
     _DIGEST_EXEMPT = frozenset(
         {
             "_ack_target_cache",  # cache
@@ -812,10 +816,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
     def pending_dots(self) -> List[Dot]:
         """Identifiers currently in a pending phase."""
         return [dot for dot, record in self._info.items() if record.is_pending]
-
-    def committed_dots(self) -> List[Dot]:
-        """Identifiers committed (or executed) at this process."""
-        return [dot for dot, record in self._info.items() if record.is_committed]
 
     def stable_timestamp(self) -> int:
         """Currently known highest stable timestamp (Theorem 1)."""

@@ -12,9 +12,9 @@ depends on) and Zipfian conflict skew — and certifies every cell with the
 violation, so a matrix row exists only if the invariants held).
 
 Each cell reports tail latency, how many commands were left stuck on alive
-replicas, and whether the survivors converged (no stuck commands and — for
-Tempo, whose execution is a per-shard total order — identical execution
-orders).  Convergence is a *requirement* for every cell whose fault plan
+replicas, and whether the survivors converged: the liveness row of
+:func:`repro.analysis.consistency.check_run`, which also holds Tempo, a
+per-shard total order, to identical execution orders.  Convergence is a *requirement* for every cell whose fault plan
 can lose or delay traffic: Tempo's repair pass (:mod:`repro.core.repair`:
 the blocked side asks again for a missing commit, promises or remote
 ``MStable``, and the leader recovers, §B.1) plus the reliable-delivery
@@ -88,9 +88,9 @@ class ScenarioCell:
     protocol: str
     shape: str
     config: ExperimentConfig
-    #: Whether the cell *asserts* survivor convergence (no stuck commands;
-    #: for Tempo also one agreed per-shard execution order).  False only
-    #: for the baselines' coordinator crashes, outside the paper's scope.
+    #: Whether the cell *asserts* survivor convergence (``check_run``'s
+    #: liveness row).  False only for the baselines' coordinator crashes,
+    #: outside the paper's scope.
     requires_convergence: bool = False
     #: Promoted worst cells additionally gate their p99.9 under
     #: :data:`WORST_CELL_TAIL_BOUND_MS` (the CI regression gate).
@@ -315,46 +315,22 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
     return cells
 
 
-def _convergence(result, protocol: str) -> Tuple[int, bool]:
-    """``(stuck, converged)`` for one finished cell.
-
-    ``stuck`` counts commands an *alive* replica failed to finish: still
-    pending, or committed but never executed (a committed command whose
-    stability/ordering prerequisites were lost stalls the execution queue
-    without ever being "pending").  Converged means no stuck commands;
-    Tempo executes a per-shard total order, so its survivors must
-    additionally agree on one execution order per shard.
-    """
-    deployment = result.deployment
-    alive = [process for process in deployment.processes if process.alive]
-    stuck = sum(
-        len(process.pending_dots())
-        + len(set(process.committed_dots()) - set(process.executed_dots()))
-        for process in alive
-    )
-    converged = stuck == 0
-    if converged and protocol == "tempo":
-        by_shard: Dict[int, set] = {}
-        protocol_config = deployment.protocol_config
-        for process in alive:
-            shard = protocol_config.partition_of_process(process.process_id)
-            by_shard.setdefault(shard, set()).add(tuple(process.executed_dots()))
-        converged = all(len(orders) == 1 for orders in by_shard.values())
-    return stuck, converged
-
-
 def run_cell(cell: ScenarioCell) -> Dict[str, object]:
-    """Run one cell under the trace checker and build its matrix row.
+    """Run one cell and build its matrix row from the run's ``check_run``
+    report.
 
-    ``run_experiment`` raises on any trace violation, so a returned row is
+    ``run_experiment`` raises on any safety violation, so a returned row is
     certified; convergence is asserted where the cell requires it.
     """
     result = run_experiment(cell.config)
-    stuck, converged = _convergence(result, cell.protocol)
+    report = result.trace_report
+    if report is None:
+        raise ValueError(f"cell {cell.name} ({cell.protocol}) recorded no trace")
+    stuck, converged = report.stuck, report.converged
     if cell.requires_convergence:
         assert converged, (
             f"cell {cell.name} ({cell.protocol}): expected convergence, "
-            f"{stuck} commands stuck"
+            f"{stuck} commands stuck\n{report.summary()}"
         )
     row: Dict[str, object] = {
         "scenario": cell.name,

@@ -136,6 +136,14 @@ class TestEpoch2Models:
         assert result.complete, result.summary()
         assert result.ok, result.summary()
 
+    def test_the_crashed_members_order_is_compared_too(self):
+        # check_run compares every pair of a partition's replicas, the
+        # crashed one included, so 2(e) shows in the order as well as in
+        # the timestamp the crashed member executed at.
+        result = explore("tempo", num_commands=2, crash_coordinator=True)
+        codes = {violation.code for violation in result.violations}
+        assert {"timestamp-divergence", "order-divergence"} <= codes, result.summary()
+
     def test_premature_collection_is_caught(self, monkeypatch):
         # Mutation: advance the watermark straight to the LOCAL frontier,
         # skipping the min-over-peers step.  Under the coordinator-crash
