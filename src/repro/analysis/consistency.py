@@ -1,51 +1,31 @@
 """The one definition of a correct run: :func:`check_run` over a trace.
 
-Every engine calls it at the end of a run — ``run_experiment`` (through
+Every engine calls it at the end of a run: ``run_experiment`` (through
 :meth:`~repro.analysis.trace.ExecutionTraceRecorder.check`), the scenario
-matrix, and the small-model explorer, which rebuilds its trace after settle.
-Five safety invariants and one liveness invariant, together an executable
-form of the correctness argument of the paper (PSMR, §2; Tempo ordering,
-§3):
+matrix and the small-model explorer, which rebuilds its trace after settle.
+Its rows are the executable form of PSMR (§2) and Tempo's ordering (§3);
+``docs/correctness_spec.md`` tables them with the engines that run them.
 
-1. **Execute-at-most-once** — no replica executes the same identifier twice.
-2. **Per-key order agreement** — replicas of one partition execute the
-   *conflicting* commands on any key in the same relative order (compared
-   on the identifiers both replicas executed, so run-end cutoffs and
-   crashes do not produce false positives).
+* ``execute-twice``: no replica executes an identifier twice.
+* ``order-divergence``: replicas of one partition execute the commands
+  *conflicting* on a key in one order (on the identifiers both executed),
+  and replicas of different partitions order the commands they share alike.
+  Two commands conflict on a key only if one writes it (§3.3).
+* ``timestamp-order``: a replica of a timestamp-ordered protocol (Tempo,
+  Caesar) executes conflicting commands in ``(timestamp, id)`` order; an
+  inversion is the footprint of premature stability.
+* ``timestamp-divergence``: every replica executed an identifier at the
+  same committed timestamp.
+* ``real-time-order``: a command that completed at its client before a
+  conflicting one was submitted executes first everywhere.
+* ``liveness``: every live replica of a partition executed what a live
+  replica of it executed or committed and every expected command whose
+  submitter did not crash, and holds nothing pending.  ``stuck`` counts what
+  live replicas left pending or committed but unexecuted.
 
-Ordering invariants apply to PSMR's conflict relation (§3.3): two commands
-conflict on a key only if at least one **writes** it.  Read-read pairs are
-legitimately unordered — the read/write-aware dependency protocols (Atlas,
-EPaxos, Janus*) record no dependency between two reads and their replicas
-may interleave them differently.
-3. **Per-key timestamp monotonicity** — a replica of a timestamp-ordered
-   protocol (Tempo, Caesar) executes the commands touching any one key in
-   strictly increasing ``(timestamp, id)`` order; an inversion is exactly
-   the footprint of a premature-stability bug.  The invariant is per key
-   because only conflicting commands are ordered: Caesar's wait condition
-   lets non-conflicting commands execute in either order.
-4. **Commit-timestamp agreement** — all replicas that executed an
-   identifier observed the same committed timestamp for it.
-5. **Real-time order** — if command ``a`` completed at its client before
-   command ``b`` was submitted and the two conflict (share a key), no
-   replica executes ``b`` before ``a``.
-6. **Liveness** — at the end of the run every live replica of a partition
-   executed every command that a live replica of it executed or committed,
-   and every expected command (one whose submitter did not crash), and
-   holds nothing pending.  The report counts the commands live replicas
-   left pending or committed-but-unexecuted as ``stuck``.
-
-A protocol that declares ``TOTAL_TIMESTAMP_ORDER`` (Tempo) executes every
-command of a partition in ``(timestamp, id)`` order, so invariants 2 and 3
-hold it to every pair of commands at a replica, not only conflicting pairs:
-its replicas must share one total order.
-
-Liveness is a violation like the others, but only the safety rows make
-:meth:`ConsistencyReport.raise_if_violations` raise: a crash may strand a
-protocol with no coordinator recovery by design, and the caller decides
-whether a run had to converge.  All checks operate on the
-:class:`~repro.analysis.trace.ExecutionTraceRecorder` data only — they never
-re-run the protocol.
+Under ``TOTAL_TIMESTAMP_ORDER`` (Tempo) the order rows compare every pair of
+a partition's commands.  Only safety rows make ``raise_if_violations``
+raise; the caller judges :attr:`ConsistencyReport.converged`.
 """
 
 from __future__ import annotations
@@ -79,9 +59,8 @@ class ConsistencyReport:
     events: int = 0
     processes: int = 0
     commands: int = 0
-    #: Commands live replicas left pending or committed-but-unexecuted
-    #: (``None``: the trace carried no end-of-run replica states, so the
-    #: liveness row did not run).
+    #: Commands live replicas left pending or committed-but-unexecuted;
+    #: ``None`` when the trace has no replica states (liveness did not run).
     stuck: Optional[int] = None
 
     @property
@@ -119,14 +98,9 @@ def check_run(
     expected: Optional[Mapping[Dot, FrozenSet[int]]] = None,
     crashed: FrozenSet[int] = frozenset(),
 ) -> ConsistencyReport:
-    """Every invariant of this module over one finished run.
-
-    ``expected`` maps the commands known to have been submitted to the
-    partitions each accesses (the explorer's command table); each must have
-    executed at every live replica of those partitions unless its submitter
-    is in ``crashed``, the processes that crashed during the run, since a
-    command only its submitter knew dies with it.
-    """
+    """Every row over one finished run.  ``expected`` maps submitted
+    commands to the partitions they access; ``crashed`` names the processes
+    that crashed, whose commands no one else may have learnt."""
     report = ConsistencyReport(
         events=trace.event_count(),
         processes=len(trace.events_by_process),
@@ -138,7 +112,7 @@ def check_run(
     violations = report.violations
     scope = _whole_partition if trace.total_order else _conflicts
     _check_at_most_once(trace, violations)
-    _check_partition_order(trace, scope, violations)
+    _check_order(trace, scope, violations)
     _check_timestamp_monotonicity(trace, scope, violations)
     _check_timestamp_agreement(trace, violations)
     _check_real_time_order(trace, violations)
@@ -172,9 +146,8 @@ _PARTITION_KEY = "<every key>"
 
 
 def _conflicts(event) -> List[Tuple[str, bool]]:
-    """PSMR's conflict relation: each key of the event, and whether its
-    command writes it (conservatively ``True`` when the event carries no
-    write-key information)."""
+    """Each key of the event and whether it writes it (``True`` when the
+    event carries no write keys)."""
     writes = event.write_keys
     return [(key, writes is None or key in writes) for key in event.keys]
 
@@ -184,106 +157,78 @@ def _whole_partition(event) -> Tuple[Tuple[str, bool], ...]:
     return ((_PARTITION_KEY, True),)
 
 
-def _per_key_sequences(trace, scope: Scope) -> Dict[str, Dict[int, List[Tuple[Dot, bool]]]]:
-    """``key -> process -> [(dot, writes_key)] executed touching the key``."""
-    sequences: Dict[str, Dict[int, List[Tuple[Dot, bool]]]] = {}
+def _check_order(trace, scope: Scope, violations: List[Violation]) -> None:
+    """One order of the conflicting commands fits every replica: the union
+    of each replica's per-key conflict order (writes in order, each read
+    between the writes around it) has no cycle.  A key's order binds across
+    partitions at the partition owning it, so shards order their shared
+    commands alike; elsewhere, or without a partitioner, it binds that
+    partition's replicas only."""
+    partitioner, partitions = trace.partitioner, trace.partitions
+    owner: Dict[str, int] = {_PARTITION_KEY: -1}
+    successors: Dict[tuple, Set[tuple]] = {}
     for process_id, events in trace.events_by_process.items():
+        partition = partitions.get(process_id, 0)
+        last_write: Dict[str, tuple] = {}
+        reads: Dict[str, List[tuple]] = {}
         for event in events:
             for key, is_write in scope(event):
-                sequences.setdefault(key, {}).setdefault(process_id, []).append(
-                    (event.dot, is_write)
-                )
-    return sequences
-
-
-def _check_partition_order(trace, scope: Scope, violations: List[Violation]) -> None:
-    """Replicas of one partition agree on the per-key *conflict* order.
-
-    Per key and replica pair, restricted to the identifiers both executed:
-    the writes must appear in the same order, and every read must see the
-    same number of preceding writes (i.e. every read-write pair is ordered
-    the same way).  Read-read pairs are unordered by design.
-    """
-    sequences = _per_key_sequences(trace, scope)
-    partitions = trace.partitions
-    for key, per_process in sorted(sequences.items()):
-        by_partition: Dict[int, List[Tuple[int, List[Tuple[Dot, bool]]]]] = {}
-        for process_id, dots in per_process.items():
-            partition = partitions.get(process_id, 0)
-            by_partition.setdefault(partition, []).append((process_id, dots))
-        for partition, members in by_partition.items():
-            for index, (left_id, left) in enumerate(members):
-                left_set = {dot for dot, _ in left}
-                for right_id, right in members[index + 1 :]:
-                    common = left_set & {dot for dot, _ in right}
-                    if len(common) < 2:
-                        continue
-                    divergence = _conflict_order_divergence(left, right, common)
-                    if divergence is not None:
-                        violations.append(
-                            Violation(
-                                "order-divergence",
-                                f"key {key!r} partition {partition}: processes "
-                                f"{left_id} and {right_id} disagree — "
-                                f"{divergence}",
-                            )
-                        )
-                        # One witness per replica pair per key is enough.
-                        break
-
-
-def _conflict_order_divergence(left, right, common) -> Optional[str]:
-    """Compare two per-key sequences on their common conflicting pairs.
-
-    Returns a human-readable witness, or ``None`` if every write-write and
-    read-write pair appears in the same order on both sides.
-    """
-    left_writes = [dot for dot, is_write in left if is_write and dot in common]
-    right_writes = [dot for dot, is_write in right if is_write and dot in common]
-    if left_writes != right_writes:
-        return f"write order {left_writes} vs {right_writes}"
-    common_writes = set(left_writes)
-    # For each common read, the number of common writes executed before it
-    # must match: that pins every read-write pair without ordering reads
-    # against each other.
-    left_position = _write_positions(left, common, common_writes)
-    right_position = _write_positions(right, common, common_writes)
-    for dot, position in left_position.items():
-        other = right_position[dot]
-        if position != other:
-            return (
-                f"read {dot} follows {position} write(s) on one replica "
-                f"but {other} on the other"
+                if partitioner is not None and key not in owner:
+                    owner[key] = partitioner.partition_of(key)
+                if owner.get(key) in (partition, -1):
+                    node = (-1, "", event.dot)
+                else:
+                    node = (partition, key, event.dot)
+                earlier = reads.pop(key, []) if is_write else []
+                if key in last_write:
+                    earlier.append(last_write[key])
+                if is_write:
+                    last_write[key] = node
+                else:
+                    reads.setdefault(key, []).append(node)
+                for before in earlier:
+                    if before != node:
+                        successors.setdefault(before, set()).add(node)
+    cycle = _find_cycle(successors)
+    if cycle:
+        partition, key, _ = cycle[0]
+        where = f" on key {key!r} of partition {partition}" if key else ""
+        violations.append(
+            Violation(
+                "order-divergence",
+                f"replicas disagree{where} on the order of "
+                f"{' -> '.join(str(node[2]) for node in cycle)}",
             )
+        )
+
+
+def _find_cycle(successors: Mapping[tuple, Set[tuple]]) -> Optional[List[tuple]]:
+    """One cycle of the graph, closed on its first node; ``None`` if acyclic."""
+    done: Set[tuple] = set()
+    for root in sorted(successors):
+        if root in done:
+            continue
+        path, on_path = [root], {root}
+        pending = [iter(sorted(successors[root]))]
+        while pending:
+            following = next(pending[-1], None)
+            if following is None:
+                on_path.discard(path[-1])
+                done.add(path.pop())
+                pending.pop()
+            elif following in on_path:
+                return path[path.index(following) :] + [following]
+            elif following not in done:
+                path.append(following)
+                on_path.add(following)
+                pending.append(iter(sorted(successors.get(following, ()))))
     return None
 
 
-def _write_positions(sequence, common, common_writes) -> Dict[Dot, int]:
-    """``read dot -> number of common writes executed before it``."""
-    positions: Dict[Dot, int] = {}
-    writes_seen = 0
-    for dot, is_write in sequence:
-        if dot not in common:
-            continue
-        if dot in common_writes:
-            writes_seen += 1
-        elif not is_write:
-            positions[dot] = writes_seen
-    return positions
-
-
 def _check_timestamp_monotonicity(trace, scope: Scope, violations: List[Violation]) -> None:
-    """Per-key executions are strictly increasing in ``(timestamp, id)``.
-
-    An executed timestamp *below* its predecessor on the same key means a
-    command was executed before it was truly stable (a smaller-timestamped
-    conflicting command was still in flight).  Only same-key *conflicting*
-    pairs are compared — timestamp order is a property of conflicts:
-    Caesar's wait condition legally releases non-conflicting commands out
-    of timestamp order, and read-read pairs are never conflicts.  Tempo's
-    single stable heap is monotone over all of a replica's commands, and its
-    ``TOTAL_TIMESTAMP_ORDER`` scope checks exactly that.
-    """
+    """Conflicting executions are strictly increasing in ``(timestamp, id)``
+    (per key: Caesar's wait condition legally releases non-conflicting
+    commands out of timestamp order)."""
     for process_id, events in trace.events_by_process.items():
         # Per key: the largest (timestamp, id) executed so far over all
         # commands touching it, and over the writes only.  A write must
@@ -348,15 +293,9 @@ def _check_timestamp_agreement(trace, violations: List[Violation]) -> None:
 
 
 def _check_real_time_order(trace, violations: List[Violation]) -> None:
-    """PSMR real-time order: a command that completed before a conflicting
-    one was submitted executes first at every replica.
-
-    Per process and key, scan the executed sequence keeping the minimum
-    client-reply time over the suffix: an earlier-executed command whose
-    submit time is *after* some later-executed command's reply time is an
-    inversion.  Commands without a recorded window (e.g. submitted directly
-    in tests) are skipped.
-    """
+    """Per process and key, an earlier-executed command submitted after a
+    later-executed one's reply is an inversion (the minimum reply time over
+    each suffix finds it); commands without a window are skipped."""
     windows = trace.windows
     if not windows:
         return
@@ -418,15 +357,8 @@ def _check_liveness(
     violations: List[Violation],
 ) -> int:
     """Every live replica finished what its partition started; returns the
-    ``stuck`` count.
-
-    A command is owed at a partition's live replicas once any of them
-    executed or committed it, or when ``expected`` says it accesses the
-    partition and its submitter never crashed.  ``stuck`` counts, over the
-    live replicas, the pending commands and the committed ones not executed
-    (a committed command whose stability prerequisites were lost stalls the
-    execution queue without ever being pending).
-    """
+    ``stuck`` count (a committed command whose stability prerequisites were
+    lost stalls execution without ever being pending, so it counts too)."""
     replicas = trace.replicas
     partitions = trace.partitions
     executed = {

@@ -525,13 +525,7 @@ def explore(
     result = ExplorationResult(protocol=label)
     victim = processes[0].process_id if crash_coordinator else None
     explorer = _Explorer(
-        result,
-        config,
-        expected,
-        commands,
-        victim,
-        lose_names,
-        max_states,
+        result, config, expected, commands, victim, lose_names, max_states,
         stop_at_first_violation,
     )
     channels: Channels = {}

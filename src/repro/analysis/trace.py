@@ -11,12 +11,9 @@ Recording is observation-only: it never touches protocol state, RNG draws or
 the event schedule, so a traced run produces byte-identical results to an
 untraced one.
 
-At the end of a run :meth:`ExecutionTraceRecorder.snapshot` adds one
-:class:`ReplicaState` per replica — alive, pending, committed — the facts
-the liveness row of :func:`repro.analysis.consistency.check_run` needs.  An
-engine that cannot keep a listener (the small-model explorer pickles its
-processes) rebuilds the same trace after the fact with
-:meth:`ExecutionTraceRecorder.rebuild`.
+:meth:`ExecutionTraceRecorder.snapshot` adds each replica's end-of-run
+:class:`ReplicaState` for the liveness row; the small-model explorer, whose
+pickled processes keep no listener, uses :meth:`~ExecutionTraceRecorder.rebuild`.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.base import ProcessBase
-from repro.core.commands import Command
+from repro.core.commands import Command, Partitioner
 from repro.core.identifiers import Dot
 
 
@@ -91,12 +88,12 @@ class ExecutionTraceRecorder:
     events_by_process: Dict[int, List[TraceEvent]] = field(default_factory=dict)
     windows: Dict[Dot, CommandWindow] = field(default_factory=dict)
     partitions: Dict[int, int] = field(default_factory=dict)
-    #: End-of-run state per replica (:meth:`snapshot`); empty until then,
-    #: and the liveness row is skipped while it is.
+    #: End-of-run state per replica (:meth:`snapshot`); liveness needs it.
     replicas: Dict[int, ReplicaState] = field(default_factory=dict)
-    #: Whether the processes declare ``TOTAL_TIMESTAMP_ORDER``: the checks
-    #: then order every pair of a partition's commands, not only conflicts.
+    #: Whether the processes declare ``TOTAL_TIMESTAMP_ORDER``.
     total_order: bool = False
+    #: Which partition owns each key; ``None`` in hand-built traces.
+    partitioner: Optional[Partitioner] = None
 
     # -- wiring ----------------------------------------------------------------
 
@@ -104,17 +101,21 @@ class ExecutionTraceRecorder:
         """Subscribe to the execution events of every given process."""
         self._register(processes)
         for process in processes:
-            process.add_execution_listener(self._listener_for(process))
+            events = self.events_by_process[process.process_id]
+            process.add_execution_listener(
+                lambda _, dot, command, now, process=process, events=events: (
+                    events.append(_event(process, dot, command, now))
+                )
+            )
         return self
 
     @classmethod
     def rebuild(
         cls, processes: Sequence[ProcessBase], commands: Mapping[Dot, Command]
     ) -> "ExecutionTraceRecorder":
-        """The trace of a finished run, from each process's ``executed`` log,
-        the submitted ``commands`` and :meth:`ProcessBase.committed_timestamp`
-        read now (``None`` for a record the watermark GC already dropped),
-        with the end-of-run snapshot taken."""
+        """The snapshotted trace of a finished run, from each process's
+        ``executed`` log and the submitted ``commands`` (a timestamp reads
+        ``None`` once the watermark GC dropped its record)."""
         trace = cls()
         trace._register(processes)
         for process in processes:
@@ -137,15 +138,8 @@ class ExecutionTraceRecorder:
         for process in processes:
             self.partitions[process.process_id] = process.partition
             self.events_by_process.setdefault(process.process_id, [])
+            self.partitioner = process.partitioner
         self.total_order = all(process.TOTAL_TIMESTAMP_ORDER for process in processes)
-
-    def _listener_for(self, process: ProcessBase):
-        events = self.events_by_process[process.process_id]
-
-        def listener(process_id: int, dot: Dot, command, now: float) -> None:
-            events.append(_event(process, dot, command, now))
-
-        return listener
 
     # -- client windows ---------------------------------------------------------
 

@@ -127,9 +127,7 @@ class ProcessBase(abc.ABC):
     _dispatch: Dict[type, Callable[[int, object, float], None]] = {}
 
     #: Whether a replica executes *every* command of its partition in
-    #: ``(timestamp, id)`` order, conflicting or not, so the replicas of a
-    #: partition share one total order (Tempo, Theorem 1).  The trace checker
-    #: reads it (``repro.analysis.consistency.check_run``) and then holds
+    #: ``(timestamp, id)`` order (Tempo, Theorem 1); ``check_run`` then holds
     #: every pair of commands to the order rows, not only conflicting ones.
     TOTAL_TIMESTAMP_ORDER = False
 
@@ -550,9 +548,9 @@ class ProcessBase(abc.ABC):
         return [dot for dot, record in self._info.items() if record.is_committed]
 
     def pending_dots(self) -> List[Dot]:
-        """Identifiers in a pending phase here; none for the protocols that
-        keep no pending set."""
-        return []
+        """Identifiers in a pending phase here (FPaxos keeps no records, so
+        its liveness is only the executions it misses)."""
+        return [dot for dot, record in self._info.items() if record.is_pending]
 
     def partition_peers(self) -> Sequence[int]:
         """Processes replicating the same partition (including self)."""

@@ -813,10 +813,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         footprint["issued_promises"] = self.tracker.ledger_size()
         return footprint
 
-    def pending_dots(self) -> List[Dot]:
-        """Identifiers currently in a pending phase."""
-        return [dot for dot, record in self._info.items() if record.is_pending]
-
     def stable_timestamp(self) -> int:
         """Currently known highest stable timestamp (Theorem 1)."""
         return self.promises.stable_timestamp(self.partition_peers())

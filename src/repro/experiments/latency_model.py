@@ -103,17 +103,6 @@ def queueing_latency(base_ms: float, offered_load: float, capacity: float) -> fl
     return base_ms / max(1e-3, (1.0 - utilization)) ** 0.5
 
 
-def closed_loop_throughput(
-    clients: int, latency_ms: float, capacity: float
-) -> float:
-    """Throughput of ``clients`` closed-loop clients with the given latency,
-    capped by the saturation capacity."""
-    if latency_ms <= 0:
-        return capacity
-    offered = clients / (latency_ms / 1000.0)
-    return min(offered, capacity)
-
-
 def load_curve(
     clients_per_site: Sequence[int],
     num_sites: int,

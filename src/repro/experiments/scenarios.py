@@ -11,11 +11,11 @@ depends on) and Zipfian conflict skew — and certifies every cell with the
 :mod:`repro.analysis` trace checker (the run *raises* on any consistency
 violation, so a matrix row exists only if the invariants held).
 
-Each cell reports tail latency, how many commands were left stuck on alive
-replicas, and whether the survivors converged: the liveness row of
-:func:`repro.analysis.consistency.check_run`, which also holds Tempo, a
-per-shard total order, to identical execution orders.  Convergence is a *requirement* for every cell whose fault plan
-can lose or delay traffic: Tempo's repair pass (:mod:`repro.core.repair`:
+Each cell reports tail latency and, from the liveness row of
+:func:`repro.analysis.consistency.check_run`, how many commands were left
+stuck on alive replicas and whether the survivors converged.  Convergence
+is a *requirement* for every cell whose fault plan can lose or delay
+traffic: Tempo's repair pass (:mod:`repro.core.repair`:
 the blocked side asks again for a missing commit, promises or remote
 ``MStable``, and the leader recovers, §B.1) plus the reliable-delivery
 layer (:mod:`repro.reliability`: ack-driven commit/MStable retransmission,
@@ -317,21 +317,14 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
 
 def run_cell(cell: ScenarioCell) -> Dict[str, object]:
     """Run one cell and build its matrix row from the run's ``check_run``
-    report.
-
-    ``run_experiment`` raises on any safety violation, so a returned row is
-    certified; convergence is asserted where the cell requires it.
-    """
+    report (``run_experiment`` raises on any safety violation, so a
+    returned row is certified); assert convergence where required."""
     result = run_experiment(cell.config)
     report = result.trace_report
     if report is None:
         raise ValueError(f"cell {cell.name} ({cell.protocol}) recorded no trace")
-    stuck, converged = report.stuck, report.converged
     if cell.requires_convergence:
-        assert converged, (
-            f"cell {cell.name} ({cell.protocol}): expected convergence, "
-            f"{stuck} commands stuck\n{report.summary()}"
-        )
+        assert report.converged, f"cell {cell.name} ({cell.protocol}): {report.summary()}"
     row: Dict[str, object] = {
         "scenario": cell.name,
         "protocol": cell.protocol,
@@ -340,9 +333,9 @@ def run_cell(cell: ScenarioCell) -> Dict[str, object]:
         "p50": round(result.percentile(50.0), 1),
         "p99": round(result.percentile(99.0), 1),
         "p99.9": round(result.percentile(99.9), 1),
-        "stuck": stuck,
+        "stuck": report.stuck,
         # A cell that requires convergence has asserted it above.
-        "converged": "yes" if converged else NOT_CONVERGED_BY_SCOPE,
+        "converged": "yes" if report.converged else NOT_CONVERGED_BY_SCOPE,
         # Identifiers dropped by the watermark GC across the run: the
         # witness that collection keeps running (or honestly stalls)
         # under the cell's fault shape.
@@ -354,8 +347,3 @@ def run_cell(cell: ScenarioCell) -> Dict[str, object]:
             f"tail bound: {row}"
         )
     return row
-
-
-def run_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[Dict[str, object]]:
-    """Run the whole campaign and return the matrix rows, cell order."""
-    return [run_cell(cell) for cell in build_matrix(options)]

@@ -69,6 +69,10 @@ class CaesarInfo:
     def is_committed(self) -> bool:
         return self.status in ("commit", "execute")
 
+    @property
+    def is_pending(self) -> bool:
+        return self.status == "propose"
+
 
 @dataclass
 class _DeferredReply:

@@ -168,6 +168,10 @@ class DepInfo:
     def is_committed(self) -> bool:
         return self.status in ("commit", "execute")
 
+    @property
+    def is_pending(self) -> bool:
+        return self.status in ("preaccept", "accept")
+
     def awaiting(self, acked) -> List[int]:
         """Members of the current round whose ack is missing from ``acked``."""
         return [member for member in self.expected if member not in acked]
@@ -580,13 +584,6 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         self.executor.collect(dot)
 
     # -- introspection -------------------------------------------------------------------
-
-    def pending_dots(self) -> List[Dot]:
-        return [
-            dot
-            for dot, record in self._info.items()
-            if record.status in ("preaccept", "accept")
-        ]
 
     def max_component_size(self) -> int:
         """Largest strongly connected component executed so far."""

@@ -141,15 +141,6 @@ class DependencyGraph:
     def is_committed(self, dot: Dot) -> bool:
         return dot in self._nodes
 
-    def is_executed(self, dot: Dot) -> bool:
-        return dot in self._executed
-
-    def committed_count(self) -> int:
-        return len(self._nodes)
-
-    def executed_count(self) -> int:
-        return len(self._executed)
-
     def pending_execution(self) -> List[Dot]:
         """Committed commands not yet executed."""
         return list(self._unexecuted)

@@ -1,6 +1,6 @@
-"""Mutation self-test: the analyzer must catch a real historical bug.
+"""Mutation self-tests: the analyzers must catch real bugs.
 
-The mutation re-introduces the even-``r`` majority-index regression in
+The first mutation re-introduces the even-``r`` majority-index regression in
 :meth:`repro.core.promises.PromiseSet.stable_timestamp` (PR 1): picking the
 ``r//2``-th sorted frontier instead of the ``(r-1)//2``-th.  For even ``r``
 the resulting "stable" timestamp is backed by only ``r/2`` promisers — one
@@ -19,20 +19,30 @@ Both analysis pillars must detect it, and both must be clean without it:
   The test replays that §B.1 race as a deterministic message schedule
   against one replica; under the mutation the replica executes a later
   timestamp first and the checker reports ``timestamp-order``.
+
+:class:`TestOneMutationPerRow` then gives every other row of
+:func:`repro.analysis.consistency.check_run` its own mutation, tripped in a
+traced run and, where the explorer can see the row, in the explorer.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 import repro.core.promises as promises_mod
 from repro.analysis.smallmodel import explore
 from repro.analysis.trace import ExecutionTraceRecorder
+from repro.cluster.config import ExperimentConfig
+from repro.cluster.runner import run_experiment
+from repro.core.base import ProcessBase
 from repro.core.commands import Command, KeyOp, OpKind, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import intern_dot
 from repro.core.messages import MCommit, MPayload, MPromises, MPropose
 from repro.core.process import TempoProcess
+from repro.protocols.dependency import DependencyProtocolProcess
 
 
 def _buggy_stable_timestamp(self, processes):
@@ -166,3 +176,139 @@ class TestTraceCheckerDetection:
         # Correct stability holds a@3 back until b@1 resolves.
         executed = [str(dot) for dot in process.executed]
         assert executed[0] == "0.1"
+
+
+# -- one mutation per check_run row ------------------------------------------------
+
+_seam = ProcessBase._execute_command
+_execute_all = DependencyProtocolProcess._execute_all
+_on_commit = TempoProcess._on_commit
+_submit = TempoProcess.submit
+
+
+def _execute_twice(self, dot, command, now, reply):
+    # Past the seam's at-most-once range check, which would refuse a
+    # second call: process 1 records every execution twice.
+    _seam(self, dot, command, now, reply)
+    if self.process_id == 1:
+        self.record_execution(dot, command, now)
+
+
+def _reverse_batches_at_process_1(self, dots, now):
+    _execute_all(self, dots[::-1] if self.process_id == 1 else dots, now)
+
+
+def _reverse_batches_at_partition_1(self, dots, now):
+    _execute_all(self, dots[::-1] if self.partition == 1 else dots, now)
+
+
+def _shift_commits_at_process_1(self, sender, message, now):
+    if self.process_id == 1:
+        message = dataclasses.replace(message, timestamp=message.timestamp + 1)
+    _on_commit(self, sender, message, now)
+
+
+# Tempo's dispatch table resolves handlers by name.
+_shift_commits_at_process_1.__name__ = "_on_commit"
+
+
+def _reply_on_submit(self, command, now=0.0):
+    # The client hears back before the command is ordered; the reply at
+    # execution comes too late to count.
+    _submit(self, command, now)
+    self.outbox.append(self._client_reply(command.dot, command, None))
+
+
+def _never_execute_at_process_1(self, dot, command, now, reply):
+    if self.process_id != 1:
+        _seam(self, dot, command, now, reply)
+
+
+#: ``row -> (class, attribute, mutant, protocol, explorer keywords)``;
+#: ``None`` keywords: the explorer cannot see the row (no client windows
+#: for real-time order; timestamp-order is the stability-safety mutation
+#: above, and the shifted commits only stall the explorer's lattice, whose
+#: timestamp-divergence is the 2(e) lattice's, ``test_smallmodel.py``).
+MUTATIONS = {
+    "execute-twice": (ProcessBase, "_execute_command", _execute_twice, "tempo", {}),
+    "order-divergence": (
+        DependencyProtocolProcess,
+        "_execute_all",
+        _reverse_batches_at_process_1,
+        "atlas",
+        {},
+    ),
+    "order-divergence across partitions": (
+        DependencyProtocolProcess,
+        "_execute_all",
+        _reverse_batches_at_partition_1,
+        "janus",
+        {"num_partitions": 2},
+    ),
+    "timestamp-divergence": (
+        TempoProcess,
+        "_on_commit",
+        _shift_commits_at_process_1,
+        "tempo",
+        None,
+    ),
+    "real-time-order": (TempoProcess, "submit", _reply_on_submit, "tempo", None),
+    "liveness": (ProcessBase, "_execute_command", _never_execute_at_process_1, "tempo", {}),
+}
+
+
+def _traced_run(protocol, explorer_keywords):
+    sharded = explorer_keywords and "num_partitions" in explorer_keywords
+    return run_experiment(
+        ExperimentConfig(
+            protocol=protocol,
+            num_sites=3,
+            num_shards=2 if sharded else 1,
+            keys_per_command=2 if sharded else 1,
+            clients_per_site=2,
+            conflict_rate=1.0,
+            duration_ms=500.0,
+            warmup_ms=0.0,
+            record_execution_trace=True,
+        )
+    )
+
+
+class TestOneMutationPerRow:
+    @pytest.mark.parametrize("row", sorted(MUTATIONS))
+    def test_a_traced_run_trips_the_row(self, monkeypatch, row):
+        owner, attribute, mutant, protocol, keywords = MUTATIONS[row]
+        monkeypatch.setattr(owner, attribute, mutant)
+        code = row.split()[0]
+        if code == "liveness":
+            report = _traced_run(protocol, keywords).trace_report
+            assert not report.converged and report.stuck > 0, report.summary()
+        else:
+            with pytest.raises(AssertionError, match=rf"\[{code}\]"):
+                _traced_run(protocol, keywords)
+
+    @pytest.mark.parametrize(
+        "row", sorted(row for row, mutation in MUTATIONS.items() if mutation[4] is not None)
+    )
+    def test_the_explorer_trips_the_row(self, monkeypatch, row):
+        owner, attribute, mutant, protocol, keywords = MUTATIONS[row]
+        monkeypatch.setattr(owner, attribute, mutant)
+        result = explore(
+            protocol, num_commands=2, stop_at_first_violation=True, **keywords
+        )
+        codes = {violation.code for violation in result.violations}
+        assert row.split()[0] in codes, result.summary()
+
+    def test_a_shard_wide_swap_is_one_cycle_across_partitions(self, monkeypatch):
+        # Every replica of shard 1 swaps alike, so each shard's replicas
+        # agree: the witness is a cycle through keys of both shards, not a
+        # disagreement on one key.
+        monkeypatch.setattr(
+            DependencyProtocolProcess, "_execute_all", _reverse_batches_at_partition_1
+        )
+        result = explore(
+            "janus", num_commands=2, num_partitions=2, stop_at_first_violation=True
+        )
+        (violation,) = result.violations
+        assert violation.code == "order-divergence"
+        assert violation.detail == "replicas disagree on the order of 0.1 -> 1.1 -> 0.1"

@@ -2,14 +2,19 @@
 
 Each invariant of :mod:`repro.analysis.consistency` is exercised with a
 hand-built trace: a minimal clean trace, then one trace per violation code
-(execute-twice, order-divergence, timestamp-order, timestamp-divergence,
-real-time-order) plus the edge cases that must NOT trip the checker
-(single-dot overlaps, cross-partition comparisons, unreplied windows).
+(execute-twice, order-divergence within and across partitions,
+timestamp-order, timestamp-divergence, real-time-order, liveness) plus the
+edge cases that must NOT trip the checker (single-dot overlaps, replicas of
+different partitions without a partitioner, unreplied windows).
 """
 
 from __future__ import annotations
 
-from repro.analysis.trace import ExecutionTraceRecorder, TraceEvent
+import pytest
+
+from repro.analysis.consistency import check_run
+from repro.analysis.trace import ExecutionTraceRecorder, ReplicaState, TraceEvent
+from repro.core.commands import Partitioner
 from repro.core.identifiers import intern_dot
 
 
@@ -322,8 +327,184 @@ class TestRecorderWiring:
             assert events[0].timestamp is not None
 
     def test_raise_if_violations_raises(self):
-        import pytest
-
         report = _recorder([_event(0, D1), _event(0, D1)]).check()
         with pytest.raises(AssertionError, match="execute-twice"):
             report.raise_if_violations()
+
+
+def _codes(report):
+    return [violation.code for violation in report.violations]
+
+
+class TestTotalOrder:
+    """``TOTAL_TIMESTAMP_ORDER`` widens the order rows from conflicting
+    pairs to every pair of a partition's commands."""
+
+    def test_disjoint_keys_are_compared_under_a_total_order(self):
+        events = [
+            _event(0, D1, keys=("a",)),
+            _event(0, D2, keys=("b",)),
+            _event(1, D2, keys=("b",)),
+            _event(1, D1, keys=("a",)),
+        ]
+        recorder = _recorder(events)
+        assert recorder.check().ok
+        recorder.total_order = True
+        assert "order-divergence" in _codes(recorder.check())
+
+    def test_swapped_reads_diverge_under_a_total_order(self):
+        events = [
+            _event(0, D1, write_keys=()),
+            _event(0, D2, write_keys=()),
+            _event(1, D2, write_keys=()),
+            _event(1, D1, write_keys=()),
+        ]
+        recorder = _recorder(events)
+        recorder.total_order = True
+        assert "order-divergence" in _codes(recorder.check())
+
+    def test_timestamps_must_rise_across_keys_under_a_total_order(self):
+        recorder = _recorder(
+            [_event(0, D1, keys=("a",), timestamp=5), _event(0, D2, keys=("b",), timestamp=3)]
+        )
+        assert recorder.check().ok
+        recorder.total_order = True
+        assert _codes(recorder.check()) == ["timestamp-order"]
+
+
+class TestCrossPartitionOrder:
+    """With the deployment's partitioner, replicas of different partitions
+    must order the commands they share alike on the keys each owns."""
+
+    PARTITIONER = Partitioner(2, explicit={"x": 0, "y": 1, "z": 1})
+
+    def _trace(self, shard_1_order, keys=("x", "y"), write_keys=None):
+        events = [
+            _event(0, dot, keys=keys, write_keys=write_keys) for dot in (D1, D2)
+        ] + [
+            _event(1, dot, keys=keys, partition=1, write_keys=write_keys)
+            for dot in shard_1_order
+        ]
+        recorder = _recorder(events)
+        recorder.partitioner = self.PARTITIONER
+        return recorder
+
+    def test_opposite_orders_at_two_partitions_are_flagged(self):
+        report = self._trace([D2, D1]).check()
+        assert _codes(report) == ["order-divergence"]
+        assert report.violations[0].detail.startswith("replicas disagree on the order")
+
+    def test_agreeing_partitions_are_ok(self):
+        assert self._trace([D1, D2]).check().ok
+
+    def test_a_partition_owns_only_its_keys(self):
+        # Both commands meet on x (partition 0) and on different keys of
+        # partition 1, so partition 1 may order them either way.
+        events = [
+            _event(0, D1, keys=("x", "y")),
+            _event(0, D2, keys=("x", "z")),
+            _event(1, D2, keys=("x", "z"), partition=1),
+            _event(1, D1, keys=("x", "y"), partition=1),
+        ]
+        recorder = _recorder(events)
+        recorder.partitioner = self.PARTITIONER
+        assert recorder.check().ok
+
+    def test_reads_on_both_partitions_are_no_conflict(self):
+        assert self._trace([D2, D1], write_keys=()).check().ok
+
+
+def _replica(alive=True, pending=(), committed=()):
+    return ReplicaState(alive, tuple(pending), tuple(committed))
+
+
+class TestLiveness:
+    def _recorder(self, events, replicas, partitions=None):
+        recorder = _recorder(events, partitions)
+        for process_id, state in replicas.items():
+            recorder.replicas[process_id] = state
+            recorder.partitions.setdefault(process_id, 0)
+            recorder.events_by_process.setdefault(process_id, [])
+        return recorder
+
+    def test_without_replica_states_the_row_does_not_run(self):
+        report = _recorder([_event(0, D1)]).check()
+        assert report.stuck is None and report.converged
+
+    def test_replicas_that_executed_the_same_commands_converge(self):
+        recorder = self._recorder(
+            [_event(0, D1), _event(1, D1)], {0: _replica(), 1: _replica()}
+        )
+        report = recorder.check()
+        assert report.ok and report.stuck == 0
+        assert "liveness: converged, 0 stuck" in report.summary()
+
+    def test_a_command_a_peer_executed_is_owed(self):
+        recorder = self._recorder(
+            [_event(0, D1), _event(0, D2), _event(1, D1)],
+            {0: _replica(), 1: _replica()},
+        )
+        report = recorder.check()
+        assert _codes(report) == ["liveness"] and not report.converged
+        assert "process 1 never executed ['1.1']" in report.violations[0].detail
+
+    def test_a_crashed_replica_owes_nothing(self):
+        recorder = self._recorder(
+            [_event(0, D1), _event(0, D2), _event(1, D1)],
+            {0: _replica(), 1: _replica(alive=False)},
+        )
+        assert recorder.check().converged
+
+    def test_other_partitions_owe_nothing(self):
+        recorder = self._recorder(
+            [_event(0, D1), _event(1, D2, partition=1)],
+            {0: _replica(), 1: _replica()},
+        )
+        assert recorder.check().converged
+
+    def test_committed_unexecuted_and_pending_commands_are_stuck(self):
+        recorder = self._recorder(
+            [_event(0, D1), _event(1, D1)],
+            {0: _replica(committed=(D1, D2)), 1: _replica(pending=(D3,))},
+        )
+        report = recorder.check()
+        assert report.stuck == 2
+        details = [violation.detail for violation in report.violations]
+        # D2 committed at 0 is owed at both; 1 also still holds D3.
+        assert details == [
+            "process 0 never executed ['1.1']",
+            "process 1 never executed ['1.1']",
+        ]
+
+    def test_pending_alone_is_a_violation(self):
+        recorder = self._recorder([_event(0, D1)], {0: _replica(pending=(D2,))})
+        report = recorder.check()
+        assert report.stuck == 1
+        assert report.violations[0].detail == "process 0 still holds pending ['1.1']"
+
+    def test_expected_commands_are_owed_unless_their_submitter_crashed(self):
+        recorder = self._recorder([], {0: _replica(), 1: _replica(alive=False)})
+        expected = {D1: frozenset({0}), D2: frozenset({0})}
+        report = check_run(recorder, expected=expected)
+        assert "['0.1', '1.1']" in report.violations[0].detail
+        report = check_run(recorder, expected=expected, crashed=frozenset({1}))
+        assert "['0.1']" in report.violations[0].detail
+
+    def test_expected_commands_are_owed_only_where_they_access(self):
+        recorder = self._recorder(
+            [], {0: _replica(), 1: _replica()}, partitions={0: 0, 1: 1}
+        )
+        report = check_run(recorder, expected={D1: frozenset({1})})
+        assert [violation.detail for violation in report.violations] == [
+            "process 1 never executed ['0.1']"
+        ]
+
+    def test_liveness_alone_does_not_raise(self):
+        recorder = self._recorder([], {0: _replica(pending=(D1,))})
+        report = recorder.check()
+        assert not report.converged
+        report.raise_if_violations()
+        recorder.events_by_process[0] = [_event(0, D2), _event(0, D2)]
+        with pytest.raises(AssertionError, match="execute-twice") as raised:
+            recorder.check().raise_if_violations()
+        assert "[liveness]" not in str(raised.value)

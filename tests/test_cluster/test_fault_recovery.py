@@ -46,14 +46,12 @@ def tempo_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**options)
 
 
-def stuck_commands(result) -> int:
-    """Commands an alive replica left pending or committed-but-unexecuted."""
-    alive = [process for process in result.deployment.processes if process.alive]
-    return sum(
-        len(process.pending_dots())
-        + len(set(process.committed_dots()) - set(process.executed_dots()))
-        for process in alive
-    )
+def assert_converged(result) -> None:
+    """``check_run``'s liveness row held: no alive replica left a command
+    pending or committed-but-unexecuted, and each partition's alive
+    replicas executed the same commands."""
+    report = result.trace_report
+    assert report.stuck == 0 and report.converged, report.summary()
 
 
 def assert_bounded_retransmission(faulty, healthy, kind: str) -> None:
@@ -82,7 +80,7 @@ class TestSustainedLossRecovery:
         healthy = run_experiment(tempo_config())
         faulty = run_experiment(tempo_config(fault_plan=plan))
         assert faulty.completed > 0
-        assert stuck_commands(faulty) == 0
+        assert_converged(faulty)
         assert_bounded_retransmission(faulty, healthy, "MCommitRequest")
         assert_bounded_retransmission(faulty, healthy, "MPayload")
 
@@ -100,7 +98,7 @@ class TestSustainedLossRecovery:
         faulty = run_experiment(tempo_config(fault_plan=plan))
         alive = [p for p in faulty.deployment.processes if p.alive]
         assert len(alive) == 3
-        assert stuck_commands(faulty) == 0
+        assert_converged(faulty)
         # Survivors agree on one execution order.
         assert len({tuple(p.executed_dots()) for p in alive}) == 1
         assert_bounded_retransmission(faulty, healthy, "MCommitRequest")
@@ -127,7 +125,7 @@ class TestSustainedLossRecovery:
         )
         faulty = run_experiment(tempo_config(fault_plan=plan))
         assert faulty.completed > 0
-        assert stuck_commands(faulty) == 0
+        assert_converged(faulty)
 
 
 class TestCrashRestartRepairTraffic:
@@ -146,7 +144,7 @@ class TestCrashRestartRepairTraffic:
         healthy = run_experiment(tempo_config(**options))
         faulty = run_experiment(tempo_config(fault_plan=plan, **options))
         assert all(process.alive for process in faulty.deployment.processes)
-        assert stuck_commands(faulty) == 0
+        assert_converged(faulty)
         assert_bounded_retransmission(faulty, healthy, "MPayload")
         assert_bounded_retransmission(faulty, healthy, "MCommitRequest")
         assert faulty.stats.get("retransmit_expired", 0.0) == 0.0
