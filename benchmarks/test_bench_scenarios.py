@@ -11,13 +11,13 @@ The matrix doubles as the CI regression gate for the unhappy paths:
 
 * every cell whose fault plan can lose or delay traffic *asserts*
   convergence inside ``run_cell`` (no stuck commands, one agreed execution
-  order per shard) — the reliable-delivery layer flips the formerly
-  stranded restart/partition/flaky/targeted cells; only the baselines'
+  order per shard) — the repair pass, where the blocked side asks again,
+  drains the restart/partition/flaky/targeted cells; only the baselines'
   coordinator crashes, outside the paper's scope, report ``converged=no*``
   and put the table's legend under it;
-* the promoted worst cells (Tempo's crash and partition cells, whose
-  recovery stalls dominate the grid) additionally gate their p99.9 under
-  ``WORST_CELL_TAIL_BOUND_MS``;
+* the promoted worst cells (Tempo's crash cells and every protocol's
+  restart and partition cells, whose recovery stalls dominate the grid)
+  additionally gate their p99.9 under ``WORST_CELL_TAIL_BOUND_MS``;
 * the emitted table is deterministic byte-for-byte, so the results-drift
   CI job diffs it like every other golden figure.
 """
@@ -67,17 +67,17 @@ def test_bench_scenario_matrix(benchmark, results_emitter):
     mstable = by_cell[("mstable-loss/x-shard", "tempo")]
     assert mstable["converged"] == "yes" and mstable["stuck"] == 0, mstable
 
-    # The reliable-delivery layer retransmits the baselines' commit
-    # broadcasts until acked, so sustained targeted loss no longer
-    # strands work on them.
+    # A baseline replica that lost a commit broadcast asks for it again
+    # (the repair pass), so sustained targeted loss no longer strands
+    # work on them.
     for protocol in ("atlas", "epaxos"):
         loss = by_cell[("commit-loss/p0.3", protocol)]
         assert loss["stuck"] == 0 and loss["converged"] == "yes", loss
 
-    # Crash/restart: every restarted replica catches up — Tempo via its
-    # liveness machinery, the baselines via commit retransmission and
-    # coordinator re-solicitation — AND the watermark GC, stalled while
-    # the peer was down, resumed collecting after the catch-up.
+    # Crash/restart: every restarted replica catches up through the
+    # repair pass — it pulls what it missed and the coordinators re-send
+    # their unfinished rounds — AND the watermark GC, stalled while the
+    # peer was down, resumed collecting after the catch-up.
     restart_cells = [cell for cell in cells if cell.shape == "restart"]
     assert restart_cells, "restart shape missing from the matrix"
     for cell in restart_cells:

@@ -5,9 +5,10 @@ event-system checkers (GeneSyst, BesFS): :func:`explore` builds a bounded
 cluster of any registered protocol with ``build_replicas``, submits every
 command up front, then runs a DFS over *all* delivery-order interleavings of
 per-``(sender, destination)`` FIFO channels (the ordering the simulator's
-per-pair latencies provide).  Tempo, the one protocol whose recovery and
-repair pass are in the tree, also takes a coordinator crash and the loss of
-one message of named kinds, each at any depth, once per path.
+per-pair latencies provide).  Tempo, the one protocol whose coordinator
+recovery is in the tree, also takes a coordinator crash at any depth; Tempo,
+Atlas, EPaxos and Janus*, whose blocked side pulls what loss strands, take
+the loss of one message of named kinds at any depth, once per path.
 
 States are memoized by a fingerprint derived, not written: every process is
 digested by :func:`canonical`, a walker over all of its attributes except
@@ -50,10 +51,12 @@ from repro.wire import encode, registered_types
 #: A channel is the FIFO of in-flight messages from one process to another.
 Channels = Dict[Tuple[int, int], List[object]]
 
-#: The protocols whose fault paths are in the tree: coordinator recovery
-#: (Algorithm 4) and the pull-only repair pass.  The baselines have neither
-#: (ROADMAP 4(c), 5(b)), so a crash or a loss would strand them by design.
-_FAULT_TOLERANT = frozenset({"tempo"})
+#: The protocols with coordinator recovery (Algorithm 4) in the tree: the
+#: baselines have none (ROADMAP 4(c)), so a coordinator crash strands them.
+_CRASH_TOLERANT = frozenset({"tempo"})
+#: The protocols whose blocked side pulls what loss strands
+#: (``repro.core.repair``); Caesar re-sends through its retransmit buffer.
+_LOSS_TOLERANT = frozenset({"tempo", "atlas", "epaxos", "janus"})
 #: The protocols that order a command across the partitions it accesses;
 #: the others run it at the submitter's partition alone.
 _PARTIAL_REPLICATION = frozenset({"tempo", "janus"})
@@ -473,10 +476,11 @@ def explore(
     ``crash_coordinator`` lets the first command's submitter crash at any
     depth; ``lose_kinds`` names the registered message kinds (for instance
     ``["MCommit", "MStable"]``) of which one in-flight instance may vanish
-    at any depth.  Both need a protocol whose recovery and repair are in the
-    tree — Tempo — and raise ``ValueError`` elsewhere, as do an unregistered
-    kind and partitions on a protocol that does not order a command across
-    them: a typo must not explore a loss-free lattice and report it clean.
+    at any depth.  The crash needs coordinator recovery (Tempo), the loss a
+    protocol that pulls what it strands (Tempo, Atlas, EPaxos, Janus*); each
+    raises ``ValueError`` elsewhere, as do an unregistered kind and
+    partitions on a protocol that does not order a command across them: a
+    typo must not explore a loss-free lattice and report it clean.
 
     Counts are exact: the fingerprint is a pure function of protocol state,
     so a count that moves means the reachable states moved.  Mutation hunts
@@ -484,11 +488,12 @@ def explore(
     first state that breaks an invariant.
     """
     lose_names = frozenset(lose_kinds or ())
-    if (crash_coordinator or lose_names) and protocol not in _FAULT_TOLERANT:
-        raise ValueError(
-            f"{protocol} has no coordinator recovery or repair pass in the tree "
-            "(ROADMAP 4(c), 5(b)): crash_coordinator and lose_kinds are Tempo's"
-        )
+    for option, asked, able in (
+        ("crash_coordinator", crash_coordinator, _CRASH_TOLERANT),
+        ("lose_kinds", lose_names, _LOSS_TOLERANT),
+    ):
+        if asked and protocol not in able:
+            raise ValueError(f"{option} needs one of {sorted(able)}, not {protocol}")
     unknown = lose_names - {kind.__name__ for kind in registered_types()}
     if unknown:
         raise ValueError(f"lose_kinds names unregistered kinds {sorted(unknown)}")
@@ -581,7 +586,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="KIND",
         help="allow one in-flight message of this registered kind (e.g. "
-        "MStable) to be lost; repeatable (tempo only)",
+        "MStable) to be lost; repeatable (tempo, atlas, epaxos, janus)",
     )
     parser.add_argument(
         "--partitions",

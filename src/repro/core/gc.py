@@ -10,7 +10,8 @@ executed at every replica of the partition, so its protocol bookkeeping
 (``CommandInfo`` records, per-key conflict archives, Caesar's committed-
 timestamp archive) can be dropped: no correct protocol step ever needs it
 again, and late duplicates referring to collected identifiers are
-suppressed by the O(1) :meth:`GcTracker.collected` predicate.
+suppressed by the O(1) :meth:`GcTracker.collected` predicate.  Janus*
+executes every command everywhere, so its peers are every process.
 
 The chain invariant
 -------------------
@@ -48,7 +49,7 @@ once it catches up after a restart, which is safe under every schedule.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.identifiers import Dot, intern_dot
 from repro.core.messages import MExecutedClock
@@ -226,14 +227,24 @@ class WatermarkGcMixin:
     ``self.gc.record_executed``.
     """
 
+    _DIGEST_EXEMPT = frozenset({"_gc_peers"})  # constant wiring
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.gc = GcTracker(self.process_id, self.partition_peers())
+        members = self._gc_members()
+        self.gc = GcTracker(self.process_id, members)
+        #: The other members: where the executed clock is announced.
+        self._gc_peers = [peer for peer in members if peer != self.process_id]
         self._last_gc_announce = float("-inf")
+
+    def _gc_members(self) -> Sequence[int]:
+        """The processes that execute this one's dots, and so must all have
+        executed a dot before it is collected: the partition's replicas."""
+        return self.partition_peers()
 
     def _gc_announce(self, now: float) -> None:
         """Once per ``gc_interval``, announce the local executed clock to
-        the partition peers and sweep.
+        ``_gc_peers`` and sweep.
 
         The exchange has its own (slower) cadence — collection latency only
         bounds the live-record window, so there is no reason to pay a clock
@@ -245,9 +256,9 @@ class WatermarkGcMixin:
             return
         self._last_gc_announce = now
         clock = self.gc.announcement()
-        if clock and self._other_peers:
+        if clock and self._gc_peers:
             self.send(
-                self._other_peers, MExecutedClock(self._sentinel(), clock=clock), now
+                self._gc_peers, MExecutedClock(self._sentinel(), clock=clock), now
             )
         self._gc_sweep()
 

@@ -295,13 +295,15 @@ class MRepairRequest(Message):
     The happy path sends commits, promises and cross-partition stability
     notifications exactly once, so a lost copy is only ever replaced when
     the blocked side pulls it again (:mod:`repro.core.repair`).  The reply
-    reuses the ordinary payloads: ``MPayload`` + ``MCommit`` for
-    :attr:`Need.COMMIT` if the receiver committed ``dot``; ``MStable`` for
-    :attr:`Need.STABLE` if it stabilised (or already collected) it; and for
-    :attr:`Need.PROMISES` an ``MPromises`` with everything the receiver
+    reuses the ordinary payloads.  :attr:`Need.COMMIT`: ``MPayload`` +
+    ``MCommit`` if a Tempo receiver committed ``dot``; from an Atlas /
+    EPaxos / Janus* one, ``MDepCommit`` for each dot of ``dot``'s source
+    it committed above ``frontier`` up to ``dot``.  :attr:`Need.STABLE`:
+    ``MStable`` if it stabilised (or already collected) ``dot``.
+    :attr:`Need.PROMISES`: an ``MPromises`` with everything the receiver
     issued above ``frontier`` — the requester's contiguous frontier of the
     receiver's promises — plus the payload and commit of its committed
-    commands attached above it.  ``frontier`` is 0 for the other needs.
+    commands attached above it.  Tempo's other requests leave ``frontier`` 0.
     """
 
     need: int

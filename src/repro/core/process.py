@@ -110,11 +110,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         #: Recovery-phase identifiers for which the MCommitRequest (Algorithm
         #: 6, line 96) was already sent; asking again is the repair pass's job.
         self._commit_requested: Set[Dot] = set()
-        #: The repair pass's only state: per need, the dots missing that
-        #: ingredient mapped to ``[since, asked]`` (:mod:`repro.core.repair`).
-        self._blocked: Dict[Need, Dict[Dot, List[float]]] = {
-            need: {} for need in Need
-        }
         #: Min-heap of ``(timestamp, dot)`` for committed identifiers whose
         #: MStable has not been sent yet (drained by stability_check).
         self._commit_heap: List[Tuple[int, Dot]] = []

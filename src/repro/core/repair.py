@@ -1,12 +1,14 @@
-"""Tempo's repair pass: the blocked side pulls what it is missing (§B).
+"""The repair pass: the blocked side pulls what it is missing (§B).
 
-A command executes once three ingredients are present: its commit, a
+A Tempo command executes once three ingredients are present: its commit, a
 majority's promises up to its timestamp and — under partial replication —
 an ``MStable`` from every accessed partition.  The happy path sends each of
 them exactly once, so over fair-lossy links whatever is missing has to be
-asked for again until it arrives.  This mixin is the only place that asks.
+asked for again until it arrives.  This module is the only place that asks;
+Atlas, EPaxos and Janus* pull their one ingredient, the commit, through
+:class:`PullMixin` too (``repro.protocols.dependency``).
 
-One structure records what is missing: ``TempoProcess._blocked`` maps each
+One structure records what is missing: ``_blocked`` maps each
 :class:`~repro.core.messages.Need` to the dots lacking that ingredient,
 each with ``[since, asked]`` — when the dot started to wait and when a
 round last asked for it.
@@ -22,7 +24,7 @@ round last asked for it.
   An overdue ``STABLE`` head stands for the backlog queued behind it: the
   round asks for every entry of the stable heap still missing one.
 
-:meth:`RepairMixin.blocked_on` reads the structure and nothing else; a
+:meth:`PullMixin.blocked_on` reads the structure and nothing else; a
 healthy run reports ``[]`` on every tick.  Each overdue item is asked for
 at most once per window with one message kind, ``MRepairRequest``, sent to
 the peers that can hold the ingredient, and :meth:`_on_repair_request`
@@ -33,7 +35,7 @@ by an outage is pulled in one round rather than one dot per window.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.identifiers import Dot
 from repro.core.messages import MPayload, MPromises, MRepairRequest, MStable, Need
@@ -42,8 +44,14 @@ from repro.core.messages import MPayload, MPromises, MRepairRequest, MStable, Ne
 NEVER = float("-inf")
 
 
-class RepairMixin:
-    """The repair pass and its request handler, mixed into ``TempoProcess``."""
+class PullMixin:
+    """``_blocked`` and the once-per-window loop over it, shared by Tempo and
+    the dependency protocols.  The host calls :meth:`_pull_overdue` from its
+    ``tick`` and supplies ``_ask(need, dot, now)``: one round for one item."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._blocked: Dict[Need, Dict[Dot, List[float]]] = {n: {} for n in Need}
 
     def _await_commit(self, dot: Dot, now: float) -> None:
         """Start the clock on ``dot``'s commit (no-op if already running)."""
@@ -61,16 +69,27 @@ class RepairMixin:
         """
         window = self.config.recovery_timeout
         overdue: List[Tuple[Need, Dot, float]] = []
-        for need, patience in (
-            (Need.COMMIT, window),
-            (Need.PROMISES, 2 * window),
-            (Need.STABLE, 2 * window),
-        ):
-            for dot, (since, _) in self._blocked[need].items():
+        for need, waiting in self._blocked.items():
+            patience = window if need is Need.COMMIT else 2 * window
+            for dot, (since, _) in waiting.items():
                 if now - since < patience:
                     break
                 overdue.append((need, dot, since))
         return overdue
+
+    def _pull_overdue(self, now: float) -> None:
+        """Ask once per window for every overdue item."""
+        window = self.config.recovery_timeout
+        for need, dot, _ in self.blocked_on(now):
+            entry = self._blocked[need].get(dot)
+            if entry is None or now - entry[1] < window:
+                continue  # answered earlier in this round, or asked this window
+            entry[1] = now
+            self._ask(need, dot, now)
+
+
+class RepairMixin(PullMixin):
+    """The repair pass and its request handler, mixed into ``TempoProcess``."""
 
     def _repair_tick(self, now: float) -> None:
         """Observe the two heap heads, then ask once per window for every
@@ -83,18 +102,15 @@ class RepairMixin:
         heap = self._stable_heap
         waiting = heap and not self._info[heap[0][1]].has_all_stable()
         self._watch_head(Need.STABLE, heap[0][1] if waiting else None, now)
-        window = self.config.recovery_timeout
-        for need, dot, _ in self.blocked_on(now):
-            entry = self._blocked[need].get(dot)
-            if entry is None or now - entry[1] < window:
-                continue  # answered earlier in this round, or asked this window
-            entry[1] = now
-            if need is Need.COMMIT:
-                self._ask_for_commit(dot, now)
-            elif need is Need.PROMISES:
-                self._ask_for_promises(dot, now)
-            else:
-                self._ask_for_stable(now)
+        self._pull_overdue(now)
+
+    def _ask(self, need: Need, dot: Dot, now: float) -> None:
+        if need is Need.COMMIT:
+            self._ask_for_commit(dot, now)
+        elif need is Need.PROMISES:
+            self._ask_for_promises(dot, now)
+        else:
+            self._ask_for_stable(now)
 
     def _watch_head(self, need: Need, dot: Optional[Dot], now: float) -> None:
         """``dot`` (or ``None``) is the one item currently missing ``need``;

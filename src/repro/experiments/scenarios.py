@@ -15,17 +15,13 @@ Each cell reports tail latency and, from the liveness row of
 :func:`repro.analysis.consistency.check_run`, how many commands were left
 stuck on alive replicas and whether the survivors converged.  Convergence
 is a *requirement* for every cell whose fault plan can lose or delay
-traffic: Tempo's repair pass (:mod:`repro.core.repair`:
-the blocked side asks again for a missing commit, promises or remote
-``MStable``, and the leader recovers, §B.1) plus the reliable-delivery
-layer (:mod:`repro.reliability`: ack-driven commit/MStable retransmission,
-and coordinator re-solicitation for the dependency baselines) drains
-everything such a window strands.  The only cells that do not converge are
-the baselines' coordinator crashes (``crash@s0``): the dead coordinator held
-quorum state no other replica can reconstruct, and Atlas / EPaxos
-coordinator recovery is outside the paper's scope, so those cells print
-``no*`` and the table carries :data:`LEGEND`.  Crash-only plans keep the
-reliability layer off: a replica that never returns needs no re-send.
+traffic: the repair pass (:mod:`repro.core.repair`: the blocked side asks
+again for a missing commit — and, at Tempo, promises or a remote
+``MStable``) drains everything such a window strands.  The only cells that
+do not converge are the baselines' coordinator crashes (``crash@s0``): the
+dead coordinator held quorum state no other replica can reconstruct, and
+Atlas / EPaxos coordinator recovery is outside the paper's scope, so those
+cells print ``no*`` and the table carries :data:`LEGEND`.
 
 The matrix is deterministic end to end (every cell is seeded and all fault
 randomness draws from the network's dedicated fault RNG stream), so
@@ -164,10 +160,10 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
     # Crash/restart (crash-recovery variant): site 1 dies mid-run and
     # returns later holding its durable state.  While it is down the
     # watermark GC stalls at every survivor (the crashed peer stays in the
-    # minimum); after the restart the replica must catch up — Tempo via
-    # its repair pass, the baselines via the reliable-delivery layer's
-    # commit retransmission and coordinator re-solicitation — and the
-    # campaign asserts post-restart convergence for every protocol.
+    # minimum); after the restart the replica must catch up through the
+    # repair pass — it pulls what it missed, and the coordinators re-send
+    # their unfinished rounds — and the campaign asserts post-restart
+    # convergence and gates the tail for every protocol.
     restart_at = options.duration_ms * 0.6
     for protocol in options.protocols:
         cells.append(
@@ -186,7 +182,7 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                     ),
                 ),
                 requires_convergence=True,
-                tail_gated=protocol == "tempo",
+                tail_gated=True,
             )
         )
     # Partition/heal: site 0 isolated from the quorum for a window, then
@@ -206,11 +202,11 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                     ),
                 ),
                 requires_convergence=True,
-                tail_gated=protocol == "tempo",
+                tail_gated=True,
             )
         )
     # Flaky links: every wide-area link gains delay + jitter + 5 % drop
-    # for a window (fair-lossy links; retransmission copes).
+    # for a window (fair-lossy links; asking again copes).
     for protocol in options.protocols:
         cells.append(
             ScenarioCell(

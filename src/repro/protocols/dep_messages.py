@@ -71,7 +71,8 @@ class MDepAcceptAck(Message):
 @wire_schema(21, ("command", COMMAND), ("dependencies", DOT_SET), ("sequence", SVARINT))
 @dataclass(frozen=True)
 class MDepCommit(Message):
-    """Commit notification with the final dependencies."""
+    """Commit notification with the final dependencies; also a peer's
+    answer to a ``COMMIT`` ``MRepairRequest``."""
 
     command: Command
     dependencies: FrozenSet[Dot]

@@ -26,7 +26,8 @@ from repro.core.base import ProcessBase
 from repro.core.commands import Command
 from repro.core.gc import WatermarkGcMixin
 from repro.core.identifiers import Dot
-from repro.core.messages import MDeliveryAck, MExecutedClock
+from repro.core.messages import MExecutedClock, MRepairRequest, Need
+from repro.core.repair import PullMixin
 from repro.protocols.dep_messages import (
     MDepAccept,
     MDepAcceptAck,
@@ -158,11 +159,6 @@ class DepInfo:
     #: completes when every one of them has acked.
     expected: Sequence[int] = ()
     submitted_here: bool = False
-    submitted_at: Optional[float] = None
-    #: Last time the coordinator re-solicited the missing quorum acks for
-    #: this command (see _resolicit_tick); debounces to one round per
-    #: recovery-timeout window.
-    last_solicit: float = float("-inf")
 
     @property
     def is_committed(self) -> bool:
@@ -177,11 +173,14 @@ class DepInfo:
         return [member for member in self.expected if member not in acked]
 
 
-class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
+class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
     """Base class for EPaxos-style protocols.
 
     Subclasses must implement :meth:`fast_quorum_size`,
-    :meth:`slow_quorum_size` and :meth:`allows_fast_path`.
+    :meth:`slow_quorum_size` and :meth:`allows_fast_path`.  Every message
+    is sent once; what loss strands, the blocked side pulls through the
+    pass Tempo runs (:class:`repro.core.repair.PullMixin`, "The baselines'
+    pull" in ``docs/reliable_delivery.md``).
     """
 
     #: Human-readable protocol name, overridden by subclasses.
@@ -217,10 +216,8 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
             MDepAcceptAck: self._on_accept_ack,
             MDepCommit: self._on_commit,
             MExecutedClock: self._on_executed_clock,
-            MDeliveryAck: self._on_delivery_ack,
+            MRepairRequest: self._on_repair_request,
         }
-        #: Last time _resolicit_tick scanned for stuck coordinator records.
-        self._last_resolicit_scan = float("-inf")
 
     # -- protocol parameters (overridden by subclasses) ---------------------------
 
@@ -250,15 +247,13 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
     def status_of(self, dot: Dot) -> str:
         record = self._info.get(dot)
         if record is None:
-            if self.gc.collected(dot):
-                return "execute"
-            return "start"
+            return "execute" if self.gc.collected(dot) else "start"
         return record.status
 
     def committed_dependencies(self, dot: Dot) -> FrozenSet[Dot]:
         """Dependencies the command committed with (empty if not committed)."""
         record = self._info.get(dot)
-        if record is None or record.status not in ("commit", "execute"):
+        if record is None or not record.is_committed:
             return frozenset()
         return record.dependencies
 
@@ -351,13 +346,13 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         record = self.info(command.dot)
         record.command = command
         record.submitted_here = True
-        record.submitted_at = now
         dependencies, sequence = self._conflicts_of(command)
         self._register(command, sequence)
         record.dependencies = dependencies
         record.sequence = sequence
         record.status = "preaccept"
         record.expected = self._fast_targets(command)
+        self._await_commit(command.dot, now)
         message = MPreAccept(command.dot, command, dependencies, sequence)
         self.send(record.expected, message, now)
 
@@ -367,7 +362,7 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
-        if record.status in ("commit", "execute"):
+        if record.is_committed:
             return
         if record.submitted_here:
             # The coordinator already computed its dependencies in submit();
@@ -403,17 +398,13 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         record.dependencies = union_deps
         record.sequence = sequence
         if self.allows_fast_path(union_deps, record.preaccept_acks, self.process_id):
-            self._broadcast_commit(record, now)
+            self._send_commit(record, self._gc_members(), now)
         else:
             record.status = "accept"
             record.ballot = self.config.rank_in_partition(self.process_id) + 1
             record.expected = self._slow_targets(record.command)
             accept = MDepAccept(
-                record.command.dot,
-                record.command,
-                union_deps,
-                sequence,
-                record.ballot,
+                record.command.dot, record.command, union_deps, sequence, record.ballot
             )
             self.send(record.expected, accept, now)
 
@@ -421,7 +412,7 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
-        if record.status in ("commit", "execute"):
+        if record.is_committed:
             return
         record.command = message.command
         record.dependencies = message.dependencies
@@ -437,39 +428,26 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
         record.accept_acks.add(sender)
         if record.awaiting(record.accept_acks):
             return
-        self._broadcast_commit(record, now)
+        self._send_commit(record, self._gc_members(), now)
 
-    def _commit_targets(self, record: DepInfo) -> List[int]:
-        """Processes that must learn about the commit."""
-        return list(self.partition_peers())
-
-    def _broadcast_commit(self, record: DepInfo, now: float) -> None:
-        if record.command is None:
-            return
-        commit = MDepCommit(
-            record.command.dot, record.command, record.dependencies, record.sequence
-        )
-        targets = sorted(set(self._commit_targets(record)))
+    def _send_commit(self, record: DepInfo, targets: Sequence[int], now: float) -> None:
+        """The commit goes to every process that executes the command
+        (``_gc_members``) and, on request, to one that lost it."""
+        command = record.command
+        commit = MDepCommit(command.dot, command, record.dependencies, record.sequence)
         self.send(targets, commit, now)
-        if self.reliability is not None:
-            # Lossy-run safety net: keep the commit buffered until every
-            # non-self target acknowledges delivery (see repro.reliability).
-            self.reliability.track(targets, commit, now)
 
     def _on_commit(self, sender: int, message: MDepCommit, now: float) -> None:
-        if self.reliability is not None and sender != self.process_id:
-            # Ack before any dedup/GC early return: a duplicate usually
-            # means our first ack was lost.
-            self._ack_delivery(sender, message, now)
         if self.gc.collected(message.dot):
             return
         record = self.info(message.dot)
-        if record.status in ("commit", "execute"):
+        if record.is_committed:
             return
         record.command = message.command
         record.dependencies = message.dependencies
         record.sequence = message.sequence
         record.status = "commit"
+        self._blocked[Need.COMMIT].pop(message.dot, None)
         # The quorum bookkeeping is dead past this point (the ack handlers
         # gate on the pre-commit statuses); drop it so each ack's
         # history-sized dependency snapshot can be reclaimed.
@@ -497,61 +475,66 @@ class DependencyProtocolProcess(WatermarkGcMixin, ProcessBase):
             self._execute_command(dot, record.command, now, record.submitted_here)
 
     def tick(self, now: float) -> None:
-        """Periodically retry execution (a commit elsewhere may have
-        unblocked a component whose last commit message raced the check)."""
+        """Retry execution (a commit elsewhere may have unblocked a
+        component), announce the executed clock, pull what is overdue."""
         newly = self.executor.advance()
         if newly:
             self._execute_all(newly, now)
         self._gc_announce(now)
-        self._resolicit_tick(now)
-        self._reliability_tick(now)
+        awaiting = self._blocked[Need.COMMIT]
+        unheard = [dot for dot in self.executor.graph.missing() if dot not in awaiting]
+        for dot in sorted(unheard):
+            self._await_commit(dot, now)
+        self._pull_overdue(now)
 
-    def _resolicit_tick(self, now: float) -> None:
-        """Re-solicit the missing quorum replies of stuck coordinations.
+    # -- the pull --------------------------------------------------------------------
 
-        These protocols have no recovery sub-protocol in this reproduction:
-        a phase-1/phase-2 round-trip lost to a restart or a lossy link
-        strands the command at its coordinator forever.  When reliable
-        delivery is enabled, the coordinator re-sends the pre-accept (or
-        accept) to exactly the quorum members whose reply is missing, once
-        per recovery-timeout window per command, after the command has been
-        pending for two full windows.  Crash-only plans keep this off, so
-        the crash@s0 baseline rows keep their documented behaviour.
-        """
-        if self.reliability is None:
-            return
-        timeout = self.config.recovery_timeout
-        if now - self._last_resolicit_scan < timeout:
-            return
-        self._last_resolicit_scan = now
-        for dot, record in self._info.items():
-            if not record.submitted_here or record.command is None:
-                continue
-            if record.status not in ("preaccept", "accept"):
-                continue
-            submitted_at = record.submitted_at
-            if submitted_at is None or now - submitted_at < 2 * timeout:
-                continue
-            if now - record.last_solicit < timeout:
-                continue
-            record.last_solicit = now
-            if record.status == "preaccept":
-                acked = record.preaccept_acks
-                message = MPreAccept(
-                    dot, record.command, record.dependencies, record.sequence
-                )
-            else:
-                acked = record.accept_acks
-                message = MDepAccept(
-                    dot,
-                    record.command,
-                    record.dependencies,
-                    record.sequence,
-                    record.ballot,
-                )
-            missing = record.awaiting(acked)
-            if missing:
-                self.send(missing, message, now)
+    def _on_executed_clock(self, sender: int, message: MExecutedClock, now: float) -> None:
+        """A dot a peer executed past this replica's frontier of its source
+        is owed here: start the clock on its commit unless it has one."""
+        info = self._info
+        for source, frontier in message.clock.items():
+            for sequence in range(self.gc.local_frontier(source) + 1, frontier + 1):
+                dot = Dot(source, sequence)
+                record = info.get(dot)
+                if record is None or not record.is_committed:
+                    self._await_commit(dot, now)
+        super()._on_executed_clock(sender, message, now)
+
+    def _ask(self, need: Need, dot: Dot, now: float) -> None:
+        """The coordinator re-sends its pending round to the members whose
+        reply is missing.  Any other replica asks the processes that keep
+        the record until it executed here (``_gc_members``) for the range
+        of the source's dots from its lowest overdue one to its highest:
+        one request per source and window, however long the backlog."""
+        record = self._info.get(dot)
+        if record is None or not record.submitted_here:
+            window = self.config.recovery_timeout
+            overdue = []
+            for other, entry in self._blocked[Need.COMMIT].items():
+                if other.source == dot.source and now - entry[0] >= window:
+                    entry[1] = now
+                    overdue.append(other.sequence)
+            top = Dot(dot.source, max(overdue))
+            targets, message = self._gc_peers, MRepairRequest(top, need, min(overdue) - 1)
+        elif record.status == "preaccept":
+            targets = record.awaiting(record.preaccept_acks)
+            message = MPreAccept(dot, record.command, record.dependencies, record.sequence)
+        else:
+            targets = record.awaiting(record.accept_acks)
+            message = MDepAccept(
+                dot, record.command, record.dependencies, record.sequence, record.ballot
+            )
+        self.send([peer for peer in targets if self.believes_alive(peer)], message, now)
+
+    def _on_repair_request(self, sender: int, message: MRepairRequest, now: float) -> None:
+        """Answer with every commit held of the source's dots above
+        ``frontier`` up to the named one (a source's dots are contiguous)."""
+        source = message.dot.source
+        for sequence in range(message.frontier + 1, message.dot.sequence + 1):
+            record = self._info.get(Dot(source, sequence))
+            if record is not None and record.is_committed:
+                self._send_commit(record, [sender], now)
 
     # -- watermark GC -------------------------------------------------------------------
 

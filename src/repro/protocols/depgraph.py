@@ -149,16 +149,10 @@ class DependencyGraph:
         node = self._nodes.get(dot)
         return node.dependencies if node is not None else frozenset()
 
-    def missing_dependencies_of(self, dot: Dot) -> FrozenSet[Dot]:
-        """Direct dependencies of ``dot`` that are still uncommitted (the
-        per-node view of the incremental blocking bookkeeping)."""
-        node = self._nodes.get(dot)
-        if node is None:
-            return frozenset()
-        return frozenset(
-            dependency for dependency in node.dependencies
-            if dependency in self._missing
-        )
+    def missing(self) -> Set[Dot]:
+        """Uncommitted dots some committed, unexecuted command depends on:
+        everything execution here is blocked on."""
+        return self._missing
 
     # -- execution ------------------------------------------------------------
 

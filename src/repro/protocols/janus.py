@@ -50,10 +50,10 @@ class JanusProcess(AtlasProcess):
     def _slow_targets(self, command: Command) -> List[int]:
         return self._closest_in_accessed_shards(command, self.slow_quorum_size())
 
-    def _commit_targets(self, record) -> List[int]:
-        """Non-genuine commit dissemination: every process of the
-        deployment learns the commit, so the cross-shard dependency graph is
-        complete everywhere."""
+    def _gc_members(self) -> List[int]:
+        """Non-genuine: every process learns each commit, so the cross-shard
+        dependency graph is complete everywhere, and executes it; a record
+        is kept until all have, so one that lost the commit can pull it."""
         return list(range(self.config.total_processes()))
 
     # -- execution ---------------------------------------------------------------------

@@ -1,13 +1,10 @@
-"""Protocol-generic reliable delivery (ack-driven bounded retransmission).
+"""Reliable delivery by push: a per-destination retransmit buffer over
+epoch-stamped delivery acks, hooked into :class:`repro.core.base.ProcessBase`.
 
-The paper's protocols assume fair-lossy links and rely on periodic
-re-broadcast for liveness; the PR 8 fault campaign showed where that
-assumption bites: send-once cross-shard ``MStable``, baseline commit
-broadcasts under loss, and a promise GC that never learns what peers
-absorbed.  This package closes those gaps with one mechanism — a
-per-destination retransmit buffer over epoch-stamped delivery acks —
-threaded through :class:`repro.core.base.ProcessBase` so every protocol
-shares it.  See ``docs/reliable_delivery.md``.
+The repair pass (:mod:`repro.core.repair`) pulls what loss strands for
+Tempo, Atlas, EPaxos and Janus*.  Caesar tracks its commits here; Tempo's
+lossy cells converge without the buffer, which stays for the benchmark that
+pins it.  See ``docs/reliable_delivery.md``.
 """
 
 from repro.reliability.buffer import (

@@ -29,10 +29,11 @@ import pytest
 from repro.analysis.smallmodel import _Explorer, _in_flight, canonical, explore, main
 from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
-from repro.core.gc import GcTracker
+from repro.core.gc import GcTracker, WatermarkGcMixin
 from repro.core.identifiers import Dot
 from repro.core.messages import MCommit
 from repro.core.promises import PromiseSet
+from repro.protocols.dependency import DependencyProtocolProcess
 from repro.protocols.registry import PROTOCOLS
 
 
@@ -232,8 +233,7 @@ class TestCaesarModel:
 class TestBaselineModels:
     """The dependency-graph baselines and FPaxos, never explored before the
     explorer took any protocol of the registry: r = 3, conflicting
-    commands, healthy links (their recovery and repair are not in the
-    tree)."""
+    commands, healthy links."""
 
     @pytest.mark.parametrize(
         "protocol, pins",
@@ -255,6 +255,64 @@ class TestBaselineModels:
         # run in CI.
         result = explore("janus", num_commands=1, num_partitions=2)
         assert _counts(result) == (58, 1)
+
+
+class TestBaselineLossModels:
+    """One in-flight message of a kind lost at any depth, on the baselines
+    that pull what loss strands (``repro.core.repair.PullMixin``): the
+    coordinator re-sends its pending round, a replica missing a commit asks
+    for it.  Nobody crashes, so the full liveness row stands.  Three
+    commands of Atlas and EPaxos under ``MDepCommit`` loss (1 212 / 41,
+    1 680 / 41) and two of two-shard Janus* under ``MPreAcceptAck`` loss
+    (18 413 / 57) run in CI."""
+
+    @pytest.mark.parametrize(
+        "protocol, options, pin",
+        [
+            ("atlas", dict(lose_kinds=["MPreAcceptAck"]), (34, 3)),
+            ("atlas", dict(lose_kinds=["MDepCommit"]), (58, 5)),
+            ("epaxos", dict(lose_kinds=["MDepCommit"]), (64, 5)),
+            ("epaxos", dict(lose_kinds=["MDepAccept"]), (42, 3)),
+            (
+                "janus",
+                dict(num_commands=1, num_partitions=2, lose_kinds=["MPreAcceptAck"]),
+                (85, 4),
+            ),
+            # Every replica of the other shard loses the commit: they pull it
+            # from the coordinator's shard, which keeps the record until
+            # every process executed the dot.
+            (
+                "janus",
+                dict(num_commands=1, num_partitions=2, lose_kinds=["MDepCommit"]),
+                (138, 6),
+            ),
+        ],
+    )
+    def test_one_lost_message_exhaustive(self, protocol, options, pin):
+        assert _counts(explore(protocol, **{"num_commands": 2, **options})) == pin
+
+    @pytest.mark.parametrize(
+        "removed, replacement, commands, kind",
+        [
+            # No round at all: the coordinator's lost ack is never replaced.
+            ("_ask", lambda process, need, dot, now: None, 2, "MPreAcceptAck"),
+            # No clock source: a lost commit nothing here depends on is
+            # never known to be owed.
+            (
+                "_on_executed_clock",
+                WatermarkGcMixin._on_executed_clock,
+                1,
+                "MDepCommit",
+            ),
+        ],
+    )
+    def test_without_the_pull_a_loss_strands_a_command(
+        self, monkeypatch, removed, replacement, commands, kind
+    ):
+        monkeypatch.setattr(DependencyProtocolProcess, removed, replacement)
+        result = explore("atlas", num_commands=commands, lose_kinds=[kind])
+        assert result.complete
+        assert {violation.code for violation in result.violations} == {"liveness"}
 
 
 class TestDerivedDigest:

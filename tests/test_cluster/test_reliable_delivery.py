@@ -12,9 +12,10 @@ Three properties the layer must hold simultaneously:
   the critical kinds converges via a handful of backed-off re-sends per
   entry — a small multiple of the healthy twin's traffic, never a storm —
   and without leaning on the repair pass's promise requests.
-* **The baselines are covered too.**  Atlas/EPaxos commit broadcasts are
-  tracked through the same buffer, so their formerly stranded loss and
-  restart cells drain.
+* **The baselines pull instead.**  Atlas/EPaxos track nothing: a replica
+  that misses a commit asks for it again through the repair pass
+  (``repro.core.repair``), so their formerly stranded loss and restart
+  cells drain with the buffer armed and empty.
 
 And one about what Tempo does *not* need: with the buffer never installed,
 its repair pass alone converges every lossy matrix cell (the evidence for
@@ -166,12 +167,13 @@ class TestBoundedRetransmissionUnderLoss:
 
 
 class TestRestartCatchUp:
-    def test_baseline_restart_drains_via_retransmission(self):
+    def test_baseline_restart_drains_via_pull(self):
         # A non-coordinator replica crashes and restarts: the baselines
         # previously stranded the commits that raced the outage.  The
-        # retransmit buffer re-offers them (the restarted peer's fresh
-        # epoch invalidates its stale acks) and the coordinator
-        # re-solicits unfinished preaccept/accept rounds.
+        # restarted replica asks for the commits its peers' executed clocks
+        # and its own blocked commands show it missed, and a coordinator
+        # re-sends its unfinished preaccept/accept rounds; nothing is
+        # pushed through the retransmit buffer.
         for protocol in ("atlas", "epaxos"):
             plan = FaultPlan(
                 [
@@ -181,7 +183,8 @@ class TestRestartCatchUp:
             )
             result = run_experiment(baseline_config(protocol, fault_plan=plan))
             assert_converged(result)
-            assert result.stats.get("retransmit_tracked", 0.0) > 0.0
+            assert result.stats.get("sent:MRepairRequest", 0.0) > 0.0
+            assert result.stats["retransmit_tracked"] == 0.0
 
 
 class TestTempoPullOnly:

@@ -13,6 +13,8 @@ from typing import Callable, Dict, List, Set, Tuple
 
 import pytest
 
+from repro.cluster.config import ExperimentConfig
+from repro.cluster.runner import run_experiment
 from repro.core.base import Envelope
 from repro.core.commands import Partitioner
 from repro.core.identifiers import Dot
@@ -25,6 +27,7 @@ from repro.core.messages import (
     Need,
 )
 from repro.core.process import TempoProcess
+from repro.core.repair import PullMixin
 from tests.conftest import TempoCluster
 
 TICK = 5.0
@@ -319,3 +322,40 @@ def test_promise_reply_size_does_not_depend_on_run_length():
     assert len(long.attached) == len(short.attached)
     # Ten times the history widens a varint or two, nothing else.
     assert long.size_bytes() <= short.size_bytes() + 4
+
+
+# -- the dependency baselines pull through the same pass -----------------------
+
+
+@pytest.mark.parametrize(
+    "protocol, shards",
+    [("atlas", 1), ("epaxos", 1), ("janus", 2)],
+)
+def test_healthy_baseline_run_is_never_blocked_and_never_asks(
+    monkeypatch, protocol, shards
+):
+    """A healthy wide-area run of a dependency protocol waits well inside
+    one window for every commit it awaits, so its pull never fires."""
+    overdue, awaited = [], []
+    pull = PullMixin._pull_overdue
+
+    def watched(process, now):
+        overdue.extend(process.blocked_on(now))
+        awaited.append(len(process._blocked[Need.COMMIT]))
+        pull(process, now)
+
+    monkeypatch.setattr(PullMixin, "_pull_overdue", watched)
+    result = run_experiment(
+        ExperimentConfig(
+            protocol=protocol,
+            num_sites=5 if shards == 1 else 3,
+            num_shards=shards,
+            keys_per_command=shards,
+            conflict_rate=0.1,
+            duration_ms=2_000.0,
+        )
+    )
+    assert result.completed > 0
+    assert max(awaited) > 0  # the pass was watching commits all along
+    assert overdue == []
+    assert "sent:MRepairRequest" not in result.stats

@@ -76,11 +76,11 @@ class TestBasicExecution:
     def test_missing_dependencies_track_commits_incrementally(self):
         graph = DependencyGraph()
         graph.commit(dot(0, 1), [dot(1, 1), dot(2, 1)])
-        assert graph.missing_dependencies_of(dot(0, 1)) == {dot(1, 1), dot(2, 1)}
+        assert graph.missing() == {dot(1, 1), dot(2, 1)}
         graph.commit(dot(1, 1), [])
-        assert graph.missing_dependencies_of(dot(0, 1)) == {dot(2, 1)}
+        assert graph.missing() == {dot(2, 1)}
         graph.commit(dot(2, 1), [])
-        assert graph.missing_dependencies_of(dot(0, 1)) == frozenset()
+        assert graph.missing() == set()
         # Transitive blocking resolves in the same step.
         assert graph.execute_ready() == [dot(1, 1), dot(2, 1), dot(0, 1)]
 

@@ -171,3 +171,35 @@ class TestCrossShardLoss:
         assert result.trace_report.stuck == 0
         assert result.completed == result.submitted > 0
         assert result.stats["sent:MPreAccept"] > 0
+
+
+class TestCrossShardCommitLoss:
+    """A commit every replica of one shard lost is pulled from the other
+    shard, which keeps the record until every process executed the dot."""
+
+    @pytest.mark.parametrize("probability", [1.0, 0.3])
+    def test_lost_cross_shard_commits_are_pulled_back(self, probability):
+        from repro.cluster.config import ExperimentConfig
+        from repro.cluster.runner import run_experiment
+        from repro.faults.plan import FaultPlan, TargetedLoss
+
+        loss = TargetedLoss(
+            800, 1400, "MDepCommit", probability=probability, cross_shard_only=True
+        )
+        result = run_experiment(
+            ExperimentConfig(
+                protocol="janus",
+                num_sites=3,
+                num_shards=2,
+                keys_per_command=2,
+                clients_per_site=4,
+                duration_ms=3000,
+                fault_plan=FaultPlan([loss]),
+                record_execution_trace=True,
+            )
+        )
+        assert result.trace_report.stuck == 0
+        assert result.trace_report.converged
+        assert result.completed == result.submitted > 0
+        assert result.stats["sent:MRepairRequest"] > 0
+        assert result.stats.get("retransmit_tracked", 0) == 0
