@@ -162,6 +162,8 @@ HOT_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("core/wireschema.py", "Reader"),
     ("simulator/events.py", "EventQueue"),
     ("protocols/dependency.py", "KeyConflicts"),
+    ("protocols/dependency.py", "DepInfo"),
+    ("protocols/depgraph.py", "CommittedNode"),
 )
 
 

@@ -19,7 +19,7 @@ slow-quorum size, which is exactly where EPaxos and Atlas differ (§6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import ProcessBase
@@ -38,122 +38,124 @@ from repro.protocols.dep_messages import (
 from repro.protocols.depgraph import DependencyGraphExecutor
 
 _EMPTY_DEPS: FrozenSet[Dot] = frozenset()
+#: A dot's flags in its key's summary: not yet executed here; read-only.
+_LIVE = 1
+_READ = 2
 
 
 class KeyConflicts:
-    """Incrementally maintained conflict summary for one key.
+    """Conflict summary for one key: every uncollected command on it.
 
-    The summary splits the commands registered on a key into a *live* part
-    (not yet executed here, bounded by in-flight commands) and an *executed*
-    archive.  Per-command bookkeeping — registration, retirement on
-    execution, the wait-free queries of ``_conflicts_of`` — touches only the
-    live part or performs whole-set C-level unions, so the Python-level work
-    per command is O(live) instead of the historical O(history) per-dot
-    iteration.  The combined views are cached and rebuilt lazily, and they
-    reproduce exactly the dependency sets the naive iteration emitted: the
-    archive is unioned back in, because an emitted dependency set must not
-    depend on how much of the history happens to have executed locally.
+    One dict maps each registered dot to its flags (:data:`_LIVE` until
+    it executes here, :data:`_READ` for a read-only command), with a count
+    of each, and nothing else is kept per dot.  The views are cached
+    frozensets rebuilt lazily: ``_conflicts_of`` pays one C-level union per
+    key, never a per-dot scan, and the views reproduce exactly the
+    dependency sets the naive iteration emitted — executed dots stay in
+    them until collected, because an emitted dependency set must not depend
+    on how much of the history happens to have executed locally.  The write
+    view is derived only while the key has reads; without reads it is the
+    full view.
+
+    ``floor`` is the highest sequence number registered on the key (the
+    next command's sequence is one above the floors of its keys).  It dies
+    with the summary: "Dependency layer" in ``docs/conflict_pruning.md``
+    says why no order can depend on a dropped floor.
     """
 
-    __slots__ = (
-        "live",
-        "live_writes",
-        "executed",
-        "executed_writes",
-        "peak_live",
-        "_all_cache",
-        "_writes_cache",
-    )
+    __slots__ = ("dots", "live", "reads", "floor", "peak_live", "_all_cache", "_writes_cache")
     _DIGEST_EXEMPT = frozenset({"_all_cache", "_writes_cache"})  # caches
 
     def __init__(self) -> None:
-        #: Registered, not yet executed (any kind).  Exposed through
-        #: ``DependencyProtocolProcess._conflicts`` and bounded by the
-        #: number of in-flight commands.
-        self.live: Set[Dot] = set()
-        #: The non-read-only subset of :attr:`live`.
-        self.live_writes: Set[Dot] = set()
-        #: Executed dots, retired out of the live sets.
-        self.executed: Set[Dot] = set()
-        self.executed_writes: Set[Dot] = set()
-        #: High-water mark of ``len(live)``, the boundedness witness used by
+        self.dots: Dict[Dot, int] = {}
+        #: How many of :attr:`dots` are live; bounded by in-flight commands.
+        self.live = 0
+        #: How many of :attr:`dots` are read-only.
+        self.reads = 0
+        self.floor = 0
+        #: High-water mark of :attr:`live`, the boundedness witness used by
         #: the pruning regression tests.
-        self.peak_live: int = 0
+        self.peak_live = 0
         self._all_cache: Optional[FrozenSet[Dot]] = None
         self._writes_cache: Optional[FrozenSet[Dot]] = None
 
-    def register(self, dot: Dot, read_only: bool) -> None:
-        live = self.live
-        if dot in live:
+    def register(self, dot: Dot, read_only: bool, sequence: int) -> None:
+        if sequence > self.floor:
+            self.floor = sequence
+        dots = self.dots
+        if dot in dots:
             return
-        live.add(dot)
-        if len(live) > self.peak_live:
-            self.peak_live = len(live)
+        self.live += 1
+        if self.live > self.peak_live:
+            self.peak_live = self.live
         self._all_cache = None
-        if not read_only:
-            self.live_writes.add(dot)
+        if read_only:
+            dots[dot] = _LIVE | _READ
+            self.reads += 1
+        else:
+            dots[dot] = _LIVE
             self._writes_cache = None
 
-    def retire(self, dot: Dot, read_only: bool) -> None:
-        """Move an executed dot from the live sets into the archive."""
-        live = self.live
-        if dot not in live:
-            return
-        live.discard(dot)
-        self.executed.add(dot)
-        if not read_only:
-            self.live_writes.discard(dot)
-            self.executed_writes.add(dot)
-        # The combined views are unchanged (live + executed is the same
-        # set), so the caches stay valid.
+    def retire(self, dot: Dot) -> None:
+        """An executed dot stops being live.  The views are unchanged, so
+        the caches stay valid."""
+        flags = self.dots.get(dot)
+        if flags is not None and flags & _LIVE:
+            self.dots[dot] = flags ^ _LIVE
+            self.live -= 1
 
     def all_conflicts(self) -> FrozenSet[Dot]:
-        """Every command ever registered on this key."""
+        """Every uncollected command registered on this key."""
         cache = self._all_cache
         if cache is None:
-            cache = self._all_cache = frozenset(self.live.union(self.executed))
+            cache = self._all_cache = frozenset(self.dots)
         return cache
 
     def write_conflicts(self) -> FrozenSet[Dot]:
-        """Every non-read-only command ever registered on this key."""
+        """Every uncollected non-read-only command registered on this key."""
+        if not self.reads:
+            return self.all_conflicts()
         cache = self._writes_cache
         if cache is None:
             cache = self._writes_cache = frozenset(
-                self.live_writes.union(self.executed_writes)
+                [dot for dot, flags in self.dots.items() if not flags & _READ]
             )
         return cache
 
-    def drop_archived(self, dot: Dot, read_only: bool) -> None:
-        """Forget a *globally executed* dot from the archive.
+    def drop_archived(self, dot: Dot) -> None:
+        """Forget a *globally executed* dot.
 
-        Unlike :meth:`retire` this changes the combined views, so the
-        caches must be invalidated.  Dropping is safe exactly because the
-        dot executed at every partition peer: a dependency edge on it would
-        be satisfied everywhere before any newly submitted command can
-        execute anywhere, so omitting it from future dependency sets
-        changes no execution order.
+        Unlike :meth:`retire` this changes the views, so the caches must be
+        invalidated.  Dropping is safe exactly because the dot executed at
+        every partition peer: a dependency edge on it would be satisfied
+        everywhere before any newly submitted command can execute anywhere,
+        so omitting it from future dependency sets changes no execution
+        order.
         """
-        executed = self.executed
-        if dot not in executed:
+        flags = self.dots.get(dot)
+        if flags is None or flags & _LIVE:
             return
-        executed.discard(dot)
+        del self.dots[dot]
         self._all_cache = None
-        if not read_only:
-            self.executed_writes.discard(dot)
+        if flags & _READ:
+            self.reads -= 1
+        else:
             self._writes_cache = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DepInfo:
     """Per-command state at a dependency-protocol process."""
 
     command: Optional[Command] = None
-    dependencies: FrozenSet[Dot] = frozenset()
+    dependencies: FrozenSet[Dot] = _EMPTY_DEPS
     sequence: int = 0
     status: str = "start"  # start | preaccept | accept | commit | execute
     ballot: int = 0
-    preaccept_acks: Dict[int, Tuple[FrozenSet[Dot], int]] = field(default_factory=dict)
-    accept_acks: Set[int] = field(default_factory=set)
+    #: The coordinator's quorum replies, created by the first reply of each
+    #: round and dropped on commit.
+    preaccept_acks: Optional[Dict[int, Tuple[FrozenSet[Dot], int]]] = None
+    accept_acks: Optional[Set[int]] = None
     #: The processes the coordinator's current round asked, in send order
     #: (set at submit and again on entering the slow path); the round
     #: completes when every one of them has acked.
@@ -169,8 +171,9 @@ class DepInfo:
         return self.status in ("preaccept", "accept")
 
     def awaiting(self, acked) -> List[int]:
-        """Members of the current round whose ack is missing from ``acked``."""
-        return [member for member in self.expected if member not in acked]
+        """Members of the current round whose ack is missing from ``acked``
+        (``None`` before the first)."""
+        return [member for member in self.expected if not acked or member not in acked]
 
 
 class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
@@ -195,17 +198,11 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         #: Whether reads only depend on writes (the read/write distinction of
         #: §3.3 that dependency-based protocols can exploit).
         self.read_write_aware = read_write_aware
-        #: Per-key conflict summaries (live/executed split plus cached
-        #: combined views), used to compute conflicts in O(live) per command.
+        #: Per-key conflict summaries with their sequence floors, for the
+        #: keys of uncollected commands only.
         self._conflict_index: Dict[str, KeyConflicts] = {}
-        #: Per-key set of *live* (not yet executed) commands.  Each value
-        #: aliases the ``live`` set of the corresponding summary, so this
-        #: view is pruned as commands execute and its peak size is bounded
-        #: by the number of in-flight commands.
-        self._conflicts: Dict[str, Set[Dot]] = {}
         #: Highest ``peak_live`` among the summaries :meth:`_collect` dropped.
         self._dropped_peak_live = 0
-        self._max_sequence_per_key: Dict[str, int] = {}
         self.executor = DependencyGraphExecutor(collected=self.gc.collected)
         #: Message-type -> bound handler (exact class match); bound methods
         #: resolve subclass overrides (e.g. Janus) correctly.
@@ -267,64 +264,50 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         """
         # Reads do not depend on reads (§3.3).
         reads_matter = not (self.read_write_aware and command.is_read_only())
-        max_sequence = self._max_sequence_per_key
         index = self._conflict_index
         keys = command.keys
-        max_seq = 0
         if len(keys) == 1:
             (key,) = keys
             summary = index.get(key)
             if summary is None:
-                deps = _EMPTY_DEPS
-            else:
-                deps = summary.all_conflicts() if reads_matter else summary.write_conflicts()
-                if command.dot in deps:
-                    deps = deps - {command.dot}
-            max_seq = max_sequence.get(key, 0)
-            return deps, max_seq + 1
+                return _EMPTY_DEPS, 1
+            deps = summary.all_conflicts() if reads_matter else summary.write_conflicts()
+            if command.dot in deps:
+                deps = deps - {command.dot}
+            return deps, summary.floor + 1
         union: Set[Dot] = set()
+        floor = 0
         for key in keys:
             summary = index.get(key)
             if summary is not None:
                 union |= (
                     summary.all_conflicts() if reads_matter else summary.write_conflicts()
                 )
-            key_seq = max_sequence.get(key, 0)
-            if key_seq > max_seq:
-                max_seq = key_seq
+                if summary.floor > floor:
+                    floor = summary.floor
         union.discard(command.dot)
-        return frozenset(union), max_seq + 1
+        return frozenset(union), floor + 1
 
     def _register(self, command: Command, sequence: int) -> None:
         """Make the command visible to future conflict computations."""
         dot = command.dot
         read_only = command.is_read_only()
         index = self._conflict_index
-        conflicts = self._conflicts
-        max_sequence = self._max_sequence_per_key
         for key in command.keys:
             summary = index.get(key)
             if summary is None:
                 summary = index[key] = KeyConflicts()
-                conflicts[key] = summary.live
-            summary.register(dot, read_only)
-            if sequence > max_sequence.get(key, 0):
-                max_sequence[key] = sequence
+            summary.register(dot, read_only, sequence)
 
     def _retire_executed(self, command: Command) -> None:
-        """Prune an executed command out of the live conflict sets.
-
-        Its contribution to future dependency sets is preserved by the
-        per-key executed archive, so emitted dependencies are unchanged;
-        only the per-command bookkeeping shrinks to the live window.
-        """
+        """An executed command stops being live on its keys; it stays in
+        their views, so emitted dependencies are unchanged, until collected."""
         dot = command.dot
-        read_only = command.is_read_only()
         index = self._conflict_index
         for key in command.keys:
             summary = index.get(key)
             if summary is not None:
-                summary.retire(dot, read_only)
+                summary.retire(dot)
 
     def _fast_targets(self, command: Command) -> List[int]:
         """Who is asked to pre-accept ``command``, in send order: the
@@ -388,16 +371,17 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         record = self._info.get(message.dot)
         if record is None or record.status != "preaccept" or not record.submitted_here:
             return
-        record.preaccept_acks[sender] = (message.dependencies, message.sequence)
-        if record.awaiting(record.preaccept_acks):
+        acks = record.preaccept_acks
+        if acks is None:
+            acks = record.preaccept_acks = {}
+        acks[sender] = (message.dependencies, message.sequence)
+        if record.awaiting(acks):
             return
-        union_deps = frozenset().union(
-            *(deps for deps, _ in record.preaccept_acks.values())
-        )
-        sequence = max(seq for _, seq in record.preaccept_acks.values())
+        union_deps = frozenset().union(*(deps for deps, _ in acks.values()))
+        sequence = max(seq for _, seq in acks.values())
         record.dependencies = union_deps
         record.sequence = sequence
-        if self.allows_fast_path(union_deps, record.preaccept_acks, self.process_id):
+        if self.allows_fast_path(union_deps, acks, self.process_id):
             self._send_commit(record, self._gc_members(), now)
         else:
             record.status = "accept"
@@ -425,8 +409,11 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         record = self._info.get(message.dot)
         if record is None or record.status != "accept" or not record.submitted_here:
             return
-        record.accept_acks.add(sender)
-        if record.awaiting(record.accept_acks):
+        acks = record.accept_acks
+        if acks is None:
+            acks = record.accept_acks = set()
+        acks.add(sender)
+        if record.awaiting(acks):
             return
         self._send_commit(record, self._gc_members(), now)
 
@@ -450,11 +437,8 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         self._blocked[Need.COMMIT].pop(message.dot, None)
         # The quorum bookkeeping is dead past this point (the ack handlers
         # gate on the pre-commit statuses); drop it so each ack's
-        # history-sized dependency snapshot can be reclaimed.
-        if record.preaccept_acks:
-            record.preaccept_acks = {}
-        if record.accept_acks:
-            record.accept_acks = set()
+        # dependency snapshot can be reclaimed.
+        record.preaccept_acks = record.accept_acks = None
         self._register(message.command, message.sequence)
         newly = self.executor.commit(
             message.dot, message.dependencies, message.sequence
@@ -539,31 +523,29 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
     # -- watermark GC -------------------------------------------------------------------
 
     def _collect(self, dot: Dot) -> None:
-        """Forget a globally-executed dot: its record, its per-key archive
+        """Forget a globally-executed dot: its record, its per-key summary
         entries (with cache invalidation) and its dependency-graph node.
 
-        A key whose summary this leaves empty loses the summary too — a
-        missing key already reads as "no conflicts" — so the index holds
-        the keys of in-flight commands, not every key ever written."""
+        A key whose summary this leaves empty loses the summary, floor
+        included — a missing key reads as "no conflicts, floor 0" — so the
+        index holds the keys of uncollected commands, not every key ever
+        written."""
         record = self._info.pop(dot, None)
         assert record is None or record.status == "execute", (
             f"collecting {dot} in status {record.status}: watermark ran "
             "ahead of local execution"
         )
         if record is not None and record.command is not None:
-            command = record.command
-            read_only = command.is_read_only()
             index = self._conflict_index
-            for key in command.keys:
+            for key in record.command.keys:
                 summary = index.get(key)
                 if summary is None:
                     continue
-                summary.drop_archived(dot, read_only)
-                if not summary.live and not summary.executed:
+                summary.drop_archived(dot)
+                if not summary.dots:
                     if summary.peak_live > self._dropped_peak_live:
                         self._dropped_peak_live = summary.peak_live
                     del index[key]
-                    del self._conflicts[key]
         self.executor.collect(dot)
 
     # -- introspection -------------------------------------------------------------------
@@ -583,9 +565,9 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         live = archived = 0
         peak = self._dropped_peak_live
         for summary in self._conflict_index.values():
-            live += len(summary.live)
+            live += summary.live
             peak = max(peak, summary.peak_live)
-            archived += len(summary.executed)
+            archived += len(summary.dots) - summary.live
         return {"live": live, "peak_live": peak, "archived": archived}
 
     def memory_footprint(self) -> Dict[str, int]:

@@ -18,8 +18,9 @@ and identifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
@@ -33,8 +34,11 @@ from typing import (
 
 from repro.core.identifiers import Dot
 
+#: The ``live_deps`` every node without a live dependency shares.
+_NO_LIVE_DEPS: FrozenSet[Dot] = frozenset()
 
-@dataclass
+
+@dataclass(slots=True)
 class CommittedNode:
     """A committed command inside the dependency graph."""
 
@@ -43,8 +47,10 @@ class CommittedNode:
     sequence: int = 0
     #: Dependencies not yet executed *here*, shrunk as they execute.  Kept
     #: so per-commit bookkeeping touches only the live part of a dependency
-    #: set instead of re-walking the (mostly executed) full history.
-    live_deps: Set[Dot] = field(default_factory=set)
+    #: set instead of re-walking the (mostly executed) full history.  A
+    #: node committed with none shares :data:`_NO_LIVE_DEPS`, which nothing
+    #: shrinks: only a node listed in ``_dependents`` is.
+    live_deps: AbstractSet[Dot] = _NO_LIVE_DEPS
 
 
 class DependencyGraph:
@@ -86,16 +92,14 @@ class DependencyGraph:
         if dot in self._nodes:
             return False
         dependencies = frozenset(dependencies)
-        live = set(dependencies - self._executed)
-        collected = self._collected
-        if collected is not None and live:
+        live = dependencies - self._executed
+        if live:
             # Peers with a smaller watermark may still emit dependencies on
             # dots collected here; those executed everywhere already, so
             # they must not re-enter the missing/blocked bookkeeping.
-            live = {dep for dep in live if not collected(dep)}
-        self._nodes[dot] = CommittedNode(
-            dot=dot, dependencies=dependencies, sequence=sequence, live_deps=live
-        )
+            collected = self._collected
+            live = {dep for dep in live if collected is None or not collected(dep)}
+        self._nodes[dot] = CommittedNode(dot, dependencies, sequence, live or _NO_LIVE_DEPS)
         self._unexecuted[dot] = None
         for dependency in live:
             self._dependents.setdefault(dependency, set()).add(dot)

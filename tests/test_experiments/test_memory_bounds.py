@@ -12,7 +12,9 @@ The columns come from :meth:`ProcessBase.memory_footprint` via the
 experiment stats (``live_records`` / ``archived_records`` /
 ``peak_live_per_key`` / ``conflict_keys`` / ``issued_promises`` /
 ``gc_collected`` / ``executed_ranges``); ``BENCH_fig6.json`` carries the
-same columns for the full benchmark and CI gates them there too.
+same columns for the full benchmark and CI gates them there too.  A column
+only witnesses what someone thought to count, so the long cells also walk
+every container a replica holds (:func:`oversized_containers`).
 """
 
 from __future__ import annotations
@@ -28,8 +30,45 @@ from repro.cluster.runner import run_experiment
 from repro.core.config import ProtocolConfig
 from repro.simulator.inline import InlineNetwork
 
+#: The per-command history a replica keeps on purpose ("Deliberately not
+#: O(in-flight)" in ``docs/memory.md``).
+HISTORY = frozenset({"executed"})
 
-def run_cell(protocol: str, duration_ms: float) -> dict:
+
+def attribute_names(owner: object) -> list:
+    """``owner``'s instance-dict and slot attribute names."""
+    names = set(getattr(owner, "__dict__", ()))
+    for klass in type(owner).__mro__:
+        declared = vars(klass).get("__slots__", ())
+        names.update((declared,) if isinstance(declared, str) else declared)
+    return sorted(names - {"__dict__", "__weakref__"})
+
+
+def container_sizes(owner: object, prefix: str = "", depth: int = 2):
+    """``(path, len)`` of every built-in container among ``owner``'s
+    attributes and those of the objects it holds, down to ``depth`` levels:
+    a replica's executor and its graph, its GC tracker, Tempo's promise
+    tracker and promise set."""
+    for name in attribute_names(owner):
+        value = getattr(owner, name, None)
+        if isinstance(value, (dict, list, set, frozenset, tuple)):
+            yield prefix + name, len(value)
+        elif depth and not callable(value) and attribute_names(value):
+            yield from container_sizes(value, f"{prefix}{name}.", depth - 1)
+
+
+def oversized_containers(result, bound: int) -> list:
+    """Every container of every replica, outside :data:`HISTORY`, holding
+    more than ``bound`` entries at the end of ``result``'s run."""
+    return [
+        (process.process_id, path, size)
+        for process in result.deployment.processes
+        for path, size in container_sizes(process)
+        if size > bound and path not in HISTORY
+    ]
+
+
+def run_cell(protocol: str, duration_ms: float):
     config = ExperimentConfig(
         protocol=protocol,
         num_sites=5,
@@ -40,10 +79,10 @@ def run_cell(protocol: str, duration_ms: float) -> dict:
         warmup_ms=100.0,
         seed=1,
     )
-    return run_experiment(config).stats
+    return run_experiment(config)
 
 
-def run_partial_cell(protocol: str, duration_ms: float) -> dict:
+def run_partial_cell(protocol: str, duration_ms: float):
     """3 sites x 2 shards, YCSB+T: half the commands cross both shards, so
     every replica executes commands minted at the other shard."""
     config = ExperimentConfig(
@@ -59,7 +98,7 @@ def run_partial_cell(protocol: str, duration_ms: float) -> dict:
         warmup_ms=100.0,
         seed=1,
     )
-    return run_experiment(config).stats
+    return run_experiment(config)
 
 
 BASE_MS = 400.0
@@ -73,8 +112,9 @@ PARTIAL_PROTOCOLS = ["tempo", "janus"]
 class TestMemoryStaysFlat:
     @pytest.mark.parametrize("protocol", COLLECTING_PROTOCOLS)
     def test_live_state_does_not_scale_with_run_length(self, protocol):
-        short = run_cell(protocol, BASE_MS)
-        long = run_cell(protocol, LONG_MS)
+        short = run_cell(protocol, BASE_MS).stats
+        result = run_cell(protocol, LONG_MS)
+        long = result.stats
 
         # The run processed ~10x the commands...
         assert long["gc_collected"] > 4 * short["gc_collected"]
@@ -104,13 +144,18 @@ class TestMemoryStaysFlat:
             long["peak_live_per_key"],
         )
 
+        # Nor does anything no column counts: every container a replica
+        # holds, but its execution history, is within the tail.
+        assert oversized_containers(result, tail) == []
+
     @pytest.mark.parametrize("protocol", PARTIAL_PROTOCOLS)
     def test_partial_replication_collects_the_other_shards_commands(self, protocol):
         # Each source's dots form one chain per partition, so a replica
         # collects the commands minted at the other shard as well as its
         # own shard's: nothing is left at the end but the in-flight tail.
-        short = run_partial_cell(protocol, BASE_MS)
-        long = run_partial_cell(protocol, LONG_MS)
+        short = run_partial_cell(protocol, BASE_MS).stats
+        result = run_partial_cell(protocol, LONG_MS)
+        long = result.stats
         assert long["gc_collected"] > 4 * short["gc_collected"]
         tail = 2 * 3 * 4  # two commands per client still in flight
         assert long["live_records"] <= tail, long
@@ -119,9 +164,10 @@ class TestMemoryStaysFlat:
         assert long["issued_promises"] <= tail + 6, long
         # Six sources (both shards' minters) at each of six replicas.
         assert long["executed_ranges"] <= 6 * 6 + tail, long
+        assert oversized_containers(result, tail) == []
 
     def test_gc_actually_collected_the_history(self):
-        stats = run_cell("tempo", BASE_MS)
+        stats = run_cell("tempo", BASE_MS).stats
         # The collected count is the witness that records existed and were
         # dropped (not that nothing was ever tracked).
         assert stats["gc_collected"] > 100, stats["gc_collected"]

@@ -1,9 +1,9 @@
 """Pruning semantics of the bounded conflict-tracking structures.
 
 The dependency layer and Caesar prune executed/committed commands out of
-their per-key live sets (``_conflicts`` / ``_known_per_key``) while keeping
-an archive so emitted dependency sets still cover the full history.  These
-tests pin down the three contracts of that scheme:
+their per-key live window (``KeyConflicts``' live flags / ``_known_per_key``)
+while keeping an archive so emitted dependency sets still cover the full
+history.  These tests pin down the three contracts of that scheme:
 
 1. live sets shrink as commands execute (no monotonic growth; peak size
    bounded by in-flight commands),
@@ -20,6 +20,10 @@ settle for less than that and inspect the window in between
 
 from __future__ import annotations
 
+import pytest
+
+from repro.analysis.consistency import check_run
+from repro.analysis.trace import ExecutionTraceRecorder
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
 from repro.protocols.dep_messages import (
@@ -101,6 +105,73 @@ class TestDependencyPruning:
             assert process.status_of(follow_up.dot) == "execute"
         assert cluster.consistent_order(commands + [follow_up])
         assert cluster.stores_converged()
+
+
+class TestSequenceFloor:
+    """A key's sequence floor lives in its summary and dies with it
+    ("Dependency layer" in ``docs/conflict_pruning.md``)."""
+
+    @pytest.mark.parametrize("protocol", ["atlas", "epaxos"])
+    def test_a_collected_keys_floor_goes_and_order_still_agrees(
+        self, make_cluster, protocol
+    ):
+        cluster = make_cluster(protocol)
+        processes = cluster.processes
+        recorder = ExecutionTraceRecorder().attach(processes)
+        submitted = {}
+        #: Each replica's ``(dot, sequence)`` as it executes: the GC drops
+        #: the records soon after.
+        sequences = {process.process_id: [] for process in processes}
+        for process in processes:
+            process.add_execution_listener(
+                lambda _, dot, command, now, process=process: sequences[
+                    process.process_id
+                ].append((dot, process._info[dot].sequence))
+            )
+
+        def submit(process_id, keys, now):
+            command = processes[process_id].new_command(keys)
+            processes[process_id].submit(command, now)
+            submitted[command.dot] = frozenset({0})
+            return command
+
+        # Key "a"'s only command takes sequence 4 from "c"'s history...
+        for _ in range(3):
+            submit(0, ["c"], 0.0)
+        lone = submit(0, ["a", "c"], 0.0)
+        assert processes[0]._info[lone.dot].sequence == 4
+        # ...and once it is collected everywhere, "a" has no summary and so
+        # no floor.
+        now = 3 * cluster.config.gc_interval
+        cluster.network.settle(rounds=int(now))
+        for process in processes:
+            assert lone.dot not in process._info
+            assert process.status_of(lone.dot) == "execute"
+            assert "a" not in process._conflict_index
+
+        # "b" holds a floor of 2, its commands executed but not collected.
+        for _ in range(2):
+            submit(1, ["b"], now)
+        cluster.network.settle(now=now, rounds=SETTLE_ROUNDS)
+        now += SETTLE_ROUNDS
+        for process in processes:
+            assert process._conflict_index["b"].floor == 2
+
+        # The next command on "a" gets one above the floor of its other
+        # key, not above the dropped 4.  A concurrent command on "b" from
+        # replica 1 (both fast quorums hold both coordinators) lands
+        # in one component with it, where the sequences order the two.
+        follow_up = submit(0, ["a", "b"], now)
+        submit(1, ["b"], now)
+        assert processes[0]._info[follow_up.dot].sequence == 3
+        cluster.network.settle(now=now, rounds=SETTLE_ROUNDS)
+        report = check_run(recorder.snapshot(processes), expected=submitted)
+        report.raise_if_violations()
+        assert not report.stuck
+        # Every replica executed the same sequences in the same order.
+        assert len({tuple(executed) for executed in sequences.values()}) == 1
+        assert len(sequences[0]) == len(submitted)
+        assert all(process.max_component_size() == 2 for process in processes)
 
 
 class TestCaesarPruning:
