@@ -219,12 +219,12 @@ def _pump_fifo(processes: Sequence[ProcessBase], channels: Channels, now: float)
 
 
 def _settle_times(config: ProtocolConfig, degraded: bool) -> List[float]:
-    """The one settle schedule: eight ticks at the promise cadence, eight
+    """The one settle schedule: eight ticks at the tick cadence, eight
     past the recovery timeout (eight more one timeout later on a crash or
     loss path, where the repair pass waits up to two windows), then eight
     one GC interval later, so the last executions are collected before the
     final checks."""
-    cadence = config.promise_interval
+    cadence = config.tick_interval
     recovery = config.recovery_timeout + cadence
     starts = [cadence, recovery] + ([2 * recovery] if degraded else [])
     times = [start + cadence * tick for start in starts for tick in range(8)]

@@ -114,7 +114,7 @@ class _Deployment:
             self.processes,
             self.network,
             SimulationOptions(
-                tick_interval=5.0,
+                tick_interval=ProtocolConfig.tick_interval,
                 max_time=config.duration_ms + 5_000.0,
             ),
         )

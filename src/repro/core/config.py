@@ -3,7 +3,8 @@
 The configuration captures the replication factor ``r`` per partition, the
 tolerated number of failures ``f`` (following Flexible Paxos,
 ``1 <= f <= floor((r - 1) / 2)``) and the number of partitions/shards; the
-four timer periods every deployment runs with are constants of the class.
+timer periods every deployment runs with (``tick_interval``, the one tick of
+both engines, ``recovery_timeout`` and ``gc_interval``) are class constants.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ class ProtocolConfig:
     faults: int = 1
     num_partitions: int = 1
 
-    #: How often (milliseconds of simulated time) a process broadcasts its
-    #: promises (Algorithm 2, line 44).
-    promise_interval: ClassVar[float] = 5.0
-    #: How often a process runs the stability/execution check (Algorithm 2,
-    #: line 49).
-    stability_interval: ClassVar[float] = 5.0
+    #: Period (milliseconds) of every process's tick, in the simulator and
+    #: the asyncio runtime alike.  It is Tempo's promise cadence: each tick
+    #: broadcasts pending promises and runs the stability check (Algorithm
+    #: 2, lines 44 and 49).
+    tick_interval: ClassVar[float] = 5.0
     #: How long (milliseconds) a pending command may stay un-committed
     #: before a process attempts recovery.
     recovery_timeout: ClassVar[float] = 500.0

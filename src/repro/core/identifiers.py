@@ -61,7 +61,10 @@ class Dot:
         """Return the process that initially coordinated this command."""
         return self.source
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
+        """Not cosmetic: ``Command.write`` stores ``str(dot)`` as every value
+        it writes and ``COMMAND`` encodes it on the wire, so it is in every
+        store, in ``bytes_sent`` and in every golden byte column."""
         return f"{self.source}.{self.sequence}"
 
 

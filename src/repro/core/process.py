@@ -116,8 +116,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         #: Min-heap of ``(timestamp, dot)`` for identifiers whose MStable was
         #: sent and that await execution in ``(timestamp, dot)`` order.
         self._stable_heap: List[Tuple[int, Dot]] = []
-        self._last_promise_broadcast = float("-inf")
-        self._last_stability_check = float("-inf")
         #: Set when a commit or promise absorption during a delivery scope
         #: made new timestamps potentially stable; the scope's
         #: :meth:`_flush_step` then runs one stability check for the whole
@@ -770,13 +768,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
 
     def tick(self, now: float) -> None:
         """Periodic duties: promise broadcast, stability, liveness, recovery."""
-        if now - self._last_promise_broadcast >= self.config.promise_interval:
-            self._last_promise_broadcast = now
-            self.broadcast_promises(now)
+        self.broadcast_promises(now)
         self._gc_announce(now)
-        if now - self._last_stability_check >= self.config.stability_interval:
-            self._last_stability_check = now
-            self.stability_check(now)
+        self.stability_check(now)
         self._repair_tick(now)
         self._reliability_tick(now)
 

@@ -33,7 +33,6 @@ class AsyncClusterOptions:
     num_processes: int = 3
     faults: int = 1
     num_partitions: int = 1
-    tick_interval: float = 0.005
     latency_seconds: float = 0.0
     #: Ship protocol messages through the router as encoded wire frames
     #: (encode on send, decode on receive).  On by default so every runtime
@@ -42,8 +41,6 @@ class AsyncClusterOptions:
     protocol_kwargs: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
         if self.latency_seconds < 0:
             raise ValueError("latency_seconds must be non-negative")
 
@@ -174,7 +171,7 @@ class AsyncCluster:
     async def _run_ticks(self, process: ProcessBase) -> None:
         """Tick ``process`` on absolute deadlines, ``tick_interval`` apart."""
         loop = asyncio.get_running_loop()
-        interval = self.options.tick_interval
+        interval = self.config.tick_interval / 1000.0
         deadline = loop.time() + interval
         while self._running:
             await asyncio.sleep(deadline - loop.time())

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.base import Envelope, MBatch, ProcessBase
+from repro.core.config import ProtocolConfig
 from repro.simulator.events import EventKind, EventQueue
 from repro.simulator.network import Network
 
@@ -49,7 +50,7 @@ _TICK = EventKind.TICK
 class SimulationOptions:
     """Tunables of the simulation loop."""
 
-    tick_interval: float = 5.0
+    tick_interval: float = ProtocolConfig.tick_interval
     max_time: float = 60_000.0
     max_events: int = 5_000_000
 

@@ -16,6 +16,8 @@ from repro.core.messages import MCommit, MPayload, MPromises
 from repro.core.promises import Promise, PromiseSet
 from repro.experiments.fig2_stability import promise_table
 
+from tests.conftest import TempoCluster
+
 
 def _promise_set(entries):
     promises = PromiseSet()
@@ -112,3 +114,29 @@ class TestExecutionOrder:
         assert keys == sorted(keys)
         # Exactly the commands at or below the stable timestamp are included.
         assert set(order) == {dot for dot, ts in committed.items() if ts <= stable}
+
+
+class TestTickCadence:
+    """The tick is the promise cadence: every call broadcasts what is
+    pending, whatever float clock drives it."""
+
+    def test_ticks_a_hair_under_the_interval_apart_each_broadcast(self):
+        # The asyncio runtime's float-seconds clock puts consecutive ticks
+        # 4.999999999998 ms apart; a duty gated on ``now - last >= 5.0``
+        # skipped every other one of them.
+        cluster = TempoCluster(num_processes=3, faults=1)
+        process = cluster.process(0)
+        broadcasts = []
+        for index, now in enumerate((0.0, 4.999999999999, 9.999999999998)):
+            cluster.submit(0, [f"k{index}"], now)
+            cluster.run(now)
+            assert process.tracker.has_pending()
+            process.tick(now)
+            broadcasts.append(
+                sorted(
+                    envelope.destination
+                    for envelope in process.drain_outbox()
+                    if isinstance(envelope.message, MPromises)
+                )
+            )
+        assert broadcasts == [[1, 2], [1, 2], [1, 2]]
