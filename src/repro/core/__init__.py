@@ -10,7 +10,7 @@ The main entry point is :class:`repro.core.process.TempoProcess`.
 """
 
 from repro.core.clock import LogicalClock
-from repro.core.commands import Command, KeyGenerator
+from repro.core.commands import Command
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 from repro.core.phases import Phase
@@ -21,7 +21,6 @@ from repro.core.quorums import QuorumSystem
 __all__ = [
     "Command",
     "Dot",
-    "KeyGenerator",
     "LogicalClock",
     "Phase",
     "Promise",

@@ -3,7 +3,9 @@
 A command is an operation on the replicated key-value store.  Each key
 belongs to exactly one partition; the set of partitions a command accesses is
 derived from the keys it touches.  Two commands *conflict* when they access a
-common key (the paper's microbenchmark notion of conflict, §6.2).
+common key (the paper's microbenchmark notion of conflict, §6.2); each
+protocol applies the relation through its own per-key state (Tempo's
+per-key clocks, the baselines' :class:`~repro.protocols.dependency.KeyConflicts`).
 
 Tempo itself does not distinguish reads from writes (§3.3), but the baseline
 protocols (EPaxos/Atlas/Janus*) do, so commands carry per-key operations with
@@ -13,7 +15,7 @@ a read/write kind.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.core.identifiers import Dot
@@ -124,36 +126,6 @@ class Command:
         """True when every operation of the command is a read."""
         return self._read_only
 
-    def has_write(self) -> bool:
-        return any(op.is_write() for op in self.ops)
-
-    def conflicts_with(self, other: "Command") -> bool:
-        """Key-based conflict relation used throughout the evaluation.
-
-        Two commands conflict when they access a common key.  This is the
-        conflict notion Tempo and all baselines are driven with in §6; the
-        read/write refinement (reads do not conflict with reads) is applied
-        only by the dependency-based baselines and is exposed through
-        :meth:`interferes_with`.
-        """
-        return bool(self.keys & other.keys)
-
-    def interferes_with(self, other: "Command") -> bool:
-        """Read/write-aware conflict relation (EPaxos-style).
-
-        Two commands interfere when they access a common key and at least
-        one of them writes it.
-        """
-        shared = self.keys & other.keys
-        if not shared:
-            return False
-        for key in shared:
-            mine = [op for op in self.ops if op.key == key]
-            theirs = [op for op in other.ops if op.key == key]
-            if any(op.is_write() for op in mine) or any(op.is_write() for op in theirs):
-                return True
-        return False
-
     def partitions(self, partitioner: "Partitioner") -> FrozenSet[int]:
         """Partitions accessed by this command under ``partitioner``."""
         return frozenset(partitioner.partition_of(key) for key in self.keys)
@@ -201,33 +173,3 @@ class Partitioner:
         if not 0 <= partition < self.num_partitions:
             raise ValueError("partition out of range")
         self._explicit[key] = partition
-
-
-@dataclass
-class KeyGenerator:
-    """Generates keys according to the microbenchmark access pattern (§6.2).
-
-    A client chooses the shared key ``conflict_key`` with probability
-    ``conflict_rate`` and a unique private key otherwise, so that two
-    commands from different clients conflict with probability roughly
-    ``conflict_rate**2``... actually with probability ``conflict_rate`` of
-    hitting the hot key each; this mirrors the paper's workload definition:
-    "a client chooses key 0 with probability rho, and some unique key
-    otherwise".
-    """
-
-    client_id: int
-    conflict_rate: float = 0.02
-    conflict_key: str = "key-0"
-    _counter: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.conflict_rate <= 1.0:
-            raise ValueError("conflict_rate must be within [0, 1]")
-
-    def next_key(self, uniform: float) -> str:
-        """Return the next key given a uniform random draw in [0, 1)."""
-        if uniform < self.conflict_rate:
-            return self.conflict_key
-        self._counter += 1
-        return f"key-c{self.client_id}-{self._counter}"

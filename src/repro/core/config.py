@@ -120,11 +120,3 @@ class ProtocolConfig:
         region hosts one replica of every shard.
         """
         return self.rank_in_partition(process)
-
-    def colocated_processes(self, process: int) -> List[int]:
-        """All processes co-located at the same site as ``process``."""
-        rank = self.rank_in_partition(process)
-        return [
-            partition * self.num_processes + rank
-            for partition in range(self.num_partitions)
-        ]

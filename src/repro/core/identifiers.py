@@ -126,10 +126,6 @@ class DotGenerator:
         consuming it."""
         return intern_dot(self.source, self._next)
 
-    def generated(self) -> int:
-        """Number of identifiers generated so far."""
-        return self._next - 1
-
     def __iter__(self) -> Iterator[Dot]:
         while True:
             yield self.next_id()

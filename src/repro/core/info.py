@@ -72,8 +72,8 @@ class CommandInfo:
     def move_to(self, new_phase: Phase) -> None:
         """Transition to ``new_phase``, enforcing Figure 1.
 
-        Inlines :func:`repro.core.phases.transition` (identity fast paths,
-        tuple-scan validation): this runs on the per-message hot path.
+        A move to the current phase is a no-op; any other move not in
+        Figure 1 raises :class:`InvalidPhaseTransition`.
         """
         phase = self.phase
         if phase is new_phase:
@@ -85,9 +85,8 @@ class CommandInfo:
 
     @property
     def is_pending(self) -> bool:
-        # Reads the membership flag stamped onto each Phase member — one
-        # call frame fewer than ``Phase.is_pending`` on the hot path, with
-        # the pending set defined in exactly one place (phases.py).
+        # Reads the membership flag stamped onto each Phase member: the
+        # pending set is defined in exactly one place (phases.py).
         return self.phase._is_pending
 
     @property

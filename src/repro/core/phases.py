@@ -7,6 +7,11 @@ A command travels through the following phases at each process::
 
 ``pending`` is defined as the union of payload, propose, recover-r and
 recover-p (the phases in which the command is known but not yet committed).
+``start -> commit`` is allowed because a process may learn about a command
+directly from an ``MCommit`` message.  :meth:`CommandInfo.move_to
+<repro.core.info.CommandInfo.move_to>` enforces the transitions and
+:attr:`CommandInfo.is_pending <repro.core.info.CommandInfo.is_pending>` reads
+the pending set; both read the per-member flags stamped below.
 """
 
 from __future__ import annotations
@@ -25,28 +30,10 @@ class Phase(enum.Enum):
     COMMIT = "commit"
     EXECUTE = "execute"
 
-    def is_pending(self) -> bool:
-        """True for phases in the paper's ``pending`` set."""
-        # ``_is_pending`` is stamped onto each member below — the single
-        # source of truth the hot paths (``CommandInfo.is_pending``,
-        # ``TempoProcess._maybe_commit``) read without a call frame.
-        return self._is_pending
 
-    def is_terminal(self) -> bool:
-        """True once the command has been executed."""
-        return self is Phase.EXECUTE
-
-    def can_transition_to(self, new: "Phase") -> bool:
-        """Whether the phase transition ``self -> new`` is allowed.
-
-        The allowed transitions follow Figure 1 of the paper.  The probe
-        scans a small per-member tuple: ``in`` on a tuple of enum members
-        compares by identity, avoiding the enum hashing a set probe pays
-        (this runs once per phase move on the per-message hot path).
-        """
-        return new in self._allowed_next
-
-
+# Each member carries its allowed successors as a small tuple: ``in`` on a
+# tuple of enum members compares by identity, avoiding the enum hashing a set
+# probe pays (this runs once per phase move on the per-message hot path).
 _TRANSITIONS = {
     Phase.START: (Phase.PAYLOAD, Phase.PROPOSE, Phase.COMMIT),
     Phase.PAYLOAD: (Phase.RECOVER_R, Phase.COMMIT),
@@ -71,17 +58,3 @@ class InvalidPhaseTransition(RuntimeError):
         super().__init__(f"invalid phase transition {current.value} -> {new.value}")
         self.current = current
         self.new = new
-
-
-def transition(current: Phase, new: Phase) -> Phase:
-    """Validate and perform a phase transition.
-
-    Raises :class:`InvalidPhaseTransition` if the transition is not allowed
-    by Figure 1.  ``start -> commit`` is allowed because a process may learn
-    about a command directly from an ``MCommit`` message.
-    """
-    if current is new:
-        return current
-    if new not in current._allowed_next:
-        raise InvalidPhaseTransition(current, new)
-    return new

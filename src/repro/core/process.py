@@ -298,17 +298,13 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
                 f"process {self.process_id} (partition {self.partition}) cannot "
                 f"submit a command accessing partitions {partitions}"
             )
-        coordinators = self._colocated_coordinators(partitions)
-        quorums = {
-            partition: tuple(
-                self.quorum_system.fast_quorum(coordinator, partition, self.suspected)
-            )
-            for partition, coordinator in coordinators.items()
-        }
+        quorums = self.quorum_system.fast_quorums(
+            self.process_id, partitions, self.suspected
+        )
         record = self.info(command.dot)
         record.submitted_at = now
         message = MSubmit(command.dot, command, quorums)
-        self.send(sorted(set(coordinators.values())), message, now)
+        self.send(sorted({quorum[0] for quorum in quorums.values()}), message, now)
 
     # ------------------------------------------------------------------ commit protocol
 

@@ -4,8 +4,9 @@ Tempo uses three quorum kinds per partition (§3):
 
 * *fast quorums* of size ``floor(r/2) + f`` including the coordinator, used
   to compute timestamp proposals;
-* *slow quorums* of size ``f + 1`` including the coordinator, used by the
-  Flexible-Paxos consensus on the slow path;
+* *slow quorums* of size ``f + 1``: the Flexible-Paxos consensus on the
+  slow path sends ``MConsensus`` to every partition peer and waits for
+  ``f + 1`` acks;
 * *recovery quorums* of size ``r - f`` used by Paxos phase-1 during
   recovery.
 
@@ -44,20 +45,6 @@ class QuorumSystem:
         self._latencies = latencies
         #: ``closest()`` results per ``(process, count)``.
         self._closest: Dict[Tuple[int, int], List[int]] = {}
-
-    # -- sizes ---------------------------------------------------------------
-
-    @property
-    def fast_quorum_size(self) -> int:
-        return self.config.fast_quorum_size
-
-    @property
-    def slow_quorum_size(self) -> int:
-        return self.config.slow_quorum_size
-
-    @property
-    def recovery_quorum_size(self) -> int:
-        return self.config.recovery_quorum_size
 
     # -- quorum selection ----------------------------------------------------
 
@@ -160,30 +147,33 @@ class QuorumSystem:
         """Fast quorum for ``partition`` led by ``coordinator``, avoiding
         ``suspected`` as :meth:`closest` does."""
         self._check_replicates(coordinator, partition)
-        return self.closest(coordinator, self.fast_quorum_size, suspected)
-
-    def slow_quorum(self, coordinator: int, partition: int) -> List[int]:
-        """Slow (Flexible-Paxos phase-2) quorum led by ``coordinator``."""
-        self._check_replicates(coordinator, partition)
-        return self.closest(coordinator, self.slow_quorum_size)
+        return self.closest(coordinator, self.config.fast_quorum_size, suspected)
 
     def _check_replicates(self, coordinator: int, partition: int) -> None:
         if self.config.partition_of_process(coordinator) != partition:
             raise ValueError("coordinator must replicate the partition")
 
     def fast_quorums(
-        self, submitter: int, partitions: Sequence[int]
-    ) -> Dict[int, List[int]]:
-        """Fast quorum per accessed partition (the ``Q`` mapping of Alg. 1).
+        self,
+        submitter: int,
+        partitions: Sequence[int],
+        suspected: FrozenSet[int] = frozenset(),
+    ) -> Dict[int, Tuple[int, ...]]:
+        """Fast quorum per accessed partition (the ``Q`` mapping of Alg. 1),
+        each avoiding ``suspected`` as :meth:`closest` does.
 
-        The coordinator of each partition is the replica of that partition
-        co-located with (closest to) the submitting process.
+        The coordinator of each partition, the quorum's first member, is the
+        replica of that partition co-located with (closest to) the
+        submitting process.
         """
-        quorums: Dict[int, List[int]] = {}
-        for partition in partitions:
-            coordinator = self.coordinator_for(submitter, partition)
-            quorums[partition] = self.fast_quorum(coordinator, partition)
-        return quorums
+        return {
+            partition: tuple(
+                self.fast_quorum(
+                    self.coordinator_for(submitter, partition), partition, suspected
+                )
+            )
+            for partition in partitions
+        }
 
     def coordinator_for(self, submitter: int, partition: int) -> int:
         """The replica of ``partition`` that acts as coordinator for a
@@ -207,14 +197,3 @@ class QuorumSystem:
             partition: self.coordinator_for(submitter, partition)
             for partition in partitions
         }
-
-    # -- validation helpers ----------------------------------------------------
-
-    def is_valid_fast_quorum(self, quorum: Sequence[int], partition: int) -> bool:
-        """Check that ``quorum`` is a plausible fast quorum for the partition."""
-        members = set(self.config.processes_of_partition(partition))
-        return (
-            len(set(quorum)) == len(quorum)
-            and len(quorum) == self.fast_quorum_size
-            and set(quorum) <= members
-        )

@@ -77,8 +77,11 @@ class RecoveryMixin:
         dot = message.dot
         info = self._info.get(dot)
         if info is None or not info.is_pending:
-            # A committed/executed process ignores MRec; the requester will
-            # learn the outcome through MCommitRequest / MPromises (§B.1).
+            # A committed/executed process ignores MRec (§B.1); the requester
+            # learns the outcome through the repair pass, whose
+            # MRepairRequest(Need.COMMIT) always runs (repair.py,
+            # ``_ask_for_commit``), or the recovery phase's one-shot
+            # MCommitRequest (``_on_promises``).
             return
         if info.ballot >= message.ballot:
             self.send([sender], MRecNAck(dot, info.ballot), now)

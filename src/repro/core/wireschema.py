@@ -209,12 +209,6 @@ class Reader:
             raise WireError(f"invalid optional-string flag {flag}")
         return self.read_string()
 
-    def read_bool(self) -> bool:
-        flag = self.read_byte()
-        if flag > 1:
-            raise WireError(f"invalid bool byte {flag}")
-        return bool(flag)
-
 
 # -- field types ----------------------------------------------------------------------
 #
@@ -238,17 +232,6 @@ class SVARINT:
     write = staticmethod(write_svarint)
     read = staticmethod(Reader.read_svarint)
     size = staticmethod(_svarint_size)
-
-
-class BOOL:
-    """One byte, 0 or 1."""
-
-    @staticmethod
-    def write(buf: bytearray, value: bool) -> None:
-        buf.append(1 if value else 0)
-
-    read = staticmethod(Reader.read_bool)
-    size = 1
 
 
 #: Stable byte value per :class:`Phase` member (wire order, never reordered).

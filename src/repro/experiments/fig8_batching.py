@@ -12,14 +12,10 @@ outperforms FPaxos.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import ProtocolConfig
-from repro.experiments.throughput_model import (
-    CostModel,
-    max_throughput,
-    measured_coalescing,
-)
+from repro.experiments.throughput_model import CostModel, max_throughput
 from repro.workloads.batching import BatchingModel
 
 #: Payload sizes of Figure 8 (bytes).
@@ -120,38 +116,4 @@ def run_mbatch(
                     else 0.0,
                 }
             )
-    return rows
-
-
-def run_mbatch_measured(
-    options: Figure8Options = Figure8Options(),
-    experiment_config: Optional[object] = None,
-) -> List[Dict[str, object]]:
-    """Figure 8 companion driven by a *measured* coalescing factor.
-
-    Instead of assuming an MBatch coalescing factor, run one simulator
-    experiment, read the measured ``messages_delivered / deliveries`` off
-    its stats (ROADMAP: close the loop between the fig5/fig6 runs and the
-    fig7/fig8 model) and feed it into :func:`run_mbatch`.  The default
-    scenario is a short fig5-style Tempo run.
-    """
-    from repro.cluster.config import ExperimentConfig
-    from repro.cluster.runner import run_experiment
-
-    if experiment_config is None:
-        experiment_config = ExperimentConfig(
-            protocol="tempo",
-            num_sites=options.num_sites,
-            faults=1,
-            clients_per_site=8,
-            conflict_rate=options.conflict_rate,
-            duration_ms=1_500.0,
-            warmup_ms=250.0,
-            seed=1,
-        )
-    stats = run_experiment(experiment_config).stats
-    coalescing = measured_coalescing(stats)
-    rows = run_mbatch(options, coalescing=coalescing)
-    for row in rows:
-        row["measured_coalescing"] = round(coalescing, 2)
     return rows

@@ -34,7 +34,7 @@ by the model, which is what makes the reproduced trends meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.simulator.resources import CommandCost, MachineSpec, ResourceModel
@@ -64,9 +64,8 @@ class CostModel:
         mbatch_coalescing: average number of same-destination protocol
             messages coalesced into one transport-level ``MBatch`` delivery.
             The default of 1 charges the historical unbatched per-message
-            framing; the simulator's measured coalescing (``batches_sent``
-            vs ``messages_sent``) can be plugged in to model the framing
-            saving for Figures 7 and 8.
+            framing; a larger value models the framing saving for
+            Figures 7 and 8.
         concurrency: number of in-flight commands per site assumed when
             estimating dependency-chain lengths (the paper's saturation
             points sit at a few thousand clients per site).
@@ -110,31 +109,6 @@ class CostModel:
             - self.framing_bytes
             + self.framing_bytes / self.mbatch_coalescing
         )
-
-
-def measured_coalescing(stats: Mapping[str, float]) -> float:
-    """MBatch coalescing factor measured by a simulator run.
-
-    ``stats`` is an :class:`repro.cluster.runner.ExperimentResult` ``stats``
-    mapping (or anything exposing ``messages_delivered`` and
-    ``deliveries``).  The result — average protocol messages per transport
-    delivery — is exactly the ``mbatch_coalescing`` input of
-    :class:`CostModel`, closing the loop between the fig5/fig6 simulator
-    runs and the fig7/fig8 analytic model.  Falls back to the historical
-    per-message framing (1.0) when the counters are missing or degenerate.
-    """
-    messages = float(stats.get("messages_delivered", 0.0))
-    deliveries = float(stats.get("deliveries", 0.0))
-    if messages <= 0.0 or deliveries <= 0.0:
-        return 1.0
-    return max(1.0, messages / deliveries)
-
-
-def model_with_measured_coalescing(
-    stats: Mapping[str, float], base: Optional[CostModel] = None
-) -> CostModel:
-    """A :class:`CostModel` whose MBatch coalescing comes from a measured run."""
-    return replace(base or CostModel(), mbatch_coalescing=measured_coalescing(stats))
 
 
 @dataclass(frozen=True)

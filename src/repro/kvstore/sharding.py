@@ -9,8 +9,6 @@ deployments use.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
 from repro.core.commands import Partitioner
 
 
@@ -69,15 +67,3 @@ class ShardMap:
                 return shard_map.shard_of_key(key)
 
         return _ShardPartitioner()
-
-    def shards_of(self, keys: Sequence[str]) -> List[int]:
-        """Distinct shards accessed by ``keys``, sorted."""
-        return sorted({self.shard_of_key(key) for key in keys})
-
-    def distribution(self, keys: Sequence[str]) -> Dict[int, int]:
-        """How many of ``keys`` fall on each shard."""
-        histogram: Dict[int, int] = {}
-        for key in keys:
-            shard = self.shard_of_key(key)
-            histogram[shard] = histogram.get(shard, 0) + 1
-        return histogram

@@ -2,10 +2,9 @@
 
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.throughput import ThroughputTracker
-from repro.metrics.report import ExperimentReport, format_table
+from repro.metrics.report import format_table
 
 __all__ = [
-    "ExperimentReport",
     "LatencyHistogram",
     "ThroughputTracker",
     "format_table",

@@ -27,7 +27,7 @@ a percentile is actually requested.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 #: Tolerance applied before ``ceil`` in the nearest-rank computation, making
 #: it immune to binary floating-point error in ``percentile / 100 * n``.
@@ -118,10 +118,6 @@ class LatencyHistogram:
         rank = nearest_rank(percentile, len(self._samples))
         index = min(len(self._samples) - 1, max(0, rank - 1))
         return self._samples[index]
-
-    def percentiles(self, which: Sequence[float] = (95.0, 99.0, 99.9, 99.99)) -> Dict[float, float]:
-        """A batch of percentiles, matching Figure 6's x-axis by default."""
-        return {percentile: self.percentile(percentile) for percentile in which}
 
     def summary(self) -> Dict[str, float]:
         """Mean / p50 / p95 / p99 / p99.9 / p99.99 / max in one dictionary."""

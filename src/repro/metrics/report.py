@@ -1,55 +1,13 @@
-"""Experiment reports and plain-text table rendering.
+"""Plain-text table rendering.
 
-Every experiment driver in :mod:`repro.experiments` returns an
-:class:`ExperimentReport`; the benchmark harness prints them with
-:func:`format_table` so the rows/series of the paper's tables and figures
-can be eyeballed directly from the bench output.
+The benchmark harness prints the rows of the paper's tables and figures with
+:func:`format_table`, so they can be eyeballed directly from the bench output
+and diffed in ``results/*.txt``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-from repro.metrics.histogram import LatencyHistogram
-
-
-@dataclass
-class ExperimentReport:
-    """Outcome of one experiment run (one protocol, one configuration)."""
-
-    name: str
-    protocol: str
-    parameters: Dict[str, object] = field(default_factory=dict)
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    per_site_latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
-    throughput_ops: float = 0.0
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    def mean_latency(self) -> float:
-        return self.latency.mean()
-
-    def site_means(self) -> Dict[str, float]:
-        return {site: histogram.mean() for site, histogram in self.per_site_latency.items()}
-
-    def tail(self, percentile: float) -> float:
-        return self.latency.percentile(percentile)
-
-    def row(self) -> Dict[str, object]:
-        """Flat dictionary used by the table renderer."""
-        row: Dict[str, object] = {"protocol": self.protocol}
-        row.update(self.parameters)
-        summary = self.latency.summary()
-        row.update(
-            {
-                "mean_ms": round(summary["mean"], 1),
-                "p99_ms": round(summary["p99"], 1),
-                "p99.9_ms": round(summary["p99.9"], 1),
-                "throughput_ops": round(self.throughput_ops, 1),
-            }
-        )
-        row.update({key: round(value, 3) for key, value in self.extra.items()})
-        return row
 
 
 def format_table(

@@ -5,12 +5,11 @@ A message's delay belongs to the link, never to the sender's next step:
 the destination's in-flight heap and returns without suspending, and one
 timer per destination lands the frames in its inbox (``docs/runtime.md``).
 
-With ``Router(wire_bytes=True)`` every protocol message travels through the
-queues as its real encoded frame (:mod:`repro.wire`): the router encodes on
-send and :meth:`Channel.get` decodes on receipt, so anything the runtime
-exercises also exercises the codecs end-to-end.  Payloads without a codec
-(plain strings, test sentinels) pass through unchanged; in wire mode a raw
-``bytes`` payload is reserved for frames.
+Every protocol message travels through the queues as its real encoded frame
+(:mod:`repro.wire`): the router encodes on send and :meth:`Channel.get`
+decodes on receipt, so anything the runtime exercises also exercises the
+codecs end-to-end.  Payloads without a codec (plain strings, test sentinels)
+pass through unchanged; a raw ``bytes`` payload is reserved for frames.
 """
 
 from __future__ import annotations
@@ -29,21 +28,19 @@ class Channel:
 
     endpoint: int
     queue: "asyncio.Queue[Tuple[int, object]]"
-    #: Decode ``bytes`` entries as wire frames (set by ``Router`` in
-    #: ``wire_bytes`` mode).
-    wire: bool = False
 
     @classmethod
-    def create(cls, endpoint: int, wire: bool = False) -> "Channel":
-        return cls(endpoint=endpoint, queue=asyncio.Queue(), wire=wire)
+    def create(cls, endpoint: int) -> "Channel":
+        return cls(endpoint=endpoint, queue=asyncio.Queue())
 
     def put(self, sender: int, message: object) -> None:
         """Append one inbox entry; the queue is unbounded, so this never waits."""
         self.queue.put_nowait((sender, message))
 
     async def get(self) -> Tuple[int, object]:
+        """The next entry, a ``bytes`` entry decoded as its wire frame."""
         sender, message = await self.queue.get()
-        if self.wire and type(message) is bytes:
+        if type(message) is bytes:
             message, _ = decode_frame(message)
         return sender, message
 
@@ -86,13 +83,13 @@ class Router:
     drop messages, those already in flight included, matching the
     crash-stop model.
 
-    With ``wire_bytes=True`` every message whose type has a registered
-    codec is encoded to its framed byte form before it enters the
-    destination queue and decoded back by :meth:`Channel.get`, so the
-    runtime ships real bytes rather than object references.
+    Every message whose type has a registered codec is encoded to its
+    framed byte form before it enters the destination queue and decoded
+    back by :meth:`Channel.get`, so the runtime ships real bytes rather
+    than object references.
     """
 
-    def __init__(self, latency=None, wire_bytes: bool = False) -> None:
+    def __init__(self, latency=None) -> None:
         self._channels: Dict[int, Channel] = {}
         self._in_flight: Dict[int, _InFlight] = {}
         #: Due time of the last delayed frame per ``(sender, destination)``:
@@ -101,17 +98,16 @@ class Router:
         self._sequence = 0
         self._latency = latency
         self._crashed: set = set()
-        self.wire_bytes = wire_bytes
         self.delivered = 0
         self.dropped = 0
-        #: Total frame bytes shipped through the router in wire mode.
+        #: Total frame bytes shipped through the router.
         self.bytes_shipped = 0
 
     def register(self, endpoint: int) -> Channel:
         """Create (or return) the channel of ``endpoint``."""
         channel = self._channels.get(endpoint)
         if channel is None:
-            channel = Channel.create(endpoint, wire=self.wire_bytes)
+            channel = Channel.create(endpoint)
             self._channels[endpoint] = channel
             self._in_flight[endpoint] = _InFlight()
         return channel
@@ -151,7 +147,7 @@ class Router:
         if channel is None or destination in self._crashed:
             self.dropped += 1
             return
-        if self.wire_bytes and has_codec(type(message)):
+        if has_codec(type(message)):
             frame = encode_frame(message)
             self.bytes_shipped += len(frame)
             message = frame

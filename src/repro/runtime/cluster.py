@@ -34,15 +34,20 @@ class AsyncClusterOptions:
     faults: int = 1
     num_partitions: int = 1
     latency_seconds: float = 0.0
-    #: Ship protocol messages through the router as encoded wire frames
-    #: (encode on send, decode on receive).  On by default so every runtime
-    #: test exercises the :mod:`repro.wire` codec path end-to-end.
+    #: The router always ships protocol messages as encoded wire frames
+    #: (encode on send, decode on receive), so every runtime test exercises
+    #: the :mod:`repro.wire` codec path end-to-end.  Only ``True`` is
+    #: accepted; the field stays while callers still pass it.
     wire_bytes: bool = True
     protocol_kwargs: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.latency_seconds < 0:
             raise ValueError("latency_seconds must be non-negative")
+        if self.wire_bytes is not True:
+            raise ValueError(
+                "the runtime always ships wire frames: wire_bytes must be True"
+            )
 
 
 class AsyncCluster:
@@ -65,7 +70,7 @@ class AsyncCluster:
         latency = None
         if self.options.latency_seconds > 0:
             latency = lambda sender, destination: self.options.latency_seconds  # noqa: E731
-        self.router = Router(latency=latency, wire_bytes=self.options.wire_bytes)
+        self.router = Router(latency=latency)
         for process in self.processes:
             self.router.register(process.process_id)
         self._tasks: List[asyncio.Task] = []

@@ -86,13 +86,6 @@ class LatencyMatrix:
         """Round-trip latency between two sites."""
         return self.latency(site_a, site_b) + self.latency(site_b, site_a)
 
-    def average_rtt(self, site: str) -> float:
-        """Average RTT from ``site`` to every *other* site."""
-        others = [other for other in self.sites if other != site]
-        if not others:
-            return 0.0
-        return sum(self.rtt(site, other) for other in others) / len(others)
-
     def closest_sites(self, site: str, count: int) -> List[str]:
         """The ``count`` sites closest to ``site`` (excluding itself)."""
         others = sorted(

@@ -84,10 +84,9 @@ class NetworkStats:
     #: All per-message counters above count the *inner* messages, so batching
     #: never changes them.
     batches_sent: int = 0
-    #: Number of delivery events (an ``MBatch`` of any size counts once).
+    #: Number of delivery events (an ``MBatch`` of any size counts once):
     #: ``messages_delivered / deliveries`` is the measured MBatch coalescing
-    #: factor consumed by the analytic throughput model
-    #: (``CostModel.mbatch_coalescing``).
+    #: factor; the benchmarks' traffic log reports ``deliveries``.
     deliveries: int = 0
     per_kind: Dict[str, int] = field(default_factory=dict)
 

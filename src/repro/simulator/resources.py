@@ -58,15 +58,6 @@ class CommandCost:
     net_in_bytes: float
     net_out_bytes: float
 
-    def scaled(self, factor: float) -> "CommandCost":
-        """Scale every component (used for batching)."""
-        return CommandCost(
-            cpu_micros=self.cpu_micros * factor,
-            execution_micros=self.execution_micros * factor,
-            net_in_bytes=self.net_in_bytes * factor,
-            net_out_bytes=self.net_out_bytes * factor,
-        )
-
 
 @dataclass(frozen=True)
 class SaturationPoint:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 #: Named sub-stream for fault-injection randomness (link drop/jitter draws,
 #: targeted message loss).  Splitting it off the network's main stream means
@@ -41,12 +41,6 @@ class SeededRng:
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive."""
         return self._random.randint(low, high)
-
-    def choice(self, items: Sequence):
-        """Uniform choice among ``items``."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return items[self._random.randrange(len(items))]
 
     def shuffle(self, items: List) -> List:
         """Return a shuffled copy of ``items``."""

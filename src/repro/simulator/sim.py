@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import gc
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.base import Envelope, MBatch, ProcessBase
@@ -76,19 +76,6 @@ class SimulationStats:
     messages_delivered: int = 0
     ticks: int = 0
     end_time: float = 0.0
-    #: Messages delivered per process id.  Process ids are dense small
-    #: integers, so the hot-path accounting is a preallocated list indexed
-    #: by process id; the mapping view below is derived from it.
-    _per_process: List[int] = field(default_factory=list, repr=False)
-
-    @property
-    def per_process_messages(self) -> Dict[int, int]:
-        """Messages delivered per process id (processes that received any)."""
-        return {
-            process_id: count
-            for process_id, count in enumerate(self._per_process)
-            if count
-        }
 
 
 class Simulation:
@@ -108,9 +95,6 @@ class Simulation:
         self.queue = EventQueue()
         self.now = 0.0
         self.stats = SimulationStats()
-        self.stats._per_process = [0] * (
-            max(self.processes) + 1 if self.processes else 0
-        )
         #: Handlers for envelopes addressed to endpoints that are not
         #: processes (e.g. clients).  Keyed by endpoint id.
         self.external_endpoints: Dict[int, Callable[[int, object, float], None]] = {}
@@ -269,7 +253,6 @@ class Simulation:
         dispatch = self._dispatch
         max_events = self.options.max_events
         message_kind = _MESSAGE
-        per_process = stats._per_process
         events_processed = stats.events_processed
         while events_processed < max_events:
             popped = pop_lane(horizon)
@@ -295,7 +278,6 @@ class Simulation:
                     stats.messages_delivered += count
                     process = processes.get(target)
                     if process is not None:
-                        per_process[target] += count
                         process.deliver(sender, payload, time)
                         if process.outbox:
                             envelopes = process.outbox

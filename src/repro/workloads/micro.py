@@ -67,7 +67,3 @@ class MicroWorkload:
         if self.read_ratio <= 0.0:
             return False
         return self.rng.uniform() < self.read_ratio
-
-    def generated(self) -> int:
-        """Number of private keys handed out so far."""
-        return self._counter

@@ -16,18 +16,10 @@ mixes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.kvstore.sharding import ShardMap
 from repro.simulator.rng import SeededRng, ZipfSampler
-
-#: Named YCSB mixes: write ratio per workload letter.
-YCSB_WORKLOADS: Dict[str, float] = {
-    "A": 0.50,
-    "B": 0.05,
-    "C": 0.00,
-}
-
 
 @dataclass
 class YcsbTWorkload:
@@ -56,23 +48,6 @@ class YcsbTWorkload:
         )
         self._sampler = ZipfSampler(total_keys, self.zipf, rng=self.rng)
 
-    @classmethod
-    def from_workload_letter(
-        cls, client_id: int, shard_map: ShardMap, letter: str, zipf: float = 0.5, **kwargs
-    ) -> "YcsbTWorkload":
-        """Build the workload for a YCSB letter (A, B or C)."""
-        try:
-            write_ratio = YCSB_WORKLOADS[letter.upper()]
-        except KeyError as exc:
-            raise KeyError(f"unknown YCSB workload {letter!r}") from exc
-        return cls(
-            client_id=client_id,
-            shard_map=shard_map,
-            zipf=zipf,
-            write_ratio=write_ratio,
-            **kwargs,
-        )
-
     def next_keys(self) -> List[str]:
         """Keys accessed by the next transaction (popularity-ranked)."""
         assert self._sampler is not None
@@ -83,7 +58,3 @@ class YcsbTWorkload:
         """Whether the next transaction is read-only."""
         assert self.rng is not None
         return self.rng.uniform() >= self.write_ratio
-
-    def shards_of(self, keys: List[str]) -> List[int]:
-        """Shards accessed by a set of keys."""
-        return self.shard_map.shards_of(keys)

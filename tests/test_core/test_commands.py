@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.commands import Command, KeyGenerator, KeyOp, OpKind, Partitioner
+from repro.cluster.replicas import build_replicas
+from repro.core.commands import Command, KeyOp, OpKind, Partitioner
+from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 
 
@@ -13,13 +15,11 @@ class TestCommandConstruction:
     def test_write_command_touches_all_keys(self):
         command = Command.write(Dot(0, 1), ["a", "b"])
         assert command.keys == {"a", "b"}
-        assert command.has_write()
         assert not command.is_read_only()
 
     def test_read_command_is_read_only(self):
         command = Command.read(Dot(0, 1), ["a"])
         assert command.is_read_only()
-        assert not command.has_write()
 
     def test_rejects_empty_key_set(self):
         with pytest.raises(ValueError):
@@ -34,33 +34,47 @@ class TestCommandConstruction:
 
 
 class TestConflicts:
+    """The conflict relation as the dependency protocols ship it: the
+    per-key :class:`~repro.protocols.dependency.KeyConflicts` index a
+    read/write-aware replica consults (``_conflicts_of``)."""
+
+    @staticmethod
+    def depends(later: Command, earlier: Command) -> bool:
+        """Whether ``later`` takes a dependency on ``earlier`` at a replica
+        that has seen only ``earlier``."""
+        config = ProtocolConfig(num_processes=3, faults=1)
+        process = build_replicas("atlas", config).processes[0]
+        process._register(earlier, earlier.dot.sequence)
+        dependencies, _ = process._conflicts_of(later)
+        return earlier.dot in dependencies
+
     def test_commands_sharing_a_key_conflict(self):
         first = Command.write(Dot(0, 1), ["x", "y"])
         second = Command.write(Dot(1, 1), ["y", "z"])
-        assert first.conflicts_with(second)
-        assert second.conflicts_with(first)
+        assert self.depends(second, first)
+        assert self.depends(first, second)
 
     def test_disjoint_commands_do_not_conflict(self):
         first = Command.write(Dot(0, 1), ["x"])
         second = Command.write(Dot(1, 1), ["y"])
-        assert not first.conflicts_with(second)
+        assert not self.depends(second, first)
 
     def test_two_reads_do_not_interfere(self):
         first = Command.read(Dot(0, 1), ["x"])
         second = Command.read(Dot(1, 1), ["x"])
-        assert first.conflicts_with(second)
-        assert not first.interferes_with(second)
+        assert not self.depends(second, first)
 
     def test_read_and_write_interfere(self):
         read = Command.read(Dot(0, 1), ["x"])
         write = Command.write(Dot(1, 1), ["x"])
-        assert read.interferes_with(write)
-        assert write.interferes_with(read)
+        assert self.depends(read, write)
+        assert self.depends(write, read)
 
     def test_interference_requires_shared_key(self):
         read = Command.read(Dot(0, 1), ["x"])
         write = Command.write(Dot(1, 1), ["y"])
-        assert not read.interferes_with(write)
+        assert not self.depends(read, write)
+        assert not self.depends(write, read)
 
 
 class TestPartitioner:
@@ -105,26 +119,6 @@ class TestPartitioner:
         partition = partitioner.partition_of(key)
         assert 0 <= partition < partitions
         assert partitioner.partition_of(key) == partition
-
-
-class TestKeyGenerator:
-    def test_hot_key_when_draw_below_conflict_rate(self):
-        generator = KeyGenerator(client_id=1, conflict_rate=0.5)
-        assert generator.next_key(0.1) == "key-0"
-
-    def test_private_key_when_draw_above_conflict_rate(self):
-        generator = KeyGenerator(client_id=1, conflict_rate=0.5)
-        key = generator.next_key(0.9)
-        assert key.startswith("key-c1-")
-
-    def test_private_keys_are_unique(self):
-        generator = KeyGenerator(client_id=2, conflict_rate=0.0)
-        keys = {generator.next_key(0.5) for _ in range(50)}
-        assert len(keys) == 50
-
-    def test_rejects_invalid_conflict_rate(self):
-        with pytest.raises(ValueError):
-            KeyGenerator(client_id=0, conflict_rate=1.5)
 
 
 class TestKeyOp:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.config import ProtocolConfig
+from repro.core.quorums import QuorumSystem
 
 
 class TestQuorumSizes:
@@ -69,8 +70,12 @@ class TestProcessLayout:
         assert config.site_of_process(4) == 1
 
     def test_colocated_processes(self):
+        # Co-location is what the coordinator choice computes: a rank-1
+        # submitter's coordinators are the rank-1 replicas of every shard.
         config = ProtocolConfig(num_processes=3, faults=1, num_partitions=3)
-        assert config.colocated_processes(1) == [1, 4, 7]
+        coordinators = QuorumSystem(config).coordinators_for(1, [0, 1, 2])
+        assert coordinators == {0: 1, 1: 4, 2: 7}
+        assert {config.site_of_process(p) for p in coordinators.values()} == {1}
 
     def test_total_processes(self):
         config = ProtocolConfig(num_processes=5, faults=2, num_partitions=6)

@@ -57,10 +57,10 @@ class TestDotGenerator:
 
     def test_generated_counts_issued_ids(self):
         generator = DotGenerator(source=2)
-        assert generator.generated() == 0
+        assert generator.peek() == Dot(2, 1)
         for _ in range(5):
             generator.next_id()
-        assert generator.generated() == 5
+        assert generator.peek() == Dot(2, 6)
 
     def test_iteration_yields_fresh_ids(self):
         generator = DotGenerator(source=0)

@@ -1,15 +1,21 @@
-"""Unit tests for command phases and their transitions (Figure 1)."""
+"""Figure 1's phase machine, as replicas run it: ``CommandInfo.move_to``
+enforces the transitions and ``CommandInfo.is_pending`` reads the pending set."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.phases import InvalidPhaseTransition, Phase, transition
+from repro.core.info import CommandInfo
+from repro.core.phases import InvalidPhaseTransition, Phase
+
+
+def _record(phase: Phase) -> CommandInfo:
+    return CommandInfo(phase=phase)
 
 
 class TestPhaseSets:
     def test_pending_phases(self):
-        pending = {phase for phase in Phase if phase.is_pending()}
+        pending = {phase for phase in Phase if _record(phase).is_pending}
         assert pending == {
             Phase.PAYLOAD,
             Phase.PROPOSE,
@@ -19,11 +25,18 @@ class TestPhaseSets:
 
     def test_start_commit_execute_are_not_pending(self):
         for phase in (Phase.START, Phase.COMMIT, Phase.EXECUTE):
-            assert not phase.is_pending()
+            assert not _record(phase).is_pending
 
     def test_only_execute_is_terminal(self):
-        assert Phase.EXECUTE.is_terminal()
-        assert not Phase.COMMIT.is_terminal()
+        for phase in Phase:
+            moves = [new for new in Phase if new is not phase]
+            blocked = []
+            for new in moves:
+                try:
+                    _record(phase).move_to(new)
+                except InvalidPhaseTransition:
+                    blocked.append(new)
+            assert (blocked == moves) == (phase is Phase.EXECUTE), phase
 
 
 class TestTransitions:
@@ -43,7 +56,9 @@ class TestTransitions:
         ],
     )
     def test_allowed_transitions(self, current, new):
-        assert transition(current, new) is new
+        record = _record(current)
+        record.move_to(new)
+        assert record.phase is new
 
     @pytest.mark.parametrize(
         "current,new",
@@ -58,21 +73,23 @@ class TestTransitions:
         ],
     )
     def test_forbidden_transitions_raise(self, current, new):
+        record = _record(current)
         with pytest.raises(InvalidPhaseTransition):
-            transition(current, new)
+            record.move_to(new)
+        assert record.phase is current
 
     def test_self_transition_is_allowed(self):
-        assert transition(Phase.COMMIT, Phase.COMMIT) is Phase.COMMIT
+        record = _record(Phase.COMMIT)
+        record.move_to(Phase.COMMIT)
+        assert record.phase is Phase.COMMIT
 
     def test_exception_carries_phases(self):
-        try:
-            transition(Phase.EXECUTE, Phase.COMMIT)
-        except InvalidPhaseTransition as exc:
-            assert exc.current is Phase.EXECUTE
-            assert exc.new is Phase.COMMIT
-        else:  # pragma: no cover - defensive
-            pytest.fail("expected InvalidPhaseTransition")
+        with pytest.raises(InvalidPhaseTransition) as excinfo:
+            _record(Phase.EXECUTE).move_to(Phase.COMMIT)
+        assert excinfo.value.current is Phase.EXECUTE
+        assert excinfo.value.new is Phase.COMMIT
 
     def test_command_cannot_be_executed_before_commit(self):
         for phase in (Phase.START, Phase.PAYLOAD, Phase.PROPOSE):
-            assert not phase.can_transition_to(Phase.EXECUTE)
+            with pytest.raises(InvalidPhaseTransition):
+                _record(phase).move_to(Phase.EXECUTE)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
+from repro.core.messages import MPropose, MSubmit
+from repro.core.process import TempoProcess
 from repro.core.quorums import QuorumSystem
 
 
@@ -49,26 +52,6 @@ class TestFastQuorums:
         with pytest.raises(ValueError):
             quorums.fast_quorum(0, 1)
 
-    def test_is_valid_fast_quorum(self):
-        config = ProtocolConfig(num_processes=5, faults=2)
-        quorums = QuorumSystem(config)
-        quorum = quorums.fast_quorum(1, 0)
-        assert quorums.is_valid_fast_quorum(quorum, 0)
-        assert not quorums.is_valid_fast_quorum(quorum[:-1], 0)
-        assert not quorums.is_valid_fast_quorum(quorum + [quorum[0]], 0)
-
-
-class TestSlowQuorums:
-    def test_size_is_f_plus_one(self):
-        config = ProtocolConfig(num_processes=5, faults=2)
-        quorums = QuorumSystem(config)
-        assert len(quorums.slow_quorum(0, 0)) == 3
-
-    def test_includes_coordinator(self):
-        config = ProtocolConfig(num_processes=5, faults=1)
-        quorums = QuorumSystem(config)
-        assert quorums.slow_quorum(3, 0)[0] == 3
-
 
 class TestCoordinators:
     def test_coordinator_is_submitter_when_it_replicates_the_partition(self):
@@ -96,6 +79,28 @@ class TestCoordinators:
         for partition, quorum in mapping.items():
             assert set(quorum) <= set(config.processes_of_partition(partition))
             assert len(quorum) == config.fast_quorum_size
+
+    def test_submit_sends_the_fast_quorums_of_its_suspicion(self):
+        """``fast_quorums`` is the one copy of Algorithm 1's ``Q``: a
+        suspected member is skipped, and the ``MSubmit`` a ``TempoProcess``
+        holding the same suspicion sends carries exactly that map."""
+        config = ProtocolConfig(num_processes=3, faults=1, num_partitions=2)
+        suspected = frozenset({1, 4})
+        expected = QuorumSystem(config).fast_quorums(0, [0, 1], suspected)
+        assert expected == {0: (0, 2), 1: (3, 5)}
+        process = TempoProcess(
+            0, config, partitioner=Partitioner(2, explicit={"a": 0, "b": 1})
+        )
+        for suspect in suspected:
+            process.set_alive_view(suspect, False)
+        process.submit(process.new_command(["a", "b"]), 0.0)
+        sent = process.drain_outbox()
+        # Process 0 handles its own copy inline; its MPropose goes to the
+        # rest of its quorum only.
+        for kind, destination in ((MSubmit, 3), (MPropose, 2)):
+            envelopes = [e for e in sent if type(e.message) is kind]
+            assert [e.destination for e in envelopes] == [destination]
+            assert envelopes[0].message.quorums == expected
 
 
 #: ``commit_relays(fast_quorum(c), I_c)`` on the paper's five EC2 sites

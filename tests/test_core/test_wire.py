@@ -39,7 +39,6 @@ from repro.core.messages import MBump, MCommit, Message, MPromises
 from repro.core.phases import Phase
 from repro.core.wireschema import (
     ATTACHED_MAP,
-    BOOL,
     CLOCK_MAP,
     COMMAND,
     DOT,
@@ -286,7 +285,6 @@ _promise_timestamps = st.integers(min_value=1, max_value=2**40)
 _FIELD_STRATEGIES = {
     UVARINT: _uvarints,
     SVARINT: _svarints,
-    BOOL: st.booleans(),
     PHASE: st.sampled_from(Phase),
     DOT: _dots,
     DOT_SET: st.frozensets(_dots, max_size=5),

@@ -216,67 +216,3 @@ class TestMBatchFramingModel:
         assert float(small["gain"]) >= 1.0
         large = by_key[("fpaxos f=1", 4096)]
         assert float(small["gain"]) >= float(large["gain"])
-
-
-class TestMeasuredCoalescing:
-    """Deriving ``mbatch_coalescing`` from the simulator's measured
-    messages-per-delivery ratio (ROADMAP: close the loop between the
-    fig5/fig6 runs and the fig7/fig8 analytic model)."""
-
-    def test_measured_coalescing_is_messages_per_delivery(self):
-        from repro.experiments.throughput_model import measured_coalescing
-
-        stats = {"messages_delivered": 120.0, "deliveries": 40.0}
-        assert measured_coalescing(stats) == pytest.approx(3.0)
-
-    def test_degenerate_stats_fall_back_to_per_message_framing(self):
-        from repro.experiments.throughput_model import measured_coalescing
-
-        assert measured_coalescing({}) == 1.0
-        assert measured_coalescing({"messages_delivered": 5.0}) == 1.0
-        assert (
-            measured_coalescing({"messages_delivered": 3.0, "deliveries": 4.0})
-            == 1.0
-        )
-
-    def test_model_with_measured_coalescing_keeps_other_constants(self):
-        from repro.experiments.throughput_model import (
-            CostModel,
-            model_with_measured_coalescing,
-        )
-
-        model = model_with_measured_coalescing(
-            {"messages_delivered": 90.0, "deliveries": 30.0}
-        )
-        assert model.mbatch_coalescing == pytest.approx(3.0)
-        assert model.small_message_bytes == CostModel().small_message_bytes
-
-    def test_simulator_deliveries_feed_the_model(self):
-        """End to end: a short simulator run exposes ``deliveries`` and its
-        measured coalescing plugs into the fig8 MBatch companion rows."""
-        from repro.cluster.config import ExperimentConfig
-        from repro.cluster.runner import run_experiment
-        from repro.experiments.fig8_batching import run_mbatch_measured
-        from repro.experiments.throughput_model import measured_coalescing
-
-        config = ExperimentConfig(
-            protocol="tempo",
-            clients_per_site=4,
-            conflict_rate=0.15,
-            duration_ms=800.0,
-            warmup_ms=200.0,
-            seed=1,
-        )
-        stats = run_experiment(config).stats
-        assert stats["deliveries"] > 0
-        assert stats["messages_delivered"] >= stats["deliveries"]
-        coalescing = measured_coalescing(stats)
-        assert coalescing > 1.0  # tempo's contended path does coalesce
-
-        rows = run_mbatch_measured(experiment_config=config)
-        assert rows
-        for row in rows:
-            assert float(row["measured_coalescing"]) == pytest.approx(
-                round(coalescing, 2)
-            )
-            assert float(row["gain"]) >= 1.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.metrics.histogram import LatencyHistogram, nearest_rank
-from repro.metrics.report import ExperimentReport, format_table
+from repro.metrics.report import format_table
 from repro.metrics.throughput import ThroughputTracker
 
 
@@ -57,9 +57,8 @@ class TestLatencyHistogram:
 
     def test_figure6_percentiles_batch(self):
         histogram = LatencyHistogram(float(value) for value in range(1, 1001))
-        batch = histogram.percentiles((95.0, 97.0, 99.0, 99.9, 99.99))
-        assert batch[95.0] == 950.0
-        assert batch[99.9] == 999.0
+        assert histogram.percentile(95.0) == 950.0
+        assert histogram.percentile(99.9) == 999.0
 
     def test_nearest_rank_is_immune_to_float_error(self):
         # 99.9 / 100 * 1000 evaluates to 999.0000000000001; a plain ceil
@@ -136,24 +135,6 @@ class TestThroughputTracker:
 
 
 class TestReport:
-    def test_row_contains_summary_fields(self):
-        report = ExperimentReport(
-            name="fig5", protocol="tempo", parameters={"f": 1},
-            latency=LatencyHistogram([10.0, 20.0]), throughput_ops=1234.5,
-        )
-        row = report.row()
-        assert row["protocol"] == "tempo"
-        assert row["f"] == 1
-        assert row["mean_ms"] == 15.0
-        assert row["throughput_ops"] == 1234.5
-
-    def test_site_means(self):
-        report = ExperimentReport(
-            name="fig5", protocol="tempo",
-            per_site_latency={"ireland": LatencyHistogram([10.0, 30.0])},
-        )
-        assert report.site_means() == {"ireland": 20.0}
-
     def test_format_table_aligns_columns(self):
         rows = [
             {"protocol": "tempo", "mean": 1.0},

@@ -114,11 +114,9 @@ def quorums_asked_for(protocol, process):
         return [process._fast_quorum()]
     if protocol == "fpaxos":
         return [process._phase2_quorum()]
-    system = process.quorum_system
-    return [
-        system.fast_quorum(process.process_id, 0),
-        system.slow_quorum(process.process_id, 0),
-    ]
+    # Tempo's slow path asks every partition peer: only ``Q`` is by distance.
+    quorums = process.quorum_system.fast_quorums(process.process_id, [0])
+    return [list(quorums[0])]
 
 
 #: The message that opens a new command's first round, per protocol.

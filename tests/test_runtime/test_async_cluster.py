@@ -141,6 +141,10 @@ class TestAsyncCluster:
 
         assert run(scenario())
 
+    def test_unencoded_mode_is_refused(self):
+        with pytest.raises(ValueError, match="wire_bytes"):
+            AsyncClusterOptions(wire_bytes=False)
+
 
 class TestVirtualClock:
     def test_long_sleeps_cost_no_wall_time(self):

@@ -84,11 +84,6 @@ class TestLatencyMatrix:
         matrix = ec2_latency_matrix()
         assert matrix.quorum_latency("ireland", 1) == 0.0
 
-    def test_average_rtt(self):
-        matrix = ec2_latency_matrix()
-        expected = (141.0 + 186.0 + 72.0 + 183.0) / 4
-        assert matrix.average_rtt("ireland") == pytest.approx(expected)
-
     def test_missing_entries_are_rejected(self):
         with pytest.raises(ValueError):
             LatencyMatrix(sites=["a", "b"], one_way={"a": {"a": 1.0}})

@@ -193,14 +193,6 @@ class TestSimulationLoop:
         simulation.run(until=50.0)
         assert simulation.stats.ticks >= 3 * 9
 
-    def test_messages_are_counted_per_process(self):
-        processes, simulation = self.build()
-        simulation.submit_at(1.0, 0, processes[0].new_command(["x"]))
-        stats = simulation.run()
-        per_process = stats.per_process_messages
-        assert sorted(per_process) == [0, 1, 2]
-        assert sum(per_process.values()) == stats.messages_delivered
-
 
 class TestInlineNetwork:
     def test_undeliverable_messages_are_collected(self):

@@ -8,7 +8,7 @@ from repro.kvstore.sharding import ShardMap
 from repro.simulator.rng import SeededRng
 from repro.workloads.batching import BatchingModel
 from repro.workloads.micro import MicroWorkload
-from repro.workloads.ycsbt import YCSB_WORKLOADS, YcsbTWorkload
+from repro.workloads.ycsbt import YcsbTWorkload
 
 
 class TestMicroWorkload:
@@ -62,17 +62,6 @@ class TestYcsbT:
             keys = workload.next_keys()
             assert len(keys) == 2 and len(set(keys)) == 2
 
-    def test_workload_letters_map_to_write_ratios(self):
-        assert YCSB_WORKLOADS == {"A": 0.50, "B": 0.05, "C": 0.00}
-        workload = YcsbTWorkload.from_workload_letter(
-            1, ShardMap(2), "B", rng=SeededRng(1)
-        )
-        assert workload.write_ratio == 0.05
-
-    def test_unknown_letter_raises(self):
-        with pytest.raises(KeyError):
-            YcsbTWorkload.from_workload_letter(1, ShardMap(2), "Z")
-
     def test_read_only_workload_never_writes(self):
         workload = YcsbTWorkload(
             client_id=1, shard_map=ShardMap(2), write_ratio=0.0, rng=SeededRng(3)
@@ -98,12 +87,6 @@ class TestYcsbT:
             return hits
 
         assert popular_fraction(high) > popular_fraction(low)
-
-    def test_shards_of_helper(self):
-        shard_map = ShardMap(3)
-        workload = YcsbTWorkload(client_id=1, shard_map=shard_map, rng=SeededRng(1))
-        keys = ["user0", "user1"]
-        assert workload.shards_of(keys) == shard_map.shards_of(keys)
 
     def test_write_ratio_validation(self):
         with pytest.raises(ValueError):
