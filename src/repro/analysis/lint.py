@@ -155,6 +155,7 @@ def scheduler_internal_findings(root: Optional[Path] = None) -> List[LintFinding
 #: Classes on the simulator/protocol hot path that must stay dict-free.
 #: ``(module path relative to repro/, class name)``.
 HOT_CLASSES: Tuple[Tuple[str, str], ...] = (
+    ("core/base.py", "ExecutionLog"),
     ("core/identifiers.py", "Dot"),
     ("core/info.py", "CommandInfo"),
     ("core/promises.py", "_IntRanges"),

@@ -40,7 +40,7 @@ from typing import Set, Tuple
 from repro.analysis.consistency import Violation, check_run
 from repro.analysis.trace import ExecutionTraceRecorder
 from repro.cluster.replicas import build_replicas
-from repro.core.base import ProcessBase
+from repro.core.base import ExecutionLog, ProcessBase
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
@@ -118,7 +118,8 @@ def _fields(value: object) -> List[str]:
 def canonical(value: object) -> object:
     """The canonical, hashable form of ``value``, for state fingerprints.
 
-    Atoms stay as they are, a ``Dot`` becomes a pair, an enum its name and a
+    Atoms stay as they are, a ``Dot`` becomes a pair, an execution log the
+    tuple of its dots' pairs (as a list of dots does), an enum its name and a
     ``range`` a pair; lists and tuples keep their order while dicts and sets
     are sorted.  Any other object becomes its class name followed by its
     slots and ``__dict__`` in name order, minus the names its classes list
@@ -131,6 +132,8 @@ def canonical(value: object) -> object:
         return value
     if kind is Dot:
         return (value.source, value.sequence)
+    if kind is ExecutionLog:
+        return value.canonical()
     if isinstance(value, enum.Enum):
         return value.name
     if isinstance(value, (list, tuple)):

@@ -45,11 +45,13 @@ by the protocols that order execution by an agreed timestamp.
 from __future__ import annotations
 
 import abc
+from array import array
 from typing import (
     Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -59,7 +61,7 @@ from typing import (
 
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.identifiers import Dot, DotGenerator
+from repro.core.identifiers import Dot, DotGenerator, intern_dot
 from repro.core.messages import ClientReply, MDeliveryAck
 from repro.core.promises import _IntRanges
 from repro.core.quorums import QuorumSystem
@@ -91,6 +93,63 @@ class MBatch(NamedTuple):
     """
 
     messages: Tuple[object, ...]
+
+
+class ExecutionLog:
+    """The identifiers a replica executed, in execution order.
+
+    The log is the execution-order witness and grows with the run, so it
+    holds no object per command: each dot is one ``array('Q')`` word,
+    ``sequence * 64 + source`` (the dot's hash, collision-free for sources
+    below 64; a larger source raises ``ValueError``).  Iteration yields the
+    interned dots back, and ``len``, ``in``, ``count`` and ``==`` against a
+    list of dots read as they would on that list.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self) -> None:
+        self._words = array("Q")
+
+    def append(self, dot: Dot) -> None:
+        if dot.source >= 64:
+            raise ValueError(f"cannot log {dot}: sources must be below 64")
+        self._words.append(dot._hash)
+
+    def __iter__(self) -> Iterator[Dot]:
+        for word in self._words:
+            yield intern_dot(word & 63, word >> 6)
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __contains__(self, dot: object) -> bool:
+        return self._word(dot) in self._words
+
+    def count(self, dot: object) -> int:
+        return self._words.count(self._word(dot))
+
+    @staticmethod
+    def _word(dot: object) -> int:
+        """``dot``'s word, or ``-1``, in no log, for what was never logged."""
+        if dot.__class__ is Dot and dot.source < 64:
+            return dot._hash
+        return -1
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, list):
+            return len(other) == len(self._words) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def canonical(self) -> Tuple[Tuple[int, int], ...]:
+        """The explorer's digest form: ``(source, sequence)`` per dot, in
+        order, which is what a list of dots digests to."""
+        return tuple([(word & 63, word >> 6) for word in self._words])
+
+    def __repr__(self) -> str:
+        return f"ExecutionLog({list(self)!r})"
 
 
 ExecutionListener = Callable[[int, Dot, Command, float], None]
@@ -198,7 +257,7 @@ class ProcessBase(abc.ABC):
         self.outbox: List[Envelope] = []
         #: Identifiers executed here, in execution order (the command itself
         #: goes to the listeners and is not retained).
-        self.executed: List[Dot] = []
+        self.executed = ExecutionLog()
         #: Per source, the sequences covered by the chain links executed
         #: here: each execution adds ``[previous + 1, sequence]``
         #: (:meth:`_execute_command`).  The skipped sequences are dots that
@@ -520,9 +579,9 @@ class ProcessBase(abc.ABC):
         ``issued_promises`` the entries of Tempo's issued-promise ledger,
         ``gc_collected`` the identifiers dropped by the watermark GC and
         ``executed_ranges`` the ranges of the at-most-once check (about one
-        per source).  ``executed`` (the execution-order witness, one
-        identifier per command) is deliberately unbounded and reported
-        separately so the bounds can exclude it.
+        per source).  ``executed`` (the execution-order witness, one packed
+        word per command) is deliberately unbounded and reported separately
+        so the bounds can exclude it.
         """
         return {
             "records": len(self._info),

@@ -3,9 +3,12 @@
 A command is an operation on the replicated key-value store.  Each key
 belongs to exactly one partition; the set of partitions a command accesses is
 derived from the keys it touches.  Two commands *conflict* when they access a
-common key (the paper's microbenchmark notion of conflict, §6.2); each
-protocol applies the relation through its own per-key state (Tempo's
-per-key clocks, the baselines' :class:`~repro.protocols.dependency.KeyConflicts`).
+common key (the paper's microbenchmark notion of conflict, §6.2).  The
+baselines apply the relation through their per-key state
+(:class:`~repro.protocols.dependency.KeyConflicts`); Tempo keeps no per-key
+state at all: one scalar :class:`~repro.core.clock.LogicalClock` per process
+orders every command of its partition, conflicting or not (one clock per
+key is ROADMAP item 15).
 
 Tempo itself does not distinguish reads from writes (§3.3), but the baseline
 protocols (EPaxos/Atlas/Janus*) do, so commands carry per-key operations with

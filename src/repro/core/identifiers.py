@@ -10,18 +10,20 @@ recovery protocol's ``initial_p(id)`` function extracts (Algorithm 4).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, weakref_slot=True)
 class Dot:
     """A globally unique command identifier.
 
-    Every replica's execution log pins one per command, so it is slotted
-    (``__slots__ == ("source", "sequence", "_hash")``).  It pickles and
-    copies through :func:`intern_dot`, so a restored snapshot holds the
-    interned instances.
+    One exists per command in flight, so it is slotted (``__slots__ ==
+    ("source", "sequence", "_hash", "__weakref__")``); the weak-reference
+    slot lets the intern table hold it without keeping it alive.  It
+    pickles and copies through :func:`intern_dot`, so a restored snapshot
+    holds the interned instances.
 
     Attributes:
         source: identifier of the process that created (submitted) the
@@ -68,38 +70,54 @@ class Dot:
         return f"{self.source}.{self.sequence}"
 
 
-#: Global intern table, keyed by source.  Each per-source entry is the list
-#: of interned dots for sequences ``1..len(entry)`` (dense by construction:
-#: generators mint sequences in order, and out-of-order lookups fall back to
-#: a fresh instance without widening the table).
-_INTERN: Dict[int, List[Dot]] = {}
+class _InternRef(weakref.ref):
+    """The intern table's weak reference to a dot; it knows its slot, so
+    the dot's death can clear it (:func:`_forget`)."""
+
+    __slots__ = ("table", "sequence")
+
+
+def _forget(ref: _InternRef) -> None:
+    """Weak-reference callback: a dead dot's entry leaves its table."""
+    table = ref.table
+    if table.get(ref.sequence) is ref:
+        del table[ref.sequence]
+
+
+#: Global intern table: per source, ``sequence -> weak reference`` to the
+#: one live instance of that identifier.  It keeps no dot alive: an entry
+#: goes when its dot does, so a command collected everywhere leaves nothing
+#: here (``docs/memory.md``).
+_INTERN: Dict[int, Dict[int, _InternRef]] = {}
 
 
 def intern_dot(source: int, sequence: int) -> Dot:
-    """Return the canonical :class:`Dot` for ``(source, sequence)``.
+    """Return the canonical :class:`Dot` for ``(source, sequence)``: the
+    live instance if there is one, else a new one that becomes it.
 
     Repeatedly materialising the same identifier (``peek`` followed by
-    ``next_id``, recovery re-deriving ``initial_p(id)``, tests) otherwise
+    ``next_id``, decoding, the GC naming a collected dot, tests) otherwise
     allocates distinct-but-equal objects; sharing one instance lets the
     hot set/dict probes short-circuit on identity before falling back to
     field comparison.  Validation lives in ``Dot.__post_init__`` and still
     applies to every interned identifier.
     """
-    index = sequence - 1
-    if index < 0 or source < 0:
-        # Delegate to the constructor, which raises the validation error.
-        return Dot(source, sequence)
     table = _INTERN.get(source)
     if table is None:
-        table = _INTERN[source] = []
-    if index < len(table):
-        return table[index]
-    if index == len(table):
-        dot = Dot(source, sequence)
-        table.append(dot)
-        return dot
-    # Sparse lookup (e.g. peeking far ahead): don't pad the table.
-    return Dot(source, sequence)
+        if source < 0:
+            # Delegate to the constructor, which raises the validation error.
+            return Dot(source, sequence)
+        table = _INTERN[source] = {}
+    ref = table.get(sequence)
+    if ref is not None:
+        dot = ref()
+        if dot is not None:
+            return dot
+    dot = Dot(source, sequence)
+    ref = table[sequence] = _InternRef(dot, _forget)
+    ref.table = table
+    ref.sequence = sequence
+    return dot
 
 
 @dataclass
@@ -108,7 +126,7 @@ class DotGenerator:
 
     The generator is deterministic, which keeps simulation runs reproducible.
     Identifiers are interned in a per-source table shared with
-    :func:`intern_dot`, so every materialisation of the same ``(source,
+    :func:`intern_dot`, so every materialisation of a live ``(source,
     sequence)`` pair yields the same object.
     """
 

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.core.commands import Command
 from repro.core.phases import InvalidPhaseTransition, Phase
-from repro.core.promises import RangeCollector
+from repro.core.promises import PromiseRangeWire, RangeCollector
 
 
 @dataclass(slots=True)
@@ -27,6 +27,9 @@ class CommandInfo:
     """
 
     command: Optional[Command] = None
+    #: The fast quorum per accessed partition (``Q``): the map the command's
+    #: message carried, shared with every record built from it, so never
+    #: mutated.
     quorums: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     phase: Phase = Phase.START
     #: Local timestamp: the process's own proposal before commit, the
@@ -42,12 +45,13 @@ class CommandInfo:
     #: stands for, so the MCommit piggyback ships this map as it is.
     proposals: Dict[int, int] = field(default_factory=dict)
     #: Detached promises piggybacked on the collected MProposeAcks, kept as
-    #: per-process ranges.
-    collected_detached: RangeCollector = field(default_factory=RangeCollector)
-    consensus_acks: Dict[int, Set[int]] = field(default_factory=dict)
-    recovery_acks: Dict[int, Dict[int, Tuple[int, Phase, int]]] = field(
-        default_factory=dict
-    )
+    #: per-process ranges; built by the first ack that carries any.
+    collected_detached: Optional[RangeCollector] = None
+    #: ``ballot -> acceptors`` (slow path), built by the first MConsensusAck.
+    consensus_acks: Optional[Dict[int, Set[int]]] = None
+    #: ``ballot -> process -> (timestamp, phase, accepted ballot)``, built
+    #: when a recovery starts.
+    recovery_acks: Optional[Dict[int, Dict[int, Tuple[int, Phase, int]]]] = None
     submitted_at: Optional[float] = None
 
     # -- commit/execution-side state ---------------------------------------------
@@ -61,13 +65,38 @@ class CommandInfo:
         executed: the record then lives on (until the watermark GC collects
         it) for duplicate suppression and repair replies alone, which need
         ``command``, ``quorums``, ``final_timestamp``, ``phase`` and
-        ``stable_from``.  The four
-        containers are ~0.7 KB of a ~1 KB record (``docs/memory.md``); no
-        handler reaches them past the pending phases."""
+        ``stable_sent``.  No handler reaches the released containers past
+        the pending phases: a late ``MCommit`` or ``MStable`` for an
+        executed record stops at its phase (``docs/memory.md``)."""
         self.proposals = None
         self.collected_detached = None
         self.consensus_acks = None
         self.recovery_acks = None
+        self.partition_commits = None
+        self.stable_from = None
+
+    def collect_detached(self, wire: PromiseRangeWire) -> None:
+        """Merge the detached promises one MProposeAck carried."""
+        if self.collected_detached is None:
+            self.collected_detached = RangeCollector()
+        self.collected_detached.update(wire)
+
+    def detached_wire(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """Wire form of :attr:`collected_detached` (empty before any)."""
+        collected = self.collected_detached
+        return collected.to_wire() if collected is not None else {}
+
+    def consensus_acks_at(self, ballot: int) -> Set[int]:
+        """The acceptors of ``ballot`` so far."""
+        if self.consensus_acks is None:
+            self.consensus_acks = {}
+        return self.consensus_acks.setdefault(ballot, set())
+
+    def recovery_acks_at(self, ballot: int) -> Dict[int, Tuple[int, Phase, int]]:
+        """The MRecAcks of ``ballot`` so far, by sender."""
+        if self.recovery_acks is None:
+            self.recovery_acks = {}
+        return self.recovery_acks.setdefault(ballot, {})
 
     def move_to(self, new_phase: Phase) -> None:
         """Transition to ``new_phase``, enforcing Figure 1.

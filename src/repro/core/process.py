@@ -312,7 +312,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         """Start coordinating the command at this partition (line 5)."""
         dot = message.dot
         command = message.command
-        quorums = dict(message.quorums)
+        quorums = message.quorums
         fast_quorum = quorums[self.partition]
         timestamp = self.clock.value + 1
         propose = MPropose(dot, command, quorums, timestamp)
@@ -333,7 +333,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if record.phase is not Phase.START:
             return
         record.command = message.command
-        record.quorums = dict(message.quorums)
+        record.quorums = message.quorums
         self._await_commit(message.dot, now)
         record.move_to(Phase.PAYLOAD)
         self._maybe_commit(message.dot, now)
@@ -347,7 +347,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if record.phase is not Phase.START:
             return
         record.command = message.command
-        record.quorums = dict(message.quorums)
+        record.quorums = message.quorums
         self._await_commit(dot, now)
         record.move_to(Phase.PROPOSE)
         result = self.clock.proposal(message.timestamp)
@@ -418,7 +418,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         # Also the attached promise <sender, timestamp> the ack stands for.
         record.proposals[sender] = message.timestamp
         if message.detached:
-            record.collected_detached.update(message.detached)
+            record.collect_detached(message.detached)
         if record.phase is not Phase.PROPOSE:
             return  # buffered: our own proposal has not been computed yet
         fast_quorum = record.quorums.get(self.partition, ())
@@ -450,9 +450,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         # A multi-partition dot stays in PROPOSE until the other partitions
         # report, so a duplicate ack can bring it back here: relay once.
         first = self.partition not in record.partition_commits
-        self._absorb_piggyback(
-            dot, record.proposals, record.collected_detached.to_wire()
-        )
+        self._absorb_piggyback(dot, record.proposals, record.detached_wire())
         record.partition_commits[self.partition] = max(
             record.partition_commits.get(self.partition, 0), timestamp
         )
@@ -499,7 +497,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             timestamp=timestamp,
             partition=self.partition,
             attached=dict(sorted(record.proposals.items())),
-            detached=record.collected_detached.to_wire(),
+            detached=record.detached_wire(),
         )
         self.send(targets, commit, now)
         if self.reliability is not None:
@@ -528,7 +526,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record = self._info.get(dot)
         if record is None or not record.is_pending:
             return  # decided already: a late ack has nothing left to drive
-        acks = record.consensus_acks.setdefault(message.ballot, set())
+        acks = record.consensus_acks_at(message.ballot)
         acks.add(sender)
         if record.ballot != message.ballot:
             return
@@ -544,15 +542,16 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             # until acked, so a duplicate usually means our first ack was
             # lost.
             self._ack_delivery(sender, message, now)
-        if self.gc.collected(dot):
+        record = None if self.gc.collected(dot) else self.info(dot)
+        if record is None or record.phase is Phase.EXECUTE:
             # Late duplicate (commit-request or resync reply) for a command
-            # already globally executed: the piggybacked promises are still
+            # already executed here: the piggybacked promises are still
             # absorbed — absorption is idempotent, and the identifier being
-            # executed makes its attached promises directly usable — but no
-            # record is recreated.
+            # executed makes its attached promises directly usable — but
+            # nothing else is recorded (an executed record released its
+            # per-partition commits; a collected one is not recreated).
             self._absorb_piggyback(dot, message.attached, message.detached, usable=True)
             return
-        record = self.info(dot)
         record.partition_commits[message.partition] = max(
             record.partition_commits.get(message.partition, 0), message.timestamp
         )
@@ -664,7 +663,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
     def _send_commit_info(
         self, target: int, dot: Dot, record: CommandInfo, now: float
     ) -> None:
-        self.send([target], MPayload(dot, record.command, dict(record.quorums)), now)
+        self.send([target], MPayload(dot, record.command, record.quorums), now)
         final = record.final_timestamp or record.timestamp
         for partition in sorted(record.quorums):
             self.send([target], MCommit(dot, timestamp=final, partition=partition), now)
@@ -685,6 +684,8 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if self.gc.collected(message.dot):
             return  # late duplicate of a globally-executed command
         record = self.info(message.dot)
+        if record.phase is Phase.EXECUTE:
+            return  # late duplicate: executed here, its stable set released
         record.stable_from.add(message.partition)
         if self._step_depth:
             self._execute_dirty = True

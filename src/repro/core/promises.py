@@ -173,8 +173,11 @@ class PromiseTracker:
     is, in the common case, sent only once (footnote 2 of the paper); the
     full set is retained for re-broadcast on demand (e.g. after suspected
     message loss).  Detached promises are stored as integer ranges and
-    attached ones as timestamps per command — the process is the tracker's
-    own, so no pair is ever stored (see the module docstring).
+    attached ones as one timestamp per command — the process is the
+    tracker's own, so no pair is ever stored (see the module docstring),
+    and a process attaches at most one promise to a command: in PROPOSE
+    (Algorithm 1, line 12) or from PAYLOAD on ``MRec`` (Algorithm 4),
+    never both.
 
     The attached ledger holds the commands in flight, not the history:
     :meth:`fold` turns the attached promises of a command known to be
@@ -186,8 +189,8 @@ class PromiseTracker:
         self.process = process
         self._detached = _IntRanges()
         self._pending_detached = _IntRanges()
-        self._attached: Dict[Dot, Set[int]] = {}
-        self._pending_attached: Dict[Dot, Set[int]] = {}
+        self._attached: Dict[Dot, int] = {}
+        self._pending_attached: Dict[Dot, int] = {}
         #: Dots :meth:`fold` was asked for before their promise first went out.
         self._fold_when_sent: Set[Dot] = set()
 
@@ -203,11 +206,18 @@ class PromiseTracker:
             self._pending_detached.add_range(new_lo, new_hi)
 
     def add_attached(self, dot: Dot, timestamp: int) -> None:
-        """Record the attached promise for a proposal on command ``dot``."""
+        """Record the attached promise for a proposal on command ``dot``;
+        ``ValueError`` if ``dot`` already holds a different one."""
         if timestamp < 1:
             raise ValueError("promise timestamps start at 1")
-        self._attached.setdefault(dot, set()).add(timestamp)
-        self._pending_attached.setdefault(dot, set()).add(timestamp)
+        held = self._attached.get(dot, timestamp)
+        if held != timestamp:
+            raise ValueError(
+                f"command {dot} already holds the attached promise {held}, "
+                f"not {timestamp}"
+            )
+        self._attached[dot] = timestamp
+        self._pending_attached[dot] = timestamp
 
     def fold(self, dot: Dot) -> None:
         """Re-file the promises attached to ``dot`` as detached ones.
@@ -221,9 +231,9 @@ class PromiseTracker:
         if dot in self._pending_attached:
             self._fold_when_sent.add(dot)
             return
-        add_range = self._detached.add_range
-        for timestamp in self._attached.pop(dot, ()):
-            add_range(timestamp, timestamp)
+        timestamp = self._attached.pop(dot, None)
+        if timestamp is not None:
+            self._detached.add_range(timestamp, timestamp)
 
     def ledger_size(self) -> int:
         """Attached entries plus detached ranges held for re-broadcast."""
@@ -236,8 +246,8 @@ class PromiseTracker:
     ) -> Tuple[Tuple[Tuple[int, int], ...], Dict[Dot, Tuple[int, ...]]]:
         """Promises to broadcast in the next ``MPromises`` message: the
         detached ones as sorted disjoint inclusive ``(lo, hi)`` ranges, the
-        attached ones as ``dot -> ascending timestamps`` (all issued by this
-        tracker's own process).
+        attached ones as ``dot -> (timestamp,)``, the wire's tuple of the
+        one promise (all issued by this tracker's own process).
 
         With ``drain=True`` (the default, matching the paper's
         send-each-promise-once optimisation) only the promises not handed
@@ -252,7 +262,7 @@ class PromiseTracker:
             detached, attached = self._detached, self._attached
         snapshot = (
             tuple(detached.ranges()),
-            {dot: tuple(sorted(timestamps)) for dot, timestamps in attached.items()},
+            {dot: (timestamp,) for dot, timestamp in attached.items()},
         )
         if drain and self._fold_when_sent:
             for dot in self._fold_when_sent:

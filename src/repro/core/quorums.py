@@ -45,6 +45,11 @@ class QuorumSystem:
         self._latencies = latencies
         #: ``closest()`` results per ``(process, count)``.
         self._closest: Dict[Tuple[int, int], List[int]] = {}
+        #: ``fast_quorums()`` results per ``(submitter, partitions,
+        #: suspected)``.
+        self._fast_quorums: Dict[
+            Tuple[int, Tuple[int, ...], FrozenSet[int]], Dict[int, Tuple[int, ...]]
+        ] = {}
 
     # -- quorum selection ----------------------------------------------------
 
@@ -164,16 +169,22 @@ class QuorumSystem:
 
         The coordinator of each partition, the quorum's first member, is the
         replica of that partition co-located with (closest to) the
-        submitting process.
+        submitting process.  Computed once per ``(submitter, partitions,
+        suspected)``: the map travels with every command submitted there
+        and each replica's record keeps it, so callers must not mutate it.
         """
-        return {
-            partition: tuple(
-                self.fast_quorum(
-                    self.coordinator_for(submitter, partition), partition, suspected
+        key = (submitter, tuple(partitions), suspected)
+        quorums = self._fast_quorums.get(key)
+        if quorums is None:
+            quorums = self._fast_quorums[key] = {
+                partition: tuple(
+                    self.fast_quorum(
+                        self.coordinator_for(submitter, partition), partition, suspected
+                    )
                 )
-            )
-            for partition in partitions
-        }
+                for partition in partitions
+            }
+        return quorums
 
     def coordinator_for(self, submitter: int, partition: int) -> int:
         """The replica of ``partition`` that acts as coordinator for a

@@ -53,7 +53,7 @@ class RecoveryMixin:
         if info is None or not info.is_pending:
             return
         ballot = self._next_recovery_ballot(info.ballot)
-        info.recovery_acks.setdefault(ballot, {})
+        info.recovery_acks_at(ballot)
         self.send(self.partition_peers(), MRec(dot, ballot), now)
 
     def _should_attempt_recovery(self, dot: Dot) -> bool:
@@ -110,7 +110,7 @@ class RecoveryMixin:
         info = self._info.get(dot)
         if info is None or not info.is_pending:
             return
-        acks = info.recovery_acks.setdefault(message.ballot, {})
+        acks = info.recovery_acks_at(message.ballot)
         acks[sender] = (message.timestamp, message.phase, message.accepted_ballot)
         if len(acks) < self.config.recovery_quorum_size:
             return

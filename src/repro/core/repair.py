@@ -141,7 +141,7 @@ class RepairMixin(PullMixin):
                     if process != self.process_id
                 ]
                 if others:
-                    payload = MPayload(dot, record.command, dict(record.quorums))
+                    payload = MPayload(dot, record.command, record.quorums)
                     self.send(others, payload, now)
             if self._should_attempt_recovery(dot):
                 self.recover(dot, now)

@@ -44,11 +44,15 @@ class TestPromiseTracker:
         assert issued(tracker) == (((1, 3),), {})
 
     def test_attached_promises_are_per_command(self):
+        # A process attaches at most one promise to a command (PROPOSE, or
+        # PAYLOAD on MRec): a second, different one is a bug, not an update.
         tracker = PromiseTracker(1)
         tracker.add_attached(Dot(0, 1), 5)
         tracker.add_attached(Dot(0, 2), 6)
-        tracker.add_attached(Dot(0, 2), 4)
-        assert issued(tracker)[1] == {Dot(0, 1): (5,), Dot(0, 2): (4, 6)}
+        tracker.add_attached(Dot(0, 2), 6)  # the same promise again is accepted
+        with pytest.raises(ValueError):
+            tracker.add_attached(Dot(0, 2), 4)
+        assert issued(tracker)[1] == {Dot(0, 1): (5,), Dot(0, 2): (6,)}
 
     def test_snapshot_drains_pending_promises(self):
         tracker = PromiseTracker(0)

@@ -21,18 +21,22 @@ from __future__ import annotations
 
 import gc
 import weakref
+from array import array
 
 import pytest
 
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.replicas import build_replicas
 from repro.cluster.runner import run_experiment
+from repro.core import identifiers
 from repro.core.config import ProtocolConfig
+from repro.core.identifiers import Dot
+from repro.core.phases import Phase
 from repro.simulator.inline import InlineNetwork
 
-#: The per-command history a replica keeps on purpose ("Deliberately not
-#: O(in-flight)" in ``docs/memory.md``).
-HISTORY = frozenset({"executed"})
+#: The per-command history a replica keeps on purpose: the execution log's
+#: packed words, 8 B per execution (``docs/memory.md``).
+HISTORY = frozenset({"executed._words"})
 
 
 def attribute_names(owner: object) -> list:
@@ -45,13 +49,13 @@ def attribute_names(owner: object) -> list:
 
 
 def container_sizes(owner: object, prefix: str = "", depth: int = 2):
-    """``(path, len)`` of every built-in container among ``owner``'s
-    attributes and those of the objects it holds, down to ``depth`` levels:
-    a replica's executor and its graph, its GC tracker, Tempo's promise
-    tracker and promise set."""
+    """``(path, len)`` of every built-in or ``array`` container among
+    ``owner``'s attributes and those of the objects it holds, down to
+    ``depth`` levels: a replica's executor and its graph, its GC tracker,
+    Tempo's promise tracker and promise set."""
     for name in attribute_names(owner):
         value = getattr(owner, name, None)
-        if isinstance(value, (dict, list, set, frozenset, tuple)):
+        if isinstance(value, (dict, list, set, frozenset, tuple, array)):
             yield prefix + name, len(value)
         elif depth and not callable(value) and attribute_names(value):
             yield from container_sizes(value, f"{prefix}{name}.", depth - 1)
@@ -174,10 +178,15 @@ class TestMemoryStaysFlat:
         assert stats["live_records"] == 0, stats["live_records"]
 
     @pytest.mark.parametrize("protocol", COLLECTING_PROTOCOLS)
-    def test_a_collected_command_is_no_longer_held_by_any_replica(self, protocol):
-        # The execution log keeps identifiers: once the watermark GC drops
-        # a dot's record, nothing at a replica (record table, conflict
-        # state, executor, store, log) references its Command any more.
+    def test_a_collected_command_is_no_longer_held_by_any_replica(
+        self, protocol, monkeypatch
+    ):
+        # The execution log keeps packed identifiers: once the watermark GC
+        # drops a dot's record, nothing at a replica (record table, conflict
+        # state, executor, store, log, intern table) references its Command
+        # or its Dot any more.  A fresh intern table: otherwise the command
+        # would get the instance of an equal dot some other test holds.
+        monkeypatch.setattr(identifiers, "_INTERN", {})
         config = ProtocolConfig(num_processes=3, faults=1)
         replicas = build_replicas(protocol, config)
         network = InlineNetwork(replicas.processes)
@@ -185,15 +194,63 @@ class TestMemoryStaysFlat:
         def submit_first():
             command = replicas.processes[0].new_command(["k"], client_id=1)
             replicas.processes[0].submit(command, 0.0)
-            return weakref.ref(command), command.dot
+            dot = command.dot
+            return weakref.ref(command), weakref.ref(dot), (dot.source, dot.sequence)
 
-        held, dot = submit_first()
+        held, held_dot, identifier = submit_first()
         network.settle(rounds=10)
-        assert all(dot in process.executed for process in replicas.processes)
+        executed = Dot(*identifier)
+        assert all(executed in process.executed for process in replicas.processes)
         gc.collect()
         assert held() is not None  # the live records still need it
+        assert held_dot() is not None
         # Two gc_intervals of one-ms rounds after it executed everywhere.
         network.settle(now=10.0, rounds=2 * int(config.gc_interval))
+        network.undeliverable.clear()  # the client took its reply
         gc.collect()
         assert held() is None
-        assert all(dot in process.executed for process in replicas.processes)
+        assert held_dot() is None
+        assert all(executed in process.executed for process in replicas.processes)
+
+
+def settled_tempo(*keys: str):
+    """Three Tempo replicas that executed one command per key, submitted
+    at process 0, and have not collected them yet."""
+    config = ProtocolConfig(num_processes=3, faults=1)
+    replicas = build_replicas("tempo", config)
+    network = InlineNetwork(replicas.processes)
+    submitter = replicas.processes[0]
+    dots = []
+    for key in keys:
+        command = submitter.new_command([key], client_id=1)
+        submitter.submit(command, 0.0)
+        dots.append(command.dot)
+    network.settle(rounds=10)
+    return replicas.processes, dots
+
+
+class TestExecutedRecordsAreLean:
+    #: What only the commit protocol reads: built on first use or released
+    #: when the command executes.
+    COMMIT_STATE = (
+        "proposals",
+        "collected_detached",
+        "consensus_acks",
+        "recovery_acks",
+        "partition_commits",
+        "stable_from",
+    )
+
+    def test_an_executed_record_holds_no_commit_protocol_container(self):
+        processes, (dot,) = settled_tempo("k")
+        for process in processes:
+            record = process._info[dot]  # executed, not collected yet
+            assert record.phase is Phase.EXECUTE
+            assert {name: getattr(record, name) for name in self.COMMIT_STATE} == {
+                name: None for name in self.COMMIT_STATE
+            }
+
+    def test_records_of_one_coordinator_share_one_quorum_map(self):
+        processes, (first, second) = settled_tempo("a", "b")
+        for process in processes:
+            assert process._info[first].quorums is process._info[second].quorums
