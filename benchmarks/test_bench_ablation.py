@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md §6.
+"""Ablation benches for Tempo's design choices.
 
 * fast-path condition: Tempo's ``count(max) >= f`` vs an EPaxos-style
   "all proposals equal" rule — measured as fast-path ratio under concurrent

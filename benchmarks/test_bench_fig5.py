@@ -3,7 +3,8 @@
 Scaled-down simulator deployment (16 clients/site instead of 512); the
 fairness comparison between leader-based and leaderless protocols is the
 asserted shape.  Absolute Tempo latencies carry an extra stability delay in
-the simulator (see EXPERIMENTS.md).
+the simulator (``docs/promise_ranges.md``, "What the stability wait waits on
+at f = 1").
 """
 
 from __future__ import annotations

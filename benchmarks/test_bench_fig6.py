@@ -3,8 +3,10 @@
 The paper's qualitative claim: the latency tails of dependency-based
 protocols (Atlas, EPaxos, Caesar) blow up under contention and load, while
 Tempo's tail remains flat.  Client counts are scaled down and the conflict
-rate scaled up to preserve the number of concurrently conflicting commands
-(see EXPERIMENTS.md for the scaling argument).
+rate scaled up, which does not preserve the number of concurrently
+conflicting commands per site (clients x conflict rate): the cells below
+have 8 x 0.15 = 1.2 and 16 x 0.15 = 2.4, the paper's 256 x 0.02 = 5.12 and
+512 x 0.02 = 10.24 (``repro.experiments.fig6_tail``).
 """
 
 from __future__ import annotations

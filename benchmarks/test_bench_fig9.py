@@ -48,8 +48,8 @@ def test_bench_fig9_partial_replication_throughput(benchmark, results_emitter):
 def test_bench_fig9_tail_latency(benchmark, results_emitter):
     # Scaled-down contention: the paper's scenario (6 shards, zipf 0.7,
     # w = 5%, thousands of clients) is shrunk to 3 shards and tens of
-    # clients; the key space and write ratio are adjusted so the number of
-    # concurrently conflicting commands is preserved (see EXPERIMENTS.md).
+    # clients, with the key space and write ratio adjusted so the scaled
+    # run still contends (results/fig9_tail.txt).
     rows = benchmark.pedantic(
         fig9_partial.tail_latency_comparison,
         kwargs={"num_shards": 3, "zipf": 0.7, "write_ratio": 0.30,

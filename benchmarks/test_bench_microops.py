@@ -7,9 +7,9 @@ graph execution, clock operations) so regressions are visible.
 
 from __future__ import annotations
 
-from repro.core.clock import LogicalClock
 from repro.core.identifiers import Dot
 from repro.core.promises import PromiseSet
+from repro.core.stability import TimestampOrder
 from repro.kvstore.store import KeyValueStore
 from repro.core.commands import Command
 from repro.protocols.depgraph import DependencyGraph
@@ -39,13 +39,13 @@ def test_bench_stability_query(benchmark):
 
 def test_bench_clock_proposals(benchmark):
     def run():
-        clock = LogicalClock()
+        order = TimestampOrder(0, (0, 1, 2))
         for index in range(1, 1001):
-            clock.proposal(index * 2)
-        return clock
+            order.propose(Dot(0, index), index * 2)
+        return order
 
-    clock = benchmark(run)
-    assert clock.value == 2000
+    order = benchmark(run)
+    assert order.clock == 2000
 
 
 def test_bench_dependency_graph_execution(benchmark):

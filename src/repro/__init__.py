@@ -1,7 +1,7 @@
 """Tempo reproduction: efficient replication via timestamp stability.
 
 Top-level convenience re-exports of the most commonly used pieces of the
-library.  See README.md for a tour and DESIGN.md for the full inventory.
+library.
 """
 
 from repro.core.commands import Command, Partitioner

@@ -6,9 +6,12 @@ into real static analysis (import/alias aware) and add new repo-wide ones:
 
 * ``struct-outside-wire`` — ``struct`` (binary packing) imported outside
   ``repro/wire/``; everything else talks in message objects.
-* ``scheduler-internals`` — private :class:`~repro.simulator.events.EventQueue`
-  state (``_lanes``, ``_times``, or any ``queue._x`` reach) touched outside
-  ``simulator/events.py``.
+* ``private-internals`` — private state of a class listed in
+  :data:`PRIVATE_STATE` touched outside its module: the
+  :class:`~repro.simulator.events.EventQueue` (``_lanes``, ``_times``, or any
+  ``queue._x`` reach) and Tempo's
+  :class:`~repro.core.stability.TimestampOrder` (``_clock``, ``_tracker``,
+  ``_promises``, ``_buffered``, ``_stable_heap``, or any ``order._x`` reach).
 * ``missing-slots`` — a registered hot class lost its ``__slots__`` /
   ``@dataclass(slots=True)`` declaration.
 * ``codec-exhaustiveness`` — a :class:`~repro.core.messages.Message`
@@ -27,7 +30,7 @@ import ast
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -102,24 +105,66 @@ def struct_import_findings(root: Optional[Path] = None) -> List[LintFinding]:
     return findings
 
 
-# -- scheduler internals stay inside events.py -----------------------------------
-
-#: Private attributes of :class:`repro.simulator.events.EventQueue`.
-_SCHEDULER_PRIVATE = frozenset({"_times", "_lanes"})
+# -- owned private state stays inside its module --------------------------------
 
 
-def scheduler_internal_findings(root: Optional[Path] = None) -> List[LintFinding]:
-    """Private scheduler state reached outside ``simulator/events.py``.
+@dataclass(frozen=True)
+class PrivateState:
+    """One row of the ``private-internals`` gate: a class whose private
+    state no module but its own may touch.
 
-    Flags attribute reads of the :class:`EventQueue` internals (``_lanes``,
-    ``_times``) anywhere, and *any* private attribute reached through a name
-    or attribute called ``queue`` (the historical ``queue._heap`` /
-    ``queue._counter`` pattern the public API replaced).
+    ``names`` are flagged wherever they are reached; ``receivers`` are the
+    names the owner's instances go by, through which *any* private
+    attribute is flagged (``queue._heap``, ``process.order._commit_heap``).
     """
+
+    module: str  # owning module, relative to repro/
+    owner: str
+    names: FrozenSet[str]
+    receivers: FrozenSet[str]
+    remedy: str
+
+
+PRIVATE_STATE: Tuple[PrivateState, ...] = (
+    PrivateState(
+        "simulator/events.py",
+        "EventQueue",
+        frozenset({"_times", "_lanes"}),
+        frozenset({"queue"}),
+        "use push/schedule_message/pop_lane/requeue_lane/peek_time",
+    ),
+    # Caesar keeps a ``_commit_heap`` of its own, so that name is only
+    # flagged through ``order``.
+    PrivateState(
+        "core/stability.py",
+        "TimestampOrder",
+        frozenset({"_clock", "_tracker", "_promises", "_buffered", "_stable_heap"}),
+        frozenset({"order"}),
+        "use the TimestampOrder operations",
+    ),
+)
+
+
+def _receiver_name(node: ast.expr) -> Optional[str]:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def private_state_findings(
+    root: Optional[Path] = None, rows: Sequence[PrivateState] = PRIVATE_STATE
+) -> List[LintFinding]:
+    """Private state of a :data:`PRIVATE_STATE` owner reached outside its
+    module: one of the row's ``names`` anywhere, or any private attribute
+    through one of its ``receivers``."""
     root = root or _src_root()
     findings: List[LintFinding] = []
     for path in _python_files(root):
-        if path.name == "events.py" and path.parent.name == "simulator":
+        relative = path.relative_to(root).as_posix()
+        outsiders = [row for row in rows if row.module != relative]
+        if not outsiders:
             continue
         tree = _parse(path)
         if tree is None:
@@ -127,26 +172,23 @@ def scheduler_internal_findings(root: Optional[Path] = None) -> List[LintFinding
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            private = node.attr.startswith("_") and not node.attr.startswith("__")
-            if not private:
+            attr = node.attr
+            if not attr.startswith("_") or attr.startswith("__"):
                 continue
-            value = node.value
-            via_queue = (isinstance(value, ast.Name) and value.id == "queue") or (
-                isinstance(value, ast.Attribute) and value.attr == "queue"
-            )
-            if node.attr in _SCHEDULER_PRIVATE or via_queue:
-                findings.append(
-                    LintFinding(
-                        path=_relative(path, root),
-                        line=node.lineno,
-                        code="scheduler-internals",
-                        message=(
-                            f"scheduler internal {node.attr!r} reached outside "
-                            "events.py (use push/schedule_message/pop_lane/"
-                            "requeue_lane/peek_time)"
-                        ),
+            receiver = _receiver_name(node.value)
+            for row in outsiders:
+                if attr in row.names or receiver in row.receivers:
+                    findings.append(
+                        LintFinding(
+                            path=_relative(path, root),
+                            line=node.lineno,
+                            code="private-internals",
+                            message=(
+                                f"{row.owner} internal {attr!r} reached outside "
+                                f"{row.module} ({row.remedy})"
+                            ),
+                        )
                     )
-                )
     return findings
 
 
@@ -563,7 +605,7 @@ def determinism_findings(root: Optional[Path] = None) -> List[LintFinding]:
 
 ALL_CHECKS = (
     ("struct-outside-wire", struct_import_findings),
-    ("scheduler-internals", scheduler_internal_findings),
+    ("private-internals", private_state_findings),
     ("missing-slots", hot_class_slots_findings),
     ("codec-exhaustiveness", lambda root=None: codec_exhaustiveness_findings()),
     ("dispatch-completeness", dispatch_completeness_findings),

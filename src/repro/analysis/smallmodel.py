@@ -287,14 +287,12 @@ def _stability_safety(
     for process in processes:
         if not process.alive or not isinstance(process, TempoProcess):
             continue
-        peers = list(process.partition_peers())
-        stable = process.promises.stable_timestamp(peers)
+        peers = process.partition_peers()
+        stable = process.order.stable_up_to()
         if stable <= 0:
             continue
         majority = process.config.majority
-        backed = sum(
-            1 for frontier in process.promises.frontier(peers) if frontier >= stable
-        )
+        backed = sum(1 for peer in peers if process.order.frontier(peer) >= stable)
         if backed < majority:
             violations.append(
                 Violation(

@@ -9,7 +9,6 @@ simulator (:mod:`repro.simulator`), the asyncio runtime
 The main entry point is :class:`repro.core.process.TempoProcess`.
 """
 
-from repro.core.clock import LogicalClock
 from repro.core.commands import Command
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
@@ -17,15 +16,16 @@ from repro.core.phases import Phase
 from repro.core.process import TempoProcess
 from repro.core.promises import Promise, PromiseSet
 from repro.core.quorums import QuorumSystem
+from repro.core.stability import TimestampOrder
 
 __all__ = [
     "Command",
     "Dot",
-    "LogicalClock",
     "Phase",
     "Promise",
     "PromiseSet",
     "ProtocolConfig",
     "QuorumSystem",
     "TempoProcess",
+    "TimestampOrder",
 ]

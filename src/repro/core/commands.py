@@ -6,9 +6,9 @@ derived from the keys it touches.  Two commands *conflict* when they access a
 common key (the paper's microbenchmark notion of conflict, §6.2).  The
 baselines apply the relation through their per-key state
 (:class:`~repro.protocols.dependency.KeyConflicts`); Tempo keeps no per-key
-state at all: one scalar :class:`~repro.core.clock.LogicalClock` per process
-orders every command of its partition, conflicting or not (one clock per
-key is ROADMAP item 15).
+state at all: one scalar clock per process
+(:class:`~repro.core.stability.TimestampOrder`) orders every command of its
+partition, conflicting or not (one clock per key is ROADMAP item 15).
 
 Tempo itself does not distinguish reads from writes (§3.3), but the baseline
 protocols (EPaxos/Atlas/Janus*) do, so commands carry per-key operations with

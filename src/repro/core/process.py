@@ -1,10 +1,14 @@
 """The Tempo process: commit, execution and multi-partition protocols.
 
-This module implements Algorithms 1-3 and 5-6 of the paper as a single
-message-driven state machine, :class:`TempoProcess`.  Recovery (Algorithm 4)
-lives in :mod:`repro.core.recovery` and the liveness mechanism of §B — asking
-again for whatever a stuck command is missing — in :mod:`repro.core.repair`;
-both are mixed in.
+This module implements the message handling of Algorithms 1-3 and 5-6 of
+the paper as a single message-driven state machine, :class:`TempoProcess`.
+The timestamp order those handlers drive — clock, promises, stability and
+the execution heaps — is one component,
+:class:`~repro.core.stability.TimestampOrder`, held as ``order`` and used
+only through its operations.  Recovery (Algorithm 4) lives in
+:mod:`repro.core.recovery` and the liveness mechanism of §B — asking again
+for whatever a stuck command is missing — in :mod:`repro.core.repair`; both
+are mixed in.
 
 A :class:`TempoProcess` replicates exactly one partition.  Multi-partition
 commands are handled by running the commit protocol independently at every
@@ -15,11 +19,9 @@ from every accessed partition, which enforces the real-time order of PSMR.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.base import ProcessBase
-from repro.core.clock import LogicalClock
 from repro.core.commands import Command
 from repro.core.gc import WatermarkGcMixin
 from repro.core.identifiers import Dot
@@ -46,9 +48,9 @@ from repro.core.messages import (
     Need,
 )
 from repro.core.phases import Phase
-from repro.core.promises import PromiseRangeWire, PromiseSet, PromiseTracker
 from repro.core.recovery import RecoveryMixin
 from repro.core.repair import RepairMixin
+from repro.core.stability import TimestampOrder
 
 #: Phases in which a command's commit outcome may only be learnable through
 #: MCommitRequest (committed peers ignore MRec, §B.1).
@@ -71,10 +73,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             "_fast_commit_target_cache",  # cache
             "_partition_targets",  # cache
             "_stable_targets",  # cache
-            # Derived from _info (committed, not yet stable / not yet
-            # executed); the list layout is only insertion history.
-            "_commit_heap",
-            "_stable_heap",
         }
     )
 
@@ -101,21 +99,12 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         #: self-committing, is the repair pass's to replace
         #: (:mod:`repro.core.repair`).
         self.ack_broadcast = ack_broadcast
-        self.clock = LogicalClock()
-        self.tracker = PromiseTracker(self.process_id)
-        self.promises = PromiseSet()
-        #: Attached promises received for identifiers not yet committed here,
-        #: buffered as ``(process, timestamp)`` pairs (Algorithm 2, line 47).
-        self._buffered_attached: Dict[Dot, List[Tuple[int, int]]] = {}
+        #: Clock, promises, stability and execution order (Algorithms 1, 2
+        #: and 6): every handler below goes through its operations.
+        self.order = TimestampOrder(self.process_id, self.partition_peers())
         #: Recovery-phase identifiers for which the MCommitRequest (Algorithm
         #: 6, line 96) was already sent; asking again is the repair pass's job.
         self._commit_requested: Set[Dot] = set()
-        #: Min-heap of ``(timestamp, dot)`` for committed identifiers whose
-        #: MStable has not been sent yet (drained by stability_check).
-        self._commit_heap: List[Tuple[int, Dot]] = []
-        #: Min-heap of ``(timestamp, dot)`` for identifiers whose MStable was
-        #: sent and that await execution in ``(timestamp, dot)`` order.
-        self._stable_heap: List[Tuple[int, Dot]] = []
         #: Set when a commit or promise absorption during a delivery scope
         #: made new timestamps potentially stable; the scope's
         #: :meth:`_flush_step` then runs one stability check for the whole
@@ -188,26 +177,13 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             return None
         return record.final_timestamp
 
-    def _command_partitions(self, command: Command) -> List[int]:
-        return sorted(command.partitions(self.partitioner))
-
-    def _processes_of(self, partitions: Sequence[int]) -> List[int]:
-        """All processes replicating any of ``partitions`` (the set ``I_c``)."""
-        members: List[int] = []
-        for partition in partitions:
-            members.extend(self.config.processes_of_partition(partition))
-        return members
-
-    def _colocated_coordinators(self, partitions: Sequence[int]) -> Dict[int, int]:
-        """One nearby process per accessed partition (the set ``I^i_c``)."""
-        return self.quorum_system.coordinators_for(self.process_id, partitions)
-
     def _targets_for(self, partitions: Iterable[int]) -> List[int]:
-        """Sorted deduplicated members of ``I_c``, cached per partition set."""
+        """Sorted members of ``I_c``, cached per partition set."""
         key = frozenset(partitions)
         targets = self._partition_targets.get(key)
         if targets is None:
-            targets = sorted(set(self._processes_of(sorted(key))))
+            processes_of = self.config.processes_of_partition
+            targets = sorted({p for partition in key for p in processes_of(partition)})
             self._partition_targets[key] = targets
         return targets
 
@@ -238,49 +214,11 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             self._stable_targets[key] = targets
         return targets
 
-    def _buffer_attached(self, dot: Dot) -> List[Tuple[int, int]]:
-        """The pairs buffered for ``dot`` until it commits here (line 47)."""
-        return self._buffered_attached.setdefault(dot, [])
-
-    def _issue(self, result, dot: Optional[Dot] = None) -> None:
-        """Account for the promises a clock move just issued: all of them
-        are queued for broadcast, the skipped (detached) run is known here
-        at once, and the promise attached to ``dot`` — when the move was a
-        proposal — is buffered until the command commits (Algorithm 2,
-        line 47 applies to local promises too)."""
-        detached = result.detached
-        if detached:
-            # Clock jumps issue contiguous timestamps: one range.
-            lo, hi = detached[0], detached[-1]
-            self.tracker.add_detached_range(lo, hi)
-            self.promises.add_range(self.process_id, lo, hi)
-        if dot is not None:
-            self.tracker.add_attached(dot, result.timestamp)
-            self._buffer_attached(dot).append((self.process_id, result.timestamp))
-
-    def _absorb_piggyback(
-        self,
-        dot: Dot,
-        attached: Dict[int, int],
-        detached: PromiseRangeWire,
-        usable: bool = False,
-    ) -> None:
-        """Take in the promises one commit of ``dot`` carries — a received
-        ``MCommit``'s, or the ones this fast-quorum member collected itself.
-
-        Only promises issued by this partition's processes matter for the
-        local stability detection.  Detached ones are known at once;
-        attached ones wait for ``dot`` to commit here (line 47) unless they
-        are ``usable`` already (``dot`` executed everywhere).
-        """
-        peers = self.partition_peer_set()
-        if detached:
-            self.promises.absorb_ranges(detached, only=peers)
-        pairs = [pair for pair in attached.items() if pair[0] in peers]
-        if usable:
-            self.promises.add_all(pairs)
-        elif pairs:
-            self._buffer_attached(dot).extend(pairs)
+    def _commit_known(self, dot: Dot) -> bool:
+        """Whether ``dot`` committed here, or executed everywhere and was
+        collected: either way its attached promises count (line 47)."""
+        record = self._info.get(dot)
+        return (record is not None and record.is_committed) or self.gc.collected(dot)
 
     # ------------------------------------------------------------------ submit
 
@@ -292,7 +230,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         suspects; they travel with the command, so relay plans, ack targets
         and recovery all follow this one choice.
         """
-        partitions = self._command_partitions(command)
+        partitions = sorted(command.partitions(self.partitioner))
         if self.partition not in partitions:
             raise ValueError(
                 f"process {self.process_id} (partition {self.partition}) cannot "
@@ -314,7 +252,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         command = message.command
         quorums = message.quorums
         fast_quorum = quorums[self.partition]
-        timestamp = self.clock.value + 1
+        timestamp = self.order.clock + 1
         propose = MPropose(dot, command, quorums, timestamp)
         self.send(fast_quorum, propose, now)
         others = [
@@ -325,38 +263,36 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if others:
             self.send(others, MPayload(dot, command, quorums), now)
 
-    def _on_payload(self, sender: int, message: MPayload, now: float) -> None:
-        """Store the payload of a command outside the fast quorum (line 9)."""
-        if self.gc.collected(message.dot):
-            return  # late duplicate of a globally-executed command
-        record = self.info(message.dot)
+    def _store(self, message, phase: Phase, now: float) -> Optional[CommandInfo]:
+        """Store a new command from MPayload/MPropose and enter ``phase``."""
+        dot = message.dot
+        if self.gc.collected(dot):
+            return None  # late duplicate of a globally-executed command
+        record = self.info(dot)
         if record.phase is not Phase.START:
-            return
+            return None
         record.command = message.command
         record.quorums = message.quorums
-        self._await_commit(message.dot, now)
-        record.move_to(Phase.PAYLOAD)
-        self._maybe_commit(message.dot, now)
+        self._await_commit(dot, now)
+        record.move_to(phase)
+        return record
+
+    def _on_payload(self, sender: int, message: MPayload, now: float) -> None:
+        """Store the payload of a command outside the fast quorum (line 9)."""
+        if self._store(message, Phase.PAYLOAD, now) is not None:
+            self._maybe_commit(message.dot, now)
 
     def _on_propose(self, sender: int, message: MPropose, now: float) -> None:
         """Compute a timestamp proposal as a fast-quorum member (line 12)."""
         dot = message.dot
-        if self.gc.collected(dot):
-            return  # late duplicate of a globally-executed command
-        record = self.info(dot)
-        if record.phase is not Phase.START:
+        record = self._store(message, Phase.PROPOSE, now)
+        if record is None:
             return
-        record.command = message.command
-        record.quorums = message.quorums
-        self._await_commit(dot, now)
-        record.move_to(Phase.PROPOSE)
-        result = self.clock.proposal(message.timestamp)
-        record.timestamp = result.timestamp
-        self._issue(result, dot)
-        detached = result.detached
+        timestamp, detached = self.order.propose(dot, message.timestamp)
+        record.timestamp = timestamp
         ack = MProposeAck(
             dot,
-            timestamp=result.timestamp,
+            timestamp=timestamp,
             detached=(
                 {self.process_id: ((detached[0], detached[-1]),)} if detached else {}
             ),
@@ -381,17 +317,20 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             if partition != self.partition
         ]
         if partitions:
-            coordinators = self._colocated_coordinators(partitions)
+            # One nearby process per accessed partition (the set ``I^i_c``).
+            coordinators = self.quorum_system.coordinators_for(
+                self.process_id, partitions
+            )
             targets = sorted(set(coordinators.values()) - {self.process_id})
             if targets:
-                self.send(targets, MBump(dot, result.timestamp), now)
+                self.send(targets, MBump(dot, timestamp), now)
 
     def _on_bump(self, sender: int, message: MBump, now: float) -> None:
         """Bump the clock on behalf of another partition's proposal (§4)."""
         record = self._info.get(message.dot)
         if record is None or record.phase is not Phase.PROPOSE:
             return
-        self._issue(self.clock.bump(message.timestamp))
+        self.order.bump(message.timestamp)
 
     def _on_propose_ack(self, sender: int, message: MProposeAck, now: float) -> None:
         """Collect fast-quorum proposals (line 17).
@@ -450,7 +389,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         # A multi-partition dot stays in PROPOSE until the other partitions
         # report, so a duplicate ack can bring it back here: relay once.
         first = self.partition not in record.partition_commits
-        self._absorb_piggyback(dot, record.proposals, record.detached_wire())
+        self.order.absorb_piggyback(dot, record.proposals, record.detached_wire())
         record.partition_commits[self.partition] = max(
             record.partition_commits.get(self.partition, 0), timestamp
         )
@@ -517,7 +456,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record.timestamp = message.timestamp
         record.ballot = message.ballot
         record.accepted_ballot = message.ballot
-        self._issue(self.clock.bump(message.timestamp))
+        self.order.bump(message.timestamp)
         self.send([sender], MConsensusAck(dot, message.ballot), now)
 
     def _on_consensus_ack(self, sender: int, message: MConsensusAck, now: float) -> None:
@@ -550,12 +489,14 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             # executed makes its attached promises directly usable — but
             # nothing else is recorded (an executed record released its
             # per-partition commits; a collected one is not recreated).
-            self._absorb_piggyback(dot, message.attached, message.detached, usable=True)
+            self.order.absorb_piggyback(
+                dot, message.attached, message.detached, usable=True
+            )
             return
         record.partition_commits[message.partition] = max(
             record.partition_commits.get(message.partition, 0), message.timestamp
         )
-        self._absorb_piggyback(dot, message.attached, message.detached)
+        self.order.absorb_piggyback(dot, message.attached, message.detached)
         self._maybe_commit(dot, now)
 
     def _maybe_commit(self, dot: Dot, now: float) -> None:
@@ -584,17 +525,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         record.timestamp = final
         record.move_to(Phase.COMMIT)
         self._blocked[Need.COMMIT].pop(dot, None)
-        heappush(self._commit_heap, (final, dot))
-        self._issue(self.clock.bump(final))
-        # Attached promises for this identifier become usable now (line 47).
-        buffered = self._buffered_attached.pop(dot, None)
-        if buffered:
-            self.promises.add_all(buffered)
-        # Committing may immediately make new timestamps stable (the
-        # piggybacked promises typically suffice); react within this event-
-        # handling step instead of waiting for the next periodic check.
-        # Inside a delivery scope the check is enqueued and runs once per
-        # delivered batch (``_flush_step``) rather than once per commit.
+        self.order.commit(dot, final)
+        # The piggybacked promises typically make it stable at once: check
+        # within this step instead of waiting for the next tick.
         self._schedule_stability_check(now)
 
     # ------------------------------------------------------------------ execution protocol
@@ -625,19 +558,8 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
 
     def _on_promises(self, sender: int, message: MPromises, now: float) -> None:
         """Absorb promises broadcast by a peer (Algorithm 2, line 46)."""
-        if message.detached:
-            self.promises.absorb_ranges(message.detached)
-        gc = self.gc
-        for dot, timestamps in message.attached.items():
-            # The issuer of a broadcast promise is the broadcast's sender.
-            attached = [(sender, timestamp) for timestamp in timestamps]
-            record = self._info.get(dot)
-            if (record is not None and record.is_committed) or gc.collected(dot):
-                # Committed here, or globally executed and collected: the
-                # attached promises are usable immediately.
-                self.promises.add_all(attached)
-                continue
-            self._buffer_attached(dot).extend(attached)
+        waiting = self.order.absorb_promises(sender, message, self._commit_known)
+        for dot in waiting:
             # The dot's MCommit is pushed here by exactly one sender
             # (coordinator or relaying quorum member), so nothing is asked
             # on the healthy path; if that copy is lost the repair pass
@@ -645,6 +567,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             # a recovery-phase record waits on MRec, which committed peers
             # ignore (§B.1) — ask them for the outcome, once.
             self._await_commit(dot, now)
+            record = self._info.get(dot)
             if (
                 record is not None
                 and record.phase in _RECOVERY_PHASES
@@ -694,34 +617,21 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
 
     def broadcast_promises(self, now: float = 0.0) -> None:
         """Broadcast newly issued promises to the partition (line 44)."""
-        if not self.tracker.has_pending():
+        order = self.order
+        if not order.has_outgoing():
             return
-        detached_ranges, attached = self.tracker.snapshot_ranges(drain=True)
-        message = MPromises(
-            self._sentinel(),
-            detached={self.process_id: detached_ranges} if detached_ranges else {},
-            attached=attached,
-        )
+        detached, attached = order.outgoing()
+        message = MPromises(self._sentinel(), detached=detached, attached=attached)
         if self._other_peers:
             self.send(self._other_peers, message, now)
 
     def stability_check(self, now: float = 0.0) -> None:
-        """Detect stable timestamps and drive execution (lines 49 & 97).
-
-        Committed-but-unstable identifiers wait in a min-heap ordered by
-        ``(timestamp, id)``; each check pops the prefix at or below the
-        current stable timestamp (the same order the pseudocode obtains by
-        sorting), so a check that finds nothing newly stable is O(1).
-        """
-        stable_up_to = self.promises.stable_timestamp(self.partition_peers())
-        heap = self._commit_heap
-        while heap and heap[0][0] <= stable_up_to:
-            timestamp, dot = heappop(heap)
+        """Detect stable timestamps and drive execution (lines 49 & 97): tell
+        every accessed partition about each newly stable command, in
+        ``(timestamp, id)`` order, then execute what is ready."""
+        for dot in self.order.newly_stable():
             record = self._info[dot]
-            if record.stable_sent:
-                continue
             record.stable_sent = True
-            heappush(self._stable_heap, (timestamp, dot))
             targets = self._stable_targets_for(record.quorums)
             notification = MStable(dot, partition=self.partition)
             self.send(targets, notification, now)
@@ -732,22 +642,12 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         self._try_execute(now)
 
     def _try_execute(self, now: float) -> None:
-        """Execute stable commands in timestamp order (Algorithm 6 loop).
-
-        Commands are executed strictly in ``(timestamp, id)`` order; a
-        command whose ``MStable`` set is incomplete blocks the ones after it,
-        exactly like the blocking wait of Algorithm 6, line 102.  The heap
-        replaces the pseudocode's re-sorting of the committed set: the head
-        of ``_stable_heap`` is exactly the minimum of that sort.
-        """
-        heap = self._stable_heap
-        while heap:
-            _, dot = heap[0]
-            record = self._info[dot]
-            if not record.has_all_stable():
-                return
-            heappop(heap)
-            self._execute(dot, record, now)
+        """Execute stable commands in ``(timestamp, id)`` order (Algorithm 6
+        loop); a command whose ``MStable`` set is incomplete blocks the ones
+        after it (line 102)."""
+        info = self._info
+        for dot in self.order.executable(lambda dot: info[dot].has_all_stable()):
+            self._execute(dot, info[dot], now)
 
     def _execute(self, dot: Dot, record: CommandInfo, now: float) -> None:
         command = record.command
@@ -788,17 +688,12 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             f"collecting {dot} in phase {record.phase}: watermark ran ahead "
             "of local execution"
         )
-        self._buffered_attached.pop(dot, None)
+        self.order.forget(dot)
         self._commit_requested.discard(dot)
-        self.tracker.fold(dot)
 
     # ------------------------------------------------------------------ introspection
 
     def memory_footprint(self) -> Dict[str, int]:
         footprint = super().memory_footprint()
-        footprint["issued_promises"] = self.tracker.ledger_size()
+        footprint["issued_promises"] = self.order.ledger_size()
         return footprint
-
-    def stable_timestamp(self) -> int:
-        """Currently known highest stable timestamp (Theorem 1)."""
-        return self.promises.stable_timestamp(self.partition_peers())

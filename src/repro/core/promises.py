@@ -399,11 +399,6 @@ class PromiseSet:
         """Largest ``c`` such that all promises ``<process, 1..c>`` are known."""
         return self._frontier.get(process, 0)
 
-    def frontier(self, processes: Iterable[int]) -> List[int]:
-        """Highest contiguous promise for each of ``processes``."""
-        frontiers = self._frontier
-        return [frontiers.get(process, 0) for process in processes]
-
     def stable_timestamp(self, processes: Iterable[int]) -> int:
         """Highest stable timestamp per Theorem 1.
 

@@ -2,8 +2,8 @@
 
 Implemented as a mixin used by :class:`repro.core.process.TempoProcess`.
 The mixin assumes the host class provides the attributes created by
-``TempoProcess.__init__`` (``_info``, ``clock``, ``tracker``, quorum system,
-``send`` ...).
+``TempoProcess.__init__`` (``_info``, ``order``, quorum system, ``send``
+...).
 """
 
 from __future__ import annotations
@@ -88,9 +88,7 @@ class RecoveryMixin:
             return
         if info.ballot == 0:
             if info.phase is Phase.PAYLOAD:
-                result = self.clock.proposal(0)
-                self._issue(result, dot)
-                info.timestamp = result.timestamp
+                info.timestamp, _ = self.order.propose(dot, 0)
                 info.move_to(Phase.RECOVER_R)
             elif info.phase is Phase.PROPOSE:
                 info.move_to(Phase.RECOVER_P)

@@ -94,14 +94,11 @@ class RepairMixin(PullMixin):
     def _repair_tick(self, now: float) -> None:
         """Observe the two heap heads, then ask once per window for every
         overdue item."""
-        heap = self._commit_heap
-        unstable = heap and heap[0][0] > self.promises.stable_timestamp(
-            self.partition_peers()
-        )
-        self._watch_head(Need.PROMISES, heap[0][1] if unstable else None, now)
-        heap = self._stable_heap
-        waiting = heap and not self._info[heap[0][1]].has_all_stable()
-        self._watch_head(Need.STABLE, heap[0][1] if waiting else None, now)
+        order = self.order
+        self._watch_head(Need.PROMISES, order.unstable_head(), now)
+        head = order.execution_head()
+        waiting = head is not None and not self._info[head].has_all_stable()
+        self._watch_head(Need.STABLE, head if waiting else None, now)
         self._pull_overdue(now)
 
     def _ask(self, need: Need, dot: Dot, now: float) -> None:
@@ -154,7 +151,7 @@ class RepairMixin(PullMixin):
         leaves a hole in this process's view of the sender that freezes its
         stable timestamp.  Tell each peer the frontier held for it."""
         for peer in self._other_peers:
-            frontier = self.promises.highest_contiguous_promise(peer)
+            frontier = self.order.frontier(peer)
             self.send([peer], MRepairRequest(dot, Need.PROMISES, frontier), now)
 
     def _ask_for_stable(self, now: float) -> None:
@@ -163,7 +160,7 @@ class RepairMixin(PullMixin):
         partitions still missing.  Whatever lost the head's notification
         usually lost its successors' too, and they only become the head —
         and overdue — one at a time, so the round covers the whole heap."""
-        for _, dot in sorted(self._stable_heap):
+        for dot in self.order.stable_backlog():
             record = self._info[dot]
             request = MRepairRequest(dot, Need.STABLE)
             for partition in sorted(set(record.quorums) - record.stable_from):
@@ -201,31 +198,17 @@ class RepairMixin(PullMixin):
     def _resend_promises(self, sender: int, frontier: int, now: float) -> None:
         """Re-send everything issued above ``frontier`` in one ``MPromises``.
 
-        The tracker keeps the full issued set for exactly this: collected
-        history as one detached range, commands in flight attached.  An
-        attached promise only counts at the requester once it has the
+        An attached promise only counts at the requester once it has the
         command committed, so the payload and commit of every committed
         command attached above the frontier go first — one reply fills
         every hole instead of one commit round per hole.
         """
-        detached, attached = self.tracker.snapshot_ranges(drain=False)
-        detached = tuple(
-            (max(lo, frontier + 1), hi) for lo, hi in detached if hi > frontier
-        )
-        attached = {
-            dot: timestamps
-            for dot, timestamps in attached.items()
-            if timestamps[-1] > frontier
-        }
+        detached, attached = self.order.issued_above(frontier)
         if not detached and not attached:
             return
         for dot in attached:
             record = self._info.get(dot)
             if record is not None and record.is_committed:
                 self._send_commit_info(sender, dot, record, now)
-        reply = MPromises(
-            self._sentinel(),
-            detached={self.process_id: detached} if detached else {},
-            attached=attached,
-        )
+        reply = MPromises(self._sentinel(), detached=detached, attached=attached)
         self.send([sender], reply, now)

@@ -2,8 +2,8 @@
 
 Each driver returns plain data structures (rows/series) that the benchmark
 harness prints, so running ``pytest benchmarks/ --benchmark-only`` regenerates
-the content of every table and figure.  See DESIGN.md §4 for the experiment
-index and EXPERIMENTS.md for measured-vs-paper numbers.
+the content of every table and figure; the measured numbers are the goldens
+under ``results/``.
 
 Figure/table drivers are imported lazily (``repro.experiments.fig5_fairness``
 etc.) to keep importing the throughput model light.

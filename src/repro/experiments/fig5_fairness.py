@@ -9,8 +9,7 @@ serve all sites roughly uniformly.
 This reproduction runs the same deployment on the discrete-event simulator.
 Client counts are scaled down (default 16/site) because the simulator is
 pure Python; closed-loop latency is load-insensitive until saturation, so
-the per-site means are representative.  Scaling notes and deviations are
-recorded in EXPERIMENTS.md.
+the per-site means are representative (``results/fig5_fairness.txt``).
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ reach seconds and degrade sharply with load, while Tempo's tail stays within
 a few hundred milliseconds (1.4-14x better).
 
 Reproduction notes: the simulator is pure Python, so client counts are
-scaled down.  Since the dependency-chain pathology of Atlas/EPaxos/Caesar is
-driven by the number of *concurrently conflicting* commands (≈ clients x
-conflict rate), the scaled runs preserve that product by scaling the
-conflict rate up as the client count is scaled down (documented in
-EXPERIMENTS.md).  The qualitative claim — Tempo's tail is flat, the others'
-tails explode with contention — is what the benchmark asserts.
+scaled down and the conflict rate is scaled up.  The dependency-chain
+pathology of Atlas/EPaxos/Caesar is driven by the number of *concurrently
+conflicting* commands per site (≈ clients x conflict rate), and the scaling
+does not preserve it: the golden cells (8 and 16 clients/site at 15 %,
+``results/fig6_tail.txt``) have 1.2 and 2.4, the paper's (256 and 512 at
+2 %) 5.12 and 10.24.  The qualitative claim — Tempo's tail is flat, the
+others' tails explode with contention — is what the benchmark asserts.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class Figure6Options:
 
     ``client_loads`` holds the two load levels of the figure (top: 256
     clients/site, bottom: 512 clients/site), scaled down for simulation; the
-    conflict rate is scaled up to preserve clients x conflict_rate.
+    conflict rate is scaled up, though not enough to keep the paper's
+    clients x conflict_rate (0.8 and 1.6 here against 5.12 and 10.24).
     """
 
     client_loads: Sequence[int] = (8, 16)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import ProtocolConfig
-from repro.experiments.throughput_model import CostModel, max_throughput
+from repro.experiments.throughput_model import max_throughput
 from repro.workloads.batching import BatchingModel
 
 #: Payload sizes of Figure 8 (bytes).
@@ -73,47 +73,3 @@ def batching_gains(rows: List[Dict[str, object]]) -> Dict[str, float]:
         f"{row['protocol']}@{row['payload_bytes']}B": float(row["gain"]) for row in rows
     }
 
-
-def run_mbatch(
-    options: Figure8Options = Figure8Options(),
-    coalescing: float = 4.0,
-) -> List[Dict[str, object]]:
-    """Figure 8 companion: the transport-level ``MBatch`` framing saving.
-
-    The simulator coalesces every same-destination message a process emits
-    in one event-handling step into a single delivery (``docs/batching.md``);
-    ``coalescing`` is the resulting average number of messages per delivery
-    (``messages_sent / deliveries`` in the simulator stats).  The analytic
-    model amortises the per-message NIC framing accordingly; the historical
-    figures (coalescing = 1) are kept as the baseline columns.
-    """
-    rows: List[Dict[str, object]] = []
-    batched = CostModel(mbatch_coalescing=coalescing)
-    for payload in options.payloads:
-        for protocol, faults in options.protocols:
-            config = ProtocolConfig(num_processes=options.num_sites, faults=faults)
-            unbatched_kops = max_throughput(
-                protocol,
-                config=config,
-                payload=float(payload),
-                conflict_rate=options.conflict_rate,
-            )["max_ops_per_second"]
-            mbatch_kops = max_throughput(
-                protocol,
-                config=config,
-                payload=float(payload),
-                conflict_rate=options.conflict_rate,
-                model=batched,
-            )["max_ops_per_second"]
-            rows.append(
-                {
-                    "protocol": f"{protocol} f={faults}",
-                    "payload_bytes": payload,
-                    "per_message_framing_kops": round(unbatched_kops / 1000.0, 1),
-                    "mbatch_framing_kops": round(mbatch_kops / 1000.0, 1),
-                    "gain": round(mbatch_kops / unbatched_kops, 2)
-                    if unbatched_kops
-                    else 0.0,
-                }
-            )
-    return rows

@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
-from repro.core.process import TempoProcess
 from repro.simulator.inline import RecordingNetwork
 
 
@@ -67,34 +66,24 @@ def analytic_row(example: FastPathExample) -> Dict[str, object]:
     }
 
 
-def _preset_clock(process: TempoProcess, value: int) -> None:
-    """Pre-set a process clock to ``value`` as if it had legitimately issued
-    promises up to that value in the past (keeps the promise invariant that
-    a clock of ``v`` implies promises 1..v exist)."""
-    if value <= 0:
-        return
-    process.clock.value = value
-    process.tracker.add_detached_range(1, value)
-    process.promises.add_range(process.process_id, 1, value)
-
-
 def simulate_row(example: FastPathExample) -> Dict[str, object]:
     """Drive real Tempo processes through the example and observe the path.
 
-    The coordinator's clock is pre-set so that its proposal equals the
-    table's value; the other fast-quorum members' clocks are pre-set to the
-    table's initial values.  The row reports whether an ``MConsensus``
+    The coordinator's clock is bumped so that its proposal equals the
+    table's value; the other fast-quorum members' clocks are bumped to the
+    table's initial values, issuing the promises up to them as a real past
+    would have.  The row reports whether an ``MConsensus``
     message (slow path) was needed and the committed timestamp.
     """
     processes = build_replicas(
         "tempo", ProtocolConfig(num_processes=5, faults=example.faults)
     ).processes
     coordinator = processes[0]
-    _preset_clock(coordinator, example.coordinator_proposal - 1)
+    coordinator.order.bump(example.coordinator_proposal - 1)
     quorum = coordinator.quorum_system.fast_quorum(0, 0)
     members = [process_id for process_id in quorum if process_id != 0]
     for member, clock in zip(members, example.initial_clocks):
-        _preset_clock(processes[member], clock)
+        processes[member].order.bump(clock)
     network = RecordingNetwork(processes)
     command = coordinator.new_command(["table1-key"])
     coordinator.submit(command, 0.0)

@@ -58,14 +58,6 @@ class CostModel:
             bookkeeping in Tempo.
         small_message_bytes: wire size of acks and other payload-free
             messages.
-        framing_bytes: the per-message NIC framing share of
-            ``small_message_bytes`` (headers, ids, enums) that transport
-            batching can amortise.
-        mbatch_coalescing: average number of same-destination protocol
-            messages coalesced into one transport-level ``MBatch`` delivery.
-            The default of 1 charges the historical unbatched per-message
-            framing; a larger value models the framing saving for
-            Figures 7 and 8.
         concurrency: number of in-flight commands per site assumed when
             estimating dependency-chain lengths (the paper's saturation
             points sit at a few thousand clients per site).
@@ -78,37 +70,13 @@ class CostModel:
     caesar_block_us: float = 6.0
     tempo_stability_us: float = 8.0
     small_message_bytes: float = 100.0
-    framing_bytes: float = 24.0
-    mbatch_coalescing: float = 1.0
     conflict_window: float = 25.0
     caesar_conflict_window: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.mbatch_coalescing < 1.0:
-            raise ValueError("mbatch_coalescing must be >= 1")
-        if not 0.0 <= self.framing_bytes <= self.small_message_bytes:
-            raise ValueError(
-                "framing_bytes must lie within [0, small_message_bytes]"
-            )
 
     def payload_cpu(self, payload_bytes: float) -> float:
         """CPU microseconds spent copying ``payload_bytes``."""
         return self.cpu_per_kib_us * payload_bytes / 1024.0
 
-    def small_wire_bytes(self) -> float:
-        """Effective wire size of a payload-free message.
-
-        With ``MBatch`` coalescing ``b`` messages per delivery, each message
-        carries only ``1/b`` of the per-delivery framing; the non-framing
-        part of the message still crosses the wire in full.
-        """
-        if self.mbatch_coalescing == 1.0:
-            return self.small_message_bytes
-        return (
-            self.small_message_bytes
-            - self.framing_bytes
-            + self.framing_bytes / self.mbatch_coalescing
-        )
 
 
 @dataclass(frozen=True)
@@ -165,7 +133,7 @@ def fpaxos_costs(
         + model.payload_cpu(payload_in + payload_out)
         + model.execution_base_us
     )
-    small_wire = model.small_wire_bytes()
+    small_wire = model.small_message_bytes
     net_in = payload_in + (f + 1) * small_wire / batch
     net_out = payload_out + (r - 1) * small_wire / batch
     return ProtocolCosts(
@@ -210,7 +178,7 @@ def _leaderless_shared_costs(
         messages * model.cpu_per_message_us
         + model.payload_cpu(payload_in + payload_out)
     )
-    small_wire = model.small_wire_bytes()
+    small_wire = model.small_message_bytes
     net_in = payload_in + member_msgs * small_wire / batch
     net_out = payload_out + (
         coordinator_share * (r - 1) + 1

@@ -25,8 +25,9 @@ coordinator's timestamp as proposed — so every command commits after one
 round over the fast quorum with that timestamp and the union of the
 reported dependencies, and there is no retry message on the wire.  The
 evaluation's Caesar* variant measures commit-time behaviour (commands are
-"executed as soon as committed", §6.3) and the dominant effect is the wait
-condition, which is fully modelled.
+"executed as soon as committed", §6.3).  The wait condition is modelled,
+but without reject / retry the timestamp order breaks: trace-checked runs
+fail ``timestamp-order`` on some seeds (ROADMAP finding 1, item 16(a)).
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ the leader (Figure 5) and what makes the leader the throughput bottleneck
 
 Leader failure is handled by re-running phase 1 from a higher ballot; since
 the evaluation only exercises the failure-free path, this implementation
-keeps a static leader (rank 0 of the partition by default) and exposes
-:meth:`set_leader` for tests.
+keeps a static leader (rank 0 of the partition by default).
 """
 
 from __future__ import annotations
@@ -67,13 +66,6 @@ class FPaxosProcess(ProcessBase):
 
     def is_leader(self) -> bool:
         return self.process_id == self.leader
-
-    def set_leader(self, rank: int) -> None:
-        """Move the leader to another rank (used by failover tests)."""
-        if not 0 <= rank < self.config.num_processes:
-            raise ValueError("leader rank out of range")
-        self.leader_rank = rank
-        self.ballot += 1
 
     # -- helpers -----------------------------------------------------------------
 

@@ -20,8 +20,8 @@ from repro.analysis.lint import (
     determinism_findings,
     dispatch_completeness_findings,
     hot_class_slots_findings,
+    private_state_findings,
     run_all,
-    scheduler_internal_findings,
     struct_import_findings,
 )
 
@@ -53,7 +53,7 @@ class TestRepoWide:
         assert len(ALL_CHECKS) == 6
         assert [name for name, _ in ALL_CHECKS] == [
             "struct-outside-wire",
-            "scheduler-internals",
+            "private-internals",
             "missing-slots",
             "codec-exhaustiveness",
             "dispatch-completeness",
@@ -167,23 +167,48 @@ class TestStructGate:
 class TestSchedulerGate:
     def test_private_lane_access_is_flagged(self, tmp_path):
         root = _tree(tmp_path, {"simulator/loop.py": "n = events._lanes\n"})
-        findings = scheduler_internal_findings(root)
-        assert [finding.code for finding in findings] == ["scheduler-internals"]
+        findings = private_state_findings(root)
+        assert [finding.code for finding in findings] == ["private-internals"]
 
     def test_any_private_reach_through_queue_is_flagged(self, tmp_path):
         # The historical pattern the public API replaced: queue._heap.
         root = _tree(tmp_path, {"simulator/loop.py": "x = queue._heap\n"})
-        assert scheduler_internal_findings(root)
+        assert private_state_findings(root)
 
     def test_events_py_itself_is_exempt(self, tmp_path):
         root = _tree(
             tmp_path, {"simulator/events.py": "x = self._lanes\ny = queue._heap\n"}
         )
-        assert not scheduler_internal_findings(root)
+        assert not private_state_findings(root)
 
     def test_other_private_attributes_pass(self, tmp_path):
         root = _tree(tmp_path, {"simulator/loop.py": "x = process._info\n"})
-        assert not scheduler_internal_findings(root)
+        assert not private_state_findings(root)
+
+
+class TestTimestampOrderGate:
+    def test_commit_heap_reached_outside_stability_py_is_flagged(self, tmp_path):
+        source = (
+            "def head(process):\n"
+            "    heap = process.order._commit_heap\n"
+            "    return heap[0] if heap else None\n"
+        )
+        root = _tree(tmp_path, {"core/repair.py": source})
+        findings = private_state_findings(root)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("private-internals", 2)
+        ]
+        assert "TimestampOrder internal '_commit_heap'" in findings[0].message
+
+    def test_stability_py_itself_and_caesars_own_heap_pass(self, tmp_path):
+        root = _tree(
+            tmp_path,
+            {
+                "core/stability.py": "x = self._commit_heap\ny = other._tracker\n",
+                "protocols/caesar.py": "heap = self._commit_heap\n",
+            },
+        )
+        assert not private_state_findings(root)
 
 
 class TestDeterminismGate:

@@ -1,106 +1,118 @@
-"""Unit and property tests for the logical clock."""
+"""Unit and property tests for the clock of :class:`TimestampOrder`:
+``propose`` (Algorithm 1, lines 34-39) and ``bump`` (lines 40-43)."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.clock import LogicalClock
+from repro.core.identifiers import Dot
+from repro.core.stability import TimestampOrder
+
+DOT = Dot(1, 1)
+
+
+def order_at(clock: int = 0) -> TimestampOrder:
+    """A fresh component whose clock stands at ``clock`` (bumped there)."""
+    order = TimestampOrder(0, (0, 1, 2))
+    order.bump(clock)
+    return order
 
 
 class TestProposal:
     def test_proposal_is_at_least_clock_plus_one(self):
-        clock = LogicalClock(value=5)
-        result = clock.proposal(0)
-        assert result.timestamp == 6
-        assert clock.value == 6
+        order = order_at(5)
+        timestamp, _ = order.propose(DOT, 0)
+        assert timestamp == 6
+        assert order.clock == 6
 
     def test_proposal_respects_minimum(self):
-        clock = LogicalClock(value=5)
-        result = clock.proposal(10)
-        assert result.timestamp == 10
-        assert clock.value == 10
+        order = order_at(5)
+        timestamp, _ = order.propose(DOT, 10)
+        assert timestamp == 10
+        assert order.clock == 10
 
     def test_proposal_generates_detached_promises_for_skipped_values(self):
-        clock = LogicalClock(value=1)
-        result = clock.proposal(6)
-        assert result.detached == range(2, 6)
+        order = order_at(1)
+        _, detached = order.propose(DOT, 6)
+        assert detached == range(2, 6)
 
     def test_proposal_without_skip_has_no_detached_promises(self):
-        clock = LogicalClock(value=5)
-        result = clock.proposal(6)
-        assert not result.detached
+        order = order_at(5)
+        _, detached = order.propose(DOT, 6)
+        assert not detached
 
     def test_table1_example_b_and_c(self):
         # Process B at clock 6 receiving proposal 6 proposes 7 (Table 1).
-        clock_b = LogicalClock(value=6)
-        assert clock_b.proposal(6).timestamp == 7
+        order_b = order_at(6)
+        assert order_b.propose(DOT, 6)[0] == 7
         # Process C at clock 10 proposes 11.
-        clock_c = LogicalClock(value=10)
-        assert clock_c.proposal(6).timestamp == 11
+        order_c = order_at(10)
+        assert order_c.propose(DOT, 6)[0] == 11
 
     def test_table1_example_d_detached_promises(self):
         # Process C bumps its clock from 1 to 6, generating promises 2..5.
-        clock_c = LogicalClock(value=1)
-        result = clock_c.proposal(6)
-        assert result.timestamp == 6
-        assert result.detached == range(2, 6)
+        order_c = order_at(1)
+        timestamp, detached = order_c.propose(DOT, 6)
+        assert timestamp == 6
+        assert detached == range(2, 6)
 
     def test_rejects_negative_minimum(self):
         with pytest.raises(ValueError):
-            LogicalClock().proposal(-1)
+            order_at().propose(DOT, -1)
 
 
 class TestBump:
     def test_bump_advances_clock(self):
-        clock = LogicalClock(value=3)
-        result = clock.bump(7)
-        assert clock.value == 7
-        assert result.detached == range(4, 8)
+        order = order_at(3)
+        detached = order.bump(7)
+        assert order.clock == 7
+        assert detached == range(4, 8)
 
     def test_bump_never_goes_backwards(self):
-        clock = LogicalClock(value=9)
-        result = clock.bump(4)
-        assert clock.value == 9
-        assert not result.detached
+        order = order_at(9)
+        detached = order.bump(4)
+        assert order.clock == 9
+        assert not detached
 
     def test_bump_to_current_value_is_noop(self):
-        clock = LogicalClock(value=5)
-        assert not clock.bump(5).detached
+        order = order_at(5)
+        assert not order.bump(5)
 
     def test_rejects_negative_timestamp(self):
         with pytest.raises(ValueError):
-            LogicalClock().bump(-2)
+            order_at().bump(-2)
 
 
 class TestClockInvariants:
     def test_rejects_negative_initial_value(self):
+        # A clock only ever starts at 0 and moves through ``bump`` and
+        # ``propose``, which both refuse negative targets.
         with pytest.raises(ValueError):
-            LogicalClock(value=-1)
+            order_at(-1)
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=1000)), max_size=50))
     def test_clock_is_monotone_and_promises_cover_all_skipped_values(self, operations):
-        clock = LogicalClock()
+        order = order_at()
         covered = set()
         previous = 0
-        for is_proposal, argument in operations:
+        for index, (is_proposal, argument) in enumerate(operations, start=1):
             if is_proposal:
-                result = clock.proposal(argument)
-                covered.update(result.detached)
-                covered.add(result.timestamp)
+                timestamp, detached = order.propose(Dot(1, index), argument)
+                covered.update(detached)
+                covered.add(timestamp)
             else:
-                result = clock.bump(argument)
-                covered.update(result.detached)
-            assert clock.value >= previous
-            previous = clock.value
+                covered.update(order.bump(argument))
+            assert order.clock >= previous
+            previous = order.clock
         # Every timestamp up to the clock is either covered by a promise or
         # was never skipped (i.e. belongs to a proposal).  Together the
         # proposal timestamps and detached promises must cover 1..clock.
-        assert covered == set(range(1, clock.value + 1)) or clock.value == 0
+        assert covered == set(range(1, order.clock + 1)) or order.clock == 0
 
     @given(st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=200))
     def test_proposal_always_exceeds_previous_clock(self, start, minimum):
-        clock = LogicalClock(value=start)
-        result = clock.proposal(minimum)
-        assert result.timestamp > start
-        assert result.timestamp >= minimum
+        order = order_at(start)
+        timestamp, _ = order.propose(DOT, minimum)
+        assert timestamp > start
+        assert timestamp >= minimum

@@ -169,10 +169,10 @@ class TestTempoCollection:
                 assert process.gc.collected(dot)
                 assert dot not in process._info
                 assert process.phase_of(dot) is Phase.EXECUTE
-            assert not process._buffered_attached
+            assert not any(process.order.buffered(c.dot) for c in commands)
             # The promises attached to them folded into one issued range.
-            assert process.tracker.snapshot_ranges(drain=False) == (
-                ((1, process.clock.value),),
+            assert process.order.issued_above(0) == (
+                {process.process_id: ((1, process.order.clock),)},
                 {},
             )
             # Nothing is left waiting for an ingredient, however long we wait.
@@ -183,17 +183,17 @@ class TestTempoCollection:
         process = cluster.process(0)
         dot = cluster.submit(0, ["k"]).dot
         cluster.run()  # executed, but no tick yet: the promise never went out
-        assert process.tracker.has_pending()
+        assert process.order.has_outgoing()
         process._collect(dot)  # the watermark passes the dot first
-        assert dot in process.tracker.snapshot_ranges(drain=False)[1]
+        assert dot in process.order.issued_above(0)[1]
         process.broadcast_promises(0.0)
         envelopes = process.drain_outbox()
         assert [envelope.destination for envelope in envelopes] == [1, 2]
         for envelope in envelopes:
             assert isinstance(envelope.message, MPromises)
             assert dot in envelope.message.attached  # unchanged on the wire
-        assert process.tracker.snapshot_ranges(drain=False) == (
-            ((1, process.clock.value),),
+        assert process.order.issued_above(0) == (
+            {process.process_id: ((1, process.order.clock),)},
             {},
         )
 
@@ -203,7 +203,7 @@ class TestTempoCollection:
         settle_gc(cluster)
         target = cluster.process(1)
         assert command.dot not in target._info
-        timestamp = cluster.process(0).clock.value
+        timestamp = cluster.process(0).order.clock
         # Re-delivered propose and commit for the collected dot must not
         # resurrect a record or emit protocol traffic.
         target.on_message(

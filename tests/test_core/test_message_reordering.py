@@ -84,10 +84,10 @@ class TestOutOfOrderDelivery:
 
         target.deliver(2, MRec(command.dot, 10), 0.0)
         assert target.phase_of(command.dot) is Phase.RECOVER_R
-        clock_before = target.clock.value
+        clock_before = target.order.clock
         target.deliver(0, MPropose(command.dot, command, quorums, 1), 0.0)
         # The MPropose precondition (phase = start) fails: no new proposal.
-        assert target.clock.value == clock_before
+        assert target.order.clock == clock_before
         assert target.phase_of(command.dot) is Phase.RECOVER_R
 
 
@@ -118,8 +118,8 @@ class TestUnknownCommands:
         )
         target.deliver(2, message, 0.0)
         # Buffered, not counted (Algorithm 2, line 47), and nothing asked.
-        assert target._buffered_attached[ghost] == [(2, 5)]
-        assert target.promises.highest_contiguous_promise(2) == 0
+        assert target.order.buffered(ghost) == [(2, 5)]
+        assert target.order.frontier(2) == 0
         assert target.drain_outbox() == []
         assert target.blocked_on(self.WINDOW - 5.0) == []
         assert target.blocked_on(self.WINDOW) == [(Need.COMMIT, ghost, 0.0)]
@@ -156,7 +156,7 @@ class TestUnknownCommands:
         target = processes[0]
         message = MPromises(Dot(2, 1), detached={2: ((1, 2),)})
         target.deliver(2, message, 0.0)
-        assert target.promises.highest_contiguous_promise(2) == 2
+        assert target.order.frontier(2) == 2
 
 
 class TestAckBroadcastEquivalence:

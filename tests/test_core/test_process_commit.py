@@ -106,10 +106,10 @@ class TestSlowPath:
         coordinator = processes[0]
         quorum = coordinator.quorum_system.fast_quorum(0, 0)
         others = [p for p in quorum if p != 0]
-        processes[others[0]].clock.value = 6
-        processes[others[1]].clock.value = 10
-        processes[others[2]].clock.value = 5
-        coordinator.clock.value = 5
+        processes[others[0]].order.bump(6)
+        processes[others[1]].order.bump(10)
+        processes[others[2]].order.bump(5)
+        coordinator.order.bump(5)
         command = coordinator.new_command(["x"])
         coordinator.submit(command, 0.0)
         network.settle(rounds=15)
@@ -126,9 +126,9 @@ class TestSlowPath:
         coordinator = processes[0]
         quorum = coordinator.quorum_system.fast_quorum(0, 0)
         others = [p for p in quorum if p != 0]
-        processes[others[0]].clock.value = 6
-        processes[others[1]].clock.value = 10
-        processes[others[2]].clock.value = 5
+        processes[others[0]].order.bump(6)
+        processes[others[1]].order.bump(10)
+        processes[others[2]].order.bump(5)
         command = coordinator.new_command(["x"])
         coordinator.submit(command, 0.0)
         network.settle(rounds=15)
@@ -165,13 +165,13 @@ class TestPhases:
         # Replay an MPropose after commit: the phase precondition rejects it.
         from repro.core.messages import MPropose
 
-        before = processes[1].clock.value
+        before = processes[1].order.clock
         processes[1].deliver(
             0,
             MPropose(command.dot, command, {0: tuple(processes[0].quorum_system.fast_quorum(0, 0))}, 1),
             0.0,
         )
-        assert processes[1].clock.value == before
+        assert processes[1].order.clock == before
         assert processes[1].phase_of(command.dot) in (Phase.COMMIT, Phase.EXECUTE)
 
     def test_new_command_mints_unique_dots(self):

@@ -88,7 +88,7 @@ class TestExecutionOrdering:
             process = processes[index % 3]
             process.submit(process.new_command(["hot"]), 0.0)
             network.settle(rounds=5)
-            current = processes[0].stable_timestamp()
+            current = processes[0].order.stable_up_to()
             assert current >= previous
             previous = current
 
@@ -102,7 +102,8 @@ class TestExecutionBookkeeping:
         assert command.dot in processes[0].committed_dots()
         assert command.dot in processes[0].executed_dots()
         # Nothing committed is left waiting for stability or execution.
-        assert not processes[0]._commit_heap and not processes[0]._stable_heap
+        order = processes[0].order
+        assert order.unstable_head() is None and order.stable_backlog() == []
 
     def test_each_command_is_executed_exactly_once(self):
         processes, stores, network = build_cluster()

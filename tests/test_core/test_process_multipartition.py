@@ -44,7 +44,7 @@ class TestMultiPartitionCommit:
         # Skew the clocks of partition 1 so its proposal dominates.
         for process in processes:
             if process.partition == 1:
-                process.clock.value = 50
+                process.order.bump(50)
         command = processes[0].new_command(["p0-a", "p1-b"])
         processes[0].submit(command, 0.0)
         network.settle(rounds=20)

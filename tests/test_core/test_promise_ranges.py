@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.smallmodel import canonical
 from repro.cluster import ExperimentConfig, build_replicas, run_experiment
 from repro.core.base import MBatch, ProcessBase
 from repro.core.commands import Command, Partitioner
@@ -28,7 +29,6 @@ from repro.core.identifiers import Dot
 from repro.core.messages import MCommit, MPayload, MPromises, MPropose, MProposeAck
 from repro.core.process import TempoProcess
 from repro.core.promises import PromiseSet, PromiseTracker, RangeCollector
-from repro.experiments.table1_fastpath import _preset_clock
 from repro.simulator.rng import SeededRng
 from repro.wire import decode_frame, encode_frame
 
@@ -94,7 +94,10 @@ class TestRoundTrip:
 
         processes = tuple(range(5))
         assert len(via_ranges) == len(via_pairs)
-        assert via_ranges.frontier(processes) == via_pairs.frontier(processes)
+        for process in processes:
+            assert via_ranges.highest_contiguous_promise(process) == (
+                via_pairs.highest_contiguous_promise(process)
+            )
         assert via_ranges.stable_timestamp(processes) == via_pairs.stable_timestamp(
             processes
         )
@@ -132,9 +135,9 @@ def _drive(target, deliveries, batched: bool):
     outbox = [type(envelope.message).__name__ for envelope in target.drain_outbox()]
     return (
         tuple(target.executed_dots()),
-        target.stable_timestamp(),
+        target.order.stable_up_to(),
         sorted(outbox),
-        len(target.promises),
+        canonical(target.order),
     )
 
 
@@ -224,7 +227,7 @@ def _replica(process_id, clocks):
     ).processes[process_id]
     for member, clock in clocks.items():
         if member == process_id:
-            _preset_clock(process, clock)  # its own past
+            process.order.bump(clock)  # its own past
         else:
             process.deliver(
                 member, MPromises(Dot(member, 1), detached={member: ((1, clock),)}), 0.0
@@ -241,7 +244,7 @@ def _ack(dot, member, proposed, clock):
 
 class TestOneAbsorption:
     """The peer-filtered absorption of a commit's piggyback exists once
-    (``TempoProcess._absorb_piggyback``); it is reached from a member's own
+    (``TimestampOrder.absorb_piggyback``); it is reached from a member's own
     fast-path commit, from ``MCommit``, and from ``MCommit`` for a dot that
     was already collected."""
 
@@ -302,9 +305,12 @@ class TestOneAbsorption:
 
         expected = [proposals[0], proposals[1], final]
         for process in (member, outsider, late):
-            assert process.promises.frontier(QUORUM) == expected
-            assert process._buffered_attached == {}
-            assert all(pair in process.promises for pair in proposals.items())
+            assert [process.order.frontier(member) for member in QUORUM] == expected
+            assert process.order.buffered(dot) == []
+            assert all(
+                process.order.frontier(member) >= timestamp
+                for member, timestamp in proposals.items()
+            )
 
 
 def _only_pairs_and_ranges(message):
@@ -351,8 +357,7 @@ class TestAllocationWitness:
         """A clock jump of 10k timestamps crosses tracker, wire and a peer's
         PromiseSet without creating a single Promise object."""
         issuer, receiver = build(ids=(0, 1))
-        issuer.tracker.add_detached_range(1, 10_000)
-        issuer.promises.add_range(0, 1, 10_000)
+        issuer.order.bump(10_000)
         issuer.broadcast_promises(now=1.0)
         envelopes = issuer.drain_outbox()
         messages = [
@@ -362,7 +367,7 @@ class TestAllocationWitness:
         ]
         assert messages, "broadcast did not emit MPromises"
         receiver.deliver(0, messages[0], 1.0)
-        assert receiver.promises.highest_contiguous_promise(0) == 10_000
+        assert receiver.order.frontier(0) == 10_000
         assert promise_counter["created"] == 0
 
     def test_commit_piggyback_path_materialises_no_detached_promises(

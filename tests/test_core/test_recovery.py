@@ -95,8 +95,8 @@ class TestRecoveryAfterCoordinatorCrash:
         # Give the fast-quorum members distinct clocks so the max is known.
         quorum = processes[0].quorum_system.fast_quorum(0, 0)
         others = [p for p in quorum if p != 0]
-        processes[others[0]].clock.value = 7
-        processes[others[1]].clock.value = 3
+        processes[others[0]].order.bump(7)
+        processes[others[1]].order.bump(3)
         command = submit_and_crash_before_commit(processes, network)
         expected = 8  # max(1, 7+1, 3+1)
         recoverer = processes[1]
@@ -155,9 +155,9 @@ class TestRecoveryAfterSlowPathAcceptance:
         quorum = coordinator.quorum_system.fast_quorum(0, 0)
         others = [p for p in quorum if p != 0]
         # Force a slow path: unique max proposal.
-        processes[others[0]].clock.value = 6
-        processes[others[1]].clock.value = 10
-        processes[others[2]].clock.value = 5
+        processes[others[0]].order.bump(6)
+        processes[others[1]].order.bump(10)
+        processes[others[2]].order.bump(5)
         command = coordinator.new_command(["x"])
         coordinator.submit(command, 0.0)
         # Run propose + acks + the MConsensus round, then crash the

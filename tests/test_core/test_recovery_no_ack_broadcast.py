@@ -71,8 +71,8 @@ class TestRecoveryWithoutAckBroadcast:
         coordinator = processes[0]
         quorum = coordinator.quorum_system.fast_quorum(0, 0)
         others = [p for p in quorum if p != 0]
-        processes[others[0]].clock.value = 9
-        processes[others[1]].clock.value = 4
+        processes[others[0]].order.bump(9)
+        processes[others[1]].order.bump(4)
         command = coordinator.new_command(["x"])
         coordinator.submit(command, 0.0)
         network.step(0.0)
@@ -119,9 +119,9 @@ class TestRecoveryWithoutAckBroadcast:
         coordinator = processes[0]
         quorum = coordinator.quorum_system.fast_quorum(0, 0)
         others = [p for p in quorum if p != 0]
-        processes[others[0]].clock.value = 6
-        processes[others[1]].clock.value = 10
-        processes[others[2]].clock.value = 5
+        processes[others[0]].order.bump(6)
+        processes[others[1]].order.bump(10)
+        processes[others[2]].order.bump(5)
         command = coordinator.new_command(["x"])
         coordinator.submit(command, 0.0)
         network.step(0.0)  # propose

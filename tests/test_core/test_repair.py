@@ -288,11 +288,11 @@ def stale_frontier_reply(history: int):
         cluster.submit(index % 3, ["hot"], drive.now)
         drive.run(until=drive.now + 5 * TICK)
     drive.run(until=drive.now + 40 * TICK)  # the last clock exchanges
-    collected_up_to = peer.clock.value
-    stale = victim.promises.highest_contiguous_promise(2)
+    collected_up_to = peer.order.clock
+    stale = victim.order.frontier(2)
     assert len(victim.executed) == history
     assert peer._info == {}
-    assert peer.tracker.snapshot_ranges(drain=False) == (((1, collected_up_to),), {})
+    assert peer.order.issued_above(0) == ({2: ((1, collected_up_to),)}, {})
 
     victim.crash()
     victim.recover_process()

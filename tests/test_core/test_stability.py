@@ -1,6 +1,7 @@
 """Stability detection (Theorem 1, Figure 2) and the execution order it
-licenses (Algorithm 2, line 52) — on the objects that ship: ``PromiseSet``
-and a ``TempoProcess`` fed commits and promises."""
+licenses (Algorithm 2, line 52) — on the objects that ship: ``PromiseSet``,
+the ``TimestampOrder`` that owns it, and a ``TempoProcess`` fed commits and
+promises."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 from repro.core.messages import MCommit, MPayload, MPromises
 from repro.core.promises import Promise, PromiseSet
+from repro.core.stability import TimestampOrder
 from repro.experiments.fig2_stability import promise_table
 
 from tests.conftest import TempoCluster
@@ -42,7 +44,8 @@ class TestStableTimestamp:
 
     def test_highest_contiguous_promises_helper(self):
         promises = _promise_set([(0, 1), (1, 1), (1, 2)])
-        assert promises.frontier([0, 1, 2]) == [1, 2, 0]
+        frontiers = [promises.highest_contiguous_promise(p) for p in (0, 1, 2)]
+        assert frontiers == [1, 2, 0]
 
 
 class TestFigure2:
@@ -74,7 +77,7 @@ def execution_order(committed: Dict[Dot, int], stable_up_to: int) -> List[Dot]:
         process.deliver(
             peer, MPromises(Dot(peer, 1), detached={peer: ((1, stable_up_to),)}), 0.0
         )
-    assert process.stable_timestamp() == min(
+    assert process.order.stable_up_to() == min(
         stable_up_to, max(committed.values(), default=0)
     )
     return list(process.executed_dots())
@@ -130,7 +133,7 @@ class TestTickCadence:
         for index, now in enumerate((0.0, 4.999999999999, 9.999999999998)):
             cluster.submit(0, [f"k{index}"], now)
             cluster.run(now)
-            assert process.tracker.has_pending()
+            assert process.order.has_outgoing()
             process.tick(now)
             broadcasts.append(
                 sorted(
@@ -140,3 +143,63 @@ class TestTickCadence:
                 )
             )
         assert broadcasts == [[1, 2], [1, 2], [1, 2]]
+
+
+class TestTimestampOrder:
+    """The component's operations, without a process around them."""
+
+    A, B = Dot(0, 1), Dot(1, 1)
+
+    def test_own_attached_promise_counts_once_its_command_commits(self):
+        order = TimestampOrder(0, (0, 1, 2))
+        assert order.propose(self.A, 3) == (3, range(1, 3))
+        assert order.buffered(self.A) == [(0, 3)]
+        assert order.frontier(0) == 2  # the skipped run is known at once
+        order.commit(self.A, 3)
+        assert order.buffered(self.A) == []
+        assert order.frontier(0) == 3
+        assert order.unstable_head() == self.A  # no peer promised anything
+
+    def test_commands_become_stable_and_execute_in_timestamp_order(self):
+        order = TimestampOrder(0, (0, 1, 2))
+        order.commit(self.B, 2)
+        order.commit(self.A, 2)
+        order.absorb_promises(1, MPromises(Dot(1, 9), detached={1: ((1, 2),)}), bool)
+        assert order.stable_up_to() == 2
+        assert list(order.newly_stable()) == [self.A, self.B]
+        assert order.unstable_head() is None
+        assert order.stable_backlog() == [self.A, self.B]
+        # A dot that is not ready blocks the ones after it.
+        assert list(order.executable(lambda dot: dot != self.A)) == []
+        assert order.execution_head() == self.A
+        assert list(order.executable(lambda dot: True)) == [self.A, self.B]
+        assert order.execution_head() is None
+
+    def test_attached_promises_of_uncommitted_dots_wait(self):
+        order = TimestampOrder(0, (0, 1, 2))
+        message = MPromises(Dot(1, 9), attached={self.A: (1,), self.B: (2,)})
+        waiting = order.absorb_promises(1, message, lambda dot: dot == self.B)
+        assert waiting == [self.A]
+        assert order.buffered(self.A) == [(1, 1)]
+        assert order.frontier(1) == 0  # (1, 2) is known, (1, 1) is not yet
+
+    def test_piggyback_keeps_only_this_partitions_promises(self):
+        order = TimestampOrder(0, (0, 1, 2))
+        order.absorb_piggyback(self.A, {1: 4, 7: 4}, {1: ((1, 3),), 7: ((1, 3),)})
+        assert (order.frontier(1), order.frontier(7)) == (3, 0)
+        assert order.buffered(self.A) == [(1, 4)]
+        order.absorb_piggyback(self.B, {2: 1}, {}, usable=True)
+        assert order.frontier(2) == 1 and order.buffered(self.B) == []
+
+    def test_outgoing_drains_and_repair_sees_what_lies_above_a_frontier(self):
+        order = TimestampOrder(0, (0, 1, 2))
+        order.bump(10)
+        order.propose(self.A, 0)
+        assert order.has_outgoing()
+        assert order.outgoing() == ({0: ((1, 10),)}, {self.A: (11,)})
+        assert not order.has_outgoing() and order.outgoing() == ({}, {})
+        assert order.issued_above(5) == ({0: ((6, 10),)}, {self.A: (11,)})
+        assert order.issued_above(11) == ({}, {})
+        order.forget(self.A)  # collected: the attached promise folds
+        assert order.issued_above(0) == ({0: ((1, 11),)}, {})
+        assert order.ledger_size() == 1

@@ -157,62 +157,11 @@ class TestLatencyModel:
 
 
 class TestMBatchFramingModel:
-    """The transport-level MBatch framing saving in the analytic model."""
+    """The analytic model charges one unbatched message's framing."""
 
     def test_default_coalescing_changes_nothing(self):
         from repro.experiments.throughput_model import CostModel
 
-        model = CostModel()
-        assert model.small_wire_bytes() == model.small_message_bytes
         baseline = max_throughput("tempo", payload=4096.0)
         explicit = max_throughput("tempo", payload=4096.0, model=CostModel())
         assert baseline == explicit
-
-    def test_coalescing_amortises_framing_only(self):
-        from repro.experiments.throughput_model import CostModel
-
-        model = CostModel(mbatch_coalescing=4.0)
-        saved = model.small_message_bytes - model.small_wire_bytes()
-        assert 0 < saved < model.framing_bytes
-        assert model.small_wire_bytes() == (
-            model.small_message_bytes
-            - model.framing_bytes
-            + model.framing_bytes / 4.0
-        )
-
-    def test_coalescing_never_hurts_throughput(self):
-        from repro.experiments.throughput_model import CostModel
-
-        for protocol in ("tempo", "fpaxos", "atlas", "caesar"):
-            unbatched = max_throughput(protocol, payload=256.0)
-            coalesced = max_throughput(
-                protocol, payload=256.0, model=CostModel(mbatch_coalescing=4.0)
-            )
-            assert (
-                coalesced["max_ops_per_second"]
-                >= unbatched["max_ops_per_second"]
-            ), protocol
-
-    def test_invalid_coalescing_and_framing_rejected(self):
-        import pytest
-
-        from repro.experiments.throughput_model import CostModel
-
-        with pytest.raises(ValueError):
-            CostModel(mbatch_coalescing=0.5)
-        with pytest.raises(ValueError):
-            CostModel(framing_bytes=1_000.0)
-
-    def test_fig8_mbatch_rows_report_a_gain_at_small_payloads(self):
-        from repro.experiments.fig8_batching import run_mbatch
-
-        rows = run_mbatch(coalescing=4.0)
-        by_key = {
-            (str(row["protocol"]), int(row["payload_bytes"])): row for row in rows
-        }
-        # Framing amortisation helps most where payloads are small and the
-        # NIC budget is dominated by per-message overhead.
-        small = by_key[("fpaxos f=1", 256)]
-        assert float(small["gain"]) >= 1.0
-        large = by_key[("fpaxos f=1", 4096)]
-        assert float(small["gain"]) >= float(large["gain"])

@@ -12,13 +12,6 @@ class TestLeadership:
         assert not cluster.processes[1].is_leader()
         assert cluster.processes[3].leader == 0
 
-    def test_set_leader_moves_leadership(self, make_cluster):
-        cluster = make_cluster("fpaxos")
-        for process in cluster.processes:
-            process.set_leader(2)
-        assert cluster.processes[2].is_leader()
-        assert not cluster.processes[0].is_leader()
-
 
 class TestOrdering:
     def test_all_commands_execute_in_slot_order_everywhere(self, make_cluster):

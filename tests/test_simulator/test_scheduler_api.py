@@ -3,7 +3,7 @@
 The seed simulation loop reached into ``queue._heap`` / ``queue._counter``
 on its hot paths; the timestamp-lane rewrite replaced those with first-class
 APIs (``schedule_message``, ``pop_lane``, ``requeue_lane``).  The gate is
-the AST-based ``scheduler-internals`` lint from :mod:`repro.analysis.lint`
+the AST-based ``private-internals`` lint from :mod:`repro.analysis.lint`
 (also enforced repo-wide by ``python -m repro.analysis.lint`` in CI) — a
 private-attribute reach can never quietly come back, and the public API
 must stay sufficient.
@@ -11,11 +11,12 @@ must stay sufficient.
 
 from __future__ import annotations
 
-from repro.analysis.lint import scheduler_internal_findings
+from repro.analysis.lint import PRIVATE_STATE, private_state_findings
 
 
 def test_no_scheduler_internals_reached_outside_events_py():
-    offenders = [str(finding) for finding in scheduler_internal_findings()]
+    rows = [row for row in PRIVATE_STATE if row.owner == "EventQueue"]
+    offenders = [str(finding) for finding in private_state_findings(rows=rows)]
     assert not offenders, (
         "scheduler internals reached outside events.py (use push/"
         "schedule_message/pop/pop_lane/requeue_lane/peek_time instead):\n"
