@@ -10,8 +10,7 @@ into real static analysis (import/alias aware) and add new repo-wide ones:
   :data:`PRIVATE_STATE` touched outside its module: the
   :class:`~repro.simulator.events.EventQueue` (``_lanes``, ``_times``, or any
   ``queue._x`` reach) and Tempo's
-  :class:`~repro.core.stability.TimestampOrder` (``_clock``, ``_tracker``,
-  ``_promises``, ``_buffered``, ``_stable_heap``, or any ``order._x`` reach).
+  :class:`~repro.core.stability.TimestampOrder` (any ``order._x`` reach).
 * ``missing-slots`` — a registered hot class lost its ``__slots__`` /
   ``@dataclass(slots=True)`` declaration.
 * ``codec-exhaustiveness`` — a :class:`~repro.core.messages.Message`
@@ -133,12 +132,12 @@ PRIVATE_STATE: Tuple[PrivateState, ...] = (
         frozenset({"queue"}),
         "use push/schedule_message/pop_lane/requeue_lane/peek_time",
     ),
-    # Caesar keeps a ``_commit_heap`` of its own, so that name is only
-    # flagged through ``order``.
+    # Other classes name their own state ``_clock`` or ``_commit_heap``
+    # (Caesar), so TimestampOrder's privates are flagged through ``order``.
     PrivateState(
         "core/stability.py",
         "TimestampOrder",
-        frozenset({"_clock", "_tracker", "_promises", "_buffered", "_stable_heap"}),
+        frozenset(),
         frozenset({"order"}),
         "use the TimestampOrder operations",
     ),

@@ -617,10 +617,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
 
     def broadcast_promises(self, now: float = 0.0) -> None:
         """Broadcast newly issued promises to the partition (line 44)."""
-        order = self.order
-        if not order.has_outgoing():
+        detached, attached = self.order.outgoing()
+        if not detached and not attached:
             return
-        detached, attached = order.outgoing()
         message = MPromises(self._sentinel(), detached=detached, attached=attached)
         if self._other_peers:
             self.send(self._other_peers, message, now)

@@ -90,12 +90,12 @@ class TimestampOrder:
         self._buffer(dot).append((self._process, timestamp))
         return timestamp, detached
 
-    def bump(self, timestamp: int) -> range:
+    def bump(self, timestamp: int) -> None:
         """Advance the clock to at least ``timestamp`` (lines 40-43).
 
         Every timestamp skipped over, ``timestamp`` itself included when the
         clock moves, becomes a detached promise: this process will never
-        propose it.  Returns that run (empty when the clock did not move).
+        propose it.
         """
         if timestamp < 0:
             raise ValueError("bump timestamp must be non-negative")
@@ -103,7 +103,6 @@ class TimestampOrder:
         if detached:
             self._clock = timestamp
             self._detach(detached)
-        return detached
 
     def _detach(self, detached: range) -> None:
         lo, hi = detached.start, detached.stop - 1
@@ -166,10 +165,6 @@ class TimestampOrder:
         """Highest contiguous promise known from ``process``."""
         return self._promises.highest_contiguous_promise(process)
 
-    def buffered(self, dot: Dot) -> List[Tuple[int, int]]:
-        """The attached promises held back until ``dot`` commits here."""
-        return list(self._buffered.get(dot, ()))
-
     # -- commit, stability and execution order (Algorithms 2 and 6) ----------
 
     def commit(self, dot: Dot, timestamp: int) -> None:
@@ -227,14 +222,13 @@ class TimestampOrder:
 
     # -- promise traffic -----------------------------------------------------
 
-    def has_outgoing(self) -> bool:
-        """Whether promises were issued since the last :meth:`outgoing`."""
-        return self._tracker.has_pending()
-
     def outgoing(self) -> PromiseBatch:
         """The promises issued since the last batch, each handed out once
-        (line 44, footnote 2)."""
-        detached, attached = self._tracker.snapshot_ranges(drain=True)
+        (line 44, footnote 2); an empty batch when there are none."""
+        tracker = self._tracker
+        if not tracker.has_pending():
+            return {}, {}
+        detached, attached = tracker.snapshot_ranges(drain=True)
         return ({self._process: detached} if detached else {}), attached
 
     def issued_above(self, frontier: int) -> PromiseBatch:

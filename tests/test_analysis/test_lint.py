@@ -210,6 +210,13 @@ class TestTimestampOrderGate:
         )
         assert not private_state_findings(root)
 
+    def test_other_classes_own_clock_and_tracker_pass(self, tmp_path):
+        # Only a reach through ``order`` is TimestampOrder's; another class
+        # may name its own state alike.
+        source = "self._clock = 0\nself._tracker = None\nx = self._buffered\n"
+        root = _tree(tmp_path, {"runtime/loop.py": source})
+        assert not private_state_findings(root)
+
 
 class TestDeterminismGate:
     def test_import_random_is_flagged(self, tmp_path):

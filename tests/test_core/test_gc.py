@@ -169,7 +169,7 @@ class TestTempoCollection:
                 assert process.gc.collected(dot)
                 assert dot not in process._info
                 assert process.phase_of(dot) is Phase.EXECUTE
-            assert not any(process.order.buffered(c.dot) for c in commands)
+            assert not process.order._buffered
             # The promises attached to them folded into one issued range.
             assert process.order.issued_above(0) == (
                 {process.process_id: ((1, process.order.clock),)},
@@ -183,7 +183,7 @@ class TestTempoCollection:
         process = cluster.process(0)
         dot = cluster.submit(0, ["k"]).dot
         cluster.run()  # executed, but no tick yet: the promise never went out
-        assert process.order.has_outgoing()
+        assert process.order._tracker.has_pending()
         process._collect(dot)  # the watermark passes the dot first
         assert dot in process.order.issued_above(0)[1]
         process.broadcast_promises(0.0)

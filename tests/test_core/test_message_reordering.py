@@ -118,7 +118,7 @@ class TestUnknownCommands:
         )
         target.deliver(2, message, 0.0)
         # Buffered, not counted (Algorithm 2, line 47), and nothing asked.
-        assert target.order.buffered(ghost) == [(2, 5)]
+        assert target.order._buffered[ghost] == [(2, 5)]
         assert target.order.frontier(2) == 0
         assert target.drain_outbox() == []
         assert target.blocked_on(self.WINDOW - 5.0) == []

@@ -306,7 +306,7 @@ class TestOneAbsorption:
         expected = [proposals[0], proposals[1], final]
         for process in (member, outsider, late):
             assert [process.order.frontier(member) for member in QUORUM] == expected
-            assert process.order.buffered(dot) == []
+            assert process.order._buffered == {}
             assert all(
                 process.order.frontier(member) >= timestamp
                 for member, timestamp in proposals.items()

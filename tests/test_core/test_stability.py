@@ -133,7 +133,7 @@ class TestTickCadence:
         for index, now in enumerate((0.0, 4.999999999999, 9.999999999998)):
             cluster.submit(0, [f"k{index}"], now)
             cluster.run(now)
-            assert process.order.has_outgoing()
+            assert process.order._tracker.has_pending()
             process.tick(now)
             broadcasts.append(
                 sorted(
@@ -153,10 +153,10 @@ class TestTimestampOrder:
     def test_own_attached_promise_counts_once_its_command_commits(self):
         order = TimestampOrder(0, (0, 1, 2))
         assert order.propose(self.A, 3) == (3, range(1, 3))
-        assert order.buffered(self.A) == [(0, 3)]
+        assert order._buffered == {self.A: [(0, 3)]}
         assert order.frontier(0) == 2  # the skipped run is known at once
         order.commit(self.A, 3)
-        assert order.buffered(self.A) == []
+        assert order._buffered == {}
         assert order.frontier(0) == 3
         assert order.unstable_head() == self.A  # no peer promised anything
 
@@ -180,24 +180,23 @@ class TestTimestampOrder:
         message = MPromises(Dot(1, 9), attached={self.A: (1,), self.B: (2,)})
         waiting = order.absorb_promises(1, message, lambda dot: dot == self.B)
         assert waiting == [self.A]
-        assert order.buffered(self.A) == [(1, 1)]
+        assert order._buffered == {self.A: [(1, 1)]}
         assert order.frontier(1) == 0  # (1, 2) is known, (1, 1) is not yet
 
     def test_piggyback_keeps_only_this_partitions_promises(self):
         order = TimestampOrder(0, (0, 1, 2))
         order.absorb_piggyback(self.A, {1: 4, 7: 4}, {1: ((1, 3),), 7: ((1, 3),)})
         assert (order.frontier(1), order.frontier(7)) == (3, 0)
-        assert order.buffered(self.A) == [(1, 4)]
+        assert order._buffered == {self.A: [(1, 4)]}
         order.absorb_piggyback(self.B, {2: 1}, {}, usable=True)
-        assert order.frontier(2) == 1 and order.buffered(self.B) == []
+        assert order.frontier(2) == 1 and self.B not in order._buffered
 
     def test_outgoing_drains_and_repair_sees_what_lies_above_a_frontier(self):
         order = TimestampOrder(0, (0, 1, 2))
         order.bump(10)
         order.propose(self.A, 0)
-        assert order.has_outgoing()
         assert order.outgoing() == ({0: ((1, 10),)}, {self.A: (11,)})
-        assert not order.has_outgoing() and order.outgoing() == ({}, {})
+        assert order.outgoing() == ({}, {})
         assert order.issued_above(5) == ({0: ((6, 10),)}, {self.A: (11,)})
         assert order.issued_above(11) == ({}, {})
         order.forget(self.A)  # collected: the attached promise folds
