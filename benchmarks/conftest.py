@@ -2,7 +2,10 @@
 
 Every benchmark regenerates the rows/series of one table or figure of the
 paper, prints them (visible with ``pytest -s`` or on failure) and writes
-them to ``results/<experiment>.txt`` so the output survives the run.
+them to ``results/<experiment>.txt`` so the output survives the run.  The
+tables ``src/`` defines (:data:`repro.experiments.goldens.GOLDENS`) go
+through the ``golden`` fixture; the rest build their rows here and go
+through ``results_emitter``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
+from repro.experiments.goldens import GOLDENS
 from repro.metrics.report import format_table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
@@ -26,27 +30,43 @@ BENCH_FIG6_PATH = os.path.join(
 BENCH_FIG6_NODE = "test_bench_fig6_tail_percentiles"
 
 
+def _persist(name: str, table: str) -> None:
+    print("\n" + table + "\n")
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(table + "\n")
+
+
 def emit(
     name: str,
     rows: Sequence[Dict[str, object]],
     title: str,
     columns: Optional[List[str]] = None,
     footnote: str = "",
-) -> str:
+) -> None:
     """Format rows as a table, print it and persist it under ``results/``."""
-    table = format_table(list(rows), columns=columns, title=title, footnote=footnote)
-    print("\n" + table + "\n")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(table + "\n")
-    return table
+    _persist(name, format_table(list(rows), columns=columns, title=title, footnote=footnote))
 
 
 @pytest.fixture
 def results_emitter():
     """Fixture exposing :func:`emit` to benchmarks."""
     return emit
+
+
+@pytest.fixture
+def golden(benchmark):
+    """Compute the golden ``NAME`` of :data:`GOLDENS` once under the
+    benchmark timer, persist it as ``results/NAME.txt`` and return its rows."""
+
+    def run(name: str) -> List[Dict[str, object]]:
+        definition = GOLDENS[name]
+        rows = benchmark.pedantic(definition.rows, rounds=1, iterations=1)
+        _persist(name, definition.table(rows))
+        return rows
+
+    return run
 
 
 # -- message-traffic reporting -------------------------------------------------

@@ -5,43 +5,17 @@ from __future__ import annotations
 from repro.experiments import fig2_stability
 
 
-def test_bench_fig2_stability_table(benchmark, results_emitter):
-    report = benchmark.pedantic(fig2_stability.run, rounds=1, iterations=1)
-    rows = report["figure2"]
-    results_emitter(
-        "fig2_stability",
-        rows,
-        "Figure 2 - stable timestamps per promise-set combination (r = 3)",
-    )
+def test_bench_fig2_stability_table(golden):
+    rows = golden("fig2_stability")
     for row in rows:
         assert row["stable_timestamp"] == row["expected"]
 
 
-def test_bench_fig3_comparison(benchmark, results_emitter):
-    report = benchmark.pedantic(fig2_stability.run, rounds=1, iterations=1)
-    tempo = report["figure3_tempo"]
-    epaxos = report["figure3_epaxos"]
-    caesar = report["figure3_caesar"]
-    rows = [
-        {
-            "approach": "tempo (timestamp stability)",
-            "progress": f"executes {len(tempo['executable'])} of 3 committed",
-            "blocked_on_x": tempo["blocked_on_x"],
-        },
-        {
-            "approach": "epaxos (dependency graph)",
-            "progress": f"executes {len(epaxos['executable'])} of 3 committed",
-            "blocked_on_x": epaxos["blocked_on_x"],
-        },
-        {
-            "approach": "caesar (dependency stability)",
-            "progress": f"commits {len(caesar['committed'])} of 4 proposed",
-            "blocked_on_x": caesar["blocked_on_x"],
-        },
-    ]
-    results_emitter(
-        "fig3_comparison", rows, "Figure 3 - timestamp stability vs explicit dependencies"
-    )
+def test_bench_fig3_comparison(golden):
+    golden("fig3_comparison")
+    tempo = fig2_stability.figure3_tempo()
+    epaxos = fig2_stability.figure3_epaxos()
+    caesar = fig2_stability.figure3_caesar()
     # Tempo executes w and y despite x being uncommitted; the others stall.
     assert tempo["stable_timestamp"] == 2 and len(tempo["executable"]) == 2
     assert epaxos["blocked_on_x"] and not epaxos["executable"]

@@ -1,6 +1,6 @@
 """Benchmark regenerating Figure 5 (per-site latency / fairness).
 
-Scaled-down simulator deployment (16 clients/site instead of 512); the
+Scaled-down simulator deployment (8 clients/site instead of 512); the
 fairness comparison between leader-based and leaderless protocols is the
 asserted shape.  Absolute Tempo latencies carry an extra stability delay in
 the simulator (``docs/promise_ranges.md``, "What the stability wait waits on
@@ -12,18 +12,9 @@ from __future__ import annotations
 from repro.experiments import fig5_fairness
 
 
-def test_bench_fig5_per_site_latency(benchmark, results_emitter):
-    options = fig5_fairness.Figure5Options(
-        clients_per_site=8, duration_ms=2_500.0, warmup_ms=500.0
-    )
-    rows = benchmark.pedantic(fig5_fairness.run, args=(options,), rounds=1, iterations=1)
+def test_bench_fig5_per_site_latency(golden):
+    rows = golden("fig5_fairness")
     sites = ["ireland", "n-california", "singapore", "canada", "sao-paulo"]
-    results_emitter(
-        "fig5_fairness",
-        rows,
-        "Figure 5 - per-site mean latency (ms), 5 sites, 2% conflicts",
-        columns=["protocol"] + sites + ["average", "completed"],
-    )
     by_protocol = {str(row["protocol"]): row for row in rows}
 
     # FPaxos is unfair: non-leader sites are far slower than the leader site.

@@ -4,9 +4,9 @@ The paper's qualitative claim: the latency tails of dependency-based
 protocols (Atlas, EPaxos, Caesar) blow up under contention and load, while
 Tempo's tail remains flat.  Client counts are scaled down and the conflict
 rate scaled up, which does not preserve the number of concurrently
-conflicting commands per site (clients x conflict rate): the cells below
-have 8 x 0.15 = 1.2 and 16 x 0.15 = 2.4, the paper's 256 x 0.02 = 5.12 and
-512 x 0.02 = 10.24 (``repro.experiments.fig6_tail``).
+conflicting commands per site (clients x conflict rate): the golden's
+cells (``fig6_tail.FIGURE6_LOADS``) have 8 x 0.15 = 1.2 and 16 x 0.15 =
+2.4, the paper's 256 x 0.02 = 5.12 and 512 x 0.02 = 10.24.
 """
 
 from __future__ import annotations
@@ -14,27 +14,8 @@ from __future__ import annotations
 from repro.experiments import fig6_tail
 
 
-def test_bench_fig6_tail_percentiles(benchmark, results_emitter):
-    options = fig6_tail.Figure6Options(
-        client_loads=(8, 16),
-        conflict_rates=(0.15, 0.15),
-        duration_ms=3_000.0,
-        warmup_ms=500.0,
-        protocols=(
-            ("tempo", 1),
-            ("tempo", 2),
-            ("atlas", 1),
-            ("atlas", 2),
-            ("epaxos", 1),
-            ("caesar", 2),
-        ),
-    )
-    rows = benchmark.pedantic(fig6_tail.run, args=(options,), rounds=1, iterations=1)
-    results_emitter(
-        "fig6_tail",
-        rows,
-        "Figure 6 - latency percentiles (ms), 5 sites, contended workload",
-    )
+def test_bench_fig6_tail_percentiles(golden):
+    rows = golden("fig6_tail")
     by_key = {
         (str(row["protocol"]), int(row["clients_per_site"])): row for row in rows
     }
@@ -67,13 +48,12 @@ def test_bench_fig6_tail_percentiles(benchmark, results_emitter):
 
 
 def test_bench_fig6_traced_cell_is_consistent(monkeypatch):
-    """One Figure 6 cell re-run with execution tracing: the recorded trace
-    must satisfy every PSMR/Tempo invariant (per-key order agreement,
-    timestamp monotonicity, execute-at-most-once, real-time order), and
-    tracing must be observation-only — identical latency results to the
-    untraced benchmark cell at the same parameters."""
-    options = fig6_tail.Figure6Options(duration_ms=1_500.0, warmup_ms=300.0)
-    baseline = fig6_tail.run_one("tempo", 1, 8, 0.15, options)
+    """The golden's tempo f=1, 8 clients/site cell re-run with execution
+    tracing: the recorded trace must satisfy every PSMR/Tempo invariant
+    (per-key order agreement, timestamp monotonicity, execute-at-most-once,
+    real-time order), and tracing must be observation-only — identical
+    latency results to the untraced run of the same cell."""
+    baseline = fig6_tail.run_one("tempo", 1, 8, 0.15)
     monkeypatch.setenv("REPRO_TRACE_CHECK", "1")
-    traced = fig6_tail.run_one("tempo", 1, 8, 0.15, options)
+    traced = fig6_tail.run_one("tempo", 1, 8, 0.15)
     assert traced == baseline, "tracing perturbed the simulation"

@@ -12,13 +12,8 @@ from __future__ import annotations
 from repro.experiments import fig7_load
 
 
-def test_bench_fig7_saturation_table(benchmark, results_emitter):
-    rows = benchmark.pedantic(fig7_load.saturation_table, rounds=1, iterations=1)
-    results_emitter(
-        "fig7_saturation",
-        rows,
-        "Figure 7 - maximum throughput (K ops/s), 5 sites, 4KB payloads",
-    )
+def test_bench_fig7_saturation_table(golden):
+    rows = golden("fig7_saturation")
     table = {
         (str(row["protocol"]), float(row["conflict_rate"])): float(row["max_kops"])
         for row in rows
@@ -42,19 +37,10 @@ def test_bench_fig7_saturation_table(benchmark, results_emitter):
     assert abs(table[("fpaxos f=1", 0.02)] - table[("fpaxos f=1", 0.10)]) < 1.0
 
 
-def test_bench_fig7_latency_throughput_curves(benchmark, results_emitter):
-    rows = benchmark.pedantic(
-        fig7_load.latency_throughput_curves, rounds=1, iterations=1
-    )
-    results_emitter(
-        "fig7_curves",
-        [row for row in rows if row["conflict_rate"] == 0.02],
-        "Figure 7 (top) - latency vs throughput as clients grow, 2% conflicts",
-    )
+def test_bench_fig7_latency_throughput_curves(golden):
+    rows = golden("fig7_curves")
     by_protocol = {}
     for row in rows:
-        if row["conflict_rate"] != 0.02:
-            continue
         by_protocol.setdefault(str(row["protocol"]), []).append(row)
     for protocol, points in by_protocol.items():
         points.sort(key=lambda point: point["clients_per_site"])
@@ -68,13 +54,8 @@ def test_bench_fig7_latency_throughput_curves(benchmark, results_emitter):
         assert max(throughputs) <= max(float(p["throughput_kops"]) for p in points) + 1e-6
 
 
-def test_bench_fig7_utilization_heatmap(benchmark, results_emitter):
-    rows = benchmark.pedantic(fig7_load.heatmap, rounds=1, iterations=1)
-    results_emitter(
-        "fig7_heatmap",
-        rows,
-        "Figure 7 (heatmap) - hardware utilization at saturation, 2% conflicts",
-    )
+def test_bench_fig7_utilization_heatmap(golden):
+    rows = golden("fig7_heatmap")
     by_protocol = {str(row["protocol"]): row for row in rows}
     # FPaxos saturates its leader (thread or NIC), with the rest idle-ish.
     assert by_protocol["fpaxos"]["bottleneck"] in ("net_out", "execution")

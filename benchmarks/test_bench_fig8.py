@@ -5,13 +5,8 @@ from __future__ import annotations
 from repro.experiments import fig8_batching
 
 
-def test_bench_fig8_batching(benchmark, results_emitter):
-    rows = benchmark.pedantic(fig8_batching.run, rounds=1, iterations=1)
-    results_emitter(
-        "fig8_batching",
-        rows,
-        "Figure 8 - max throughput (K ops/s) with batching OFF/ON",
-    )
+def test_bench_fig8_batching(golden):
+    rows = golden("fig8_batching")
     gains = fig8_batching.batching_gains(rows)
 
     # Batching boosts the leader-based protocol a lot at small payloads...

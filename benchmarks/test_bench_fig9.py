@@ -3,16 +3,9 @@
 
 from __future__ import annotations
 
-from repro.experiments import fig9_partial
 
-
-def test_bench_fig9_partial_replication_throughput(benchmark, results_emitter):
-    rows = benchmark.pedantic(fig9_partial.run, rounds=1, iterations=1)
-    results_emitter(
-        "fig9_partial",
-        rows,
-        "Figure 9 - max throughput (K ops/s) with 2/4/6 shards, 3 sites per shard",
-    )
+def test_bench_fig9_partial_replication_throughput(golden):
+    rows = golden("fig9_partial")
     by_key = {(int(row["shards"]), float(row["zipf"])): row for row in rows}
 
     # Tempo scales with the number of shards (genuine partial replication).
@@ -45,23 +38,8 @@ def test_bench_fig9_partial_replication_throughput(benchmark, results_emitter):
     )
 
 
-def test_bench_fig9_tail_latency(benchmark, results_emitter):
-    # Scaled-down contention: the paper's scenario (6 shards, zipf 0.7,
-    # w = 5%, thousands of clients) is shrunk to 3 shards and tens of
-    # clients, with the key space and write ratio adjusted so the scaled
-    # run still contends (results/fig9_tail.txt).
-    rows = benchmark.pedantic(
-        fig9_partial.tail_latency_comparison,
-        kwargs={"num_shards": 3, "zipf": 0.7, "write_ratio": 0.30,
-                "clients_per_site": 10, "duration_ms": 2_500.0, "keys_per_shard": 20},
-        rounds=1,
-        iterations=1,
-    )
-    results_emitter(
-        "fig9_tail",
-        rows,
-        "§6.4 - tail latency under partial replication (scaled-down simulator run)",
-    )
+def test_bench_fig9_tail_latency(golden):
+    rows = golden("fig9_tail")
     by_protocol = {str(row["protocol"]): row for row in rows}
     assert int(by_protocol["tempo"]["completed"]) > 0
     assert int(by_protocol["janus"]["completed"]) > 0

@@ -10,26 +10,9 @@ fraction of the commands genuinely spans both shards.
 
 from __future__ import annotations
 
-from repro.experiments import fig6_tail
 
-
-def test_bench_fig6_multishard_tail(benchmark, results_emitter):
-    options = fig6_tail.MultiShardOptions(
-        num_shards=2,
-        client_loads=(8,),
-        conflict_rates=(0.15,),
-        duration_ms=2_500.0,
-        warmup_ms=500.0,
-    )
-    rows = benchmark.pedantic(
-        fig6_tail.run_multishard, args=(options,), rounds=1, iterations=1
-    )
-    results_emitter(
-        "fig6_multishard",
-        rows,
-        "Figure 6 variant - latency percentiles (ms), 3 sites, 2 shards, "
-        "two-key commands, contended workload",
-    )
+def test_bench_fig6_multishard_tail(golden):
+    rows = golden("fig6_multishard")
     by_protocol = {str(row["protocol"]): row for row in rows}
     tempo = by_protocol["tempo f=1"]
     janus = by_protocol["janus f=1"]

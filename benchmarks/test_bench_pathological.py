@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-from repro.experiments import pathological
 
-
-def test_bench_pathological_schedule(benchmark, results_emitter):
-    rows = benchmark.pedantic(pathological.run, kwargs={"rounds": 8}, rounds=1, iterations=1)
-    results_emitter(
-        "pathological",
-        rows,
-        "§D - adversarial round-robin schedule (3 processes, all commands conflict)",
-    )
+def test_bench_pathological_schedule(golden):
+    rows = golden("pathological")
     by_protocol = {str(row["protocol"]): row for row in rows}
 
     # Tempo keeps committing and executing while the schedule runs.
@@ -33,29 +26,9 @@ def test_bench_pathological_schedule(benchmark, results_emitter):
         assert int(row["executed_final"]) == int(row["submitted"])
 
 
-def test_bench_pathological_component_growth(benchmark, results_emitter):
+def test_bench_pathological_component_growth(golden):
     """EPaxos' largest component grows linearly with the schedule length."""
-
-    def measure():
-        rows = []
-        for rounds in (4, 8, 12):
-            report = pathological.replay_schedule("epaxos", rounds=rounds)
-            rows.append(
-                {
-                    "rounds": rounds,
-                    "submitted": report.submitted,
-                    "largest_component": report.largest_component,
-                    "executed_during": report.executed_during,
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    results_emitter(
-        "pathological_growth",
-        rows,
-        "§D - EPaxos dependency-component growth with schedule length",
-    )
+    rows = golden("pathological_growth")
     sizes = [int(row["largest_component"]) for row in rows]
     assert sizes[0] < sizes[1] < sizes[2]
     assert all(int(row["executed_during"]) == 0 for row in rows)

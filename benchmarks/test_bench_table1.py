@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-from repro.experiments import table1_fastpath
 
-
-def test_bench_table1_fast_path(benchmark, results_emitter):
-    rows = benchmark.pedantic(table1_fastpath.run, rounds=1, iterations=1)
-    results_emitter(
-        "table1_fastpath",
-        rows,
-        "Table 1 - Tempo fast-path examples (r = 5)",
-    )
+def test_bench_table1_fast_path(golden):
+    rows = golden("table1_fastpath")
     for row in rows:
         assert row["fast_path(analytic)"] == row["expected_fast_path"]
         assert row["fast_path(simulated)"] == row["expected_fast_path"]

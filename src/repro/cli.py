@@ -4,8 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro protocols
     python -m repro run --protocol tempo --sites 5 --clients 8 --conflict 0.02
-    python -m repro figure fig5 --clients 8
-    python -m repro figure fig7
+    python -m repro figure fig6_tail       # prints results/fig6_tail.txt
     python -m repro throughput --protocol tempo --payload 4096 --conflict 0.02
     python -m repro scenarios --select crash --protocol tempo
     python -m repro check --protocol tempo
@@ -19,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
 from repro.core.config import ProtocolConfig
+from repro.experiments.goldens import GOLDENS
 from repro.experiments.throughput_model import max_throughput
 from repro.metrics.report import format_table
 from repro.protocols.registry import protocol_names
@@ -51,14 +51,10 @@ def _add_run_parser(subparsers) -> None:
 
 def _add_figure_parser(subparsers) -> None:
     parser = subparsers.add_parser(
-        "figure", help="regenerate one of the paper's tables/figures"
+        "figure",
+        help="recompute one of the paper's tables/figures as results/NAME.txt holds it",
     )
-    parser.add_argument(
-        "name",
-        choices=("table1", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "pathological"),
-    )
-    parser.add_argument("--clients", type=int, default=8, help="clients per site for simulator figures")
-    parser.add_argument("--duration", type=float, default=2_500.0, help="simulated duration (ms)")
+    parser.add_argument("name", choices=tuple(GOLDENS), help="results file stem")
 
 
 def _add_throughput_parser(subparsers) -> None:
@@ -92,8 +88,6 @@ def _add_scenarios_parser(subparsers) -> None:
         choices=protocol_names(),
         help="restrict to one or more protocols (repeatable)",
     )
-    parser.add_argument("--duration", type=float, default=2_000.0, help="simulated duration per cell (ms)")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--list", action="store_true", help="list the matching cells without running them"
     )
@@ -174,47 +168,8 @@ def _command_run(args) -> int:
 
 
 def _command_figure(args) -> int:
-    name = args.name
-    if name == "table1":
-        from repro.experiments import table1_fastpath
-
-        print(format_table(table1_fastpath.run(), title="Table 1"))
-    elif name == "fig2":
-        from repro.experiments import fig2_stability
-
-        print(format_table(fig2_stability.run()["figure2"], title="Figure 2"))
-    elif name == "fig5":
-        from repro.experiments import fig5_fairness
-
-        options = fig5_fairness.Figure5Options(
-            clients_per_site=args.clients, duration_ms=args.duration
-        )
-        print(format_table(fig5_fairness.run(options), title="Figure 5"))
-    elif name == "fig6":
-        from repro.experiments import fig6_tail
-
-        options = fig6_tail.Figure6Options(duration_ms=args.duration)
-        print(format_table(fig6_tail.run(options), title="Figure 6"))
-    elif name == "fig7":
-        from repro.experiments import fig7_load
-
-        print(format_table(fig7_load.saturation_table(), title="Figure 7 (ceilings)"))
-        print()
-        print(format_table(fig7_load.heatmap(), title="Figure 7 (heatmap)"))
-    elif name == "fig8":
-        from repro.experiments import fig8_batching
-
-        print(format_table(fig8_batching.run(), title="Figure 8"))
-    elif name == "fig9":
-        from repro.experiments import fig9_partial
-
-        print(format_table(fig9_partial.run(), title="Figure 9"))
-    elif name == "pathological":
-        from repro.experiments import pathological
-
-        print(format_table(pathological.run(), title="§D pathological scenarios"))
-    else:  # pragma: no cover - argparse prevents this
-        raise KeyError(name)
+    golden = GOLDENS[args.name]
+    print(golden.table(golden.rows()))
     return 0
 
 
@@ -249,11 +204,7 @@ def _command_scenarios(args) -> int:
         run_cell,
     )
 
-    options = ScenarioOptions(
-        duration_ms=args.duration,
-        seed=args.seed,
-        select=args.select,
-    )
+    options = ScenarioOptions(select=args.select)
     if args.protocols:
         options.protocols = tuple(args.protocols)
     cells = build_matrix(options)

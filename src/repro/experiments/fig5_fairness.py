@@ -7,18 +7,18 @@ non-leader sites than at the leader site, while the leaderless protocols
 serve all sites roughly uniformly.
 
 This reproduction runs the same deployment on the discrete-event simulator.
-Client counts are scaled down (default 16/site) because the simulator is
+Client counts are scaled down (8/site) because the simulator is
 pure Python; closed-loop latency is load-insensitive until saturation, so
 the per-site means are representative (``results/fig5_fairness.txt``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
+from repro.simulator.latency import EC2_REGIONS
 
 #: Protocol/fault combinations shown in Figure 5.
 FIGURE5_PROTOCOLS: Tuple[Tuple[str, int], ...] = (
@@ -31,31 +31,25 @@ FIGURE5_PROTOCOLS: Tuple[Tuple[str, int], ...] = (
     ("caesar", 2),
 )
 
+#: The golden's deployment and workload.
+NUM_SITES = 5
+CLIENTS_PER_SITE = 8
+CONFLICT_RATE = 0.02
+DURATION_MS = 2_500.0
 
-@dataclass
-class Figure5Options:
-    """Knobs for the Figure 5 reproduction."""
-
-    clients_per_site: int = 16
-    conflict_rate: float = 0.02
-    duration_ms: float = 3_000.0
-    warmup_ms: float = 500.0
-    num_sites: int = 5
-    seed: int = 1
-    protocols: Sequence[Tuple[str, int]] = field(default=FIGURE5_PROTOCOLS)
+#: The golden's columns: one per site, between the protocol and its average.
+COLUMNS: List[str] = ["protocol", *EC2_REGIONS[:NUM_SITES], "average", "completed"]
 
 
-def run_one(protocol: str, faults: int, options: Figure5Options) -> Dict[str, object]:
+def run_one(protocol: str, faults: int) -> Dict[str, object]:
     """Run one protocol/fault configuration and return its Figure 5 row."""
     config = ExperimentConfig(
         protocol=protocol,
-        num_sites=options.num_sites,
+        num_sites=NUM_SITES,
         faults=faults,
-        clients_per_site=options.clients_per_site,
-        conflict_rate=options.conflict_rate,
-        duration_ms=options.duration_ms,
-        warmup_ms=options.warmup_ms,
-        seed=options.seed,
+        clients_per_site=CLIENTS_PER_SITE,
+        conflict_rate=CONFLICT_RATE,
+        duration_ms=DURATION_MS,
     )
     result = run_experiment(config)
     site_means = result.site_mean_latency()
@@ -69,12 +63,9 @@ def run_one(protocol: str, faults: int, options: Figure5Options) -> Dict[str, ob
     return row
 
 
-def run(options: Figure5Options = Figure5Options()) -> List[Dict[str, object]]:
+def run() -> List[Dict[str, object]]:
     """Regenerate Figure 5: one row per protocol, one column per site."""
-    rows = []
-    for protocol, faults in options.protocols:
-        rows.append(run_one(protocol, faults, options))
-    return rows
+    return [run_one(protocol, faults) for protocol, faults in FIGURE5_PROTOCOLS]
 
 
 def fairness_ratio(row: Dict[str, object], sites: Sequence[str]) -> float:

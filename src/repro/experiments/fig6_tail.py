@@ -10,15 +10,15 @@ scaled down and the conflict rate is scaled up.  The dependency-chain
 pathology of Atlas/EPaxos/Caesar is driven by the number of *concurrently
 conflicting* commands per site (≈ clients x conflict rate), and the scaling
 does not preserve it: the golden cells (8 and 16 clients/site at 15 %,
-``results/fig6_tail.txt``) have 1.2 and 2.4, the paper's (256 and 512 at
-2 %) 5.12 and 10.24.  The qualitative claim — Tempo's tail is flat, the
-others' tails explode with contention — is what the benchmark asserts.
+3 000 ms simulated, ``results/fig6_tail.txt``) have 1.2 and 2.4, the
+paper's (256 and 512 at 2 %) 5.12 and 10.24.  The qualitative claim —
+Tempo's tail is flat, the others' tails explode with contention — is what
+the benchmark asserts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
@@ -36,43 +36,24 @@ FIGURE6_PROTOCOLS: Tuple[Tuple[str, int], ...] = (
     ("caesar", 2),
 )
 
-
-@dataclass
-class Figure6Options:
-    """Knobs for the Figure 6 reproduction.
-
-    ``client_loads`` holds the two load levels of the figure (top: 256
-    clients/site, bottom: 512 clients/site), scaled down for simulation; the
-    conflict rate is scaled up, though not enough to keep the paper's
-    clients x conflict_rate (0.8 and 1.6 here against 5.12 and 10.24).
-    """
-
-    client_loads: Sequence[int] = (8, 16)
-    conflict_rates: Sequence[float] = (0.10, 0.10)
-    duration_ms: float = 4_000.0
-    warmup_ms: float = 500.0
-    num_sites: int = 5
-    seed: int = 1
-    protocols: Sequence[Tuple[str, int]] = field(default=FIGURE6_PROTOCOLS)
+#: The figure's two load levels (top: 256 clients/site, bottom: 512 in the
+#: paper) as (clients per site, conflict rate), scaled for simulation.
+FIGURE6_LOADS: Tuple[Tuple[int, float], ...] = ((8, 0.15), (16, 0.15))
+NUM_SITES = 5
+DURATION_MS = 3_000.0
 
 
 def run_one(
-    protocol: str,
-    faults: int,
-    clients_per_site: int,
-    conflict_rate: float,
-    options: Figure6Options,
+    protocol: str, faults: int, clients_per_site: int, conflict_rate: float
 ) -> Dict[str, object]:
     """One curve of Figure 6: tail percentiles for one protocol at one load."""
     config = ExperimentConfig(
         protocol=protocol,
-        num_sites=options.num_sites,
+        num_sites=NUM_SITES,
         faults=faults,
         clients_per_site=clients_per_site,
         conflict_rate=conflict_rate,
-        duration_ms=options.duration_ms,
-        warmup_ms=options.warmup_ms,
-        seed=options.seed,
+        duration_ms=DURATION_MS,
     )
     result = run_experiment(config)
     row: Dict[str, object] = {
@@ -86,62 +67,60 @@ def run_one(
     return row
 
 
-def run(options: Figure6Options = Figure6Options()) -> List[Dict[str, object]]:
+def run() -> List[Dict[str, object]]:
     """Regenerate Figure 6: tail percentiles per protocol at two loads."""
-    rows: List[Dict[str, object]] = []
-    for clients, conflict_rate in zip(options.client_loads, options.conflict_rates):
-        for protocol, faults in options.protocols:
-            rows.append(run_one(protocol, faults, clients, conflict_rate, options))
-    return rows
+    return [
+        run_one(protocol, faults, clients, conflict_rate)
+        for clients, conflict_rate in FIGURE6_LOADS
+        for protocol, faults in FIGURE6_PROTOCOLS
+    ]
 
 
-@dataclass
-class MultiShardOptions:
-    """Knobs for the multi-shard (partial replication) fig5/fig6 variant.
+# -- multi-shard variant -------------------------------------------------------
+#
+# The contended workload on a partially replicated deployment
+# (``results/fig6_multishard.txt``): 3 sites, 2 shards and two-key
+# commands, so a fraction of the commands genuinely spans both shards.
+# Janus* is the dependency-based baseline because the other baselines
+# assume full replication, while Tempo is genuine (ordering a command
+# involves only the shards it accesses).
 
-    Commands access two keys so a fraction of them genuinely spans both
-    shards; Janus* is the dependency-based baseline because the other
-    baselines assume full replication, while Tempo is genuine (ordering a
-    command involves only the shards it accesses).
-    """
-
-    num_shards: int = 2
-    client_loads: Sequence[int] = (8,)
-    conflict_rates: Sequence[float] = (0.15,)
-    keys_per_command: int = 2
-    duration_ms: float = 2_500.0
-    warmup_ms: float = 500.0
-    num_sites: int = 3
-    seed: int = 1
-    protocols: Sequence[Tuple[str, int]] = (("tempo", 1), ("janus", 1))
+MULTISHARD_PROTOCOLS: Tuple[Tuple[str, int], ...] = (("tempo", 1), ("janus", 1))
+MULTISHARD_SITES = 3
+MULTISHARD_SHARDS = 2
+MULTISHARD_CLIENTS_PER_SITE = 8
+MULTISHARD_CONFLICT_RATE = 0.15
+MULTISHARD_DURATION_MS = 2_500.0
 
 
-def run_multishard(options: MultiShardOptions = MultiShardOptions()) -> List[Dict[str, object]]:
+def run_multishard_one(protocol: str, faults: int) -> Dict[str, object]:
+    """Tail percentiles of one protocol on the sharded deployment."""
+    config = ExperimentConfig(
+        protocol=protocol,
+        num_sites=MULTISHARD_SITES,
+        faults=faults,
+        num_shards=MULTISHARD_SHARDS,
+        clients_per_site=MULTISHARD_CLIENTS_PER_SITE,
+        conflict_rate=MULTISHARD_CONFLICT_RATE,
+        keys_per_command=2,
+        duration_ms=MULTISHARD_DURATION_MS,
+    )
+    result = run_experiment(config)
+    row: Dict[str, object] = {
+        "protocol": f"{protocol} f={faults}",
+        "shards": MULTISHARD_SHARDS,
+        "clients_per_site": MULTISHARD_CLIENTS_PER_SITE,
+    }
+    for percentile in (95.0, 99.0, 99.9):
+        row[f"p{percentile}"] = round(result.percentile(percentile), 1)
+    row["mean"] = round(result.mean_latency(), 1)
+    row["completed"] = result.completed
+    return row
+
+
+def run_multishard() -> List[Dict[str, object]]:
     """Tail percentiles on a sharded deployment (fig5/fig6 variant)."""
-    rows: List[Dict[str, object]] = []
-    for clients, conflict_rate in zip(options.client_loads, options.conflict_rates):
-        for protocol, faults in options.protocols:
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_sites=options.num_sites,
-                faults=faults,
-                num_shards=options.num_shards,
-                clients_per_site=clients,
-                conflict_rate=conflict_rate,
-                keys_per_command=options.keys_per_command,
-                duration_ms=options.duration_ms,
-                warmup_ms=options.warmup_ms,
-                seed=options.seed,
-            )
-            result = run_experiment(config)
-            row: Dict[str, object] = {
-                "protocol": f"{protocol} f={faults}",
-                "shards": options.num_shards,
-                "clients_per_site": clients,
-            }
-            for percentile in (95.0, 99.0, 99.9):
-                row[f"p{percentile}"] = round(result.percentile(percentile), 1)
-            row["mean"] = round(result.mean_latency(), 1)
-            row["completed"] = result.completed
-            rows.append(row)
-    return rows
+    return [
+        run_multishard_one(protocol, faults)
+        for protocol, faults in MULTISHARD_PROTOCOLS
+    ]

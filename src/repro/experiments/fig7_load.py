@@ -15,8 +15,7 @@ closed-loop queueing (:mod:`repro.experiments.latency_model`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.experiments.latency_model import average_latency, load_curve, per_site_latency
@@ -38,30 +37,26 @@ FIGURE7_PROTOCOLS: Tuple[Tuple[str, int], ...] = (
     ("caesar", 2),
 )
 
-
-@dataclass
-class Figure7Options:
-    """Knobs for the Figure 7 reproduction."""
-
-    num_sites: int = 5
-    payload: float = 4096.0
-    conflict_rates: Sequence[float] = (0.02, 0.10)
-    clients: Sequence[int] = field(default=FIGURE7_CLIENT_SWEEP)
-    protocols: Sequence[Tuple[str, int]] = field(default=FIGURE7_PROTOCOLS)
+#: Conflict rates of the top (2 %) and bottom (10 %) plots; the curves and
+#: the heatmap are drawn at the first.
+FIGURE7_CONFLICT_RATES: Tuple[float, ...] = (0.02, 0.10)
+NUM_SITES = 5
+PAYLOAD = 4096.0
 
 
-def saturation_table(options: Figure7Options = Figure7Options()) -> List[Dict[str, object]]:
+def _ceiling(protocol: str, faults: int, conflict_rate: float) -> Dict[str, float]:
+    config = ProtocolConfig(num_processes=NUM_SITES, faults=faults)
+    return max_throughput(
+        protocol, config=config, payload=PAYLOAD, conflict_rate=conflict_rate
+    )
+
+
+def saturation_table() -> List[Dict[str, object]]:
     """Maximum throughput per protocol and conflict rate (the curve knees)."""
     rows: List[Dict[str, object]] = []
-    for conflict_rate in options.conflict_rates:
-        for protocol, faults in options.protocols:
-            config = ProtocolConfig(num_processes=options.num_sites, faults=faults)
-            result = max_throughput(
-                protocol,
-                config=config,
-                payload=options.payload,
-                conflict_rate=conflict_rate,
-            )
+    for conflict_rate in FIGURE7_CONFLICT_RATES:
+        for protocol, faults in FIGURE7_PROTOCOLS:
+            result = _ceiling(protocol, faults, conflict_rate)
             rows.append(
                 {
                     "protocol": f"{protocol} f={faults}",
@@ -73,52 +68,36 @@ def saturation_table(options: Figure7Options = Figure7Options()) -> List[Dict[st
     return rows
 
 
-def latency_throughput_curves(
-    options: Figure7Options = Figure7Options(),
-) -> List[Dict[str, object]]:
-    """The latency-vs-throughput points of Figure 7."""
+def latency_throughput_curves() -> List[Dict[str, object]]:
+    """The latency-vs-throughput points of Figure 7 (top, 2 % conflicts)."""
+    conflict_rate = FIGURE7_CONFLICT_RATES[0]
     rows: List[Dict[str, object]] = []
-    for conflict_rate in options.conflict_rates:
-        for protocol, faults in options.protocols:
-            config = ProtocolConfig(num_processes=options.num_sites, faults=faults)
-            ceiling = max_throughput(
-                protocol,
-                config=config,
-                payload=options.payload,
-                conflict_rate=conflict_rate,
-            )["max_ops_per_second"]
-            base_latency = average_latency(
-                per_site_latency(protocol, options.num_sites, faults)
+    for protocol, faults in FIGURE7_PROTOCOLS:
+        ceiling = _ceiling(protocol, faults, conflict_rate)["max_ops_per_second"]
+        base_latency = average_latency(per_site_latency(protocol, NUM_SITES, faults))
+        for point in load_curve(
+            list(FIGURE7_CLIENT_SWEEP), NUM_SITES, base_latency, ceiling
+        ):
+            rows.append(
+                {
+                    "protocol": f"{protocol} f={faults}",
+                    "conflict_rate": conflict_rate,
+                    "clients_per_site": int(point["clients_per_site"]),
+                    "throughput_kops": round(point["throughput_ops"] / 1000.0, 1),
+                    "latency_ms": round(point["latency_ms"], 1),
+                }
             )
-            for point in load_curve(
-                list(options.clients), options.num_sites, base_latency, ceiling
-            ):
-                rows.append(
-                    {
-                        "protocol": f"{protocol} f={faults}",
-                        "conflict_rate": conflict_rate,
-                        "clients_per_site": int(point["clients_per_site"]),
-                        "throughput_kops": round(point["throughput_ops"] / 1000.0, 1),
-                        "latency_ms": round(point["latency_ms"], 1),
-                    }
-                )
     return rows
 
 
-def heatmap(options: Figure7Options = Figure7Options()) -> List[Dict[str, object]]:
+def heatmap() -> List[Dict[str, object]]:
     """Hardware utilization at saturation for the 2 % conflict scenario
     (bottom heatmap of Figure 7)."""
-    protocols = [name for name, _ in options.protocols]
-    deduped: List[str] = []
-    for name in protocols:
-        if name not in deduped:
-            deduped.append(name)
-    config = ProtocolConfig(num_processes=options.num_sites, faults=1)
     return utilization_heatmap(
-        deduped,
-        config=config,
-        payload=options.payload,
-        conflict_rate=options.conflict_rates[0],
+        ["tempo", "atlas", "fpaxos", "caesar"],
+        config=ProtocolConfig(num_processes=NUM_SITES, faults=1),
+        payload=PAYLOAD,
+        conflict_rate=FIGURE7_CONFLICT_RATES[0],
     )
 
 

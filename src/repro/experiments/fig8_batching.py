@@ -11,8 +11,7 @@ outperforms FPaxos.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.experiments.throughput_model import max_throughput
@@ -24,36 +23,30 @@ FIGURE8_PAYLOADS: Tuple[int, ...] = (256, 1024, 4096)
 #: Protocols of Figure 8.
 FIGURE8_PROTOCOLS: Tuple[Tuple[str, int], ...] = (("tempo", 1), ("fpaxos", 1))
 
-
-@dataclass
-class Figure8Options:
-    """Knobs for the Figure 8 reproduction."""
-
-    num_sites: int = 5
-    conflict_rate: float = 0.02
-    payloads: Sequence[int] = field(default=FIGURE8_PAYLOADS)
-    protocols: Sequence[Tuple[str, int]] = field(default=FIGURE8_PROTOCOLS)
-    batch_size: float = 105.0
+NUM_SITES = 5
+CONFLICT_RATE = 0.02
+#: Commands per batch (the paper flushes after 5 ms or 105 commands).
+BATCH_SIZE = 105.0
 
 
-def run(options: Figure8Options = Figure8Options()) -> List[Dict[str, object]]:
+def run() -> List[Dict[str, object]]:
     """Regenerate Figure 8: max throughput per payload, batching OFF/ON."""
     rows: List[Dict[str, object]] = []
-    for payload in options.payloads:
-        for protocol, faults in options.protocols:
-            config = ProtocolConfig(num_processes=options.num_sites, faults=faults)
+    for payload in FIGURE8_PAYLOADS:
+        for protocol, faults in FIGURE8_PROTOCOLS:
+            config = ProtocolConfig(num_processes=NUM_SITES, faults=faults)
             off = max_throughput(
                 protocol,
                 config=config,
                 payload=float(payload),
-                conflict_rate=options.conflict_rate,
+                conflict_rate=CONFLICT_RATE,
             )["max_ops_per_second"]
             on = max_throughput(
                 protocol,
                 config=config,
                 payload=float(payload),
-                conflict_rate=options.conflict_rate,
-                batching=BatchingModel(True, expected_batch_size=options.batch_size),
+                conflict_rate=CONFLICT_RATE,
+                batching=BatchingModel(True, expected_batch_size=BATCH_SIZE),
             )["max_ops_per_second"]
             rows.append(
                 {
@@ -72,4 +65,3 @@ def batching_gains(rows: List[Dict[str, object]]) -> Dict[str, float]:
     return {
         f"{row['protocol']}@{row['payload_bytes']}B": float(row["gain"]) for row in rows
     }
-

@@ -26,8 +26,7 @@ constants specific to the partial-replication scenario are documented below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
@@ -41,6 +40,9 @@ FIGURE9_SHARDS: Tuple[int, ...] = (2, 4, 6)
 FIGURE9_ZIPF: Tuple[float, ...] = (0.5, 0.7)
 #: Janus* write ratios of Figure 9 (YCSB C, B, A).
 FIGURE9_WRITE_RATIOS: Tuple[float, ...] = (0.0, 0.05, 0.50)
+
+#: Payload of the YCSB+T transactions (bytes).
+PAYLOAD = 100.0
 
 #: Sites replicating every shard in the partial-replication testbed.
 FIGURE9_SITES: Tuple[str, ...] = ("ireland", "n-california", "singapore")
@@ -56,12 +58,10 @@ ZIPF_CONTENTION: Dict[float, float] = {0.5: 0.06, 0.7: 0.22}
 JANUS_READ_GRAPH_US = 4.3
 
 
-def _avg_shards_per_command(num_shards: int, keys_per_transaction: int = 2) -> float:
-    """Expected number of distinct shards touched by a two-key transaction."""
-    if num_shards <= 1:
-        return 1.0
-    same = 1.0 / num_shards
-    return keys_per_transaction - (keys_per_transaction - 1) * same
+def _avg_shards_per_command(num_shards: int) -> float:
+    """Expected number of distinct shards touched by a two-key transaction:
+    two, less the chance ``1 / num_shards`` that both keys share a shard."""
+    return 2.0 - 1.0 / num_shards
 
 
 def _contention(zipf: float) -> float:
@@ -75,13 +75,7 @@ def _contention(zipf: float) -> float:
     return max(0.0, clow + slope * (zipf - low))
 
 
-def tempo_partial_throughput(
-    num_shards: int,
-    zipf: float,
-    payload: float = 100.0,
-    model: CostModel = CostModel(),
-    machine: MachineSpec = MachineSpec(),
-) -> float:
+def tempo_partial_throughput(num_shards: int) -> float:
     """Tempo's aggregate throughput over ``num_shards`` shards.
 
     Tempo is genuine, so each shard's replicas only handle the commands that
@@ -92,20 +86,12 @@ def tempo_partial_throughput(
     """
     config = ProtocolConfig(num_processes=3, faults=1, num_partitions=num_shards)
     per_shard = max_throughput(
-        "tempo", config=config, payload=payload, conflict_rate=0.0, machine=machine,
-        model=model,
+        "tempo", config=config, payload=PAYLOAD, conflict_rate=0.0
     )["per_shard_ops_per_second"]
     return per_shard * num_shards / _avg_shards_per_command(num_shards)
 
 
-def janus_partial_throughput(
-    num_shards: int,
-    zipf: float,
-    write_ratio: float,
-    payload: float = 100.0,
-    model: CostModel = CostModel(),
-    machine: MachineSpec = MachineSpec(),
-) -> float:
+def janus_partial_throughput(num_shards: int, zipf: float, write_ratio: float) -> float:
     """Janus*'s aggregate throughput over ``num_shards`` shards.
 
     Janus* is not genuine: every replica receives the commit of every
@@ -113,16 +99,11 @@ def janus_partial_throughput(
     executor traverses a dependency graph whose components grow with the
     probability that transactions write conflicting keys.
     """
-    config = ProtocolConfig(num_processes=3, faults=1, num_partitions=num_shards)
+    model = CostModel()
     avg_shards = _avg_shards_per_command(num_shards)
     share = avg_shards / num_shards
-    # Protocol CPU for commands touching this shard, scaled by the fraction
-    # of system commands that do.
-    base = max_throughput(
-        "janus", config=config, payload=payload, conflict_rate=0.0, machine=machine,
-        model=model,
-    )
-    # Recompute the per-command cost at one replica explicitly.
+    # The per-command cost at one replica: protocol CPU for commands
+    # touching this shard, scaled by the fraction of system commands that do.
     write_involvement = 1.0 - (1.0 - write_ratio) ** 2
     contention = _contention(zipf)
     chain = (1.0 + contention * model.conflict_window * write_involvement) ** 0.5
@@ -134,15 +115,15 @@ def janus_partial_throughput(
     protocol_cpu = (
         4.0 * model.cpu_per_message_us * share  # pre-accept round at accessed shards
         + model.cpu_per_message_us  # commit broadcast reaches every replica
-        + model.payload_cpu(payload) * share
+        + model.payload_cpu(PAYLOAD) * share
     )
     cost = CommandCost(
         cpu_micros=protocol_cpu + execution_us,
         execution_micros=execution_us,
-        net_in_bytes=payload * share + model.small_message_bytes,
-        net_out_bytes=payload * share + model.small_message_bytes,
+        net_in_bytes=PAYLOAD * share + model.small_message_bytes,
+        net_out_bytes=PAYLOAD * share + model.small_message_bytes,
     )
-    saturation = ResourceModel(machine).saturation(cost)
+    saturation = ResourceModel(MachineSpec()).saturation(cost)
     # The saturation above is in system-wide commands/s at one replica; all
     # replicas see every command, so the system rate equals the per-replica
     # rate (no multiplication by shards — the non-genuine penalty).
@@ -152,60 +133,48 @@ def janus_partial_throughput(
     return per_replica * (1.0 + 0.55 * (num_shards - 1))
 
 
-@dataclass
-class Figure9Options:
-    """Knobs for the Figure 9 reproduction."""
-
-    shards: Sequence[int] = field(default=FIGURE9_SHARDS)
-    zipf: Sequence[float] = field(default=FIGURE9_ZIPF)
-    write_ratios: Sequence[float] = field(default=FIGURE9_WRITE_RATIOS)
-    payload: float = 100.0
-
-
-def run(options: Figure9Options = Figure9Options()) -> List[Dict[str, object]]:
+def run() -> List[Dict[str, object]]:
     """Regenerate Figure 9: max throughput per shard count and zipf."""
     rows: List[Dict[str, object]] = []
-    for num_shards in options.shards:
-        for zipf in options.zipf:
-            tempo = tempo_partial_throughput(num_shards, zipf, options.payload)
+    for num_shards in FIGURE9_SHARDS:
+        for zipf in FIGURE9_ZIPF:
+            tempo = tempo_partial_throughput(num_shards)
             row: Dict[str, object] = {
                 "shards": num_shards,
                 "zipf": zipf,
                 "tempo_kops": round(tempo / 1000.0, 1),
             }
-            for write_ratio in options.write_ratios:
-                janus = janus_partial_throughput(
-                    num_shards, zipf, write_ratio, options.payload
+            janus = {
+                write_ratio: janus_partial_throughput(num_shards, zipf, write_ratio)
+                for write_ratio in FIGURE9_WRITE_RATIOS
+            }
+            for write_ratio, value in janus.items():
+                row[f"janus_w{int(write_ratio * 100)}_kops"] = round(value / 1000.0, 1)
+            for write_ratio in (0.05, 0.50):
+                row[f"speedup_vs_w{int(write_ratio * 100)}"] = round(
+                    tempo / max(1.0, janus[write_ratio]), 2
                 )
-                row[f"janus_w{int(write_ratio * 100)}_kops"] = round(janus / 1000.0, 1)
-            row["speedup_vs_w5"] = round(
-                tempo / max(1.0, janus_partial_throughput(num_shards, zipf, 0.05, options.payload)),
-                2,
-            )
-            row["speedup_vs_w50"] = round(
-                tempo / max(1.0, janus_partial_throughput(num_shards, zipf, 0.50, options.payload)),
-                2,
-            )
             rows.append(row)
     return rows
 
 
-def tail_latency_comparison(
-    num_shards: int = 3,
-    zipf: float = 0.7,
-    write_ratio: float = 0.05,
-    clients_per_site: int = 8,
-    duration_ms: float = 3_000.0,
-    keys_per_shard: int = 200,
-    seed: int = 1,
-) -> List[Dict[str, object]]:
+#: The §6.4 tail-latency run, scaled down: the paper's scenario (6 shards,
+#: zipf 0.7, w = 5 %, thousands of clients) shrinks to 3 shards and tens of
+#: clients, with the key space shrunk and the write ratio raised so the
+#: scaled run still contends (``results/fig9_tail.txt``).
+TAIL_SHARDS = 3
+TAIL_ZIPF = 0.7
+TAIL_WRITE_RATIO = 0.30
+TAIL_CLIENTS_PER_SITE = 10
+TAIL_KEYS_PER_SHARD = 20
+TAIL_DURATION_MS = 2_500.0
+
+
+def tail_latency_comparison() -> List[Dict[str, object]]:
     """§6.4 tail-latency claim, reproduced on the simulator.
 
     Runs Tempo and Janus* on the same partial-replication deployment and
-    YCSB+T workload and reports their latency percentiles.  Scaled down from
-    the paper's 6 shards / full key space so it completes in seconds; the
-    key space is shrunk so the zipfian contention is preserved despite the
-    smaller client count.
+    YCSB+T workload and reports their latency percentiles.
     """
     rows: List[Dict[str, object]] = []
     for protocol in ("tempo", "janus"):
@@ -213,15 +182,13 @@ def tail_latency_comparison(
             protocol=protocol,
             num_sites=3,
             faults=1,
-            num_shards=num_shards,
-            clients_per_site=clients_per_site,
+            num_shards=TAIL_SHARDS,
+            clients_per_site=TAIL_CLIENTS_PER_SITE,
             workload="ycsbt",
-            zipf=zipf,
-            write_ratio=write_ratio,
-            keys_per_shard=keys_per_shard,
-            duration_ms=duration_ms,
-            warmup_ms=min(500.0, duration_ms / 4),
-            seed=seed,
+            zipf=TAIL_ZIPF,
+            write_ratio=TAIL_WRITE_RATIO,
+            keys_per_shard=TAIL_KEYS_PER_SHARD,
+            duration_ms=TAIL_DURATION_MS,
             sites=FIGURE9_SITES,
         )
         result = run_experiment(config)

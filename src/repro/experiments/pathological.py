@@ -19,7 +19,7 @@ were committed and executed and how large the blocked structures grew.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
@@ -72,7 +72,7 @@ def _count_committed(process, commands) -> int:
     )
 
 
-def replay_schedule(protocol: str, rounds: int = 6) -> PathologyReport:
+def replay_schedule(protocol: str, rounds: int) -> PathologyReport:
     """Replay the round-robin conflicting schedule of §D.
 
     In each round, every process submits one command on the same key.  The
@@ -138,9 +138,32 @@ def replay_schedule(protocol: str, rounds: int = 6) -> PathologyReport:
     )
 
 
-def run(rounds: int = 6) -> List[Dict[str, object]]:
+#: Schedule length of the §D table (``results/pathological.txt``).
+ROUNDS = 8
+#: Schedule lengths of the EPaxos growth table
+#: (``results/pathological_growth.txt``).
+GROWTH_ROUNDS: Tuple[int, ...] = (4, 8, 12)
+
+
+def run() -> List[Dict[str, object]]:
     """Replay the §D schedule against Tempo, EPaxos and Caesar."""
     return [
-        replay_schedule(protocol, rounds).as_row()
+        replay_schedule(protocol, ROUNDS).as_row()
         for protocol in ("tempo", "epaxos", "caesar")
     ]
+
+
+def growth() -> List[Dict[str, object]]:
+    """EPaxos' largest blocked component per schedule length."""
+    rows: List[Dict[str, object]] = []
+    for rounds in GROWTH_ROUNDS:
+        report = replay_schedule("epaxos", rounds)
+        rows.append(
+            {
+                "rounds": rounds,
+                "submitted": report.submitted,
+                "largest_component": report.largest_component,
+                "executed_during": report.executed_during,
+            }
+        )
+    return rows

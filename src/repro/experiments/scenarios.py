@@ -93,33 +93,33 @@ class ScenarioCell:
     tail_gated: bool = False
 
 
+#: Every cell's deployment and workload (scaled for the pure-Python
+#: simulator); a cell overrides what its fault shape needs.
+NUM_SITES = 5
+CLIENTS_PER_SITE = 4
+CONFLICT_RATE = 0.10
+DURATION_MS = 2_000.0
+WARMUP_MS = 400.0
+
+
 @dataclass
 class ScenarioOptions:
-    """Knobs for the campaign (scaled for the pure-Python simulator)."""
+    """Which slice of the campaign to run."""
 
-    num_sites: int = 5
-    faults: int = 1
-    clients_per_site: int = 4
-    conflict_rate: float = 0.10
-    duration_ms: float = 2_000.0
-    warmup_ms: float = 400.0
-    seed: int = 1
     protocols: Sequence[str] = ("tempo", "atlas", "epaxos")
     #: Restrict to cells whose name contains any of these substrings
     #: (``None`` = full matrix); the CI smoke job runs a slice.
     select: Optional[Sequence[str]] = None
 
 
-def _base_config(options: ScenarioOptions, protocol: str, **overrides) -> ExperimentConfig:
+def _base_config(protocol: str, **overrides) -> ExperimentConfig:
     base = dict(
         protocol=protocol,
-        num_sites=options.num_sites,
-        faults=options.faults,
-        clients_per_site=options.clients_per_site,
-        conflict_rate=options.conflict_rate,
-        duration_ms=options.duration_ms,
-        warmup_ms=options.warmup_ms,
-        seed=options.seed,
+        num_sites=NUM_SITES,
+        clients_per_site=CLIENTS_PER_SITE,
+        conflict_rate=CONFLICT_RATE,
+        duration_ms=DURATION_MS,
+        warmup_ms=WARMUP_MS,
         record_execution_trace=True,
     )
     base.update(overrides)
@@ -130,8 +130,8 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
     """The campaign's cells: crash-site/time sweep x partition/heal x
     flaky links x targeted loss x Zipf skew, per protocol."""
     cells: List[ScenarioCell] = []
-    crash_window = options.duration_ms * 0.4
-    heal_at = options.duration_ms * 0.7
+    crash_window = DURATION_MS * 0.4
+    heal_at = DURATION_MS * 0.7
     # Crash sweep: Tempo sweeps crash site and crash time (its recovery
     # machinery must deliver convergence wherever the coordinator dies);
     # the baselines take the representative site-0 crash.
@@ -147,7 +147,6 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                     protocol=protocol,
                     shape="crash",
                     config=_base_config(
-                        options,
                         protocol,
                         fault_plan=FaultPlan(
                             [Crash(at_ms=at_ms, site_rank=site_rank)]
@@ -164,7 +163,7 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
     # repair pass — it pulls what it missed, and the coordinators re-send
     # their unfinished rounds — and the campaign asserts post-restart
     # convergence and gates the tail for every protocol.
-    restart_at = options.duration_ms * 0.6
+    restart_at = DURATION_MS * 0.6
     for protocol in options.protocols:
         cells.append(
             ScenarioCell(
@@ -172,7 +171,6 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                 protocol=protocol,
                 shape="restart",
                 config=_base_config(
-                    options,
                     protocol,
                     fault_plan=FaultPlan(
                         [
@@ -187,7 +185,7 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
         )
     # Partition/heal: site 0 isolated from the quorum for a window, then
     # healed; recovery must drain what the window stranded.
-    isolated = ((0,), tuple(range(1, options.num_sites)))
+    isolated = ((0,), tuple(range(1, NUM_SITES)))
     for protocol in options.protocols:
         cells.append(
             ScenarioCell(
@@ -195,7 +193,6 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                 protocol=protocol,
                 shape="partition",
                 config=_base_config(
-                    options,
                     protocol,
                     fault_plan=FaultPlan(
                         [Partition(crash_window, heal_at, isolated)]
@@ -214,7 +211,6 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                 protocol=protocol,
                 shape="flaky",
                 config=_base_config(
-                    options,
                     protocol,
                     fault_plan=FaultPlan(
                         [
@@ -242,7 +238,6 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                     protocol=protocol,
                     shape="targeted",
                     config=_base_config(
-                        options,
                         protocol,
                         num_sites=3,
                         num_shards=2,
@@ -269,7 +264,6 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                     protocol=protocol,
                     shape="targeted",
                     config=_base_config(
-                        options,
                         protocol,
                         fault_plan=FaultPlan(
                             [
@@ -293,7 +287,6 @@ def build_matrix(options: ScenarioOptions = ScenarioOptions()) -> List[ScenarioC
                 protocol=protocol,
                 shape="zipf",
                 config=_base_config(
-                    options,
                     protocol,
                     workload="ycsbt",
                     zipf=0.95,

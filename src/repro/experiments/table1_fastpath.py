@@ -14,7 +14,7 @@ clock configuration and observing which path they take).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
@@ -102,10 +102,10 @@ def simulate_row(example: FastPathExample) -> Dict[str, object]:
     }
 
 
-def run(examples: Sequence[FastPathExample] = TABLE1_EXAMPLES) -> List[Dict[str, object]]:
+def run() -> List[Dict[str, object]]:
     """Regenerate Table 1: analytic and simulated outcome per example."""
     rows: List[Dict[str, object]] = []
-    for example in examples:
+    for example in TABLE1_EXAMPLES:
         analytic = analytic_row(example)
         simulated = simulate_row(example)
         rows.append(

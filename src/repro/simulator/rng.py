@@ -48,12 +48,6 @@ class SeededRng:
         self._random.shuffle(copy)
         return copy
 
-    def exponential(self, mean: float) -> float:
-        """Exponential draw with the given mean (used for think times)."""
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        return self._random.expovariate(1.0 / mean)
-
     def fork(self, stream: int) -> "SeededRng":
         """Derive an independent generator for a sub-component."""
         return SeededRng(seed=(self.seed * 1_000_003 + stream) % (2**63))

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
+
+#: The goldens whose rows take well under a second to compute.
+FAST_GOLDENS = (
+    "table1_fastpath",
+    "fig2_stability",
+    "fig3_comparison",
+    "fig7_saturation",
+    "fig7_curves",
+    "fig7_heatmap",
+    "fig8_batching",
+    "fig9_partial",
+    "pathological",
+    "pathological_growth",
+)
 
 
 class TestParser:
@@ -23,10 +41,11 @@ class TestParser:
             build_parser().parse_args(["run", "--protocol", "raft"])
 
     def test_figure_choices(self):
-        args = build_parser().parse_args(["figure", "fig8"])
-        assert args.name == "fig8"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "fig99"])
+        args = build_parser().parse_args(["figure", "fig8_batching"])
+        assert args.name == "fig8_batching"
+        for name in ("fig8", "fig99"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["figure", name])
 
 
 class TestCommands:
@@ -40,20 +59,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "atlas" in out and "execution" in out
 
-    def test_figure_table1(self, capsys):
-        assert main(["figure", "table1"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out and "fast_path" in out
-
-    def test_figure_fig8(self, capsys):
-        assert main(["figure", "fig8"]) == 0
-        out = capsys.readouterr().out
-        assert "batching" in out
-
-    def test_figure_fig9(self, capsys):
-        assert main(["figure", "fig9"]) == 0
-        out = capsys.readouterr().out
-        assert "tempo_kops" in out
+    @pytest.mark.parametrize("name", FAST_GOLDENS)
+    def test_figure_prints_its_golden(self, capsys, name):
+        assert main(["figure", name]) == 0
+        path = os.path.join(RESULTS_DIR, f"{name}.txt")
+        with open(path, encoding="utf-8") as handle:
+            assert capsys.readouterr().out == handle.read()
 
     def test_run_small_experiment(self, capsys):
         code = main(

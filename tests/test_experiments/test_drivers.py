@@ -6,7 +6,13 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import fig2_stability, fig8_batching, fig9_partial, pathological, table1_fastpath
-from repro.experiments.fig7_load import Figure7Options, heatmap, saturation_table, speedups
+from repro.experiments.fig7_load import (
+    FIGURE7_CONFLICT_RATES,
+    FIGURE7_PROTOCOLS,
+    heatmap,
+    saturation_table,
+    speedups,
+)
 
 
 class TestTable1:
@@ -53,9 +59,13 @@ class TestFigure2And3:
 
 class TestFigure7Driver:
     def test_saturation_table_has_one_row_per_protocol_and_rate(self):
-        options = Figure7Options(conflict_rates=(0.02,), protocols=(("tempo", 1), ("fpaxos", 1)))
-        rows = saturation_table(options)
-        assert len(rows) == 2
+        rows = saturation_table()
+        assert len(rows) == 14
+        assert {(row["protocol"], row["conflict_rate"]) for row in rows} == {
+            (f"{protocol} f={faults}", rate)
+            for rate in FIGURE7_CONFLICT_RATES
+            for protocol, faults in FIGURE7_PROTOCOLS
+        }
 
     def test_speedups_computed_against_tempo(self):
         rows = saturation_table()
@@ -112,14 +122,14 @@ class TestFigure9Driver:
 
 class TestPathologicalDriver:
     def test_tempo_progresses_while_others_stall(self):
-        rows = {row["protocol"]: row for row in pathological.run(rounds=5)}
+        rows = {row["protocol"]: row for row in pathological.run()}
         assert rows["tempo"]["committed_during"] > 0
         assert rows["epaxos"]["executed_during"] == 0
         assert rows["caesar"]["committed_during"] == 0
         assert rows["caesar"]["blocked_replies"] > 0
 
     def test_everything_recovers_after_the_adversary_stops(self):
-        for row in pathological.run(rounds=4):
+        for row in pathological.run():
             assert row["executed_final"] == row["submitted"]
 
     def test_epaxos_component_grows_with_rounds(self):

@@ -293,7 +293,3 @@ class TestRng:
         assert first._cumulative[-1] == 1.0
         assert ZipfSampler(20_000, 0.5)._cumulative is not first._cumulative
         assert ZipfSampler(100, 0.7)._cumulative is not first._cumulative
-
-    def test_exponential_requires_positive_mean(self):
-        with pytest.raises(ValueError):
-            SeededRng(1).exponential(0.0)
