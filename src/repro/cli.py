@@ -66,7 +66,6 @@ def _add_throughput_parser(subparsers) -> None:
     parser.add_argument("--faults", type=int, default=1)
     parser.add_argument("--payload", type=float, default=4096.0)
     parser.add_argument("--conflict", type=float, default=0.02)
-    parser.add_argument("--shards", type=int, default=1)
 
 
 def _add_scenarios_parser(subparsers) -> None:
@@ -175,13 +174,7 @@ def _command_figure(args) -> int:
 
 def _command_throughput(args) -> int:
     config = ProtocolConfig(num_processes=args.sites, faults=args.faults)
-    result = max_throughput(
-        args.protocol,
-        config=config,
-        payload=args.payload,
-        conflict_rate=args.conflict,
-        num_shards=args.shards,
-    )
+    result = max_throughput(args.protocol, config, args.payload, args.conflict)
     rows = [
         {
             "protocol": args.protocol,

@@ -200,7 +200,6 @@ class ProcessBase(abc.ABC):
             "apply_fn",  # wiring to the store, whose contents `executed` fixes
             "partition",  # constant, derived from process_id
             "_partition_peers",  # constant, derived from process_id
-            "_partition_peer_set",  # cache of _partition_peers
             "_other_peers",  # cache of _partition_peers
             "_dispatch",  # constant wiring: bound handlers
             "_execution_listeners",  # observers, not protocol state
@@ -241,7 +240,6 @@ class ProcessBase(abc.ABC):
         self._partition_peers: Tuple[int, ...] = tuple(
             config.processes_of_partition(self.partition)
         )
-        self._partition_peer_set: FrozenSet[int] = frozenset(self._partition_peers)
         #: The partition's other replicas: everyone this process broadcasts to.
         self._other_peers: List[int] = [
             peer for peer in self._partition_peers if peer != process_id
@@ -614,11 +612,6 @@ class ProcessBase(abc.ABC):
     def partition_peers(self) -> Sequence[int]:
         """Processes replicating the same partition (including self)."""
         return self._partition_peers
-
-    def partition_peer_set(self) -> FrozenSet[int]:
-        """Frozen set view of :meth:`partition_peers`, cached per process
-        (membership tests on the per-message hot path)."""
-        return self._partition_peer_set
 
     def leader_of_partition(self) -> Optional[int]:
         """Simple Omega-style leader: lowest-id peer believed alive."""

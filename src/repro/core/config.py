@@ -79,8 +79,9 @@ class ProtocolConfig:
 
     @property
     def epaxos_fast_quorum_size(self) -> int:
-        """EPaxos fast quorum size: ``floor(3r/4)`` (§6)."""
-        return (3 * self.num_processes) // 4
+        """EPaxos fast quorum size: ``floor(3r/4)``, never below a majority
+        (§6)."""
+        return max((3 * self.num_processes) // 4, self.majority)
 
     @property
     def caesar_fast_quorum_size(self) -> int:

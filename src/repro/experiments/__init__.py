@@ -11,17 +11,15 @@ etc.) to keep importing the throughput model light.
 """
 
 from repro.experiments.throughput_model import (
-    CostModel,
-    ProtocolCosts,
     max_throughput,
     protocol_costs,
+    saturation,
     utilization_heatmap,
 )
 
 __all__ = [
-    "CostModel",
-    "ProtocolCosts",
     "max_throughput",
     "protocol_costs",
+    "saturation",
     "utilization_heatmap",
 ]

@@ -7,10 +7,12 @@ hardware-utilization heatmap at 2 %.  Headline numbers: FPaxos saturates at
 Caesar* at 104K/32K, and Tempo reaches 230K ops/s regardless of the conflict
 rate or ``f`` (1.8-3.4x Atlas, 4.3-5.1x FPaxos).
 
-Reproduction: the saturation ceilings come from the calibrated resource
-model (:mod:`repro.experiments.throughput_model`); the latency-vs-throughput
+Reproduction: the saturation ceilings come from the analytic saturation
+model, whose calibration is a set of module constants
+(:mod:`repro.experiments.throughput_model`); the latency-vs-throughput
 curves combine those ceilings with the analytic wide-area latency model and
-closed-loop queueing (:mod:`repro.experiments.latency_model`).
+closed-loop queueing (:mod:`repro.experiments.latency_model`), both reading
+quorum sizes from the same protocol-to-quorum map.
 """
 
 from __future__ import annotations
@@ -44,11 +46,8 @@ NUM_SITES = 5
 PAYLOAD = 4096.0
 
 
-def _ceiling(protocol: str, faults: int, conflict_rate: float) -> Dict[str, float]:
-    config = ProtocolConfig(num_processes=NUM_SITES, faults=faults)
-    return max_throughput(
-        protocol, config=config, payload=PAYLOAD, conflict_rate=conflict_rate
-    )
+def _config(faults: int) -> ProtocolConfig:
+    return ProtocolConfig(num_processes=NUM_SITES, faults=faults)
 
 
 def saturation_table() -> List[Dict[str, object]]:
@@ -56,7 +55,7 @@ def saturation_table() -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for conflict_rate in FIGURE7_CONFLICT_RATES:
         for protocol, faults in FIGURE7_PROTOCOLS:
-            result = _ceiling(protocol, faults, conflict_rate)
+            result = max_throughput(protocol, _config(faults), PAYLOAD, conflict_rate)
             rows.append(
                 {
                     "protocol": f"{protocol} f={faults}",
@@ -73,8 +72,11 @@ def latency_throughput_curves() -> List[Dict[str, object]]:
     conflict_rate = FIGURE7_CONFLICT_RATES[0]
     rows: List[Dict[str, object]] = []
     for protocol, faults in FIGURE7_PROTOCOLS:
-        ceiling = _ceiling(protocol, faults, conflict_rate)["max_ops_per_second"]
-        base_latency = average_latency(per_site_latency(protocol, NUM_SITES, faults))
+        config = _config(faults)
+        ceiling = max_throughput(protocol, config, PAYLOAD, conflict_rate)[
+            "max_ops_per_second"
+        ]
+        base_latency = average_latency(per_site_latency(protocol, config))
         for point in load_curve(
             list(FIGURE7_CLIENT_SWEEP), NUM_SITES, base_latency, ceiling
         ):
@@ -95,9 +97,9 @@ def heatmap() -> List[Dict[str, object]]:
     (bottom heatmap of Figure 7)."""
     return utilization_heatmap(
         ["tempo", "atlas", "fpaxos", "caesar"],
-        config=ProtocolConfig(num_processes=NUM_SITES, faults=1),
-        payload=PAYLOAD,
-        conflict_rate=FIGURE7_CONFLICT_RATES[0],
+        _config(1),
+        PAYLOAD,
+        FIGURE7_CONFLICT_RATES[0],
     )
 
 

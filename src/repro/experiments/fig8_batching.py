@@ -7,6 +7,11 @@ and does not help at larger payloads (network-bound); Tempo sees only a
 moderate gain (1.6x at 256 B, 1.3x at 1 KB, none at 4 KB) because its
 per-command work cannot be amortised, yet leaderless Tempo still matches or
 outperforms FPaxos.
+
+Reproduction: the saturation model of
+:mod:`repro.experiments.throughput_model` with ``batch = 105``, which
+divides per-command message CPU and header bytes by the batch size while
+payload bytes and per-command execution stay.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Dict, List, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.experiments.throughput_model import max_throughput
-from repro.workloads.batching import BatchingModel
 
 #: Payload sizes of Figure 8 (bytes).
 FIGURE8_PAYLOADS: Tuple[int, ...] = (256, 1024, 4096)
@@ -35,18 +39,11 @@ def run() -> List[Dict[str, object]]:
     for payload in FIGURE8_PAYLOADS:
         for protocol, faults in FIGURE8_PROTOCOLS:
             config = ProtocolConfig(num_processes=NUM_SITES, faults=faults)
-            off = max_throughput(
-                protocol,
-                config=config,
-                payload=float(payload),
-                conflict_rate=CONFLICT_RATE,
-            )["max_ops_per_second"]
+            off = max_throughput(protocol, config, float(payload), CONFLICT_RATE)[
+                "max_ops_per_second"
+            ]
             on = max_throughput(
-                protocol,
-                config=config,
-                payload=float(payload),
-                conflict_rate=CONFLICT_RATE,
-                batching=BatchingModel(True, expected_batch_size=BATCH_SIZE),
+                protocol, config, float(payload), CONFLICT_RATE, batch=BATCH_SIZE
             )["max_ops_per_second"]
             rows.append(
                 {

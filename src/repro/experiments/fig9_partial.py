@@ -20,8 +20,11 @@ Headline results reproduced here:
   p99.99 of 1.3 s versus 421 ms for Tempo) — reproduced with the simulator
   in :func:`tail_latency_comparison`.
 
-Throughput numbers come from the calibrated resource model; the calibration
-constants specific to the partial-replication scenario are documented below.
+Throughput numbers come from the saturation model of
+:mod:`repro.experiments.throughput_model`: Tempo's from its per-shard
+``max_throughput``, Janus*'s from a per-replica cost passed to the same
+``saturation``.  The calibration constants specific to the
+partial-replication scenario are documented below.
 """
 
 from __future__ import annotations
@@ -31,8 +34,17 @@ from typing import Dict, List, Tuple
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
 from repro.core.config import ProtocolConfig
-from repro.experiments.throughput_model import CostModel, max_throughput
-from repro.simulator.resources import CommandCost, MachineSpec, ResourceModel
+from repro.experiments.throughput_model import (
+    CONFLICT_WINDOW,
+    CPU_PER_MESSAGE_US,
+    EXECUTION_BASE_US,
+    GRAPH_NODE_US,
+    SMALL_MESSAGE_BYTES,
+    CommandCost,
+    max_throughput,
+    payload_cpu,
+    saturation,
+)
 
 #: Shard counts of Figure 9.
 FIGURE9_SHARDS: Tuple[int, ...] = (2, 4, 6)
@@ -64,17 +76,6 @@ def _avg_shards_per_command(num_shards: int) -> float:
     return 2.0 - 1.0 / num_shards
 
 
-def _contention(zipf: float) -> float:
-    """Interpolated contention mass for a zipf exponent."""
-    if zipf in ZIPF_CONTENTION:
-        return ZIPF_CONTENTION[zipf]
-    # Linear interpolation/extrapolation on the two calibrated points.
-    low, high = 0.5, 0.7
-    clow, chigh = ZIPF_CONTENTION[low], ZIPF_CONTENTION[high]
-    slope = (chigh - clow) / (high - low)
-    return max(0.0, clow + slope * (zipf - low))
-
-
 def tempo_partial_throughput(num_shards: int) -> float:
     """Tempo's aggregate throughput over ``num_shards`` shards.
 
@@ -85,9 +86,7 @@ def tempo_partial_throughput(num_shards: int) -> float:
     (zipf) does not matter for Tempo (§3.3).
     """
     config = ProtocolConfig(num_processes=3, faults=1, num_partitions=num_shards)
-    per_shard = max_throughput(
-        "tempo", config=config, payload=PAYLOAD, conflict_rate=0.0
-    )["per_shard_ops_per_second"]
+    per_shard = max_throughput("tempo", config, PAYLOAD, 0.0)["max_ops_per_second"]
     return per_shard * num_shards / _avg_shards_per_command(num_shards)
 
 
@@ -99,35 +98,33 @@ def janus_partial_throughput(num_shards: int, zipf: float, write_ratio: float) -
     executor traverses a dependency graph whose components grow with the
     probability that transactions write conflicting keys.
     """
-    model = CostModel()
     avg_shards = _avg_shards_per_command(num_shards)
     share = avg_shards / num_shards
     # The per-command cost at one replica: protocol CPU for commands
     # touching this shard, scaled by the fraction of system commands that do.
     write_involvement = 1.0 - (1.0 - write_ratio) ** 2
-    contention = _contention(zipf)
-    chain = (1.0 + contention * model.conflict_window * write_involvement) ** 0.5
+    contention = ZIPF_CONTENTION[zipf]
+    chain = (1.0 + contention * CONFLICT_WINDOW * write_involvement) ** 0.5
     execution_us = (
         JANUS_READ_GRAPH_US
-        + model.execution_base_us * write_involvement
-        + model.graph_node_us * (chain - 1.0) * model.conflict_window * contention
+        + EXECUTION_BASE_US * write_involvement
+        + GRAPH_NODE_US * (chain - 1.0) * CONFLICT_WINDOW * contention
     )
     protocol_cpu = (
-        4.0 * model.cpu_per_message_us * share  # pre-accept round at accessed shards
-        + model.cpu_per_message_us  # commit broadcast reaches every replica
-        + model.payload_cpu(PAYLOAD) * share
+        4.0 * CPU_PER_MESSAGE_US * share  # pre-accept round at accessed shards
+        + CPU_PER_MESSAGE_US  # commit broadcast reaches every replica
+        + payload_cpu(PAYLOAD) * share
     )
     cost = CommandCost(
         cpu_micros=protocol_cpu + execution_us,
         execution_micros=execution_us,
-        net_in_bytes=PAYLOAD * share + model.small_message_bytes,
-        net_out_bytes=PAYLOAD * share + model.small_message_bytes,
+        net_in_bytes=PAYLOAD * share + SMALL_MESSAGE_BYTES,
+        net_out_bytes=PAYLOAD * share + SMALL_MESSAGE_BYTES,
     )
-    saturation = ResourceModel(MachineSpec()).saturation(cost)
-    # The saturation above is in system-wide commands/s at one replica; all
+    # The saturation is in system-wide commands/s at one replica; all
     # replicas see every command, so the system rate equals the per-replica
     # rate (no multiplication by shards — the non-genuine penalty).
-    per_replica = saturation.max_commands_per_second
+    per_replica = saturation(cost)["max_ops_per_second"]
     # Shards still help for the shard-local protocol work, which is why
     # Janus* scales sub-linearly rather than not at all.
     return per_replica * (1.0 + 0.55 * (num_shards - 1))

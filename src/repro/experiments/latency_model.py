@@ -3,12 +3,15 @@
 For the uncontended case, the client-observed latency of each protocol is
 determined by wide-area round trips:
 
-* **leaderless protocols** (Tempo, Atlas, EPaxos, Caesar): the co-located
-  coordinator reaches its fast quorum and back — one round trip to the
-  farthest fast-quorum member;
+* **leaderless protocols** (Tempo, Atlas, EPaxos, Caesar, Janus*): the
+  co-located coordinator reaches its fast quorum and back — one round trip
+  to the farthest fast-quorum member;
 * **FPaxos**: the command is forwarded to the leader, the leader reaches its
   phase-2 quorum (``f + 1``), and the decision travels back to the client's
   site.
+
+Quorum sizes come from :func:`repro.experiments.throughput_model.quorum_size`,
+the protocol-to-quorum map the saturation model charges messages by.
 
 The model is used by the load/throughput experiment (Figure 7) to anchor the
 latency axis and by tests as an independent cross-check of the simulator.
@@ -16,71 +19,26 @@ latency axis and by tests as an independent cross-check of the simulator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.simulator.latency import EC2_REGIONS, LatencyMatrix, ec2_latency_matrix
-
-
-def fast_quorum_latency(
-    matrix: LatencyMatrix, site: str, quorum_size: int
-) -> float:
-    """Round trip from ``site`` to its farthest fast-quorum member."""
-    return matrix.quorum_latency(site, quorum_size)
+from repro.core.config import ProtocolConfig
+from repro.experiments.throughput_model import quorum_size
+from repro.simulator.latency import EC2_REGIONS, ec2_latency_matrix
 
 
-def leaderless_site_latency(
-    site: str,
-    quorum_size: int,
-    matrix: Optional[LatencyMatrix] = None,
-    extra_ms: float = 0.0,
-) -> float:
-    """Per-site latency of a leaderless protocol in the uncontended case."""
-    matrix = matrix or ec2_latency_matrix()
-    return fast_quorum_latency(matrix, site, quorum_size) + extra_ms
-
-
-def fpaxos_site_latency(
-    site: str,
-    leader: str,
-    slow_quorum_size: int,
-    matrix: Optional[LatencyMatrix] = None,
-) -> float:
-    """Per-site latency of FPaxos: forward to the leader, leader quorum
-    round trip, decision back to the site."""
-    matrix = matrix or ec2_latency_matrix()
-    forward = matrix.latency(site, leader)
-    quorum = matrix.quorum_latency(leader, slow_quorum_size)
-    back = matrix.latency(leader, site)
-    return forward + quorum + back
-
-
-def per_site_latency(
-    protocol: str,
-    num_sites: int = 5,
-    faults: int = 1,
-    sites: Sequence[str] = EC2_REGIONS,
-    leader: str = "ireland",
-    matrix: Optional[LatencyMatrix] = None,
-) -> Dict[str, float]:
-    """Per-site uncontended latency for one protocol (Figure 5 skeleton)."""
-    sites = list(sites[:num_sites])
-    matrix = matrix or ec2_latency_matrix(sites)
-    majority = num_sites // 2 + 1
-    if protocol == "fpaxos":
-        return {
-            site: fpaxos_site_latency(site, leader, faults + 1, matrix)
-            for site in sites
-        }
-    if protocol in ("tempo", "atlas"):
-        quorum = num_sites // 2 + faults
-    elif protocol == "epaxos":
-        quorum = max((3 * num_sites) // 4, majority)
-    elif protocol == "caesar":
-        quorum = -((-3 * num_sites) // 4)
-    else:
-        raise KeyError(f"unknown protocol {protocol!r}")
+def per_site_latency(protocol: str, config: ProtocolConfig) -> Dict[str, float]:
+    """Per-site uncontended latency of ``protocol`` deployed on the first
+    ``r`` EC2 regions (Figure 5 skeleton); FPaxos leads from the first."""
+    sites = list(EC2_REGIONS[: config.num_processes])
+    matrix = ec2_latency_matrix(sites)
+    quorum = quorum_size(protocol, config)
+    if protocol != "fpaxos":
+        return {site: matrix.quorum_latency(site, quorum) for site in sites}
+    leader = sites[0]
+    leader_quorum = matrix.quorum_latency(leader, quorum)
     return {
-        site: leaderless_site_latency(site, quorum, matrix) for site in sites
+        site: matrix.latency(site, leader) + leader_quorum + matrix.latency(leader, site)
+        for site in sites
     }
 
 

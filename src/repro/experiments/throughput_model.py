@@ -23,78 +23,117 @@ saturates first at the *busiest* process of each protocol:
 
 The model counts, per command, the messages and bytes handled by the
 bottleneck process of each protocol (derived from the protocols' message
-patterns) and converts them into CPU-microseconds and NIC-bytes using a
-small set of calibration constants.  The constants are calibrated once (see
-:class:`CostModel` defaults) so that the 4 KB / 2 %-conflict full-replication
-scenario lands near the paper's absolute numbers; every other scenario —
-other payloads, conflict rates, batching, shard counts — is then *predicted*
-by the model, which is what makes the reproduced trends meaningful.
+patterns) and converts them into CPU-microseconds and NIC-bytes using the
+calibration constants below.  They are calibrated once so that the
+4 KB / 2 %-conflict full-replication scenario lands near the paper's
+absolute numbers; every other scenario — other payloads, conflict rates,
+batching, fig9's shard counts — is then *predicted* by the model, which is
+what makes the reproduced trends meaningful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List
 
 from repro.core.config import ProtocolConfig
-from repro.simulator.resources import CommandCost, MachineSpec, ResourceModel
-from repro.workloads.batching import BatchingModel
+
+# -- calibration: what one message, KiB or command costs ---------------------
+
+#: CPU cost of handling (serialising, dispatching) one protocol message,
+#: excluding payload copying.
+CPU_PER_MESSAGE_US = 3.0
+#: CPU cost per KiB of payload copied in or out.
+CPU_PER_KIB_US = 1.5
+#: Cost of applying one command to the state machine.
+EXECUTION_BASE_US = 4.0
+#: Cost of inserting/traversing one node of the dependency graph
+#: (EPaxos/Atlas/Janus* execution).
+GRAPH_NODE_US = 4.0
+#: Average cost a blocked Caesar command adds on the critical path per
+#: conflicting in-flight command.
+CAESAR_BLOCK_US = 6.0
+#: Cost of Tempo's per-command timestamp/stability bookkeeping.
+TEMPO_STABILITY_US = 8.0
+#: Wire size of acks and other payload-free messages.
+SMALL_MESSAGE_BYTES = 100.0
+#: Commands that can end up in one execution batch of a dependency protocol
+#: (the paper's saturation points sit at a few thousand clients per site).
+CONFLICT_WINDOW = 25.0
+#: In-flight commands a Caesar command can block on.
+CAESAR_CONFLICT_WINDOW = 50.0
+
+# -- the machine: the paper's cluster nodes (§6.2; EC2 c5.2xlarge is alike) --
+
+#: CPU microseconds per second over the 8 hardware threads the protocol uses.
+CPU_BUDGET_US = 8.0 * 1_000_000.0
+#: CPU microseconds per second of the single-threaded execution component.
+EXECUTION_BUDGET_US = 1_000_000.0
+#: A 10 Gbit/s NIC, each direction.
+NIC_BYTES_PER_SECOND = 10e9 / 8.0
 
 
 @dataclass(frozen=True)
-class CostModel:
-    """Calibration constants converting message counts into resource usage.
+class CommandCost:
+    """Resource usage of a single command at the bottleneck process."""
 
-    Attributes:
-        cpu_per_message_us: CPU cost of handling (serialising, dispatching)
-            one protocol message, excluding payload copying.
-        cpu_per_kib_us: CPU cost per KiB of payload copied in or out.
-        execution_base_us: cost of applying one command to the state machine.
-        graph_node_us: cost of inserting/traversing one node of the
-            dependency graph (EPaxos/Atlas/Janus* execution).
-        caesar_block_us: average cost a blocked Caesar command adds on the
-            critical path per conflicting in-flight command.
-        tempo_stability_us: cost of the per-command timestamp/stability
-            bookkeeping in Tempo.
-        small_message_bytes: wire size of acks and other payload-free
-            messages.
-        concurrency: number of in-flight commands per site assumed when
-            estimating dependency-chain lengths (the paper's saturation
-            points sit at a few thousand clients per site).
+    cpu_micros: float
+    execution_micros: float
+    net_in_bytes: float
+    net_out_bytes: float
+
+
+def quorum_size(protocol: str, config: ProtocolConfig) -> int:
+    """Size of the quorum a command's coordinator (FPaxos: the leader)
+    proposes to, itself included."""
+    if protocol in ("tempo", "atlas", "janus"):
+        return config.fast_quorum_size
+    if protocol == "epaxos":
+        return config.epaxos_fast_quorum_size
+    if protocol == "caesar":
+        return config.caesar_fast_quorum_size
+    if protocol == "fpaxos":
+        return config.slow_quorum_size
+    raise KeyError(f"unknown protocol {protocol!r}")
+
+
+def payload_cpu(payload_bytes: float) -> float:
+    """CPU microseconds spent copying ``payload_bytes``."""
+    return CPU_PER_KIB_US * payload_bytes / 1024.0
+
+
+def saturation(cost: CommandCost) -> Dict[str, Any]:
+    """Maximum commands/s sustainable given the per-command cost.
+
+    The limit of each resource is ``budget / per-command usage``; the
+    overall maximum is the smallest of them, reported with the resource
+    that sets it (the bottleneck) and every resource's utilization there.
     """
-
-    cpu_per_message_us: float = 3.0
-    cpu_per_kib_us: float = 1.5
-    execution_base_us: float = 4.0
-    graph_node_us: float = 4.0
-    caesar_block_us: float = 6.0
-    tempo_stability_us: float = 8.0
-    small_message_bytes: float = 100.0
-    conflict_window: float = 25.0
-    caesar_conflict_window: float = 50.0
-
-    def payload_cpu(self, payload_bytes: float) -> float:
-        """CPU microseconds spent copying ``payload_bytes``."""
-        return self.cpu_per_kib_us * payload_bytes / 1024.0
-
-
-
-@dataclass(frozen=True)
-class ProtocolCosts:
-    """Per-command resource usage at the bottleneck process, plus metadata."""
-
-    protocol: str
-    cost: CommandCost
-    bottleneck_hint: str = ""
+    limits: Dict[str, float] = {}
+    if cost.cpu_micros > 0:
+        limits["cpu"] = CPU_BUDGET_US / cost.cpu_micros
+    if cost.execution_micros > 0:
+        limits["execution"] = EXECUTION_BUDGET_US / cost.execution_micros
+    if cost.net_in_bytes > 0:
+        limits["net_in"] = NIC_BYTES_PER_SECOND / cost.net_in_bytes
+    if cost.net_out_bytes > 0:
+        limits["net_out"] = NIC_BYTES_PER_SECOND / cost.net_out_bytes
+    if not limits:
+        raise ValueError("command cost is entirely zero; cannot saturate")
+    bottleneck = min(limits, key=lambda name: limits[name])
+    rate = limits[bottleneck]
+    result: Dict[str, Any] = {"max_ops_per_second": rate, "bottleneck": bottleneck}
+    for name in ("cpu", "execution", "net_in", "net_out"):
+        limit = limits.get(name)
+        result[f"{name}_utilization"] = 0.0 if limit is None else min(1.0, rate / limit)
+    return result
 
 
-def _chain_factor(
-    conflict_rate: float, conflict_window: float, quorum_factor: float = 1.0
-) -> float:
+def _chain_factor(conflict_rate: float, quorum_factor: float) -> float:
     """Expected dependency-chain/SCC blow-up factor for dependency-based
     protocols.
 
-    With a window of ``conflict_window`` commands that can end up in the
+    With a window of ``CONFLICT_WINDOW`` commands that can end up in the
     same execution batch and conflict rate ``rho``, a conflicting command
     drags roughly ``rho * window`` other commands into its strongly
     connected component, and larger fast quorums (``quorum_factor > 1``,
@@ -104,56 +143,40 @@ def _chain_factor(
     matching the measured 36-48 % throughput drop of Atlas between 2 % and
     10 % conflicts rather than a collapse.
     """
-    expected_component = 1.0 + conflict_rate * conflict_window * quorum_factor
+    expected_component = 1.0 + conflict_rate * CONFLICT_WINDOW * quorum_factor
     return expected_component ** 0.5
 
 
-def fpaxos_costs(
-    config: ProtocolConfig,
-    payload: float,
-    model: CostModel,
-    batch: float = 1.0,
-) -> ProtocolCosts:
+def fpaxos_costs(config: ProtocolConfig, payload: float, batch: float) -> CommandCost:
     """Per-command cost at the FPaxos *leader* (the bottleneck process)."""
     r = config.num_processes
-    f = config.faults
+    accepts = quorum_size("fpaxos", config) - 1
     # Messages at the leader per command: forwarded submission in, f phase-2
     # accepts out, f accepted in, r-1 decided out (plus the client reply).
-    messages = (1 + f + f + (r - 1) + 1) / batch
+    messages = (1 + accepts + accepts + (r - 1) + 1) / batch
     # Payload copies at the leader: command in, f accepts out, r-1 decided out.
     payload_in = payload
-    payload_out = payload * (f + (r - 1))
+    payload_out = payload * (accepts + (r - 1))
     # The leader's ordering thread is single-threaded in the reference
     # implementation: it handles the forwarded command, the quorum replies
     # and the decision broadcast serially (§6.3 "the bottleneck shifts to
     # the leader thread").
-    leader_thread = (3 + f) * model.cpu_per_message_us / batch + model.execution_base_us
+    leader_thread = (3 + accepts) * CPU_PER_MESSAGE_US / batch + EXECUTION_BASE_US
     cpu = (
-        messages * model.cpu_per_message_us
-        + model.payload_cpu(payload_in + payload_out)
-        + model.execution_base_us
+        messages * CPU_PER_MESSAGE_US
+        + payload_cpu(payload_in + payload_out)
+        + EXECUTION_BASE_US
     )
-    small_wire = model.small_message_bytes
-    net_in = payload_in + (f + 1) * small_wire / batch
-    net_out = payload_out + (r - 1) * small_wire / batch
-    return ProtocolCosts(
-        protocol="fpaxos",
-        cost=CommandCost(
-            cpu_micros=cpu,
-            execution_micros=leader_thread,
-            net_in_bytes=net_in,
-            net_out_bytes=net_out,
-        ),
-        bottleneck_hint="leader thread or leader outbound NIC",
+    return CommandCost(
+        cpu_micros=cpu,
+        execution_micros=leader_thread,
+        net_in_bytes=payload_in + (accepts + 1) * SMALL_MESSAGE_BYTES / batch,
+        net_out_bytes=payload_out + (r - 1) * SMALL_MESSAGE_BYTES / batch,
     )
 
 
 def _leaderless_shared_costs(
-    config: ProtocolConfig,
-    payload: float,
-    model: CostModel,
-    fast_quorum: int,
-    batch: float = 1.0,
+    config: ProtocolConfig, payload: float, fast_quorum: int, batch: float
 ) -> CommandCost:
     """Average per-command cost at one replica of a leaderless protocol.
 
@@ -174,30 +197,16 @@ def _leaderless_shared_costs(
     ) / batch
     payload_out = coordinator_share * payload * (r - 1)
     payload_in = payload  # every replica receives each command's payload once
-    cpu = (
-        messages * model.cpu_per_message_us
-        + model.payload_cpu(payload_in + payload_out)
-    )
-    small_wire = model.small_message_bytes
-    net_in = payload_in + member_msgs * small_wire / batch
-    net_out = payload_out + (
-        coordinator_share * (r - 1) + 1
-    ) * small_wire / batch
     return CommandCost(
-        cpu_micros=cpu,
+        cpu_micros=messages * CPU_PER_MESSAGE_US + payload_cpu(payload_in + payload_out),
         execution_micros=0.0,
-        net_in_bytes=net_in,
-        net_out_bytes=net_out,
+        net_in_bytes=payload_in + member_msgs * SMALL_MESSAGE_BYTES / batch,
+        net_out_bytes=payload_out
+        + (coordinator_share * (r - 1) + 1) * SMALL_MESSAGE_BYTES / batch,
     )
 
 
-def tempo_costs(
-    config: ProtocolConfig,
-    payload: float,
-    model: CostModel,
-    conflict_rate: float = 0.02,
-    batch: float = 1.0,
-) -> ProtocolCosts:
+def tempo_costs(config: ProtocolConfig, payload: float, batch: float) -> CommandCost:
     """Per-command cost at a Tempo replica.
 
     Tempo's execution is a timestamp sort plus bookkeeping of promises;
@@ -206,60 +215,39 @@ def tempo_costs(
     than to a single execution thread.
     """
     shared = _leaderless_shared_costs(
-        config, payload, model, config.fast_quorum_size, batch
+        config, payload, quorum_size("tempo", config), batch
     )
     # Per-command work that batching cannot amortise: applying the command
     # plus the promise/stability bookkeeping of the timestamp executor.
-    per_command = model.execution_base_us + model.tempo_stability_us
-    cpu = shared.cpu_micros + per_command
-    return ProtocolCosts(
-        protocol="tempo",
-        cost=replace(shared, cpu_micros=cpu, execution_micros=0.0),
-        bottleneck_hint="balanced CPU",
-    )
+    per_command = EXECUTION_BASE_US + TEMPO_STABILITY_US
+    return replace(shared, cpu_micros=shared.cpu_micros + per_command)
 
 
 def dependency_costs(
     protocol: str,
     config: ProtocolConfig,
     payload: float,
-    model: CostModel,
-    conflict_rate: float = 0.02,
-    write_ratio: float = 1.0,
-    batch: float = 1.0,
-) -> ProtocolCosts:
+    conflict_rate: float,
+    batch: float,
+) -> CommandCost:
     """Per-command cost at an EPaxos/Atlas/Janus* replica.
 
     The single-threaded dependency-graph execution is the bottleneck; its
     per-command cost grows with the expected component size, which itself
-    grows with the conflict rate (and with the write ratio, since reads only
-    depend on writes).
+    grows with the conflict rate.
     """
-    fast_quorum = (
-        config.epaxos_fast_quorum_size if protocol == "epaxos" else config.fast_quorum_size
-    )
-    shared = _leaderless_shared_costs(config, payload, model, fast_quorum, batch)
-    # Reads only depend on writes (§3.3), so the effective conflict rate for
-    # the dependency graph scales with the write ratio of the workload.
-    effective_conflicts = conflict_rate * max(write_ratio, 0.0)
-    quorum_factor = fast_quorum / config.majority
-    chain = _chain_factor(effective_conflicts, model.conflict_window, quorum_factor)
-    execution = model.execution_base_us + model.graph_node_us * chain
-    cpu = shared.cpu_micros + execution
-    return ProtocolCosts(
-        protocol=protocol,
-        cost=replace(shared, cpu_micros=cpu, execution_micros=execution),
-        bottleneck_hint="single-threaded dependency-graph execution",
+    fast_quorum = quorum_size(protocol, config)
+    shared = _leaderless_shared_costs(config, payload, fast_quorum, batch)
+    chain = _chain_factor(conflict_rate, fast_quorum / config.majority)
+    execution = EXECUTION_BASE_US + GRAPH_NODE_US * chain
+    return replace(
+        shared, cpu_micros=shared.cpu_micros + execution, execution_micros=execution
     )
 
 
 def caesar_costs(
-    config: ProtocolConfig,
-    payload: float,
-    model: CostModel,
-    conflict_rate: float = 0.02,
-    batch: float = 1.0,
-) -> ProtocolCosts:
+    config: ProtocolConfig, payload: float, conflict_rate: float, batch: float
+) -> CommandCost:
     """Per-command cost at a Caesar replica.
 
     Besides graph-style bookkeeping, the wait condition serialises the
@@ -267,15 +255,12 @@ def caesar_costs(
     adds critical-path work before the reply can be sent.
     """
     shared = _leaderless_shared_costs(
-        config, payload, model, config.caesar_fast_quorum_size, batch
+        config, payload, quorum_size("caesar", config), batch
     )
-    blocked = conflict_rate * model.caesar_conflict_window
-    execution = model.execution_base_us + model.caesar_block_us * max(1.0, blocked)
-    cpu = shared.cpu_micros + execution
-    return ProtocolCosts(
-        protocol="caesar",
-        cost=replace(shared, cpu_micros=cpu, execution_micros=execution),
-        bottleneck_hint="wait-condition blocking + execution",
+    blocked = conflict_rate * CAESAR_CONFLICT_WINDOW
+    execution = EXECUTION_BASE_US + CAESAR_BLOCK_US * max(1.0, blocked)
+    return replace(
+        shared, cpu_micros=shared.cpu_micros + execution, execution_micros=execution
     )
 
 
@@ -283,100 +268,48 @@ def protocol_costs(
     protocol: str,
     config: ProtocolConfig,
     payload: float,
-    model: Optional[CostModel] = None,
-    conflict_rate: float = 0.02,
-    write_ratio: float = 1.0,
-    batch: float = 1.0,
-) -> ProtocolCosts:
-    """Dispatch to the per-protocol cost function."""
-    model = model or CostModel()
+    conflict_rate: float,
+    batch: float,
+) -> CommandCost:
+    """Dispatch to the per-protocol cost function.
+
+    ``batch`` commands share each protocol message (Figure 8): per-command
+    message CPU and header bytes shrink by that factor, payload bytes and
+    per-command execution do not.
+    """
     if protocol == "fpaxos":
-        return fpaxos_costs(config, payload, model, batch)
+        return fpaxos_costs(config, payload, batch)
     if protocol == "tempo":
-        return tempo_costs(config, payload, model, conflict_rate, batch)
+        return tempo_costs(config, payload, batch)
     if protocol == "caesar":
-        return caesar_costs(config, payload, model, conflict_rate, batch)
+        return caesar_costs(config, payload, conflict_rate, batch)
     if protocol in ("epaxos", "atlas", "janus"):
-        return dependency_costs(
-            protocol, config, payload, model, conflict_rate, write_ratio, batch
-        )
+        return dependency_costs(protocol, config, payload, conflict_rate, batch)
     raise KeyError(f"unknown protocol {protocol!r}")
 
 
 def max_throughput(
     protocol: str,
-    config: Optional[ProtocolConfig] = None,
-    payload: float = 4096.0,
-    conflict_rate: float = 0.02,
-    write_ratio: float = 1.0,
-    machine: Optional[MachineSpec] = None,
-    model: Optional[CostModel] = None,
-    batching: Optional[BatchingModel] = None,
-    num_shards: int = 1,
-) -> Dict[str, float]:
-    """Maximum system throughput (commands/s) for a protocol and scenario.
-
-    For partial replication (``num_shards > 1``) the per-shard saturation is
-    multiplied by the number of shards for genuine protocols (Tempo), since
-    shards proceed independently; for Janus* the cross-shard dependency graph
-    couples the shards, so the aggregate scales with the *square root* of the
-    shard count under contention (empirically matching the paper's sub-linear
-    Janus* scaling) and the per-command execution is charged the full
-    cross-shard graph cost.
-    """
-    config = config or ProtocolConfig(num_processes=3, faults=1)
-    machine = machine or MachineSpec()
-    model = model or CostModel()
-    batch = batching.amortization_factor() if batching is not None else 1.0
-    costs = protocol_costs(
-        protocol, config, payload, model, conflict_rate, write_ratio, batch
-    )
-    machine_for_protocol = machine
-    if protocol == "tempo":
-        # Tempo's executor parallelises across partitions/keys.
-        machine_for_protocol = replace(machine, execution_threads=machine.cores / 2)
-    saturation = ResourceModel(machine_for_protocol).saturation(costs.cost)
-    per_shard = saturation.max_commands_per_second
-    if num_shards <= 1:
-        total = per_shard
-    elif protocol in ("tempo",):
-        total = per_shard * num_shards
-    else:
-        # Non-genuine protocols pay cross-shard coordination; scaling is
-        # sub-linear in the number of shards.
-        total = per_shard * (num_shards ** 0.75)
-    return {
-        "protocol": protocol,
-        "max_ops_per_second": total,
-        "per_shard_ops_per_second": per_shard,
-        "bottleneck": saturation.bottleneck,
-        "cpu_utilization": saturation.utilization_at_saturation.get("cpu", 0.0),
-        "execution_utilization": saturation.utilization_at_saturation.get(
-            "execution", 0.0
-        ),
-        "net_out_utilization": saturation.utilization_at_saturation.get("net_out", 0.0),
-    }
+    config: ProtocolConfig,
+    payload: float,
+    conflict_rate: float,
+    batch: float = 1.0,
+) -> Dict[str, Any]:
+    """Maximum system throughput (commands/s) of a full-replication
+    deployment, with its bottleneck and utilizations (:func:`saturation`)."""
+    return saturation(protocol_costs(protocol, config, payload, conflict_rate, batch))
 
 
 def utilization_heatmap(
     protocols: List[str],
-    config: Optional[ProtocolConfig] = None,
-    payload: float = 4096.0,
-    conflict_rate: float = 0.02,
-    machine: Optional[MachineSpec] = None,
-    model: Optional[CostModel] = None,
-) -> List[Dict[str, float]]:
+    config: ProtocolConfig,
+    payload: float,
+    conflict_rate: float,
+) -> List[Dict[str, object]]:
     """Hardware-utilization heatmap at saturation (bottom of Figure 7)."""
-    rows: List[Dict[str, float]] = []
+    rows: List[Dict[str, object]] = []
     for protocol in protocols:
-        result = max_throughput(
-            protocol,
-            config=config,
-            payload=payload,
-            conflict_rate=conflict_rate,
-            machine=machine,
-            model=model,
-        )
+        result = max_throughput(protocol, config, payload, conflict_rate)
         rows.append(
             {
                 "protocol": protocol,

@@ -24,8 +24,9 @@ class EPaxosProcess(DependencyProtocolProcess):
     name = "epaxos"
 
     def fast_quorum_size(self) -> int:
-        """EPaxos fast quorums contain ``floor(3r/4)`` processes."""
-        return max(self.config.epaxos_fast_quorum_size, self.config.majority)
+        """EPaxos fast quorums contain ``floor(3r/4)`` processes, at least
+        a majority."""
+        return self.config.epaxos_fast_quorum_size
 
     def slow_quorum_size(self) -> int:
         """The slow path uses a simple majority."""

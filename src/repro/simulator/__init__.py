@@ -8,8 +8,7 @@ crashes, and closed-loop clients.
 The simulator corresponds to the paper's "simulator" execution mode: it
 computes observed client latency in a given wide-area configuration while
 disregarding CPU and network bandwidth bottlenecks (those are modelled
-separately by :mod:`repro.experiments.throughput_model` /
-:mod:`repro.simulator.resources`).
+separately, analytically, by :mod:`repro.experiments.throughput_model`).
 """
 
 from repro.simulator.events import Event, EventKind, EventQueue

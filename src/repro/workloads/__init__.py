@@ -2,10 +2,8 @@
 
 from repro.workloads.micro import MicroWorkload
 from repro.workloads.ycsbt import YcsbTWorkload
-from repro.workloads.batching import BatchingModel
 
 __all__ = [
-    "BatchingModel",
     "MicroWorkload",
     "YcsbTWorkload",
 ]

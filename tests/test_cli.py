@@ -25,6 +25,17 @@ FAST_GOLDENS = (
 )
 
 
+def _table(text):
+    """The rows of a table ``format_table`` printed under a title line."""
+    header, _, *rows = text.splitlines()[1:]
+    columns = [cell.strip() for cell in header.split("|")]
+    return [dict(zip(columns, (cell.strip() for cell in row.split("|")))) for row in rows]
+
+
+with open(os.path.join(RESULTS_DIR, "fig7_saturation.txt"), encoding="utf-8") as _handle:
+    FIG7_SATURATION_ROWS = _table(_handle.read())
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -58,6 +69,21 @@ class TestCommands:
         assert main(["throughput", "--protocol", "atlas", "--conflict", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "atlas" in out and "execution" in out
+
+    @pytest.mark.parametrize(
+        "row",
+        FIG7_SATURATION_ROWS,
+        ids=lambda row: f"{row['protocol'].replace(' f=', '-f')}@{row['conflict_rate']}",
+    )
+    def test_throughput_prints_the_fig7_ceiling(self, capsys, row):
+        """``repro throughput`` and the fig7 golden are one model."""
+        protocol, faults = row["protocol"].split(" f=")
+        argv = ["throughput", "--protocol", protocol, "--faults", faults,
+                "--conflict", row["conflict_rate"]]
+        assert main(argv) == 0
+        (printed,) = _table(capsys.readouterr().out)
+        assert printed["max_kops"] == row["max_kops"]
+        assert printed["bottleneck"] == row["bottleneck"]
 
     @pytest.mark.parametrize("name", FAST_GOLDENS)
     def test_figure_prints_its_golden(self, capsys, name):

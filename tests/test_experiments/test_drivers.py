@@ -114,11 +114,6 @@ class TestFigure9Driver:
         assert fig9_partial._avg_shards_per_command(2) == pytest.approx(1.5)
         assert fig9_partial._avg_shards_per_command(6) == pytest.approx(2 - 1 / 6)
 
-    def test_contention_interpolation(self):
-        assert fig9_partial._contention(0.5) == 0.06
-        assert fig9_partial._contention(0.7) == 0.22
-        assert 0.06 < fig9_partial._contention(0.6) < 0.22
-
 
 class TestPathologicalDriver:
     def test_tempo_progresses_while_others_stall(self):

@@ -1,4 +1,4 @@
-"""Tests for the microbenchmark, YCSB+T and batching workloads."""
+"""Tests for the microbenchmark and YCSB+T workloads."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.kvstore.sharding import ShardMap
 from repro.simulator.rng import SeededRng
-from repro.workloads.batching import BatchingModel
 from repro.workloads.micro import MicroWorkload
 from repro.workloads.ycsbt import YcsbTWorkload
 
@@ -91,20 +90,3 @@ class TestYcsbT:
     def test_write_ratio_validation(self):
         with pytest.raises(ValueError):
             YcsbTWorkload(client_id=1, shard_map=ShardMap(2), write_ratio=1.5)
-
-
-class TestBatchingModel:
-    def test_disabled_model_has_no_amortization(self):
-        assert BatchingModel(False).amortization_factor() == 1.0
-
-    def test_enabled_model_caps_at_expected_batch_size(self):
-        assert BatchingModel(True, expected_batch_size=105).amortization_factor() == 105.0
-
-    def test_low_offered_rate_limits_batch_size(self):
-        model = BatchingModel(True, expected_batch_size=105)
-        # 1000 ops/s -> 5 commands per 5ms window.
-        assert model.effective_batch(1000.0) == pytest.approx(5.0)
-
-    def test_batch_size_never_below_one(self):
-        model = BatchingModel(True)
-        assert model.effective_batch(10.0) == 1.0
