@@ -30,7 +30,7 @@ from repro.kvstore.sharding import ShardMap
 from repro.reliability import RetransmitBuffer
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.throughput import ThroughputTracker
-from repro.simulator.latency import ec2_latency_matrix
+from repro.simulator.latency import DEFAULT_LOCAL_LATENCY, ec2_latency_matrix
 from repro.simulator.network import Network
 from repro.simulator.rng import SeededRng
 from repro.simulator.sim import Simulation, SimulationOptions
@@ -49,7 +49,6 @@ class ExperimentResult:
     completed: int
     submitted: int
     per_site_throughput: Dict[str, float] = field(default_factory=dict)
-    fast_path_ratio: Optional[float] = None
     stats: Dict[str, float] = field(default_factory=dict)
     #: The deployment the run executed on (processes, network, stores),
     #: kept so tests can assert on internal protocol state post-run.
@@ -179,10 +178,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 client_id=client.client_id,
                 read_only=is_read,
             )
-            # Client -> co-located replica delay is the local (intra-site)
-            # latency of the network.
-            delay = deployment.network.options.local_latency_ms
-            simulation.submit_at(now + delay, target.process_id, command)
+            # Client -> co-located replica delay is the intra-site latency.
+            simulation.submit_at(
+                now + DEFAULT_LOCAL_LATENCY, target.process_id, command
+            )
             if recorder is not None:
                 recorder.note_submit(command.dot, keys, now)
             return command

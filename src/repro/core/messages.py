@@ -1,13 +1,14 @@
 """Tempo protocol messages.
 
-Every message of Algorithms 1-6 is a frozen dataclass that declares itself
-once, in a :func:`~repro.core.wireschema.wire_schema` decorator giving its
-append-only kind byte and then ``(field name, field type)`` in dataclass
-order.  From that one declaration :mod:`repro.wire.codecs` registers the
-kind and the decorator generates the body codec :mod:`repro.wire` frames and
-``size_bytes()`` — the exact length of the encoded frame, which is what
-the resource/throughput model charges against the NIC budget — so the
-accounted size and the shipped bytes cannot disagree.
+Every message of Algorithms 1-6 is a frozen dataclass that is its own wire
+declaration: a :func:`~repro.core.wireschema.wire_schema` decorator gives
+its append-only kind byte, and each field's annotation names its wire type
+(``timestamp: Svarint``).  From the class :mod:`repro.wire.codecs`
+registers the kind and the decorator generates the body codec
+:mod:`repro.wire` frames and ``size_bytes()`` — the exact length of the
+encoded frame, which is what the resource/throughput model charges against
+the NIC budget — so the accounted size and the shipped bytes cannot
+disagree.
 
 Naming follows the paper: ``MSubmit``, ``MPropose``, ``MProposeAck``,
 ``MPayload``, ``MCommit``, ``MConsensus``, ``MConsensusAck``, ``MBump``,
@@ -20,23 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, Mapping, Optional, Tuple
 
-from repro.core.commands import Command
-from repro.core.identifiers import Dot
-from repro.core.phases import Phase
-from repro.core.promises import PromiseRangeWire
 from repro.core.wireschema import (
-    ATTACHED_MAP,
-    CLOCK_MAP,
-    COMMAND,
-    PHASE,
-    PROMISE_RANGE_MAP,
-    QUORUM_MAP,
-    RESULT,
-    SVARINT,
-    TIMESTAMP_MAP,
-    UVARINT,
+    AttachedMap,
+    ClockMap,
+    PhaseByte,
+    PromiseRanges,
+    QuorumMap,
+    ReplyResult,
+    Svarint,
+    TimestampMap,
+    Uvarint,
+    WireCommand,
+    WireDot,
     wire_schema,
 )
 
@@ -45,13 +42,13 @@ from repro.core.wireschema import (
 class Message:
     """Base class for all protocol messages.
 
-    A concrete kind declares itself once, with :func:`wire_schema`: its
-    append-only kind byte and its fields, from which ``size_bytes()`` — the
-    exact serialized frame size used by the resource model — and the body
-    codec are generated.
+    A concrete kind declares itself once, on its class: :func:`wire_schema`
+    names its append-only kind byte, the annotations its fields' wire
+    types, from which ``size_bytes()`` — the exact serialized frame size
+    used by the resource model — and the body codec are generated.
     """
 
-    dot: Dot
+    dot: WireDot
 
     def wire_size(self) -> int:
         """:meth:`size_bytes` memoised per instance.
@@ -72,29 +69,26 @@ class Message:
         return type(self).__name__
 
 
-@wire_schema(1, ("command", COMMAND), ("quorums", QUORUM_MAP))
+@wire_schema(1)
 @dataclass(frozen=True)
 class MSubmit(Message):
     """Client-facing submission forwarded to the per-partition coordinators."""
 
-    command: Command
-    quorums: Mapping[int, Tuple[int, ...]] = field(default_factory=dict)
+    command: WireCommand
+    quorums: QuorumMap = field(default_factory=dict)
 
 
-@wire_schema(
-    2,
-    ("command", COMMAND), ("quorums", QUORUM_MAP), ("timestamp", SVARINT)
-)
+@wire_schema(2)
 @dataclass(frozen=True)
 class MPropose(Message):
     """Coordinator -> fast quorum: carry the payload and a timestamp proposal."""
 
-    command: Command
-    quorums: Mapping[int, Tuple[int, ...]]
-    timestamp: int
+    command: WireCommand
+    quorums: QuorumMap
+    timestamp: Svarint
 
 
-@wire_schema(3, ("timestamp", SVARINT), ("detached", PROMISE_RANGE_MAP))
+@wire_schema(3)
 @dataclass(frozen=True)
 class MProposeAck(Message):
     """Fast-quorum process -> coordinator: timestamp proposal (plus the
@@ -107,26 +101,20 @@ class MProposeAck(Message):
     carries ``{sender: ((lo, hi),)}``.
     """
 
-    timestamp: int
-    detached: PromiseRangeWire = field(default_factory=dict)
+    timestamp: Svarint
+    detached: PromiseRanges = field(default_factory=dict)
 
 
-@wire_schema(4, ("command", COMMAND), ("quorums", QUORUM_MAP))
+@wire_schema(4)
 @dataclass(frozen=True)
 class MPayload(Message):
     """Coordinator -> processes outside the fast quorum: payload only."""
 
-    command: Command
-    quorums: Mapping[int, Tuple[int, ...]]
+    command: WireCommand
+    quorums: QuorumMap
 
 
-@wire_schema(
-    5,
-    ("timestamp", SVARINT),
-    ("partition", UVARINT),
-    ("attached", TIMESTAMP_MAP),
-    ("detached", PROMISE_RANGE_MAP),
-)
+@wire_schema(5)
 @dataclass(frozen=True)
 class MCommit(Message):
     """Commit notification with the (per-partition) committed timestamp.
@@ -138,39 +126,39 @@ class MCommit(Message):
     (``PromiseRangeWire``).
     """
 
-    timestamp: int
-    partition: int = 0
-    attached: Mapping[int, int] = field(default_factory=dict)
-    detached: PromiseRangeWire = field(default_factory=dict)
+    timestamp: Svarint
+    partition: Uvarint = 0
+    attached: TimestampMap = field(default_factory=dict)
+    detached: PromiseRanges = field(default_factory=dict)
 
 
-@wire_schema(6, ("timestamp", SVARINT), ("ballot", SVARINT))
+@wire_schema(6)
 @dataclass(frozen=True)
 class MConsensus(Message):
     """Flexible-Paxos phase-2 message on the slow path / during recovery."""
 
-    timestamp: int
-    ballot: int
+    timestamp: Svarint
+    ballot: Svarint
 
 
-@wire_schema(7, ("ballot", SVARINT))
+@wire_schema(7)
 @dataclass(frozen=True)
 class MConsensusAck(Message):
     """Acceptance of an :class:`MConsensus` proposal."""
 
-    ballot: int
+    ballot: Svarint
 
 
-@wire_schema(8, ("timestamp", SVARINT))
+@wire_schema(8)
 @dataclass(frozen=True)
 class MBump(Message):
     """Fast-quorum process -> co-located replicas of the other partitions:
     bump their clocks to this proposal (multi-partition optimisation, §4)."""
 
-    timestamp: int
+    timestamp: Svarint
 
 
-@wire_schema(9, ("detached", PROMISE_RANGE_MAP), ("attached", ATTACHED_MAP))
+@wire_schema(9)
 @dataclass(frozen=True)
 class MPromises(Message):
     """Periodic broadcast of issued promises (Algorithm 2, line 45).
@@ -186,51 +174,45 @@ class MPromises(Message):
     carries ``(lo, hi)`` intervals straight from the sender's tracker.
     """
 
-    detached: PromiseRangeWire = field(default_factory=dict)
-    attached: Mapping[Dot, Tuple[int, ...]] = field(default_factory=dict)
+    detached: PromiseRanges = field(default_factory=dict)
+    attached: AttachedMap = field(default_factory=dict)
 
 
-@wire_schema(10, ("partition", UVARINT))
+@wire_schema(10)
 @dataclass(frozen=True)
 class MStable(Message):
     """Per-partition stability notification for a multi-partition command."""
 
-    partition: int = 0
+    partition: Uvarint = 0
 
 
-@wire_schema(11, ("ballot", SVARINT))
+@wire_schema(11)
 @dataclass(frozen=True)
 class MRec(Message):
     """Recovery phase-1 message (Algorithm 4)."""
 
-    ballot: int
+    ballot: Svarint
 
 
-@wire_schema(
-    12,
-    ("timestamp", SVARINT),
-    ("phase", PHASE),
-    ("accepted_ballot", SVARINT),
-    ("ballot", SVARINT),
-)
+@wire_schema(12)
 @dataclass(frozen=True)
 class MRecAck(Message):
     """Reply to :class:`MRec` carrying the local timestamp, phase and the
     ballot at which a consensus value was last accepted."""
 
-    timestamp: int
-    phase: Phase
-    accepted_ballot: int
-    ballot: int
+    timestamp: Svarint
+    phase: PhaseByte
+    accepted_ballot: Svarint
+    ballot: Svarint
 
 
-@wire_schema(13, ("ballot", SVARINT))
+@wire_schema(13)
 @dataclass(frozen=True)
 class MRecNAck(Message):
     """Negative acknowledgement telling the recovering leader to retry with a
     higher ballot (Algorithm 6, liveness mechanism)."""
 
-    ballot: int
+    ballot: Svarint
 
 
 @wire_schema(14)
@@ -240,7 +222,7 @@ class MCommitRequest(Message):
     and commit information (Algorithm 6, liveness mechanism)."""
 
 
-@wire_schema(33, ("clock", CLOCK_MAP))
+@wire_schema(33)
 @dataclass(frozen=True)
 class MExecutedClock(Message):
     """Periodic globally-executed watermark exchange (epoch-2 GC).
@@ -259,10 +241,10 @@ class MExecutedClock(Message):
     sentinel, as in :class:`MPromises`.
     """
 
-    clock: Mapping[int, int] = field(default_factory=dict)
+    clock: ClockMap = field(default_factory=dict)
 
 
-@wire_schema(34, ("kind_id", UVARINT), ("epoch", UVARINT))
+@wire_schema(34)
 @dataclass(frozen=True)
 class MDeliveryAck(Message):
     """Acknowledge delivery of one tracked critical message.
@@ -275,8 +257,8 @@ class MDeliveryAck(Message):
     epoch (acks from before a restart are stale).
     """
 
-    kind_id: int = 0
-    epoch: int = 0
+    kind_id: Uvarint = 0
+    epoch: Uvarint = 0
 
 
 class Need(IntEnum):
@@ -287,7 +269,7 @@ class Need(IntEnum):
     STABLE = 2
 
 
-@wire_schema(36, ("need", UVARINT), ("frontier", UVARINT))
+@wire_schema(36)
 @dataclass(frozen=True)
 class MRepairRequest(Message):
     """Ask a peer for the ingredient ``dot`` is missing at the requester.
@@ -306,13 +288,13 @@ class MRepairRequest(Message):
     commands attached above it.  Tempo's other requests leave ``frontier`` 0.
     """
 
-    need: int
-    frontier: int = 0
+    need: Uvarint
+    frontier: Uvarint = 0
 
 
-@wire_schema(16, ("result", RESULT))
+@wire_schema(16)
 @dataclass(frozen=True)
 class ClientReply(Message):
     """Process -> client: the command was executed; return values omitted."""
 
-    result: Optional[Dict[str, Optional[str]]] = None
+    result: ReplyResult = None

@@ -280,7 +280,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
     def _on_payload(self, sender: int, message: MPayload, now: float) -> None:
         """Store the payload of a command outside the fast quorum (line 9)."""
         if self._store(message, Phase.PAYLOAD, now) is not None:
-            self._maybe_commit(message.dot, now)
+            self._maybe_commit(message.dot)
 
     def _on_propose(self, sender: int, message: MPropose, now: float) -> None:
         """Compute a timestamp proposal as a fast-quorum member (line 12)."""
@@ -395,7 +395,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         )
         if first:
             self._broadcast_commit(dot, record, timestamp, now, fast=True)
-        self._maybe_commit(dot, now)
+        self._maybe_commit(dot)
 
     def _broadcast_commit(
         self,
@@ -497,9 +497,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             record.partition_commits.get(message.partition, 0), message.timestamp
         )
         self.order.absorb_piggyback(dot, message.attached, message.detached)
-        self._maybe_commit(dot, now)
+        self._maybe_commit(dot)
 
-    def _maybe_commit(self, dot: Dot, now: float) -> None:
+    def _maybe_commit(self, dot: Dot) -> None:
         """Move ``dot`` to the commit phase once every accessed partition has
         reported a committed timestamp (Algorithm 3, line 56)."""
         record = self._info.get(dot)
@@ -527,27 +527,19 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         self._blocked[Need.COMMIT].pop(dot, None)
         self.order.commit(dot, final)
         # The piggybacked promises typically make it stable at once: check
-        # within this step instead of waiting for the next tick.
-        self._schedule_stability_check(now)
+        # when this delivery scope closes instead of waiting for the next tick.
+        self._stability_dirty = True
 
     # ------------------------------------------------------------------ execution protocol
 
-    def _schedule_stability_check(self, now: float) -> None:
-        """Run a stability check once per delivery scope.
-
-        Inside a delivery scope (``_step_depth > 0``) the check is deferred
-        to the scope's :meth:`_flush_step`, coalescing the per-message
-        reactive work of an ``MBatch`` into one check at the same simulated
-        instant; outside a scope (tests driving ``on_message`` directly) it
-        runs immediately, preserving the historical behaviour.
-        """
-        if self._step_depth:
-            self._stability_dirty = True
-        else:
-            self.stability_check(now)
-
     def _flush_step(self, now: float) -> None:
-        """Batch-delivery scope hook: one stability pass per delivered batch."""
+        """Batch-delivery scope hook: one stability pass per delivered batch.
+
+        Every handler that may make a timestamp stable (a commit, absorbed
+        promises, an ``MStable``) only marks the scope dirty; the check runs
+        here, once, when the outermost :meth:`deliver` unwinds — at the same
+        simulated instant, coalescing the per-message work of an ``MBatch``.
+        """
         if self._stability_dirty:
             self._stability_dirty = False
             self._execute_dirty = False
@@ -575,7 +567,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             ):
                 self._commit_requested.add(dot)
                 self.send(self._other_peers, MCommitRequest(dot), now)
-        self._schedule_stability_check(now)
+        self._stability_dirty = True
 
     def _on_commit_request(self, sender: int, message: Message, now: float) -> None:
         """Re-send payload and commit information (Algorithm 6, line 86)."""
@@ -594,9 +586,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
     def _on_stable(self, sender: int, message: MStable, now: float) -> None:
         """Record a per-partition stability notification (Algorithm 6).
 
-        Inside a delivery scope the execution attempt is deferred to the
-        scope's flush, so a batch of MStables costs one heap scan instead of
-        one per notification; execution still happens within this very
+        The execution attempt is deferred to the delivery scope's flush, so
+        a batch of MStables costs one heap scan instead of one per
+        notification; execution still happens within this very
         event-handling step, in ``(timestamp, id)`` order, at the same
         simulated instant.
         """
@@ -610,10 +602,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         if record.phase is Phase.EXECUTE:
             return  # late duplicate: executed here, its stable set released
         record.stable_from.add(message.partition)
-        if self._step_depth:
-            self._execute_dirty = True
-        else:
-            self._try_execute(now)
+        self._execute_dirty = True
 
     def broadcast_promises(self, now: float = 0.0) -> None:
         """Broadcast newly issued promises to the partition (line 44)."""

@@ -1,20 +1,24 @@
 """The wire schema: varint primitives, field types and the per-kind generator.
 
-This is the single source of the wire layout.  A message class declares its
-body once, next to its dataclass fields::
+This is the single source of the wire layout.  A message class is its own
+declaration: the decorator names its append-only kind byte, and each field's
+annotation names its wire type::
 
-    @wire_schema(6, ("timestamp", SVARINT), ("ballot", SVARINT))
+    @wire_schema(6)
     @dataclass(frozen=True)
     class MConsensus(Message):
-        timestamp: int
-        ballot: int
+        timestamp: Svarint
+        ballot: Svarint
 
-— its append-only kind byte, then its fields — and :func:`wire_schema`
+:func:`wire_schema` reads the field types from the annotations and
 generates, at class-definition time, the body encoder, the body decoder and
-``size_bytes()`` from that one declaration
-(generated source, the way ``dataclasses`` builds ``__init__``).  A *field
-type* is one object holding ``write(buf, value)``, ``read(reader)`` and
-``size(value)`` side by side, so the three views of a layout cannot drift.
+``size_bytes()`` (generated source, the way ``dataclasses`` builds
+``__init__``).  A *field type* is one object holding ``write(buf, value)``,
+``read(reader)``, ``size(value)`` and a representative ``sample`` side by
+side, so the views of a layout cannot drift; each has a PEP 593 alias
+(``Svarint = Annotated[int, SVARINT]``, ...) for annotating fields, and
+:func:`repro.wire.sample_messages` builds one message per kind from the
+samples.
 
 The module sits below :mod:`repro.core.messages` in the import graph;
 :mod:`repro.wire.codecs` walks the declared classes into the kind-byte
@@ -37,11 +41,21 @@ Layout rules (``docs/wire_format.md`` has the framing):
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple
+from typing import (
+    Annotated,
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Tuple,
+    get_type_hints,
+)
 
 from repro.core.commands import Command, KeyOp, OpKind
-from repro.core.identifiers import intern_dot
+from repro.core.identifiers import Dot, intern_dot
 from repro.core.phases import Phase
+from repro.core.promises import PromiseRangeWire
 
 #: Hard cap on a single varint's width (10 bytes encode up to 70 bits,
 #: enough for any 64-bit value); anything longer is corruption.
@@ -214,12 +228,16 @@ class Reader:
 #
 # One namespace per field type: ``write(buf, value)`` appends the encoding,
 # ``read(reader)`` consumes it, ``size`` is its byte length — a callable of
-# the value, or a plain ``int`` for fixed-width types.  The classes are never
-# instantiated; :func:`wire_schema` binds the three callables by name.
+# the value, or a plain ``int`` for fixed-width types — and ``sample`` is the
+# value the canonical sample messages carry in every field of the type
+# (``tests/test_core/wire_frames.json`` pins their frames).  The classes are
+# never instantiated; :func:`wire_schema` binds the callables by name.
 
 
 class UVARINT:
     """Structurally non-negative integer."""
+
+    sample = 1
 
     write = staticmethod(write_uvarint)
     read = staticmethod(Reader.read_uvarint)
@@ -228,6 +246,8 @@ class UVARINT:
 
 class SVARINT:
     """Integer that recovery or a client could drive negative (zigzag)."""
+
+    sample = 41
 
     write = staticmethod(write_svarint)
     read = staticmethod(Reader.read_svarint)
@@ -250,6 +270,8 @@ _BYTE_TO_PHASE: Dict[int, Phase] = {byte: phase for phase, byte in _PHASE_TO_BYT
 class PHASE:
     """One byte naming a :class:`Phase` member."""
 
+    sample = Phase.PROPOSE
+
     @staticmethod
     def write(buf: bytearray, phase: Phase) -> None:
         buf.append(_PHASE_TO_BYTE[phase])
@@ -267,6 +289,8 @@ class PHASE:
 
 class DOT:
     """``uvarint(source) uvarint(sequence)``; decodes to the interned dot."""
+
+    sample = Dot(2, 37)
 
     @staticmethod
     def write(buf: bytearray, dot) -> None:
@@ -292,6 +316,8 @@ class DOT:
 
 class DOT_SET:
     """Count-prefixed set of dots, sorted."""
+
+    sample = frozenset({Dot(0, 11), Dot(1, 29)})
 
     @staticmethod
     def write(buf: bytearray, dots) -> None:
@@ -321,6 +347,8 @@ class COMMAND:
     """A :class:`Command`: dot, ops, the opaque application payload, then a
     flag byte announcing the client id and the chain links that follow it
     (a command without links encodes as it did before links existed)."""
+
+    sample = Command.write(DOT.sample, ["key-0"], payload_size=100, client_id=7)
 
     @staticmethod
     def write(buf: bytearray, command: Command) -> None:
@@ -420,6 +448,8 @@ class COMMAND:
 class QUORUM_MAP:
     """Count-prefixed ``partition -> member tuple``, sorted by partition."""
 
+    sample = {0: (0, 2, 3)}
+
     @staticmethod
     def write(buf: bytearray, quorums) -> None:
         write_uvarint(buf, len(quorums))
@@ -452,6 +482,8 @@ class QUORUM_MAP:
 class PROMISE_RANGE_MAP:
     """Count-prefixed ``process -> ((lo, hi), ...)`` runs of detached
     promises, sorted by process; each span ships as ``lo, hi - lo``."""
+
+    sample = {2: ((38, 40),)}
 
     @staticmethod
     def write(buf: bytearray, wire) -> None:
@@ -501,6 +533,8 @@ class ATTACHED_MAP:
     """Count-prefixed ``dot -> ascending timestamps >= 1`` (the sender's
     promises attached to each dot), sorted by dot."""
 
+    sample = {Dot(2, 36): (37,)}
+
     @staticmethod
     def write(buf: bytearray, attached) -> None:
         write_uvarint(buf, len(attached))
@@ -534,6 +568,8 @@ class ATTACHED_MAP:
 
 class RESULT:
     """Optional ``key -> optional value`` execution result, sorted by key."""
+
+    sample = {"key-0": "2.37"}
 
     @staticmethod
     def write(buf: bytearray, result) -> None:
@@ -572,6 +608,8 @@ class RESULT:
 class TS_PAIR:
     """Caesar's ``(clock, process)`` timestamp: two signed varints."""
 
+    sample = (41, 2)
+
     @staticmethod
     def write(buf: bytearray, timestamp) -> None:
         write_svarint(buf, timestamp[0])
@@ -588,6 +626,8 @@ class TS_PAIR:
 
 class CLOCK_MAP:
     """Count-prefixed ``source -> executed frontier``, sorted by source."""
+
+    sample = {0: 12, 1: 9, 2: 36}
 
     @staticmethod
     def write(buf: bytearray, clock) -> None:
@@ -616,6 +656,8 @@ class TIMESTAMP_MAP:
     """``process -> timestamp >= 1`` (one attached promise per proposer) in
     :class:`CLOCK_MAP`'s layout; the reader also range-checks the timestamp."""
 
+    sample = {2: 41}
+
     write = staticmethod(CLOCK_MAP.write)
     size = staticmethod(CLOCK_MAP.size)
 
@@ -628,6 +670,26 @@ class TIMESTAMP_MAP:
         return proposals
 
 
+# -- field annotations ---------------------------------------------------------------
+#
+# A message field names its wire type in its annotation: the Python type it
+# holds, plus the field type as PEP 593 metadata.
+
+Uvarint = Annotated[int, UVARINT]
+Svarint = Annotated[int, SVARINT]
+PhaseByte = Annotated[Phase, PHASE]
+WireDot = Annotated[Dot, DOT]
+DotSet = Annotated[FrozenSet[Dot], DOT_SET]
+WireCommand = Annotated[Command, COMMAND]
+QuorumMap = Annotated[Mapping[int, Tuple[int, ...]], QUORUM_MAP]
+TimestampMap = Annotated[Mapping[int, int], TIMESTAMP_MAP]
+PromiseRanges = Annotated[PromiseRangeWire, PROMISE_RANGE_MAP]
+AttachedMap = Annotated[Mapping[Dot, Tuple[int, ...]], ATTACHED_MAP]
+ReplyResult = Annotated[Optional[Dict[str, Optional[str]]], RESULT]
+TsPair = Annotated[Tuple[int, int], TS_PAIR]
+ClockMap = Annotated[Mapping[int, int], CLOCK_MAP]
+
+
 # -- the generator -------------------------------------------------------------------
 
 
@@ -637,19 +699,30 @@ class TIMESTAMP_MAP:
 RETIRED_KINDS = frozenset({15, 24, 25, 31, 32, 35})
 
 
-def wire_schema(kind: int, *declared: Tuple[str, type]) -> Callable[[type], type]:
+def _field_type(cls: type, name: str, annotation: object) -> type:
+    """The wire type ``annotation`` carries as metadata, or ``TypeError``."""
+    for metadata in getattr(annotation, "__metadata__", ()):
+        if hasattr(metadata, "write"):
+            return metadata
+    raise TypeError(
+        f"{cls.__name__}.{name}: annotation {annotation!r} names no wire type — "
+        "annotate the field with a field-type alias (Svarint, DotSet, ...)"
+    )
+
+
+def wire_schema(kind: int) -> Callable[[type], type]:
     """Class decorator: the one declaration of a message kind.
 
     ``kind`` is the class's append-only kind byte — the on-wire dispatch key
     :mod:`repro.wire.codecs` registers it under; a byte outside ``0..255``
     or in :data:`RETIRED_KINDS` raises ``RuntimeError`` at class definition.
-    ``declared`` lists ``(field name,
-    field type)`` for every dataclass field after the leading ``dot``, in
-    dataclass order — anything else raises ``TypeError`` at class
-    definition.  Attached to the class:
+    Each dataclass field, ``dot`` first, is encoded in dataclass order with
+    the field type its annotation carries; a field whose annotation names
+    none raises ``TypeError`` at class definition.  Attached to the class:
 
     * ``WIRE_KIND`` — the kind byte;
-    * ``WIRE_FIELDS`` — the full declaration, ``dot`` first;
+    * ``WIRE_FIELDS`` — ``(field name, field type)`` per field, ``dot``
+      first;
     * ``encode_body(buf, message)`` / ``decode_body(reader)`` — the body
       codec;
     * ``size_bytes(self)`` — exact length of the encoded frame (length
@@ -661,15 +734,11 @@ def wire_schema(kind: int, *declared: Tuple[str, type]) -> Callable[[type], type
         raise RuntimeError(f"kind byte {kind} is retired and never reused")
 
     def attach(cls: type) -> type:
-        fields = (("dot", DOT),) + declared
-        names = tuple(name for name, _ in fields)
-        expected = tuple(field.name for field in dataclasses.fields(cls))
-        if names != expected:
-            raise TypeError(
-                f"{cls.__name__}: wire schema lists {names[1:]}, the dataclass "
-                f"fields after 'dot' are {expected[1:]} — declare every field, "
-                "in dataclass order"
-            )
+        hints = get_type_hints(cls, include_extras=True)
+        fields = tuple(
+            (field.name, _field_type(cls, field.name, hints[field.name]))
+            for field in dataclasses.fields(cls)
+        )
         namespace: Dict[str, object] = {"cls": cls}
         writes, reads, sizes = [], [], []
         fixed = 1  # the kind byte

@@ -201,7 +201,7 @@ class DependencyGraph:
         pending = self.pending_execution()
         if not pending:
             return 0
-        components = self._tarjan(pending, blocked=set(), ignore_blocked=True)
+        components = self._tarjan(pending, blocked=set())
         return max(len(component) for component in components) if components else 0
 
     # -- internals --------------------------------------------------------------
@@ -231,12 +231,7 @@ class DependencyGraph:
                 stack.append(dependent)
         return blocked
 
-    def _tarjan(
-        self,
-        roots: Sequence[Dot],
-        blocked: Set[Dot],
-        ignore_blocked: bool = False,
-    ) -> List[List[Dot]]:
+    def _tarjan(self, roots: Sequence[Dot], blocked: Set[Dot]) -> List[List[Dot]]:
         """Iterative Tarjan SCC over the committed, unexecuted, unblocked
         subgraph; returns components in reverse topological order."""
         index_counter = [0]
@@ -262,7 +257,7 @@ class DependencyGraph:
             for dependency in nodes[dot].dependencies:
                 if dependency in executed or dependency not in nodes:
                     continue
-                if not ignore_blocked and dependency in blocked:
+                if dependency in blocked:
                     continue
                 result.append(dependency)
             neighbour_cache[dot] = result
@@ -310,7 +305,7 @@ class DependencyGraph:
                 continue
             if root in self._executed:
                 continue
-            if not ignore_blocked and root in blocked:
+            if root in blocked:
                 continue
             strongconnect(root)
         return components

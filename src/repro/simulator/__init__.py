@@ -13,7 +13,7 @@ separately, analytically, by :mod:`repro.experiments.throughput_model`).
 
 from repro.simulator.events import Event, EventKind, EventQueue
 from repro.simulator.latency import EC2_PING_LATENCIES, LatencyMatrix, ec2_latency_matrix
-from repro.simulator.network import Network, NetworkOptions
+from repro.simulator.network import Network
 from repro.simulator.sim import Simulation, SimulationOptions
 from repro.simulator.inline import InlineNetwork
 
@@ -25,7 +25,6 @@ __all__ = [
     "InlineNetwork",
     "LatencyMatrix",
     "Network",
-    "NetworkOptions",
     "Simulation",
     "SimulationOptions",
     "ec2_latency_matrix",

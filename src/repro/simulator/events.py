@@ -2,7 +2,7 @@
 
 The simulated deployments deliver messages after delays drawn from a *small
 discrete set* (the EC2 one-way latency matrix, the intra-site
-``local_latency_ms``, the 5 ms tick interval), so scheduled events cluster on
+``DEFAULT_LOCAL_LATENCY``, the 5 ms tick interval), so scheduled events cluster on
 few distinct timestamps.  A single binary heap over every event pays an
 O(log n) sift per event; this queue instead keeps
 

@@ -59,7 +59,8 @@ EC2_PING_LATENCIES: Dict[str, Dict[str, float]] = {
     },
 }
 
-#: Default one-way latency between two processes at the same site.
+#: One-way latency between two endpoints at the same site: the network's
+#: intra-site delay and the client -> co-located replica delay.
 DEFAULT_LOCAL_LATENCY = 0.25
 
 
@@ -118,12 +119,11 @@ def ec2_latency_matrix(sites: Iterable[str] = EC2_REGIONS) -> LatencyMatrix:
     return LatencyMatrix(sites=sites, one_way=one_way)
 
 
-def uniform_latency_matrix(
-    sites: Sequence[str], one_way_ms: float, local_ms: float = DEFAULT_LOCAL_LATENCY
-) -> LatencyMatrix:
+def uniform_latency_matrix(sites: Sequence[str], one_way_ms: float) -> LatencyMatrix:
     """A synthetic matrix where every pair of distinct sites is ``one_way_ms``
     apart; useful for controlled tests."""
     one_way = {
-        a: {b: (local_ms if a == b else one_way_ms) for b in sites} for a in sites
+        a: {b: (DEFAULT_LOCAL_LATENCY if a == b else one_way_ms) for b in sites}
+        for a in sites
     }
     return LatencyMatrix(sites=sites, one_way=one_way)

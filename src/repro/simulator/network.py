@@ -23,17 +23,6 @@ from repro.simulator.rng import SeededRng
 
 
 @dataclass
-class NetworkOptions:
-    """Tunables for the simulated network."""
-
-    local_latency_ms: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.local_latency_ms < 0:
-            raise ValueError("local_latency_ms must be non-negative")
-
-
-@dataclass
 class LinkDegradation:
     """Active degradation of one site-to-site link (a flaky-link window).
 
@@ -96,19 +85,13 @@ class Network:
 
     Endpoints are integers: non-negative identifiers are processes, negative
     identifiers are clients (the cluster layer's convention).  Every endpoint
-    is placed at a site; the latency between two endpoints is the site-to-site
-    one-way latency (or ``local_latency_ms`` when co-located).
+    is placed at a site; the latency between two endpoints is the matrix's
+    site-to-site one-way latency (its diagonal, the intra-site
+    :data:`~repro.simulator.latency.DEFAULT_LOCAL_LATENCY`, when co-located).
     """
 
-    def __init__(
-        self,
-        latency: LatencyMatrix,
-        options: Optional[NetworkOptions] = None,
-        rng: Optional[SeededRng] = None,
-        fault_rng: Optional[SeededRng] = None,
-    ) -> None:
+    def __init__(self, latency: LatencyMatrix, rng: Optional[SeededRng] = None) -> None:
         self.latency_matrix = latency
-        self.options = options or NetworkOptions()
         self.rng = rng or SeededRng()
         #: Dedicated RNG stream for fault-injection decisions (partition and
         #: flaky-link drops, degradation jitter, targeted loss).  Derived
@@ -116,7 +99,7 @@ class Network:
         #: two streams are independent: a run that never activates a fault
         #: makes zero fault-stream draws and is bit-identical to one without
         #: the fault machinery at all.
-        self.fault_rng = fault_rng or self.rng.fault_stream()
+        self.fault_rng = self.rng.fault_stream()
         self._site_of: Dict[int, str] = {}
         self._crashed: Set[int] = set()
         #: Fault-injection state, all empty on a healthy network.  The hot
@@ -284,12 +267,9 @@ class Network:
         cached = self._delay_cache.get((sender, destination))
         if cached is not None:
             return cached
-        site_a = self.site_of(sender)
-        site_b = self.site_of(destination)
-        if site_a == site_b:
-            base = self.options.local_latency_ms
-        else:
-            base = self.latency_matrix.latency(site_a, site_b)
+        base = self.latency_matrix.latency(
+            self.site_of(sender), self.site_of(destination)
+        )
         self._delay_cache[(sender, destination)] = base
         return base
 

@@ -7,13 +7,14 @@ ship frames over real transports.  Wire layout (``docs/wire_format.md``)::
     payload := kind_byte body
     body    := fields in dataclass order, dot first
 
-The bodies are not written here: each message class declares its fields
-once with :func:`repro.core.wireschema.wire_schema`, which generates its
-``encode_body``/``decode_body`` (and ``size_bytes()``) from the field types
-in that module, next to its append-only kind byte.  This module walks the
-declared classes into the kind-byte registry and adds the one hand-written
-body, the :class:`repro.core.base.MBatch` transport envelope (kind 0), which
-nests inner frames and may nest further batches.
+The bodies are not written here: each message class is its own
+declaration — :func:`repro.core.wireschema.wire_schema` names its
+append-only kind byte, each field's annotation its field type — from which
+the decorator generates ``encode_body``/``decode_body`` (and
+``size_bytes()``).  This module walks the declared classes into the
+kind-byte registry and adds the one hand-written body, the
+:class:`repro.core.base.MBatch` transport envelope (kind 0), which nests
+inner frames and may nest further batches.
 """
 
 from __future__ import annotations

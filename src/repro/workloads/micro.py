@@ -14,6 +14,10 @@ from typing import List, Optional
 
 from repro.simulator.rng import SeededRng
 
+#: The one key every client shares: two commands conflict exactly when both
+#: chose it.
+SHARED_KEY = "key-0"
+
 
 @dataclass
 class MicroWorkload:
@@ -34,7 +38,6 @@ class MicroWorkload:
     payload_size: int = 100
     keys_per_command: int = 1
     read_ratio: float = 0.0
-    shared_key: str = "key-0"
     rng: Optional[SeededRng] = None
     _counter: int = field(default=0)
 
@@ -55,7 +58,7 @@ class MicroWorkload:
         keys: List[str] = []
         for _ in range(self.keys_per_command):
             if self.rng.uniform() < self.conflict_rate:
-                keys.append(self.shared_key)
+                keys.append(SHARED_KEY)
             else:
                 self._counter += 1
                 keys.append(f"key-c{self.client_id}-{self._counter}")

@@ -21,6 +21,10 @@ from typing import List, Optional
 from repro.kvstore.sharding import ShardMap
 from repro.simulator.rng import SeededRng, ZipfSampler
 
+#: Keys per transaction: the paper's YCSB+T transactions access two.
+KEYS_PER_TRANSACTION = 2
+
+
 @dataclass
 class YcsbTWorkload:
     """Two-key zipfian transactions over a sharded key space."""
@@ -29,7 +33,6 @@ class YcsbTWorkload:
     shard_map: ShardMap
     zipf: float = 0.5
     write_ratio: float = 0.05
-    keys_per_transaction: int = 2
     keys_per_shard: int = 10_000
     payload_size: int = 100
     rng: Optional[SeededRng] = None
@@ -38,8 +41,6 @@ class YcsbTWorkload:
     def __post_init__(self) -> None:
         if not 0.0 <= self.write_ratio <= 1.0:
             raise ValueError("write_ratio must be in [0, 1]")
-        if self.keys_per_transaction < 1:
-            raise ValueError("keys_per_transaction must be >= 1")
         if self.rng is None:
             self.rng = SeededRng(seed=self.client_id + 1)
         total_keys = min(
@@ -51,7 +52,7 @@ class YcsbTWorkload:
     def next_keys(self) -> List[str]:
         """Keys accessed by the next transaction (popularity-ranked)."""
         assert self._sampler is not None
-        indices = self._sampler.sample_distinct(self.keys_per_transaction)
+        indices = self._sampler.sample_distinct(KEYS_PER_TRANSACTION)
         return [f"user{index}" for index in indices]
 
     def next_is_read(self) -> bool:

@@ -61,38 +61,39 @@ class TestRepoWide:
         ]
 
 
-#: The four kinds PR 24 retired, as the parent's message modules declared
-#: them: registered, sampled, round-tripped — and sent or handled by nothing.
+#: The four retired kinds (bytes 15, 24, 25 and 31), declared the way the
+#: message modules declare a kind: registered, sampled, round-tripped — and
+#: sent or handled by nothing.
 _PARENT_ONLY_KINDS = {
     "core/messages.py": '''
 
-@wire_schema(15, ("command", COMMAND))
+@wire_schema(15)
 @dataclass(frozen=True)
 class ClientSubmit(Message):
-    command: Command
+    command: WireCommand
 ''',
     "protocols/dep_messages.py": '''
 
-@wire_schema(24, ("command", COMMAND), ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
+@wire_schema(24)
 @dataclass(frozen=True)
 class MCaesarRetry(Message):
-    command: Command
-    timestamp: Tuple[int, int]
-    dependencies: FrozenSet[Dot]
+    command: WireCommand
+    timestamp: TsPair
+    dependencies: DotSet
 
 
-@wire_schema(25, ("timestamp", TS_PAIR), ("dependencies", DOT_SET))
+@wire_schema(25)
 @dataclass(frozen=True)
 class MCaesarRetryAck(Message):
-    timestamp: Tuple[int, int]
-    dependencies: FrozenSet[Dot]
+    timestamp: TsPair
+    dependencies: DotSet
 
 
-@wire_schema(31, ("shard", UVARINT), ("dependencies", DOT_SET))
+@wire_schema(31)
 @dataclass(frozen=True)
 class MJanusDeps(Message):
-    shard: int
-    dependencies: FrozenSet[Dot]
+    shard: Uvarint
+    dependencies: DotSet
 ''',
 }
 

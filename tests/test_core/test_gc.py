@@ -206,10 +206,8 @@ class TestTempoCollection:
         timestamp = cluster.process(0).order.clock
         # Re-delivered propose and commit for the collected dot must not
         # resurrect a record or emit protocol traffic.
-        target.on_message(
-            0, MPropose(command.dot, command, {0: (0, 1)}, 1), 999.0
-        )
-        target.on_message(
+        target.deliver(0, MPropose(command.dot, command, {0: (0, 1)}, 1), 999.0)
+        target.deliver(
             0,
             MCommit(command.dot, max(timestamp, 1), attached={}),
             999.0,

@@ -185,13 +185,22 @@ class TestBatchScopedStability:
         assert len(executed) == 2  # both commands executed in (ts, id) order
         assert stable >= 2
 
-    def test_direct_on_message_calls_keep_the_eager_behaviour(self):
-        """Tests (and runtimes) that bypass ``deliver`` still get the
-        historical react-immediately semantics."""
+    def test_the_check_runs_when_deliver_ends(self):
+        """One path: a handler only marks the delivery scope, and the check
+        runs once, when ``deliver`` unwinds.  Commits handed to
+        ``on_message`` outside any delivery execute nothing until the next
+        delivery closes."""
         processes = build()
         coordinator, target = processes[0], processes[2]
-        for sender, message in self._deliveries(coordinator, target):
+        payload_a, payload_b, commit_a, commit_b, promises = self._deliveries(
+            coordinator, target
+        )
+        for sender, message in (payload_a, payload_b):
+            target.deliver(sender, message, 1.0)
+        for sender, message in (commit_a, commit_b):
             target.on_message(sender, message, 1.0)
+        assert len(target.executed_dots()) == 0
+        target.deliver(*promises, 1.0)
         assert len(target.executed_dots()) == 2
 
 

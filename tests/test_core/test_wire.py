@@ -4,12 +4,14 @@ Three layers of guarantee:
 
 * **Exhaustiveness** — every :class:`~repro.core.messages.Message` subclass
   defined in :mod:`repro.core.messages` and
-  :mod:`repro.protocols.dep_messages` has a registered codec and a sample,
-  so a new message kind cannot ship without a wire format.
+  :mod:`repro.protocols.dep_messages` has a registered codec, so a new
+  message kind cannot ship without a wire format; a field whose annotation
+  names no wire type fails at class definition.
 * **Round-trip** — ``decode(encode(m)) == m`` for every kind, on canonical
-  samples (whose frames are pinned byte for byte in ``wire_frames.json``)
-  and on hypothesis instances built *from each kind's own declaration*
-  (``WIRE_FIELDS``), which also pins ``size_bytes() == len(frame)``.
+  samples derived from the field types (whose frames are pinned byte for
+  byte in ``wire_frames.json``) and on hypothesis instances built *from
+  each kind's own declaration* (``WIRE_FIELDS``); both also pin
+  ``size_bytes() == len(frame)``.
 * **Rejection** — truncated frames, trailing garbage, unknown kind bytes,
   corrupt varints and bit flips raise :class:`~repro.wire.WireError`, never
   a random exception or a bogus message.
@@ -25,6 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,7 @@ from repro.core.wireschema import (
     RETIRED_KINDS,
     Reader,
     SVARINT,
+    Svarint,
     TIMESTAMP_MAP,
     TS_PAIR,
     UVARINT,
@@ -92,19 +96,21 @@ class TestExhaustiveness:
         ]
         assert not missing, (
             f"message kinds without a wire codec: {missing} — declare them "
-            "with @wire_schema (kind byte first) and add a sample"
+            "with @wire_schema(kind byte) and annotate each field's wire type"
         )
 
     def test_batch_envelope_has_a_codec(self):
         assert has_codec(MBatch)
 
-    def test_every_registered_kind_has_a_sample(self):
+    def test_one_sample_per_registered_kind_plus_links(self):
+        # Derived from the registry: one sample per registered class under
+        # its name, plus the one layout the field samples leave out.
         samples = sample_messages()
-        sampled = {type(message) for message in samples.values()}
-        missing = [
-            cls.__name__ for cls in registered_types() if cls not in sampled
-        ]
-        assert not missing, f"registered kinds without a sample: {missing}"
+        assert sorted(samples) == sorted(
+            [cls.__name__ for cls in registered_types()] + ["MPropose/links"]
+        )
+        for kind, message in samples.items():
+            assert type(message).__name__ == kind.split("/")[0]
 
     def test_registry_is_the_declared_classes(self):
         # No table beside the classes: what is registered is exactly what
@@ -208,9 +214,8 @@ class TestRoundTrip:
             assert message.size_bytes() == offset
 
     def test_sample_frames_are_byte_identical_to_the_pinned_fixture(self):
-        # wire_frames.json holds encode_frame() of every sample as produced
-        # by the hand-written codecs this schema replaced: the generated
-        # encoders must not move a byte.
+        # wire_frames.json holds encode_frame() of every sample: a change to
+        # a generated encoder or to a field type's sample moves a byte here.
         pinned = json.loads(Path(__file__).with_name("wire_frames.json").read_text())
         frames = {
             kind: encode_frame(message).hex()
@@ -343,22 +348,21 @@ class TestSchemaDriven:
                     pass
                 corrupt[position] ^= 1 << bit
 
-    def test_incomplete_or_misordered_declaration_fails_at_class_definition(self):
-        with pytest.raises(TypeError, match="declare every field"):
+    def test_a_field_without_a_wire_type_fails_at_definition(self):
+        with pytest.raises(TypeError, match=r"Untyped\.ballot: .* names no wire type"):
 
-            @wire_schema(200, ("ballot", SVARINT))
+            @wire_schema(200)
             @dataclass(frozen=True)
-            class MissingField(Message):
-                timestamp: int
+            class Untyped(Message):
+                timestamp: Svarint
                 ballot: int
 
-        with pytest.raises(TypeError, match="in dataclass order"):
+        with pytest.raises(TypeError, match=r"Unknown\.ballot: .* names no wire type"):
 
-            @wire_schema(200, ("ballot", SVARINT), ("timestamp", SVARINT))
+            @wire_schema(200)
             @dataclass(frozen=True)
-            class Misordered(Message):
-                timestamp: int
-                ballot: int
+            class Unknown(Message):
+                ballot: Annotated[int, "svarint"]
 
 
 class TestBatchRoundTrip:

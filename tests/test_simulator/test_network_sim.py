@@ -10,7 +10,11 @@ from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.process import TempoProcess
 from repro.simulator.inline import InlineNetwork
-from repro.simulator.latency import ec2_latency_matrix, uniform_latency_matrix
+from repro.simulator.latency import (
+    DEFAULT_LOCAL_LATENCY,
+    ec2_latency_matrix,
+    uniform_latency_matrix,
+)
 from repro.simulator.network import LinkDegradation, Network
 from repro.simulator.rng import SeededRng
 from repro.simulator.sim import Simulation, SimulationOptions
@@ -55,7 +59,7 @@ class TestNetwork:
     def test_local_delay(self):
         network = make_network()
         network.place(2, "ireland")
-        assert delay(network, 0, 2) == network.options.local_latency_ms
+        assert delay(network, 0, 2) == DEFAULT_LOCAL_LATENCY
 
     def test_jitter_adds_bounded_noise(self):
         network = make_network()
