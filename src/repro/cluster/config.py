@@ -9,9 +9,12 @@ from repro.faults.plan import FaultPlan
 from repro.simulator.latency import EC2_REGIONS
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a protocol, a deployment and a workload.
+
+    Frozen, so the plan validated here is the plan that runs: nothing
+    validates it again.
 
     Attributes:
         protocol: protocol name from :mod:`repro.protocols.registry`.
@@ -33,8 +36,8 @@ class ExperimentConfig:
         sites: site names; defaults to the paper's five EC2 regions.
         protocol_kwargs: extra arguments for the protocol constructor.
         fault_plan: declarative timeline of fault events (crashes, restarts,
-            partitions, flaky-link windows, targeted message loss) executed
-            by :class:`repro.faults.FaultInjector` during the run.
+            partitions, flaky-link windows, targeted message loss), validated
+            here and scheduled by ``Simulation.schedule_faults`` for the run.
         record_execution_trace: record every command execution (replica,
             identifier, keys, committed timestamp) plus client submit/reply
             windows, and run the :mod:`repro.analysis` consistency checks

@@ -22,9 +22,8 @@ from repro.cluster.client import ClosedLoopClient
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.replicas import build_replicas
 from repro.core.base import ProcessBase
-from repro.core.commands import Command, Partitioner
+from repro.core.commands import Command
 from repro.core.config import ProtocolConfig
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import Crash
 from repro.kvstore.sharding import ShardMap
 from repro.reliability import RetransmitBuffer
@@ -33,7 +32,7 @@ from repro.metrics.throughput import ThroughputTracker
 from repro.simulator.latency import DEFAULT_LOCAL_LATENCY, ec2_latency_matrix
 from repro.simulator.network import Network
 from repro.simulator.rng import SeededRng
-from repro.simulator.sim import Simulation, SimulationOptions
+from repro.simulator.sim import Simulation
 from repro.workloads.micro import MicroWorkload
 from repro.workloads.ycsbt import YcsbTWorkload
 
@@ -89,17 +88,12 @@ class _Deployment:
             num_partitions=config.num_shards,
         )
         self.shard_map = ShardMap(config.num_shards, keys_per_shard=config.keys_per_shard)
-        self.partitioner = (
-            self.shard_map.partitioner()
-            if config.num_shards > 1
-            else Partitioner(1)
-        )
         self.latency_matrix = ec2_latency_matrix(self.sites)
         self.network = Network(self.latency_matrix, rng=SeededRng(config.seed))
         replicas = build_replicas(
             config.protocol,
             self.protocol_config,
-            partitioner=self.partitioner,
+            partitioner=self.shard_map,
             latencies=self._process_latencies(),
             **config.protocol_kwargs,
         )
@@ -107,16 +101,11 @@ class _Deployment:
         self.stores = replicas.stores
         self.processes = replicas.processes
         for process in self.processes:
-            site = self.sites[self.protocol_config.site_of_process(process.process_id)]
-            self.network.place(process.process_id, site)
-        self.simulation = Simulation(
-            self.processes,
-            self.network,
-            SimulationOptions(
-                tick_interval=ProtocolConfig.tick_interval,
-                max_time=config.duration_ms + 5_000.0,
-            ),
-        )
+            process_id = process.process_id
+            site = self.sites[self.protocol_config.site_of_process(process_id)]
+            shard = self.protocol_config.partition_of_process(process_id)
+            self.network.place(process_id, site, shard)
+        self.simulation = Simulation(self.processes, self.network)
 
     def _process_latencies(self) -> Dict[int, Dict[int, float]]:
         """Latency table between global processes, derived from their sites."""
@@ -170,7 +159,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     def make_submit(deployment: _Deployment):
         def submit(client: ClosedLoopClient, keys: List[str], is_read: bool, now: float) -> Command:
-            shards = sorted({deployment.partitioner.partition_of(key) for key in keys})
+            shards = sorted({deployment.shard_map.partition_of(key) for key in keys})
             target = deployment.process_for(client.site_rank, shards[0])
             command = target.new_command(
                 keys,
@@ -225,14 +214,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     fault_plan = config.fault_plan
     if fault_plan is not None:
-        FaultInjector(
+        simulation.schedule_faults(
             fault_plan,
-            sites=deployment.sites,
-            process_id_of=lambda site_rank, shard: deployment.process_for(
-                site_rank, shard
-            ).process_id,
-            num_shards=config.num_shards,
-        ).install(simulation)
+            lambda site_rank, shard: deployment.process_for(site_rank, shard).process_id,
+        )
         # Reliable delivery (ack-driven retransmission) arms only for
         # plans that can *lose or delay* traffic:
         # restarts, partitions, flaky links, targeted loss.  A crash-only

@@ -134,6 +134,15 @@ class Command:
         return frozenset(partitioner.partition_of(key) for key in self.keys)
 
 
+def stable_hash(key: str) -> int:
+    """Stable, platform-independent string hash, so simulations are
+    reproducible."""
+    digest = 0
+    for ch in key:
+        digest = (digest * 131 + ord(ch)) % (2**31)
+    return digest
+
+
 class Partitioner:
     """Maps keys onto partitions.
 
@@ -165,11 +174,7 @@ class Partitioner:
             return self._explicit[key]
         if self.num_partitions == 1:
             return 0
-        # Stable, platform-independent hash so simulations are reproducible.
-        digest = 0
-        for ch in key:
-            digest = (digest * 131 + ord(ch)) % (2**31)
-        return digest % self.num_partitions
+        return stable_hash(key) % self.num_partitions
 
     def assign(self, key: str, partition: int) -> None:
         """Pin ``key`` to ``partition`` explicitly."""

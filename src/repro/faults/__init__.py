@@ -2,9 +2,10 @@
 
 A :class:`~repro.faults.plan.FaultPlan` is a timeline of typed fault events
 (crash, restart, bidirectional partition + heal, flaky-link degradation
-windows, message-class-targeted loss); a
-:class:`~repro.faults.injector.FaultInjector` compiles it against one
-deployment and schedules every event at its simulated time.  See
+windows, message-class-targeted loss), validated once against the
+deployment by ``ExperimentConfig``.  The simulator starts and ends every
+event at its simulated time (``Simulation.schedule_faults``), and the
+network applies the open window events themselves.  See
 ``docs/fault_injection.md``.
 """
 
@@ -16,11 +17,9 @@ from repro.faults.plan import (
     Restart,
     TargetedLoss,
 )
-from repro.faults.injector import FaultInjector
 
 __all__ = [
     "Crash",
-    "FaultInjector",
     "FaultPlan",
     "FlakyLink",
     "Partition",

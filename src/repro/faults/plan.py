@@ -1,11 +1,13 @@
 """The declarative fault-plan schema.
 
 A :class:`FaultPlan` is a validated timeline of typed fault events.  Events
-name replicas by ``(site_rank, shard)`` — the deployment-independent
-coordinates the cluster layer already uses for its legacy crash knobs — and
-links by site rank, so one plan can be replayed against any deployment with
-enough sites/shards.  The :mod:`repro.faults.injector` compiles ranks into
-concrete process ids and site names at install time.
+name replicas by ``(site_rank, shard)`` and links by site rank, the
+deployment-independent coordinates of the cluster layer, so one plan can be
+replayed against any deployment with enough sites/shards.  The events are
+the only fault vocabulary: the simulator starts and ends each one at its
+simulated times (``Simulation.schedule_faults``) and the network reads the
+active window events themselves (``Network.start_fault``), so what a
+window does is defined once, here.
 
 Injected faults follow the crash-failure model in a message-passing system
 (cf. "From Byzantine Failures to Crash Failures in Message-Passing
@@ -98,6 +100,22 @@ class Partition:
                     raise ValueError(f"site rank {rank} appears in two groups")
                 seen.add(rank)
 
+    @property
+    def until_ms(self) -> float:
+        """End of the window: the heal."""
+        return self.heal_at_ms
+
+    def separates(self, rank_a: int, rank_b: int) -> bool:
+        """Whether messages between the two site ranks are dropped: both
+        sites are listed, in different groups."""
+        group_a = group_b = None
+        for index, group in enumerate(self.groups):
+            if rank_a in group:
+                group_a = index
+            if rank_b in group:
+                group_b = index
+        return group_a is not None and group_b is not None and group_a != group_b
+
 
 @dataclass(frozen=True)
 class FlakyLink:
@@ -142,6 +160,15 @@ class FlakyLink:
             and self.drop_probability == 0
         ):
             raise ValueError("FlakyLink degrades nothing")
+
+    def covers(self, rank_a: int, rank_b: int) -> bool:
+        """Whether the window degrades the link between two distinct site
+        ranks (in either direction)."""
+        if self.site_a is None:
+            return True
+        if self.site_b is None:
+            return self.site_a in (rank_a, rank_b)
+        return {rank_a, rank_b} == {self.site_a, self.site_b}
 
 
 @dataclass(frozen=True)
@@ -194,8 +221,8 @@ class FaultPlan:
     """A validated timeline of fault events, sorted by activation time.
 
     The sort is stable, so events sharing one ``at_ms`` keep their given
-    order; the injector schedules them in timeline order, which the
-    simulator's FIFO timestamp lanes preserve exactly.
+    order; the simulator schedules them in timeline order, which its FIFO
+    timestamp lanes preserve exactly.
     """
 
     events: Tuple[FaultEvent, ...]

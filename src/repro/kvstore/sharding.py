@@ -9,11 +9,11 @@ deployments use.
 
 from __future__ import annotations
 
-from repro.core.commands import Partitioner
+from repro.core.commands import Partitioner, stable_hash
 
 
-class ShardMap:
-    """Maps keys onto shards and shards onto groups of processes.
+class ShardMap(Partitioner):
+    """Maps keys onto shards: the partitioner of every cluster deployment.
 
     In this reproduction a *partition* (in the protocol sense) corresponds to
     one shard: the protocol state machine per shard orders all keys of that
@@ -22,30 +22,34 @@ class ShardMap:
     """
 
     def __init__(self, num_shards: int, keys_per_shard: int = 1_000_000) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
+        super().__init__(num_shards)
         if keys_per_shard < 1:
             raise ValueError("keys_per_shard must be >= 1")
-        self.num_shards = num_shards
         self.keys_per_shard = keys_per_shard
 
-    def shard_of_key(self, key: str) -> int:
+    @property
+    def num_shards(self) -> int:
+        return self.num_partitions
+
+    def partition_of(self, key: str) -> int:
         """Shard holding ``key``.
 
+        A key pinned with :meth:`assign` stays where it was pinned.
         YCSB-style keys (``user<number>``) are mapped round-robin by their
         numeric suffix so that load spreads uniformly; other keys fall back
-        to a stable string hash.
+        to the stable string hash.
         """
+        if key in self._explicit:
+            return self._explicit[key]
+        if self.num_partitions == 1:
+            return 0
         digits = "".join(ch for ch in key if ch.isdigit())
         if digits:
-            return int(digits) % self.num_shards
-        digest = 0
-        for ch in key:
-            digest = (digest * 131 + ord(ch)) % (2**31)
-        return digest % self.num_shards
+            return int(digits) % self.num_partitions
+        return stable_hash(key) % self.num_partitions
 
     def key_for(self, shard: int, index: int) -> str:
-        """The ``index``-th key of ``shard`` (inverse of :meth:`shard_of_key`)."""
+        """The ``index``-th key of ``shard`` (inverse of :meth:`partition_of`)."""
         if not 0 <= shard < self.num_shards:
             raise ValueError("shard out of range")
         if not 0 <= index < self.keys_per_shard:
@@ -54,16 +58,3 @@ class ShardMap:
 
     def total_keys(self) -> int:
         return self.num_shards * self.keys_per_shard
-
-    def partitioner(self) -> Partitioner:
-        """A :class:`Partitioner` treating each shard as one partition."""
-        shard_map = self
-
-        class _ShardPartitioner(Partitioner):
-            def __init__(self) -> None:
-                super().__init__(num_partitions=shard_map.num_shards)
-
-            def partition_of(self, key: str) -> int:
-                return shard_map.shard_of_key(key)
-
-        return _ShardPartitioner()

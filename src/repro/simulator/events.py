@@ -45,12 +45,10 @@ class EventKind(enum.IntEnum):
     MESSAGE = 0
     TICK = 1
     CLIENT = 2
-    CRASH = 3
-    CUSTOM = 4
-    #: A scripted fault-plan action (partition/heal, link degradation
-    #: window edge, targeted-loss window edge, process restart).  The
-    #: payload is a callable applied to the simulation at the event's time.
-    FAULT = 5
+    #: A scheduled action: the payload is called with the event's time
+    #: (client start-ups, and every fault-plan edge: crash, restart, a
+    #: window opening or closing).
+    CUSTOM = 3
 
 
 class Event(NamedTuple):

@@ -4,61 +4,29 @@ The network delivers messages between processes (and clients) with one-way
 latencies taken from a :class:`repro.simulator.latency.LatencyMatrix`.
 Crashed processes silently drop incoming messages (crash-stop model).
 
-Noise and loss are per-link fault state installed by ``repro.faults``: a
-bidirectional site partition, per-link degradation windows (added delay,
-jitter, probabilistic drop) and message-class-targeted loss.  All fault
-randomness draws from a dedicated :attr:`Network.fault_rng` stream split off
-the main RNG's seed, so a healthy run is bit-identical with and without the
-fault machinery, and activating a fault never shifts workload randomness.
+Noise and loss exist only as fault state: the window events of a
+:class:`repro.faults.FaultPlan` (:class:`~repro.faults.plan.Partition`,
+:class:`~repro.faults.plan.FlakyLink`,
+:class:`~repro.faults.plan.TargetedLoss`) the simulator has started and not
+yet ended.  Plan events name sites by rank, a site's index in
+``latency_matrix.sites``.  All fault randomness draws from a dedicated
+:attr:`Network.fault_rng` stream split off the main RNG's seed, so a
+healthy run is bit-identical with and without the fault machinery, and
+activating a fault never shifts workload randomness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.base import MBatch
+from repro.faults.plan import FlakyLink, Partition, TargetedLoss
 from repro.simulator.latency import LatencyMatrix
 from repro.simulator.rng import SeededRng
 
-
-@dataclass
-class LinkDegradation:
-    """Active degradation of one site-to-site link (a flaky-link window).
-
-    Installed by :meth:`Network.degrade_link`; all randomness (drop draws,
-    jitter draws) comes from the network's dedicated fault RNG stream, never
-    from the main RNG, so degrading one link cannot shift the randomness of
-    anything else in the run.
-    """
-
-    extra_delay_ms: float = 0.0
-    jitter_ms: float = 0.0
-    drop_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.extra_delay_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("degradation delay/jitter must be non-negative")
-        if not 0.0 <= self.drop_probability <= 1.0:
-            raise ValueError("drop_probability must be in [0, 1]")
-
-
-@dataclass
-class TargetedLoss:
-    """Active message-class-targeted loss (e.g. cross-partition MStable).
-
-    ``cross_group_only`` restricts the loss to messages whose endpoints
-    carry *different* group tags (see :meth:`Network.set_group`; the cluster
-    runner tags each process with its shard, so this expresses "only the
-    cross-shard copies").
-    """
-
-    probability: float = 1.0
-    cross_group_only: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.probability <= 1.0:
-            raise ValueError("probability must be in (0, 1]")
+#: A plan event the network applies while it is active.
+WindowEvent = Union[Partition, FlakyLink, TargetedLoss]
 
 
 @dataclass
@@ -101,15 +69,15 @@ class Network:
         #: the fault machinery at all.
         self.fault_rng = self.rng.fault_stream()
         self._site_of: Dict[int, str] = {}
+        #: Site rank and shard of each placed endpoint (clients have no
+        #: shard), the coordinates plan events name.
+        self._rank_of: Dict[int, int] = {}
+        self._shard_of: Dict[int, int] = {}
         self._crashed: Set[int] = set()
-        #: Fault-injection state, all empty on a healthy network.  The hot
-        #: path tests the single ``_faults_active`` flag; the per-message
-        #: fault work only runs while at least one fault is installed.
-        self._partition_of: Dict[str, int] = {}
-        self._degraded: Dict[Tuple[str, str], LinkDegradation] = {}
-        self._targeted: Dict[str, TargetedLoss] = {}
-        self._group_of: Dict[int, int] = {}
-        self._faults_active = False
+        #: The open window events, in the order they started; empty on a
+        #: healthy network, so the per-message fault work only runs while
+        #: at least one window is open.
+        self.active_faults: List[WindowEvent] = []
         self.stats = NetworkStats()
         #: Cache of ``(sender, destination) -> base one-way delay`` pairs;
         #: invalidated when an endpoint is (re)placed.
@@ -119,11 +87,15 @@ class Network:
 
     # -- topology -------------------------------------------------------------
 
-    def place(self, endpoint: int, site: str) -> None:
-        """Place an endpoint (process or client) at a site."""
-        if site not in self.latency_matrix.sites:
+    def place(self, endpoint: int, site: str, shard: Optional[int] = None) -> None:
+        """Place an endpoint at a site; a process also names its shard."""
+        sites = self.latency_matrix.sites
+        if site not in sites:
             raise KeyError(f"unknown site {site!r}")
         self._site_of[endpoint] = site
+        self._rank_of[endpoint] = sites.index(site)
+        if shard is not None:
+            self._shard_of[endpoint] = shard
         if self._delay_cache:
             self._delay_cache.clear()
 
@@ -145,120 +117,59 @@ class Network:
         """Un-crash an endpoint (a restarted process receives again)."""
         self._crashed.discard(endpoint)
 
-    def set_group(self, endpoint: int, group: int) -> None:
-        """Tag an endpoint with a replica-group id (the cluster runner uses
-        the protocol partition/shard).  Only consulted by targeted loss
-        rules with ``cross_group_only``."""
-        self._group_of[endpoint] = group
+    # -- fault windows -----------------------------------------------------------
 
-    # -- fault injection (partitions, flaky links, targeted loss) -------------
+    def start_fault(self, event: WindowEvent) -> None:
+        """Open one plan window; it applies until :meth:`end_fault`."""
+        self.active_faults.append(event)
 
-    def _refresh_faults_active(self) -> None:
-        self._faults_active = bool(
-            self._partition_of or self._degraded or self._targeted
-        )
-
-    def set_partition(self, groups: Sequence[Iterable[str]]) -> None:
-        """Install a bidirectional network partition between site groups.
-
-        Messages between sites in *different* groups are dropped; sites not
-        listed in any group reach (and are reached by) everyone.  Replaces
-        any previously installed partition.
-        """
-        partition_of: Dict[str, int] = {}
-        for group_id, group in enumerate(groups):
-            for site in group:
-                if site not in self.latency_matrix.sites:
-                    raise KeyError(f"unknown site {site!r}")
-                if site in partition_of:
-                    raise ValueError(f"site {site!r} appears in two groups")
-                partition_of[site] = group_id
-        self._partition_of = partition_of
-        self._refresh_faults_active()
-
-    def clear_partition(self) -> None:
-        """Heal the installed partition (links deliver again; messages
-        dropped while it was up stay lost — fair-lossy links)."""
-        self._partition_of = {}
-        self._refresh_faults_active()
-
-    @staticmethod
-    def _link_key(site_a: str, site_b: str) -> Tuple[str, str]:
-        return (site_a, site_b) if site_a <= site_b else (site_b, site_a)
-
-    def degrade_link(
-        self, site_a: str, site_b: str, degradation: LinkDegradation
-    ) -> None:
-        """Install a bidirectional degradation window on one link."""
-        for site in (site_a, site_b):
-            if site not in self.latency_matrix.sites:
-                raise KeyError(f"unknown site {site!r}")
-        if site_a == site_b:
-            raise ValueError("cannot degrade a site's local link")
-        self._degraded[self._link_key(site_a, site_b)] = degradation
-        self._refresh_faults_active()
-
-    def restore_link(self, site_a: str, site_b: str) -> None:
-        """Remove the degradation installed on one link (end of window)."""
-        self._degraded.pop(self._link_key(site_a, site_b), None)
-        self._refresh_faults_active()
-
-    def set_targeted_loss(self, kind: str, loss: TargetedLoss) -> None:
-        """Drop messages of one kind (class name) with a probability."""
-        self._targeted[kind] = loss
-        self._refresh_faults_active()
-
-    def clear_targeted_loss(self, kind: str) -> None:
-        """Remove the targeted loss rule for one message kind."""
-        self._targeted.pop(kind, None)
-        self._refresh_faults_active()
+    def end_fault(self, event: WindowEvent) -> None:
+        """Close one plan window; overlapping windows stay in effect.
+        Messages it dropped stay lost (fair-lossy links)."""
+        self.active_faults.remove(event)
 
     def _fault_verdict(
         self, sender: int, destination: int, kind: str
     ) -> Optional[float]:
-        """Fault-injection outcome for one message on an active-fault
-        network: ``None`` when a fault drops it, otherwise the extra delay
-        (0.0 for unaffected links).  Only called while ``_faults_active``;
-        all randomness comes from :attr:`fault_rng`.
+        """Fault-injection outcome for one message while a window is open:
+        ``None`` when a fault drops it, otherwise the extra delay (0.0 for
+        unaffected links).  Partitions are checked first, then targeted
+        losses, then flaky links; the first drop ends the checks.
+        Overlapping windows all apply: their delays add up, and a window
+        that opened earlier draws from :attr:`fault_rng` first.
         """
-        site_a = self._site_of[sender]
-        site_b = self._site_of[destination]
-        partition_of = self._partition_of
-        if partition_of:
-            group_a = partition_of.get(site_a)
-            group_b = partition_of.get(site_b)
-            if group_a is not None and group_b is not None and group_a != group_b:
+        rank_a = self._rank_of[sender]
+        rank_b = self._rank_of[destination]
+        active = self.active_faults
+        for event in active:
+            if type(event) is Partition and event.separates(rank_a, rank_b):
                 return None
-        targeted = self._targeted
-        if targeted:
-            loss = targeted.get(kind)
-            if loss is not None:
-                groups = self._group_of
-                if not loss.cross_group_only or (
-                    groups.get(sender) is not None
-                    and groups.get(destination) is not None
-                    and groups[sender] != groups[destination]
-                ):
+        for event in active:
+            if type(event) is not TargetedLoss or event.kind != kind:
+                continue
+            if event.cross_shard_only and not self._crosses_shards(sender, destination):
+                continue
+            if event.probability >= 1.0 or self.fault_rng.uniform() < event.probability:
+                return None
+        extra = 0.0
+        if rank_a != rank_b:
+            for event in active:
+                if type(event) is FlakyLink and event.covers(rank_a, rank_b):
                     if (
-                        loss.probability >= 1.0
-                        or self.fault_rng.uniform() < loss.probability
+                        event.drop_probability
+                        and self.fault_rng.uniform() < event.drop_probability
                     ):
                         return None
-        if self._degraded and site_a != site_b:
-            degradation = self._degraded.get(self._link_key(site_a, site_b))
-            if degradation is not None:
-                if (
-                    degradation.drop_probability
-                    and self.fault_rng.uniform() < degradation.drop_probability
-                ):
-                    return None
-                extra = degradation.extra_delay_ms
-                if degradation.jitter_ms:
-                    extra += self.fault_rng.uniform_between(
-                        0.0, degradation.jitter_ms
-                    )
-                return extra
-        return 0.0
+                    extra += event.extra_delay_ms
+                    if event.jitter_ms:
+                        extra += self.fault_rng.uniform_between(0.0, event.jitter_ms)
+        return extra
+
+    def _crosses_shards(self, sender: int, destination: int) -> bool:
+        """Whether both endpoints are processes of different shards."""
+        shard_a = self._shard_of.get(sender)
+        shard_b = self._shard_of.get(destination)
+        return shard_a is not None and shard_b is not None and shard_a != shard_b
 
     # -- delivery -------------------------------------------------------------
 
@@ -334,7 +245,7 @@ class Network:
         if destination in self._crashed:
             stats.messages_dropped += 1
             return None
-        if self._faults_active:
+        if self.active_faults:
             extra = self._fault_verdict(sender, destination, kind)
             if extra is None:
                 stats.messages_dropped += 1
@@ -366,8 +277,8 @@ class Network:
         exactly as ``len(messages)`` calls to :meth:`transmit` would.  On a
         healthy network all messages share one delivery time, so they are
         delivered as a single :class:`repro.core.base.MBatch` — one
-        simulator event instead of one per message.  While a fault is
-        installed each message gets its own verdict (a degraded link draws
+        simulator event instead of one per message.  While a fault window
+        is open each message gets its own verdict (a degraded link draws
         its drop and its delay per message) and its own delivery,
         preserving the unbatched behaviour bit for bit.  Returns the batch
         delivery time (``None`` when the destination has crashed or faults
@@ -381,7 +292,7 @@ class Network:
                 self._count_message(message)
             stats.messages_dropped += len(messages)
             return None
-        if self._faults_active:
+        if self.active_faults:
             base = self._base_delay(sender, destination)
             for message in messages:
                 self._count_message(message)

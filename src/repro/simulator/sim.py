@@ -39,28 +39,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.base import Envelope, MBatch, ProcessBase
 from repro.core.config import ProtocolConfig
+from repro.faults.plan import Crash, FaultPlan, Restart
 from repro.simulator.events import EventKind, EventQueue
 from repro.simulator.network import Network
 
 _MESSAGE = EventKind.MESSAGE
 _TICK = EventKind.TICK
-
-
-@dataclass
-class SimulationOptions:
-    """Tunables of the simulation loop."""
-
-    tick_interval: float = ProtocolConfig.tick_interval
-    max_time: float = 60_000.0
-    max_events: int = 5_000_000
-
-    def __post_init__(self) -> None:
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
-        if self.max_time <= 0:
-            raise ValueError("max_time must be positive")
-        if self.max_events <= 0:
-            raise ValueError("max_events must be positive")
+_CUSTOM = EventKind.CUSTOM
 
 
 @dataclass
@@ -81,17 +66,11 @@ class SimulationStats:
 class Simulation:
     """Discrete-event simulation of a replicated deployment."""
 
-    def __init__(
-        self,
-        processes: Iterable[ProcessBase],
-        network: Network,
-        options: Optional[SimulationOptions] = None,
-    ) -> None:
+    def __init__(self, processes: Iterable[ProcessBase], network: Network) -> None:
         self.processes: Dict[int, ProcessBase] = {
             process.process_id: process for process in processes
         }
         self.network = network
-        self.options = options or SimulationOptions()
         self.queue = EventQueue()
         self.now = 0.0
         self.stats = SimulationStats()
@@ -104,14 +83,12 @@ class Simulation:
             None,
             self._handle_tick_event,
             self._handle_client_event,
-            self._handle_crash_event,
             self._handle_custom_event,
-            self._handle_fault_event,
         )
         # One fused TICK event per interval walks every process; nothing to
         # tick means no tick chain (and an immediately-quiescent queue).
         if self.processes:
-            self.queue.push(self.options.tick_interval, _TICK)
+            self.queue.push(ProtocolConfig.tick_interval, _TICK)
 
     # -- wiring ----------------------------------------------------------------
 
@@ -130,21 +107,49 @@ class Simulation:
         """Schedule an arbitrary callback ``delay`` ms from now."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        self.queue.push(self.now + delay, EventKind.CUSTOM, payload=callback)
+        self.queue.push(self.now + delay, _CUSTOM, payload=callback)
 
     def submit_at(self, time: float, process_id: int, command) -> None:
         """Schedule a command submission at ``time`` on ``process_id``."""
         self.queue.push(time, EventKind.CLIENT, target=process_id, payload=command)
 
-    def crash_at(self, time: float, process_id: int) -> None:
-        """Schedule a crash of ``process_id`` at ``time``."""
-        self.queue.push(time, EventKind.CRASH, target=process_id)
+    def schedule_faults(
+        self, plan: FaultPlan, process_id_of: Callable[[int, int], int]
+    ) -> None:
+        """Start and end every event of a validated plan at its simulated
+        times: a crash or restart acts on the replica
+        ``process_id_of(site_rank, shard)``; a window event is handed to
+        the network when it opens and taken back when it closes.  Call
+        once, before :meth:`run`.  Events are pushed in plan order (a
+        window's start, then its end), an order each timestamp's FIFO lane
+        keeps.
+        """
+        push = self.queue.push
 
-    def fault_at(self, time: float, action: Callable[["Simulation"], None]) -> None:
-        """Schedule a scripted fault action (``action(simulation)``) at
-        ``time`` — partition/heal edges, link degradation windows, targeted
-        loss windows, restarts.  The fault-plan injector's entry point."""
-        self.queue.push(time, EventKind.FAULT, payload=action)
+        def at(time: float, action: Callable[[object], None], argument: object) -> None:
+            push(time, _CUSTOM, payload=lambda now: action(argument))
+
+        network = self.network
+        for event in plan:
+            if isinstance(event, Crash):
+                at(event.at_ms, self.crash, process_id_of(event.site_rank, event.shard))
+            elif isinstance(event, Restart):
+                at(event.at_ms, self.restart, process_id_of(event.site_rank, event.shard))
+            else:
+                at(event.at_ms, network.start_fault, event)
+                at(event.until_ms, network.end_fault, event)
+
+    def crash(self, process_id: int) -> None:
+        """Crash-stop a process: the network drops what is sent to it and
+        every process suspects it from this instant (the oracle failure
+        detector of :meth:`restart`)."""
+        process = self.processes.get(process_id)
+        if process is None:
+            return
+        process.crash()
+        self.network.crash(process_id)
+        for other in self.processes.values():
+            other.set_alive_view(process_id, False)
 
     def restart(self, process_id: int) -> None:
         """Restart a crashed process with its durable state.
@@ -221,10 +226,9 @@ class Simulation:
 
     # -- main loop ----------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None) -> SimulationStats:
-        """Run the simulation until ``until`` (or the configured maximum)."""
-        horizon = min(until if until is not None else self.options.max_time,
-                      self.options.max_time)
+    def run(self, until: float, max_events: int = 5_000_000) -> SimulationStats:
+        """Run the simulation up to time ``until``, or until ``max_events``
+        events have been processed in all."""
         # The loop allocates millions of short-lived objects (events,
         # envelopes, messages); pausing the cyclic collector for the run
         # avoids thousands of pointless generational passes.  Refcounting
@@ -234,7 +238,7 @@ class Simulation:
         if collector_was_enabled:
             gc.disable()
         try:
-            self._run_loop(horizon)
+            self._run_loop(until, max_events)
         finally:
             if collector_was_enabled:
                 gc.enable()
@@ -242,7 +246,7 @@ class Simulation:
         stats.end_time = self.now
         return stats
 
-    def _run_loop(self, horizon: float) -> None:
+    def _run_loop(self, horizon: float, max_events: int) -> None:
         """Drain timestamp lanes up to ``horizon`` or the event budget."""
         queue = self.queue
         pop_lane = queue.pop_lane
@@ -251,7 +255,6 @@ class Simulation:
         external = self.external_endpoints
         route_envelopes = self.route_envelopes
         dispatch = self._dispatch
-        max_events = self.options.max_events
         message_kind = _MESSAGE
         events_processed = stats.events_processed
         while events_processed < max_events:
@@ -308,7 +311,7 @@ class Simulation:
         still counts one tick per process per interval.
         """
         processes = self.processes
-        self.queue.push(self.now + self.options.tick_interval, _TICK)
+        self.queue.push(self.now + ProtocolConfig.tick_interval, _TICK)
         self.stats.ticks += len(processes)
         now = self.now
         for process in processes.values():
@@ -326,20 +329,6 @@ class Simulation:
         process.submit(command, self.now)
         self._drain_process(process)
 
-    def _handle_crash_event(self, process_id: int, payload: object) -> None:
-        process = self.processes.get(process_id)
-        if process is None:
-            return
-        process.crash()
-        self.network.crash(process_id)
-        for other in self.processes.values():
-            other.set_alive_view(process_id, False)
-
     def _handle_custom_event(self, target: int, callback) -> None:
         callback(self.now)
-        self.flush_outboxes()
-
-    def _handle_fault_event(self, target: int, action) -> None:
-        """Apply one scripted fault action at its simulated time."""
-        action(self)
         self.flush_outboxes()

@@ -6,7 +6,7 @@ Two guarantees pin the machinery:
   built, not when the run reaches the bad event;
 * an empty fault plan is a no-op: the run is bit-identical to one with no
   fault machinery at all — healthy traffic never touches the fault RNG
-  stream and installing an injector consumes nothing.
+  stream and scheduling a plan consumes nothing.
 """
 
 from __future__ import annotations

@@ -1,25 +1,33 @@
-"""Unit tests for the declarative fault-plan schema and its injector.
+"""Unit tests for the declarative fault-plan schema and its scheduling.
 
-The plan layer is pure validation + ordering; the injector tests drive
-``FaultInjector.install`` against a recording stub so every event kind's
-compilation (crash -> first-class CRASH event, window events -> paired
-FAULT events, rank -> site-name/process-id resolution) is pinned without
-spinning up a simulation.
+The plan layer is pure validation + ordering.  The scheduling tests run a
+plan on a real :class:`~repro.simulator.sim.Simulation` (three sites, no
+commands) and observe it at simulated times: a crash or restart acts on the
+replica its ``(site_rank, shard)`` resolves to, and each window event is
+active on the network from its start to its end.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.cluster.config import ExperimentConfig
+from repro.cluster.replicas import build_replicas
+from repro.cluster.runner import run_experiment
+from repro.core.config import ProtocolConfig
 from repro.faults import (
     Crash,
-    FaultInjector,
     FaultPlan,
     FlakyLink,
     Partition,
     Restart,
     TargetedLoss,
 )
+from repro.simulator.latency import uniform_latency_matrix
+from repro.simulator.network import Network
+from repro.simulator.sim import Simulation
 
 SITES = ["ireland", "canada", "singapore"]
 
@@ -55,6 +63,8 @@ class TestEventValidation:
     def test_flaky_link_must_degrade_something(self):
         with pytest.raises(ValueError):
             FlakyLink(at_ms=100.0, until_ms=200.0).validate(3, 1)
+        with pytest.raises(ValueError):
+            FlakyLink(at_ms=100.0, until_ms=200.0, drop_probability=1.5).validate(3, 1)
         FlakyLink(at_ms=100.0, until_ms=200.0, drop_probability=0.1).validate(3, 1)
 
     def test_flaky_link_site_selection_rules(self):
@@ -102,115 +112,139 @@ class TestFaultPlan:
             FaultPlan(["crash at 100"]).validate(3, 1)  # type: ignore[list-item]
 
 
-class _RecordingNetwork:
-    def __init__(self):
-        self.calls = []
-
-    def __getattr__(self, name):
-        def record(*args, **kwargs):
-            self.calls.append((name, args, kwargs))
-
-        return record
-
-
-class _RecordingSimulation:
-    """Duck-typed stand-in for Simulation: records scheduled fault events."""
-
-    def __init__(self):
-        self.network = _RecordingNetwork()
-        self.crashes = []
-        self.faults = []
-        self.restarts = []
-
-    def crash_at(self, at_ms, process_id):
-        self.crashes.append((at_ms, process_id))
-
-    def fault_at(self, at_ms, action):
-        self.faults.append((at_ms, action))
-
-    def restart(self, process_id):
-        self.restarts.append(process_id)
-
-    def run_faults(self):
-        for _, action in self.faults:
-            action(self)
+def make_simulation(num_shards=1):
+    """Three sites of replicas, shard-major process ids, no clients."""
+    config = ProtocolConfig(num_processes=3, faults=1, num_partitions=num_shards)
+    processes = build_replicas("tempo", config).processes
+    network = Network(uniform_latency_matrix(SITES, one_way_ms=10.0))
+    for process in processes:
+        process_id = process.process_id
+        network.place(
+            process_id,
+            SITES[config.site_of_process(process_id)],
+            config.partition_of_process(process_id),
+        )
+    return Simulation(processes, network)
 
 
-def make_injector(plan, num_shards=1):
-    # Process ids laid out shard-major, matching the cluster deployment.
-    return FaultInjector(
-        plan,
-        SITES,
-        lambda site_rank, shard: shard * len(SITES) + site_rank,
-        num_shards=num_shards,
-    )
+def schedule(simulation, plan):
+    """Schedule ``plan``, resolving replicas as the cluster deployment does."""
+    resolved = []
+
+    def process_id_of(site_rank, shard):
+        resolved.append((site_rank, shard))
+        return shard * len(SITES) + site_rank
+
+    simulation.schedule_faults(plan, process_id_of)
+    return resolved
 
 
-class TestFaultInjector:
-    def test_crash_compiles_to_first_class_crash_event(self):
-        simulation = _RecordingSimulation()
-        make_injector(FaultPlan([Crash(at_ms=800.0, site_rank=2)])).install(simulation)
-        assert simulation.crashes == [(800.0, 2)]
-        assert simulation.faults == []
+class TestPlanScheduling:
+    def test_crash_takes_effect_at_its_time(self):
+        simulation = make_simulation()
+        schedule(simulation, FaultPlan([Crash(at_ms=800.0, site_rank=2)]))
+        victim, observer = simulation.processes[2], simulation.processes[0]
+        simulation.run(until=799.0)
+        assert victim.alive and not simulation.network.is_crashed(2)
+        simulation.run(until=800.0)
+        assert not victim.alive and simulation.network.is_crashed(2)
+        assert not observer.believes_alive(2)
 
     def test_restart_resolves_the_replica_coordinate(self):
-        simulation = _RecordingSimulation()
-        make_injector(
-            FaultPlan([Restart(at_ms=900.0, site_rank=1, shard=1)]), num_shards=2
-        ).install(simulation)
-        assert [at for at, _ in simulation.faults] == [900.0]
-        simulation.run_faults()
-        assert simulation.restarts == [4]  # shard 1, rank 1 -> 1 * 3 + 1
-
-    def test_partition_schedules_set_and_heal(self):
-        simulation = _RecordingSimulation()
-        make_injector(
-            FaultPlan([Partition(at_ms=800.0, heal_at_ms=1400.0, groups=[(0,), (1, 2)])])
-        ).install(simulation)
-        assert [at for at, _ in simulation.faults] == [800.0, 1400.0]
-        simulation.run_faults()
-        assert simulation.network.calls == [
-            ("set_partition", ((("ireland",), ("canada", "singapore")),), {}),
-            ("clear_partition", (), {}),
-        ]
-
-    def test_flaky_link_degrades_every_link_of_a_site_then_restores(self):
-        simulation = _RecordingSimulation()
-        make_injector(
+        simulation = make_simulation(num_shards=2)
+        resolved = schedule(
+            simulation,
             FaultPlan(
-                [FlakyLink(at_ms=800.0, until_ms=1700.0, site_a=0, drop_probability=0.05)]
-            )
-        ).install(simulation)
-        simulation.run_faults()
-        names = [name for name, _, _ in simulation.network.calls]
-        assert names == ["degrade_link"] * 2 + ["restore_link"] * 2
-        degraded = {args[:2] for name, args, _ in simulation.network.calls if name == "degrade_link"}
-        assert degraded == {("ireland", "canada"), ("ireland", "singapore")}
+                [
+                    Crash(at_ms=700.0, site_rank=1, shard=1),
+                    Restart(at_ms=900.0, site_rank=1, shard=1),
+                ]
+            ),
+        )
+        assert resolved == [(1, 1), (1, 1)]
+        victim = simulation.processes[4]  # shard 1, rank 1 -> 1 * 3 + 1
+        simulation.run(until=800.0)
+        assert not victim.alive
+        assert all(p.alive for p in simulation.processes.values() if p is not victim)
+        simulation.run(until=900.0)
+        assert victim.alive and not simulation.network.is_crashed(4)
+        assert simulation.processes[0].believes_alive(4)
 
-    def test_targeted_loss_tags_shards_and_schedules_the_window(self):
-        simulation = _RecordingSimulation()
-        make_injector(
+    @pytest.mark.parametrize(
+        "event",
+        [
+            Partition(at_ms=800.0, heal_at_ms=1400.0, groups=[(0,), (1, 2)]),
+            FlakyLink(at_ms=800.0, until_ms=1400.0, site_a=0, drop_probability=0.05),
+            TargetedLoss(at_ms=800.0, until_ms=1400.0, kind="MStable"),
+        ],
+        ids=["partition", "flaky", "targeted"],
+    )
+    def test_a_window_is_active_from_its_start_to_its_end(self, event):
+        simulation = make_simulation()
+        assert schedule(simulation, FaultPlan([event])) == []
+        network = simulation.network
+        simulation.run(until=799.0)
+        assert network.active_faults == []
+        simulation.run(until=800.0)
+        assert network.active_faults == [event]
+        simulation.run(until=1399.0)
+        assert network.active_faults == [event]
+        simulation.run(until=1400.0)
+        assert network.active_faults == []
+
+    def test_cross_shard_loss_reads_the_shards_given_at_placement(self):
+        from repro.core.identifiers import intern_dot
+        from repro.core.messages import MStable
+
+        simulation = make_simulation(num_shards=2)
+        schedule(
+            simulation,
             FaultPlan(
                 [
                     TargetedLoss(
-                        at_ms=800.0,
-                        until_ms=1400.0,
-                        kind="MStable",
-                        cross_shard_only=True,
+                        at_ms=800.0, until_ms=1400.0, kind="MStable", cross_shard_only=True
                     )
                 ]
             ),
-            num_shards=2,
-        ).install(simulation)
-        # All six replicas tagged with their shard before any window opens.
-        tags = [
-            args for name, args, _ in simulation.network.calls if name == "set_group"
-        ]
-        assert sorted(tags) == [(0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1)]
-        simulation.run_faults()
-        names = [name for name, _, _ in simulation.network.calls]
-        assert names[-2:] == ["set_targeted_loss", "clear_targeted_loss"]
+        )
+        simulation.run(until=800.0)
+        network = simulation.network
+        stable = MStable(intern_dot(0, 1))
 
-    def test_install_validates_against_the_deployment_shape(self):
-        with pytest.raises(ValueError):
-            make_injector(FaultPlan([Crash(at_ms=800.0, site_rank=9)]))
+        def send(destination):
+            return network.transmit(0, destination, stable, 800.0, lambda *args: None)
+
+        assert send(1) is not None  # shard 0 -> shard 0
+        assert send(3) is None  # shard 0 -> shard 1
+
+    def test_one_pass_over_a_plan_validated_once(self, monkeypatch):
+        validations = []
+        validate = FaultPlan.validate
+
+        def counting_validate(plan, num_sites, num_shards):
+            validations.append((num_sites, num_shards))
+            return validate(plan, num_sites, num_shards)
+
+        monkeypatch.setattr(FaultPlan, "validate", counting_validate)
+        plan = FaultPlan(
+            [
+                Crash(at_ms=300.0, site_rank=1),
+                Restart(at_ms=500.0, site_rank=1),
+                FlakyLink(at_ms=200.0, until_ms=600.0, extra_delay_ms=5.0),
+            ]
+        )
+        # Scheduling pushes one event per crash or restart and two per window.
+        simulation = make_simulation()
+        queued = len(simulation.queue)
+        schedule(simulation, plan)
+        assert len(simulation.queue) - queued == 4
+        assert validations == []
+        # A run validates its plan once: when its config is built.
+        config = ExperimentConfig(
+            num_sites=3, clients_per_site=1, duration_ms=800.0, warmup_ms=100.0,
+            sites=SITES, fault_plan=plan,
+        )
+        run_experiment(config)
+        assert validations == [(3, 1)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.fault_plan = FaultPlan([Crash(at_ms=300.0, site_rank=9)])

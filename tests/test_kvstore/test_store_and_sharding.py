@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.commands import Command
+from repro.core.commands import Command, Partitioner
 from repro.core.identifiers import Dot
 from repro.kvstore.sharding import ShardMap
 from repro.kvstore.store import KeyValueStore
@@ -52,17 +52,17 @@ class TestKeyValueStore:
 class TestShardMap:
     def test_numeric_keys_round_robin(self):
         shards = ShardMap(4)
-        assert shards.shard_of_key("user8") == 0
-        assert shards.shard_of_key("user9") == 1
-        assert shards.shard_of_key("user10") == 2
-        assert shards.shard_of_key("user11") == 3
+        assert shards.partition_of("user8") == 0
+        assert shards.partition_of("user9") == 1
+        assert shards.partition_of("user10") == 2
+        assert shards.partition_of("user11") == 3
 
     def test_key_for_is_inverse_of_shard_of_key(self):
         shards = ShardMap(6, keys_per_shard=100)
         for shard in range(6):
             for index in (0, 5, 99):
                 key = shards.key_for(shard, index)
-                assert shards.shard_of_key(key) == shard
+                assert shards.partition_of(key) == shard
 
     def test_total_keys(self):
         assert ShardMap(2, keys_per_shard=1000).total_keys() == 2000
@@ -70,19 +70,23 @@ class TestShardMap:
     def test_distribution_is_roughly_uniform_for_sequential_keys(self):
         shards = ShardMap(4)
         keys = [f"user{index}" for index in range(400)]
-        histogram = Counter(shards.shard_of_key(key) for key in keys)
+        histogram = Counter(shards.partition_of(key) for key in keys)
         assert histogram == {shard: 100 for shard in range(4)}
 
     def test_partitioner_adapter(self):
         shards = ShardMap(3)
-        partitioner = shards.partitioner()
-        assert partitioner.num_partitions == 3
-        assert partitioner.partition_of("user4") == shards.shard_of_key("user4")
+        assert isinstance(shards, Partitioner)
+        assert shards.num_partitions == shards.num_shards == 3
+        assert shards.partition_of("user4") == 1
+        # One shard is full replication: every key in partition 0.
+        assert ShardMap(1).partition_of("user4") == 0
+        shards.assign("user4", 2)
+        assert shards.partition_of("user4") == 2
 
     def test_shards_of_keys(self):
         shards = ShardMap(4)
         command = Command.write(Dot(0, 1), ["user0", "user1", "user4"])
-        assert command.partitions(shards.partitioner()) == {0, 1}
+        assert command.partitions(shards) == {0, 1}
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -95,5 +99,5 @@ class TestShardMap:
 
     def test_non_numeric_keys_are_hashed_stably(self):
         shards = ShardMap(5)
-        assert shards.shard_of_key("alpha") == shards.shard_of_key("alpha")
-        assert 0 <= shards.shard_of_key("alpha") < 5
+        assert shards.partition_of("alpha") == shards.partition_of("alpha")
+        assert 0 <= shards.partition_of("alpha") < 5

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from repro.core.base import MBatch, ProcessBase
 from repro.core.config import ProtocolConfig
+from repro.faults import FlakyLink
 from repro.simulator.events import EventKind
 from repro.simulator.latency import uniform_latency_matrix
-from repro.simulator.network import LinkDegradation, Network
+from repro.simulator.network import Network
 from repro.simulator.rng import SeededRng
-from repro.simulator.sim import Simulation, SimulationOptions
+from repro.simulator.sim import Simulation
 
 
 class RecordingProcess(ProcessBase):
@@ -37,8 +38,8 @@ class RecordingProcess(ProcessBase):
 
 
 def build(num_processes=3, **degradation):
-    """``degradation`` (``LinkDegradation`` fields) degrades the a-b link,
-    the one between processes 0 and 1."""
+    """``degradation`` (``FlakyLink`` fields) degrades the a-b link, the
+    one between processes 0 and 1."""
     config = ProtocolConfig(num_processes=num_processes, faults=1)
     processes = [
         RecordingProcess(process_id, config) for process_id in range(num_processes)
@@ -49,10 +50,10 @@ def build(num_processes=3, **degradation):
     for process_id, site in zip(range(num_processes), sites):
         network.place(process_id, site)
     if degradation:
-        network.degrade_link("a", "b", LinkDegradation(**degradation))
-    simulation = Simulation(
-        processes, network, SimulationOptions(tick_interval=1000.0, max_time=10_000.0)
-    )
+        network.start_fault(
+            FlakyLink(at_ms=1.0, until_ms=2.0, site_a=0, site_b=1, **degradation)
+        )
+    simulation = Simulation(processes, network)
     return processes, simulation
 
 

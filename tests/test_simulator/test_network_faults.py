@@ -1,11 +1,12 @@
-"""Unit tests for the network's per-link fault state.
+"""Unit tests for the network's fault windows.
 
-Partitions, flaky-link degradation windows and message-class-targeted loss
-are the :class:`repro.faults` primitives at the transport layer; these
-tests drive :meth:`Network.transmit` directly and assert on what ``deliver``
-sees.  The RNG-isolation tests pin the contract the cluster-level
-determinism test relies on: healthy traffic never draws from the dedicated
-fault stream, and fault draws never advance the main stream.
+Partitions, flaky links and message-class-targeted loss are the window
+events of :mod:`repro.faults.plan`; the network applies the ones started
+(:meth:`Network.start_fault`) and not yet ended.  These tests drive
+:meth:`Network.transmit` directly and assert on what ``deliver`` sees.  The
+RNG-isolation tests pin the contract the cluster-level determinism test
+relies on: healthy traffic never draws from the dedicated fault stream, and
+fault draws never advance the main stream.
 """
 
 from __future__ import annotations
@@ -14,18 +15,29 @@ import pytest
 
 from repro.core.identifiers import intern_dot
 from repro.core.messages import MCommitRequest, MStable
+from repro.faults import FaultPlan, FlakyLink, Partition, TargetedLoss
 from repro.simulator.latency import ec2_latency_matrix
-from repro.simulator.network import LinkDegradation, Network, TargetedLoss
+from repro.simulator.network import Network
 from repro.simulator.rng import FAULT_RNG_STREAM, SeededRng
+from repro.simulator.sim import Simulation
 
+#: Site ranks 0, 1, 2; endpoint ``i`` sits at rank ``i``.
 SITES = ["ireland", "canada", "singapore"]
 
 
-def make_network() -> Network:
+def make_network(shards=None) -> Network:
+    """Endpoint ``i`` at site rank ``i``, in shard ``shards[i]`` if given."""
     network = Network(ec2_latency_matrix(SITES), rng=SeededRng(1))
     for endpoint, site in enumerate(SITES):
-        network.place(endpoint, site)
+        network.place(endpoint, site, shards[endpoint] if shards else None)
     return network
+
+
+def window(event_class, at_ms=100.0, until_ms=500.0, **fields):
+    """A window event of one of the three classes, open ``at_ms``–``until_ms``."""
+    if event_class is Partition:
+        return Partition(at_ms, until_ms, fields["groups"])
+    return event_class(at_ms=at_ms, until_ms=until_ms, **fields)
 
 
 def transmit(network: Network, sender: int, destination: int, message=None):
@@ -46,55 +58,49 @@ def transmit(network: Network, sender: int, destination: int, message=None):
 class TestPartition:
     def test_cross_group_messages_are_dropped(self):
         network = make_network()
-        network.set_partition([("ireland",), ("canada", "singapore")])
+        network.start_fault(window(Partition, groups=[(0,), (1, 2)]))
         assert transmit(network, 0, 1) is None
         assert transmit(network, 1, 0) is None
 
     def test_same_group_messages_deliver(self):
         network = make_network()
-        network.set_partition([("ireland",), ("canada", "singapore")])
+        network.start_fault(window(Partition, groups=[(0,), (1, 2)]))
         assert transmit(network, 1, 2) is not None
 
     def test_unlisted_sites_reach_everyone(self):
         network = make_network()
-        network.set_partition([("ireland",), ("canada",)])
+        network.start_fault(window(Partition, groups=[(0,), (1,)]))
         assert transmit(network, 2, 0) is not None
         assert transmit(network, 0, 2) is not None
 
     def test_heal_restores_delivery(self):
         network = make_network()
-        network.set_partition([("ireland",), ("canada", "singapore")])
-        network.clear_partition()
+        partition = window(Partition, groups=[(0,), (1, 2)])
+        network.start_fault(partition)
+        network.end_fault(partition)
         assert transmit(network, 0, 1) is not None
-        assert not network._faults_active
-
-    def test_unknown_site_and_duplicate_site_are_rejected(self):
-        network = make_network()
-        with pytest.raises(KeyError):
-            network.set_partition([("ireland",), ("atlantis",)])
-        with pytest.raises(ValueError):
-            network.set_partition([("ireland",), ("ireland", "canada")])
+        assert network.active_faults == []
 
 
-class TestLinkDegradation:
+class TestFlakyLink:
     def test_extra_delay_is_added_both_ways(self):
         network = make_network()
         base = transmit(network, 0, 1)
-        network.degrade_link("ireland", "canada", LinkDegradation(extra_delay_ms=30.0))
+        network.start_fault(window(FlakyLink, site_a=0, site_b=1, extra_delay_ms=30.0))
         assert transmit(network, 0, 1) == pytest.approx(base + 30.0)
         assert transmit(network, 1, 0) == pytest.approx(base + 30.0)
 
     def test_other_links_are_unaffected(self):
         network = make_network()
         base = transmit(network, 0, 2)
-        network.degrade_link("ireland", "canada", LinkDegradation(extra_delay_ms=30.0))
+        network.start_fault(window(FlakyLink, site_a=0, site_b=1, extra_delay_ms=30.0))
         assert transmit(network, 0, 2) == pytest.approx(base)
 
     def test_jitter_is_bounded_and_varies(self):
         network = make_network()
         base = transmit(network, 0, 1)
-        network.degrade_link(
-            "ireland", "canada", LinkDegradation(extra_delay_ms=10.0, jitter_ms=5.0)
+        network.start_fault(
+            window(FlakyLink, site_a=0, site_b=1, extra_delay_ms=10.0, jitter_ms=5.0)
         )
         delays = {transmit(network, 0, 1) for _ in range(20)}
         assert all(base + 10.0 <= delay <= base + 15.0 for delay in delays)
@@ -102,57 +108,106 @@ class TestLinkDegradation:
 
     def test_certain_drop(self):
         network = make_network()
-        network.degrade_link(
-            "ireland", "canada", LinkDegradation(drop_probability=1.0)
-        )
+        network.start_fault(window(FlakyLink, site_a=0, site_b=1, drop_probability=1.0))
         assert transmit(network, 0, 1) is None
         assert network.stats.messages_dropped == 1
 
-    def test_restore_link_ends_the_window(self):
+    def test_window_end_restores_the_link(self):
         network = make_network()
         base = transmit(network, 0, 1)
-        network.degrade_link("ireland", "canada", LinkDegradation(extra_delay_ms=30.0))
-        network.restore_link("canada", "ireland")  # order-insensitive key
+        flaky = window(FlakyLink, site_a=0, site_b=1, extra_delay_ms=30.0)
+        network.start_fault(flaky)
+        network.end_fault(flaky)
         assert transmit(network, 0, 1) == pytest.approx(base)
-        assert not network._faults_active
+        assert network.active_faults == []
 
-    def test_validation(self):
+    def test_site_and_every_link_selections(self):
         network = make_network()
-        with pytest.raises(ValueError):
-            LinkDegradation(drop_probability=1.5)
-        with pytest.raises(ValueError):
-            network.degrade_link("ireland", "ireland", LinkDegradation(1.0))
+        base = {(a, b): transmit(network, a, b) for a, b in ((0, 1), (0, 2), (1, 2))}
+        network.start_fault(window(FlakyLink, site_a=0, extra_delay_ms=30.0))
+        assert transmit(network, 0, 1) == pytest.approx(base[0, 1] + 30.0)
+        assert transmit(network, 2, 0) == pytest.approx(base[0, 2] + 30.0)
+        assert transmit(network, 1, 2) == pytest.approx(base[1, 2])
+        network.start_fault(window(FlakyLink, extra_delay_ms=5.0))
+        assert transmit(network, 1, 2) == pytest.approx(base[1, 2] + 5.0)
 
 
 class TestTargetedLoss:
     def test_only_the_targeted_kind_is_dropped(self):
         network = make_network()
-        network.set_targeted_loss("MStable", TargetedLoss(probability=1.0))
+        network.start_fault(window(TargetedLoss, kind="MStable"))
         assert transmit(network, 0, 1, MStable(intern_dot(0, 1))) is None
         assert transmit(network, 0, 1, MCommitRequest(intern_dot(0, 1))) is not None
 
     def test_cross_group_only_spares_intra_group_copies(self):
-        network = make_network()
-        network.set_group(0, 0)
-        network.set_group(1, 0)
-        network.set_group(2, 1)
-        network.set_targeted_loss(
-            "MStable", TargetedLoss(probability=1.0, cross_group_only=True)
-        )
+        # ``cross_shard_only``: the groups are the shards given at placement.
+        network = make_network(shards=[0, 0, 1])
+        network.start_fault(window(TargetedLoss, kind="MStable", cross_shard_only=True))
         stable = MStable(intern_dot(0, 1))
-        assert transmit(network, 0, 1, stable) is not None  # same group
-        assert transmit(network, 0, 2, stable) is None  # crosses groups
+        assert transmit(network, 0, 1, stable) is not None  # same shard
+        assert transmit(network, 0, 2, stable) is None  # crosses shards
+        # An endpoint placed without a shard (a client) is never cross-shard.
+        network.place(-1, "singapore")
+        assert transmit(network, 0, -1, stable) is not None
 
     def test_clear_restores_the_kind(self):
         network = make_network()
-        network.set_targeted_loss("MStable", TargetedLoss(probability=1.0))
-        network.clear_targeted_loss("MStable")
+        loss = window(TargetedLoss, kind="MStable")
+        network.start_fault(loss)
+        network.end_fault(loss)
         assert transmit(network, 0, 1, MStable(intern_dot(0, 1))) is not None
-        assert not network._faults_active
+        assert network.active_faults == []
 
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            TargetedLoss(probability=0.0)
+
+class TestOverlappingWindows:
+    """Windows of one kind that overlap in time all apply, and each one's
+    end removes only itself."""
+
+    @pytest.mark.parametrize(
+        "event_class, fields",
+        [
+            (FlakyLink, dict(site_a=0, site_b=1, drop_probability=1.0)),
+            (Partition, dict(groups=[(0,), (1, 2)])),
+            (TargetedLoss, dict(kind="MCommitRequest")),
+        ],
+        ids=["flaky", "partition", "targeted"],
+    )
+    def test_the_later_window_outlives_the_earlier_ones_end(self, event_class, fields):
+        first = window(event_class, 100.0, 500.0, **fields)
+        second = window(event_class, 300.0, 800.0, **fields)
+        network = make_network()
+        simulation = Simulation([], network)
+        simulation.schedule_faults(FaultPlan([first, second]), lambda rank, shard: rank)
+        simulation.run(until=400.0)
+        assert network.active_faults == [first, second]
+        assert transmit(network, 0, 1) is None
+        simulation.run(until=600.0)
+        assert network.active_faults == [second]
+        assert transmit(network, 0, 1) is None
+        simulation.run(until=900.0)
+        assert network.active_faults == []
+        assert transmit(network, 0, 1) is not None
+
+    def test_delays_add_up_and_the_earlier_window_draws_first(self):
+        network = make_network()
+        base = transmit(network, 0, 1)
+        network.start_fault(
+            window(FlakyLink, site_a=0, site_b=1, extra_delay_ms=10.0, jitter_ms=5.0)
+        )
+        network.start_fault(window(FlakyLink, extra_delay_ms=20.0, jitter_ms=50.0))
+        twin = SeededRng(1).fault_stream()
+        for _ in range(5):
+            early = twin.uniform_between(0.0, 5.0)
+            late = twin.uniform_between(0.0, 50.0)
+            expected = base + (10.0 + early) + (20.0 + late)
+            assert transmit(network, 0, 1) == pytest.approx(expected)
+
+    def test_any_window_drops(self):
+        network = make_network()
+        network.start_fault(window(FlakyLink, extra_delay_ms=30.0))
+        network.start_fault(window(FlakyLink, site_a=0, site_b=1, drop_probability=1.0))
+        assert transmit(network, 0, 1) is None
+        assert transmit(network, 0, 2) is not None
 
 
 class TestFaultRngIsolation:
@@ -169,8 +224,8 @@ class TestFaultRngIsolation:
 
     def test_fault_draws_never_advance_the_main_stream(self):
         network = make_network()
-        network.degrade_link(
-            "ireland", "canada", LinkDegradation(jitter_ms=5.0, drop_probability=0.5)
+        network.start_fault(
+            window(FlakyLink, site_a=0, site_b=1, jitter_ms=5.0, drop_probability=0.5)
         )
         for _ in range(50):
             transmit(network, 0, 1)

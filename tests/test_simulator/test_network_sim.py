@@ -15,9 +15,13 @@ from repro.simulator.latency import (
     ec2_latency_matrix,
     uniform_latency_matrix,
 )
-from repro.simulator.network import LinkDegradation, Network
+from repro.faults import Crash, FaultPlan, FlakyLink
+from repro.simulator.network import Network
 from repro.simulator.rng import SeededRng
-from repro.simulator.sim import Simulation, SimulationOptions
+from repro.simulator.sim import Simulation
+
+#: Horizon of the loop tests: ticks recur forever, so every run is bounded.
+HORIZON = 2_000.0
 
 
 class EchoProcess(ProcessBase):
@@ -63,7 +67,7 @@ class TestNetwork:
 
     def test_jitter_adds_bounded_noise(self):
         network = make_network()
-        network.degrade_link("ireland", "canada", LinkDegradation(jitter_ms=5.0))
+        network.start_fault(FlakyLink(at_ms=1.0, until_ms=2.0, jitter_ms=5.0))
         delays = {delay(network, 0, 1) for _ in range(20)}
         assert all(36.0 <= delay <= 41.0 for delay in delays)
         assert len(delays) > 1
@@ -104,8 +108,9 @@ class TestNetwork:
         )
 
     def test_drop_probability_validation(self):
+        # The network applies plan events as given: the plan validates them.
         with pytest.raises(ValueError):
-            LinkDegradation(drop_probability=1.5)
+            FlakyLink(at_ms=1.0, until_ms=2.0, drop_probability=1.5).validate(2, 1)
 
     def test_unplaced_endpoint_raises(self):
         network = make_network()
@@ -125,22 +130,22 @@ class TestSimulationLoop:
         network = Network(matrix)
         for process_id, site in zip(range(3), ["a", "b", "c"]):
             network.place(process_id, site)
-        simulation = Simulation(processes, network, SimulationOptions(tick_interval=5.0, max_time=2_000.0))
+        simulation = Simulation(processes, network)
         return processes, simulation
 
     def test_command_submission_executes_within_simulated_time(self):
         processes, simulation = self.build()
         command = processes[0].new_command(["x"])
         simulation.submit_at(1.0, 0, command)
-        simulation.run()
+        simulation.run(until=HORIZON)
         assert command.dot in processes[0].executed_dots()
-        assert simulation.now <= 2_000.0
+        assert simulation.now <= HORIZON
 
     def test_latency_is_respected(self):
         processes, simulation = self.build()
         command = processes[0].new_command(["x"])
         simulation.submit_at(0.0, 0, command)
-        simulation.run()
+        simulation.run(until=HORIZON)
         # Fast path needs one round trip of 20ms; execution cannot happen
         # before that.
         executed_at = simulation.stats.end_time
@@ -148,7 +153,9 @@ class TestSimulationLoop:
 
     def test_crash_event_marks_process_and_network(self):
         processes, simulation = self.build()
-        simulation.crash_at(1.0, 2)
+        simulation.schedule_faults(
+            FaultPlan([Crash(at_ms=1.0, site_rank=2)]), lambda site_rank, shard: site_rank
+        )
         simulation.run(until=10.0)
         assert not processes[2].alive
         assert simulation.network.is_crashed(2)
@@ -168,7 +175,7 @@ class TestSimulationLoop:
         simulation.register_external(-1, lambda sender, message, now: received.append(message))
         command = Command.write(processes[0].dot_generator.next_id(), ["x"], client_id=0)
         simulation.submit_at(0.0, 0, command)
-        simulation.run()
+        simulation.run(until=HORIZON)
         assert received, "client reply should have been routed to the external endpoint"
 
     def test_run_until_halts_early_and_resumes(self):
@@ -179,17 +186,15 @@ class TestSimulationLoop:
         # One 20 ms round trip is still in flight at the horizon.
         assert simulation.now <= 15.0
         assert command.dot not in processes[0].executed_dots()
-        simulation.run()
+        simulation.run(until=HORIZON)
         assert command.dot in processes[0].executed_dots()
 
     def test_event_budget_halts_at_the_exact_count(self):
         processes, simulation = self.build()
-        simulation.options.max_events = 5
         simulation.submit_at(0.0, 0, processes[0].new_command(["x"]))
-        assert simulation.run().events_processed == 5
+        assert simulation.run(until=HORIZON, max_events=5).events_processed == 5
         # The rest of the lane the budget cut through is still queued.
-        simulation.options.max_events = 1_000
-        simulation.run()
+        simulation.run(until=HORIZON, max_events=1_000)
         assert processes[0].executed
 
     def test_tick_events_recur(self):
