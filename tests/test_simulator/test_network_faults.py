@@ -81,8 +81,18 @@ class TestPartition:
         assert transmit(network, 0, 1) is not None
         assert network.active_faults == []
 
+    def test_unknown_site_and_duplicate_site_are_rejected(self):
+        # The network takes partitions as site ranks; the plan event
+        # validates them against the deployment before they reach it.
+        with pytest.raises(ValueError):
+            window(Partition, groups=[(0,), (7,)]).validate(len(SITES), 1)
+        with pytest.raises(ValueError):
+            window(Partition, groups=[(0,), (0, 1)]).validate(len(SITES), 1)
 
-class TestFlakyLink:
+
+class TestLinkDegradation:
+    """A :class:`FlakyLink` window degrades the links it selects."""
+
     def test_extra_delay_is_added_both_ways(self):
         network = make_network()
         base = transmit(network, 0, 1)
@@ -112,7 +122,7 @@ class TestFlakyLink:
         assert transmit(network, 0, 1) is None
         assert network.stats.messages_dropped == 1
 
-    def test_window_end_restores_the_link(self):
+    def test_restore_link_ends_the_window(self):
         network = make_network()
         base = transmit(network, 0, 1)
         flaky = window(FlakyLink, site_a=0, site_b=1, extra_delay_ms=30.0)
@@ -130,6 +140,12 @@ class TestFlakyLink:
         assert transmit(network, 1, 2) == pytest.approx(base[1, 2])
         network.start_fault(window(FlakyLink, extra_delay_ms=5.0))
         assert transmit(network, 1, 2) == pytest.approx(base[1, 2] + 5.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            window(FlakyLink, drop_probability=1.5).validate(len(SITES), 1)
+        with pytest.raises(ValueError):
+            window(FlakyLink, site_a=0, site_b=0, drop_probability=1.0).validate(len(SITES), 1)
 
 
 class TestTargetedLoss:
@@ -157,6 +173,10 @@ class TestTargetedLoss:
         network.end_fault(loss)
         assert transmit(network, 0, 1, MStable(intern_dot(0, 1))) is not None
         assert network.active_faults == []
+
+    def test_probability_validation(self):
+        with pytest.raises(ValueError):
+            window(TargetedLoss, kind="MStable", probability=0.0).validate(len(SITES), 1)
 
 
 class TestOverlappingWindows:
