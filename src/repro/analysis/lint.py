@@ -205,7 +205,7 @@ HOT_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("simulator/events.py", "EventQueue"),
     ("protocols/dependency.py", "KeyConflicts"),
     ("protocols/dependency.py", "DepInfo"),
-    ("protocols/depgraph.py", "CommittedNode"),
+    ("protocols/depgraph.py", "GraphNode"),
 )
 
 

@@ -48,6 +48,15 @@ class KeyValueStore:
     def __len__(self) -> int:
         return len(self._data)
 
+    def __eq__(self, other: object) -> bool:
+        """Whether both stores hold the same contents, compared in place."""
+        if not isinstance(other, KeyValueStore):
+            return NotImplemented
+        return self._data == other._data
+
+    #: Mutable, so unhashable.
+    __hash__ = None  # type: ignore[assignment]
+
     def snapshot(self) -> Dict[str, Optional[str]]:
         """Copy of the current contents."""
         return dict(self._data)

@@ -20,7 +20,18 @@ slow-quorum size, which is exactly where EPaxos and Atlas differ (§6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.base import ProcessBase
 from repro.core.commands import Command
@@ -35,7 +46,7 @@ from repro.protocols.dep_messages import (
     MPreAccept,
     MPreAcceptAck,
 )
-from repro.protocols.depgraph import DependencyGraphExecutor
+from repro.protocols.depgraph import DependencyGraphExecutor, GraphNode
 
 _EMPTY_DEPS: FrozenSet[Dot] = frozenset()
 #: A dot's flags in its key's summary: not yet executed here; read-only.
@@ -43,8 +54,57 @@ _LIVE = 1
 _READ = 2
 
 
+class LoneConflict(NamedTuple):
+    """Conflict state of a key with one uncollected command: the command,
+    the key's floor and the command's flags, and no container.  It answers
+    what :class:`KeyConflicts` answers; being immutable, each update
+    returns the key's new entry."""
+
+    dot: Dot
+    floor: int
+    flags: int
+
+    #: The key never held more than this one command live.
+    peak_live = 1
+
+    @property
+    def live(self) -> int:
+        return self.flags & _LIVE
+
+    @property
+    def archived(self) -> int:
+        return 1 - self.live
+
+    def view(self, reads_matter: bool) -> FrozenSet[Dot]:
+        if not reads_matter and self.flags & _READ:
+            return _EMPTY_DEPS
+        return frozenset((self.dot,))
+
+    def register(
+        self, dot: Dot, read_only: bool, sequence: int
+    ) -> Union[LoneConflict, KeyConflicts]:
+        if dot != self.dot:
+            summary = KeyConflicts(self)
+            summary.register(dot, read_only, sequence)
+            return summary
+        if sequence > self.floor:
+            return LoneConflict(dot, sequence, self.flags)
+        return self
+
+    def retire(self, dot: Dot) -> LoneConflict:
+        if dot == self.dot and self.flags & _LIVE:
+            return LoneConflict(dot, self.floor, self.flags ^ _LIVE)
+        return self
+
+    def drop_archived(self, dot: Dot) -> Optional[LoneConflict]:
+        """``None`` once the command is collected: the key keeps no entry."""
+        if dot == self.dot and not self.flags & _LIVE:
+            return None
+        return self
+
+
 class KeyConflicts:
-    """Conflict summary for one key: every uncollected command on it.
+    """Conflict summary for a key with two or more uncollected commands.
 
     One dict maps each registered dot to its flags (:data:`_LIVE` until
     it executes here, :data:`_READ` for a read-only command), with a count
@@ -66,25 +126,31 @@ class KeyConflicts:
     __slots__ = ("dots", "live", "reads", "floor", "peak_live", "_all_cache", "_writes_cache")
     _DIGEST_EXEMPT = frozenset({"_all_cache", "_writes_cache"})  # caches
 
-    def __init__(self) -> None:
-        self.dots: Dict[Dot, int] = {}
+    def __init__(self, lone: LoneConflict) -> None:
+        """The summary of a key that held ``lone`` alone until now."""
+        self.dots: Dict[Dot, int] = {lone.dot: lone.flags}
         #: How many of :attr:`dots` are live; bounded by in-flight commands.
-        self.live = 0
+        self.live = lone.live
         #: How many of :attr:`dots` are read-only.
-        self.reads = 0
-        self.floor = 0
-        #: High-water mark of :attr:`live`, the boundedness witness used by
-        #: the pruning regression tests.
-        self.peak_live = 0
+        self.reads = 1 if lone.flags & _READ else 0
+        self.floor = lone.floor
+        #: High-water mark of :attr:`live` since the key last held two
+        #: commands, the boundedness witness used by the pruning regression
+        #: tests.
+        self.peak_live = lone.live
         self._all_cache: Optional[FrozenSet[Dot]] = None
         self._writes_cache: Optional[FrozenSet[Dot]] = None
 
-    def register(self, dot: Dot, read_only: bool, sequence: int) -> None:
+    @property
+    def archived(self) -> int:
+        return len(self.dots) - self.live
+
+    def register(self, dot: Dot, read_only: bool, sequence: int) -> KeyConflicts:
         if sequence > self.floor:
             self.floor = sequence
         dots = self.dots
         if dot in dots:
-            return
+            return self
         self.live += 1
         if self.live > self.peak_live:
             self.peak_live = self.live
@@ -95,14 +161,19 @@ class KeyConflicts:
         else:
             dots[dot] = _LIVE
             self._writes_cache = None
+        return self
 
-    def retire(self, dot: Dot) -> None:
+    def retire(self, dot: Dot) -> KeyConflicts:
         """An executed dot stops being live.  The views are unchanged, so
         the caches stay valid."""
         flags = self.dots.get(dot)
         if flags is not None and flags & _LIVE:
             self.dots[dot] = flags ^ _LIVE
             self.live -= 1
+        return self
+
+    def view(self, reads_matter: bool) -> FrozenSet[Dot]:
+        return self.all_conflicts() if reads_matter else self.write_conflicts()
 
     def all_conflicts(self) -> FrozenSet[Dot]:
         """Every uncollected command registered on this key."""
@@ -122,8 +193,9 @@ class KeyConflicts:
             )
         return cache
 
-    def drop_archived(self, dot: Dot) -> None:
-        """Forget a *globally executed* dot.
+    def drop_archived(self, dot: Dot) -> Union[KeyConflicts, LoneConflict]:
+        """Forget a *globally executed* dot; a key left with one command
+        keeps it as a :class:`LoneConflict`.
 
         Unlike :meth:`retire` this changes the views, so the caches must be
         invalidated.  Dropping is safe exactly because the dot executed at
@@ -132,24 +204,32 @@ class KeyConflicts:
         so omitting it from future dependency sets changes no execution
         order.
         """
-        flags = self.dots.get(dot)
+        dots = self.dots
+        flags = dots.get(dot)
         if flags is None or flags & _LIVE:
-            return
-        del self.dots[dot]
+            return self
+        del dots[dot]
+        if len(dots) == 1:
+            ((other, other_flags),) = dots.items()
+            return LoneConflict(other, self.floor, other_flags)
         self._all_cache = None
         if flags & _READ:
             self.reads -= 1
         else:
             self._writes_cache = None
+        return self
 
 
 @dataclass(slots=True)
-class DepInfo:
-    """Per-command state at a dependency-protocol process."""
+class DepInfo(GraphNode):
+    """Per-command state at a dependency-protocol process.
+
+    The record is also the command's node in the dependency graph from its
+    commit until it executes here, so its ``dependencies`` and
+    ``sequence`` are held once.
+    """
 
     command: Optional[Command] = None
-    dependencies: FrozenSet[Dot] = _EMPTY_DEPS
-    sequence: int = 0
     status: str = "start"  # start | preaccept | accept | commit | execute
     ballot: int = 0
     #: The coordinator's quorum replies, created by the first reply of each
@@ -198,12 +278,16 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         #: Whether reads only depend on writes (the read/write distinction of
         #: §3.3 that dependency-based protocols can exploit).
         self.read_write_aware = read_write_aware
-        #: Per-key conflict summaries with their sequence floors, for the
-        #: keys of uncollected commands only.
-        self._conflict_index: Dict[str, KeyConflicts] = {}
-        #: Highest ``peak_live`` among the summaries :meth:`_collect` dropped.
+        #: Per-key conflict state with its sequence floor, for the keys of
+        #: uncollected commands only: a :class:`LoneConflict` while the key
+        #: has one such command, a :class:`KeyConflicts` while it has more.
+        self._conflict_index: Dict[str, Union[LoneConflict, KeyConflicts]] = {}
+        #: Highest ``peak_live`` among the summaries :meth:`_collect` dropped
+        #: or turned back into a lone entry (a lone entry's is 1).
         self._dropped_peak_live = 0
-        self.executor = DependencyGraphExecutor(collected=self.gc.collected)
+        self.executor = DependencyGraphExecutor(
+            collected=self.gc.collected, node=self._graph_node
+        )
         #: Message-type -> bound handler (exact class match); bound methods
         #: resolve subclass overrides (e.g. Janus) correctly.
         self._dispatch: Dict[type, Callable[[int, object, float], None]] = {
@@ -241,6 +325,11 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
             self._info[dot] = record
         return record
 
+    def _graph_node(self, dot: Dot, dependencies: FrozenSet[Dot], sequence: int) -> DepInfo:
+        """A committed command's graph node is its record, which
+        :meth:`_on_commit` filled with the same dependencies and sequence."""
+        return self._info[dot]
+
     def status_of(self, dot: Dot) -> str:
         record = self._info.get(dot)
         if record is None:
@@ -268,23 +357,21 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         keys = command.keys
         if len(keys) == 1:
             (key,) = keys
-            summary = index.get(key)
-            if summary is None:
+            entry = index.get(key)
+            if entry is None:
                 return _EMPTY_DEPS, 1
-            deps = summary.all_conflicts() if reads_matter else summary.write_conflicts()
+            deps = entry.view(reads_matter)
             if command.dot in deps:
                 deps = deps - {command.dot}
-            return deps, summary.floor + 1
+            return deps, entry.floor + 1
         union: Set[Dot] = set()
         floor = 0
         for key in keys:
-            summary = index.get(key)
-            if summary is not None:
-                union |= (
-                    summary.all_conflicts() if reads_matter else summary.write_conflicts()
-                )
-                if summary.floor > floor:
-                    floor = summary.floor
+            entry = index.get(key)
+            if entry is not None:
+                union |= entry.view(reads_matter)
+                if entry.floor > floor:
+                    floor = entry.floor
         union.discard(command.dot)
         return frozenset(union), floor + 1
 
@@ -294,10 +381,12 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         read_only = command.is_read_only()
         index = self._conflict_index
         for key in command.keys:
-            summary = index.get(key)
-            if summary is None:
-                summary = index[key] = KeyConflicts()
-            summary.register(dot, read_only, sequence)
+            entry = index.get(key)
+            if entry is None:
+                flags = _LIVE | _READ if read_only else _LIVE
+                index[key] = LoneConflict(dot, max(sequence, 0), flags)
+            else:
+                index[key] = entry.register(dot, read_only, sequence)
 
     def _retire_executed(self, command: Command) -> None:
         """An executed command stops being live on its keys; it stays in
@@ -305,9 +394,9 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         dot = command.dot
         index = self._conflict_index
         for key in command.keys:
-            summary = index.get(key)
-            if summary is not None:
-                summary.retire(dot)
+            entry = index.get(key)
+            if entry is not None:
+                index[key] = entry.retire(dot)
 
     def _fast_targets(self, command: Command) -> List[int]:
         """Who is asked to pre-accept ``command``, in send order: the
@@ -523,11 +612,13 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
     # -- watermark GC -------------------------------------------------------------------
 
     def _collect(self, dot: Dot) -> None:
-        """Forget a globally-executed dot: its record, its per-key summary
-        entries (with cache invalidation) and its dependency-graph node.
+        """Forget a globally-executed dot: its record, its entries in the
+        per-key conflict state (with cache invalidation) and its executed
+        mark in the dependency graph.
 
-        A key whose summary this leaves empty loses the summary, floor
-        included — a missing key reads as "no conflicts, floor 0" — so the
+        A key left with one uncollected command keeps it as a
+        :class:`LoneConflict`, floor included; a key left with none loses
+        its entry — a missing key reads as "no conflicts, floor 0" — so the
         index holds the keys of uncollected commands, not every key ever
         written."""
         record = self._info.pop(dot, None)
@@ -538,14 +629,18 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         if record is not None and record.command is not None:
             index = self._conflict_index
             for key in record.command.keys:
-                summary = index.get(key)
-                if summary is None:
+                entry = index.get(key)
+                if entry is None:
                     continue
-                summary.drop_archived(dot)
-                if not summary.dots:
-                    if summary.peak_live > self._dropped_peak_live:
-                        self._dropped_peak_live = summary.peak_live
+                remaining = entry.drop_archived(dot)
+                if remaining is entry:
+                    continue
+                if entry.peak_live > self._dropped_peak_live:
+                    self._dropped_peak_live = entry.peak_live
+                if remaining is None:
                     del index[key]
+                else:
+                    index[key] = remaining
         self.executor.collect(dot)
 
     # -- introspection -------------------------------------------------------------------
@@ -564,10 +659,10 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         """
         live = archived = 0
         peak = self._dropped_peak_live
-        for summary in self._conflict_index.values():
-            live += summary.live
-            peak = max(peak, summary.peak_live)
-            archived += len(summary.dots) - summary.live
+        for entry in self._conflict_index.values():
+            live += entry.live
+            peak = max(peak, entry.peak_live)
+            archived += entry.archived
         return {"live": live, "peak_live": peak, "archived": archived}
 
     def memory_footprint(self) -> Dict[str, int]:

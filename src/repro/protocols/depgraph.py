@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
@@ -34,45 +33,58 @@ from typing import (
 
 from repro.core.identifiers import Dot
 
-#: The ``live_deps`` every node without a live dependency shares.
-_NO_LIVE_DEPS: FrozenSet[Dot] = frozenset()
+_NO_DEPENDENCIES: FrozenSet[Dot] = frozenset()
 
 
 @dataclass(slots=True)
-class CommittedNode:
-    """A committed command inside the dependency graph."""
+class GraphNode:
+    """What the graph reads of a committed command.
 
-    dot: Dot
-    dependencies: FrozenSet[Dot]
+    The graph holds a node from the command's commit until it executes
+    here.  The dependency protocols' per-command record is a subclass
+    (``DepInfo``), so a command's dependencies and sequence number are
+    held once, by its record.
+    """
+
+    dependencies: FrozenSet[Dot] = _NO_DEPENDENCIES
     sequence: int = 0
-    #: Dependencies not yet executed *here*, shrunk as they execute.  Kept
-    #: so per-commit bookkeeping touches only the live part of a dependency
-    #: set instead of re-walking the (mostly executed) full history.  A
-    #: node committed with none shares :data:`_NO_LIVE_DEPS`, which nothing
-    #: shrinks: only a node listed in ``_dependents`` is.
-    live_deps: AbstractSet[Dot] = _NO_LIVE_DEPS
+    #: How many dependencies have not executed here yet, counted down as
+    #: they execute.  The node is in the ``_dependents`` bucket of each of
+    #: them, so per-commit bookkeeping touches only the live part of a
+    #: dependency set, never the (mostly executed) history.
+    live_deps: int = 0
+
+
+def _new_node(dot: Dot, dependencies: FrozenSet[Dot], sequence: int) -> GraphNode:
+    """The node of a graph used on its own: a fresh :class:`GraphNode`."""
+    return GraphNode(dependencies, sequence)
 
 
 class DependencyGraph:
     """The committed dependency graph at one process."""
 
-    _DIGEST_EXEMPT = frozenset({"_collected"})  # wiring to the GC predicate
+    _DIGEST_EXEMPT = frozenset({"_collected", "_node"})  # wiring
 
     def __init__(
-        self, collected: Optional[Callable[[Dot], bool]] = None
+        self,
+        collected: Optional[Callable[[Dot], bool]] = None,
+        node: Callable[[Dot, FrozenSet[Dot], int], GraphNode] = _new_node,
     ) -> None:
         #: Watermark-GC predicate (epoch-2): a collected dot is globally
-        #: executed and its node/executed-set entries may have been dropped
-        #: by :meth:`collect`.  A dependency on a collected dot is satisfied
+        #: executed and its executed-set entry may have been dropped by
+        #: :meth:`collect`.  A dependency on a collected dot is satisfied
         #: by definition, so commits filter such dots out of their live
-        #: dependency sets instead of treating them as missing.
+        #: dependencies instead of treating them as missing.
         self._collected = collected
-        self._nodes: Dict[Dot, CommittedNode] = {}
+        #: ``node(dot, dependencies, sequence)`` gives the node a commit
+        #: holds, whose ``dependencies`` and ``sequence`` are the commit's.
+        self._node = node
+        #: Committed-but-unexecuted dots and their nodes, in commit order.
+        #: A node leaves when its dot executes: from then on ``_executed``
+        #: answers every question the graph asks about it.
+        self._nodes: Dict[Dot, GraphNode] = {}
+        #: Dots executed here and not yet collected.
         self._executed: Set[Dot] = set()
-        #: Committed-but-unexecuted dots in commit order (insertion-ordered
-        #: dict used as an ordered set).  Kept incrementally so execution
-        #: passes never rescan the full node table.
-        self._unexecuted: Dict[Dot, None] = {}
         #: Reverse dependency edges: for each dot, the committed nodes that
         #: directly depend on it.  Maintained incrementally on commit and
         #: pruned on execution, so the blocked set can be computed by
@@ -89,69 +101,69 @@ class DependencyGraph:
 
         Returns ``True`` when the commit is new, ``False`` for duplicates.
         """
-        if dot in self._nodes:
+        nodes = self._nodes
+        if dot in nodes or dot in self._executed:
             return False
         dependencies = frozenset(dependencies)
+        node = nodes[dot] = self._node(dot, dependencies, sequence)
         live = dependencies - self._executed
         if live:
             # Peers with a smaller watermark may still emit dependencies on
             # dots collected here; those executed everywhere already, so
-            # they must not re-enter the missing/blocked bookkeeping.
+            # they must not re-enter the missing/blocked bookkeeping.  A
+            # dependency on itself never blocks a command.
             collected = self._collected
-            live = {dep for dep in live if collected is None or not collected(dep)}
-        self._nodes[dot] = CommittedNode(dot, dependencies, sequence, live or _NO_LIVE_DEPS)
-        self._unexecuted[dot] = None
-        for dependency in live:
-            self._dependents.setdefault(dependency, set()).add(dot)
-            if dependency not in self._nodes:
-                self._missing.add(dependency)
+            live = [
+                dep for dep in live
+                if dep != dot and (collected is None or not collected(dep))
+            ]
+            node.live_deps = len(live)
+            for dependency in live:
+                self._dependents.setdefault(dependency, set()).add(dot)
+                if dependency not in nodes:
+                    self._missing.add(dependency)
         # ``dot`` itself just stopped being a blocking source.
         self._missing.discard(dot)
         return True
 
     def mark_executed(self, dot: Dot) -> None:
-        """Record that ``dot`` was executed."""
+        """Record that ``dot`` was executed; its node leaves the graph."""
         self._executed.add(dot)
-        self._unexecuted.pop(dot, None)
-        node = self._nodes.get(dot)
-        if node is not None:
-            for dependency in node.live_deps:
-                bucket = self._dependents.get(dependency)
-                if bucket is not None:
+        node = self._nodes.pop(dot, None)
+        dependents = self._dependents
+        if node is not None and node.live_deps:
+            # Executed ahead of a dependency of its own component: take it
+            # out of the buckets of those still live.
+            for dependency in node.dependencies:
+                bucket = dependents.get(dependency)
+                if bucket is not None and dot in bucket:
                     bucket.discard(dot)
                     if not bucket:
-                        del self._dependents[dependency]
+                        del dependents[dependency]
         # Executed nodes are never blocked, so edges into them are dead;
-        # shrink the dependants' live sets so their bookkeeping stays
+        # count them off the dependants, whose bookkeeping so stays
         # proportional to in-flight commands.
-        dependents = self._dependents.pop(dot, None)
-        if dependents:
+        waiting = dependents.pop(dot, None)
+        if waiting:
             nodes = self._nodes
-            for dependent in dependents:
+            for dependent in waiting:
                 dependent_node = nodes.get(dependent)
                 if dependent_node is not None:
-                    dependent_node.live_deps.discard(dot)
+                    dependent_node.live_deps -= 1
 
     def collect(self, dot: Dot) -> None:
-        """Drop a globally-executed dot's node and executed-set entries.
+        """Drop a globally-executed dot's executed-set entry.
 
         Only valid for dots already executed here (the caller's watermark
-        guarantees it); duplicate suppression for late references moves to
-        the ``collected`` predicate supplied at construction.
+        guarantees it), whose nodes are gone; duplicate suppression for
+        late references moves to the ``collected`` predicate supplied at
+        construction.
         """
         self._executed.discard(dot)
-        self._nodes.pop(dot, None)
-
-    def is_committed(self, dot: Dot) -> bool:
-        return dot in self._nodes
 
     def pending_execution(self) -> List[Dot]:
         """Committed commands not yet executed."""
-        return list(self._unexecuted)
-
-    def dependencies_of(self, dot: Dot) -> FrozenSet[Dot]:
-        node = self._nodes.get(dot)
-        return node.dependencies if node is not None else frozenset()
+        return list(self._nodes)
 
     def missing(self) -> Set[Dot]:
         """Uncommitted dots some committed, unexecuted command depends on:
@@ -168,7 +180,7 @@ class DependencyGraph:
         Components are returned in reverse topological order, i.e. the order
         in which they must be executed.
         """
-        ready_roots = list(self._unexecuted)
+        ready_roots = list(self._nodes)
         if not ready_roots:
             return []
         blocked = self._blocked_set()
@@ -225,7 +237,7 @@ class DependencyGraph:
         while stack:
             source = stack.pop()
             for dependent in self._dependents.get(source, ()):
-                if dependent in blocked or dependent not in self._unexecuted:
+                if dependent in blocked or dependent not in self._nodes:
                     continue
                 blocked.add(dependent)
                 stack.append(dependent)
@@ -233,7 +245,8 @@ class DependencyGraph:
 
     def _tarjan(self, roots: Sequence[Dot], blocked: Set[Dot]) -> List[List[Dot]]:
         """Iterative Tarjan SCC over the committed, unexecuted, unblocked
-        subgraph; returns components in reverse topological order."""
+        subgraph (whose nodes are exactly ``_nodes``); returns components in
+        reverse topological order."""
         index_counter = [0]
         index: Dict[Dot, int] = {}
         lowlink: Dict[Dot, int] = {}
@@ -241,7 +254,6 @@ class DependencyGraph:
         stack: List[Dot] = []
         components: List[List[Dot]] = []
         nodes = self._nodes
-        executed = self._executed
         #: Neighbour lists computed once per node per pass: the iterative
         #: Tarjan revisits a node once per recursion continuation, and
         #: recomputing the filtered list each time re-paid a hash probe per
@@ -255,11 +267,8 @@ class DependencyGraph:
                 return cached
             result = []
             for dependency in nodes[dot].dependencies:
-                if dependency in executed or dependency not in nodes:
-                    continue
-                if dependency in blocked:
-                    continue
-                result.append(dependency)
+                if dependency in nodes and dependency not in blocked:
+                    result.append(dependency)
             neighbour_cache[dot] = result
             return result
 
@@ -301,11 +310,7 @@ class DependencyGraph:
                     lowlink[parent] = min(lowlink[parent], lowlink[node])
 
         for root in roots:
-            if root in index:
-                continue
-            if root in self._executed:
-                continue
-            if root in blocked:
+            if root in index or root in blocked:
                 continue
             strongconnect(root)
         return components
@@ -319,9 +324,11 @@ class DependencyGraphExecutor:
     _DIGEST_EXEMPT = frozenset({"_max_component_size"})  # statistic
 
     def __init__(
-        self, collected: Optional[Callable[[Dot], bool]] = None
+        self,
+        collected: Optional[Callable[[Dot], bool]] = None,
+        node: Callable[[Dot, FrozenSet[Dot], int], GraphNode] = _new_node,
     ) -> None:
-        self.graph = DependencyGraph(collected=collected)
+        self.graph = DependencyGraph(collected=collected, node=node)
         self._max_component_size = 0
         #: Whether the committed subgraph changed since the last advance().
         #: Executing commands never unblocks anything (blocking is caused by
@@ -344,8 +351,7 @@ class DependencyGraphExecutor:
             # are already executed here (a committed-but-unexecuted
             # dependency is itself blocked, hence so is ``dot``).  This skips
             # the full blocked-set/SCC pass for the common in-order commit.
-            live = graph._nodes[dot].live_deps
-            if live and not (len(live) == 1 and dot in live):
+            if graph._nodes[dot].live_deps:
                 return []
             if not self._max_component_size:
                 self._max_component_size = 1
@@ -372,9 +378,6 @@ class DependencyGraphExecutor:
     def collect(self, dot: Dot) -> None:
         """Prune a globally-executed dot from the graph."""
         self.graph.collect(dot)
-
-    def pending(self) -> List[Dot]:
-        return self.graph.pending_execution()
 
     def max_component_size(self) -> int:
         """Largest strongly connected component executed so far."""

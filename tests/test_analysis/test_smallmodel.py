@@ -319,7 +319,9 @@ class TestDerivedDigest:
     def test_no_exempt_name_is_stale(self):
         # Every name a class exempts is an attribute of its instances in
         # the clusters build_replicas makes, for every protocol, and every
-        # class declaring an exemption shows up in one of them.
+        # class declaring an exemption shows up in one of them.  Two
+        # commands share the key: a key with one command keeps no
+        # KeyConflicts.
         declaring = {
             cls
             for name, module in list(sys.modules.items())
@@ -330,7 +332,8 @@ class TestDerivedDigest:
         seen = set()
         for protocol in PROTOCOLS:
             processes = build_replicas(protocol, ProtocolConfig()).processes
-            processes[0].submit(processes[0].new_command(["key0"]), 0.0)
+            for _ in range(2):
+                processes[0].submit(processes[0].new_command(["key0"]), 0.0)
             for instance in _reachable(processes):
                 for cls in declaring:
                     if isinstance(instance, cls):

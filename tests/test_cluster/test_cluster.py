@@ -6,8 +6,10 @@ import pytest
 
 from repro.cluster.client import ClosedLoopClient
 from repro.cluster.config import ExperimentConfig
+from repro.cluster.replicas import build_replicas
 from repro.cluster.runner import run_experiment
 from repro.core.commands import Command
+from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 from repro.core.messages import ClientReply
 from repro.workloads.micro import MicroWorkload
@@ -150,3 +152,15 @@ class TestRunner:
         )
         result = run_experiment(config)
         assert result.submitted >= result.completed
+
+
+class TestReplicas:
+    def test_stores_agree_compares_the_replicas_of_each_partition(self):
+        replicas = build_replicas("tempo", ProtocolConfig(num_processes=3, num_partitions=2))
+        # Partitions may differ from each other...
+        for process_id in (3, 4, 5):
+            replicas.stores[process_id].apply(Command.write(Dot(3, 1), ["k"]))
+        assert replicas.stores_agree()
+        # ...but not one replica from the others of its partition.
+        replicas.stores[4].apply(Command.write(Dot(4, 1), ["k"]))
+        assert not replicas.stores_agree()

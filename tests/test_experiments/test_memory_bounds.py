@@ -33,6 +33,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
 from repro.core.phases import Phase
 from repro.simulator.inline import InlineNetwork
+from repro.simulator.sim import Simulation
 
 #: The per-command history a replica keeps on purpose: the execution log's
 #: packed words, 8 B per execution (``docs/memory.md``).
@@ -109,6 +110,8 @@ BASE_MS = 400.0
 LONG_MS = 4_000.0  # 10x
 
 COLLECTING_PROTOCOLS = ["tempo", "atlas", "epaxos", "caesar", "janus"]
+#: The protocols that execute over a dependency graph.
+DEPENDENCY_PROTOCOLS = ["atlas", "epaxos", "janus"]
 #: The protocols that replicate partially (``num_shards > 1``).
 PARTIAL_PROTOCOLS = ["tempo", "janus"]
 
@@ -254,3 +257,63 @@ class TestExecutedRecordsAreLean:
         processes, (first, second) = settled_tempo("a", "b")
         for process in processes:
             assert process._info[first].quorums is process._info[second].quorums
+
+
+def dependency_state(process) -> dict:
+    """What a dependency-protocol replica holds per command right now."""
+    records = process._info
+    commands_per_key: dict = {}
+    for record in records.values():
+        for key in record.command.keys:
+            commands_per_key[key] = commands_per_key.get(key, 0) + 1
+    lone_keys = [key for key, count in commands_per_key.items() if count == 1]
+    return {
+        "graph_nodes": set(process.executor.graph._nodes),
+        "committed_unexecuted": {
+            dot for dot, record in records.items() if record.status == "commit"
+        },
+        "executed_uncollected": sum(
+            record.status == "execute" for record in records.values()
+        ),
+        "lone_keys": len(lone_keys),
+        "lone_keys_holding_a_dict": [
+            key
+            for key in lone_keys
+            if any(
+                isinstance(getattr(entry, name), dict)
+                for entry in (process._conflict_index[key],)
+                for name in attribute_names(entry)
+            )
+        ],
+    }
+
+
+class TestDependencyRecordsAreLean:
+    @pytest.mark.parametrize("protocol", DEPENDENCY_PROTOCOLS)
+    def test_mid_run_state_is_one_record_per_command(self, protocol, monkeypatch):
+        # Sampled half way through the run, while commands are in flight:
+        # the graph holds a node only until its command executes (the
+        # record keeps what later messages need), and a key written by one
+        # uncollected command keeps that command, not a summary with a dict.
+        samples = []
+        run = Simulation.run
+
+        def run_with_probe(simulation, until, **kwargs):
+            simulation.schedule(
+                BASE_MS / 2,
+                lambda now: samples.extend(
+                    dependency_state(process)
+                    for process in simulation.processes.values()
+                ),
+            )
+            return run(simulation, until, **kwargs)
+
+        monkeypatch.setattr(Simulation, "run", run_with_probe)
+        run_cell(protocol, BASE_MS)
+        assert len(samples) == 5
+        for sample in samples:
+            assert sample["graph_nodes"] == sample["committed_unexecuted"]
+            assert sample["lone_keys_holding_a_dict"] == []
+        # Not vacuous: executed records and one-command keys were there.
+        assert sum(sample["executed_uncollected"] for sample in samples) > 0
+        assert sum(sample["lone_keys"] for sample in samples) > 0

@@ -32,6 +32,17 @@ class TestKeyValueStore:
         snapshot["k"] = "tampered"
         assert store.get("k") != "tampered"
 
+    def test_stores_are_equal_when_their_contents_are(self):
+        first, second = KeyValueStore(), KeyValueStore()
+        assert first == second
+        first.apply(Command.write(Dot(0, 1), ["k"]))
+        assert first != second
+        second.apply(Command.write(Dot(0, 1), ["k"]))
+        assert first == second
+        second.apply(Command.write(Dot(0, 2), ["k"]))
+        assert first != second
+        assert first != first.snapshot()
+
     def test_len_counts_keys(self):
         store = KeyValueStore()
         store.apply(Command.write(Dot(0, 1), ["a", "b", "c"]))

@@ -64,7 +64,11 @@ class TestBasicExecution:
         graph = DependencyGraph()
         graph.commit(dot(0, 1), [])
         graph.commit(dot(0, 1), [dot(9, 9)])
-        assert graph.dependencies_of(dot(0, 1)) == frozenset()
+        # The second commit's dependency was not recorded: nothing waits on
+        # it, and the first commit executes alone.
+        assert graph.missing() == set()
+        assert graph.pending_execution() == [dot(0, 1)]
+        assert graph.execute_ready() == [dot(0, 1)]
 
     def test_largest_pending_component(self):
         graph = DependencyGraph()
@@ -100,7 +104,7 @@ class TestExecutor:
     def test_pending_lists_unexecuted_committed_commands(self):
         executor = DependencyGraphExecutor()
         executor.commit(dot(0, 1), [dot(5, 5)])
-        assert executor.pending() == [dot(0, 1)]
+        assert executor.graph.pending_execution() == [dot(0, 1)]
 
     def test_advance_without_new_commits_is_a_noop(self):
         executor = DependencyGraphExecutor()
@@ -108,7 +112,7 @@ class TestExecutor:
         assert executor.advance() == []
         # A clean graph short-circuits, and the blocked command stays put.
         assert executor.advance() == []
-        assert executor.pending() == [dot(0, 1)]
+        assert executor.graph.pending_execution() == [dot(0, 1)]
         # The unblocking commit still flows through.
         newly = executor.commit(dot(5, 5), [])
         assert newly == [dot(5, 5), dot(0, 1)]
