@@ -12,7 +12,7 @@ from repro.core.promises import PromiseSet
 from repro.core.stability import TimestampOrder
 from repro.kvstore.store import KeyValueStore
 from repro.core.commands import Command
-from repro.protocols.depgraph import DependencyGraph
+from repro.protocols.depgraph import DependencyGraphExecutor
 
 
 def test_bench_promise_set_insertion(benchmark):
@@ -50,14 +50,15 @@ def test_bench_clock_proposals(benchmark):
 
 def test_bench_dependency_graph_execution(benchmark):
     def run():
-        graph = DependencyGraph()
+        executed = set()
+        executor = DependencyGraphExecutor(executed.__contains__)
         previous = None
         for index in range(1, 501):
             dot = Dot(0, index)
             deps = {previous} if previous is not None else set()
-            graph.commit(dot, deps, sequence=index)
+            executed.update(executor.commit(dot, deps, sequence=index))
             previous = dot
-        return graph.execute_ready()
+        return executed
 
     executed = benchmark(run)
     assert len(executed) == 500

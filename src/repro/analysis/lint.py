@@ -9,8 +9,10 @@ into real static analysis (import/alias aware) and add new repo-wide ones:
 * ``private-internals`` — private state of a class listed in
   :data:`PRIVATE_STATE` touched outside its module: the
   :class:`~repro.simulator.events.EventQueue` (``_lanes``, ``_times``, or any
-  ``queue._x`` reach) and Tempo's
-  :class:`~repro.core.stability.TimestampOrder` (any ``order._x`` reach).
+  ``queue._x`` reach), Tempo's
+  :class:`~repro.core.stability.TimestampOrder` (any ``order._x`` reach)
+  and the :class:`~repro.protocols.depgraph.DependencyGraphExecutor` (any
+  ``executor._x`` reach).
 * ``missing-slots`` — a registered hot class lost its ``__slots__`` /
   ``@dataclass(slots=True)`` declaration.
 * ``codec-exhaustiveness`` — a :class:`~repro.core.messages.Message`
@@ -140,6 +142,15 @@ PRIVATE_STATE: Tuple[PrivateState, ...] = (
         frozenset(),
         frozenset({"order"}),
         "use the TimestampOrder operations",
+    ),
+    # The graph's private names are common ones (``_nodes``, ``_missing``),
+    # so they are flagged through ``executor``, the name its hosts give it.
+    PrivateState(
+        "protocols/depgraph.py",
+        "DependencyGraphExecutor",
+        frozenset(),
+        frozenset({"executor"}),
+        "use commit/advance/missing/pending_execution",
     ),
 )
 

@@ -12,11 +12,11 @@ values as the paper, and are also asserted by unit tests.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.identifiers import Dot
 from repro.core.promises import Promise, PromiseSet
-from repro.protocols.depgraph import DependencyGraph
+from repro.protocols.depgraph import DependencyGraphExecutor
 
 #: Processes A, B, C of Figure 2 mapped to identifiers 0, 1, 2.
 FIGURE2_PROCESSES: Tuple[int, ...] = (0, 1, 2)
@@ -124,15 +124,17 @@ def figure3_epaxos() -> Dict[str, object]:
     is not committed, the strongly connected component cannot be executed:
     no command makes progress.
     """
-    graph = DependencyGraph()
-    graph.commit(W, {Y})
-    graph.commit(Y, {Z})
-    graph.commit(Z, {W, X})
-    executable = graph.execute_ready()
+    executed: Set[Dot] = set()
+    executor = DependencyGraphExecutor(executed.__contains__)
+    executable: List[Dot] = []
+    for dot, dependencies in ((W, {Y}), (Y, {Z}), (Z, {W, X})):
+        newly = executor.commit(dot, dependencies)
+        executed.update(newly)
+        executable.extend(newly)
     return {
         "executable": executable,
         "blocked_on_x": not executable,
-        "largest_component": graph.largest_pending_component(),
+        "largest_component": executor.largest_pending_component(),
     }
 
 

@@ -110,7 +110,7 @@ def replay_schedule(protocol: str, rounds: int) -> PathologyReport:
     graph_ordered = isinstance(submitter, DependencyProtocolProcess)
     if graph_ordered:
         largest_during = max(
-            submitter.executor.graph.largest_pending_component(),
+            submitter.executor.largest_pending_component(),
             submitter.max_component_size(),
         )
 

@@ -17,7 +17,7 @@ the simulator, the cluster runner and the tests drive them uniformly.
 
 from repro.protocols.atlas import AtlasProcess
 from repro.protocols.caesar import CaesarProcess
-from repro.protocols.depgraph import DependencyGraph, DependencyGraphExecutor
+from repro.protocols.depgraph import DependencyGraphExecutor
 from repro.protocols.dependency import DependencyProtocolProcess
 from repro.protocols.epaxos import EPaxosProcess
 from repro.protocols.fpaxos import FPaxosProcess
@@ -27,7 +27,6 @@ from repro.protocols.registry import PROTOCOLS, build_process, protocol_names
 __all__ = [
     "AtlasProcess",
     "CaesarProcess",
-    "DependencyGraph",
     "DependencyGraphExecutor",
     "DependencyProtocolProcess",
     "EPaxosProcess",

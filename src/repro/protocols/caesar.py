@@ -116,10 +116,6 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         #: timestamps.  Dependency collection unions it back in, so pruning
         #: the live sets never changes an emitted dependency set.
         self._committed_per_key: Dict[str, Dict[Dot, Timestamp]] = {}
-        #: Dots executed at this replica (status "execute"), kept as a set
-        #: so commit-time stability bookkeeping can subtract the executed
-        #: history in one C-level operation.
-        self._executed_dots: Set[Dot] = set()
         #: High-water mark over the per-key live sets, the boundedness
         #: witness used by the pruning regression tests.
         self.peak_live_per_key = 0
@@ -331,15 +327,12 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         record.dependencies = message.dependencies
         record.status = "commit"
         # Stability only ever has to look at the dependencies that are not
-        # yet executed here; the executed history is subtracted once, now.
-        live = set(message.dependencies - self._executed_dots)
-        if live:
-            # A peer with a smaller watermark may still list dependencies
-            # collected here; those executed everywhere, so they are
-            # settled by definition.
-            collected = self.gc.collected
-            live = {dep for dep in live if not collected(dep)}
-        record.live_deps = live
+        # yet executed here (or collected: a peer with a smaller watermark
+        # may still list those); the history is filtered out once, now.
+        status_of = self.status_of
+        record.live_deps = {
+            dep for dep in message.dependencies if status_of(dep) != "execute"
+        }
         if record.acks:
             record.acks = {}
         heappush(self._commit_heap, (record.timestamp, message.dot))
@@ -413,12 +406,6 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
 
     def _is_stable(self, record: CaesarInfo) -> bool:
         live = record.live_deps
-        if live is None:
-            # Not committed here yet (only reachable from tests poking at
-            # uncommitted records): fall back to the full dependency scan.
-            live = record.live_deps = set(
-                record.dependencies - self._executed_dots
-            )
         if not live:
             return True
         info = self._info
@@ -456,7 +443,6 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
 
     def _execute(self, dot: Dot, record: CaesarInfo, now: float) -> None:
         record.status = "execute"
-        self._executed_dots.add(dot)
         record.live_deps = None
         self._execute_command(dot, record.command, now, record.submitted_here)
 
@@ -471,8 +457,8 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
     # -- watermark GC -------------------------------------------------------------------
 
     def _collect(self, dot: Dot) -> None:
-        """Forget a globally-executed dot: its record, its committed-
-        timestamp archive entries and its executed-set membership."""
+        """Forget a globally-executed dot: its record and its committed-
+        timestamp archive entries."""
         record = self._info.pop(dot, None)
         assert record is None or record.status == "execute", (
             f"collecting {dot} in status {record.status}: watermark ran "
@@ -485,7 +471,6 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
                 if archive is not None and archive.pop(dot, None) is not None:
                     if not archive:
                         del committed[key]
-        self._executed_dots.discard(dot)
 
     # -- introspection -------------------------------------------------------------------
 

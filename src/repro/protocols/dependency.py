@@ -285,9 +285,7 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         #: Highest ``peak_live`` among the summaries :meth:`_collect` dropped
         #: or turned back into a lone entry (a lone entry's is 1).
         self._dropped_peak_live = 0
-        self.executor = DependencyGraphExecutor(
-            collected=self.gc.collected, node=self._graph_node
-        )
+        self.executor = DependencyGraphExecutor(self._settled, node=self._graph_node)
         #: Message-type -> bound handler (exact class match); bound methods
         #: resolve subclass overrides (e.g. Janus) correctly.
         self._dispatch: Dict[type, Callable[[int, object, float], None]] = {
@@ -335,6 +333,10 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         if record is None:
             return "execute" if self.gc.collected(dot) else "start"
         return record.status
+
+    def _settled(self, dot: Dot) -> bool:
+        """The graph's one question: ``dot`` executed here or was collected."""
+        return self.status_of(dot) == "execute"
 
     def committed_dependencies(self, dot: Dot) -> FrozenSet[Dot]:
         """Dependencies the command committed with (empty if not committed)."""
@@ -555,7 +557,7 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
             self._execute_all(newly, now)
         self._gc_announce(now)
         awaiting = self._blocked[Need.COMMIT]
-        unheard = [dot for dot in self.executor.graph.missing() if dot not in awaiting]
+        unheard = [dot for dot in self.executor.missing() if dot not in awaiting]
         for dot in sorted(unheard):
             self._await_commit(dot, now)
         self._pull_overdue(now)
@@ -612,9 +614,8 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
     # -- watermark GC -------------------------------------------------------------------
 
     def _collect(self, dot: Dot) -> None:
-        """Forget a globally-executed dot: its record, its entries in the
-        per-key conflict state (with cache invalidation) and its executed
-        mark in the dependency graph.
+        """Forget a globally-executed dot: its record and its entries in
+        the per-key conflict state (with cache invalidation).
 
         A key left with one uncollected command keeps it as a
         :class:`LoneConflict`, floor included; a key left with none loses
@@ -641,7 +642,6 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
                     del index[key]
                 else:
                     index[key] = remaining
-        self.executor.collect(dot)
 
     # -- introspection -------------------------------------------------------------------
 

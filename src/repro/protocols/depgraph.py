@@ -25,7 +25,6 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -60,31 +59,37 @@ def _new_node(dot: Dot, dependencies: FrozenSet[Dot], sequence: int) -> GraphNod
     return GraphNode(dependencies, sequence)
 
 
-class DependencyGraph:
-    """The committed dependency graph at one process."""
+class DependencyGraphExecutor:
+    """The committed dependency graph at one process, executed as it
+    grows: :meth:`commit` and :meth:`advance` return the commands they made
+    executable, in execution order (the replica shell keeps the order,
+    ``ProcessBase.executed``).
 
-    _DIGEST_EXEMPT = frozenset({"_collected", "_node"})  # wiring
+    The graph holds committed commands only until they execute.  Whether a
+    dot it does not hold has executed is its host's to answer, through
+    ``settled(dot)``: the dot executed here, or the watermark GC collected
+    it (it executed everywhere).  The dependency protocols answer from the
+    command's record (``status_of(dot) == "execute"``), so the fact has one
+    owner.  A host must count what a call returned as settled before its
+    next call.
+    """
+
+    _DIGEST_EXEMPT = frozenset(
+        {"_settled", "_node", "_max_component_size"}  # wiring, statistic
+    )
 
     def __init__(
         self,
-        collected: Optional[Callable[[Dot], bool]] = None,
+        settled: Callable[[Dot], bool],
         node: Callable[[Dot, FrozenSet[Dot], int], GraphNode] = _new_node,
     ) -> None:
-        #: Watermark-GC predicate (epoch-2): a collected dot is globally
-        #: executed and its executed-set entry may have been dropped by
-        #: :meth:`collect`.  A dependency on a collected dot is satisfied
-        #: by definition, so commits filter such dots out of their live
-        #: dependencies instead of treating them as missing.
-        self._collected = collected
+        self._settled = settled
         #: ``node(dot, dependencies, sequence)`` gives the node a commit
         #: holds, whose ``dependencies`` and ``sequence`` are the commit's.
         self._node = node
         #: Committed-but-unexecuted dots and their nodes, in commit order.
-        #: A node leaves when its dot executes: from then on ``_executed``
-        #: answers every question the graph asks about it.
+        #: A node leaves when its dot executes.
         self._nodes: Dict[Dot, GraphNode] = {}
-        #: Dots executed here and not yet collected.
-        self._executed: Set[Dot] = set()
         #: Reverse dependency edges: for each dot, the committed nodes that
         #: directly depend on it.  Maintained incrementally on commit and
         #: pruned on execution, so the blocked set can be computed by
@@ -95,43 +100,108 @@ class DependencyGraph:
         #: the sources of all blocking.  When empty, nothing is blocked and
         #: a commit costs O(deps).
         self._missing: Set[Dot] = set()
+        self._max_component_size = 0
+        #: Whether the committed subgraph changed since the last advance().
+        #: Executing commands never unblocks anything (blocking is caused by
+        #: *uncommitted* dependencies only) and advance() reaches a fixed
+        #: point, so a clean graph cannot yield new executables.
+        self._dirty = False
 
-    def commit(self, dot: Dot, dependencies: Iterable[Dot], sequence: int = 0) -> bool:
-        """Record that ``dot`` committed with the given dependencies.
-
-        Returns ``True`` when the commit is new, ``False`` for duplicates.
-        """
+    def commit(self, dot: Dot, dependencies: Iterable[Dot], sequence: int = 0) -> List[Dot]:
+        """Commit a command and return the commands that became executable;
+        a duplicate commit returns none."""
         nodes = self._nodes
-        if dot in nodes or dot in self._executed:
-            return False
+        settled = self._settled
+        if dot in nodes or settled(dot):
+            return []
+        was_missing = dot in self._missing
         dependencies = frozenset(dependencies)
         node = nodes[dot] = self._node(dot, dependencies, sequence)
-        live = dependencies - self._executed
-        if live:
+        if dependencies:
             # Peers with a smaller watermark may still emit dependencies on
             # dots collected here; those executed everywhere already, so
             # they must not re-enter the missing/blocked bookkeeping.  A
             # dependency on itself never blocks a command.
-            collected = self._collected
-            live = [
-                dep for dep in live
-                if dep != dot and (collected is None or not collected(dep))
-            ]
+            live = [dep for dep in dependencies if dep != dot and not settled(dep)]
             node.live_deps = len(live)
             for dependency in live:
                 self._dependents.setdefault(dependency, set()).add(dot)
                 if dependency not in nodes:
                     self._missing.add(dependency)
+        if not was_missing:
+            # No committed node was waiting for ``dot`` (otherwise it would
+            # have been a missing source), so this commit cannot unblock
+            # anything else, and advance() left every other pending node
+            # blocked at its last fixed point.  The only candidate executable
+            # is ``dot`` itself: it runs exactly when all its dependencies
+            # are already executed here (a committed-but-unexecuted
+            # dependency is itself blocked, hence so is ``dot``).  This skips
+            # the full blocked-set/SCC pass for the common in-order commit.
+            if node.live_deps:
+                return []
+            if not self._max_component_size:
+                self._max_component_size = 1
+            self._mark_executed(dot)
+            return [dot]
         # ``dot`` itself just stopped being a blocking source.
         self._missing.discard(dot)
-        return True
+        self._dirty = True
+        return self.advance()
 
-    def mark_executed(self, dot: Dot) -> None:
-        """Record that ``dot`` was executed; its node leaves the graph."""
-        self._executed.add(dot)
-        node = self._nodes.pop(dot, None)
+    def advance(self) -> List[Dot]:
+        """Execute every ready component; return newly executed commands.
+
+        A component is ready when every command reachable from it
+        (following dependency edges, ignoring executed commands) is
+        committed.  Components run in reverse topological order, the
+        commands of one by sequence number and identifier.
+        """
+        if not self._dirty:
+            return []
+        self._dirty = False
+        nodes = self._nodes
+        blocked = self._blocked_set()
+        roots = [dot for dot in nodes if dot not in blocked]
+        newly: List[Dot] = []
+        for component in self._tarjan(roots, blocked):
+            if len(component) > self._max_component_size:
+                self._max_component_size = len(component)
+            component.sort(key=lambda dot: (nodes[dot].sequence, dot))
+            for dot in component:
+                self._mark_executed(dot)
+            newly.extend(component)
+        return newly
+
+    def pending_execution(self) -> List[Dot]:
+        """Committed commands not yet executed."""
+        return list(self._nodes)
+
+    def missing(self) -> Set[Dot]:
+        """Uncommitted dots some committed, unexecuted command depends on:
+        everything execution here is blocked on."""
+        return self._missing
+
+    def largest_pending_component(self) -> int:
+        """Size of the largest SCC among committed, unexecuted commands
+        (ignoring blocking); used by the evaluation to report dependency-
+        chain growth."""
+        pending = self.pending_execution()
+        if not pending:
+            return 0
+        components = self._tarjan(pending, blocked=set())
+        return max(len(component) for component in components) if components else 0
+
+    def max_component_size(self) -> int:
+        """Largest strongly connected component executed so far."""
+        return self._max_component_size
+
+    # -- internals --------------------------------------------------------------
+
+    def _mark_executed(self, dot: Dot) -> None:
+        """``dot`` executed: its node leaves the graph."""
+        node = self._nodes.pop(dot)
         dependents = self._dependents
-        if node is not None and node.live_deps:
+        if node.live_deps:
             # Executed ahead of a dependency of its own component: take it
             # out of the buckets of those still live.
             for dependency in node.dependencies:
@@ -150,73 +220,6 @@ class DependencyGraph:
                 dependent_node = nodes.get(dependent)
                 if dependent_node is not None:
                     dependent_node.live_deps -= 1
-
-    def collect(self, dot: Dot) -> None:
-        """Drop a globally-executed dot's executed-set entry.
-
-        Only valid for dots already executed here (the caller's watermark
-        guarantees it), whose nodes are gone; duplicate suppression for
-        late references moves to the ``collected`` predicate supplied at
-        construction.
-        """
-        self._executed.discard(dot)
-
-    def pending_execution(self) -> List[Dot]:
-        """Committed commands not yet executed."""
-        return list(self._nodes)
-
-    def missing(self) -> Set[Dot]:
-        """Uncommitted dots some committed, unexecuted command depends on:
-        everything execution here is blocked on."""
-        return self._missing
-
-    # -- execution ------------------------------------------------------------
-
-    def executable_components(self) -> List[List[Dot]]:
-        """Find SCCs that are ready to execute, in execution order.
-
-        A component is ready when every command reachable from it (following
-        dependency edges, ignoring already-executed commands) is committed.
-        Components are returned in reverse topological order, i.e. the order
-        in which they must be executed.
-        """
-        ready_roots = list(self._nodes)
-        if not ready_roots:
-            return []
-        blocked = self._blocked_set()
-        components = self._tarjan(
-            [dot for dot in ready_roots if dot not in blocked], blocked
-        )
-        ordered: List[List[Dot]] = []
-        for component in components:
-            ordered.append(
-                sorted(
-                    component,
-                    key=lambda dot: (self._nodes[dot].sequence, dot),
-                )
-            )
-        return ordered
-
-    def execute_ready(self) -> List[Dot]:
-        """Mark every ready command as executed and return them in order."""
-        order: List[Dot] = []
-        for component in self.executable_components():
-            for dot in component:
-                self.mark_executed(dot)
-                order.append(dot)
-        return order
-
-    def largest_pending_component(self) -> int:
-        """Size of the largest SCC among committed, unexecuted commands
-        (ignoring blocking); used by the evaluation to report dependency-
-        chain growth."""
-        pending = self.pending_execution()
-        if not pending:
-            return 0
-        components = self._tarjan(pending, blocked=set())
-        return max(len(component) for component in components) if components else 0
-
-    # -- internals --------------------------------------------------------------
 
     def _blocked_set(self) -> Set[Dot]:
         """Commands that transitively depend on an uncommitted command.
@@ -315,70 +318,3 @@ class DependencyGraph:
             strongconnect(root)
         return components
 
-
-class DependencyGraphExecutor:
-    """Drives a :class:`DependencyGraph`: each call returns the commands it
-    made executable, in execution order (the replica shell keeps the order,
-    ``ProcessBase.executed``)."""
-
-    _DIGEST_EXEMPT = frozenset({"_max_component_size"})  # statistic
-
-    def __init__(
-        self,
-        collected: Optional[Callable[[Dot], bool]] = None,
-        node: Callable[[Dot, FrozenSet[Dot], int], GraphNode] = _new_node,
-    ) -> None:
-        self.graph = DependencyGraph(collected=collected, node=node)
-        self._max_component_size = 0
-        #: Whether the committed subgraph changed since the last advance().
-        #: Executing commands never unblocks anything (blocking is caused by
-        #: *uncommitted* dependencies only) and advance() reaches a fixed
-        #: point, so a clean graph cannot yield new executables.
-        self._dirty = False
-
-    def commit(self, dot: Dot, dependencies: Iterable[Dot], sequence: int = 0) -> List[Dot]:
-        """Commit a command and return the commands that became executable."""
-        graph = self.graph
-        was_missing = dot in graph._missing
-        if not graph.commit(dot, dependencies, sequence):
-            return []
-        if not was_missing:
-            # No committed node was waiting for ``dot`` (otherwise it would
-            # have been a missing source), so this commit cannot unblock
-            # anything else, and advance() left every other pending node
-            # blocked at its last fixed point.  The only candidate executable
-            # is ``dot`` itself: it runs exactly when all its dependencies
-            # are already executed here (a committed-but-unexecuted
-            # dependency is itself blocked, hence so is ``dot``).  This skips
-            # the full blocked-set/SCC pass for the common in-order commit.
-            if graph._nodes[dot].live_deps:
-                return []
-            if not self._max_component_size:
-                self._max_component_size = 1
-            graph.mark_executed(dot)
-            return [dot]
-        self._dirty = True
-        return self.advance()
-
-    def advance(self) -> List[Dot]:
-        """Execute every ready component; return newly executed commands."""
-        if not self._dirty:
-            return []
-        self._dirty = False
-        newly: List[Dot] = []
-        components = self.graph.executable_components()
-        for component in components:
-            if len(component) > self._max_component_size:
-                self._max_component_size = len(component)
-            for dot in component:
-                self.graph.mark_executed(dot)
-                newly.append(dot)
-        return newly
-
-    def collect(self, dot: Dot) -> None:
-        """Prune a globally-executed dot from the graph."""
-        self.graph.collect(dot)
-
-    def max_component_size(self) -> int:
-        """Largest strongly connected component executed so far."""
-        return self._max_component_size

@@ -219,6 +219,32 @@ class TestTimestampOrderGate:
         assert not private_state_findings(root)
 
 
+class TestDependencyGraphGate:
+    def test_graph_state_reached_through_executor_is_flagged(self, tmp_path):
+        source = (
+            "def blocked(process):\n"
+            "    return process.executor._missing\n"
+        )
+        root = _tree(tmp_path, {"protocols/dependency.py": source})
+        findings = private_state_findings(root)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("private-internals", 2)
+        ]
+        assert "DependencyGraphExecutor internal '_missing'" in findings[0].message
+
+    def test_depgraph_py_itself_and_other_owners_of_alike_names_pass(self, tmp_path):
+        root = _tree(
+            tmp_path,
+            {
+                "protocols/depgraph.py": "x = self._missing\ny = self._nodes\n",
+                "protocols/dependency.py": (
+                    "x = process.executor.missing()\ny = self._nodes\n"
+                ),
+            },
+        )
+        assert not private_state_findings(root)
+
+
 class TestDeterminismGate:
     def test_import_random_is_flagged(self, tmp_path):
         root = _tree(tmp_path, {"core/x.py": "import random\n"})

@@ -383,7 +383,6 @@ class TestDependencyCollection:
                 len(bucket) for bucket in process._committed_per_key.values()
             )
             assert archived == 0, process._committed_per_key
-            assert not process._executed_dots
             assert process.gc.collected_count >= len(commands)
 
     def test_caesar_follow_up_after_collection_converges(self):

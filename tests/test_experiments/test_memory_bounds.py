@@ -268,7 +268,7 @@ def dependency_state(process) -> dict:
             commands_per_key[key] = commands_per_key.get(key, 0) + 1
     lone_keys = [key for key, count in commands_per_key.items() if count == 1]
     return {
-        "graph_nodes": set(process.executor.graph._nodes),
+        "graph_nodes": set(process.executor.pending_execution()),
         "committed_unexecuted": {
             dot for dot, record in records.items() if record.status == "commit"
         },
