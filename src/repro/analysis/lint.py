@@ -152,6 +152,15 @@ PRIVATE_STATE: Tuple[PrivateState, ...] = (
         frozenset({"executor"}),
         "use commit/advance/missing/pending_execution",
     ),
+    # The codec's string table: write_string and Reader.read_string register
+    # into it, and nothing else may read, swap or fill it.
+    PrivateState(
+        "core/wireschema.py",
+        "wire codec",
+        frozenset({"_CANONICAL_STRINGS", "_register_string"}),
+        frozenset(),
+        "strings come canonical from write_string / Reader.read_string",
+    ),
 )
 
 
@@ -167,8 +176,9 @@ def private_state_findings(
     root: Optional[Path] = None, rows: Sequence[PrivateState] = PRIVATE_STATE
 ) -> List[LintFinding]:
     """Private state of a :data:`PRIVATE_STATE` owner reached outside its
-    module: one of the row's ``names`` anywhere, or any private attribute
-    through one of its ``receivers``."""
+    module: one of the row's ``names`` anywhere, as an attribute or an
+    imported name, or any private attribute through one of its
+    ``receivers``."""
     root = root or _src_root()
     findings: List[LintFinding] = []
     for path in _python_files(root):
@@ -180,12 +190,14 @@ def private_state_findings(
         if tree is None:
             continue
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
+                attr, receiver = node.attr, _receiver_name(node.value)
+            elif isinstance(node, ast.alias):  # a name an import binds
+                attr, receiver = node.name, None
+            else:
                 continue
-            attr = node.attr
             if not attr.startswith("_") or attr.startswith("__"):
                 continue
-            receiver = _receiver_name(node.value)
             for row in outsiders:
                 if attr in row.names or receiver in row.receivers:
                     findings.append(

@@ -36,6 +36,11 @@ Layout rules (``docs/wire_format.md`` has the framing):
 * Decoding never trusts its input: every read is bounds-checked and raises
   :class:`WireError` on truncation, oversized varints, oversized frames or
   malformed UTF-8 — never an ``IndexError`` or a half-decoded message.
+* Decoding hands back canonical objects where it can: a dot is the interned
+  one (:func:`~repro.core.identifiers.intern_dot`), and a short string is
+  the object this process registered for that text (encoding and decoding
+  both register), so the replicas of an in-process cluster hold one copy
+  of each key and value, not one each.
 """
 
 from __future__ import annotations
@@ -72,6 +77,33 @@ class WireError(ValueError):
     """Raised on any malformed, truncated or unencodable wire data."""
 
 
+# -- canonical strings --------------------------------------------------------------
+#
+# A ``str`` cannot be weakly referenced, so unlike the dot intern table this
+# one holds its strings strongly and is bounded instead: it is emptied when
+# full, and strings above the length bound are never registered.  Not
+# ``sys.intern``: its table only grows, and on Python 3.12 an interned string
+# is immortal, so interning per-command values would leak.
+
+#: Registered strings at most; the table is emptied when it reaches this.
+CANONICAL_STRING_ENTRIES = 1024
+#: Longest string, in UTF-8 bytes, that is registered.
+CANONICAL_STRING_BYTES = 64
+
+#: ``text -> text``: the one object per registered text.
+_CANONICAL_STRINGS: Dict[str, str] = {}
+
+
+def _register_string(text: str) -> str:
+    """Register ``text`` (not yet registered, within the length bound) and
+    return it, emptying the table first when it is full."""
+    table = _CANONICAL_STRINGS
+    if len(table) >= CANONICAL_STRING_ENTRIES:
+        table.clear()
+    table[text] = text
+    return text
+
+
 # -- varint and string primitives ---------------------------------------------------
 
 
@@ -93,10 +125,13 @@ def write_svarint(buf: bytearray, value: int) -> None:
 
 
 def write_string(buf: bytearray, value: str) -> None:
-    """Append a length-prefixed UTF-8 string."""
+    """Append a length-prefixed UTF-8 string and register ``value``."""
     data = value.encode("utf-8")
-    write_uvarint(buf, len(data))
+    length = len(data)
+    write_uvarint(buf, length)
     buf += data
+    if length <= CANONICAL_STRING_BYTES and value not in _CANONICAL_STRINGS:
+        _register_string(value)
 
 
 def write_optional_string(buf: bytearray, value: Optional[str]) -> None:
@@ -209,11 +244,16 @@ class Reader:
         return (zigzag >> 1) ^ -(zigzag & 1)
 
     def read_string(self) -> str:
+        """The next string: the registered object when an equal one is."""
         data = self.read_bytes(self.read_uvarint())
         try:
-            return data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError(f"malformed UTF-8 string: {exc}") from exc
+        if len(data) > CANONICAL_STRING_BYTES:
+            return text
+        held = _CANONICAL_STRINGS.get(text)
+        return _register_string(text) if held is None else held
 
     def read_optional_string(self) -> Optional[str]:
         flag = self.read_byte()

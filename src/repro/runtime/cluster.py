@@ -101,19 +101,24 @@ class AsyncCluster:
         self._tasks.append(asyncio.create_task(self._run_client_inbox()))
 
     async def stop(self) -> None:
-        """Cancel all tasks, wait for them to finish and empty the links.
+        """Cancel all tasks, wait for them to finish and empty the links,
+        then re-raise the first exception a task died of.
 
         In-flight frames and undelivered inbox entries are dropped and the
         link timers cancelled, so nothing of this loop survives into a
         restart, which may happen under a different loop (e.g. a second
-        ``run_with_virtual_clock`` call).
+        ``run_with_virtual_clock`` call).  A process whose handler raised
+        has stopped serving, so a run that lost one does not end quietly.
         """
         self._running = False
         for task in self._tasks:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
+        outcomes = await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
         self.router.reset()
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
 
     async def __aenter__(self) -> "AsyncCluster":
         await self.start()

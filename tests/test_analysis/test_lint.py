@@ -245,6 +245,36 @@ class TestDependencyGraphGate:
         assert not private_state_findings(root)
 
 
+class TestCanonicalStringGate:
+    def test_the_table_reached_or_imported_elsewhere_is_flagged(self, tmp_path):
+        source = (
+            "from repro.core import wireschema\n"
+            "from repro.core.wireschema import _register_string, write_string\n"
+            "wireschema._CANONICAL_STRINGS.clear()\n"
+        )
+        root = _tree(tmp_path, {"runtime/channel.py": source})
+        findings = private_state_findings(root)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("private-internals", 2),
+            ("private-internals", 3),
+        ]
+        assert "wire codec internal '_register_string'" in findings[0].message
+        assert "'_CANONICAL_STRINGS'" in findings[1].message
+
+    def test_wireschema_py_itself_and_the_public_codec_pass(self, tmp_path):
+        root = _tree(
+            tmp_path,
+            {
+                "core/wireschema.py": "table = _CANONICAL_STRINGS\n",
+                "wire/codecs.py": (
+                    "from repro.core.wireschema import Reader, write_string\n"
+                    "text = Reader(b'').read_string()\n"
+                ),
+            },
+        )
+        assert not private_state_findings(root)
+
+
 class TestDeterminismGate:
     def test_import_random_is_flagged(self, tmp_path):
         root = _tree(tmp_path, {"core/x.py": "import random\n"})

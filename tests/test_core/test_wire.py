@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +36,11 @@ from hypothesis import strategies as st
 
 import repro.core.messages as core_messages
 import repro.protocols.dep_messages as dep_messages
+from repro.core import wireschema
 from repro.core.base import MBatch
 from repro.core.commands import Command, KeyOp, OpKind
 from repro.core.identifiers import intern_dot
-from repro.core.messages import MBump, MCommit, Message, MPromises
+from repro.core.messages import ClientReply, MBump, MCommit, Message, MPromises
 from repro.core.phases import Phase
 from repro.core.wireschema import (
     ATTACHED_MAP,
@@ -456,6 +458,90 @@ class TestRejection:
         # (and PromiseTracker.add_attached / add_detached_range locally).
         with pytest.raises(WireError, match="promise timestamp must be >= 1"):
             decode(encode(message))
+
+
+#: Frames of the canonical samples, the mutation harness's seeds.
+_SAMPLE_FRAMES = [encode_frame(message) for message in sample_messages().values()]
+
+
+class _CheckedTable(dict):
+    """The codec's string table, checking both bounds at every registration."""
+
+    def __init__(self, entries: int) -> None:
+        super().__init__()
+        self.entries = entries
+
+    def __setitem__(self, text, held):
+        assert len(self) < self.entries
+        assert len(text.encode("utf-8")) <= wireschema.CANONICAL_STRING_BYTES
+        assert held is text
+        super().__setitem__(text, held)
+
+
+def _decode_or_reject(frame: bytes):
+    """The decoded message, or ``WireError`` itself; anything else raises."""
+    try:
+        return decode_frame(frame)
+    except WireError:
+        return WireError
+
+
+class TestCanonicalStrings:
+    def test_a_decoded_string_is_the_object_encoded(self, monkeypatch):
+        monkeypatch.setattr(wireschema, "_CANONICAL_STRINGS", {})
+        # Built at run time, so neither is a shared constant.
+        key, value = "".join(["key-", "a"]), "".join(["value-", "a"])
+        reply = ClientReply(intern_dot(3, 1), {key: value})
+        for _ in range(2):
+            decoded, _ = decode_frame(encode_frame(reply))
+            ((decoded_key, decoded_value),) = decoded.result.items()
+            assert decoded_key is key and decoded_value is value
+
+    def test_a_string_above_the_length_bound_is_never_registered(self):
+        long_key = "x" * (wireschema.CANONICAL_STRING_BYTES + 1)
+        reply = ClientReply(intern_dot(3, 1), {long_key: None})
+        decoded, _ = decode_frame(encode_frame(reply))
+        assert decoded.result == {long_key: None}
+        (decoded_key,) = decoded.result
+        assert decoded_key is not long_key
+        assert long_key not in wireschema._CANONICAL_STRINGS
+
+    def test_a_full_table_is_emptied_before_the_next_registration(self, monkeypatch):
+        monkeypatch.setattr(wireschema, "_CANONICAL_STRINGS", _CheckedTable(3))
+        monkeypatch.setattr(wireschema, "CANONICAL_STRING_ENTRIES", 3)
+        buf = bytearray()
+        for text in ("a", "b", "c", "d"):
+            wireschema.write_string(buf, text)
+        assert dict(wireschema._CANONICAL_STRINGS) == {"d": "d"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), entries=st.integers(min_value=1, max_value=16))
+    def test_mutated_frames_decode_as_without_the_table(self, data, entries):
+        # Hostile bytes: sample frames with bytes overwritten, inserted and
+        # deleted.  A small entry bound makes the table fill and empty within
+        # one example.
+        frame = bytearray(data.draw(st.sampled_from(_SAMPLE_FRAMES)))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            position = data.draw(st.integers(min_value=0, max_value=len(frame)))
+            action = data.draw(st.sampled_from(("set", "insert", "delete")))
+            byte = data.draw(st.integers(min_value=0, max_value=255))
+            if action == "insert" or position == len(frame):
+                frame.insert(position, byte)
+            elif action == "set":
+                frame[position] = byte
+            else:
+                del frame[position]
+        frame = bytes(frame)
+        with mock.patch.object(
+            wireschema, "_CANONICAL_STRINGS", _CheckedTable(entries)
+        ), mock.patch.object(wireschema, "CANONICAL_STRING_ENTRIES", entries):
+            for message in sample_messages().values():
+                encode_frame(message)
+            decoded = _decode_or_reject(frame)
+        # No string is short enough to register: a decode without the table.
+        with mock.patch.object(wireschema, "CANONICAL_STRING_BYTES", -1):
+            reference = _decode_or_reject(frame)
+        assert decoded == reference
 
 
 def test_struct_stays_inside_the_wire_package():

@@ -12,6 +12,9 @@ import asyncio
 
 import pytest
 
+from repro.core import wireschema
+from repro.core.identifiers import intern_dot
+from repro.core.messages import MConsensus
 from repro.runtime import AsyncCluster, AsyncClusterOptions, run_with_virtual_clock
 from repro.runtime.channel import Channel, Router
 
@@ -144,6 +147,49 @@ class TestAsyncCluster:
     def test_unencoded_mode_is_refused(self):
         with pytest.raises(ValueError, match="wire_bytes"):
             AsyncClusterOptions(wire_bytes=False)
+
+    def test_replicas_share_one_copy_of_each_key_and_value(self, monkeypatch):
+        # The replicas decode every remote command from its frame; the
+        # codec's string table hands each of them the object the coordinator
+        # encoded.  A fresh table, so no clear falls inside the run.
+        monkeypatch.setattr(wireschema, "_CANONICAL_STRINGS", {})
+
+        async def scenario():
+            options = AsyncClusterOptions(
+                protocol="tempo", num_processes=3, faults=1, latency_seconds=0.002
+            )
+            async with AsyncCluster(options) as cluster:
+                await cluster.submit_many(
+                    [[f"k{index}"] for index in range(12)] + [["hot"]] * 6
+                )
+                await asyncio.sleep(0.3)
+                return list(cluster.stores.values()), cluster.stores_agree()
+
+        stores, agree = run(scenario())
+        assert agree
+        keys = [store.keys() for store in stores]
+        assert len(keys[0]) == 13
+        for same_key in zip(*keys):
+            assert all(key is same_key[0] for key in same_key)
+            values = [store.get(same_key[0]) for store in stores]
+            assert all(value is values[0] for value in values)
+
+
+class TestTaskFailure:
+    def test_stop_reraises_what_a_process_task_died_of(self):
+        # A bump below zero raises inside Tempo's MConsensus handler (a
+        # decodable hostile frame), which ends process 1's inbox task.
+        async def scenario():
+            cluster = AsyncCluster(AsyncClusterOptions(num_processes=3))
+            await cluster.start()
+            await cluster.router.send(0, 1, MConsensus(intern_dot(0, 99), -5, 7))
+            await asyncio.sleep(0.01)
+            with pytest.raises(asyncio.TimeoutError):
+                await cluster.submit(["alpha"], process_id=1, timeout=1.0)
+            await cluster.stop()
+
+        with pytest.raises(ValueError, match="bump timestamp must be non-negative"):
+            run(scenario())
 
 
 class TestVirtualClock:
