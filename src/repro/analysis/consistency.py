@@ -329,7 +329,7 @@ def _check_real_time_order(trace, violations: List[Violation]) -> None:
                 if suffix_min_write[index + 1] < suffix_min_write[index]:
                     suffix_min_write[index] = suffix_min_write[index + 1]
             for index, (dot, is_write) in enumerate(sequence[:-1]):
-                submitted = windows[dot].submitted_at
+                submitted = windows[dot].sent_at
                 suffix = suffix_min_any if is_write else suffix_min_write
                 if suffix[index + 1] < submitted:
                     witness = next(

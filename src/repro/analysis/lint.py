@@ -11,8 +11,9 @@ into real static analysis (import/alias aware) and add new repo-wide ones:
   :class:`~repro.simulator.events.EventQueue` (``_lanes``, ``_times``, or any
   ``queue._x`` reach), Tempo's
   :class:`~repro.core.stability.TimestampOrder` (any ``order._x`` reach)
-  and the :class:`~repro.protocols.depgraph.DependencyGraphExecutor` (any
-  ``executor._x`` reach).
+  the :class:`~repro.protocols.depgraph.DependencyGraphExecutor` (any
+  ``executor._x`` reach) and the :class:`~repro.core.gc.ExecutedChains`
+  (any ``chains._x`` reach).
 * ``missing-slots`` — a registered hot class lost its ``__slots__`` /
   ``@dataclass(slots=True)`` declaration.
 * ``codec-exhaustiveness`` — a :class:`~repro.core.messages.Message`
@@ -152,6 +153,14 @@ PRIVATE_STATE: Tuple[PrivateState, ...] = (
         frozenset({"executor"}),
         "use commit/advance/missing/pending_execution",
     ),
+    # Common private names (``_ranges``, ``_links``): flagged through ``chains``.
+    PrivateState(
+        "core/gc.py",
+        "ExecutedChains",
+        frozenset(),
+        frozenset({"chains"}),
+        "use add/frontier/clock/release/range_count",
+    ),
     # The codec's string table: write_string and Reader.read_string register
     # into it, and nothing else may read, swap or fill it.
     PrivateState(
@@ -220,6 +229,7 @@ def private_state_findings(
 #: ``(module path relative to repro/, class name)``.
 HOT_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("core/base.py", "ExecutionLog"),
+    ("core/gc.py", "ExecutedChains"),
     ("core/identifiers.py", "Dot"),
     ("core/info.py", "CommandInfo"),
     ("core/promises.py", "_IntRanges"),

@@ -77,7 +77,7 @@ class CommandWindow:
     """Client-side real-time window of one command."""
 
     keys: Tuple[str, ...]
-    submitted_at: float
+    sent_at: float
     replied_at: Optional[float] = None
 
 
@@ -146,7 +146,7 @@ class ExecutionTraceRecorder:
     def note_submit(self, dot: Dot, keys: Sequence[str], now: float) -> None:
         """Record the client-side submission time of ``dot``."""
         if dot not in self.windows:
-            self.windows[dot] = CommandWindow(keys=tuple(keys), submitted_at=now)
+            self.windows[dot] = CommandWindow(keys=tuple(keys), sent_at=now)
 
     def note_reply(self, dot: Dot, now: float) -> None:
         """Record the client-side completion time of ``dot``."""

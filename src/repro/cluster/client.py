@@ -82,10 +82,10 @@ class ClosedLoopClient:
         """Handle the execution reply for an outstanding command."""
         if not isinstance(message, ClientReply):
             return
-        submitted_at = self.pending.pop(message.dot, None)
-        if submitted_at is None:
+        sent_at = self.pending.pop(message.dot, None)
+        if sent_at is None:
             return
-        latency = now - submitted_at
+        latency = now - sent_at
         if now >= self.warmup_ms:
             self.latency.record(latency)
         self.completed += 1

@@ -234,8 +234,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     completed = 0
     submitted = 0
     for client in clients:
-        overall.merge(LatencyHistogram(client.latency.samples()))
-        per_site[client.site].merge(LatencyHistogram(client.latency.samples()))
+        overall.merge(client.latency)
+        per_site[client.site].merge(client.latency)
         completed += client.completed
         submitted += client.submitted
 

@@ -26,11 +26,10 @@ paper's "implemented in the same framework", §6).  The shell owns
 * message plumbing: the outbox, synchronous self-delivery, ``MBatch``
   unpacking, the per-type ``_dispatch`` probe and the dispatch-or-
   ``TypeError`` :meth:`ProcessBase.on_message`;
-* the execution seam :meth:`ProcessBase._execute_command`: check that the
-  command executes at most once here, apply, report to the execution
-  listeners, advance the GC frontier when the protocol mixes
-  :class:`repro.core.gc.WatermarkGcMixin` in, reply when the command was
-  submitted here;
+* the execution seam :meth:`ProcessBase._execute_command`: record the
+  execution, at most once, in ``chains`` (:class:`repro.core.gc.ExecutedChains`,
+  which the GC reads), apply, report to the execution listeners, and
+  reply when the dot was minted here, where it was submitted;
 * the per-command record table ``_info`` and the accounting read off it
   (:meth:`ProcessBase.memory_footprint`, :meth:`ProcessBase.committed_dots`).
 
@@ -61,9 +60,9 @@ from typing import (
 
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
+from repro.core.gc import ExecutedChains
 from repro.core.identifiers import Dot, DotGenerator, intern_dot
 from repro.core.messages import ClientReply, MDeliveryAck
-from repro.core.promises import _IntRanges
 from repro.core.quorums import QuorumSystem
 
 
@@ -203,7 +202,7 @@ class ProcessBase(abc.ABC):
             "_other_peers",  # cache of _partition_peers
             "_dispatch",  # constant wiring: bound handlers
             "_execution_listeners",  # observers, not protocol state
-            "_executed_ranges",  # derived from executed and the chain links
+            "chains",  # derived from executed and the chain links
             "_wants_flush",  # constant, derived from the class
             "outbox",  # drained by the runtime after every step
             "_step_depth",  # zero between deliveries
@@ -256,12 +255,9 @@ class ProcessBase(abc.ABC):
         #: Identifiers executed here, in execution order (the command itself
         #: goes to the listeners and is not retained).
         self.executed = ExecutionLog()
-        #: Per source, the sequences covered by the chain links executed
-        #: here: each execution adds ``[previous + 1, sequence]``
-        #: (:meth:`_execute_command`).  The skipped sequences are dots that
-        #: never execute at this partition, so a source collapses to about
-        #: one range, and a dot already covered is executing twice.
-        self._executed_ranges: Dict[int, _IntRanges] = {}
+        #: Per source, the chain of its dots executed here: the at-most-once
+        #: check and, when the protocol collects, the GC's local frontier.
+        self.chains = ExecutedChains()
         self._execution_listeners: List[ExecutionListener] = []
         self.alive = True
         #: Recovery epoch: bumped on every :meth:`recover_process`, stamped
@@ -418,7 +414,7 @@ class ProcessBase(abc.ABC):
 
     @abc.abstractmethod
     def submit(self, command: Command, now: float = 0.0) -> None:
-        """Submit a command at this process on behalf of a client."""
+        """Submit a command minted here (:meth:`_check_minted_here`)."""
 
     def on_message(self, sender: int, message: object, now: float) -> None:
         """Handle one protocol message: dispatch by exact type, or raise."""
@@ -508,35 +504,32 @@ class ProcessBase(abc.ABC):
 
     # -- execution bookkeeping ---------------------------------------------------
 
-    def _execute_command(
-        self, dot: Dot, command: Command, now: float, reply: bool
-    ) -> None:
-        """The one execution seam: check at-most-once, apply, record,
-        advance the GC frontier, and — when ``reply``, i.e. the command was
-        submitted here — answer the client.  A protocol calls it once per
-        command, after marking its own record executed; a second call for
-        the same dot raises ``ValueError`` (Validity: a command executes at
-        most once)."""
-        previous = self._chain_previous(command)
-        ranges = self._executed_ranges.get(dot.source)
-        if ranges is None:
-            ranges = self._executed_ranges[dot.source] = _IntRanges()
-        covered = ranges.add_range(previous + 1, dot.sequence)
-        if not covered or covered[-1][1] != dot.sequence:
-            raise ValueError(f"command {dot} executed twice at {self.process_id}")
+    def _check_minted_here(self, command: Command) -> None:
+        """Refuse a command minted elsewhere: the seam answers its client."""
+        if command.dot.source != self.process_id:
+            raise ValueError(f"{command.dot} was not minted at {self.process_id}")
+
+    def _execute_command(self, dot: Dot, command: Command, now: float) -> None:
+        """The one execution seam and the only execution bookkeeping: add
+        ``dot`` to ``chains``, apply, record, report a moved frontier to the
+        GC, and answer the client if the dot was minted here.  A protocol
+        calls it once per command, after marking its own record executed; a
+        second call for the same dot raises ``ValueError`` (Validity)."""
+        moved_from = self.chains.add(dot, self._chain_previous(command))
         result = self._apply(command)
         self.record_execution(dot, command, now)
-        if self.gc is not None:
-            self.gc.record_executed(dot, previous)
-        if reply and command.client_id is not None:
-            self.outbox.append(self._client_reply(dot, command, result))
+        if moved_from is not None and self.gc is not None:
+            self.gc.frontier_moved(dot.source, moved_from)
+        if dot.source == self.process_id and command.client_id is not None:
+            # Clients have negative addresses; the runtime routes the reply.
+            client = -(command.client_id + 1)
+            reply = ClientReply(dot, result=result)
+            self.outbox.append(Envelope(self.process_id, client, reply))
 
     def _chain_previous(self, command: Command) -> int:
-        """The sequence before ``command``'s in the chain of its source's
-        dots that execute here (``repro.core.gc``).  Every dot does by
-        default: the protocols without partitions run every command at every
-        process, and Janus* executes every command everywhere; Tempo, which
-        executes only its partition's, follows the command's link."""
+        """The sequence before ``command``'s in its source's chain here
+        (``repro.core.gc``): every dot executes everywhere by default, and
+        Tempo, which executes only its partition's, follows the link."""
         return command.dot.sequence - 1
 
     def _apply(self, command: Command) -> Optional[Dict[str, Optional[str]]]:
@@ -553,16 +546,6 @@ class ProcessBase(abc.ABC):
     def executed_dots(self) -> List[Dot]:
         """Identifiers executed so far, in execution order."""
         return list(self.executed)
-
-    def _client_reply(self, dot: Dot, command: Command, result) -> Envelope:
-        """The reply for a command this process submitted.  Clients are
-        addressed with negative identifiers by the cluster layer; the
-        runtime routes this envelope."""
-        return Envelope(
-            sender=self.process_id,
-            destination=-(command.client_id + 1),
-            message=ClientReply(dot, result=result),
-        )
 
     # -- introspection -----------------------------------------------------------
 
@@ -589,9 +572,7 @@ class ProcessBase(abc.ABC):
             "conflict_keys": 0,
             "issued_promises": 0,
             "gc_collected": self.gc.collected_count if self.gc is not None else 0,
-            "executed_ranges": sum(
-                len(ranges) for ranges in self._executed_ranges.values()
-            ),
+            "executed_ranges": self.chains.range_count(),
         }
 
     def committed_timestamp(self, dot: Dot) -> Optional[object]:
@@ -605,8 +586,7 @@ class ProcessBase(abc.ABC):
         return [dot for dot, record in self._info.items() if record.is_committed]
 
     def pending_dots(self) -> List[Dot]:
-        """Identifiers in a pending phase here (FPaxos keeps no records, so
-        its liveness is only the executions it misses)."""
+        """Identifiers in a pending phase here."""
         return [dot for dot, record in self._info.items() if record.is_pending]
 
     def partition_peers(self) -> Sequence[int]:

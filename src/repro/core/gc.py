@@ -21,13 +21,13 @@ minted over that partition, in sequence order.  The minter knows each
 dot's predecessor in the chain and ships it with the command where it is
 not ``sequence - 1`` (:attr:`repro.core.commands.Command.links`, set by
 :meth:`repro.core.base.ProcessBase.new_command`), so a replica learns it
-with the payload.  The frontier ``F`` for source ``s`` at replica ``j``
-means: every dot of ``s``'s chain at ``j``'s partition with sequence
-``<= F`` has executed at ``j``.  :meth:`GcTracker.record_executed` moves it
-from a dot's predecessor to the dot, so it follows every source — a
-cross-partition command minted at another shard included — and never
-passes a dot of the chain that has not executed.  The tracker assumes two
-things:
+with the payload.  In :class:`ExecutedChains`, a replica's one record of
+what executed there, each execution covers ``[previous + 1, sequence]``:
+a sequence covered twice is a command executing twice, and the run
+``[1, F]`` is the *frontier* ``F``: every dot of the chain with sequence
+``<= F`` has executed here.  It follows every source — a cross-partition
+command minted at another shard included — and never passes a dot of the
+chain that has not executed.  The tracker assumes two things:
 
 * **Every dot of a chain is eventually executed at the chain's partition.**
   Execution is timestamp- (or dependency-) ordered, not per-source
@@ -49,53 +49,101 @@ once it catches up after a restart, which is safe under every schedule.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from bisect import insort
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.identifiers import Dot, intern_dot
 from repro.core.messages import MExecutedClock
+from repro.core.promises import _IntRanges
+
+
+class ExecutedChains:
+    """Per source, the chain of its dots executed here: the execution
+    seam's at-most-once check and the GC's local frontiers and gaps."""
+
+    __slots__ = ("_ranges", "_links")
+
+    def __init__(self) -> None:
+        #: Per source, the sequences covered here.  An entry moves to the
+        #: end when its frontier leaves 0, so :meth:`clock` lists the
+        #: sources in the order their frontiers first moved.
+        self._ranges: Dict[int, _IntRanges] = {}
+        #: Per source, the executed links ``(previous, sequence)`` that skip
+        #: sequences, in chain order, until :meth:`release` passes them.
+        self._links: Dict[int, List[Tuple[int, int]]] = {}
+
+    def add(self, dot: Dot, previous: int) -> Optional[int]:
+        """Record that ``dot``, whose chain predecessor is ``previous``,
+        executed here (``ValueError`` if it already had); return the
+        source's frontier before if this moved it, else ``None``."""
+        source, sequence = dot.source, dot.sequence
+        ranges = self._ranges.get(source)
+        if ranges is None:
+            ranges = self._ranges[source] = _IntRanges()
+        before = ranges.prefix()
+        covered = ranges.add_range(previous + 1, sequence)
+        if not covered or covered[-1][1] != sequence:
+            raise ValueError(f"command {dot} executed twice")
+        if sequence > previous + 1:
+            insort(self._links.setdefault(source, []), (previous, sequence))
+        if ranges.prefix() == before:
+            return None
+        if not before:
+            self._ranges[source] = self._ranges.pop(source)
+        return before
+
+    def frontier(self, source: int) -> int:
+        """The sequence up to which ``source``'s chain executed here."""
+        ranges = self._ranges.get(source)
+        return ranges.prefix() if ranges is not None else 0
+
+    def clock(self) -> Dict[int, int]:
+        """Every non-zero frontier, by source."""
+        clock = {source: ranges.prefix() for source, ranges in self._ranges.items()}
+        return {source: frontier for source, frontier in clock.items() if frontier}
+
+    def release(self, source: int, lo: int, hi: int) -> List[Tuple[int, int]]:
+        """The dots of ``source``'s chain in ``lo..hi`` (``hi`` at most the
+        frontier), as ranges that leave out the sequences a link skips, and
+        forget those links: the watermark passing them is the only caller."""
+        spans: List[Tuple[int, int]] = []
+        links = self._links.get(source)
+        if links:
+            crossed = 0
+            for previous, sequence in links:
+                if sequence > hi:
+                    break
+                if lo <= previous:
+                    spans.append((lo, previous))
+                lo = sequence
+                crossed += 1
+            del links[:crossed]
+        spans.append((lo, hi))
+        return spans
+
+    def range_count(self) -> int:
+        """The ranges held over all sources (about one per source)."""
+        return sum(len(ranges) for ranges in self._ranges.values())
 
 
 class GcTracker:
-    """Per-process executed-frontier bookkeeping and watermark state."""
+    """Per-process watermark state over the host's :class:`ExecutedChains`."""
 
-    __slots__ = (
-        "process_id",
-        "_frontier",
-        "_pending",
-        "_gaps",
-        "_peer_clocks",
-        "_watermark",
-        "_stale",
-        "_dirty",
-        "collected_count",
-    )
+    __slots__ = ("_chains", "_peer_clocks", "_watermark", "_stale", "_dirty", "collected_count")
 
-    def __init__(self, process_id: int, partition_members: Iterable[int]) -> None:
-        members = tuple(sorted(partition_members))
-        self.process_id = process_id
-        #: Per-source executed frontier at *this* replica, along the chain.
-        self._frontier: Dict[int, int] = {}
-        #: Executions waiting above the frontier, per source, keyed by their
-        #: chain predecessor: ``previous -> sequence``.
-        self._pending: Dict[int, Dict[int, int]] = {}
-        #: Per source, the chain links ``(previous, sequence)`` between the
-        #: watermark and the frontier that skip sequences, in chain order:
-        #: the skipped sequences are no dots of this chain, and
-        #: :meth:`advance` leaves them out.
-        self._gaps: Dict[int, List[Tuple[int, int]]] = {}
-        #: Last announced clock per partition peer.  This process's entry
-        #: aliases ``_frontier`` so the local view always participates in
-        #: the minimum without a copy per execution.
-        self._peer_clocks: Dict[int, Dict[int, int]] = {
-            member: {} for member in members
-        }
-        self._peer_clocks[process_id] = self._frontier
+    _DIGEST_EXEMPT = frozenset({"_chains"})  # the host's, derived from executed
+
+    def __init__(self, chains: ExecutedChains, peers: Sequence[int]) -> None:
+        #: The local frontiers: the host's record of what executed here.
+        self._chains = chains
+        #: Last announced clock per other partition member.
+        self._peer_clocks: Dict[int, Dict[int, int]] = {peer: {} for peer in peers}
         #: Per-source globally-executed watermark (monotone).
         self._watermark: Dict[int, int] = {}
         #: Sources whose minimum may have risen since the last ``advance``.
-        #: The minimum over the peer clocks can only change when an entry
+        #: The minimum over the frontiers can only change when an entry
         #: sitting *at* the current minimum rises, so ``ingest`` and
-        #: ``record_executed`` mark exactly those sources and ``advance``
+        #: ``frontier_moved`` mark exactly those sources and ``advance``
         #: recomputes nothing else — the common no-news call is O(1).
         self._stale: Set[int] = set()
         #: Whether the local frontier advanced since the last announcement.
@@ -106,29 +154,10 @@ class GcTracker:
 
     # -- local executions -----------------------------------------------------
 
-    def record_executed(self, dot: Dot, previous: int) -> None:
-        """Note that ``dot``, whose chain predecessor is ``previous``,
-        executed locally; advances the local frontier once ``previous`` is
-        at or below it."""
-        source = dot.source
-        frontier = self._frontier.get(source, 0)
-        sequence = dot.sequence
-        if sequence <= frontier:
-            return
-        if previous > frontier:
-            self._pending.setdefault(source, {})[previous] = sequence
-            return
-        if frontier == self._watermark.get(source, 0):
+    def frontier_moved(self, source: int, old: int) -> None:
+        """Note that the local frontier of ``source`` rose from ``old``."""
+        if old == self._watermark.get(source, 0):
             self._stale.add(source)
-        pending = self._pending.get(source)
-        while True:
-            if sequence - frontier > 1:
-                self._gaps.setdefault(source, []).append((frontier, sequence))
-            frontier = sequence
-            if not pending or frontier not in pending:
-                break
-            sequence = pending.pop(frontier)
-        self._frontier[source] = frontier
         self._dirty = True
 
     # -- watermark exchange ---------------------------------------------------
@@ -138,7 +167,7 @@ class GcTracker:
         if not self._dirty:
             return None
         self._dirty = False
-        return dict(self._frontier)
+        return self._chains.clock()
 
     def ingest(self, peer: int, clock: Mapping[int, int]) -> None:
         """Merge a peer's announced clock (entries are monotone)."""
@@ -165,30 +194,21 @@ class GcTracker:
         stale = self._stale
         if not stale:
             return []
+        chains = self._chains
         clocks = self._peer_clocks.values()
         watermark = self._watermark
         newly: List[Tuple[int, int, int]] = []
         for source in stale:
-            level = min(clock.get(source, 0) for clock in clocks)
+            level = min(
+                [chains.frontier(source)] + [clock.get(source, 0) for clock in clocks]
+            )
             old = watermark.get(source, 0)
             if level <= old:
                 continue
             watermark[source] = level
-            lo = old + 1
-            gaps = self._gaps.get(source)
-            if gaps:
-                crossed = 0
-                for previous, sequence in gaps:
-                    if sequence > level:
-                        break
-                    if lo <= previous:
-                        newly.append((source, lo, previous))
-                        self.collected_count += previous - lo + 1
-                    lo = sequence
-                    crossed += 1
-                del gaps[:crossed]
-            newly.append((source, lo, level))
-            self.collected_count += level - lo + 1
+            for lo, hi in chains.release(source, old + 1, level):
+                newly.append((source, lo, hi))
+                self.collected_count += hi - lo + 1
         stale.clear()
         return newly
 
@@ -200,21 +220,6 @@ class GcTracker:
         dots of this partition's chains, the only ones its messages name."""
         return dot.sequence <= self._watermark.get(dot.source, 0)
 
-    def watermark_of(self, source: int) -> int:
-        return self._watermark.get(source, 0)
-
-    def local_frontier(self, source: int) -> int:
-        return self._frontier.get(source, 0)
-
-    def footprint(self) -> Dict[str, int]:
-        """Size accounting for the memory-bound witnesses."""
-        return {
-            "pending_out_of_order": sum(
-                len(pending) for pending in self._pending.values()
-            ),
-            "collected": self.collected_count,
-        }
-
 
 class WatermarkGcMixin:
     """The watermark exchange: announce, ingest, sweep.
@@ -223,18 +228,17 @@ class WatermarkGcMixin:
     (FPaxos keeps no per-command records and does not).  The host calls
     :meth:`_gc_announce` from its ``tick``, routes ``MExecutedClock`` to
     :meth:`_on_executed_clock` and supplies :meth:`_collect`; the shell's
-    execution seam (``ProcessBase._execute_command``) reports executions to
-    ``self.gc.record_executed``.
+    execution seam (``ProcessBase._execute_command``) records executions in
+    ``self.chains``, which the tracker reads, and calls ``frontier_moved``.
     """
 
     _DIGEST_EXEMPT = frozenset({"_gc_peers"})  # constant wiring
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        members = self._gc_members()
-        self.gc = GcTracker(self.process_id, members)
         #: The other members: where the executed clock is announced.
-        self._gc_peers = [peer for peer in members if peer != self.process_id]
+        self._gc_peers = [peer for peer in self._gc_members() if peer != self.process_id]
+        self.gc = GcTracker(self.chains, self._gc_peers)
         self._last_gc_announce = float("-inf")
 
     def _gc_members(self) -> Sequence[int]:

@@ -52,7 +52,6 @@ class CommandInfo:
     #: ``ballot -> process -> (timestamp, phase, accepted ballot)``, built
     #: when a recovery starts.
     recovery_acks: Optional[Dict[int, Dict[int, Tuple[int, Phase, int]]]] = None
-    submitted_at: Optional[float] = None
 
     # -- commit/execution-side state ---------------------------------------------
     partition_commits: Dict[int, int] = field(default_factory=dict)

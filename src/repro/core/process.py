@@ -230,6 +230,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         suspects; they travel with the command, so relay plans, ack targets
         and recovery all follow this one choice.
         """
+        self._check_minted_here(command)
         partitions = sorted(command.partitions(self.partitioner))
         if self.partition not in partitions:
             raise ValueError(
@@ -239,8 +240,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         quorums = self.quorum_system.fast_quorums(
             self.process_id, partitions, self.suspected
         )
-        record = self.info(command.dot)
-        record.submitted_at = now
         message = MSubmit(command.dot, command, quorums)
         self.send(sorted({quorum[0] for quorum in quorums.values()}), message, now)
 
@@ -643,7 +642,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             raise RuntimeError(f"executing {dot} without a payload")
         record.move_to(Phase.EXECUTE)
         record.release_commit_state()
-        self._execute_command(dot, command, now, record.submitted_at is not None)
+        self._execute_command(dot, command, now)
 
     def _chain_previous(self, command: Command) -> int:
         """This replica executes exactly the commands over its partition."""

@@ -82,6 +82,11 @@ class _IntRanges:
     def ranges(self) -> List[Tuple[int, int]]:
         return [(lo, hi) for lo, hi in self._ranges]
 
+    def prefix(self) -> int:
+        """The end of the run covered from 1 (0 when 1 is not covered)."""
+        ranges = self._ranges
+        return ranges[0][1] if ranges and ranges[0][0] == 1 else 0
+
     def add_range(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Insert ``[lo, hi]``; return the sub-ranges that were newly covered."""
         if hi < lo:

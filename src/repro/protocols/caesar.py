@@ -59,8 +59,6 @@ class CaesarInfo:
     dependencies: FrozenSet[Dot] = frozenset()
     status: str = "start"  # start | propose | commit | execute
     acks: Dict[int, FrozenSet[Dot]] = field(default_factory=dict)
-    submitted_here: bool = False
-    submitted_at: Optional[float] = None
     #: Dependencies not yet executed here (populated at commit time);
     #: the stability check walks only this live remainder instead of the
     #: full history-sized dependency set.
@@ -201,10 +199,9 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
     # -- submission ----------------------------------------------------------------
 
     def submit(self, command: Command, now: float = 0.0) -> None:
+        self._check_minted_here(command)
         record = self.info(command.dot)
         record.command = command
-        record.submitted_here = True
-        record.submitted_at = now
         record.status = "propose"
         record.timestamp = self._next_timestamp()
         self._register(command)
@@ -294,17 +291,16 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
         self.send([coordinator], MCaesarProposeAck(dot, frozenset(dependencies)), now)
 
     def _on_propose_ack(self, sender: int, message: MCaesarProposeAck, now: float) -> None:
-        record = self._info.get(message.dot)
-        if record is None or not record.submitted_here or record.status != "propose":
+        dot = message.dot
+        record = self._info.get(dot)
+        if record is None or dot.source != self.process_id or record.status != "propose":
             return
         record.acks[sender] = message.dependencies
         if len(record.acks) < self.config.caesar_fast_quorum_size:
             return
         dependencies = frozenset().union(*record.acks.values()) if record.acks else frozenset()
         record.dependencies = dependencies
-        commit = MCaesarCommit(
-            message.dot, record.command, record.timestamp, dependencies
-        )
+        commit = MCaesarCommit(dot, record.command, record.timestamp, dependencies)
         targets = self.partition_peers()
         self.send(targets, commit, now)
         if self.reliability is not None:
@@ -444,7 +440,7 @@ class CaesarProcess(WatermarkGcMixin, ProcessBase):
     def _execute(self, dot: Dot, record: CaesarInfo, now: float) -> None:
         record.status = "execute"
         record.live_deps = None
-        self._execute_command(dot, record.command, now, record.submitted_here)
+        self._execute_command(dot, record.command, now)
 
     def tick(self, now: float) -> None:
         # No deferred flush here: only a commit can clear the wait

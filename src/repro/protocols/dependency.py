@@ -240,7 +240,6 @@ class DepInfo(GraphNode):
     #: (set at submit and again on entering the slow path); the round
     #: completes when every one of them has acked.
     expected: Sequence[int] = ()
-    submitted_here: bool = False
 
     @property
     def is_committed(self) -> bool:
@@ -417,9 +416,9 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
 
     def submit(self, command: Command, now: float = 0.0) -> None:
         """Submit a command with this process acting as its coordinator."""
+        self._check_minted_here(command)
         record = self.info(command.dot)
         record.command = command
-        record.submitted_here = True
         dependencies, sequence = self._conflicts_of(command)
         self._register(command, sequence)
         record.dependencies = dependencies
@@ -438,7 +437,7 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         record = self.info(message.dot)
         if record.is_committed:
             return
-        if record.submitted_here:
+        if message.dot.source == self.process_id:
             # The coordinator already computed its dependencies in submit();
             # recomputing here would count the command against itself.
             self.send(
@@ -459,8 +458,9 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         self.send([sender], MPreAcceptAck(message.dot, dependencies, sequence), now)
 
     def _on_preaccept_ack(self, sender: int, message: MPreAcceptAck, now: float) -> None:
-        record = self._info.get(message.dot)
-        if record is None or record.status != "preaccept" or not record.submitted_here:
+        dot = message.dot
+        record = self._info.get(dot)
+        if record is None or record.status != "preaccept" or dot.source != self.process_id:
             return
         acks = record.preaccept_acks
         if acks is None:
@@ -497,8 +497,9 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         self.send([sender], MDepAcceptAck(message.dot, message.ballot), now)
 
     def _on_accept_ack(self, sender: int, message: MDepAcceptAck, now: float) -> None:
-        record = self._info.get(message.dot)
-        if record is None or record.status != "accept" or not record.submitted_here:
+        dot = message.dot
+        record = self._info.get(dot)
+        if record is None or record.status != "accept" or dot.source != self.process_id:
             return
         acks = record.accept_acks
         if acks is None:
@@ -547,7 +548,7 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
                 continue
             record.status = "execute"
             self._retire_executed(record.command)
-            self._execute_command(dot, record.command, now, record.submitted_here)
+            self._execute_command(dot, record.command, now)
 
     def tick(self, now: float) -> None:
         """Retry execution (a commit elsewhere may have unblocked a
@@ -569,7 +570,7 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         is owed here: start the clock on its commit unless it has one."""
         info = self._info
         for source, frontier in message.clock.items():
-            for sequence in range(self.gc.local_frontier(source) + 1, frontier + 1):
+            for sequence in range(self.chains.frontier(source) + 1, frontier + 1):
                 dot = Dot(source, sequence)
                 record = info.get(dot)
                 if record is None or not record.is_committed:
@@ -583,7 +584,7 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         of the source's dots from its lowest overdue one to its highest:
         one request per source and window, however long the backlog."""
         record = self._info.get(dot)
-        if record is None or not record.submitted_here:
+        if record is None or dot.source != self.process_id:
             window = self.config.recovery_timeout
             overdue = []
             for other, entry in self._blocked[Need.COMMIT].items():

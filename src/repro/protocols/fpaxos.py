@@ -35,9 +35,8 @@ class FPaxosProcess(ProcessBase):
         super().__init__(*args, **kwargs)
         self.leader_rank = leader_rank
         self.ballot = 1
-        # -- leader state
+        # -- leader state: the slots proposed and not yet decided
         self._next_slot = 1
-        self._slot_of_dot: Dict[Dot, int] = {}
         self._accept_acks: Dict[int, Set[int]] = {}
         self._proposals: Dict[int, Command] = {}
         # -- replica state
@@ -46,8 +45,6 @@ class FPaxosProcess(ProcessBase):
         #: Commands known to be decided, applied in slot order.
         self._decided_log: Dict[int, Command] = {}
         self._applied_up_to = 0
-        #: Commands submitted here and not yet answered.
-        self._submitted_here: Set[Dot] = set()
         self._dispatch: Dict[type, Callable[[int, object, float], None]] = {
             MForward: self._on_forward,
             MAccept: self._on_accept,
@@ -79,7 +76,7 @@ class FPaxosProcess(ProcessBase):
 
     def submit(self, command: Command, now: float = 0.0) -> None:
         """Submit a command; non-leaders forward it to the leader."""
-        self._submitted_here.add(command.dot)
+        self._check_minted_here(command)
         if self.is_leader():
             self._order(command, now)
         else:
@@ -89,7 +86,6 @@ class FPaxosProcess(ProcessBase):
         """Leader: assign the next log slot and run phase 2."""
         slot = self._next_slot
         self._next_slot += 1
-        self._slot_of_dot[command.dot] = slot
         self._proposals[slot] = command
         self._accept_acks[slot] = set()
         self.send(self._phase2_quorum(), MAccept(command.dot, command, slot, self.ballot), now)
@@ -113,13 +109,14 @@ class FPaxosProcess(ProcessBase):
     def _on_accepted(self, sender: int, message: MAccepted, now: float) -> None:
         if not self.is_leader() or message.ballot != self.ballot:
             return
-        acks = self._accept_acks.setdefault(message.slot, set())
+        acks = self._accept_acks.get(message.slot)
+        if acks is None:  # decided already
+            return
         acks.add(sender)
         if len(acks) < self.config.slow_quorum_size:
             return
-        command = self._proposals.get(message.slot)
-        if command is None:
-            return
+        del self._accept_acks[message.slot]
+        command = self._proposals.pop(message.slot)
         decided = MDecided(command.dot, command, message.slot)
         self.send(self.partition_peers(), decided, now)
 
@@ -136,11 +133,16 @@ class FPaxosProcess(ProcessBase):
             slot = self._applied_up_to + 1
             command = self._decided_log[slot]
             self._applied_up_to = slot
-            submitted_here = command.dot in self._submitted_here
-            self._submitted_here.discard(command.dot)
-            self._execute_command(command.dot, command, now, submitted_here)
+            self._execute_command(command.dot, command, now)
 
     # -- introspection -------------------------------------------------------------------
+
+    def pending_dots(self) -> List[Dot]:
+        """The dots of the slots accepted or decided here and not applied
+        (a slot lost for good stalls every slot after it)."""
+        pending = {**self._accepted_log, **self._decided_log}
+        applied = self._applied_up_to
+        return [pending[slot].dot for slot in sorted(pending) if slot > applied]
 
     def log_length(self) -> int:
         """Number of decided slots known to this process."""

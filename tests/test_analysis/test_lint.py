@@ -245,6 +245,31 @@ class TestDependencyGraphGate:
         assert not private_state_findings(root)
 
 
+class TestExecutedChainsGate:
+    def test_the_record_reached_through_chains_is_flagged(self, tmp_path):
+        source = (
+            "def frontier(process, source):\n"
+            "    return process.chains._ranges[source]\n"
+        )
+        root = _tree(tmp_path, {"protocols/dependency.py": source})
+        findings = private_state_findings(root)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("private-internals", 2)
+        ]
+        assert "ExecutedChains internal '_ranges'" in findings[0].message
+
+    def test_gc_py_itself_and_other_owners_of_alike_names_pass(self, tmp_path):
+        root = _tree(
+            tmp_path,
+            {
+                "core/gc.py": "x = self._ranges\ny = self._chains._links\n",
+                "core/promises.py": "x = self._ranges\n",
+                "protocols/dependency.py": "x = self.chains.frontier(0)\n",
+            },
+        )
+        assert not private_state_findings(root)
+
+
 class TestCanonicalStringGate:
     def test_the_table_reached_or_imported_elsewhere_is_flagged(self, tmp_path):
         source = (

@@ -36,11 +36,11 @@ from repro.analysis.smallmodel import explore
 from repro.analysis.trace import ExecutionTraceRecorder
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
-from repro.core.base import ProcessBase
+from repro.core.base import Envelope, ProcessBase
 from repro.core.commands import Command, KeyOp, OpKind, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import intern_dot
-from repro.core.messages import MCommit, MPayload, MPromises, MPropose
+from repro.core.messages import ClientReply, MCommit, MPayload, MPromises, MPropose
 from repro.core.process import TempoProcess
 from repro.protocols.dependency import DependencyProtocolProcess
 
@@ -186,10 +186,10 @@ _on_commit = TempoProcess._on_commit
 _submit = TempoProcess.submit
 
 
-def _execute_twice(self, dot, command, now, reply):
+def _execute_twice(self, dot, command, now):
     # Past the seam's at-most-once range check, which would refuse a
     # second call: process 1 records every execution twice.
-    _seam(self, dot, command, now, reply)
+    _seam(self, dot, command, now)
     if self.process_id == 1:
         self.record_execution(dot, command, now)
 
@@ -216,12 +216,13 @@ def _reply_on_submit(self, command, now=0.0):
     # The client hears back before the command is ordered; the reply at
     # execution comes too late to count.
     _submit(self, command, now)
-    self.outbox.append(self._client_reply(command.dot, command, None))
+    reply = ClientReply(command.dot, result=None)
+    self.outbox.append(Envelope(self.process_id, -(command.client_id + 1), reply))
 
 
-def _never_execute_at_process_1(self, dot, command, now, reply):
+def _never_execute_at_process_1(self, dot, command, now):
     if self.process_id != 1:
-        _seam(self, dot, command, now, reply)
+        _seam(self, dot, command, now)
 
 
 #: ``row -> (class, attribute, mutant, protocol, explorer keywords)``;

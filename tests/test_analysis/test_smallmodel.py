@@ -29,7 +29,7 @@ import pytest
 from repro.analysis.smallmodel import _Explorer, _in_flight, canonical, explore, main
 from repro.cluster.replicas import build_replicas
 from repro.core.config import ProtocolConfig
-from repro.core.gc import GcTracker, WatermarkGcMixin
+from repro.core.gc import ExecutedChains, GcTracker, WatermarkGcMixin
 from repro.core.identifiers import Dot
 from repro.core.messages import MCommit
 from repro.core.promises import PromiseSet
@@ -153,7 +153,7 @@ class TestEpoch2Models:
         # exhaustive gate must report the GC safety violation.
         def premature_advance(self):
             newly = []
-            for source, frontier in self._frontier.items():
+            for source, frontier in self._chains.clock().items():
                 old = self._watermark.get(source, 0)
                 if frontier > old:
                     self._watermark[source] = frontier
@@ -343,7 +343,7 @@ class TestDerivedDigest:
         assert seen == declaring, declaring - seen
 
     def test_walker_rejects_what_has_no_canonical_form(self):
-        tracker = GcTracker(0, [0, 1, 2])
+        tracker = GcTracker(ExecutedChains(), [1, 2])
         with pytest.raises(TypeError):
             canonical({"callback": tracker.collected})
         with pytest.raises(TypeError):

@@ -3,10 +3,10 @@
 Covers the three layers of the globally-executed watermark scheme
 (:mod:`repro.core.gc`):
 
-1. ``GcTracker`` unit semantics — a frontier along each source's chain
-   (links that skip sequences, out-of-order executions across them),
-   dirty-gated announcements, monotone clock merge, minimum-over-peers
-   watermark;
+1. ``ExecutedChains`` and ``GcTracker`` unit semantics — a frontier along
+   each source's chain (links that skip sequences, out-of-order executions
+   across them), the at-most-once check, dirty-gated announcements,
+   monotone clock merge, minimum-over-peers watermark;
 2. Tempo integration — executed records (and their satellite bookkeeping)
    are actually dropped once globally executed, late duplicates are
    suppressed by the O(1) predicate, and a crashed peer stalls collection
@@ -18,11 +18,14 @@ Covers the three layers of the globally-executed watermark scheme
 
 from __future__ import annotations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.cluster.config import ExperimentConfig
 from repro.cluster.runner import run_experiment
 from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
-from repro.core.gc import GcTracker
+from repro.core.gc import ExecutedChains, GcTracker
 from repro.core.identifiers import Dot, intern_dot
 from repro.core.messages import MCommit, MPromises, MPropose
 from repro.core.phases import Phase
@@ -36,35 +39,47 @@ from repro.simulator.inline import InlineNetwork
 from tests.conftest import TempoCluster
 
 
-class TestGcTracker:
-    def make(self, process_id: int = 0, members=(0, 1, 2)) -> GcTracker:
-        return GcTracker(process_id, members)
+class _Seam:
+    """What the execution seam does with an execution: add it to the record
+    and report a moved frontier to the tracker."""
 
+    def __init__(self, peers=(1, 2)) -> None:
+        self.chains = ExecutedChains()
+        self.tracker = GcTracker(self.chains, peers)
+
+    def execute(self, dot: Dot, previous: int) -> None:
+        moved_from = self.chains.add(dot, previous)
+        if moved_from is not None:
+            self.tracker.frontier_moved(dot.source, moved_from)
+
+
+class TestGcTracker:
     def test_in_order_executions_advance_the_frontier(self):
-        tracker = self.make()
+        seam = _Seam()
         for sequence in (1, 2, 3):
-            tracker.record_executed(Dot(1, sequence), sequence - 1)
-        assert tracker.local_frontier(1) == 3
+            seam.execute(Dot(1, sequence), sequence - 1)
+        assert seam.chains.frontier(1) == 3
 
     def test_out_of_order_executions_fill_gaps(self):
-        tracker = self.make()
-        tracker.record_executed(Dot(1, 2), 1)
-        tracker.record_executed(Dot(1, 4), 3)
-        assert tracker.local_frontier(1) == 0
-        tracker.record_executed(Dot(1, 1), 0)
-        assert tracker.local_frontier(1) == 2
-        tracker.record_executed(Dot(1, 3), 2)
-        assert tracker.local_frontier(1) == 4
-        assert tracker.footprint()["pending_out_of_order"] == 0
+        seam = _Seam()
+        seam.execute(Dot(1, 2), 1)
+        seam.execute(Dot(1, 4), 3)
+        assert seam.chains.frontier(1) == 0
+        seam.execute(Dot(1, 1), 0)
+        assert seam.chains.frontier(1) == 2
+        seam.execute(Dot(1, 3), 2)
+        assert seam.chains.frontier(1) == 4
+        assert seam.chains.range_count() == 1  # nothing waits above it
 
     def test_a_link_skips_the_sequences_of_other_partitions(self):
         # Source 7 (another partition's) minted 1 and 2 over this partition,
         # 3..5 elsewhere, then 6 over this one again.
-        tracker = self.make(members=(0, 1, 2))
-        tracker.record_executed(Dot(7, 1), 0)
-        tracker.record_executed(Dot(7, 2), 1)
-        tracker.record_executed(Dot(7, 6), 2)
-        assert tracker.local_frontier(7) == 6
+        seam = _Seam()
+        seam.execute(Dot(7, 1), 0)
+        seam.execute(Dot(7, 2), 1)
+        seam.execute(Dot(7, 6), 2)
+        assert seam.chains.frontier(7) == 6
+        tracker = seam.tracker
         for peer in (1, 2):
             tracker.ingest(peer, {7: 6})
         # The watermark crosses the link: 3..5 are no dots of this chain,
@@ -74,14 +89,15 @@ class TestGcTracker:
         assert tracker.collected(Dot(7, 6))
 
     def test_out_of_order_execution_across_a_gap(self):
-        tracker = self.make()
-        tracker.record_executed(Dot(7, 9), 4)
-        tracker.record_executed(Dot(7, 4), 1)
-        assert tracker.local_frontier(7) == 0
-        assert tracker.footprint()["pending_out_of_order"] == 2
-        tracker.record_executed(Dot(7, 1), 0)
-        assert tracker.local_frontier(7) == 9
-        assert tracker.footprint()["pending_out_of_order"] == 0
+        seam = _Seam()
+        seam.execute(Dot(7, 9), 4)
+        seam.execute(Dot(7, 4), 1)
+        assert seam.chains.frontier(7) == 0
+        assert seam.chains.range_count() == 1  # [2, 9] waits above it
+        seam.execute(Dot(7, 1), 0)
+        assert seam.chains.frontier(7) == 9
+        assert seam.chains.range_count() == 1
+        tracker = seam.tracker
         for peer in (1, 2):
             tracker.ingest(peer, {7: 9})
         assert tracker.advance() == [(7, 1, 1), (7, 4, 4), (7, 9, 9)]
@@ -91,45 +107,51 @@ class TestGcTracker:
         # 5 links back to 2; 2 has not executed here, so neither 5 nor the
         # in-order 6 behind it may move the frontier past 1 — however far
         # the peers have got.
-        tracker = self.make()
-        tracker.record_executed(Dot(7, 1), 0)
-        tracker.record_executed(Dot(7, 5), 2)
-        tracker.record_executed(Dot(7, 6), 5)
-        assert tracker.local_frontier(7) == 1
+        seam = _Seam()
+        seam.execute(Dot(7, 1), 0)
+        seam.execute(Dot(7, 5), 2)
+        seam.execute(Dot(7, 6), 5)
+        assert seam.chains.frontier(7) == 1
+        tracker = seam.tracker
         for peer in (1, 2):
             tracker.ingest(peer, {7: 6})
         assert tracker.advance() == [(7, 1, 1)]
         assert not tracker.collected(Dot(7, 2))
-        tracker.record_executed(Dot(7, 2), 1)
-        assert tracker.local_frontier(7) == 6
+        seam.execute(Dot(7, 2), 1)
+        assert seam.chains.frontier(7) == 6
         assert tracker.advance() == [(7, 2, 2), (7, 5, 6)]
         assert tracker.collected_count == 4
 
     def test_announcement_is_dirty_gated(self):
-        tracker = self.make()
+        seam = _Seam()
+        tracker = seam.tracker
         assert tracker.announcement() is None
-        tracker.record_executed(Dot(0, 1), 0)
+        seam.execute(Dot(0, 1), 0)
         assert tracker.announcement() == {0: 1}
         # Nothing moved since: no re-announcement.
         assert tracker.announcement() is None
+        # An execution above the frontier does not move it either.
+        seam.execute(Dot(0, 3), 2)
+        assert tracker.announcement() is None
 
     def test_watermark_is_minimum_over_all_peers(self):
-        tracker = self.make(process_id=0)
+        seam = _Seam()
+        tracker = seam.tracker
         for sequence in (1, 2, 3):
-            tracker.record_executed(Dot(0, sequence), sequence - 1)
+            seam.execute(Dot(0, sequence), sequence - 1)
         tracker.ingest(1, {0: 2})
         assert tracker.advance() == []  # peer 2 still at 0
         tracker.ingest(2, {0: 5})
         assert tracker.advance() == [(0, 1, 2)]  # min(3, 2, 5) = 2
-        assert tracker.watermark_of(0) == 2
         assert tracker.collected(Dot(0, 2))
         assert not tracker.collected(Dot(0, 3))
 
     def test_ingest_merge_is_monotone(self):
-        tracker = self.make(process_id=0)
+        seam = _Seam()
+        tracker = seam.tracker
         tracker.ingest(1, {0: 4})
         tracker.ingest(1, {0: 2})  # stale announcement must not regress
-        tracker.record_executed(Dot(0, 1), 0)
+        seam.execute(Dot(0, 1), 0)
         tracker.ingest(2, {0: 9})
         assert tracker.advance() == [(0, 1, 1)]
 
@@ -137,18 +159,134 @@ class TestGcTracker:
         """Raising a non-minimum entry never recomputes or advances; raising
         the minimum one does (the stale-set optimisation is behaviour
         preserving)."""
-        tracker = self.make(process_id=0)
-        tracker.record_executed(Dot(0, 1), 0)
+        seam = _Seam()
+        tracker = seam.tracker
+        seam.execute(Dot(0, 1), 0)
         tracker.ingest(1, {0: 1})
         tracker.ingest(2, {0: 1})
         assert tracker.advance() == [(0, 1, 1)]
         # Peer 1 races ahead; the minimum (still 1) is unchanged.
         tracker.ingest(1, {0: 10})
         assert tracker.advance() == []
-        tracker.record_executed(Dot(0, 2), 1)
+        seam.execute(Dot(0, 2), 1)
         tracker.ingest(2, {0: 2})
         assert tracker.advance() == [(0, 2, 2)]
         assert tracker.collected_count == 2
+
+
+def _runs(sequences):
+    """Maximal runs of consecutive integers in ``sequences``, as ranges."""
+    runs = []
+    for sequence in sorted(sequences):
+        if runs and runs[-1][1] == sequence - 1:
+            runs[-1][1] = sequence
+        else:
+            runs.append([sequence, sequence])
+    return [tuple(run) for run in runs]
+
+
+class TestExecutionRecordModel:
+    """The record and the tracker against a brute-force model: per source,
+    a chain whose links skip sequences (partial replication), executed here
+    in random order with repeats mixed in, while two peers announce
+    frontiers along the same chains."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_record_and_the_tracker_match_a_brute_force_model(self, data):
+        chains = {}
+        for source in range(data.draw(st.integers(1, 3), label="sources")):
+            marks = data.draw(st.lists(st.booleans(), min_size=1, max_size=10))
+            chain = [index + 1 for index, mark in enumerate(marks) if mark]
+            if chain:
+                chains[source] = chain
+        previous = {
+            (source, sequence): chain[index - 1] if index else 0
+            for source, chain in chains.items()
+            for index, sequence in enumerate(chain)
+        }
+        unexecuted = sorted(previous)
+        seam = _Seam(peers=(1, 2))
+        # The model: what executed here, the peers' merged clocks, the
+        # watermark, and the order in which the frontiers first moved.
+        executed = set()
+        peer_clocks = {1: {}, 2: {}}
+        watermark = {}
+        first_moved = []
+        announced = {}
+
+        def frontier(source):
+            reached = 0
+            for sequence in chains.get(source, ()):
+                if (source, sequence) not in executed:
+                    break
+                reached = sequence
+            return reached
+
+        def clock():
+            return {source: frontier(source) for source in first_moved}
+
+        steps = data.draw(st.integers(1, 40), label="steps")
+        for _ in range(steps):
+            kind = data.draw(st.sampled_from(["execute", "repeat", "announce", "advance"]))
+            if kind == "execute" and unexecuted:
+                dot = data.draw(st.sampled_from(unexecuted))
+                unexecuted.remove(dot)
+                executed.add(dot)
+                seam.execute(Dot(*dot), previous[dot])
+                if frontier(dot[0]) and dot[0] not in first_moved:
+                    first_moved.append(dot[0])
+            elif kind == "repeat" and executed:
+                dot = data.draw(st.sampled_from(sorted(executed)))
+                with pytest.raises(ValueError):
+                    seam.execute(Dot(*dot), previous[dot])
+            elif kind == "announce" and chains:
+                peer = data.draw(st.sampled_from([1, 2]))
+                source = data.draw(st.sampled_from(sorted(chains)))
+                chain = chains[source]
+                reached = data.draw(st.integers(0, len(chain)))
+                if reached:
+                    seam.tracker.ingest(peer, {source: chain[reached - 1]})
+                    known = peer_clocks[peer]
+                    known[source] = max(known.get(source, 0), chain[reached - 1])
+            elif kind == "advance":
+                newly = []
+                for source, chain in chains.items():
+                    level = min(
+                        [frontier(source)]
+                        + [known.get(source, 0) for known in peer_clocks.values()]
+                    )
+                    old = watermark.get(source, 0)
+                    if level > old:
+                        watermark[source] = level
+                        newly += [
+                            (source, lo, hi)
+                            for lo, hi in _runs(s for s in chain if old < s <= level)
+                        ]
+                assert sorted(seam.tracker.advance()) == sorted(newly)
+            announcement = seam.tracker.announcement()
+            expected = clock()
+            if expected == announced:
+                assert announcement is None
+            else:
+                assert list(announcement.items()) == list(expected.items())
+                announced = expected
+            runs = 0
+            for source, chain in chains.items():
+                assert seam.chains.frontier(source) == frontier(source)
+                assert [seam.tracker.collected(Dot(source, s)) for s in chain] == [
+                    s <= watermark.get(source, 0) for s in chain
+                ]
+                covered = set()
+                for dot in executed:
+                    if dot[0] == source:
+                        covered.update(range(previous[dot] + 1, dot[1] + 1))
+                runs += len(_runs(covered))
+            assert seam.chains.range_count() == runs
+        assert seam.tracker.collected_count == sum(
+            len([s for s in chain if s <= watermark.get(source, 0)])
+            for source, chain in chains.items()
+        )
 
 
 def settle_gc(cluster, rounds: int = 80) -> None:

@@ -198,15 +198,12 @@ class TestChainLinks:
         local = [processes[4].new_command(["p1-b"]) for _ in range(3)]
         order = [chain[2], local[2], chain[0], chain[3], local[0], chain[1], local[1]]
         for command in order:
-            replica._execute_command(command.dot, command, 0.0, False)
+            replica._execute_command(command.dot, command, 0.0)
         assert replica.executed == [command.dot for command in order]
-        assert {
-            source: ranges.ranges()
-            for source, ranges in replica._executed_ranges.items()
-        } == {0: [(1, 8)], 4: [(1, 3)]}
+        assert replica.chains.clock() == {0: 8, 4: 3}
         assert replica.memory_footprint()["executed_ranges"] == 2
         with pytest.raises(ValueError):
-            replica._execute_command(chain[1].dot, chain[1], 0.0, False)
+            replica._execute_command(chain[1].dot, chain[1], 0.0)
 
     def test_a_single_partition_deployment_mints_no_links(self):
         _, processes, _, _ = build_cluster(partitions=1)

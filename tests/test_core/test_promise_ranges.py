@@ -304,7 +304,7 @@ class TestOneAbsorption:
 
         # Entry 3: the same MCommit reaches a process that collected the dot.
         late = _replica(4, clocks)
-        late.gc.record_executed(dot, dot.sequence - 1)
+        late.gc.frontier_moved(dot.source, late.chains.add(dot, dot.sequence - 1))
         for peer in late.partition_peers():
             late.gc.ingest(peer, {dot.source: dot.sequence})
         late.gc.advance()

@@ -210,13 +210,24 @@ class TestReplicaShell:
         if not with_store:
             process.apply_fn = None
         first, second = process.new_command(["k"]), process.new_command(["k"])
-        process._execute_command(second.dot, second, 0.0, False)
-        process._execute_command(first.dot, first, 0.0, False)
+        process._execute_command(second.dot, second, 0.0)
+        process._execute_command(first.dot, first, 0.0)
         for command in (first, second):
             with pytest.raises(ValueError):
-                process._execute_command(command.dot, command, 0.0, False)
+                process._execute_command(command.dot, command, 0.0)
         assert process.executed == [second.dot, first.dot]
         assert process.memory_footprint()["executed_ranges"] == 1
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_a_command_minted_elsewhere_is_refused(self, protocol):
+        # The seam answers the client at the replica that minted the dot,
+        # so that is the only one a command may be submitted at.
+        replicas = build_replicas(protocol, ProtocolConfig(num_processes=3, faults=1))
+        minter, other = replicas.processes[:2]
+        command = minter.new_command(["k"], client_id=0)
+        with pytest.raises(ValueError, match="not minted at 1"):
+            other.submit(command, 0.0)
+        assert not other.outbox
 
     @pytest.mark.parametrize("protocol", protocol_names())
     @pytest.mark.parametrize("faults", [1, 2])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from repro.cluster.config import ExperimentConfig
+from repro.cluster.runner import run_experiment
+from repro.faults import FaultPlan, FlakyLink
 from repro.simulator.inline import RecordingNetwork
 
 
@@ -21,9 +24,17 @@ class TestOrdering:
         orders = {tuple(process.executed_dots()) for process in cluster.processes}
         assert len(orders) == 1
         assert len(list(orders)[0]) == len(commands)
-        # Every submitted command was answered, so no submit bookkeeping is
-        # left behind.
-        assert all(not process._submitted_here for process in cluster.processes)
+
+    def test_the_leader_forgets_a_decided_slot(self, make_cluster):
+        # The decided log holds the command; the proposal and its acks are
+        # read only until the slot is decided.
+        cluster = make_cluster("fpaxos")
+        commands = [cluster.submit(i % 5, [f"k{i % 2}"]) for i in range(10)]
+        cluster.settle(rounds=20)
+        leader = cluster.processes[0]
+        assert leader.applied_up_to() == len(commands)
+        assert leader._proposals == {} and leader._accept_acks == {}
+        assert all(not process.pending_dots() for process in cluster.processes)
 
     def test_non_leader_submissions_are_forwarded(self, make_cluster):
         cluster = make_cluster("fpaxos")
@@ -83,3 +94,26 @@ class TestOrdering:
             for envelope in follower.drain_outbox()
             if type(envelope.message).__name__ == "MAccepted"
         ]
+
+
+class TestLiveness:
+    def test_a_stall_under_loss_is_counted(self):
+        # One second of 1 % loss on every link loses a message of some slot
+        # for good (FPaxos has no repair), and every slot after it waits.
+        # The accepted and decided slots left unapplied are the stuck count.
+        result = run_experiment(
+            ExperimentConfig(
+                protocol="fpaxos",
+                num_sites=5,
+                faults=1,
+                clients_per_site=8,
+                conflict_rate=0.15,
+                duration_ms=3_000.0,
+                seed=1,
+                fault_plan=FaultPlan([FlakyLink(500.0, 1_500.0, drop_probability=0.01)]),
+                record_execution_trace=True,
+            )
+        )
+        report = result.trace_report
+        assert result.completed < result.submitted
+        assert not report.converged and report.stuck > 0, report.summary()

@@ -109,7 +109,7 @@ class TestMultiShard:
         first = processes[0].new_command(["s1-x"])
         # Submitted by a shard-0 process but only accessing shard 1: allowed
         # for Janus* (the coordinator need not replicate the shard).
-        processes[3].submit(first, 0.0)
+        processes[0].submit(first, 0.0)
         network.settle(rounds=20)
         second = processes[0].new_command(["s0-y", "s1-x"])
         processes[0].submit(second, 0.0)
