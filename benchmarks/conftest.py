@@ -88,6 +88,7 @@ def _record_traffic(config, result) -> None:
             "batches": int(result.stats.get("batches_sent", 0)),
             "deliveries": int(result.stats.get("deliveries", 0)),
             "commit_requests": int(result.stats.get("sent:MCommitRequest", 0)),
+            "repair_requests": int(result.stats.get("sent:MRepairRequest", 0)),
             "promise_messages": int(result.stats.get("sent:MPromises", 0)),
             "events": int(result.stats.get("events", 0)),
             "heap_ops": int(result.stats.get("heap_ops", 0)),

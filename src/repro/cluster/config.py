@@ -29,7 +29,6 @@ class ExperimentConfig:
         workload: ``"micro"`` or ``"ycsbt"``.
         zipf: zipfian exponent for YCSB+T.
         write_ratio: write fraction for YCSB+T (ignored by Tempo).
-        read_ratio: read fraction for the microbenchmark.
         duration_ms: how long clients keep submitting (simulated ms).
         warmup_ms: samples before this time are discarded.
         seed: RNG seed (workloads, client start stagger, the fault stream).
@@ -57,7 +56,6 @@ class ExperimentConfig:
     workload: str = "micro"
     zipf: float = 0.5
     write_ratio: float = 0.05
-    read_ratio: float = 0.0
     duration_ms: float = 4_000.0
     warmup_ms: float = 500.0
     seed: int = 1

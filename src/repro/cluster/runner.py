@@ -141,7 +141,6 @@ def _build_workload(config: ExperimentConfig, client_id: int, deployment: _Deplo
         conflict_rate=config.conflict_rate,
         payload_size=config.payload_size,
         keys_per_command=config.keys_per_command,
-        read_ratio=config.read_ratio,
         rng=SeededRng(config.seed * 10_007 + client_id),
     )
 

@@ -56,17 +56,18 @@ class CommandInfo:
     # -- commit/execution-side state ---------------------------------------------
     partition_commits: Dict[int, int] = field(default_factory=dict)
     final_timestamp: Optional[int] = None
-    stable_sent: bool = False
+    #: The accessed partitions known stable for the command: this one's
+    #: from the local stability check, the others' from their MStable.
     stable_from: Set[int] = field(default_factory=set)
 
     def release_commit_state(self) -> None:
         """Drop what only the commit protocol reads, once the command has
         executed: the record then lives on (until the watermark GC collects
         it) for duplicate suppression and repair replies alone, which need
-        ``command``, ``quorums``, ``final_timestamp``, ``phase`` and
-        ``stable_sent``.  No handler reaches the released containers past
-        the pending phases: a late ``MCommit`` or ``MStable`` for an
-        executed record stops at its phase (``docs/memory.md``)."""
+        ``command``, ``quorums``, ``final_timestamp`` and ``phase``.  No
+        handler reaches the released containers past the pending phases: a
+        late ``MCommit`` or ``MStable`` for an executed record stops at its
+        phase (``docs/memory.md``)."""
         self.proposals = None
         self.collected_detached = None
         self.consensus_acks = None
@@ -123,7 +124,7 @@ class CommandInfo:
         return phase is Phase.COMMIT or phase is Phase.EXECUTE
 
     def has_all_stable(self) -> bool:
-        """Whether an MStable was received from every accessed partition."""
+        """Whether every accessed partition is known stable."""
         quorums = self.quorums
         if not quorums:
             return False

@@ -13,8 +13,9 @@ are mixed in.
 A :class:`TempoProcess` replicates exactly one partition.  Multi-partition
 commands are handled by running the commit protocol independently at every
 accessed partition and combining the per-partition timestamps with ``max``
-(Algorithm 3); execution additionally waits for an ``MStable`` notification
-from every accessed partition, which enforces the real-time order of PSMR.
+(Algorithm 3); execution additionally waits until every accessed partition
+is known stable — this one by its own check, the others by their
+``MStable`` — which enforces the real-time order of PSMR.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         #: Broadcast target lists (``I_c``) cached per accessed-partition
         #: set; the lists are only ever iterated.
         self._partition_targets: Dict[FrozenSet[int], List[int]] = {}
-        #: MStable recipient lists (self + other-partition processes of
+        #: MStable recipient lists (the other-partition processes of
         #: ``I_c``) cached per accessed-partition set.
         self._stable_targets: Dict[FrozenSet[int], List[int]] = {}
         #: Message-type -> bound handler dispatch table (exact class match;
@@ -188,29 +189,24 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         return targets
 
     def _stable_targets_for(self, partitions: Iterable[int]) -> List[int]:
-        """Recipients of an MStable notification: this process plus the
-        processes of the *other* accessed partitions.
+        """Recipients of an MStable notification: the processes of the
+        *other* accessed partitions (none under full replication).
 
         Timestamp stability is a deterministic local function of the promise
         set, and promises circulate within a partition, so every
-        same-partition peer derives this partition's stability on its own; a
-        command only executes once the peer's *local* check pops it, at
-        which point its self-addressed MStable has already filled this
-        partition's ``stable_from`` slot.  Explicit notifications to
-        same-partition peers are therefore pure redundancy and are elided.
-        Cross-partition processes cannot derive it (promise traffic never
-        leaves a partition), so they keep receiving the notification
-        required by the PSMR execution rule (Algorithm 3/6).
+        same-partition process derives this partition's stability on its
+        own — this one included, which records it in ``stable_from`` as
+        state rather than as a message to itself.  Cross-partition
+        processes cannot derive it (promise traffic never leaves a
+        partition), so they receive the notification required by the PSMR
+        execution rule (Algorithm 3/6).
         """
         key = frozenset(partitions)
         targets = self._stable_targets.get(key)
         if targets is None:
-            own = self.partition
-            members = {self.process_id}
-            for partition in key:
-                if partition != own:
-                    members.update(self.config.processes_of_partition(partition))
-            targets = sorted(members)
+            processes_of = self.config.processes_of_partition
+            others = key - {self.partition}
+            targets = sorted({p for partition in others for p in processes_of(partition)})
             self._stable_targets[key] = targets
         return targets
 
@@ -591,9 +587,9 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
         event-handling step, in ``(timestamp, id)`` order, at the same
         simulated instant.
         """
-        if self.reliability is not None and sender != self.process_id:
-            # Cross-partition sender retransmits until acked; ack duplicates
-            # too (our earlier ack may itself have been dropped).
+        if self.reliability is not None:
+            # The cross-partition sender retransmits until acked; ack
+            # duplicates too (our earlier ack may itself have been dropped).
             self._ack_delivery(sender, message, now)
         if self.gc.collected(message.dot):
             return  # late duplicate of a globally-executed command
@@ -613,19 +609,23 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             self.send(self._other_peers, message, now)
 
     def stability_check(self, now: float = 0.0) -> None:
-        """Detect stable timestamps and drive execution (lines 49 & 97): tell
-        every accessed partition about each newly stable command, in
-        ``(timestamp, id)`` order, then execute what is ready."""
+        """Detect stable timestamps and drive execution (lines 49 & 97): for
+        each newly stable command, in ``(timestamp, id)`` order, tell the
+        other accessed partitions, record this partition's stability and
+        execute what is ready."""
+        partition = self.partition
         for dot in self.order.newly_stable():
             record = self._info[dot]
-            record.stable_sent = True
             targets = self._stable_targets_for(record.quorums)
-            notification = MStable(dot, partition=self.partition)
-            self.send(targets, notification, now)
-            if self.reliability is not None and len(targets) > 1:
-                # Cross-partition copies (everything except self) carry the
-                # PSMR execution rule across shards: buffer until acked.
-                self.reliability.track(targets, notification, now)
+            if targets:
+                notification = MStable(dot, partition=partition)
+                self.send(targets, notification, now)
+                if self.reliability is not None:
+                    # The copies carry the PSMR execution rule across
+                    # shards: buffer them until acked.
+                    self.reliability.track(targets, notification, now)
+            record.stable_from.add(partition)
+            self._try_execute(now)
         self._try_execute(now)
 
     def _try_execute(self, now: float) -> None:

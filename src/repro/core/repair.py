@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.identifiers import Dot
 from repro.core.messages import MPayload, MPromises, MRepairRequest, MStable, Need
+from repro.core.phases import Phase
 
 #: ``asked`` of an item no round has asked for yet.
 NEVER = float("-inf")
@@ -182,10 +183,13 @@ class RepairMixin(PullMixin):
             self._resend_stable(sender, message.dot, now)
 
     def _resend_stable(self, sender: int, dot: Dot, now: float) -> None:
-        """Repeat this partition's ``MStable`` for ``dot`` if it was sent."""
+        """Repeat this partition's ``MStable`` for ``dot`` if it is stable
+        here: executed, or recorded stable by the local check."""
         record = self._info.get(dot)
         if record is not None:
-            stable_here = record.stable_sent
+            stable_here = (
+                record.phase is Phase.EXECUTE or self.partition in record.stable_from
+            )
         else:
             # A collected record executed everywhere, so it was stable here.
             stable_here = self.gc.collected(dot)

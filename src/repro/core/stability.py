@@ -224,26 +224,16 @@ class TimestampOrder:
 
     def outgoing(self) -> PromiseBatch:
         """The promises issued since the last batch, each handed out once
-        (line 44, footnote 2); an empty batch when there are none."""
-        tracker = self._tracker
-        if not tracker.has_pending():
-            return {}, {}
-        detached, attached = tracker.snapshot_ranges(drain=True)
+        (line 44, footnote 2): :meth:`issued_above` the clock at the last
+        batch; an empty batch when there are none."""
+        detached, attached = self._tracker.broadcast(self._clock)
         return ({self._process: detached} if detached else {}), attached
 
     def issued_above(self, frontier: int) -> PromiseBatch:
         """Every issued promise above ``frontier``, for a repair reply: the
         tracker keeps collected history as one detached range and the
         commands in flight attached."""
-        detached, attached = self._tracker.snapshot_ranges(drain=False)
-        detached = tuple(
-            (max(lo, frontier + 1), hi) for lo, hi in detached if hi > frontier
-        )
-        attached = {
-            dot: timestamps
-            for dot, timestamps in attached.items()
-            if timestamps[-1] > frontier
-        }
+        detached, attached = self._tracker.issued_above(frontier)
         return ({self._process: detached} if detached else {}), attached
 
     # -- garbage collection --------------------------------------------------

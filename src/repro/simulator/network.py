@@ -199,20 +199,6 @@ class Network:
         self._type_info[message_type] = info
         return info
 
-    def _count_message(self, message: object) -> None:
-        """Account for one logical message in the stats counters."""
-        stats = self.stats
-        stats.messages_sent += 1
-        message_type = message.__class__
-        type_info = self._type_info.get(message_type)
-        if type_info is None:
-            type_info = self._resolve_type_info(message_type)
-        kind, size_method = type_info
-        per_kind = stats.per_kind
-        per_kind[kind] = per_kind.get(kind, 0) + 1
-        if size_method is not None:
-            stats.bytes_sent += int(size_method(message))
-
     def transmit(
         self,
         sender: int,
@@ -228,9 +214,6 @@ class Network:
         destination has crashed.  Returns the delivery time, or ``None`` when
         the message will never arrive.
         """
-        # Inline of :meth:`_count_message`: single-message transmits are the
-        # bulk of the simulator's network traffic and the extra call frame
-        # is measurable.
         stats = self.stats
         stats.messages_sent += 1
         message_type = message.__class__
@@ -273,38 +256,23 @@ class Network:
     ) -> Optional[float]:
         """Route several messages to one destination as one delivery.
 
-        Stats and crash handling are applied per inner message, in order,
-        exactly as ``len(messages)`` calls to :meth:`transmit` would.  On a
-        healthy network all messages share one delivery time, so they are
-        delivered as a single :class:`repro.core.base.MBatch` — one
-        simulator event instead of one per message.  While a fault window
-        is open each message gets its own verdict (a degraded link draws
-        its drop and its delay per message) and its own delivery,
-        preserving the unbatched behaviour bit for bit.  Returns the batch
-        delivery time (``None`` when the destination has crashed or faults
-        forced the per-message path).
+        On a healthy network all messages share one delivery time, so they
+        are delivered as a single :class:`repro.core.base.MBatch` — one
+        simulator event instead of one per message — with the stats that
+        ``len(messages)`` calls to :meth:`transmit` would record.  To a
+        crashed destination, or while a fault window is open (a degraded
+        link draws its drop and its delay per message), the batch goes
+        through :meth:`transmit` one message at a time, the unbatched
+        behaviour bit for bit.  Returns the batch delivery time (``None``
+        when the batch took the per-message path).
         """
         if not messages:
             return None
+        if destination in self._crashed or self.active_faults:
+            for message in messages:
+                self.transmit(sender, destination, message, now, deliver)
+            return None
         stats = self.stats
-        if destination in self._crashed:
-            for message in messages:
-                self._count_message(message)
-            stats.messages_dropped += len(messages)
-            return None
-        if self.active_faults:
-            base = self._base_delay(sender, destination)
-            for message in messages:
-                self._count_message(message)
-                kind = self._type_info[message.__class__][0]
-                extra = self._fault_verdict(sender, destination, kind)
-                if extra is None:
-                    stats.messages_dropped += 1
-                    continue
-                deliver(now + base + extra, sender, destination, message)
-                stats.messages_delivered += 1
-                stats.deliveries += 1
-            return None
         # Every message survives and shares one delivery, so the
         # per-message stats work collapses to one ``per_kind`` update per
         # *run* of same-type inner messages (outboxes are dominated by

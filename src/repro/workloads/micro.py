@@ -29,23 +29,18 @@ class MicroWorkload:
         payload_size: command payload size in bytes.
         keys_per_command: number of keys per command (1 in the paper's
             full-replication microbenchmark).
-        read_ratio: fraction of read-only commands (0 for Tempo-style
-            workloads; used by the Janus*/EPaxos read/write experiments).
     """
 
     client_id: int
     conflict_rate: float = 0.02
     payload_size: int = 100
     keys_per_command: int = 1
-    read_ratio: float = 0.0
     rng: Optional[SeededRng] = None
     _counter: int = field(default=0)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.conflict_rate <= 1.0:
             raise ValueError("conflict_rate must be in [0, 1]")
-        if not 0.0 <= self.read_ratio <= 1.0:
-            raise ValueError("read_ratio must be in [0, 1]")
         if self.keys_per_command < 1:
             raise ValueError("keys_per_command must be >= 1")
         if self.payload_size < 0:
@@ -66,7 +61,7 @@ class MicroWorkload:
         return list(dict.fromkeys(keys))
 
     def next_is_read(self) -> bool:
-        """Whether the next command is a read (per ``read_ratio``)."""
-        if self.read_ratio <= 0.0:
-            return False
-        return self.rng.uniform() < self.read_ratio
+        """Never: the microbenchmark issues writes only, and draws nothing
+        for it (the read/write ablation builds its read-only commands
+        directly)."""
+        return False

@@ -8,13 +8,12 @@ means the protocol's reachable states moved.
 
 Where a pin reads ``old → new``, the old count came from the hand-written
 digests the derived one replaced; each rise is one field those digests left
-out, so they merged states that differ in it (``docs/correctness_spec.md``):
-
-* Tempo — ``PromiseSet._pending``, the promises a process holds above its
-  contiguous frontier (the hand digest kept only the frontier and a count);
-* Caesar — the deferral order of wait-condition replies:
-  ``_deferred_sequence`` and the sequence keys of ``_deferred``, which fix
-  the order the parked replies go out in.
+out, so they merged states that differ in it (``docs/correctness_spec.md``).
+The one such field is Caesar's deferral order of wait-condition replies:
+``_deferred_sequence`` and the sequence keys of ``_deferred``, which fix the
+order the parked replies go out in.  Every Tempo count equals the hand
+digest's: ``PromiseSet`` drops a process's out-of-order set once it empties,
+so equal promise sets digest equal.
 
 The CI ``analysis`` job drives the larger lattices through
 ``python -m repro.analysis.smallmodel``.
@@ -47,9 +46,8 @@ class TestTempoModels:
     """r = 3, conflicting commands, ack broadcast off."""
 
     def test_two_conflicting_commands_exhaustive(self):
-        """One command 10 / 1; two 64 / 1 → 68 / 2; three 976 / 4 →
-        1 276 / 19 (``_pending``)."""
-        for commands, pin in ((1, (10, 1)), (2, (68, 2)), (3, (1_276, 19))):
+        """One command 10 / 1; two 64 / 1; three 976 / 4."""
+        for commands, pin in ((1, (10, 1)), (2, (64, 1)), (3, (976, 4))):
             result = explore("tempo", num_commands=commands, ack_broadcast=False)
             assert _counts(result) == pin
 
@@ -58,9 +56,8 @@ class TestTempoModels:
         # survivors must recover (Algorithm 4) and — when the crash raced a
         # partial commit broadcast — learn the outcome via MCommitRequest
         # (§B.1): committed peers ignore MRec.  One command 20 / 11; two
-        # 128 / 26 → 136 / 31 (``_pending``).  Three, in CI: 1 896 / 176 →
-        # 2 496 / 275.
-        for commands, pin in ((1, (20, 11)), (2, (136, 31))):
+        # 128 / 26.  Three, in CI: 1 896 / 176.
+        for commands, pin in ((1, (20, 11)), (2, (128, 26))):
             result = explore(
                 "tempo",
                 num_commands=commands,
@@ -73,9 +70,8 @@ class TestTempoModels:
         # One in-flight MCommit may vanish at any depth (fair-lossy links);
         # nobody crashes, so the FULL liveness invariant stands: the repair
         # pass's COMMIT round re-delivers the outcome.  One command 15 / 3;
-        # two 128 / 5 → 136 / 8 (``_pending``).  Three, in CI: 2 554 / 26 →
-        # 3 357 / 83.
-        for commands, pin in ((1, (15, 3)), (2, (136, 8))):
+        # two 128 / 5.  Three, in CI: 2 554 / 26.
+        for commands, pin in ((1, (15, 3)), (2, (128, 5))):
             result = explore(
                 "tempo", num_commands=commands, lose_kinds=["MCommit"], ack_broadcast=False
             )
@@ -102,9 +98,8 @@ class TestEpoch2Models:
     def test_elision_and_gc_exhaustive(self):
         """The ack broadcast on: every interleaving closes clean, with the
         GC safety invariant asserted in every reachable state and every
-        settle round.  One command 14 / 1; two 88 / 1 → 92 / 2; three
-        1 682 / 2 → 1 894 / 9 (``_pending``)."""
-        for commands, pin in ((1, (14, 1)), (2, (92, 2)), (3, (1_894, 9))):
+        settle round.  One command 14 / 1; two 88 / 1; three 1 682 / 2."""
+        for commands, pin in ((1, (14, 1)), (2, (88, 1)), (3, (1_682, 2))):
             assert _counts(explore("tempo", num_commands=commands)) == pin
 
     def test_elision_under_coordinator_crash(self):
@@ -117,9 +112,8 @@ class TestEpoch2Models:
     def test_lost_relayed_commit_exhaustive(self):
         """The relayed MCommit has one sender; losing it (or the
         coordinator's own copy) at any depth leaves its target to the
-        repair pass's COMMIT round.  Two commands 124 / 3 → 128 / 4; three
-        2 636 / 8 → 2 937 / 23 (``_pending``)."""
-        for commands, pin in ((2, (128, 4)), (3, (2_937, 23))):
+        repair pass's COMMIT round.  Two commands 124 / 3; three 2 636 / 8."""
+        for commands, pin in ((2, (124, 3)), (3, (2_636, 8))):
             result = explore("tempo", num_commands=commands, lose_kinds=["MCommit"])
             assert _counts(result) == pin
 
@@ -132,7 +126,7 @@ class TestEpoch2Models:
         "lattice the address-keyed fingerprint could not close",
     )
     def test_two_commands_under_coordinator_crash_with_the_ack_broadcast(self):
-        # 176 / 36 → 184 / 41 (``_pending``), still timestamp-divergence.
+        # 176 / 36, still timestamp-divergence.
         result = explore("tempo", num_commands=2, crash_coordinator=True)
         assert result.complete, result.summary()
         assert result.ok, result.summary()
@@ -356,14 +350,18 @@ class TestDerivedDigest:
         assert repr(first) != repr(second)
         assert _in_flight({(0, 1): [first]}) == _in_flight({(0, 1): [second]})
 
-    def test_the_digest_has_teeth(self, monkeypatch):
-        # Put back the hand digest's blind spot — the promises held above
-        # the frontier — and the lattice shrinks to the old pin.
-        monkeypatch.setattr(
-            PromiseSet, "_DIGEST_EXEMPT", PromiseSet._DIGEST_EXEMPT | {"_pending"}
-        )
-        result = explore("tempo", ack_broadcast=False)
-        assert _counts(result) == (64, 1)
+    def test_the_digest_has_teeth(self):
+        # The hand digest's blind spot, the promises held above the
+        # frontier, is digested: same frontier and count, different
+        # promises above it, different digests.
+        first, second = PromiseSet(), PromiseSet()
+        for promises, above in ((first, 4), (second, 5)):
+            promises.add_range(0, 1, 2)
+            promises.add_timestamp(0, above)
+        assert first.highest_contiguous_promise(0) == 2
+        assert second.highest_contiguous_promise(0) == 2
+        assert len(first) == len(second) == 3
+        assert canonical(first) != canonical(second)
 
     @pytest.mark.parametrize(
         "protocol, options",

@@ -31,6 +31,7 @@ from repro.core.process import TempoProcess
 from repro.core.promises import PromiseSet, PromiseTracker, RangeCollector
 from repro.simulator.rng import SeededRng
 from repro.wire import decode_frame, encode_frame
+from tests.conftest import TempoCluster
 
 
 def pairs_of(wire):
@@ -69,8 +70,8 @@ class TestRoundTrip:
                 one_by_one.add_detached_range(timestamp, timestamp)
             issued.update(range(lo, hi + 1))
             cursor = hi + 1
-        ranges, _ = by_range.snapshot_ranges(drain=False)
-        assert ranges == one_by_one.snapshot_ranges(drain=False)[0]
+        ranges, _ = by_range.issued_above(0)
+        assert ranges == one_by_one.issued_above(0)[0]
         assert set(pairs_of({3: ranges})) == {(3, timestamp) for timestamp in issued}
 
     def test_wire_to_tracker_to_emitted_ranges_matches_promise_sets(self):
@@ -205,24 +206,40 @@ class TestBatchScopedStability:
 
 
 class TestStableNotificationTargets:
-    """MStable recipients: self plus *other*-partition processes only.
+    """MStable recipients: *other*-partition processes only.
 
-    Same-partition peers derive stability locally (a command executes only
-    once the local check pops it), so notifying them is pure redundancy;
-    cross-partition processes cannot derive it and must be notified.
+    Same-partition peers derive stability locally, and this process
+    records its own partition's stability as state, so notifying either is
+    pure redundancy; cross-partition processes cannot derive it and must
+    be notified.
     """
 
     def test_single_partition_notifications_stay_local(self):
         process = build()[1]
-        assert process._stable_targets_for({0: ()}) == [1]
+        assert process._stable_targets_for({0: ()}) == []
 
     def test_multi_partition_notifications_cover_other_partitions(self):
         config = ProtocolConfig(num_processes=3, faults=1, num_partitions=2)
         process = TempoProcess(1, config, partitioner=Partitioner(2))
         targets = process._stable_targets_for({0: (), 1: ()})
-        other = set(config.processes_of_partition(1))
-        assert targets == sorted({1} | other)
-        assert not (set(config.processes_of_partition(0)) - {1}) & set(targets)
+        assert targets == sorted(config.processes_of_partition(1))
+        assert not set(config.processes_of_partition(0)) & set(targets)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(["a", "b", "c"])),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_a_single_partition_run_handles_no_mstable(self, submissions):
+        cluster = TempoCluster(num_processes=3, faults=1)
+        dots = [cluster.submit(process, [key]).dot for process, key in submissions]
+        cluster.settle(rounds=3)
+        for process in cluster.processes:
+            assert sorted(process.executed_dots()) == sorted(dots)
+            assert process.message_counts.get("MStable", 0) == 0
 
 
 QUORUM = (0, 1, 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.analysis.smallmodel import canonical
 from repro.core.identifiers import Dot
 from repro.core.messages import MCommit
 from repro.core.promises import Promise, PromiseSet, PromiseTracker
@@ -13,7 +14,7 @@ from repro.wire import WireError, encode
 
 def issued(tracker):
     """Everything the tracker holds: ``(detached ranges, dot -> timestamps)``."""
-    return tracker.snapshot_ranges(drain=False)
+    return tracker.issued_above(0)
 
 
 class TestPromise:
@@ -58,23 +59,24 @@ class TestPromiseTracker:
         tracker = PromiseTracker(0)
         tracker.add_detached_range(1, 1)
         tracker.add_attached(Dot(0, 1), 2)
-        assert tracker.snapshot_ranges(drain=True) == (((1, 1),), {Dot(0, 1): (2,)})
-        # Second snapshot is empty: each promise is sent only once.
-        assert tracker.snapshot_ranges(drain=True) == ((), {})
+        assert tracker.broadcast(2) == (((1, 1),), {Dot(0, 1): (2,)})
+        # Second broadcast is empty: each promise is sent only once.
+        assert tracker.broadcast(2) == ((), {})
 
     def test_snapshot_without_drain_returns_everything(self):
         tracker = PromiseTracker(0)
         tracker.add_detached_range(1, 2)
-        tracker.snapshot_ranges(drain=True)
+        tracker.broadcast(2)
         assert issued(tracker)[0] == ((1, 2),)
 
     def test_has_pending(self):
+        # Pending is "issued above the clock at the last broadcast".
         tracker = PromiseTracker(0)
-        assert not tracker.has_pending()
-        tracker.add_detached_range(4, 4)
-        assert tracker.has_pending()
-        tracker.snapshot_ranges(drain=True)
-        assert not tracker.has_pending()
+        assert tracker.broadcast(0) == ((), {})
+        tracker.add_detached_range(1, 4)
+        assert tracker.issued_above(0) == (((1, 4),), {})
+        assert tracker.broadcast(4) == (((1, 4),), {})
+        assert tracker.broadcast(4) == ((), {})
 
     def test_all_issued_combines_attached_and_detached(self):
         tracker = PromiseTracker(2)
@@ -85,10 +87,9 @@ class TestPromiseTracker:
     def test_duplicate_detached_promise_not_requeued(self):
         tracker = PromiseTracker(0)
         tracker.add_detached_range(1, 1)
-        tracker.snapshot_ranges(drain=True)
+        tracker.broadcast(1)
         tracker.add_detached_range(1, 1)
-        assert not tracker.has_pending()
-        assert tracker.snapshot_ranges(drain=True) == ((), {})
+        assert tracker.broadcast(1) == ((), {})
 
     def test_add_detached_range_matches_elementwise_add(self):
         by_range = PromiseTracker(0)
@@ -101,9 +102,9 @@ class TestPromiseTracker:
     def test_add_detached_range_overlap_only_queues_new_timestamps(self):
         tracker = PromiseTracker(0)
         tracker.add_detached_range(1, 3)
-        tracker.snapshot_ranges(drain=True)
+        tracker.broadcast(3)
         tracker.add_detached_range(2, 5)
-        assert tracker.snapshot_ranges(drain=True)[0] == ((4, 5),)
+        assert tracker.broadcast(5)[0] == ((4, 5),)
         assert issued(tracker)[0] == ((1, 5),)
 
     def test_unsorted_detached_input_is_normalised(self):
@@ -118,7 +119,7 @@ class TestPromiseTracker:
         tracker.add_attached(Dot(0, 1), 3)
         tracker.add_detached_range(4, 4)
         tracker.add_attached(Dot(0, 2), 5)
-        tracker.snapshot_ranges(drain=True)
+        tracker.broadcast(5)
         assert issued(tracker) == (
             ((1, 2), (4, 4)),
             {Dot(0, 1): (3,), Dot(0, 2): (5,)},
@@ -128,7 +129,7 @@ class TestPromiseTracker:
         assert issued(tracker) == (((1, 4),), {Dot(0, 2): (5,)})
         assert tracker.ledger_size() == 2
         # Already broadcast as attached: not queued a second time.
-        assert not tracker.has_pending()
+        assert tracker.broadcast(5) == ((), {})
         tracker.fold(Dot(0, 1))  # idempotent, unknown dots included
         tracker.fold(Dot(9, 9))
         assert issued(tracker)[0] == ((1, 4),)
@@ -138,10 +139,10 @@ class TestPromiseTracker:
         tracker.add_attached(Dot(0, 1), 2)
         tracker.fold(Dot(0, 1))
         assert issued(tracker) == ((), {Dot(0, 1): (2,)})
-        _, attached = tracker.snapshot_ranges(drain=True)
+        _, attached = tracker.broadcast(2)
         assert attached == {Dot(0, 1): (2,)}  # went out attached
         assert issued(tracker) == (((2, 2),), {})
-        assert not tracker.has_pending()
+        assert tracker.broadcast(2) == ((), {})
 
 
 class TestPromiseSet:
@@ -336,3 +337,25 @@ class TestPromiseSet:
             if promises.highest_contiguous_promise(process) >= stable
         )
         assert above >= len(processes) // 2 + 1 or stable == 0
+
+    @given(
+        st.data(),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 12), st.integers(0, 3)),
+            max_size=30,
+        ),
+    )
+    def test_equal_promises_digest_equal(self, data, entries):
+        """However the same promises arrive, the sets digest alike: an
+        out-of-order set left empty is not kept."""
+        reordered = data.draw(st.permutations(entries))
+        digests = []
+        for order in (entries, reordered):
+            promises = PromiseSet()
+            for process, lo, span in order:
+                if span:
+                    promises.add_range(process, lo, lo + span)
+                else:
+                    promises.add_timestamp(process, lo)
+            digests.append(canonical(promises))
+        assert digests[0] == digests[1]

@@ -133,7 +133,7 @@ class TestTickCadence:
         for index, now in enumerate((0.0, 4.999999999999, 9.999999999998)):
             cluster.submit(0, [f"k{index}"], now)
             cluster.run(now)
-            assert process.order._tracker.has_pending()
+            assert process.order._tracker._watermark < process.order.clock  # not sent yet
             process.tick(now)
             broadcasts.append(
                 sorted(
@@ -202,3 +202,97 @@ class TestTimestampOrder:
         order.forget(self.A)  # collected: the attached promise folds
         assert order.issued_above(0) == ({0: ((1, 11),)}, {})
         assert order.ledger_size() == 1
+
+
+def _ranges_of(timestamps):
+    """Sorted disjoint inclusive ``(lo, hi)`` ranges covering ``timestamps``."""
+    ranges: List[List[int]] = []
+    for timestamp in sorted(timestamps):
+        if ranges and ranges[-1][1] + 1 == timestamp:
+            ranges[-1][1] = timestamp
+        else:
+            ranges.append([timestamp, timestamp])
+    return tuple((lo, hi) for lo, hi in ranges)
+
+
+_LEDGER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("propose"), st.integers(0, 30)),
+        st.tuples(st.just("bump"), st.integers(0, 30)),
+        st.tuples(st.just("fold"), st.integers(0, 12)),
+        st.tuples(st.just("drain"), st.just(0)),
+        st.tuples(st.just("above"), st.integers(0, 40)),
+    ),
+    max_size=60,
+)
+
+
+class TestIssuedLedger:
+    """The promise broadcast is a read of the issued ledger: everything
+    issued above the clock at the last broadcast."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LEDGER_OPS)
+    def test_every_issued_promise_goes_out_exactly_once(self, ops):
+        order = TimestampOrder(0, (0, 1, 2))
+        proposed: Dict[Dot, int] = {}
+        # The brute-force ledger: dots whose promise is still held attached,
+        # folds waiting for a first broadcast, and the clock at the last one.
+        held: set = set()
+        waiting: set = set()
+        watermark = 0
+        sent: List[int] = []
+        sent_attached: set = set()
+
+        def drain():
+            nonlocal watermark
+            detached, attached = order.outgoing()
+            for lo, hi in detached.get(0, ()):
+                sent.extend(range(lo, hi + 1))
+            for dot, (timestamp,) in attached.items():
+                sent.append(timestamp)
+                sent_attached.add(dot)
+            watermark = order.clock
+            held.difference_update(waiting)
+            waiting.clear()
+
+        for op, argument in ops:
+            if op == "propose":
+                dot = Dot(1, len(proposed) + 1)
+                proposed[dot], _ = order.propose(dot, argument)
+                held.add(dot)
+            elif op == "bump":
+                order.bump(argument)
+            elif op == "fold":
+                if argument < len(proposed):
+                    dot = list(proposed)[argument]
+                    order.forget(dot)
+                    if dot in held:
+                        if proposed[dot] <= watermark:
+                            held.discard(dot)
+                        else:
+                            waiting.add(dot)
+            elif op == "drain":
+                drain()
+            else:
+                attached = {
+                    dot: (proposed[dot],)
+                    for dot in proposed
+                    if dot in held and proposed[dot] > argument
+                }
+                attached_timestamps = {proposed[dot] for dot in held}
+                detached = _ranges_of(
+                    timestamp
+                    for timestamp in range(argument + 1, order.clock + 1)
+                    if timestamp not in attached_timestamps
+                )
+                assert order.issued_above(argument) == (
+                    {0: detached} if detached else {},
+                    attached,
+                )
+        drain()
+        assert sorted(sent) == list(range(1, order.clock + 1))
+        # Folded before its first broadcast or not, every attached promise
+        # went out attached.
+        assert sent_attached == set(proposed)
+        assert order.outgoing() == ({}, {})

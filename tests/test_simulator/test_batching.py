@@ -240,28 +240,6 @@ class TestBatchStatsFastPath:
         assert isinstance(deliveries[0], MBatch)
         assert list(deliveries[0].messages) == messages
 
-    def test_inline_transmit_accounting_matches_count_message(self):
-        """``transmit`` inlines the body of ``_count_message`` for speed;
-        this pins the two copies together: the inline accounting must stay
-        byte-for-byte equivalent to routing the same messages through the
-        method (which the crashed and active-fault ``transmit_batch``
-        paths still use)."""
-        messages = self._mixed_messages()
-
-        _, inline_sim = build()
-        inline = inline_sim.network
-        for message in messages:
-            inline.transmit(0, 1, message, 0.0, lambda *args: None)
-
-        _, method_sim = build()
-        method = method_sim.network
-        for message in messages:
-            method._count_message(message)
-
-        assert inline.stats.messages_sent == method.stats.messages_sent
-        assert inline.stats.bytes_sent == method.stats.bytes_sent
-        assert inline.stats.per_kind == method.stats.per_kind
-
     def test_jitter_still_uses_the_per_message_path(self):
         messages = self._mixed_messages()
         deliveries = []

@@ -33,11 +33,11 @@ class TestMicroWorkload:
         assert len(set(keys)) == 100
         assert all(key.startswith("key-c5-") for key in keys)
 
-    def test_read_ratio(self):
-        workload = MicroWorkload(client_id=1, read_ratio=1.0, rng=SeededRng(1))
-        assert workload.next_is_read()
-        workload = MicroWorkload(client_id=1, read_ratio=0.0, rng=SeededRng(1))
+    def test_issues_writes_only(self):
+        workload = MicroWorkload(client_id=1, rng=SeededRng(1))
+        reference = SeededRng(1)
         assert not workload.next_is_read()
+        assert workload.rng.uniform() == reference.uniform()
 
     def test_multi_key_commands_deduplicate_keys(self):
         workload = MicroWorkload(
