@@ -375,7 +375,7 @@ _MESSAGE_MODULES = ("core/messages.py", "protocols/dep_messages.py")
 
 #: The replica shell and its GC mixin: what they construct is sent by every
 #: protocol built on them, so it has a sender, but it is held against no one
-#: group's dispatch table (FPaxos mixes no GC in).
+#: group's dispatch table.
 _SHELL_MODULES = ("core/base.py", "core/gc.py")
 
 #: Module groups whose construction/dispatch sets are checked together (the

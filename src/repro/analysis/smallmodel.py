@@ -7,8 +7,9 @@ command up front, then runs a DFS over *all* delivery-order interleavings of
 per-``(sender, destination)`` FIFO channels (the ordering the simulator's
 per-pair latencies provide).  Tempo, the one protocol whose coordinator
 recovery is in the tree, also takes a coordinator crash at any depth; Tempo,
-Atlas, EPaxos and Janus*, whose blocked side pulls what loss strands, take
-the loss of one message of named kinds at any depth, once per path.
+Atlas, EPaxos, Janus* and FPaxos, whose blocked side pulls what loss
+strands, take the loss of one message of named kinds at any depth, once per
+path.
 
 States are memoized by a fingerprint derived, not written: every process is
 digested by :func:`canonical`, a walker over all of its attributes except
@@ -56,7 +57,7 @@ Channels = Dict[Tuple[int, int], List[object]]
 _CRASH_TOLERANT = frozenset({"tempo"})
 #: The protocols whose blocked side pulls what loss strands
 #: (``repro.core.repair``); Caesar re-sends through its retransmit buffer.
-_LOSS_TOLERANT = frozenset({"tempo", "atlas", "epaxos", "janus"})
+_LOSS_TOLERANT = frozenset({"tempo", "atlas", "epaxos", "janus", "fpaxos"})
 #: The protocols that order a command across the partitions it accesses;
 #: the others run it at the submitter's partition alone.
 _PARTIAL_REPLICATION = frozenset({"tempo", "janus"})
@@ -254,10 +255,7 @@ def _gc_collection_safety(
     """
     executed = [set(process.executed) for process in processes]
     for process in processes:
-        gc = process.gc
-        if gc is None:
-            continue
-        for source, watermark in sorted(gc._watermark.items()):
+        for source, watermark in sorted(process.gc._watermark.items()):
             for sequence in range(1, watermark + 1):
                 dot = Dot(source, sequence)
                 for peer, held in zip(processes, executed):
@@ -478,7 +476,7 @@ def explore(
     depth; ``lose_kinds`` names the registered message kinds (for instance
     ``["MCommit", "MStable"]``) of which one in-flight instance may vanish
     at any depth.  The crash needs coordinator recovery (Tempo), the loss a
-    protocol that pulls what it strands (Tempo, Atlas, EPaxos, Janus*); each
+    protocol that pulls what it strands (all but Caesar); each
     raises ``ValueError`` elsewhere, as do an unregistered kind and
     partitions on a protocol that does not order a command across them: a
     typo must not explore a loss-free lattice and report it clean.
@@ -587,7 +585,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="KIND",
         help="allow one in-flight message of this registered kind (e.g. "
-        "MStable) to be lost; repeatable (tempo, atlas, epaxos, janus)",
+        "MStable) to be lost; repeatable (all protocols but caesar)",
     )
     parser.add_argument(
         "--partitions",

@@ -229,11 +229,11 @@ class ProcessBase(abc.ABC):
         #: deployments need no links and keep none).
         self._chain_tails: Dict[int, int] = {}
         #: Live per-command records, keyed by identifier; each protocol
-        #: stores its own record type (FPaxos, a log, stores none).
+        #: stores its own record type (FPaxos, which keeps a slot log, none).
         self._info: Dict[Dot, object] = {}
         #: Watermark-GC tracker, built by
-        #: :class:`repro.core.gc.WatermarkGcMixin` for the protocols that
-        #: collect (FPaxos does not).
+        #: :class:`repro.core.gc.WatermarkGcMixin`, which every protocol
+        #: mixes in.
         self.gc = None
         self.partition = config.partition_of_process(process_id)
         self._partition_peers: Tuple[int, ...] = tuple(

@@ -97,6 +97,15 @@ class ExecutedChains:
         ranges = self._ranges.get(source)
         return ranges.prefix() if ranges is not None else 0
 
+    def __contains__(self, dot: Dot) -> bool:
+        """Whether ``dot``'s sequence is covered here: executed, or skipped
+        by a link."""
+        ranges = self._ranges.get(dot.source)
+        if ranges is None:
+            return False
+        covered = ranges.above(dot.sequence - 1)
+        return bool(covered) and covered[0][0] == dot.sequence
+
     def clock(self) -> Dict[int, int]:
         """Every non-zero frontier, by source."""
         clock = {source: ranges.prefix() for source, ranges in self._ranges.items()}
@@ -224,8 +233,9 @@ class GcTracker:
 class WatermarkGcMixin:
     """The watermark exchange: announce, ingest, sweep.
 
-    Mixed in ahead of ``ProcessBase`` by every protocol that collects
-    (FPaxos keeps no per-command records and does not).  The host calls
+    Mixed in ahead of ``ProcessBase`` by all six protocols (FPaxos's leader
+    keeps each decided slot until the watermark passes its dot, so it can
+    answer a follower's pull).  The host calls
     :meth:`_gc_announce` from its ``tick``, routes ``MExecutedClock`` to
     :meth:`_on_executed_clock` and supplies :meth:`_collect`; the shell's
     execution seam (``ProcessBase._execute_command``) records executions in

@@ -280,7 +280,9 @@ class MRepairRequest(Message):
     reuses the ordinary payloads.  :attr:`Need.COMMIT`: ``MPayload`` +
     ``MCommit`` if a Tempo receiver committed ``dot``; from an Atlas /
     EPaxos / Janus* one, ``MDepCommit`` for each dot of ``dot``'s source
-    it committed above ``frontier`` up to ``dot``.  :attr:`Need.STABLE`:
+    it committed above ``frontier`` up to ``dot``; from the FPaxos leader,
+    ``MDecided`` for each slot it holds above ``frontier``, the requester's
+    applied prefix.  :attr:`Need.STABLE`:
     ``MStable`` if it stabilised (or already collected) ``dot``.
     :attr:`Need.PROMISES`: an ``MPromises`` with everything the receiver
     issued above ``frontier`` — the requester's contiguous frontier of the

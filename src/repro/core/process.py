@@ -161,16 +161,6 @@ class TempoProcess(RepairMixin, RecoveryMixin, WatermarkGcMixin, ProcessBase):
             self._info[dot] = record
         return record
 
-    def phase_of(self, dot: Dot) -> Phase:
-        """Current phase of ``dot`` at this process."""
-        record = self._info.get(dot)
-        if record is not None:
-            return record.phase
-        if self.gc.collected(dot):
-            # Collected records were globally executed before being dropped.
-            return Phase.EXECUTE
-        return Phase.START
-
     def committed_timestamp(self, dot: Dot) -> Optional[int]:
         """Final timestamp of ``dot`` if committed or executed here."""
         record = self._info.get(dot)

@@ -29,12 +29,6 @@ class RecoveryMixin:
         """Ballot reserved for this process as an *initial* coordinator."""
         return self.config.rank_in_partition(self.process_id) + 1
 
-    def ballot_owner_rank(self, ballot: int) -> int:
-        """Rank (within the partition) of the process owning ``ballot``."""
-        if ballot < 1:
-            raise ValueError("ballots start at 1")
-        return (ballot - 1) % self.config.num_processes
-
     def _next_recovery_ballot(self, current: int) -> int:
         """Smallest ballot owned by this process that is greater than both
         ``current`` and ``r`` (recovery ballots are always above ``r``)."""

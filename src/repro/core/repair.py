@@ -6,7 +6,8 @@ an ``MStable`` from every accessed partition.  The happy path sends each of
 them exactly once, so over fair-lossy links whatever is missing has to be
 asked for again until it arrives.  This module is the only place that asks;
 Atlas, EPaxos and Janus* pull their one ingredient, the commit, through
-:class:`PullMixin` too (``repro.protocols.dependency``).
+:class:`PullMixin` too (``repro.protocols.dependency``), and FPaxos pulls
+its decided slots (``repro.protocols.fpaxos``).
 
 One structure records what is missing: ``_blocked`` maps each
 :class:`~repro.core.messages.Need` to the dots lacking that ingredient,
@@ -46,9 +47,10 @@ NEVER = float("-inf")
 
 
 class PullMixin:
-    """``_blocked`` and the once-per-window loop over it, shared by Tempo and
-    the dependency protocols.  The host calls :meth:`_pull_overdue` from its
-    ``tick`` and supplies ``_ask(need, dot, now)``: one round for one item."""
+    """``_blocked`` and the once-per-window loop over it, shared by Tempo,
+    the dependency protocols and FPaxos.  The host calls
+    :meth:`_pull_overdue` from its ``tick`` and supplies
+    ``_ask(need, dot, now)``: one round for one item."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -32,7 +32,7 @@ Design constraints (see ``docs/reliable_delivery.md``):
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: First re-send one recovery timeout after the original send — the same
 #: window that paces Tempo's repair pass, so a lost message is retried
@@ -191,10 +191,6 @@ class RetransmitBuffer:
     def pending(self) -> int:
         """Number of tracked-but-unacknowledged entries."""
         return len(self._entries)
-
-    def pending_keys(self) -> Iterable[Tuple[int, int, object]]:
-        """The live (destination, kind id, dot) keys, in track order."""
-        return list(self._entries)
 
     def stats(self) -> Dict[str, int]:
         return {

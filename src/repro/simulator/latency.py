@@ -117,13 +117,3 @@ def ec2_latency_matrix(sites: Iterable[str] = EC2_REGIONS) -> LatencyMatrix:
             ping = EC2_PING_LATENCIES[a][b]
             one_way[a][b] = DEFAULT_LOCAL_LATENCY if a == b else ping / 2.0
     return LatencyMatrix(sites=sites, one_way=one_way)
-
-
-def uniform_latency_matrix(sites: Sequence[str], one_way_ms: float) -> LatencyMatrix:
-    """A synthetic matrix where every pair of distinct sites is ``one_way_ms``
-    apart; useful for controlled tests."""
-    one_way = {
-        a: {b: (DEFAULT_LOCAL_LATENCY if a == b else one_way_ms) for b in sites}
-        for a in sites
-    }
-    return LatencyMatrix(sites=sites, one_way=one_way)

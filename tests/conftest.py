@@ -9,9 +9,30 @@ import pytest
 from repro.cluster.replicas import build_replicas
 from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
+from repro.core.identifiers import Dot
+from repro.core.phases import Phase
 from repro.core.process import TempoProcess
 from repro.kvstore.store import KeyValueStore
 from repro.simulator.inline import InlineNetwork
+from repro.simulator.latency import DEFAULT_LOCAL_LATENCY, LatencyMatrix
+
+
+def phase_of(process: TempoProcess, dot: Dot) -> Phase:
+    """``dot``'s phase at a Tempo ``process``: a collected record was
+    globally executed before it was dropped."""
+    record = process._info.get(dot)
+    if record is not None:
+        return record.phase
+    return Phase.EXECUTE if process.gc.collected(dot) else Phase.START
+
+
+def uniform_latency_matrix(sites: Sequence[str], one_way_ms: float) -> LatencyMatrix:
+    """Every pair of distinct sites ``one_way_ms`` apart."""
+    one_way = {
+        a: {b: (DEFAULT_LOCAL_LATENCY if a == b else one_way_ms) for b in sites}
+        for a in sites
+    }
+    return LatencyMatrix(sites=sites, one_way=one_way)
 
 
 class TempoCluster:

@@ -33,6 +33,7 @@ from repro.core.identifiers import Dot
 from repro.core.messages import MCommit
 from repro.core.promises import PromiseSet
 from repro.protocols.dependency import DependencyProtocolProcess
+from repro.protocols.fpaxos import FPaxosProcess
 from repro.protocols.registry import PROTOCOLS
 
 
@@ -280,6 +281,13 @@ class TestBaselineLossModels:
                 dict(num_commands=1, num_partitions=2, lose_kinds=["MDepCommit"]),
                 (138, 6),
             ),
+            # FPaxos: the leader re-sends a lost MAccept; a follower owed a
+            # slot pulls the lost MDecided from the leader; the minter
+            # forwards a lost MForward again.  Three commands under
+            # MDecided loss (329 / 14) run in CI.
+            ("fpaxos", dict(lose_kinds=["MDecided"]), (43, 5)),
+            ("fpaxos", dict(lose_kinds=["MAccept"]), (32, 3)),
+            ("fpaxos", dict(lose_kinds=["MForward"]), (26, 2)),
         ],
     )
     def test_one_lost_message_exhaustive(self, protocol, options, pin):
@@ -305,6 +313,26 @@ class TestBaselineLossModels:
     ):
         monkeypatch.setattr(DependencyProtocolProcess, removed, replacement)
         result = explore("atlas", num_commands=commands, lose_kinds=[kind])
+        assert result.complete
+        assert {violation.code for violation in result.violations} == {"liveness"}
+
+    @pytest.mark.parametrize(
+        "removed, replacement, kind",
+        [
+            # No round at all: neither the leader's accept nor the follower's
+            # pull is ever asked again.
+            ("_ask", lambda process, need, dot, now: None, "MAccept"),
+            ("_ask", lambda process, need, dot, now: None, "MDecided"),
+            # No clock source: a follower that lost the last slot's decision
+            # holds nothing telling it a slot is owed.
+            ("_on_executed_clock", WatermarkGcMixin._on_executed_clock, "MDecided"),
+        ],
+    )
+    def test_without_the_pull_fpaxos_strands_a_slot(
+        self, monkeypatch, removed, replacement, kind
+    ):
+        monkeypatch.setattr(FPaxosProcess, removed, replacement)
+        result = explore("fpaxos", num_commands=2, lose_kinds=[kind])
         assert result.complete
         assert {violation.code for violation in result.violations} == {"liveness"}
 

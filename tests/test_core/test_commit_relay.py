@@ -33,7 +33,7 @@ from repro.core.phases import Phase
 from repro.experiments.scenarios import WORST_CELL_TAIL_BOUND_MS
 from repro.simulator.inline import InlineNetwork
 from repro.simulator.latency import EC2_REGIONS, ec2_latency_matrix
-from tests.conftest import TempoCluster
+from tests.conftest import TempoCluster, phase_of
 from tests.test_core.test_repair import TICK, WINDOW, Drive
 
 
@@ -129,7 +129,7 @@ class TestHealthyPath:
         command = cluster.submit(0, ["p0-a", "p1-a"])
         cluster.run()
         dot = command.dot
-        assert member.phase_of(dot) is Phase.PROPOSE
+        assert phase_of(member, dot) is Phase.PROPOSE
         assert member._info[dot].partition_commits.keys() == {0}
         relayed = [e for e in commits(seen, dot) if e.sender == 1]
         assert relayed and {e.message.partition for e in relayed} == {0}
@@ -139,7 +139,7 @@ class TestHealthyPath:
         )
         member.drain_outbox()
         member.deliver(ack.sender, ack.message, 0.0)
-        assert member.phase_of(dot) is Phase.PROPOSE
+        assert phase_of(member, dot) is Phase.PROPOSE
         assert not [e for e in member.drain_outbox() if isinstance(e.message, MCommit)]
 
     def test_without_the_ack_broadcast_the_coordinator_sends_everything(self):
@@ -246,7 +246,7 @@ class TestOneSenderFailureModel:
         quorums = {0: (0, 1)}
         target.deliver(0, MPayload(command.dot, command, quorums), 0.0)
         target.deliver(1, MRec(command.dot, 5), 0.0)
-        assert target.phase_of(command.dot) is Phase.RECOVER_R
+        assert phase_of(target, command.dot) is Phase.RECOVER_R
         target.drain_outbox()
         promises = MPromises(
             Dot(1, 1), attached={command.dot: (1,)}

@@ -36,7 +36,7 @@ from repro.protocols.atlas import AtlasProcess
 from repro.protocols.caesar import CaesarProcess
 from repro.simulator.inline import InlineNetwork
 
-from tests.conftest import TempoCluster
+from tests.conftest import TempoCluster, phase_of
 
 
 class _Seam:
@@ -306,7 +306,7 @@ class TestTempoCollection:
                 assert dot in process.executed_dots()  # witness is kept
                 assert process.gc.collected(dot)
                 assert dot not in process._info
-                assert process.phase_of(dot) is Phase.EXECUTE
+                assert phase_of(process, dot) is Phase.EXECUTE
             assert not process.order._buffered
             # The promises attached to them folded into one issued range.
             assert process.order.issued_above(0) == (

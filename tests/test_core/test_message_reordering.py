@@ -23,6 +23,7 @@ from repro.core.phases import Phase
 from repro.core.process import TempoProcess
 from repro.core.identifiers import Dot
 from repro.simulator.inline import InlineNetwork
+from tests.conftest import phase_of
 
 
 def build(r=3):
@@ -83,12 +84,12 @@ class TestOutOfOrderDelivery:
         from repro.core.messages import MRec
 
         target.deliver(2, MRec(command.dot, 10), 0.0)
-        assert target.phase_of(command.dot) is Phase.RECOVER_R
+        assert phase_of(target, command.dot) is Phase.RECOVER_R
         clock_before = target.order.clock
         target.deliver(0, MPropose(command.dot, command, quorums, 1), 0.0)
         # The MPropose precondition (phase = start) fails: no new proposal.
         assert target.order.clock == clock_before
-        assert target.phase_of(command.dot) is Phase.RECOVER_R
+        assert phase_of(target, command.dot) is Phase.RECOVER_R
 
 
 class TestUnknownCommands:

@@ -10,6 +10,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.phases import Phase
 from repro.core.process import TempoProcess
 from repro.simulator.inline import RecordingNetwork
+from tests.conftest import phase_of
 
 
 def build_cluster(r=5, f=1, **kwargs):
@@ -152,7 +153,7 @@ class TestPhases:
         quorum = set(processes[0].quorum_system.fast_quorum(0, 0))
         outside = [p for p in range(5) if p not in quorum]
         for process_id in outside:
-            assert processes[process_id].phase_of(command.dot) in (
+            assert phase_of(processes[process_id], command.dot) in (
                 Phase.PAYLOAD,
                 Phase.COMMIT,
             )
@@ -172,7 +173,7 @@ class TestPhases:
             0.0,
         )
         assert processes[1].order.clock == before
-        assert processes[1].phase_of(command.dot) in (Phase.COMMIT, Phase.EXECUTE)
+        assert phase_of(processes[1], command.dot) in (Phase.COMMIT, Phase.EXECUTE)
 
     def test_new_command_mints_unique_dots(self):
         processes, _ = build_cluster()

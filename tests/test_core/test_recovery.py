@@ -8,6 +8,7 @@ from repro.core.phases import Phase
 from repro.core.process import TempoProcess
 from repro.kvstore.store import KeyValueStore
 from repro.simulator.inline import InlineNetwork, RecordingNetwork
+from tests.conftest import phase_of
 
 
 def build_cluster(r=5, f=1):
@@ -27,6 +28,13 @@ def build_cluster(r=5, f=1):
             )
         )
     return processes, stores, InlineNetwork(processes)
+
+
+def ballot_owner_rank(process, ballot: int) -> int:
+    """Rank (within the partition) of the process owning ``ballot``: ballots
+    go round-robin over the ranks, starting at 1."""
+    assert ballot >= 1, "ballots start at 1"
+    return (ballot - 1) % process.config.num_processes
 
 
 def crash_and_update_views(processes, network, victim):
@@ -62,18 +70,20 @@ class TestBallots:
         process = processes[2]
         ballot = process._next_recovery_ballot(0)
         assert ballot > 5
-        assert process.ballot_owner_rank(ballot) == 2
+        assert ballot_owner_rank(process, ballot) == 2
         higher = process._next_recovery_ballot(ballot)
         assert higher > ballot
-        assert process.ballot_owner_rank(higher) == 2
+        assert ballot_owner_rank(process, higher) == 2
 
     def test_ballot_owner_rank_round_robin(self):
         processes, _, _ = build_cluster()
+        for rank, member in enumerate(processes):
+            assert ballot_owner_rank(member, member._own_ballot()) == rank
         process = processes[0]
-        assert process.ballot_owner_rank(1) == 0
-        assert process.ballot_owner_rank(5) == 4
-        assert process.ballot_owner_rank(6) == 0
-        assert process.ballot_owner_rank(8) == 2
+        assert ballot_owner_rank(process, 1) == 0
+        assert ballot_owner_rank(process, 5) == 4
+        assert ballot_owner_rank(process, 6) == 0
+        assert ballot_owner_rank(process, 8) == 2
 
 
 class TestRecoveryAfterCoordinatorCrash:
@@ -218,11 +228,11 @@ class TestRecoveryHandlers:
         # A process outside the fast quorum is in the payload phase.
         quorum = set(processes[0].quorum_system.fast_quorum(0, 0))
         outsider = next(p for p in processes[1:] if p.process_id not in quorum)
-        assert outsider.phase_of(command.dot) is Phase.PAYLOAD
+        assert phase_of(outsider, command.dot) is Phase.PAYLOAD
         from repro.core.messages import MRec
 
         outsider.deliver(1, MRec(command.dot, 11), 0.0)
-        assert outsider.phase_of(command.dot) is Phase.RECOVER_R
+        assert phase_of(outsider, command.dot) is Phase.RECOVER_R
         assert outsider.info(command.dot).timestamp > 0
 
     def test_propose_phase_process_moves_to_recover_p(self):
@@ -230,11 +240,11 @@ class TestRecoveryHandlers:
         command = submit_and_crash_before_commit(processes, network)
         quorum = [p for p in processes[0].quorum_system.fast_quorum(0, 0) if p != 0]
         member = processes[quorum[0]]
-        assert member.phase_of(command.dot) is Phase.PROPOSE
+        assert phase_of(member, command.dot) is Phase.PROPOSE
         from repro.core.messages import MRec
 
         member.deliver(1, MRec(command.dot, 11), 0.0)
-        assert member.phase_of(command.dot) is Phase.RECOVER_P
+        assert phase_of(member, command.dot) is Phase.RECOVER_P
 
 
 class TestLivenessMechanisms:

@@ -109,7 +109,7 @@ def run_partial_cell(protocol: str, duration_ms: float):
 BASE_MS = 400.0
 LONG_MS = 4_000.0  # 10x
 
-COLLECTING_PROTOCOLS = ["tempo", "atlas", "epaxos", "caesar", "janus"]
+COLLECTING_PROTOCOLS = ["tempo", "atlas", "epaxos", "caesar", "janus", "fpaxos"]
 #: The protocols that execute over a dependency graph.
 DEPENDENCY_PROTOCOLS = ["atlas", "epaxos", "janus"]
 #: The protocols that replicate partially (``num_shards > 1``).

@@ -25,9 +25,9 @@ from repro.faults import (
     Restart,
     TargetedLoss,
 )
-from repro.simulator.latency import uniform_latency_matrix
 from repro.simulator.network import Network
 from repro.simulator.sim import Simulation
+from tests.conftest import uniform_latency_matrix
 
 SITES = ["ireland", "canada", "singapore"]
 

@@ -13,10 +13,10 @@ from repro.core.base import MBatch, ProcessBase
 from repro.core.config import ProtocolConfig
 from repro.faults import FlakyLink
 from repro.simulator.events import EventKind
-from repro.simulator.latency import uniform_latency_matrix
 from repro.simulator.network import Network
 from repro.simulator.rng import SeededRng
 from repro.simulator.sim import Simulation
+from tests.conftest import uniform_latency_matrix
 
 
 class RecordingProcess(ProcessBase):

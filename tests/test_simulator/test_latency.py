@@ -9,8 +9,8 @@ from repro.simulator.latency import (
     EC2_REGIONS,
     LatencyMatrix,
     ec2_latency_matrix,
-    uniform_latency_matrix,
 )
+from tests.conftest import uniform_latency_matrix
 
 
 class TestTable2Data:

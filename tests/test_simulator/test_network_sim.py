@@ -10,15 +10,12 @@ from repro.core.commands import Command, Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.process import TempoProcess
 from repro.simulator.inline import InlineNetwork
-from repro.simulator.latency import (
-    DEFAULT_LOCAL_LATENCY,
-    ec2_latency_matrix,
-    uniform_latency_matrix,
-)
+from repro.simulator.latency import DEFAULT_LOCAL_LATENCY, ec2_latency_matrix
 from repro.faults import Crash, FaultPlan, FlakyLink
 from repro.simulator.network import Network
 from repro.simulator.rng import SeededRng
 from repro.simulator.sim import Simulation
+from tests.conftest import uniform_latency_matrix
 
 #: Horizon of the loop tests: ticks recur forever, so every run is bounded.
 HORIZON = 2_000.0
