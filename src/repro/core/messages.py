@@ -262,7 +262,13 @@ class MDeliveryAck(Message):
 
 
 class Need(IntEnum):
-    """The ingredient a command is missing before it can execute here."""
+    """The ingredient a command is missing before it can execute here.
+
+    FPaxos has no promises and no stability: in its ``MRepairRequest`` the
+    values only tell two requests apart.  ``COMMIT`` asks for every decided
+    slot past ``frontier``; ``PROMISES`` asks for a gap, the slots past
+    ``frontier`` below ``dot``'s, which the requester holds.
+    """
 
     COMMIT = 0
     PROMISES = 1
@@ -287,7 +293,9 @@ class MRepairRequest(Message):
     :attr:`Need.PROMISES`: an ``MPromises`` with everything the receiver
     issued above ``frontier`` — the requester's contiguous frontier of the
     receiver's promises — plus the payload and commit of its committed
-    commands attached above it.  Tempo's other requests leave ``frontier`` 0.
+    commands attached above it; from the FPaxos leader, ``MDecided`` for
+    each slot above ``frontier`` below ``dot``'s (a gap the requester holds
+    ``dot`` after).  Tempo's other requests leave ``frontier`` 0.
     """
 
     need: Uvarint

@@ -19,15 +19,15 @@ One representation
 A promise is a plain ``(process, timestamp)`` pair and a run of promises is
 an inclusive ``(lo, hi)`` range — in the clock, the tracker, the messages
 and the ``PromiseSet`` alike; nothing on a message path builds an object
-per promise (``docs/promise_ranges.md``).  Detached promises are issued by
-clock jumps and so leave as contiguous runs: :class:`PromiseTracker`
-stores them as sorted disjoint ranges, which makes a jump of any size O(1)
-to issue and to broadcast.  A receiver's :meth:`PromiseSet.add_range`
-absorbs a run that extends the frontier in O(1), but most runs do not: on
+per promise (``docs/promise_ranges.md``).  A *set* of timestamps is an
+:class:`_IntRanges` of sorted disjoint runs wherever one is kept: the
+detached promises a :class:`PromiseTracker` issued (clock jumps leave as
+contiguous runs, so a jump of any size is O(1) to issue and to broadcast),
+the ones a :class:`RangeCollector` gathers and, per process, the ones a
+:class:`PromiseSet` knows, whose frontier is the run that starts at 1.  On
 the fig6-shape Tempo cell (5 sites, 64 clients per site, conflict 0.05,
-3 000 ms, seed 1), 7 136 of 7 919 range absorptions and 58 572 of 155 970
-single timestamps land above a gap, and :class:`PromiseSet` holds those
-one int per timestamp until the gap fills.
+3 000 ms, seed 1) most promises arrive above a hole (7 136 of 7 919 range
+absorptions, 58 572 of 155 970 single timestamps) and wait there as runs.
 :meth:`PromiseSet.stable_timestamp` caches its sorted-frontier answer
 until a frontier moves.  Timestamps are range-checked (``>= 1``) where they
 enter the program: :meth:`PromiseTracker.add_attached`,
@@ -298,127 +298,86 @@ class PromiseTracker:
 class PromiseSet:
     """The ``Promises`` variable: promises *known* at a process.
 
-    Supports the ``highest_contiguous_promise`` query of Algorithm 2 in
-    amortised O(1) per insertion by keeping, per process, the current
-    contiguous frontier plus a set of out-of-order timestamps.  Contiguous
-    blocks (e.g. from an ``MPromises`` broadcast covering a clock jump) are
-    absorbed in O(1) via :meth:`add_range` when they extend the frontier,
-    and :meth:`stable_timestamp` caches its sorted-frontier answer until a
+    Holds, per process, the known timestamps as one :class:`_IntRanges`
+    (a process with none holds no entry, so equal promises leave equal
+    state), and answers the ``highest_contiguous_promise`` query of
+    Algorithm 2 as its :meth:`_IntRanges.prefix`, the end of the run from
+    1.  Promises known already, and promises that grow the run from 1 or
+    the last run, cost O(1); closing a hole merges the runs it meets.
+    :meth:`stable_timestamp` caches its sorted-frontier answer until a
     frontier moves.
     """
 
-    __slots__ = ("_frontier", "_pending", "_size", "_stable_cache")
-    _DIGEST_EXEMPT = frozenset({"_stable_cache"})  # cache of _frontier
+    __slots__ = ("_known", "_stable_cache")
+    _DIGEST_EXEMPT = frozenset({"_stable_cache"})  # cache of the frontiers
 
     def __init__(self) -> None:
-        self._frontier: Dict[int, int] = {}
-        self._pending: Dict[int, Set[int]] = {}
-        self._size = 0
+        self._known: Dict[int, _IntRanges] = {}
         self._stable_cache: Dict[Tuple[int, ...], int] = {}
 
     def add_timestamp(self, process: int, timestamp: int) -> None:
         """Insert the promise ``<process, timestamp>``."""
-        frontier = self._frontier.get(process, 0)
-        if timestamp <= frontier:
-            return
-        if timestamp == frontier + 1:
-            self._size += 1
-            self._frontier[process] = self._absorb_pending(process, timestamp)
-            if self._stable_cache:
-                self._stable_cache.clear()
-            return
-        pending = self._pending.get(process)
-        if pending is None:
-            self._pending[process] = pending = set()
-        elif timestamp in pending:
-            return
-        pending.add(timestamp)
-        self._size += 1
+        self._add(process, timestamp, timestamp)
 
     def add_range(self, process: int, lo: int, hi: int) -> None:
-        """Insert every promise ``<process, lo..hi>`` (bulk API).
+        """Insert every promise ``<process, lo..hi>``."""
+        self._add(process, lo, hi)
 
-        O(1) when the range extends the contiguous frontier and no
-        out-of-order timestamps overlap it — the common case for the
-        detached promises of a clock jump.
-        """
-        if hi < lo:
-            return
-        frontier = self._frontier.get(process, 0)
-        if hi <= frontier:
-            return
-        if lo <= frontier:
-            lo = frontier + 1
-        pending = self._pending.get(process)
-        if lo == frontier + 1:
-            added = hi - lo + 1
-            if pending is not None:
-                for timestamp in range(lo, hi + 1):
-                    if timestamp in pending:
-                        pending.remove(timestamp)
-                        added -= 1
-            self._size += added
-            self._frontier[process] = self._absorb_pending(process, hi)
+    def _add(self, process: int, lo: int, hi: int) -> None:
+        """Insert ``<process, lo..hi>``.  The O(1) cases are decided here on
+        the runs, ``prefix()`` read inline: a call per promise costs more
+        than the rest of the insertion (``docs/promise_ranges.md``).  A merge
+        goes to :meth:`_IntRanges.add_range`."""
+        known = self._known.get(process)
+        if known is None:
+            if hi < lo or hi < 1:
+                return
+            known = self._known[process] = _IntRanges()
+            frontier = 0
+        else:
+            runs = known._ranges
+            first, last = runs[0], runs[-1]
+            frontier = first[1] if first[0] == 1 else 0
+            if hi <= frontier or last[0] <= lo <= hi <= last[1] or hi < lo:
+                return  # known already
+            if lo > frontier + 1 and last[0] <= lo <= last[1] + 1:
+                last[1] = hi  # the last run grows
+                return
+        if lo <= frontier + 1:
             if self._stable_cache:
                 self._stable_cache.clear()
-            return
-        if pending is None:
-            pending = self._pending[process] = set()
-        for timestamp in range(lo, hi + 1):
-            if timestamp not in pending:
-                pending.add(timestamp)
-                self._size += 1
-
-    def _absorb_pending(self, process: int, frontier: int) -> int:
-        """Move ``process``'s frontier from ``frontier`` across the held
-        timestamps that now follow it; a set left empty goes, so equal
-        promises leave equal state."""
-        pending = self._pending.get(process)
-        if pending is None:
-            return frontier
-        while frontier + 1 in pending:
-            frontier += 1
-            pending.remove(frontier)
-        if not pending:
-            del self._pending[process]
-        return frontier
+            if frontier and (first is last or hi + 1 < runs[1][0]):
+                first[1] = hi  # the run from 1 grows under the hole, if any
+                return
+            lo = frontier + 1
+        known.add_range(lo, hi)
 
     def add_all(self, promises: Iterable[Tuple[int, int]]) -> None:
         """Insert every ``(process, timestamp)`` pair of ``promises``."""
-        add_timestamp = self.add_timestamp
+        add = self._add
         for process, timestamp in promises:
-            add_timestamp(process, timestamp)
+            add(process, timestamp, timestamp)
 
     def absorb_ranges(
         self, wire: PromiseRangeWire, only: Optional[FrozenSet[int]] = None
     ) -> None:
         """Bulk-ingest a wire-encoded range map (see ``PromiseRangeWire``).
 
-        Cost is proportional to the number of *ranges*, not promises: each
-        range goes through :meth:`add_range`, which is O(1) when it extends
-        the process's contiguous frontier (the clock-jump common case).
+        Cost is proportional to the number of *ranges*, not promises.
         ``only`` restricts absorption to the given processes (the receivers
         of commit piggybacks only care about their own partition's peers).
         """
-        add_range = self.add_range
+        add = self._add
         for process, spans in wire.items():
             if only is not None and process not in only:
                 continue
             for lo, hi in spans:
-                add_range(process, lo, hi)
-
-    def __contains__(self, promise: Tuple[int, int]) -> bool:
-        process, timestamp = promise
-        if timestamp <= self._frontier.get(process, 0):
-            return True
-        return timestamp in self._pending.get(process, ())
-
-    def __len__(self) -> int:
-        return self._size
+                add(process, lo, hi)
 
     def highest_contiguous_promise(self, process: int) -> int:
         """Largest ``c`` such that all promises ``<process, 1..c>`` are known."""
-        return self._frontier.get(process, 0)
+        known = self._known.get(process)
+        return known.prefix() if known is not None else 0
 
     def stable_timestamp(self, processes: Iterable[int]) -> int:
         """Highest stable timestamp per Theorem 1.
@@ -440,8 +399,11 @@ class PromiseSet:
         cached = self._stable_cache.get(key)
         if cached is not None:
             return cached
-        frontier_map = self._frontier
-        frontiers = [frontier_map.get(process, 0) for process in key]
+        known = self._known
+        frontiers = []
+        for process in key:  # a loop: cheaper than a call per frontier
+            first = known[process]._ranges[0] if process in known else (0, 0)
+            frontiers.append(first[1] if first[0] == 1 else 0)
         if not frontiers:
             value = 0
         else:

@@ -36,7 +36,7 @@ by an outage is pulled in one round rather than one dot per window.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.identifiers import Dot
 from repro.core.messages import MPayload, MPromises, MRepairRequest, MStable, Need
@@ -61,6 +61,17 @@ class PullMixin:
         awaiting = self._blocked[Need.COMMIT]
         if dot not in awaiting:
             awaiting[dot] = [now, NEVER]
+
+    def _await_owed(self, clock: Dict[int, int], have: Callable[[Dot], bool], now: float) -> None:
+        """A dot a peer's executed ``clock`` names past this replica's
+        frontier of its source is owed here: start the clock on its commit
+        unless this replica ``have`` it."""
+        chains = self.chains
+        for source, frontier in clock.items():
+            for sequence in range(chains.frontier(source) + 1, frontier + 1):
+                dot = Dot(source, sequence)
+                if not have(dot):
+                    self._await_commit(dot, now)
 
     def blocked_on(self, now: float) -> List[Tuple[Need, Dot, float]]:
         """``(need, dot, since)`` for every item overdue at ``now``.

@@ -566,15 +566,9 @@ class DependencyProtocolProcess(PullMixin, WatermarkGcMixin, ProcessBase):
     # -- the pull --------------------------------------------------------------------
 
     def _on_executed_clock(self, sender: int, message: MExecutedClock, now: float) -> None:
-        """A dot a peer executed past this replica's frontier of its source
-        is owed here: start the clock on its commit unless it has one."""
+        """Owed here: what a peer executed and this replica has not committed."""
         info = self._info
-        for source, frontier in message.clock.items():
-            for sequence in range(self.chains.frontier(source) + 1, frontier + 1):
-                dot = Dot(source, sequence)
-                record = info.get(dot)
-                if record is None or not record.is_committed:
-                    self._await_commit(dot, now)
+        self._await_owed(message.clock, lambda dot: dot in info and info[dot].is_committed, now)
         super()._on_executed_clock(sender, message, now)
 
     def _ask(self, need: Need, dot: Dot, now: float) -> None:

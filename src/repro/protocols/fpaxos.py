@@ -33,7 +33,9 @@ one window after the item became overdue, ``MRepairRequest``):
   the leader drops a command it already ordered;
 * a lost ``MDecided``: a follower owed a slot (a decided slot held behind
   it, a command minted here, or a dot a peer's executed clock names) asks
-  the leader for every slot it decided past the follower's applied prefix.
+  the leader for every slot it decided past the follower's applied prefix
+  and the follower does not hold: each gap below a held slot (naming it)
+  and everything past the last one.
 
 Leader failure is handled by re-running phase 1 from a higher ballot; since
 the evaluation only exercises a live leader, this implementation keeps a
@@ -43,7 +45,7 @@ static leader (rank 0 of the partition by default) and has no failover
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.base import ProcessBase
 from repro.core.commands import Command
@@ -60,7 +62,8 @@ class SlotLog:
     The first implementation of the ordering seam (ROADMAP item 22):
     :meth:`commit` files a decided slot, :meth:`advance` returns the
     commands now applicable, :meth:`blockers` names what a held command
-    waits for and :meth:`forget` drops an applied slot.  ``applied`` is the
+    waits for, :meth:`forget` drops an applied slot and :meth:`missing`
+    names what is not held past the applied prefix.  ``applied`` is the
     applied prefix: every slot up to it has been handed out by ``advance``.
     """
 
@@ -113,10 +116,26 @@ class SlotLog:
             assert slot <= self.applied, f"forgetting {dot} before applying slot {slot}"
             del self._commands[slot]
 
-    def decided_above(self, slot: int) -> List[Tuple[int, Command]]:
-        """The held slots past ``slot`` with their commands, in slot order:
-        what a replica that applied up to ``slot`` is missing."""
-        return sorted(item for item in self._commands.items() if item[0] > slot)
+    def missing(self) -> List[Tuple[int, Optional[Dot]]]:
+        """What a replica that forgets each slot it applies (a follower)
+        lacks past its applied prefix: each run of missing slots below a
+        held one, as ``(the slot before it, the dot of the held slot after
+        it)``, then ``(the last held slot, None)`` for whatever was decided
+        past it."""
+        missing, previous = [], self.applied
+        for slot in sorted(self._commands):
+            if slot > previous + 1:
+                missing.append((previous, self._commands[slot].dot))
+            previous = slot
+        missing.append((previous, None))
+        return missing
+
+    def decided_above(self, slot: int, below: Optional[Dot] = None) -> List[Tuple[int, Command]]:
+        """The held slots past ``slot``, and before ``below``'s if it is held
+        here, with their commands in slot order: what a replica that lacks
+        the slots after ``slot`` (up to the one it holds, ``below``) misses."""
+        bound = self._slots.get(below, float("inf"))
+        return sorted(item for item in self._commands.items() if slot < item[0] < bound)
 
 
 class FPaxosProcess(PullMixin, WatermarkGcMixin, ProcessBase):
@@ -245,20 +264,17 @@ class FPaxosProcess(PullMixin, WatermarkGcMixin, ProcessBase):
         self._pull_overdue(now)
 
     def _on_executed_clock(self, sender: int, message: MExecutedClock, now: float) -> None:
-        """A dot a peer executed that has not executed here is owed here."""
+        """Owed here: what a peer executed and this replica has not."""
         chains = self.chains
-        for source, frontier in message.clock.items():
-            for sequence in range(chains.frontier(source) + 1, frontier + 1):
-                dot = Dot(source, sequence)
-                if dot not in chains:
-                    self._await_commit(dot, now)
+        self._await_owed(message.clock, lambda dot: dot in chains, now)
         super()._on_executed_clock(sender, message, now)
 
     def _ask(self, need: Need, dot: Dot, now: float) -> None:
         """The leader re-drives an undecided slot: its ``MAccept`` again, to
         the phase-2 quorum members whose ack is missing.  A follower forwards
         its overdue commands again and asks the leader, once per round, for
-        every slot past its applied prefix."""
+        every slot past its applied prefix that it does not hold: each gap
+        below a held slot, and everything past the last one."""
         if self.is_leader():
             proposal = self._proposals.get(dot)
             if proposal is not None:
@@ -273,11 +289,19 @@ class FPaxosProcess(PullMixin, WatermarkGcMixin, ProcessBase):
                 command = self._forwarded.get(other)
                 if command is not None:
                     self.send([self.leader], MForward(other, command), now)
-        self.send([self.leader], MRepairRequest(dot, need, self.log.applied), now)
+        for previous, held in self.log.missing():
+            if held is None:
+                request = MRepairRequest(dot, need, previous)
+            else:
+                request = MRepairRequest(held, Need.PROMISES, previous)
+            self.send([self.leader], request, now)
 
     def _on_repair_request(self, sender: int, message: MRepairRequest, now: float) -> None:
-        """Answer with every slot held past the requester's applied prefix."""
-        for slot, command in self.log.decided_above(message.frontier):
+        """Answer with every slot held past ``frontier``; for a gap
+        (``PROMISES``, see :class:`Need`), only those below the named dot's,
+        which the requester holds."""
+        below = message.dot if message.need == Need.PROMISES else None
+        for slot, command in self.log.decided_above(message.frontier, below):
             self.send([sender], MDecided(command.dot, command, slot), now)
 
     # -- introspection -------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.protocols.dependency import DependencyProtocolProcess
 
 def _buggy_stable_timestamp(self, processes):
     # PR 1's regression, cache-free: sorted index r//2 instead of (r-1)//2.
-    frontiers = sorted(self._frontier.get(process, 0) for process in processes)
+    frontiers = sorted(self.highest_contiguous_promise(process) for process in processes)
     return frontiers[len(frontiers) // 2] if frontiers else 0
 
 

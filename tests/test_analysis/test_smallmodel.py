@@ -380,15 +380,14 @@ class TestDerivedDigest:
 
     def test_the_digest_has_teeth(self):
         # The hand digest's blind spot, the promises held above the
-        # frontier, is digested: same frontier and count, different
-        # promises above it, different digests.
+        # frontier, is digested: same frontier, as many promises, different
+        # ones above it, different digests.
         first, second = PromiseSet(), PromiseSet()
         for promises, above in ((first, 4), (second, 5)):
             promises.add_range(0, 1, 2)
             promises.add_timestamp(0, above)
         assert first.highest_contiguous_promise(0) == 2
         assert second.highest_contiguous_promise(0) == 2
-        assert len(first) == len(second) == 3
         assert canonical(first) != canonical(second)
 
     @pytest.mark.parametrize(

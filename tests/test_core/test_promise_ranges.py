@@ -94,7 +94,7 @@ class TestRoundTrip:
         via_pairs.add_all(pairs_of(wire))
 
         processes = tuple(range(5))
-        assert len(via_ranges) == len(via_pairs)
+        assert canonical(via_ranges) == canonical(via_pairs)
         for process in processes:
             assert via_ranges.highest_contiguous_promise(process) == (
                 via_pairs.highest_contiguous_promise(process)
@@ -120,8 +120,13 @@ class TestRoundTrip:
         assert set(pairs_of(collector.to_wire())) == expected
         absorbed = PromiseSet()
         absorbed.absorb_ranges(collector.to_wire())
-        assert len(absorbed) == len(expected)
-        assert all(pair in absorbed for pair in expected)
+        assert absorbed.highest_contiguous_promise(1) == 0
+        assert absorbed.highest_contiguous_promise(2) == 3
+        # Filling 1..3 and 10..11 shows 4..9 and 12 were held above the holes.
+        absorbed.add_range(1, 1, 3)
+        assert absorbed.highest_contiguous_promise(1) == 9
+        absorbed.add_range(1, 10, 11)
+        assert absorbed.highest_contiguous_promise(1) == 12
 
 
 def _drive(target, deliveries, batched: bool):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.analysis.smallmodel import canonical
 from repro.core.identifiers import Dot
 from repro.core.messages import MCommit
-from repro.core.promises import Promise, PromiseSet, PromiseTracker
+from repro.core.promises import Promise, PromiseSet, PromiseTracker, _IntRanges
 from repro.wire import WireError, encode
 
 
@@ -145,6 +145,44 @@ class TestPromiseTracker:
         assert tracker.broadcast(2) == ((), {})
 
 
+def runs(timestamps):
+    """The sorted disjoint inclusive runs of a set of integers."""
+    spans = []
+    for timestamp in sorted(timestamps):
+        if spans and spans[-1][1] + 1 == timestamp:
+            spans[-1] = (spans[-1][0], timestamp)
+        else:
+            spans.append((timestamp, timestamp))
+    return spans
+
+
+class TestIntRanges:
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(1, 40), st.integers(0, 6)),
+            max_size=60,
+        )
+    )
+    def test_matches_a_naive_set(self, inserts):
+        """``at_prefix`` inserts start right past the run from 1: the run
+        from 1 grows under a hole above it, or reaches the hole and merges."""
+        ranges = _IntRanges()
+        naive = set()
+        for at_prefix, lo, span in inserts:
+            if at_prefix:
+                lo = ranges.prefix() + 1
+            hi = lo + span
+            added = ranges.add_range(lo, hi)
+            fresh = set(range(lo, hi + 1)) - naive
+            assert added == runs(fresh)
+            naive |= fresh
+            assert ranges.ranges() == runs(naive)
+            prefix = 0
+            while prefix + 1 in naive:
+                prefix += 1
+            assert ranges.prefix() == prefix
+
+
 class TestPromiseSet:
     def test_contiguous_frontier(self):
         promises = PromiseSet()
@@ -160,15 +198,27 @@ class TestPromiseSet:
         promises = PromiseSet()
         promises.add_timestamp(1, 1)
         promises.add_timestamp(1, 3)
-        assert Promise(1, 1) in promises
-        assert Promise(1, 3) in promises
-        assert Promise(1, 2) not in promises
+        assert promises.highest_contiguous_promise(1) == 1
+        # 3 was known above the hole: filling 2 moves the frontier past it.
+        promises.add_timestamp(1, 2)
+        assert promises.highest_contiguous_promise(1) == 3
 
     def test_duplicates_do_not_grow_the_set(self):
+        once, twice = PromiseSet(), PromiseSet()
+        for promises, repeats in ((once, 1), (twice, 2)):
+            for _ in range(repeats):
+                promises.add_timestamp(0, 1)
+                promises.add_timestamp(0, 3)
+        assert canonical(once) == canonical(twice)
+        twice.add_timestamp(0, 2)
+        assert twice.highest_contiguous_promise(0) == 3
+
+    def test_an_empty_insertion_leaves_no_entry(self):
         promises = PromiseSet()
-        promises.add_timestamp(0, 1)
-        promises.add_timestamp(0, 1)
-        assert len(promises) == 1
+        promises.add_range(0, 5, 4)
+        promises.add_timestamp(1, 0)
+        promises.add_all([])
+        assert canonical(promises) == canonical(PromiseSet())
 
     def test_stable_timestamp_requires_majority(self):
         promises = PromiseSet()
@@ -227,25 +277,24 @@ class TestPromiseSet:
     def test_duplicate_adds_after_frontier_absorption(self):
         promises = PromiseSet()
         promises.add_all([Promise(0, 1), Promise(0, 2)])
-        size = len(promises)
+        before = canonical(promises)
         promises.add_timestamp(0, 1)
         promises.add_timestamp(0, 2)
-        assert len(promises) == size
+        assert canonical(promises) == before
+        assert promises.highest_contiguous_promise(0) == 2
 
     def test_contains_after_frontier_absorption(self):
         promises = PromiseSet()
         promises.add_all([Promise(0, 2), Promise(0, 1), Promise(0, 4)])
         # 1 and 2 were absorbed into the frontier, 4 is out of order.
-        assert Promise(0, 1) in promises
-        assert Promise(0, 2) in promises
-        assert Promise(0, 3) not in promises
-        assert Promise(0, 4) in promises
+        assert promises.highest_contiguous_promise(0) == 2
+        promises.add_timestamp(0, 3)
+        assert promises.highest_contiguous_promise(0) == 4
 
     def test_add_range_extends_frontier(self):
         promises = PromiseSet()
         promises.add_range(0, 1, 100)
         assert promises.highest_contiguous_promise(0) == 100
-        assert len(promises) == 100
 
     def test_add_range_absorbs_pending_timestamps(self):
         promises = PromiseSet()
@@ -254,7 +303,6 @@ class TestPromiseSet:
         promises.add_range(0, 1, 4)
         # 3 was pending inside the range; 5 is missing, 6 stays pending.
         assert promises.highest_contiguous_promise(0) == 4
-        assert len(promises) == 5
         promises.add_timestamp(0, 5)
         assert promises.highest_contiguous_promise(0) == 6
 
@@ -262,7 +310,6 @@ class TestPromiseSet:
         promises = PromiseSet()
         promises.add_range(0, 5, 8)
         assert promises.highest_contiguous_promise(0) == 0
-        assert Promise(0, 6) in promises
         promises.add_range(0, 1, 4)
         assert promises.highest_contiguous_promise(0) == 8
 
@@ -274,7 +321,7 @@ class TestPromiseSet:
             elementwise.add_all(
                 Promise(process, ts) for ts in range(lo, hi + 1)
             )
-        assert len(ranged) == len(elementwise)
+        assert canonical(ranged) == canonical(elementwise)
         for process in (0, 1):
             assert ranged.highest_contiguous_promise(
                 process
@@ -311,7 +358,13 @@ class TestPromiseSet:
         for process, lo, span in triples:
             promises.add_range(process, lo, lo + span)
             naive.setdefault(process, set()).update(range(lo, lo + span + 1))
-        assert len(promises) == sum(len(known) for known in naive.values())
+        one_by_one = PromiseSet()
+        one_by_one.add_all(
+            (process, timestamp)
+            for process, known in naive.items()
+            for timestamp in sorted(known)
+        )
+        assert canonical(promises) == canonical(one_by_one)
         for process in range(3):
             known = naive.get(process, set())
             expected = 0

@@ -22,11 +22,13 @@ class ProtocolCluster:
         self.stores: Dict[int, KeyValueStore] = self.replicas.stores
         self.processes: List = self.replicas.processes
         self.network = InlineNetwork(self.processes)
+        self.submitted: List = []
 
     def submit(self, process_id: int, keys, read_only: bool = False):
         process = self.processes[process_id]
         command = process.new_command(keys, read_only=read_only)
         process.submit(command, 0.0)
+        self.submitted.append(command)
         return command
 
     def settle(self, rounds: int = 15) -> None:
@@ -49,7 +51,15 @@ class ProtocolCluster:
         return len(orders) == 1
 
     def stores_converged(self) -> bool:
-        return self.replicas.stores_agree()
+        """Every replica executed every submitted command, every store holds
+        every key they wrote, and the stores agree: empty stores agree too,
+        so agreement alone shows nothing."""
+        written = {op.key for command in self.submitted for op in command.ops if op.is_write()}
+        return (
+            all(self.executed_everywhere(command) for command in self.submitted)
+            and all(written <= set(store.keys()) for store in self.stores.values())
+            and self.replicas.stores_agree()
+        )
 
 
 @pytest.fixture

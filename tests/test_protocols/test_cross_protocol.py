@@ -69,7 +69,13 @@ class TestAllProtocolsBasics:
     @pytest.mark.parametrize("protocol", FULL_REPLICATION_PROTOCOLS)
     def test_stores_converge(self, protocol):
         schedule = [(i, True) for i in range(6)] + [(i, False) for i in range(4)]
-        _, stores, _ = run_schedule(protocol, schedule)
+        processes, stores, commands = run_schedule(protocol, schedule)
+        # Empty stores agree too: every command executed everywhere and
+        # reached every store.
+        keys = {op.key for command in commands for op in command.ops}
+        for process in processes:
+            assert {command.dot for command in commands} <= set(process.executed_dots())
+            assert keys <= set(stores[process.process_id].keys())
         snapshots = {
             tuple(sorted(store.snapshot().items())) for store in stores.values()
         }
